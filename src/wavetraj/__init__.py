@@ -6,14 +6,13 @@ __version__ = "0.1.0"
 from .comparison import (DIVERGES, CONVERGES, INCONCLUSIVE as DIVERGENCE_INCONCLUSIVE,
                          DominatingSolution, EnvelopeReport, PhiFunction,
                          check_divergence, solve_dominating, verify_envelope)
-from .dynamics import (EnergyFrame, ForceSystem, FREE, OperatorBounds, build_energy_frame,
+from .dynamics import (EnergyFrame, ForceSystem, FREE, build_energy_frame,
                        energy_derivative_identity, energy_v, make_rhs, operator_bounds,
-                       rhs_E, sampled_operator_bounds, self_adjoint_part)
+                       rhs_E, self_adjoint_part)
 from .errors import (EigFailure, HypothesisViolated, InvalidInit, NotABlowup,
                      NotPositiveDefinite, OutOfChart, OutOfRange, ParseError,
                      ValidationError, WavetrajError)
-from .geometry import (ChartManifold, TangentVector, christoffel_at, gradient,
-                       metric_at, norm_g)
+from .geometry import ChartManifold, TangentVector, christoffel_at, gradient, metric_at
 from .gpw import (GeodesicInitialData, GpwSpacetime, SplitGeodesic, WaveCoefficient,
                   classify_gpw_completeness, full_geodesic_oracle, plane_wave_H,
                   reduce_geodesic, split_state)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigFailure
-from .geometry import christoffel_at, metric_at
+from .geometry import christoffel_at, metric_at, require_in_chart
 from .numdiff import gradient_fd, partial_in_scalar
 
 
@@ -70,19 +70,6 @@ FREE = ForceSystem(potential=lambda x, t: 0.0,
 
 
 @dataclass(frozen=True)
-class OperatorBounds:
-    """Sampled extremes of the self-adjoint part of F over a spatial grid.
-
-    s_inf_of_t and s_sup_of_t are exact extremes over the sample grid, not
-    over the whole manifold; every consumer records them as sampled evidence.
-    """
-
-    s_inf_of_t: Callable[[float], float]
-    s_sup_of_t: Callable[[float], float]
-    sample_spec: str = ""
-
-
-@dataclass(frozen=True)
 class EnergyFrame:
     """Constants of the energy estimate on a compact time window [-T, T].
 
@@ -114,20 +101,30 @@ def build_energy_frame(alpha0, beta0, t_horizon, n_t, t_samples=41):
 def rhs_E(manifold, fs, state):
     """First-order field of the force equation at state = (x, xdot, t).
 
-    Returns the length-2n array (xdot, xddot).
+    Returns the length-2n array (xdot, xddot). On a flat chart Γ ≡ 0, so the
+    Christoffel contraction is skipped after the guard check, and on an
+    identity metric so is the solve against G.
     """
     x, xdot, t = state
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
-    gamma = christoffel_at(manifold, x)
-    acc = -np.einsum("kij,i,j->k", gamma, xdot, xdot)
+    if manifold.flat:
+        require_in_chart(manifold, x)
+        # what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
+        acc = -0.0 * xdot * xdot
+    else:
+        gamma = christoffel_at(manifold, x)
+        acc = -np.einsum("kij,i,j->k", gamma, xdot, xdot)
     fmat = fs.force_matrix(x, t)
     if fmat is not None:
         acc = acc + fmat @ xdot
     dv = fs.dx(x, t)
     if np.any(dv):
-        g = metric_at(manifold, x)
-        acc = acc - np.linalg.solve(g, dv)
+        if manifold.identity_metric:
+            acc = acc - dv
+        else:
+            g = metric_at(manifold, x)
+            acc = acc - np.linalg.solve(g, dv)
     return np.concatenate([xdot, acc])
 
 
@@ -176,15 +173,6 @@ def operator_bounds(manifold, fs, grid, t):
         lo = min(lo, wmin)
         hi = max(hi, wmax)
     return lo, hi
-
-
-def sampled_operator_bounds(manifold, fs, grid, label=""):
-    """OperatorBounds whose callables re-sample the grid at each requested t."""
-    return OperatorBounds(
-        s_inf_of_t=lambda t: operator_bounds(manifold, fs, grid, t)[0],
-        s_sup_of_t=lambda t: operator_bounds(manifold, fs, grid, t)[1],
-        sample_spec=label or f"{np.atleast_2d(grid).shape[0]} grid points",
-    )
 
 
 def energy_v(manifold, fs, frame, state):

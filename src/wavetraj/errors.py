@@ -14,13 +14,17 @@ class OutOfChart(WavetrajError):
 
 
 class NotPositiveDefinite(WavetrajError):
-    """The metric matrix has an eigenvalue <= 0 at an evaluated point."""
+    """The metric matrix has an eigenvalue <= 0 at an evaluated point.
+
+    point is None when a constant metric fails the check at construction.
+    """
 
     def __init__(self, point, eigenvalue=None):
         self.point = point
         self.eigenvalue = eigenvalue
+        where = f" at {point}" if point is not None else " as a constant"
         detail = f" (smallest eigenvalue {eigenvalue})" if eigenvalue is not None else ""
-        super().__init__(f"metric not positive definite at {point}{detail}")
+        super().__init__(f"metric not positive definite{where}{detail}")
 
 
 class EigFailure(WavetrajError):

@@ -6,8 +6,8 @@ guarded region is reported by the integrator as a distinct outcome, never
 conflated with blow-up.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -17,29 +17,53 @@ from .numdiff import fd_step
 SYMMETRY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartManifold:
     """A connected Riemannian manifold presented in a single chart.
 
     metric maps a chart point (array of length dim) to the dim x dim metric
-    matrix. christoffel, when given, is an analytic source returning the
+    matrix, or is one constant dim x dim matrix. A constant metric is checked
+    once, here, and makes the chart flat: its Christoffel symbols vanish, so
+    christoffel must be None and a zero source is installed in its place.
+    christoffel, when given, is an analytic source returning the
     (dim, dim, dim) array indexed [k, i, j]; otherwise Christoffel symbols
     come from central differences of the metric. domain_guard returns True
     for points inside the valid chart region. complete_flag is the scenario
     author's assertion that the manifold is geodesically complete; it is an
     unverified input recorded on every certificate.
+
+    flat (the metric is a constant matrix) and identity_metric (that matrix
+    is the identity) are derived from metric, not constructor arguments.
+    Manifolds hold functions and arrays, so they compare by identity.
     """
 
     dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
+    metric: Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_guard: Optional[Callable[[np.ndarray], bool]] = None
     complete_flag: bool = False
     name: str = ""
+    flat: bool = field(init=False, repr=False)
+    identity_metric: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        flat = not callable(self.metric)
+        identity = False
+        if flat:
+            if self.christoffel is not None:
+                raise ValueError("a constant metric has zero Christoffel symbols; "
+                                 "christoffel must be None")
+            g = _checked_metric(self.metric, self.dim, None)
+            g.flags.writeable = False
+            zeros = np.zeros((self.dim,) * 3)
+            zeros.flags.writeable = False
+            identity = bool(np.array_equal(g, np.eye(self.dim)))
+            object.__setattr__(self, "metric", g)
+            object.__setattr__(self, "christoffel", lambda x: zeros)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "identity_metric", identity)
 
     def contains(self, x):
         if self.domain_guard is None:
@@ -59,26 +83,26 @@ class TangentVector:
         return float(self.components @ g @ self.components)
 
 
-def _require_in_chart(manifold, x):
+def require_in_chart(manifold, x):
+    """Raise OutOfChart unless x satisfies the manifold's domain guard."""
     if not manifold.contains(x):
         raise OutOfChart(np.asarray(x, dtype=float))
 
 
-def metric_at(manifold, x):
-    """Metric matrix G(x), symmetrized and checked positive definite.
+def _checked_metric(g, dim, x):
+    """g symmetrized and checked positive definite; x is None for a constant metric.
 
     Symmetry is enforced by averaging (G + G^T)/2 after verifying the raw
     matrix is symmetric to 1e-12 relative tolerance. Positive definiteness is
     checked by Cholesky; failure is a hard error.
     """
-    x = np.asarray(x, dtype=float)
-    _require_in_chart(manifold, x)
-    g = np.asarray(manifold.metric(x), dtype=float)
-    if g.shape != (manifold.dim, manifold.dim):
-        raise ValueError(f"metric returned shape {g.shape}, expected {(manifold.dim, manifold.dim)}")
+    g = np.asarray(g, dtype=float)
+    if g.shape != (dim, dim):
+        raise ValueError(f"metric has shape {g.shape}, expected {(dim, dim)}")
     scale = max(1.0, float(np.abs(g).max()))
     if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError(f"metric not symmetric at {x} beyond {SYMMETRY_RTOL} relative tolerance")
+        where = "as a constant" if x is None else f"at {x}"
+        raise ValueError(f"metric not symmetric {where} beyond {SYMMETRY_RTOL} relative tolerance")
     g = 0.5 * (g + g.T)
     try:
         np.linalg.cholesky(g)
@@ -86,6 +110,19 @@ def metric_at(manifold, x):
         eigmin = float(np.linalg.eigvalsh(g)[0])
         raise NotPositiveDefinite(x, eigmin) from None
     return g
+
+
+def metric_at(manifold, x):
+    """Metric matrix G(x), symmetrized and checked positive definite.
+
+    A constant metric was checked when the manifold was built and comes back
+    as that read-only matrix; a metric function is checked at every call.
+    """
+    x = np.asarray(x, dtype=float)
+    require_in_chart(manifold, x)
+    if manifold.flat:
+        return manifold.metric
+    return _checked_metric(manifold.metric(x), manifold.dim, x)
 
 
 def metric_partials(manifold, x, h=None):
@@ -116,7 +153,7 @@ def christoffel_at(manifold, x, h=None):
     must fit inside the chart guard.
     """
     x = np.asarray(x, dtype=float)
-    _require_in_chart(manifold, x)
+    require_in_chart(manifold, x)
     if manifold.christoffel is not None and h is None:
         gamma = np.asarray(manifold.christoffel(x), dtype=float)
         return 0.5 * (gamma + gamma.transpose(0, 2, 1))
@@ -137,9 +174,3 @@ def gradient(manifold, x, dv):
     g = metric_at(manifold, x)
     return TangentVector(base=x, components=np.linalg.solve(g, dv))
 
-
-def norm_g(manifold, x, v):
-    """Metric norm sqrt(v^T G(x) v) of chart components v at x."""
-    g = metric_at(manifold, x)
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(0.0, v @ g @ v)))

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import operator_eigen_range
+from .dynamics import operator_bounds
 from .geometry import metric_at
 
 CAVEAT = "premises verified on sampled domain only"
@@ -126,13 +126,19 @@ class CompletenessCertificate:
 
 
 def _scan_grid(bd, quantity):
-    """Minimize quantity(p, t) over grid x t_grid; returns (min, point, t)."""
+    """Minimize quantity(p, t) over grid x t_grid; returns (min, point, t).
+
+    A non-finite sample is evidence of nothing, so it is the worst sample: the
+    scan stops there and returns margin -inf with that sample's point and t.
+    """
     worst = np.inf
     worst_p = None
     worst_t = None
     for t in bd.t_grid:
         for p in bd.grid:
             val = quantity(p, float(t))
+            if not np.isfinite(val):
+                return -np.inf, tuple(float(c) for c in p), float(t)
             if val < worst:
                 worst = val
                 worst_p = tuple(float(c) for c in p)
@@ -161,22 +167,12 @@ def check_S_bounds(manifold, fs, T, grid, t_samples=41):
     over the sample grid only, the weakest link of any certificate with a
     nonzero tensor force.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     ts = np.linspace(-T, T, t_samples)
-    sup_vals = np.empty(ts.size)
-    inf_vals = np.empty(ts.size)
-    if fs.tensor_F is None:
-        sup_vals[:] = 0.0
-        inf_vals[:] = 0.0
-    else:
+    sup_vals = np.zeros(ts.size)
+    inf_vals = np.zeros(ts.size)
+    if fs.tensor_F is not None:
         for j, t in enumerate(ts):
-            lo, hi = np.inf, -np.inf
-            for p in grid:
-                wmin, wmax = operator_eigen_range(manifold, fs, p, t)
-                lo = min(lo, wmin)
-                hi = max(hi, wmax)
-            sup_vals[j] = hi
-            inf_vals[j] = lo
+            inf_vals[j], sup_vals[j] = operator_bounds(manifold, fs, grid, t)
     n_two_sided = float(np.maximum(np.abs(sup_vals), np.abs(inf_vals)).max())
     n_upper = float(sup_vals.max())
     n_lower = float((-inf_vals).max())
@@ -254,13 +250,17 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
         for i, p in enumerate(grid):
             dh = wave.dx(p, float(u))
             g = metric_at(manifold, p)
-            norm_grad = float(np.sqrt(max(0.0, dh @ np.linalg.solve(g, dh))))
+            q = float(dh @ np.linalg.solve(g, dh))
+            # max() would drop a NaN; keep it so the slice fails below
+            norm_grad = np.nan if np.isnan(q) else float(np.sqrt(max(0.0, q)))
             ratios[i] = norm_grad / (1.0 + dists[i])
         max_ratio = max(max_ratio, float(ratios.max()))
         med = float(ratios[med_idx].mean())
         far = float(ratios[far_idx].mean())
         slack = 1e-12 * max(1.0, float(ratios.max()))
         margin = 2.0 * med - far + slack
+        if not np.all(np.isfinite(ratios)):
+            margin = -np.inf   # a non-finite sample fails its slice
         if margin < worst_margin:
             worst_margin = margin
             worst_u = float(u)

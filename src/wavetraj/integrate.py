@@ -169,6 +169,8 @@ class _Core:
         self.ys = [np.asarray(y0, dtype=float)]
         self.fs = []
         self.speeds = []
+        # stage derivatives k1..k7 as columns, refilled by every attempt
+        self.kmat = np.empty((self.ys[0].size, 7))
 
     def _eval(self, t, y):
         self.n_rhs += 1
@@ -239,22 +241,23 @@ class _Core:
         return Outcome(HORIZON_REACHED)
 
     def _attempt(self, t, y, h, k1):
-        k = [k1]
+        kmat = self.kmat
+        kmat[:, 0] = k1
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 7):
-                yi = y + h * (np.stack(k[:i], axis=1) @ _A[i])
+                yi = y + h * (kmat[:, :i] @ _A[i])
                 if not np.all(np.isfinite(yi)):
                     return y, k1, np.inf
-                k.append(self._eval(t + _C[i] * h, yi))
-            kmat = np.stack(k, axis=1)
-            y_new = y + h * (kmat @ _B[:7])
+                k_last = self._eval(t + _C[i] * h, yi)
+                kmat[:, i] = k_last
+            y_new = y + h * (kmat @ _B)
             # FSAL: stage 7 was evaluated at (t + h, y_new)
             err_vec = h * (kmat @ _E)
             scale = self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err = _rms_norm(err_vec / scale)
         if not self.guard_ok(y_new):
             raise OutOfChart(y_new, "accepted endpoint violates the chart guard")
-        return y_new, k[6], err
+        return y_new, k_last, err
 
     def _collapse_outcome(self, h):
         recent = self.speeds[-(_GROWTH_WINDOW + 1):]

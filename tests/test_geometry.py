@@ -58,6 +58,44 @@ def test_christoffel_euclidean_zero(euclidean2):
     assert_allclose(gamma, np.zeros((2, 2, 2)), atol=0)
 
 
+def test_constant_metric_is_flat_with_zero_christoffel_source(euclidean2):
+    assert euclidean2.flat and euclidean2.identity_metric
+    # a zero source, not the finite-difference path
+    assert euclidean2.christoffel is not None
+    gamma = christoffel_at(euclidean2, [1.0, 2.0])
+    assert gamma.shape == (2, 2, 2) and not gamma.any()
+    g = metric_at(euclidean2, [1.0, 2.0])
+    assert g is metric_at(euclidean2, [-5.0, 0.0])
+    assert not g.flags.writeable
+
+
+def test_constant_metric_checked_at_construction():
+    with pytest.raises(ValueError, match="not symmetric as a constant"):
+        ChartManifold(dim=2, metric=np.array([[1.0, 1e-3], [0.0, 1.0]]))
+    with pytest.raises(NotPositiveDefinite, match="as a constant") as info:
+        ChartManifold(dim=2, metric=np.diag([1.0, -1.0]))
+    assert info.value.point is None
+    assert info.value.eigenvalue == -1.0
+    with pytest.raises(ValueError, match="shape"):
+        ChartManifold(dim=2, metric=np.eye(3))
+    with pytest.raises(ValueError, match="christoffel must be None"):
+        ChartManifold(dim=2, metric=np.eye(2), christoffel=lambda x: np.zeros((2, 2, 2)))
+
+
+def test_constant_metric_symmetrized_once():
+    m = ChartManifold(dim=2, metric=[[2.0, 1e-13], [0.0, 1.0]])
+    g = metric_at(m, [0.0, 0.0])
+    assert_allclose(g, g.T, rtol=0, atol=0)
+    assert m.flat and not m.identity_metric
+
+
+def test_constant_metric_keeps_chart_guard():
+    m = ChartManifold(dim=2, metric=np.eye(2), domain_guard=lambda x: x[0] < 2.0)
+    for fn in (metric_at, christoffel_at):
+        with pytest.raises(OutOfChart):
+            fn(m, [3.0, 0.0])
+
+
 # hand computation from the closed-form half-plane metric, cross-checked by sympy
 HYPERBOLIC_GAMMA_AT_01 = {
     (0, 0, 1): -1.0,

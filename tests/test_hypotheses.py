@@ -268,3 +268,49 @@ def test_certificates_reproducible(euclidean2):
                              bounds=bounds_2d(lambda t: 1.0, lambda t: 0.0),
                              T=3.0, force=build_potential("exp_time_quadratic", {}))
     assert certify(task).to_dict() == certify(task).to_dict()
+
+
+def _poisoned(x, bad_x, bad_value, otherwise):
+    return bad_value if x[0] == bad_x else otherwise
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_potential_fails_bounded_below(bad):
+    # V = x^2 >= 0 everywhere except one sample: that sample is the evidence
+    fs = ForceSystem(potential=lambda x, t: _poisoned(x, 1.5, bad, float(x @ x)))
+    bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
+    check = check_bounded_below(fs, bd)
+    assert not check.passed
+    assert check.margin == -np.inf
+    assert check.worst_point == (1.5,)
+    assert check.worst_t == float(bd.t_grid[0])
+
+
+def test_nan_everywhere_fails_bounded_below():
+    fs = ForceSystem(potential=lambda x, t: float("nan"))
+    check = check_bounded_below(fs, bounds_1d(lambda t: 0.0, lambda t: 0.0))
+    assert not check.passed
+    assert check.worst_point == (-2.0,)
+    assert check.worst_t == -3.0
+
+
+@pytest.mark.parametrize("signed", ["two_sided", "forward", "backward"])
+def test_nan_time_derivative_fails_dvdt_bound(signed):
+    fs = ForceSystem(potential=lambda x, t: 1.0 + float(x @ x),
+                     potential_dt=lambda x, t: _poisoned(x, -1.0, float("nan"), 0.0))
+    bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
+    check = check_dVdt_bound(fs, bd, signed=signed)
+    assert not check.passed
+    assert check.margin == -np.inf
+    assert check.worst_point == (-1.0,)
+    assert check.worst_t == float(bd.t_grid[0])
+
+
+def test_nan_gradient_fails_linear_growth(euclidean2):
+    wave = make_wave(lambda x, u: 0.0,
+                     dx=lambda x, u: np.full(2, np.nan) if u > 0.5 else np.zeros(2))
+    check = check_linear_growth_gradH(euclidean2, wave, box_grid([-4, -4], [4, 4], [9, 9]),
+                                      np.zeros(2), np.linspace(-1, 1, 5))
+    assert not check.passed
+    assert check.margin == -np.inf
+    assert check.worst_t == 1.0

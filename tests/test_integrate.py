@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavetraj.catalog import build_manifold, build_potential
-from wavetraj.dynamics import ForceSystem
-from wavetraj.errors import InvalidInit, NotABlowup, OutOfRange
+from wavetraj.dynamics import ForceSystem, make_rhs
+from wavetraj.errors import InvalidInit, NotABlowup, OutOfChart, OutOfRange
 from wavetraj.geometry import ChartManifold, metric_at
-from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, HORIZON_REACHED,
-                                TOLERANCE_FAILURE, IntegratorConfig, integrate, integrate_ode,
-                                refine_blowup, sample, trajectory_to_csv)
+from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD,
+                                HORIZON_REACHED, TOLERANCE_FAILURE, IntegratorConfig,
+                                integrate, integrate_ode, refine_blowup, sample,
+                                trajectory_to_csv)
 
 SQRT2 = np.sqrt(2.0)
 # int_1^inf dx / sqrt(2 (1 + x^4)), frozen from an independent quadrature oracle
@@ -292,3 +293,61 @@ def test_config_validation():
         IntegratorConfig(horizon=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(horizon=1.0, rel_tol=0.0)
+
+
+def callable_euclidean(n, domain_guard=None):
+    """The euclidean chart as a metric function with an analytic zero connection."""
+    eye = np.eye(n)
+    zeros = np.zeros((n, n, n))
+    return ChartManifold(dim=n, metric=lambda x: eye, christoffel=lambda x: zeros,
+                         domain_guard=domain_guard)
+
+
+def assert_same_run(a, b):
+    assert a.outcome == b.outcome
+    assert a.stats == b.stats
+    assert a.direction == b.direction
+    for field in ("times", "states", "derivs"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_flat_chart_matches_callable_metric(harmonic, direction):
+    cfg = IntegratorConfig(horizon=7.0)
+    init = (np.array([1.0, -0.5]), np.array([0.2, 0.9]))
+    flat = integrate(build_manifold("euclidean", {"n": 2}), harmonic, init, cfg, direction)
+    reference = integrate(callable_euclidean(2), harmonic, init, cfg, direction)
+    assert flat.stats.n_rhs > 0
+    assert_same_run(flat, reference)
+
+
+def test_flat_chart_blowup_refinement_matches_callable_metric():
+    fs = build_potential("negative_quartic", {})
+    cfg = IntegratorConfig(horizon=2.0)
+    p = np.array([0.6, 0.8])
+    init = (p, SQRT2 * p)
+    runs = []
+    for m in (build_manifold("euclidean", {"n": 2}), callable_euclidean(2)):
+        coarse = integrate(m, fs, init, cfg)
+        runs.append((coarse, refine_blowup(m, fs, init, cfg, coarse)))
+    (flat, flat_bracket), (reference, reference_bracket) = runs
+    assert flat.outcome.kind == BLOW_UP_SUSPECTED
+    assert_same_run(flat, reference)
+    assert flat_bracket == reference_bracket
+    assert flat_bracket.t_lo <= 1.0 / SQRT2 <= flat_bracket.t_hi
+
+
+def test_flat_chart_exit_matches_callable_metric(harmonic):
+    # stages leave the strip before the accepted states do: the constant
+    # metric must still guard every stage point
+    guard = lambda x: x[0] < 1.5
+    strip = ChartManifold(dim=2, metric=np.eye(2), domain_guard=guard)
+    cfg = IntegratorConfig(horizon=5.0)
+    init = (np.array([1.0, 0.0]), np.array([1.5, 0.0]))   # amplitude 1.8
+    flat = integrate(strip, harmonic, init, cfg)
+    reference = integrate(callable_euclidean(2, guard), harmonic, init, cfg)
+    assert flat.outcome.kind == CHART_EXIT
+    assert flat.outcome.t_exit == reference.outcome.t_exit
+    assert_same_run(flat, reference)
+    with pytest.raises(OutOfChart):
+        make_rhs(strip, harmonic)(0.0, np.array([1.6, 0.0, 1.0, 0.0]))
