@@ -9,7 +9,7 @@ from .comparison import (DIVERGES, CONVERGES, INCONCLUSIVE as DIVERGENCE_INCONCL
 from .dynamics import (EnergyFrame, ForceSystem, FREE, build_energy_frame,
                        energy_derivative_identity, energy_v, make_rhs, operator_bounds,
                        rhs_E, self_adjoint_part)
-from .errors import (EigFailure, HypothesisViolated, InvalidInit, NotABlowup,
+from .errors import (EigFailure, EvaluationError, HypothesisViolated, InvalidInit, NotABlowup,
                      NotPositiveDefinite, OutOfChart, OutOfRange, ParseError,
                      ValidationError, WavetrajError)
 from .geometry import ChartManifold, TangentVector, christoffel_at, gradient, metric_at

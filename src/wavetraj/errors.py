@@ -14,15 +14,18 @@ class OutOfChart(WavetrajError):
 
 
 class NotPositiveDefinite(WavetrajError):
-    """The metric matrix has an eigenvalue <= 0 at an evaluated point.
+    """The metric matrix has an eigenvalue <= 0, or an entry that is not finite.
 
     point is None when a constant metric fails the check at construction.
     """
 
-    def __init__(self, point, eigenvalue=None):
+    def __init__(self, point, eigenvalue=None, finite=True):
         self.point = point
         self.eigenvalue = eigenvalue
         where = f" at {point}" if point is not None else " as a constant"
+        if not finite:
+            super().__init__(f"metric not finite{where}")
+            return
         detail = f" (smallest eigenvalue {eigenvalue})" if eigenvalue is not None else ""
         super().__init__(f"metric not positive definite{where}{detail}")
 
@@ -56,6 +59,20 @@ class ParseError(WavetrajError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+class EvaluationError(WavetrajError, ValueError):
+    """A scenario expression could not be evaluated at a point.
+
+    Raised for domain errors, division by zero, overflow and complex results.
+    It stays a ValueError, so callers that map a failed evaluation to a
+    validation error keep doing so.
+    """
+
+    def __init__(self, source, point, reason):
+        self.source = source
+        self.point = point
+        super().__init__(f"expression {source!r} cannot be evaluated at {point}: {reason}")
 
 
 class ValidationError(WavetrajError):

@@ -11,13 +11,15 @@ Grammar (operator precedence low to high):
 Only the listed functions and the caller-declared variable names are legal;
 there is no way to reach host-language code from an expression. Parsed
 expressions compile to nested closures over a positional value list, so
-evaluation in inner loops does not build dictionaries.
+evaluation in inner loops does not build dictionaries. A point where the
+expression is undefined (a domain error, division by zero, overflow, or a
+negative base raised to a fractional power) raises EvaluationError.
 """
 
 import math
 import re
 
-from .errors import ParseError, ValidationError
+from .errors import EvaluationError, ParseError, ValidationError
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -59,6 +61,13 @@ def _tokenize(text):
     return tokens
 
 
+def _real_power(base, exponent):
+    out = base ** exponent
+    if isinstance(out, complex):
+        raise ValueError("complex result")
+    return out
+
+
 class Expression:
     """A parsed expression over a fixed, ordered tuple of variable names."""
 
@@ -69,7 +78,11 @@ class Expression:
         self._fn = fn
 
     def __call__(self, *values):
-        return self._fn(values)
+        try:
+            return self._fn(values)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            point = {name: float(v) for name, v in zip(self.variables, values)}
+            raise EvaluationError(self.source, point, exc) from None
 
     def __repr__(self):
         return f"Expression({self.source!r}, variables={self.variables})"
@@ -148,8 +161,14 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
+            ekind, evalue, _ = self.peek()
+            nkind, nvalue, _ = self.tokens[self.idx + 1]
+            if ekind == "num" and evalue.is_integer() and (nkind, nvalue) != ("op", "^"):
+                # a whole-number constant exponent keeps a real base real
+                self.advance()
+                return lambda v, a=base, c=evalue: a(v) ** c
             exponent = self.unary()
-            return lambda v, a=base, b=exponent: a(v) ** b(v)
+            return lambda v, a=base, b=exponent: _real_power(a(v), b(v))
         return base
 
     def atom(self):

@@ -94,12 +94,16 @@ def _checked_metric(g, dim, x):
 
     Symmetry is enforced by averaging (G + G^T)/2 after verifying the raw
     matrix is symmetric to 1e-12 relative tolerance. Positive definiteness is
-    checked by Cholesky; failure is a hard error.
+    checked by Cholesky; failure is a hard error, and so is a NaN or inf
+    entry, which Cholesky would pass on as NaN factors.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (dim, dim):
         raise ValueError(f"metric has shape {g.shape}, expected {(dim, dim)}")
-    scale = max(1.0, float(np.abs(g).max()))
+    largest = float(np.abs(g).max())
+    if not np.isfinite(largest):
+        raise NotPositiveDefinite(x, finite=False)
+    scale = max(1.0, largest)
     if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
         where = "as a constant" if x is None else f"at {x}"
         raise ValueError(f"metric not symmetric {where} beyond {SYMMETRY_RTOL} relative tolerance")

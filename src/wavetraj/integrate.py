@@ -156,16 +156,16 @@ def _initial_step(f, t0, y0, f0, cfg, remaining):
 
 
 class _Core:
-    """One integration run in internal time s in [0, horizon]."""
+    """One integration run in internal time s in [t0, horizon]."""
 
-    def __init__(self, f, y0, cfg, speed_of, guard_ok):
+    def __init__(self, f, y0, cfg, speed_of, guard_ok, t0):
         self.f = f
         self.cfg = cfg
         self.speed_of = speed_of
         self.guard_ok = guard_ok
         self.n_rhs = 0
         self.n_rejected = 0
-        self.ts = [0.0]
+        self.ts = [float(t0)]
         self.ys = [np.asarray(y0, dtype=float)]
         self.fs = []
         self.speeds = []
@@ -179,7 +179,7 @@ class _Core:
     def run(self):
         cfg = self.cfg
         y = self.ys[0]
-        t = 0.0
+        t = self.ts[0]
         if not self.guard_ok(y):
             raise InvalidInit("initial state violates the chart guard")
         if not np.all(np.isfinite(y)):
@@ -191,10 +191,10 @@ class _Core:
         self.fs.append(k1)
         self.speeds.append(self.speed_of(y))
         if self.speeds[0] > cfg.speed_ceiling:
-            return Outcome(BLOW_UP_SUSPECTED, t_star_estimate=0.0)
+            return Outcome(BLOW_UP_SUSPECTED, t_star_estimate=t)
 
         min_step = cfg.min_step_fraction * cfg.horizon
-        h = max(_initial_step(self._eval, t, y, k1, cfg, cfg.horizon), min_step)
+        h = max(_initial_step(self._eval, t, y, k1, cfg, cfg.horizon - t), min_step)
         err_prev = None
 
         while t < cfg.horizon * (1.0 - 1e-14):
@@ -269,13 +269,14 @@ class _Core:
         return Outcome(TOLERANCE_FAILURE)
 
 
-def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, dim=None):
-    """Low-level entry: integrate y' = f(s, y) with classification.
+def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, dim=None,
+                  t0=0.0):
+    """Low-level entry: integrate y' = f(s, y) from y(t0) = y0 with classification.
 
     speed_of(y) feeds the blow-up classifier (defaults to the euclidean norm
     of the second half of y), guard_ok(y) the chart-exit logic. Backward runs
-    receive the already-reversed field and records are mapped back to actual
-    time here.
+    receive the already-reversed field, with y0 and t0 in internal time
+    (s = -t), and records are mapped back to actual time here.
     """
     y0 = np.asarray(y0, dtype=float)
     n = dim if dim is not None else y0.size // 2
@@ -284,7 +285,7 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, d
     if guard_ok is None:
         guard_ok = lambda y: True
 
-    core = _Core(f, y0, cfg, speed_of, guard_ok)
+    core = _Core(f, y0, cfg, speed_of, guard_ok, t0)
     outcome = core.run()
 
     ts = np.array(core.ts)
@@ -311,6 +312,36 @@ def _flip_outcome_times(outcome):
     return outcome
 
 
+def _internal_problem(manifold, fs, direction):
+    """(f, speed_of, guard_ok) of the force equation in internal time.
+
+    A backward run integrates the reversed field for (x, w) with
+    w(s) = -xdot(-s); f evaluates the force equation at the true time -s.
+    """
+    n = manifold.dim
+    f_fwd = make_rhs(manifold, fs)
+
+    if direction == FORWARD:
+        f_int = f_fwd
+    else:
+        def f_int(s, y):
+            # reversed field: d/ds (x, w) = (w, a(x, -w, -s)) for w(s) = -xdot(-s)
+            val = f_fwd(-s, np.concatenate([y[:n], -y[n:]]))
+            return np.concatenate([y[n:], val[n:]])
+
+    def speed_of(y):
+        # the integrator checks the guard before it asks for a speed, and a
+        # constant metric was checked when the chart was built
+        g = manifold.metric if manifold.flat else metric_at(manifold, y[:n])
+        w = y[n:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = float(w @ g @ w)
+        return np.sqrt(q) if np.isfinite(q) and q >= 0 else np.inf
+
+    guard_ok = lambda y: manifold.contains(y[:n])
+    return f_int, speed_of, guard_ok
+
+
 def integrate(manifold, fs, init, cfg, direction=FORWARD):
     """Integrate the force equation from init = (p, v) and classify the outcome."""
     p, v = init
@@ -322,30 +353,10 @@ def integrate(manifold, fs, init, cfg, direction=FORWARD):
         raise InvalidInit(f"initial point {p} violates the chart guard")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
         raise InvalidInit("initial data is not finite")
-    n = manifold.dim
-    f_fwd = make_rhs(manifold, fs)
-
-    if direction == FORWARD:
-        f_int = f_fwd
-        y0 = np.concatenate([p, v])
-    else:
-        def f_int(s, y):
-            # reversed field: d/ds (x, w) = (w, a(x, -w, -s)) for w(s) = -xdot(-s)
-            val = f_fwd(-s, np.concatenate([y[:n], -y[n:]]))
-            return np.concatenate([y[n:], val[n:]])
-
-        y0 = np.concatenate([p, -v])
-
-    def speed_of(y):
-        g = metric_at(manifold, y[:n])
-        w = y[n:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = float(w @ g @ w)
-        return np.sqrt(q) if np.isfinite(q) and q >= 0 else np.inf
-
-    guard_ok = lambda y: manifold.contains(y[:n])
+    f_int, speed_of, guard_ok = _internal_problem(manifold, fs, direction)
+    y0 = np.concatenate([p, v if direction == FORWARD else -v])
     return integrate_ode(f_int, y0, cfg, direction=direction, speed_of=speed_of,
-                         guard_ok=guard_ok, dim=n)
+                         guard_ok=guard_ok, dim=manifold.dim)
 
 
 def _ascending_view(traj):
@@ -381,11 +392,11 @@ def sample(traj, t):
 
 @dataclass(frozen=True)
 class BlowupInterval:
-    """Refined bracket for the speed-ceiling crossing time."""
+    """Refined bracket for the blow-up time, and the RHS calls it cost."""
 
     t_lo: float
     t_hi: float
-    levels: tuple
+    n_rhs: int
 
     @property
     def estimate(self):
@@ -394,6 +405,11 @@ class BlowupInterval:
     @property
     def width(self):
         return self.t_hi - self.t_lo
+
+    @property
+    def levels(self):
+        """Bracket of each refinement run: one continued run gives one."""
+        return ((self.t_lo, self.t_hi),)
 
 
 def _ceiling_crossing(manifold, traj, ceiling):
@@ -438,46 +454,53 @@ def _ceiling_crossing(manifold, traj, ceiling):
     return 0.5 * (lo_t + hi_t)
 
 
-def refine_blowup(manifold, fs, init, cfg, coarse, levels=3):
-    """Bracket the speed-ceiling crossing by re-running at tighter tolerances.
+def refine_blowup(manifold, fs, init, cfg, coarse):
+    """Bracket the blow-up time by continuing the coarse run at tighter tolerances.
 
-    Each level tightens rel/abs tolerances tenfold and raises the internal
-    ceiling a thousandfold so the run reaches deeper toward the singular time;
-    the per-level bracket is [crossing of the original ceiling, deepest time
-    reached + 4x the gap], and levels are intersected so refinement never
-    enlarges the result. Raises NotABlowup when the coarse run was not a
-    blow-up or any refinement run reaches the horizon.
+    The continuation starts from the coarse run's last accepted record at or
+    below the speed ceiling (its first record when even that one is above),
+    with rel/abs tolerances a hundredfold tighter, and runs on to a
+    thousandfold higher ceiling, deeper toward the singular time. The bracket
+    is [crossing of the original ceiling, bisected on the continuation's
+    dense output; deepest time reached + 4x the gap]. init is the coarse
+    run's initial data; the continuation needs only the coarse records.
+    Raises NotABlowup when the coarse run was not a blow-up or the
+    continuation reaches the horizon.
     """
     if coarse.outcome.kind != BLOW_UP_SUSPECTED:
         raise NotABlowup(f"coarse outcome is {coarse.outcome.kind}")
     ceiling = cfg.speed_ceiling
-    per_level = []
-    lo, hi = -np.inf, np.inf
-    for k in range(levels):
-        cfg_k = replace(
-            cfg,
-            rel_tol=max(cfg.rel_tol * 10.0 ** (-k), 1e-13),
-            abs_tol=max(cfg.abs_tol * 10.0 ** (-k), 1e-14),
-            speed_ceiling=min(ceiling * 10.0 ** (3 * (k + 1)), 1e200),
-        )
-        traj = integrate(manifold, fs, init, cfg_k, coarse.direction)
-        if traj.outcome.kind == HORIZON_REACHED:
-            raise NotABlowup("refinement run reached the horizon")
-        t_cross = _ceiling_crossing(manifold, traj, ceiling)
-        t_deep = float(np.abs(traj.times).max())
-        if t_cross is None:
-            t_cross = t_deep
-        gap = max(t_deep - t_cross, 1e-15 * max(1.0, t_deep))
-        level_lo, level_hi = t_cross, t_deep + 4.0 * gap
-        per_level.append((level_lo, level_hi))
-        lo = max(lo, level_lo)
-        hi = min(hi, level_hi)
-    if hi <= lo:
-        # defensive: fall back to the tightest level
-        lo, hi = per_level[-1]
+    fine = replace(
+        cfg,
+        rel_tol=max(cfg.rel_tol * 1e-2, 1e-13),
+        abs_tol=max(cfg.abs_tol * 1e-2, 1e-14),
+        speed_ceiling=min(ceiling * 1e3, 1e200),
+    )
+    f_int, speed_of, guard_ok = _internal_problem(manifold, fs, coarse.direction)
+    # the coarse run stops at its first record above the ceiling; metric
+    # speed is even in the velocity, so actual-time states serve here
+    start = len(coarse.times) - 1
+    while start > 0 and not speed_of(coarse.states[start]) <= ceiling:
+        start -= 1
+    n = coarse.dim
+    x, xdot = coarse.states[start, :n], coarse.states[start, n:]
+    if coarse.direction == FORWARD:
+        y0, s0 = np.concatenate([x, xdot]), coarse.times[start]
+    else:
+        y0, s0 = np.concatenate([x, -xdot]), -coarse.times[start]
+    traj = integrate_ode(f_int, y0, fine, direction=coarse.direction, speed_of=speed_of,
+                         guard_ok=guard_ok, dim=n, t0=s0)
+    if traj.outcome.kind == HORIZON_REACHED:
+        raise NotABlowup("refinement run reached the horizon")
+    t_cross = _ceiling_crossing(manifold, traj, ceiling)
+    t_deep = float(np.abs(traj.times).max())
+    if t_cross is None:
+        t_cross = t_deep
+    gap = max(t_deep - t_cross, 1e-15 * max(1.0, t_deep))
+    lo, hi = t_cross, t_deep + 4.0 * gap
     if coarse.direction == BACKWARD:
         lo, hi = -hi, -lo
-    return BlowupInterval(t_lo=lo, t_hi=hi, levels=tuple(per_level))
+    return BlowupInterval(t_lo=lo, t_hi=hi, n_rhs=traj.stats.n_rhs)
 
 
 def trajectory_to_csv(traj, fileobj):

@@ -98,6 +98,7 @@ def _run_integrate(sc, out_dir, report):
             "t_hi": interval.t_hi,
             "estimate": interval.estimate,
             "width": interval.width,
+            "n_rhs": interval.n_rhs,
         }
     csv_name = sc.outputs["trajectory_csv"]
     with open(out_dir / csv_name, "w", encoding="utf-8") as fh:

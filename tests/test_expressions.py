@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wavetraj.errors import ParseError, ValidationError
+from wavetraj.errors import EvaluationError, ParseError, ValidationError, WavetrajError
 from wavetraj.expressions import parse_expression
 
 
@@ -22,6 +22,13 @@ def test_power_precedence():
     assert ev("-2^2") == -4.0          # unary minus binds below the power
     assert ev("2^-1") == 0.5
     assert ev("2^3^2") == 512.0        # right associative
+
+
+def test_whole_number_exponents_of_negative_bases():
+    assert ev("(-2)^3") == -8.0
+    assert ev("(-2)^2.0") == 4.0
+    assert ev("2^3*4") == 32.0
+    assert ev("x^2^0.5", ("x",), 4.0) == 4.0 ** 2.0 ** 0.5
 
 
 def test_functions():
@@ -71,3 +78,20 @@ def test_error_carries_position():
 def test_non_string_rejected():
     with pytest.raises(ValidationError):
         parse_expression(12, ())
+
+
+@pytest.mark.parametrize("text,values,reason", [
+    ("log(x)", (-1.0,), "domain"),
+    ("1 / x", (0.0,), "division by zero"),
+    ("exp(x)", (1e5,), "range"),
+    ("x^0.5", (-4.0,), "complex"),
+    ("abs((x)^0.5)", (-4.0,), "complex"),   # a complex intermediate, not only the result
+])
+def test_evaluation_errors_are_typed(text, values, reason):
+    expr = parse_expression(text, ("x",))
+    with pytest.raises(EvaluationError, match=reason) as excinfo:
+        expr(*values)
+    err = excinfo.value
+    assert isinstance(err, WavetrajError) and isinstance(err, ValueError)
+    assert err.source == text
+    assert err.point == {"x": values[0]}

@@ -189,3 +189,19 @@ def test_tangent_vector_norm(hyperbolic):
     assert v.norm_sq(hyperbolic) == pytest.approx(1.0)
     zero = TangentVector(base=np.array([0.0, 2.0]), components=np.zeros(2))
     assert zero.norm_sq(hyperbolic) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_constant_metric_rejected(value):
+    g = np.eye(2)
+    g[0, 0] = value
+    with pytest.raises(NotPositiveDefinite, match="not finite as a constant") as info:
+        ChartManifold(dim=2, metric=g)
+    assert info.value.point is None
+
+
+def test_non_finite_metric_function_rejected():
+    m = ChartManifold(dim=2, metric=lambda x: np.full((2, 2), np.nan))
+    with pytest.raises(NotPositiveDefinite, match="not finite at") as info:
+        metric_at(m, [0.5, -1.0])
+    assert_allclose(info.value.point, [0.5, -1.0])

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from wavetraj.catalog import build_manifold, build_potential
 from wavetraj.dynamics import ForceSystem, make_rhs
-from wavetraj.errors import InvalidInit, NotABlowup, OutOfChart, OutOfRange
+from wavetraj.errors import InvalidInit, NotABlowup, NotPositiveDefinite, OutOfChart, OutOfRange
+from wavetraj.expressions import parse_expression
 from wavetraj.geometry import ChartManifold, metric_at
 from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD,
                                 HORIZON_REACHED, TOLERANCE_FAILURE, IntegratorConfig,
@@ -134,6 +136,15 @@ def test_lost_positive_definiteness_is_hard_error(free):
     cfg = IntegratorConfig(horizon=5.0)
     with pytest.raises(NotPositiveDefinite):
         integrate(m, free, (np.array([0.0, 0.0]), np.array([0.5, 0.0])), cfg)
+
+
+def test_overflowing_metric_stops_the_run(free):
+    # the metric overflows for x1 >= 1: a stage there ends the run with the
+    # same hard error as lost positive definiteness
+    m = ChartManifold(dim=1, metric=lambda x: np.array([[1.0 if x[0] < 1.0 else np.inf]]))
+    cfg = IntegratorConfig(horizon=5.0)
+    with pytest.raises(NotPositiveDefinite, match="not finite"):
+        integrate(m, free, (np.array([0.0]), np.array([1.0])), cfg)
 
 
 def test_invalid_init(euclidean2, free, hyperbolic):
@@ -273,6 +284,52 @@ def test_refine_blowup_rejects_complete_trajectory(euclidean2, harmonic):
     traj = integrate(euclidean2, harmonic, init, cfg)
     with pytest.raises(NotABlowup):
         refine_blowup(euclidean2, harmonic, init, cfg, traj)
+
+
+@pytest.mark.parametrize("direction,speed", [(FORWARD, SQRT2), (BACKWARD, -SQRT2)])
+def test_refine_blowup_time_dependent_potential(direction, speed):
+    # V = -(1 + t) x^4 changes with t: a continuation that evaluated the
+    # force at its own elapsed time instead of the true time would bracket
+    # a later blow-up
+    m = build_manifold("euclidean", {"n": 1})
+    expr = parse_expression("-(1 + t)*(x1^2)^2", ("x1", "t"))
+    fs = ForceSystem(potential=lambda x, t: expr(*x, t))
+    cfg = IntegratorConfig(horizon=2.0)
+    init = (np.array([1.0]), np.array([speed]))
+    coarse = integrate(m, fs, init, cfg, direction)
+    result = refine_blowup(m, fs, init, cfg, coarse)
+    reference = integrate(m, fs, init, replace(cfg, rel_tol=1e-13, abs_tol=1e-14), direction)
+    assert reference.outcome.kind == BLOW_UP_SUSPECTED
+    crossed = reference.outcome.t_star_estimate    # first record past the ceiling
+    assert result.t_lo <= crossed <= result.t_hi
+    crossing_end = result.t_lo if direction == FORWARD else result.t_hi
+    assert abs(crossing_end - crossed) < 1e-8
+    assert result.width <= 1e-4
+    assert 0 < result.n_rhs < coarse.stats.n_rhs
+
+
+def test_refine_blowup_from_a_first_record_above_the_ceiling():
+    m, fs = quartic_blowup_setup()
+    cfg = IntegratorConfig(horizon=2.0, speed_ceiling=1.0)
+    init = (np.array([1.0]), np.array([2.0]))
+    coarse = integrate(m, fs, init, cfg)
+    assert coarse.outcome.kind == BLOW_UP_SUSPECTED
+    assert coarse.times.size == 1
+    result = refine_blowup(m, fs, init, cfg, coarse)
+    assert result.t_lo == 0.0
+    assert result.t_lo <= T_STAR_E1 <= result.t_hi
+    assert result.n_rhs > 0
+
+
+def test_refine_blowup_continuation_reaching_horizon(euclidean2, harmonic):
+    # a low ceiling makes the bounded harmonic run look like a blow-up; the
+    # continuation to a thousandfold ceiling runs into the horizon instead
+    cfg = IntegratorConfig(horizon=5.0, speed_ceiling=0.9)
+    init = (np.array([1.0, 0.0]), np.zeros(2))
+    coarse = integrate(euclidean2, harmonic, init, cfg)
+    assert coarse.outcome.kind == BLOW_UP_SUSPECTED
+    with pytest.raises(NotABlowup, match="horizon"):
+        refine_blowup(euclidean2, harmonic, init, cfg, coarse)
 
 
 def test_csv_export_round_trips(euclidean2, harmonic):

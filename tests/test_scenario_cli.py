@@ -281,6 +281,34 @@ def test_bundled_blowup_scenario_reports_refined_interval(tmp_path):
     assert refined["t_lo"] <= 2.0 ** -0.5 <= refined["t_hi"]
 
 
+def test_bundled_blowup_refinement_costs_less_than_the_coarse_run(tmp_path):
+    # the refinement continues the coarse run near the singular time; a
+    # re-run from t = 0 would cost at least as many RHS calls as the run itself
+    path = bundled_scenarios()["quartic-blowup"]
+    report = run_scenario(load_scenario(path), tmp_path)
+    assert 0 < report.outcome["blowup_refined"]["n_rhs"] < report.outcome["n_rhs"]
+
+
+def test_cli_batch_survives_an_expression_evaluation_error(tmp_path, capsys):
+    good = tmp_path / "mini.scn"
+    good.write_text(json.dumps(MINIMAL_INTEGRATE))
+    bad = tmp_path / "log-certify.scn"
+    bad.write_text(json.dumps({
+        "name": "log-certify",
+        "task": "certify",
+        "manifold": {"catalog": "euclidean", "params": {"n": 1}},
+        "force": {"potential": {"expr": "log(x1)"}},
+        "bounds": {"alpha0": "0", "beta0": "0", "T": 1.0,
+                   "grid": {"min": [-1.0], "max": [1.0], "shape": [5]}},
+    }))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(bad), str(good), "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "mini: integrate -> HorizonReached" in captured.out
+    assert "EvaluationError" in captured.err and "log(x1)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_gpw_map_csv_consistent_with_report(tmp_path):
     path = bundled_scenarios()["gpw-map"]
     report = run_scenario(load_scenario(path), tmp_path)
