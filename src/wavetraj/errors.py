@@ -19,15 +19,12 @@ class NotPositiveDefinite(WavetrajError):
     point is None when a constant metric fails the check at construction.
     """
 
-    def __init__(self, point, eigenvalue=None, finite=True):
+    def __init__(self, point, eigenvalue=None, problem="positive definite"):
         self.point = point
         self.eigenvalue = eigenvalue
         where = f" at {point}" if point is not None else " as a constant"
-        if not finite:
-            super().__init__(f"metric not finite{where}")
-            return
         detail = f" (smallest eigenvalue {eigenvalue})" if eigenvalue is not None else ""
-        super().__init__(f"metric not positive definite{where}{detail}")
+        super().__init__(f"metric not {problem}{where}{detail}")
 
 
 class EigFailure(WavetrajError):
@@ -64,7 +61,8 @@ class ParseError(WavetrajError):
 class EvaluationError(WavetrajError, ValueError):
     """A scenario expression could not be evaluated at a point.
 
-    Raised for domain errors, division by zero, overflow and complex results.
+    Raised for math-function domain and range errors, and, with Python-float
+    inputs, for division by zero and complex powers.
     It stays a ValueError, so callers that map a failed evaluation to a
     validation error keep doing so.
     """

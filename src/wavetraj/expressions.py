@@ -11,9 +11,11 @@ Grammar (operator precedence low to high):
 Only the listed functions and the caller-declared variable names are legal;
 there is no way to reach host-language code from an expression. Parsed
 expressions compile to nested closures over a positional value list, so
-evaluation in inner loops does not build dictionaries. A point where the
-expression is undefined (a domain error, division by zero, overflow, or a
-negative base raised to a fractional power) raises EvaluationError.
+evaluation in inner loops does not build dictionaries. A math-function
+domain or range error (log of a negative number, exp overflow) raises
+EvaluationError. Division by zero and a negative base raised to a fractional
+power raise it only for Python-float inputs; numpy scalars give inf or NaN
+with a RuntimeWarning instead.
 """
 
 import math
@@ -161,12 +163,6 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            ekind, evalue, _ = self.peek()
-            nkind, nvalue, _ = self.tokens[self.idx + 1]
-            if ekind == "num" and evalue.is_integer() and (nkind, nvalue) != ("op", "^"):
-                # a whole-number constant exponent keeps a real base real
-                self.advance()
-                return lambda v, a=base, c=evalue: a(v) ** c
             exponent = self.unary()
             return lambda v, a=base, b=exponent: _real_power(a(v), b(v))
         return base

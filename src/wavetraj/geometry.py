@@ -102,7 +102,7 @@ def _checked_metric(g, dim, x):
         raise ValueError(f"metric has shape {g.shape}, expected {(dim, dim)}")
     largest = float(np.abs(g).max())
     if not np.isfinite(largest):
-        raise NotPositiveDefinite(x, finite=False)
+        raise NotPositiveDefinite(x, problem="finite")
     scale = max(1.0, largest)
     if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
         where = "as a constant" if x is None else f"at {x}"

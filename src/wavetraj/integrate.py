@@ -408,7 +408,11 @@ class BlowupInterval:
 
     @property
     def levels(self):
-        """Bracket of each refinement run: one continued run gives one."""
+        """The bracket as a one-element tuple of (t_lo, t_hi) pairs.
+
+        Refinement once re-ran at several tolerances and reported a bracket
+        per run; one continued run gives one. Only tests read this.
+        """
         return ((self.t_lo, self.t_hi),)
 
 

@@ -67,6 +67,10 @@ def test_malformed_expressions():
         parse_expression("1 2", ())
     with pytest.raises(ParseError):
         parse_expression(")", ())
+    with pytest.raises(ParseError):
+        parse_expression("x^", ("x",))
+    with pytest.raises(ParseError):
+        parse_expression("2^", ())
 
 
 def test_error_carries_position():
