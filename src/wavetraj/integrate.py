@@ -408,11 +408,7 @@ class BlowupInterval:
 
     @property
     def levels(self):
-        """The bracket as a one-element tuple of (t_lo, t_hi) pairs.
-
-        Refinement once re-ran at several tolerances and reported a bracket
-        per run; one continued run gives one. Only tests read this.
-        """
+        """The bracket as a one-element tuple of (t_lo, t_hi) pairs; only tests read it."""
         return ((self.t_lo, self.t_hi),)
 
 
