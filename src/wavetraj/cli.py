@@ -5,7 +5,6 @@ Exit status: 0 on clean completion (Inconclusive certificates included),
 """
 
 import argparse
-import concurrent.futures
 import sys
 import time
 
@@ -13,7 +12,7 @@ from . import __version__
 from .catalog import list_catalog
 from .errors import ParseError, ValidationError, WavetrajError
 from .runner import run_scenario
-from .scenario import apply_overrides, load_scenario, parse_scenario
+from .scenario import load_scenario
 
 
 def _build_parser():
@@ -27,7 +26,6 @@ def _build_parser():
     run_p.add_argument("overrides", nargs="*", default=[], metavar="KEY=VALUE",
                        help="dotted-path overrides, e.g. integrator.rel_tol=1e-10")
     run_p.add_argument("--output-dir", default=".", help="directory for artifacts")
-    run_p.add_argument("--jobs", type=int, default=1, help="run scenarios concurrently")
     run_p.add_argument("--echo-config", action="store_true",
                        help="also write the canonical scenario next to the report")
     run_p.add_argument("--tol-rel", type=float, default=None, help="override integrator.rel_tol")
@@ -49,24 +47,6 @@ def _split_run_args(items):
     return paths, overrides
 
 
-def _run_one(path, overrides, output_dir, echo_config):
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    sc = parse_scenario(raw)
-    started = time.perf_counter()
-    report = run_scenario(sc, output_dir, echo_config=echo_config)
-    elapsed = time.perf_counter() - started
-    return report, elapsed
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -81,10 +61,7 @@ def main(argv=None):
             try:
                 load_scenario(path)
                 print(f"{path}: ok")
-            except (ParseError, ValidationError) as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                status = 2
-            except OSError as exc:
+            except (ParseError, ValidationError, OSError) as exc:
                 print(f"{path}: {exc}", file=sys.stderr)
                 status = 2
         return status
@@ -100,50 +77,25 @@ def main(argv=None):
         if flag is not None:
             overrides = overrides + [f"{key}={flag!r}"]
 
-    jobs = max(1, args.jobs)
-    failures = 0
-
-    def launch(path):
-        return _run_one(path, overrides, args.output_dir, args.echo_config)
-
-    if jobs == 1 or len(paths) == 1:
-        results = []
-        for path in paths:
-            try:
-                results.append((path, launch(path), None))
-            except Exception as exc:
-                results.append((path, None, exc))
-    else:
-        results = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(launch, path): path for path in paths}
-            for future in concurrent.futures.as_completed(futures):
-                path = futures[future]
-                try:
-                    results.append((path, future.result(), None))
-                except Exception as exc:
-                    results.append((path, None, exc))
-        results.sort(key=lambda r: paths.index(r[0]))
-
-    for path, payload, exc in results:
-        if exc is not None:
-            failures += 1
-            if isinstance(exc, (ParseError, ValidationError)):
-                print(f"{path}: {exc}", file=sys.stderr)
-            elif isinstance(exc, (WavetrajError, OSError)):
-                print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            else:
-                raise exc
+    status = 0
+    for path in paths:
+        try:
+            sc = load_scenario(path, overrides)
+            started = time.perf_counter()
+            report = run_scenario(sc, args.output_dir, echo_config=args.echo_config)
+            elapsed = time.perf_counter() - started
+        except (ParseError, ValidationError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            status = status or 2
             continue
-        report, elapsed = payload
+        except (WavetrajError, OSError) as exc:
+            print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            status = status or 1
+            continue
         summary = report.outcome.get("kind") or report.outcome.get("verdict") or "done"
         print(f"{report.scenario}: {report.task} -> {summary}")
         print(f"{report.scenario}: elapsed {elapsed:.3f}s", file=sys.stderr)
-
-    if failures:
-        first_exc = next(exc for _, _, exc in results if exc is not None)
-        return 2 if isinstance(first_exc, (ParseError, ValidationError)) else 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":

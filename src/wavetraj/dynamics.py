@@ -154,8 +154,12 @@ def operator_eigen_range(manifold, fs, x, t):
         return 0.0, 0.0
     g = metric_at(manifold, x)
     a = 0.5 * (g @ fmat + fmat.T @ g)
+    # g passed the metric checks, so only a can be non-finite; this stands in
+    # for eigh's own check, whose ValueError would not be a WavetrajError
+    if not np.all(np.isfinite(a)):
+        raise EigFailure(f"generalized eigenproblem at {x} has a non-finite entry")
     try:
-        w = scipy.linalg.eigh(a, g, eigvals_only=True)
+        w = scipy.linalg.eigh(a, g, eigvals_only=True, check_finite=False)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise EigFailure(f"generalized eigenproblem failed at {x}: {exc}") from exc
     return float(w[0]), float(w[-1])

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
-from .numdiff import fd_step
+from .numdiff import christoffel_from_metric
 
 SYMMETRY_RTOL = 1e-12
 
@@ -129,25 +129,6 @@ def metric_at(manifold, x):
     return _checked_metric(manifold.metric(x), manifold.dim, x)
 
 
-def metric_partials(manifold, x, h=None):
-    """Array dG[i] = ∂G/∂x^i by central differences, shape (dim, dim, dim).
-
-    Stencil points are full metric evaluations: they must satisfy the guard
-    and the positive-definiteness invariant like any other evaluated point.
-    """
-    x = np.asarray(x, dtype=float)
-    n = manifold.dim
-    out = np.empty((n, n, n))
-    for i in range(n):
-        hi = fd_step(x[i]) if h is None else h
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        out[i] = (metric_at(manifold, xp) - metric_at(manifold, xm)) / (2.0 * hi)
-    return out
-
-
 def christoffel_at(manifold, x, h=None):
     """Christoffel symbols Γ^k_ij at x, shape (dim, dim, dim), symmetric in (i, j).
 
@@ -161,12 +142,7 @@ def christoffel_at(manifold, x, h=None):
     if manifold.christoffel is not None and h is None:
         gamma = np.asarray(manifold.christoffel(x), dtype=float)
         return 0.5 * (gamma + gamma.transpose(0, 2, 1))
-    g = metric_at(manifold, x)
-    dg = metric_partials(manifold, x, h=h)
-    # brackets[l,i,j] = ∂_i g_jl + ∂_j g_il − ∂_l g_ij
-    brackets = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(g), brackets)
-    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    return christoffel_from_metric(lambda p: metric_at(manifold, p), x, h=h)
 
 
 def gradient(manifold, x, dv):

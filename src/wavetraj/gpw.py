@@ -23,11 +23,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .dynamics import ForceSystem, FREE
-from .errors import OutOfRange
 from .geometry import metric_at
 from .hypotheses import CertificationTask, certify
-from .integrate import FORWARD, Trajectory, integrate, integrate_ode, sample
-from .numdiff import fd_step, gradient_fd, partial_in_scalar
+from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
+from .numdiff import christoffel_from_metric, gradient_fd, partial_in_scalar
 
 
 @dataclass(frozen=True)
@@ -154,24 +153,8 @@ class SplitGeodesic:
         return self.u0 + self.delta * float(t)
 
     def v_of(self, t):
-        t = float(t)
-        ts = self.v_times
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise OutOfRange(f"t={t} outside the sampled v profile [{ts[0]}, {ts[-1]}]")
-        t = min(max(t, ts[0]), ts[-1])
-        i = int(np.searchsorted(ts, t, side="right"))
-        i = min(max(i, 1), ts.size - 1)
-        t0, t1 = ts[i - 1], ts[i]
-        h = t1 - t0
-        if h == 0.0:
-            return float(self.v_values[i])
-        theta = (t - t0) / h
-        h00 = (1 + 2 * theta) * (1 - theta) ** 2
-        h10 = theta * (1 - theta) ** 2
-        h01 = theta**2 * (3 - 2 * theta)
-        h11 = theta**2 * (theta - 1)
-        return float(h00 * self.v_values[i - 1] + h10 * h * self.v_dots[i - 1]
-                     + h01 * self.v_values[i] + h11 * h * self.v_dots[i])
+        return float(hermite(self.v_times, self.v_values, self.v_dots, t))
+
 
 def energy_of(st, init):
     """Conserved g(gamma', gamma') from the initial data."""
@@ -195,6 +178,13 @@ def wave_force_system(st, u0, delta):
         time_independent=(delta == 0.0),
         name="wave_potential",
     )
+
+
+def _conserved_vdot(st, energy, delta, x, xdot, u):
+    """vdot from g(gamma', gamma') = energy at base state (x, xdot) and wave coordinate u."""
+    g = metric_at(st.base, x)
+    h_val = st.wave.value(x, u)
+    return (energy - float(xdot @ g @ xdot) - h_val * delta * delta) / (2.0 * delta)
 
 
 def reduce_geodesic(st, init, cfg, v_sample_count=2049):
@@ -226,9 +216,7 @@ def reduce_geodesic(st, init, cfg, v_sample_count=2049):
     v_dots = np.empty(ts.shape)
     for i, t in enumerate(ts):
         x, xdot = sample(base, t)
-        g = metric_at(st.base, x)
-        h_val = st.wave.value(x, init.u0 + delta * t)
-        v_dots[i] = (energy - float(xdot @ g @ xdot) - h_val * delta * delta) / (2.0 * delta)
+        v_dots[i] = _conserved_vdot(st, energy, delta, x, xdot, init.u0 + delta * t)
     v_vals = init.v0 + cumulative_simpson(v_dots, x=ts, initial=0.0)
     return SplitGeodesic(base_trajectory=base, u0=float(init.u0), delta=delta,
                          v_times=ts, v_values=v_vals, v_dots=v_dots, energy=energy)
@@ -242,9 +230,7 @@ def split_state(sg, st, t):
     if sg.delta == 0.0:
         vdot = float(sg.v_dots[0])
     else:
-        g = metric_at(st.base, x)
-        h_val = st.wave.value(x, u)
-        vdot = (sg.energy - float(xdot @ g @ xdot) - h_val * sg.delta ** 2) / (2.0 * sg.delta)
+        vdot = _conserved_vdot(st, sg.energy, sg.delta, x, xdot, u)
     pos = np.concatenate([x, [u, v]])
     vel = np.concatenate([xdot, [sg.delta, vdot]])
     return pos, vel
@@ -266,20 +252,7 @@ def full_metric(st, q):
 
 def full_christoffel(st, q):
     """Signature-agnostic finite-difference Christoffel symbols of the full metric."""
-    n_full = st.base.dim + 2
-    q = np.asarray(q, dtype=float)
-    dg = np.empty((n_full, n_full, n_full))
-    for i in range(n_full):
-        hi = fd_step(q[i])
-        qp = q.copy()
-        qm = q.copy()
-        qp[i] += hi
-        qm[i] -= hi
-        dg[i] = (full_metric(st, qp) - full_metric(st, qm)) / (2.0 * hi)
-    g = full_metric(st, q)
-    brackets = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(g), brackets)
-    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    return christoffel_from_metric(lambda p: full_metric(st, p), q)
 
 
 def full_geodesic_oracle(st, init, cfg):

@@ -122,13 +122,6 @@ class Trajectory:
         return self.states[:, self.dim:]
 
     @property
-    def steps(self):
-        """Accepted records as (t, x, xdot) tuples."""
-        n = self.dim
-        return [(float(t), y[:n].copy(), y[n:].copy())
-                for t, y in zip(self.times, self.states)]
-
-    @property
     def t_span(self):
         return float(self.times.min()), float(self.times.max())
 
@@ -359,15 +352,12 @@ def integrate(manifold, fs, init, cfg, direction=FORWARD):
                          guard_ok=guard_ok, dim=manifold.dim)
 
 
-def _ascending_view(traj):
-    if traj.times[-1] >= traj.times[0]:
-        return traj.times, traj.states, traj.derivs
-    return traj.times[::-1], traj.states[::-1], traj.derivs[::-1]
+def hermite(ts, ys, ds, t):
+    """Cubic Hermite interpolant at t of values ys and derivatives ds on ascending nodes ts.
 
-
-def sample(traj, t):
-    """Dense output at time t: (x, xdot) by cubic Hermite on the bracketing step."""
-    ts, ys, fs = _ascending_view(traj)
+    t may lie up to 1e-12 * max(1, span) outside [ts[0], ts[-1]] and is then
+    clamped; further out raises OutOfRange.
+    """
     t = float(t)
     span = ts[-1] - ts[0]
     slack = 1e-12 * max(1.0, abs(span))
@@ -379,14 +369,21 @@ def sample(traj, t):
     t0, t1 = ts[i - 1], ts[i]
     h = t1 - t0
     if h == 0.0:
-        y = ys[i]
-    else:
-        theta = (t - t0) / h
-        h00 = (1 + 2 * theta) * (1 - theta) ** 2
-        h10 = theta * (1 - theta) ** 2
-        h01 = theta**2 * (3 - 2 * theta)
-        h11 = theta**2 * (theta - 1)
-        y = h00 * ys[i - 1] + h10 * h * fs[i - 1] + h01 * ys[i] + h11 * h * fs[i]
+        return ys[i]
+    theta = (t - t0) / h
+    h00 = (1 + 2 * theta) * (1 - theta) ** 2
+    h10 = theta * (1 - theta) ** 2
+    h01 = theta**2 * (3 - 2 * theta)
+    h11 = theta**2 * (theta - 1)
+    return h00 * ys[i - 1] + h10 * h * ds[i - 1] + h01 * ys[i] + h11 * h * ds[i]
+
+
+def sample(traj, t):
+    """Dense output at time t: (x, xdot) by cubic Hermite on the bracketing step."""
+    ts, ys, ds = traj.times, traj.states, traj.derivs
+    if ts[-1] < ts[0]:
+        ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
+    y = hermite(ts, ys, ds, t)
     return y[: traj.dim].copy(), y[traj.dim:].copy()
 
 
@@ -412,42 +409,24 @@ class BlowupInterval:
         return ((self.t_lo, self.t_hi),)
 
 
-def _ceiling_crossing(manifold, traj, ceiling):
-    """Bisect the first crossing of the metric speed over the ceiling."""
-    n = traj.dim
-    ts, ys, _ = _ascending_view(traj)
-    if traj.direction == BACKWARD:
-        # work in internal (positive) time: reuse magnitudes
-        ts = -np.asarray(traj.times)
-        ys = traj.states
-
-    def speed_at_index(i):
-        g = metric_at(manifold, ys[i][:n])
-        w = ys[i][n:]
-        return float(np.sqrt(max(0.0, w @ g @ w)))
-
-    order = np.argsort(ts)
-    ts_o = ts[order]
-    speeds = np.array([speed_at_index(i) for i in order])
+def _ceiling_crossing(traj, speed_of, ceiling):
+    """Bisect, in internal time, the first crossing of speed_of over the ceiling."""
+    # speed_of is even in the velocity, so actual-time states serve
+    backward = traj.direction == BACKWARD
+    ts = -traj.times if backward else traj.times
+    speeds = np.array([speed_of(y) for y in traj.states])
     above = np.nonzero(speeds > ceiling)[0]
     if above.size == 0:
         return None
     j = above[0]
     if j == 0:
-        return float(ts_o[0])
-    lo_t, hi_t = float(ts_o[j - 1]), float(ts_o[j])
-
-    def speed_time(tq):
-        actual_t = -tq if traj.direction == BACKWARD else tq
-        x, w = sample(traj, actual_t)
-        g = metric_at(manifold, x)
-        return float(np.sqrt(max(0.0, w @ g @ w)))
-
+        return float(ts[0])
+    lo_t, hi_t = float(ts[j - 1]), float(ts[j])
     for _ in range(80):
         mid = 0.5 * (lo_t + hi_t)
         if hi_t - lo_t <= 1e-15 * max(1.0, abs(hi_t)):
             break
-        if speed_time(mid) > ceiling:
+        if speed_of(np.concatenate(sample(traj, -mid if backward else mid))) > ceiling:
             hi_t = mid
         else:
             lo_t = mid
@@ -492,7 +471,7 @@ def refine_blowup(manifold, fs, init, cfg, coarse):
                          guard_ok=guard_ok, dim=n, t0=s0)
     if traj.outcome.kind == HORIZON_REACHED:
         raise NotABlowup("refinement run reached the horizon")
-    t_cross = _ceiling_crossing(manifold, traj, ceiling)
+    t_cross = _ceiling_crossing(traj, speed_of, ceiling)
     t_deep = float(np.abs(traj.times).max())
     if t_cross is None:
         t_cross = t_deep

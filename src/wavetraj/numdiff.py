@@ -3,7 +3,8 @@
 The step for first derivatives of smooth functions is cbrt(eps) * max(1, |x|),
 applied per coordinate. All finite-difference fallbacks (metric derivatives,
 potential derivatives, wave-coefficient derivatives) share this policy so the
-accuracy model is uniform.
+accuracy model is uniform. Christoffel symbols of any metric, Riemannian or
+Lorentzian, come from christoffel_from_metric.
 """
 
 import numpy as np
@@ -35,6 +36,22 @@ def partial_in_scalar(f, t, h=None):
 
 
 def gradient_fd(f, x, h=None):
-    """All first partials of scalar f at x, as a covector array."""
+    """All first partials of f at x, stacked on a new first axis (a covector for scalar f)."""
     x = np.asarray(x, dtype=float)
     return np.array([partial_in_coord(f, x, i, h=h) for i in range(x.size)])
+
+
+def christoffel_from_metric(metric, x, h=None):
+    """Levi-Civita symbols Γ^k_ij of metric(x), shape (n, n, n), symmetric in (i, j).
+
+    Γ^k_ij = 1/2 g^{kl} (∂_i g_jl + ∂_j g_il − ∂_l g_ij) with central
+    differences of the metric; nothing assumes a signature. G is evaluated at
+    x before the stencil points.
+    """
+    x = np.asarray(x, dtype=float)
+    g = metric(x)
+    dg = gradient_fd(metric, x, h=h)
+    # brackets[l,i,j] = ∂_i g_jl + ∂_j g_il − ∂_l g_ij
+    brackets = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
+    gamma = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(g), brackets)
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))

@@ -127,11 +127,19 @@ class Scenario:
     outputs: dict = field(default_factory=dict)
 
 
-def load_scenario(path):
-    """Parse and validate a scenario file."""
+def load_scenario(path, overrides=()):
+    """Read, parse and validate a scenario file after applying dotted key=value overrides."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_scenario_text(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"scenario is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario root must be a mapping")
+    if overrides:
+        raw = apply_overrides(raw, overrides)
+    return parse_scenario(raw)
 
 
 def bundled_scenarios():
@@ -139,16 +147,6 @@ def bundled_scenarios():
     root = importlib.resources.files("wavetraj") / "scenarios"
     return {p.name[: -len(".scn")]: p for p in sorted(root.iterdir(), key=lambda q: q.name)
             if p.name.endswith(".scn")}
-
-
-def parse_scenario_text(text):
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("scenario root must be a mapping")
-    return parse_scenario(raw)
 
 
 def apply_overrides(raw, overrides):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from wavetraj.catalog import build_manifold
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, energy_of,
-                          full_geodesic_oracle, full_metric, oracle_quadratic_form,
+                          full_christoffel, full_geodesic_oracle, full_metric, oracle_quadratic_form,
                           plane_wave_H, reduce_geodesic, split_geodesic_to_csv, split_state)
 from wavetraj.hypotheses import COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData
 from wavetraj.integrate import BLOW_UP_SUSPECTED, HORIZON_REACHED, IntegratorConfig, sample
@@ -54,6 +54,26 @@ def test_nonzero_witness_enforced():
     wave = plane_wave_H(lambda u: 1.0, lambda u: 1.0, lambda u: 0.0)
     with pytest.raises(ValueError, match="vanishes"):
         GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 1.0]), 0.0))
+
+
+def test_full_christoffel_closed_form_over_flat_base():
+    # g = dx^2 + dy^2 + 2 du dv + H du^2: the only nonzero symbols are
+    # Γ^x_uu = -H_x/2, Γ^v_ux = Γ^v_xu = H_x/2 and Γ^v_uu = H_u/2
+    wave = plane_wave_H(lambda u: 1.0 + 0.5 * np.sin(u), lambda u: np.cos(u), lambda u: 0.3 * u,
+                        df1=lambda u: 0.5 * np.cos(u), df2=lambda u: -np.sin(u),
+                        df=lambda u: 0.3)
+    st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
+    rng = np.random.default_rng(11)
+    for q in rng.uniform(-3.0, 3.0, size=(20, 4)):
+        x, u = q[:2], q[2]
+        h_x, h_u = wave.dx(x, u), wave.du(x, u)
+        exact = np.zeros((4, 4, 4))
+        for a in range(2):
+            exact[a, 2, 2] = -0.5 * h_x[a]
+            exact[3, 2, a] = exact[3, a, 2] = 0.5 * h_x[a]
+        exact[3, 2, 2] = 0.5 * h_u
+        scale = max(1.0, float(np.abs(exact).max()))
+        assert_allclose(full_christoffel(st, q), exact, rtol=1e-7, atol=1e-7 * scale)
 
 
 def test_reduce_cosh_growth():

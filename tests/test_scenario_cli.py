@@ -6,8 +6,7 @@ import pytest
 from wavetraj.cli import main
 from wavetraj.errors import ParseError, ValidationError
 from wavetraj.runner import run_scenario
-from wavetraj.scenario import (apply_overrides, bundled_scenarios, load_scenario,
-                               parse_scenario, parse_scenario_text)
+from wavetraj.scenario import apply_overrides, bundled_scenarios, load_scenario, parse_scenario
 
 MINIMAL_INTEGRATE = {
     "name": "mini",
@@ -52,9 +51,11 @@ def test_task_specific_sections_enforced():
         parse_scenario(raw)
 
 
-def test_malformed_json_carries_position():
+def test_malformed_json_carries_position(tmp_path):
+    path = tmp_path / "malformed.scn"
+    path.write_text('{"name": "x",\n  "task" "integrate"}')
     with pytest.raises(ParseError) as excinfo:
-        parse_scenario_text('{"name": "x",\n  "task" "integrate"}')
+        load_scenario(path)
     assert excinfo.value.line == 2
 
 
@@ -194,18 +195,39 @@ def test_echo_config_reproduces_report(tmp_path):
     assert (out_a / "mini.csv").read_bytes() == (out_b / "mini.csv").read_bytes()
 
 
-def test_cli_jobs_concurrent(tmp_path):
+def test_cli_batch_reports_match_run_scenario(tmp_path):
     paths = []
     for k in range(3):
         raw = json.loads(json.dumps(MINIMAL_INTEGRATE))
         raw["name"] = f"mini{k}"
+        raw["initial"]["velocity"] = [1.0 + k]
         p = tmp_path / f"mini{k}.scn"
         p.write_text(json.dumps(raw))
-        paths.append(str(p))
+        paths.append(p)
+    out_cli = tmp_path / "cli"
+    out_api = tmp_path / "api"
+    assert main(["run", *map(str, paths), "--output-dir", str(out_cli)]) == 0
+    for p in paths:
+        run_scenario(load_scenario(p), out_api)
+    written = sorted(f.name for f in out_cli.iterdir())
+    assert written == sorted(f.name for f in out_api.iterdir())
+    assert len(written) == 9
+    for name in written:
+        assert (out_cli / name).read_bytes() == (out_api / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("root", ["null", "3"])
+def test_cli_batch_survives_a_non_mapping_root(tmp_path, capsys, root):
+    good = tmp_path / "mini.scn"
+    good.write_text(json.dumps(MINIMAL_INTEGRATE))
+    bad = tmp_path / "scalar-root.scn"
+    bad.write_text(root)
     out_dir = tmp_path / "out"
-    assert main(["run", *paths, "--output-dir", str(out_dir), "--jobs", "3"]) == 0
-    for k in range(3):
-        assert (out_dir / f"mini{k}.report.json").exists()
+    for extra in ([], ["integrator.horizon=2.0"]):
+        assert main(["run", str(bad), str(good), *extra, "--output-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert "mini: integrate -> HorizonReached" in captured.out
+        assert "scenario root must be a mapping" in captured.err
 
 
 def test_tensor_force_scenario_paths(tmp_path):
@@ -306,6 +328,29 @@ def test_cli_batch_survives_an_expression_evaluation_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "mini: integrate -> HorizonReached" in captured.out
     assert "EvaluationError" in captured.err and "log(x1)" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_batch_survives_a_non_finite_tensor_sample(tmp_path, capsys):
+    # x1^0.5 is NaN on the grid's x1 < 0 half (numpy scalars do not raise),
+    # so the sampled operator pencil is not finite there
+    good = tmp_path / "mini.scn"
+    good.write_text(json.dumps(MINIMAL_INTEGRATE))
+    bad = tmp_path / "sqrt-tensor.scn"
+    bad.write_text(json.dumps({
+        "name": "sqrt-tensor",
+        "task": "certify",
+        "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+        "force": {"potential": {"catalog": "harmonic"},
+                  "tensor": {"expr_matrix": [["x1^0.5", "0"], ["0", "0"]]}},
+        "bounds": {"alpha0": "0", "beta0": "0", "T": 1.0,
+                   "grid": {"min": [-1.0, -1.0], "max": [1.0, 1.0], "shape": [3, 3]}},
+    }))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(bad), str(good), "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "mini: integrate -> HorizonReached" in captured.out
+    assert "EigFailure" in captured.err and "non-finite" in captured.err
     assert "Traceback" not in captured.err
 
 
