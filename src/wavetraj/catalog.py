@@ -91,12 +91,20 @@ def _build_diagonal_conformal(params):
         guard_expr = parse_expression(params["guard"], variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
+    partials = [[fn.derivative(v) for fn in fns] for v in variables]   # [i][k] = ∂_i g_kk
+
     def metric(x):
         return np.diag([fn(*x) for fn in fns])
+
+    def metric_dx(x):
+        dg = np.zeros((n, n * n))
+        dg[:, ::n + 1] = [[d(*x) for d in row] for row in partials]   # the diagonals
+        return dg.reshape(n, n, n)
 
     return ChartManifold(
         dim=n,
         metric=metric,
+        metric_dx=metric_dx,
         domain_guard=guard_fn,
         complete_flag=bool(params.get("complete", False)),
         name=f"diagonal_conformal({n})",
@@ -212,15 +220,10 @@ TENSORS = {
 
 # ---------------------------------------------------------------- wave families
 
-def _profile(params, key):
-    expr = params.get(key, "0")
-    fn = parse_expression(str(expr), ("u",))
-    return lambda u: fn(u)
-
-
 def _build_plane_wave(params):
     _check_params("plane_wave", params, allowed={"f1", "f2", "f"})
-    return plane_wave_H(_profile(params, "f1"), _profile(params, "f2"), _profile(params, "f"))
+    profiles = [parse_expression(str(params.get(key, "0")), ("u",)) for key in ("f1", "f2", "f")]
+    return plane_wave_H(*profiles, *(p.derivative("u") for p in profiles))
 
 
 def _build_expression_wave(params):
@@ -228,7 +231,12 @@ def _build_expression_wave(params):
     n = int(params["n"])
     variables = tuple(f"x{i + 1}" for i in range(n)) + ("u",)
     fn = parse_expression(params["H"], variables)
-    return WaveCoefficient(h=lambda x, u: fn(*x, u), name=f"expression({params['H']})")
+    grad = [fn.derivative(v) for v in variables[:-1]]
+    du = fn.derivative("u")
+    return WaveCoefficient(h=lambda x, u: fn(*x, u),
+                           h_dx=lambda x, u: np.array([d(*x, u) for d in grad]),
+                           h_du=lambda x, u: du(*x, u),
+                           name=f"expression({params['H']})")
 
 
 WAVES = {

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import EigFailure
 from .geometry import christoffel_at, metric_at, require_in_chart
-from .numdiff import gradient_fd, partial_in_scalar
+from .numdiff import christoffel_lower, gradient_fd, partial_in_scalar
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,22 @@ def rhs_E(manifold, fs, state):
 
     Returns the length-2n array (xdot, xddot). On a flat chart Γ ≡ 0, so the
     Christoffel contraction is skipped after the guard check, and on an
-    identity metric so is the solve against G.
+    identity metric so is the solve against G. On a chart with exact metric
+    partials the evaluation is fused: one checked metric evaluation, the
+    lower-index contraction Γ_lij xd^i xd^j plus ∂_l V, and one solve
+    against G raising that sum.
     """
     x, xdot, t = state
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
+    if manifold.metric_dx is not None:
+        g = metric_at(manifold, x)
+        lowered = christoffel_lower(manifold.metric_dx(x)) @ xdot @ xdot + fs.dx(x, t)
+        acc = -np.linalg.solve(g, lowered)
+        fmat = fs.force_matrix(x, t)
+        if fmat is not None:
+            acc = acc + fmat @ xdot
+        return np.concatenate([xdot, acc])
     if manifold.flat:
         require_in_chart(manifold, x)
         # what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite

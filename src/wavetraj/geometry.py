@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
-from .numdiff import christoffel_from_metric
+from .numdiff import christoffel_from_metric, christoffel_from_partials
 
 SYMMETRY_RTOL = 1e-12
 
@@ -26,8 +26,12 @@ class ChartManifold:
     once, here, and makes the chart flat: its Christoffel symbols vanish, so
     christoffel must be None and a zero source is installed in its place.
     christoffel, when given, is an analytic source returning the
-    (dim, dim, dim) array indexed [k, i, j]; otherwise Christoffel symbols
-    come from central differences of the metric. domain_guard returns True
+    (dim, dim, dim) array indexed [k, i, j]. metric_dx, when given, returns
+    the exact metric partials ∂_i G stacked on the first axis, shape
+    (dim, dim, dim) indexed [i, j, k]; the Christoffel symbols then come from
+    them, and the force equation is evaluated in one fused pass. Without
+    either, Christoffel symbols come from central differences of the
+    metric. A constant metric takes neither. domain_guard returns True
     for points inside the valid chart region. complete_flag is the scenario
     author's assertion that the manifold is geodesically complete; it is an
     unverified input recorded on every certificate.
@@ -43,6 +47,7 @@ class ChartManifold:
     domain_guard: Optional[Callable[[np.ndarray], bool]] = None
     complete_flag: bool = False
     name: str = ""
+    metric_dx: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flat: bool = field(init=False, repr=False)
     identity_metric: bool = field(init=False, repr=False)
 
@@ -52,9 +57,10 @@ class ChartManifold:
         flat = not callable(self.metric)
         identity = False
         if flat:
-            if self.christoffel is not None:
-                raise ValueError("a constant metric has zero Christoffel symbols; "
-                                 "christoffel must be None")
+            for slot in ("christoffel", "metric_dx"):
+                if getattr(self, slot) is not None:
+                    raise ValueError("a constant metric has zero Christoffel symbols; "
+                                     f"{slot} must be None")
             g = _checked_metric(self.metric, self.dim, None)
             g.flags.writeable = False
             zeros = np.zeros((self.dim,) * 3)
@@ -132,16 +138,20 @@ def metric_at(manifold, x):
 def christoffel_at(manifold, x, h=None):
     """Christoffel symbols Γ^k_ij at x, shape (dim, dim, dim), symmetric in (i, j).
 
-    Uses the analytic source when the manifold carries one (and h is not
-    forced), otherwise Γ^k_ij = 1/2 g^{kl} (∂_i g_jl + ∂_j g_il − ∂_l g_ij)
+    Unless h forces central differences, uses the analytic source when the
+    manifold carries one, else Γ^k_ij = 1/2 g^{kl} (∂_i g_jl + ∂_j g_il −
+    ∂_l g_ij) with the exact partials metric_dx when it carries those, else
     with central differences of the metric. The finite-difference stencil
     must fit inside the chart guard.
     """
     x = np.asarray(x, dtype=float)
     require_in_chart(manifold, x)
-    if manifold.christoffel is not None and h is None:
-        gamma = np.asarray(manifold.christoffel(x), dtype=float)
-        return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    if h is None:
+        if manifold.christoffel is not None:
+            gamma = np.asarray(manifold.christoffel(x), dtype=float)
+            return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+        if manifold.metric_dx is not None:
+            return christoffel_from_partials(metric_at(manifold, x), manifold.metric_dx(x))
     return christoffel_from_metric(lambda p: metric_at(manifold, p), x, h=h)
 
 

@@ -443,8 +443,13 @@ def refine_blowup(manifold, fs, init, cfg, coarse):
     is [crossing of the original ceiling, bisected on the continuation's
     dense output; deepest time reached + 4x the gap]. init is the coarse
     run's initial data; the continuation needs only the coarse records.
-    Raises NotABlowup when the coarse run was not a blow-up or the
-    continuation reaches the horizon.
+    Raises NotABlowup when the coarse run was not a blow-up, when the
+    continuation reaches the horizon, or when the far end of a bracket from
+    a crossing after the continuation's start lies past the horizon: a speed
+    that grows only exponentially crosses each higher ceiling later by about
+    the same amount, so its bracket does not close. (When even the first
+    record is above the ceiling, the bracket starts there and its width
+    measures nothing about the growth.)
     """
     if coarse.outcome.kind != BLOW_UP_SUSPECTED:
         raise NotABlowup(f"coarse outcome is {coarse.outcome.kind}")
@@ -477,6 +482,8 @@ def refine_blowup(manifold, fs, init, cfg, coarse):
         t_cross = t_deep
     gap = max(t_deep - t_cross, 1e-15 * max(1.0, t_deep))
     lo, hi = t_cross, t_deep + 4.0 * gap
+    if hi > cfg.horizon and t_cross > s0:
+        raise NotABlowup("refined bracket reaches past the horizon")
     if coarse.direction == BACKWARD:
         lo, hi = -hi, -lo
     return BlowupInterval(t_lo=lo, t_hi=hi, n_rhs=traj.stats.n_rhs)

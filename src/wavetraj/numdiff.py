@@ -3,8 +3,12 @@
 The step for first derivatives of smooth functions is cbrt(eps) * max(1, |x|),
 applied per coordinate. All finite-difference fallbacks (metric derivatives,
 potential derivatives, wave-coefficient derivatives) share this policy so the
-accuracy model is uniform. Christoffel symbols of any metric, Riemannian or
-Lorentzian, come from christoffel_from_metric.
+accuracy model is uniform. They serve Python callables that carry no
+derivative source, the Lorentzian oracle and the tests; scenario expressions
+are differentiated exactly (expressions.Expression.derivative). Christoffel
+symbols of any metric, Riemannian or Lorentzian, come from
+christoffel_from_partials, fed with exact partials or, through
+christoffel_from_metric, with finite differences.
 """
 
 import numpy as np
@@ -41,17 +45,28 @@ def gradient_fd(f, x, h=None):
     return np.array([partial_in_coord(f, x, i, h=h) for i in range(x.size)])
 
 
-def christoffel_from_metric(metric, x, h=None):
-    """Levi-Civita symbols Γ^k_ij of metric(x), shape (n, n, n), symmetric in (i, j).
+def christoffel_lower(dg):
+    """Christoffel symbols of the first kind from the metric partials dg[i] = ∂_i G.
 
-    Γ^k_ij = 1/2 g^{kl} (∂_i g_jl + ∂_j g_il − ∂_l g_ij) with central
-    differences of the metric; nothing assumes a signature. G is evaluated at
-    x before the stencil points.
+    Γ_lij = 1/2 (∂_i g_jl + ∂_j g_il − ∂_l g_ij), indexed [l, i, j]. This is
+    the one place the Levi-Civita index algebra lives: christoffel_from_partials
+    raises it, and the fused force-equation evaluation contracts it with the
+    velocity before raising.
+    """
+    return 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
+
+
+def christoffel_from_partials(g, dg):
+    """Levi-Civita symbols Γ^k_ij = g^{kl} Γ_lij, shape (n, n, n), symmetric in (i, j)."""
+    gamma = np.einsum("kl,lij->kij", np.linalg.inv(g), christoffel_lower(dg))
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+
+
+def christoffel_from_metric(metric, x, h=None):
+    """Levi-Civita symbols of metric(x) from central differences of the metric.
+
+    Nothing assumes a signature. G is evaluated at x before the stencil points.
     """
     x = np.asarray(x, dtype=float)
     g = metric(x)
-    dg = gradient_fd(metric, x, h=h)
-    # brackets[l,i,j] = ∂_i g_jl + ∂_j g_il − ∂_l g_ij
-    brackets = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(g), brackets)
-    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    return christoffel_from_partials(g, gradient_fd(metric, x, h=h))

@@ -190,10 +190,17 @@ def _build_manifold(section):
         guard_expr = parse_expression(str(section["guard"]), variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
+    # partials[i][j][k] = ∂_i g_jk, symmetrized as metric_at symmetrizes G
+    partials = [[[e.derivative(v) for e in row] for row in exprs] for v in variables]
+
     def metric(x):
         return np.array([[e(*x) for e in row] for row in exprs])
 
-    return ChartManifold(dim=n, metric=metric, domain_guard=guard_fn,
+    def metric_dx(x):
+        dg = np.array([[[d(*x) for d in row] for row in part] for part in partials])
+        return 0.5 * (dg + dg.transpose(0, 2, 1))
+
+    return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
                          complete_flag=bool(section.get("complete", False)),
                          name="expression_metric")
 
@@ -217,8 +224,12 @@ def _build_force(section, manifold):
             n = manifold.dim
             variables = tuple(f"x{i + 1}" for i in range(n)) + ("t",)
             expr = parse_expression(str(pot_sec["expr"]), variables)
+            grad = [expr.derivative(v) for v in variables[:-1]]
+            dt = expr.derivative("t")
             fs = ForceSystem(
                 potential=lambda x, t: expr(*x, t),
+                potential_dx=lambda x, t: np.array([d(*x, t) for d in grad]),
+                potential_dt=lambda x, t: dt(*x, t),
                 time_independent="t" not in expr.used,
                 name=f"expr({pot_sec['expr']})",
             )

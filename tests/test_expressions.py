@@ -99,3 +99,65 @@ def test_evaluation_errors_are_typed(text, values, reason):
     assert isinstance(err, WavetrajError) and isinstance(err, ValueError)
     assert err.source == text
     assert err.point == {"x": values[0]}
+
+
+def test_nothing_compiles_at_parse_time():
+    expr = parse_expression("x^2 + 1", ("x",))
+    assert expr._fn is None
+    assert expr(3.0) == 10.0
+    assert expr._fn is not None
+
+
+def test_expressions_differing_in_constants_share_code():
+    a = parse_expression("2.5*x + sin(x)^3", ("x",))
+    b = parse_expression("7*x + sin(x)^0.5", ("x",))
+    assert a(1.0) == 2.5 + math.sin(1.0) ** 3
+    assert b(1.0) == 7.0 + math.sin(1.0) ** 0.5
+    assert a._fn.__code__ is b._fn.__code__
+
+
+@pytest.mark.parametrize("text,name,point,expected", [
+    ("3*x^2 - 2*x + 7", "x", (2.0,), 10.0),
+    ("x*y", "y", (3.0, 5.0), 3.0),
+    ("x/y", "y", (3.0, 2.0), -0.75),
+    ("sin(x)*cos(x)", "x", (0.3, 0.0), math.cos(0.6)),
+    ("exp(2*x)", "x", (0.5, 0.0), 2.0 * math.e),
+    ("log(x^2 + 1)", "x", (1.0, 0.0), 1.0),
+    ("sqrt(x)", "x", (4.0, 0.0), 0.25),
+    ("cosh(x) + sinh(x)", "x", (0.7, 0.0), math.exp(0.7)),
+    ("abs(x - y)", "x", (1.0, 3.0), -1.0),
+    ("abs(x - y)", "y", (1.0, 3.0), 1.0),
+    ("2^x", "x", (3.0, 0.0), 8.0 * math.log(2.0)),
+    ("x^y", "y", (2.0, 3.0), 8.0 * math.log(2.0)),
+    ("x^-1", "x", (2.0, 0.0), -0.25),
+    ("-x^3", "x", (-2.0, 0.0), -12.0),
+    ("y^2", "x", (1.0, 4.0), 0.0),
+])
+def test_derivative_rules(text, name, point, expected):
+    variables = ("x",) if len(point) == 1 else ("x", "y")
+    d = parse_expression(text, variables).derivative(name)
+    assert d(*point) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+def test_derivative_is_cached_folded_and_lazy():
+    expr = parse_expression("x^2 + 3*y", ("x", "y"))
+    dx = expr.derivative("x")
+    assert expr.derivative("x") is dx
+    assert dx._fn is None
+    assert expr.derivative("y").tree == ("num", 3.0)
+    assert dx.used == {"x"}
+    assert dx.derivative("x")(5.0, 1.0) == 2.0
+
+
+def test_derivative_of_unknown_variable_rejected():
+    with pytest.raises(ValueError, match="not a variable"):
+        parse_expression("x", ("x",)).derivative("t")
+
+
+def test_derivative_evaluation_errors_are_typed():
+    d = parse_expression("x^0.5", ("x",)).derivative("x")
+    with pytest.raises(EvaluationError, match="complex") as excinfo:
+        d(-4.0)
+    assert excinfo.value.source == "d(x^0.5)/dx"
+    with pytest.raises(EvaluationError):
+        parse_expression("log(x)", ("x",)).derivative("x")(0.0)

@@ -1,0 +1,150 @@
+"""Exact metric partials and the fused force-equation evaluation on curved expression charts.
+
+Each chart is checked three ways: against closed-form Christoffel symbols,
+against the finite-difference path (christoffel_at with a forced step h, and a copy of
+the chart and force system without derivative sources), and for the hard
+errors the checked metric evaluation raises.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from wavetraj import dynamics
+from wavetraj.catalog import build_manifold
+from wavetraj.dynamics import ForceSystem, rhs_E
+from wavetraj.errors import NotPositiveDefinite
+from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
+from wavetraj.integrate import IntegratorConfig, integrate
+from wavetraj.scenario import parse_scenario
+
+POINTS = [np.array([0.3, -0.7]), np.array([-1.2, 0.4]), np.array([0.9, 1.1])]
+VELOCITY = np.array([0.8, -0.5])
+
+
+def _scenario(manifold, potential="0.5*x1^2 + x1*x2^3 + sin(t)*x2", tensor=True):
+    force = {"potential": {"expr": potential}}
+    if tensor:
+        force["tensor"] = {"catalog": "skew_rotation", "params": {"omega": 0.6}}
+    return parse_scenario({"name": "fused", "task": "integrate", "manifold": manifold,
+                           "force": force, "integrator": {"horizon": 1.0},
+                           "initial": {"position": [0.1, 0.2], "velocity": [0.3, -0.1]}})
+
+
+def _conformal():
+    return _scenario({"catalog": "diagonal_conformal",
+                      "params": {"entries": ["1 + 0.1*x1^2 + 0.2*x2^2", "2 + sin(x1)*x2"]}})
+
+
+def _rows():
+    return _scenario({"metric": [["1 + x1^2", "0.5*x1*x2"], ["0.5*x2*x1", "2 + x2^2"]]})
+
+
+def _conformal_partials(x):
+    """dg[i] = ∂_i G of the _conformal chart, by hand."""
+    x1, x2 = x
+    return np.array([np.diag([0.2 * x1, np.cos(x1) * x2]), np.diag([0.4 * x2, np.sin(x1)])])
+
+
+def _rows_partials(x):
+    x1, x2 = x
+    return np.array([[[2 * x1, 0.5 * x2], [0.5 * x2, 0.0]], [[0.0, 0.5 * x1], [0.5 * x1, 2 * x2]]])
+
+
+def _closed_form_gamma(g, dg):
+    """Γ^k_ij = 1/2 g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij), written out index by index."""
+    n = g.shape[0]
+    ginv = np.linalg.inv(g)
+    gamma = np.zeros((n, n, n))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                gamma[k, i, j] = 0.5 * sum(ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+                                           for l in range(n))
+    return gamma
+
+
+def _potential_gradient(x, t):
+    x1, x2 = x
+    return np.array([x1 + x2 ** 3, 3 * x1 * x2 ** 2 + np.sin(t)])
+
+
+CHARTS = [(_conformal, _conformal_partials), (_rows, _rows_partials)]
+
+
+@pytest.mark.parametrize("build,partials", CHARTS, ids=["diagonal_conformal", "metric_rows"])
+def test_exact_christoffel_matches_closed_form_and_finite_differences(build, partials):
+    m = build().manifold
+    assert m.metric_dx is not None and m.christoffel is None
+    for x in POINTS:
+        g = metric_at(m, x)
+        assert_allclose(m.metric_dx(x), partials(x), rtol=1e-14, atol=1e-15)
+        exact = christoffel_at(m, x)
+        assert_allclose(exact, _closed_form_gamma(g, partials(x)), rtol=1e-13, atol=1e-14)
+        assert_allclose(christoffel_at(m, x, h=1e-5), exact, rtol=1e-8, atol=1e-9)
+
+
+@pytest.mark.parametrize("build,partials", CHARTS, ids=["diagonal_conformal", "metric_rows"])
+def test_fused_rhs_matches_closed_form_and_finite_difference_path(build, partials):
+    sc = build()
+    m, fs = sc.manifold, sc.force
+    # the same chart and forces with no derivative sources: finite differences throughout
+    m_fd = ChartManifold(dim=2, metric=m.metric)
+    fs_fd = ForceSystem(potential=fs.potential, tensor_F=fs.tensor_F)
+    for x in POINTS:
+        t = 0.4
+        g = metric_at(m, x)
+        gamma = _closed_form_gamma(g, partials(x))
+        expected = (-np.einsum("kij,i,j->k", gamma, VELOCITY, VELOCITY)
+                    + fs.force_matrix(x, t) @ VELOCITY
+                    - np.linalg.solve(g, _potential_gradient(x, t)))
+        fused = rhs_E(m, fs, (x, VELOCITY, t))
+        assert_allclose(fused[:2], VELOCITY, rtol=0, atol=0)
+        assert_allclose(fused[2:], expected, rtol=1e-13, atol=1e-13)
+        assert_allclose(rhs_E(m_fd, fs_fd, (x, VELOCITY, t)), fused, rtol=1e-8, atol=1e-9)
+
+
+def test_fused_rhs_makes_one_metric_call_and_no_christoffel_call(monkeypatch):
+    sc = _conformal()
+    calls = []
+    checked = dynamics.metric_at
+
+    def counting(manifold, x):
+        calls.append(x)
+        return checked(manifold, x)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the fused path must not build the Christoffel tensor")
+
+    monkeypatch.setattr(dynamics, "metric_at", counting)
+    monkeypatch.setattr(dynamics, "christoffel_at", unexpected)
+    rhs_E(sc.manifold, sc.force, (POINTS[0], VELOCITY, 0.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("manifold", [
+    {"catalog": "diagonal_conformal", "params": {"entries": ["1", "1 - x1^2"]}},
+    {"metric": [["1", "0"], ["0", "1 - x1^2"]]},
+], ids=["diagonal_conformal", "metric_rows"])
+def test_expression_metric_losing_definiteness_is_hard_error(manifold):
+    # no guard: g_22 changes sign at x1 = 1, which the geodesic along x1
+    # crosses at speed 0.5; the first stage past it must fail loudly
+    sc = _scenario(manifold, potential="0", tensor=False)
+    with pytest.raises(NotPositiveDefinite):
+        integrate(sc.manifold, sc.force, (np.array([0.0, 0.0]), np.array([0.5, 0.0])),
+                  IntegratorConfig(horizon=5.0))
+
+
+def test_constant_metric_takes_no_partials():
+    with pytest.raises(ValueError, match="metric_dx must be None"):
+        ChartManifold(dim=2, metric=np.eye(2), metric_dx=lambda x: np.zeros((2, 2, 2)))
+
+
+def test_conformal_geodesic_conserves_speed_on_the_exact_path():
+    m = build_manifold("diagonal_conformal", {"entries": ["exp(x2)", "exp(x2)"]})
+    free = ForceSystem(potential=lambda x, t: 0.0, potential_dx=lambda x, t: np.zeros(2),
+                       potential_dt=lambda x, t: 0.0, time_independent=True)
+    x0, v0 = np.array([0.0, 0.2]), np.array([1.0, 0.5])
+    traj = integrate(m, free, (x0, v0), IntegratorConfig(horizon=4.0))
+    speeds = [float(s[2:] @ metric_at(m, s[:2]) @ s[2:]) for s in traj.states]
+    assert_allclose(speeds, speeds[0], rtol=1e-8)

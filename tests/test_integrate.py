@@ -408,3 +408,17 @@ def test_flat_chart_exit_matches_callable_metric(harmonic):
     assert_same_run(flat, reference)
     with pytest.raises(OutOfChart):
         make_rhs(strip, harmonic)(0.0, np.array([1.6, 0.0, 1.0, 0.0]))
+
+
+def test_refine_blowup_rejects_a_bracket_past_the_horizon():
+    # the speed grows only exponentially here (in arc length the potential is
+    # quadratic), so each thousandfold ceiling is crossed about 0.55 later and
+    # the bracket [t_cross, t_deep + 4 gap] runs past the horizon
+    m = build_manifold("diagonal_conformal", {"entries": ["1 + 0.1*x1^2", "1 + 0.1*x2^2"]})
+    fs = build_potential("negative_quartic", {"c": 1.0})
+    cfg = IntegratorConfig(horizon=5.0)
+    init = (np.array([0.8, 0.1]), np.array([0.2, -0.3]))
+    coarse = integrate(m, fs, init, cfg)
+    assert coarse.outcome.kind == BLOW_UP_SUSPECTED
+    with pytest.raises(NotABlowup, match="past the horizon"):
+        refine_blowup(m, fs, init, cfg, coarse)

@@ -408,3 +408,25 @@ def test_certify_probe_conflict_flag(tmp_path):
     assert report.certificate["verdict"] != "inconclusive"
     assert report.outcome["probe"]["kind"] == "BlowUpSuspected"
     assert report.conflict
+
+
+def test_runtime_needs_neither_sympy_nor_hypothesis(tmp_path):
+    # the tests use sympy and hypothesis; a run of the package must not import them
+    import pathlib
+    import subprocess
+    import sys
+
+    import wavetraj
+
+    script = (
+        "import sys\n"
+        "from wavetraj.runner import run_scenario\n"
+        "from wavetraj.scenario import bundled_scenarios, load_scenario\n"
+        f"run_scenario(load_scenario(bundled_scenarios()['plane-wave-certify']), {str(tmp_path)!r})\n"
+        "print(sorted(m for m in ('sympy', 'hypothesis') if m in sys.modules))\n"
+    )
+    src = str(pathlib.Path(wavetraj.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""}, check=True)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "plane-wave-certify.report.json").exists()
