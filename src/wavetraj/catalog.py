@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import ForceSystem
 from .errors import ValidationError
-from .expressions import parse_expression
+from .expressions import coordinates, parse_expression
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient, plane_wave_H
 
@@ -125,6 +125,10 @@ MANIFOLDS = {
 
 # ---------------------------------------------------------------- potentials
 
+def _zeros_array(x, t):
+    return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(t)))
+
+
 def _build_zero_potential(params):
     _check_params("zero", params, allowed=set())
     return ForceSystem(
@@ -133,8 +137,13 @@ def _build_zero_potential(params):
         potential_dt=lambda x, t: 0.0,
         time_independent=True,
         name="zero",
+        potential_array=_zeros_array,
+        potential_dt_array=_zeros_array,
     )
 
+
+# each array form repeats its scalar form's operations; np.vecdot(x, x) is
+# bit for bit x @ x
 
 def _build_harmonic(params):
     _check_params("harmonic", params, allowed={"k"})
@@ -145,16 +154,21 @@ def _build_harmonic(params):
         potential_dt=lambda x, t: 0.0,
         time_independent=True,
         name=f"harmonic(k={k})",
+        potential_array=lambda x, t: 0.5 * k * np.vecdot(x, x),
+        potential_dt_array=_zeros_array,
     )
 
 
 def _build_exp_time_quadratic(params):
     _check_params("exp_time_quadratic", params, allowed=set())
+    value_array = lambda x, t: np.exp(t) * (1.0 + np.vecdot(x, x))
     return ForceSystem(
         potential=lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
         potential_dx=lambda x, t: 2.0 * np.exp(t) * np.asarray(x, dtype=float),
         potential_dt=lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
         name="exp_time_quadratic",
+        potential_array=value_array,
+        potential_dt_array=value_array,
     )
 
 
@@ -167,6 +181,8 @@ def _build_negative_quartic(params):
         potential_dt=lambda x, t: 0.0,
         time_independent=True,
         name=f"negative_quartic(c={c})",
+        potential_array=lambda x, t: -c * np.vecdot(x, x) ** 2,
+        potential_dt_array=_zeros_array,
     )
 
 
@@ -236,7 +252,11 @@ def _build_expression_wave(params):
     return WaveCoefficient(h=lambda x, u: fn(*x, u),
                            h_dx=lambda x, u: np.array([d(*x, u) for d in grad]),
                            h_du=lambda x, u: du(*x, u),
-                           name=f"expression({params['H']})")
+                           name=f"expression({params['H']})",
+                           h_array=lambda x, u: fn.on_arrays(*coordinates(x), u),
+                           h_dx_array=lambda x, u: np.stack(
+                               [d.on_arrays(*coordinates(x), u) for d in grad], axis=-1),
+                           h_du_array=lambda x, u: du.on_arrays(*coordinates(x), u))
 
 
 WAVES = {

@@ -10,6 +10,7 @@ verdict, constructs v0 by quadrature inversion, and verifies envelopes.
 """
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,30 +26,34 @@ _SATURATION_RTOL = 1e-10
 _DOUBLING_BUDGET = 64
 _DIVERGENCE_RATIO = 0.98
 
-# Gauss-Legendre nodes, cached per order
-_GL_CACHE = {}
+@functools.cache
+def _gl_rules():
+    """The nodes of the 16- and 32-point Gauss-Legendre rules on [-1, 1] in one
+    array, and the weights of each rule."""
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    x32, w32 = np.polynomial.legendre.leggauss(32)
+    return np.concatenate([x16, x32]), w16, w32
 
 
-def _gl_rule(order):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+def _gl_apply(f, lo, hi):
+    """The 16-point and the 32-point Gauss-Legendre values of the integral of f on [lo, hi].
 
-
-def _gl_apply(f, lo, hi, order):
-    x, w = _gl_rule(order)
+    f is called once, on the array of both rules' nodes, and returns its
+    values there.
+    """
+    nodes, w16, w32 = _gl_rules()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    vals = np.array([f(mid + half * xi) for xi in x])
-    return half * float(w @ vals)
+    vals = f(mid + half * nodes)
+    return half * float(w16 @ vals[:16]), half * float(w32 @ vals[16:])
 
 
 def adaptive_quad(f, lo, hi, rel_tol=1e-14, abs_tol=1e-300, max_depth=48):
     """Adaptive Gauss-Legendre 16/32 quadrature on [lo, hi].
 
-    Panels are bisected until the 16-point and 32-point values agree to the
-    requested tolerance; the 32-point value is kept.
+    f maps an array of nodes to the array of its values there. Panels are
+    bisected until the 16-point and 32-point values agree to the requested
+    tolerance; the 32-point value is kept.
     """
     if hi == lo:
         return 0.0
@@ -56,8 +61,7 @@ def adaptive_quad(f, lo, hi, rel_tol=1e-14, abs_tol=1e-300, max_depth=48):
     total = 0.0
     while stack:
         a, b, depth = stack.pop()
-        coarse = _gl_apply(f, a, b, 16)
-        fine = _gl_apply(f, a, b, 32)
+        coarse, fine = _gl_apply(f, a, b)
         if abs(fine - coarse) <= max(abs_tol, rel_tol * abs(fine)) or depth >= max_depth:
             total += fine
         else:
@@ -84,13 +88,15 @@ class PhiFunction:
 
     Construction samples [a, a + initial_span]; check_divergence extends the
     certificate window as it doubles outward. A nonpositive value or a
-    decrease anywhere on the sample is a hard error.
+    decrease anywhere on the sample is a hard error. fn_array, when given,
+    evaluates fn over an array of points, NaN where fn would raise.
     """
 
     a: float
     fn: Callable[[float], float]
     initial_span: float = 10.0
     samples_per_window: int = 257
+    fn_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     monotone_certificate: MonotoneCertificate = field(init=False)
 
     def __post_init__(self):
@@ -99,9 +105,31 @@ class PhiFunction:
     def __call__(self, s):
         return float(self.fn(s))
 
+    def values(self, ss):
+        """phi at each point of the array ss.
+
+        fn_array, which returns an array of the shape of ss, serves when its
+        values are all finite; otherwise fn is called once per point, and
+        raises where it raises.
+        """
+        if self.fn_array is not None:
+            with np.errstate(all="ignore"):
+                out = self.fn_array(ss)
+            if np.isfinite(out).all():
+                return out
+        return np.array([self(s) for s in ss])
+
+    def reciprocal(self, ss):
+        """1/phi at each point of the array ss; a point where phi is not positive raises."""
+        vals = self.values(ss)
+        if not vals.min() > 0.0:   # a NaN fails too
+            k = int(np.argmin(vals > 0.0))
+            raise HypothesisViolated(f"phi({float(ss[k])}) = {float(vals[k])} is not positive")
+        return 1.0 / vals
+
     def _certify(self, lo, hi):
         ss = np.linspace(lo, hi, self.samples_per_window)
-        vals = np.array([float(self.fn(s)) for s in ss])
+        vals = self.values(ss)
         vmin = float(vals.min())
         if vmin <= 0.0:
             where = float(ss[int(vals.argmin())])
@@ -150,14 +178,13 @@ def check_divergence(phi):
     width = max(1.0, abs(a))
     right = a + width
     phi.extend_certificate(right)
-    integrand = lambda s: 1.0 / phi(s)
-    total = adaptive_quad(integrand, a, right, rel_tol=1e-13)
+    total = adaptive_quad(phi.reciprocal, a, right, rel_tol=1e-13)
     increments = []
     saturated_once = False
     for k in range(_DOUBLING_BUDGET):
         new_right = a + (right - a) * 2.0
         phi.extend_certificate(new_right)
-        inc = adaptive_quad(integrand, right, new_right, rel_tol=1e-13)
+        inc = adaptive_quad(phi.reciprocal, right, new_right, rel_tol=1e-13)
         increments.append(inc)
         total += inc
         right = new_right
@@ -208,7 +235,7 @@ class DominatingSolution:
             w_next = w_prev + width
             width *= 2.0
             self.phi.extend_certificate(w_next)
-            dt = adaptive_quad(lambda s: 1.0 / self.phi(s), w_prev, w_next, rel_tol=1e-14)
+            dt = adaptive_quad(self.phi.reciprocal, w_prev, w_next, rel_tol=1e-14)
             self._nodes_w.append(w_next)
             self._nodes_t.append(self._nodes_t[-1] + dt)
             if len(self._nodes_w) > 200:
@@ -225,7 +252,7 @@ class DominatingSolution:
         i = bisect.bisect_right(self._nodes_w, w) - 1
         i = min(i, len(self._nodes_w) - 1)
         return self._nodes_t[i] + adaptive_quad(
-            lambda s: 1.0 / self.phi(s), self._nodes_w[i], w, rel_tol=1e-14)
+            self.phi.reciprocal, self._nodes_w[i], w, rel_tol=1e-14)
 
     def __call__(self, t):
         t = float(t)
@@ -257,7 +284,7 @@ class DominatingSolution:
         return w
 
     def _segment_time(self, i, w):
-        return adaptive_quad(lambda s: 1.0 / self.phi(s), self._nodes_w[i], w, rel_tol=1e-14)
+        return adaptive_quad(self.phi.reciprocal, self._nodes_w[i], w, rel_tol=1e-14)
 
 
 def solve_dominating(phi, v0_init, t_max):
@@ -329,7 +356,7 @@ def verify_envelope(t_samples, v_samples, phi, v0, rel_slack=1e-6):
     if np.any(np.diff(t) <= 0):
         raise ValueError("time samples must be strictly increasing")
 
-    phiv = np.array([phi(val) for val in v])
+    phiv = phi.values(v)
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (phiv[1:] + phiv[:-1]) * np.diff(t))])
     bound = v[0] + cumulative
     scale = np.maximum(1.0, np.abs(bound))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import EigFailure
 from .geometry import christoffel_at, metric_at, require_in_chart
@@ -30,6 +30,10 @@ class ForceSystem:
     policy. tensor_F returns the chart components of F as an n x n matrix;
     None means F ≡ 0. time_independent marks potentials with no t dependence
     (used only for reporting conserved-energy drift).
+
+    potential_array and potential_dt_array, when given, evaluate V and ∂V/∂t
+    over arrays: chart points on the last axis of x, broadcast against t. An
+    element where the scalar source would raise is NaN.
     """
 
     potential: Callable[[np.ndarray, float], float]
@@ -38,6 +42,8 @@ class ForceSystem:
     tensor_F: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     time_independent: bool = False
     name: str = ""
+    potential_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    potential_dt_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def value(self, x, t):
         return float(self.potential(np.asarray(x, dtype=float), float(t)))
@@ -165,14 +171,15 @@ def operator_eigen_range(manifold, fs, x, t):
         return 0.0, 0.0
     g = metric_at(manifold, x)
     a = 0.5 * (g @ fmat + fmat.T @ g)
-    # g passed the metric checks, so only a can be non-finite; this stands in
-    # for eigh's own check, whose ValueError would not be a WavetrajError
-    if not np.all(np.isfinite(a)):
+    # g passed the metric checks, so only a can be non-finite; a NaN would
+    # reach LAPACK unchecked
+    if not np.isfinite(a).all():
         raise EigFailure(f"generalized eigenproblem at {x} has a non-finite entry")
-    try:
-        w = scipy.linalg.eigh(a, g, eigvals_only=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise EigFailure(f"generalized eigenproblem failed at {x}: {exc}") from exc
+    # the routine and arguments scipy.linalg.eigh(a, g, eigvals_only=True)
+    # uses, without its per-call validation, which costs five times the solve
+    w, _, info = scipy.linalg.lapack.dsygvd(a, g, jobz="N", uplo="L")
+    if info != 0:
+        raise EigFailure(f"generalized eigenproblem failed at {x}: LAPACK dsygvd info {info}")
     return float(w[0]), float(w[-1])
 
 

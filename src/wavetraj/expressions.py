@@ -19,6 +19,18 @@ that differ only in their constants share one cached code object. The
 function evaluates in the parser's order, and every '^' goes through the
 checked _real_power, so values are those of a direct walk of the tree.
 
+on_arrays(*arrays) is a second compiled form of the same tree for numpy
+arrays that broadcast together: numpy ufuncs in the namespace, '/' through a
+checked division, compiled on its first use and cached by source like the
+scalar form. Where the scalar call would raise, the element is NaN: a zero
+divisor; a power that overflows from finite arguments, meets 0 with a
+negative exponent or has a negative base and a fractional exponent; an exp,
+log, sinh or cosh that is infinite at a finite argument. A NaN argument of
+'^' gives NaN even where x^0 or 1^y would hide it, so a failed intermediate
+cannot vanish from the result. Nothing raises or warns. numpy's exp, log,
+sinh, cosh and '^' can differ from Python's in the last bit, so the array
+form agrees with the scalar one to rounding, not bit for bit.
+
 derivative(name) gives the exact partial derivative as another Expression,
 built by the sum, product, quotient, power and chain rules (abs
 differentiates to the sign) with constants folded, and compiled the same way
@@ -33,6 +45,8 @@ give inf or NaN with a RuntimeWarning instead.
 import functools
 import math
 import re
+
+import numpy as np
 
 from .errors import EvaluationError, ParseError, ValidationError
 
@@ -107,8 +121,38 @@ _ATOM = 4
 _NAMESPACE = dict(FUNCTIONS, sign=_sign, _pow=_real_power)
 
 
-def _emit(node, consts):
-    """Python source of node and its precedence; constants are appended to consts."""
+def _nan_where_overflow(ufunc):
+    """ufunc with NaN where a finite argument gives an infinite value, where math raises."""
+    def fn(a):
+        out = ufunc(a)
+        return np.where(np.isinf(out) & np.isfinite(a), np.nan, out)
+    return fn
+
+
+def _array_power(base, exponent):
+    out = np.power(base, exponent)
+    bad = (np.isnan(base) | np.isnan(exponent)
+           | (np.isinf(out) & np.isfinite(base) & np.isfinite(exponent)))
+    return np.where(bad, np.nan, out)
+
+
+def _array_divide(a, b):
+    return np.where(b == 0.0, np.nan, np.divide(a, b))
+
+
+_ARRAY_NAMESPACE = {
+    "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign,
+    "exp": _nan_where_overflow(np.exp), "log": _nan_where_overflow(np.log),
+    "sinh": _nan_where_overflow(np.sinh), "cosh": _nan_where_overflow(np.cosh),
+    "_pow": _array_power, "_div": _array_divide,
+}
+
+
+def _emit(node, consts, array=False):
+    """Python source of node and its precedence; constants are appended to consts.
+
+    The array form writes each division as a call of the checked _div.
+    """
     kind = node[0]
     if kind == "num":
         consts.append(node[1])
@@ -116,14 +160,16 @@ def _emit(node, consts):
     if kind == "var":
         return f"_v{node[1]}", _ATOM
     if kind == "neg":
-        text, prec = _emit(node[1], consts)
+        text, prec = _emit(node[1], consts, array)
         return "-" + (text if prec >= _PREC["neg"] else f"({text})"), _PREC["neg"]
     if kind == "call":
-        return f"{node[1]}({_emit(node[2], consts)[0]})", _ATOM
-    left, lprec = _emit(node[1], consts)
-    right, rprec = _emit(node[2], consts)
+        return f"{node[1]}({_emit(node[2], consts, array)[0]})", _ATOM
+    left, lprec = _emit(node[1], consts, array)
+    right, rprec = _emit(node[2], consts, array)
     if kind == "^":
         return f"_pow({left}, {right})", _ATOM
+    if kind == "/" and array:
+        return f"_div({left}, {right})", _ATOM
     prec = _PREC[kind]
     # the grammar's binary operators associate to the left, like Python's
     if lprec < prec:
@@ -138,12 +184,15 @@ def _code(source):
     return compile(source, "<expression>", "exec")
 
 
-def _compile(tree, arity):
-    """One Python function of arity positional values evaluating tree."""
+def _compile(tree, arity, array=False):
+    """One Python function of arity positional values evaluating tree.
+
+    array selects the form for numpy arrays (see the module docstring).
+    """
     consts = []
-    body, _ = _emit(tree, consts)
+    body, _ = _emit(tree, consts, array)
     params = ", ".join(f"_v{i}" for i in range(arity))
-    namespace = dict(_NAMESPACE)
+    namespace = dict(_ARRAY_NAMESPACE if array else _NAMESPACE)
     namespace.update((f"_c{i}", c) for i, c in enumerate(consts))
     exec(_code(f"def _f({params}):\n    return {body}\n"), namespace)
     return namespace["_f"]
@@ -207,7 +256,8 @@ def _mul(a, b):
 
 
 def _div(a, b):
-    if a == _ZERO:
+    # 0/b is 0 only where b is defined and nonzero, which a constant shows
+    if a == _ZERO and _is_num(b) and b[1] != 0.0:
         return _ZERO
     if b == _ONE:
         return a
@@ -306,9 +356,10 @@ class Expression:
     """A parsed expression over a fixed, ordered tuple of variable names.
 
     tree is the expression's tree (a derivative builds its own on first
-    use); the Python function evaluating it is compiled on the first call.
-    derivative(name) returns the partial derivative in one of the variables
-    as an Expression over the same variables.
+    use); the Python function evaluating it is compiled on the first call,
+    and its array form on the first on_arrays call. derivative(name) returns
+    the partial derivative in one of the variables as an Expression over the
+    same variables.
     """
 
     def __init__(self, source, variables, tree):
@@ -316,6 +367,7 @@ class Expression:
         self.variables = tuple(variables)
         self._tree = tree
         self._fn = None
+        self._array_fn = None
         self._derivatives = {}
 
     @property
@@ -339,6 +391,24 @@ class Expression:
             point = {name: float(v) for name, v in zip(self.variables, values)}
             raise EvaluationError(self.source, point, exc) from None
 
+    def on_arrays(self, *values):
+        """The expression over arrays, elementwise, as a float array of their broadcast shape.
+
+        An element where the scalar call would raise EvaluationError is NaN;
+        nothing raises or warns.
+        """
+        fn = self._array_fn
+        if fn is None:
+            fn = self._array_fn = _compile(self.tree, len(self.variables), array=True)
+        values = [np.asarray(v, dtype=float) for v in values]
+        with np.errstate(all="ignore"):
+            out = fn(*values)
+        shapes = {v.shape for v in values}
+        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        if type(out) is np.ndarray and out.shape == shape:
+            return out
+        return np.broadcast_to(out, shape)
+
     def derivative(self, name):
         """Exact partial derivative in the variable name, built on first call."""
         if name not in self.variables:
@@ -353,6 +423,16 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({self.source!r}, variables={self.variables})"
+
+
+def coordinates(x):
+    """The chart coordinates of points on the last axis of x, one array per coordinate."""
+    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+
+
+def array_form(fn):
+    """fn.on_arrays when fn is an Expression, else None: other callables have no array form."""
+    return fn.on_arrays if isinstance(fn, Expression) else None
 
 
 class _Parser:

@@ -135,6 +135,21 @@ def metric_at(manifold, x):
     return _checked_metric(manifold.metric(x), manifold.dim, x)
 
 
+def metrics_at(manifold, points):
+    """metric_at at each row of points, stacked to shape (len(points), dim, dim).
+
+    Each point passes the guard check; a constant metric then comes back as
+    one read-only matrix broadcast over the rows.
+    """
+    points = np.asarray(points, dtype=float)
+    if not manifold.flat:
+        return np.array([metric_at(manifold, p) for p in points])
+    if manifold.domain_guard is not None:
+        for p in points:
+            require_in_chart(manifold, p)
+    return np.broadcast_to(manifold.metric, (len(points),) + manifold.metric.shape)
+
+
 def christoffel_at(manifold, x, h=None):
     """Christoffel symbols Γ^k_ij at x, shape (dim, dim, dim), symmetric in (i, j).
 

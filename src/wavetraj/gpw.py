@@ -23,7 +23,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .dynamics import ForceSystem, FREE
-from .geometry import metric_at
+from .expressions import array_form
+from .geometry import metric_at, metrics_at
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric, gradient_fd, partial_in_scalar
@@ -37,6 +38,11 @@ class WaveCoefficient:
     sources fall back to central differences with the shared stencil policy.
     gravitational_wave is set by the plane-wave factory when the two diagonal
     profiles coincide on samples, None when unknown.
+
+    h_array, h_dx_array and h_du_array, when given, evaluate H, its
+    x-partials (on a new last axis) and its u-partial over arrays: chart
+    points on the last axis of x, broadcast against u. An element where the
+    scalar source would raise is NaN.
     """
 
     h: Callable[[np.ndarray, float], float]
@@ -44,6 +50,9 @@ class WaveCoefficient:
     h_du: Optional[Callable[[np.ndarray, float], float]] = None
     name: str = ""
     gravitational_wave: Optional[bool] = None
+    h_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    h_dx_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    h_du_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def value(self, x, u):
         return float(self.h(np.asarray(x, dtype=float), float(u)))
@@ -60,13 +69,27 @@ class WaveCoefficient:
             return float(self.h_du(x, float(u)))
         return float(partial_in_scalar(lambda s: self.h(x, s), float(u)))
 
+    def value_rows(self, x, u):
+        """H at each row of x and the matching entry of u, as an array.
+
+        h_array serves when its values are all finite; otherwise H is
+        evaluated once per row, which raises where H cannot be evaluated.
+        """
+        if self.h_array is not None:
+            with np.errstate(all="ignore"):
+                out = self.h_array(x, u)
+            if np.all(np.isfinite(out)):
+                return out
+        return np.array([self.value(p, v) for p, v in zip(x, u)])
+
 
 def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
     """Quadratic wave coefficient f1(u) x^2 - f2(u) y^2 + 2 f(u) x y on the plane.
 
     Profile derivatives may be supplied; otherwise they are differenced. The
     gravitational-wave flag is set by sampled equality of f1 and f2 on
-    [-u_window, u_window].
+    [-u_window, u_window]. Profiles given as Expressions also give the
+    coefficient its array forms.
     """
     def value(x, u):
         return f1(u) * x[0] ** 2 - f2(u) * x[1] ** 2 + 2.0 * f(u) * x[0] * x[1]
@@ -86,8 +109,27 @@ def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
     vals2 = np.array([float(f2(u)) for u in us])
     scale = max(1.0, float(np.abs(vals1).max()), float(np.abs(vals2).max()))
     grav = bool(np.abs(vals1 - vals2).max() <= 1e-12 * scale)
+
+    def on_arrays(p1, p2, p12):
+        # the form p1(u) x^2 - p2(u) y^2 + 2 p12(u) x y over points on the last axis of x
+        def h(x, u):
+            x1, x2 = x[..., 0], x[..., 1]
+            return p1(u) * x1 ** 2 - p2(u) * x2 ** 2 + 2.0 * p12(u) * x1 * x2
+        return h
+
+    a1, a2, a, d1, d2, d = (array_form(p) for p in (f1, f2, f, df1, df2, df))
+    arrays = {}
+    if None not in (a1, a2, a):
+        def dx_array(x, u):
+            x1, x2 = x[..., 0], x[..., 1]
+            return np.stack([2.0 * a1(u) * x1 + 2.0 * a(u) * x2,
+                             -2.0 * a2(u) * x2 + 2.0 * a(u) * x1], axis=-1)
+
+        arrays.update(h_array=on_arrays(a1, a2, a), h_dx_array=dx_array)
+    if None not in (d1, d2, d):
+        arrays.update(h_du_array=on_arrays(d1, d2, d))
     return WaveCoefficient(h=value, h_dx=dx, h_du=du, name="plane_wave",
-                           gravitational_wave=grav)
+                           gravitational_wave=grav, **arrays)
 
 
 @dataclass(frozen=True)
@@ -181,10 +223,15 @@ def wave_force_system(st, u0, delta):
 
 
 def _conserved_vdot(st, energy, delta, x, xdot, u):
-    """vdot from g(gamma', gamma') = energy at base state (x, xdot) and wave coordinate u."""
-    g = metric_at(st.base, x)
-    h_val = st.wave.value(x, u)
-    return (energy - float(xdot @ g @ xdot) - h_val * delta * delta) / (2.0 * delta)
+    """vdot from g(gamma', gamma') = energy at base states (x, xdot) and wave coordinates u.
+
+    x and xdot hold one state per row and u one coordinate per state; the
+    result holds one vdot per state.
+    """
+    g = metrics_at(st.base, x)
+    quad = np.vecdot(np.matmul(xdot[:, None, :], g)[:, 0, :], xdot)
+    h_val = st.wave.value_rows(x, u)
+    return (energy - quad - h_val * delta * delta) / (2.0 * delta)
 
 
 def reduce_geodesic(st, init, cfg, v_sample_count=2049):
@@ -213,10 +260,8 @@ def reduce_geodesic(st, init, cfg, v_sample_count=2049):
     base = integrate(st.base, fs, (x0, xdot0), cfg, FORWARD)
     lo, hi = base.t_span
     ts = np.linspace(lo, hi, v_sample_count)
-    v_dots = np.empty(ts.shape)
-    for i, t in enumerate(ts):
-        x, xdot = sample(base, t)
-        v_dots[i] = _conserved_vdot(st, energy, delta, x, xdot, init.u0 + delta * t)
+    x, xdot = sample(base, ts)
+    v_dots = _conserved_vdot(st, energy, delta, x, xdot, init.u0 + delta * ts)
     v_vals = init.v0 + cumulative_simpson(v_dots, x=ts, initial=0.0)
     return SplitGeodesic(base_trajectory=base, u0=float(init.u0), delta=delta,
                          v_times=ts, v_values=v_vals, v_dots=v_dots, energy=energy)
@@ -230,7 +275,7 @@ def split_state(sg, st, t):
     if sg.delta == 0.0:
         vdot = float(sg.v_dots[0])
     else:
-        vdot = _conserved_vdot(st, sg.energy, sg.delta, x, xdot, u)
+        vdot = float(_conserved_vdot(st, sg.energy, sg.delta, x[None], xdot[None], [u])[0])
     pos = np.concatenate([x, [u, v]])
     vel = np.concatenate([xdot, [sg.delta, vdot]])
     return pos, vel

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import operator_bounds
-from .geometry import metric_at
+from .geometry import metric_at, metrics_at
 
 CAVEAT = "premises verified on sampled domain only"
 
@@ -40,13 +40,16 @@ class BoundData:
 
     alpha0 and beta0 are continuous functions of time (of the wave parameter u
     for wave-coefficient routes). grid rows are chart points; t_grid spans
-    [-T, T].
+    [-T, T]. alpha0_array and beta0_array, when given, evaluate alpha0 and
+    beta0 over an array of times, NaN where the scalar function would raise.
     """
 
     alpha0: Callable[[float], float]
     beta0: Callable[[float], float]
     grid: np.ndarray
     t_grid: np.ndarray
+    alpha0_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    beta0_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "grid", np.atleast_2d(np.asarray(self.grid, dtype=float)))
@@ -125,12 +128,32 @@ class CompletenessCertificate:
         }
 
 
-def _scan_grid(bd, quantity):
+def _scan_grid(bd, quantity, on_grid=None):
     """Minimize quantity(p, t) over grid x t_grid; returns (min, point, t).
 
-    A non-finite sample is evidence of nothing, so it is the worst sample: the
-    scan stops there and returns margin -inf with that sample's point and t.
+    on_grid(x, t), when given, evaluates the same quantity over the whole
+    (len(t_grid), len(grid)) sample array at once, t-major, from the grid
+    points x (shape (1, len(grid), dim)) and the times t (shape
+    (len(t_grid), 1)); it returns None when a source has no array form. If
+    every value is finite, the first minimum in that order (np.argmin, like
+    the strict < of the loop below) gives the margin, the worst point and
+    the worst t.
+
+    Otherwise the loop evaluates quantity one sample at a time, t outer and
+    points inner. A non-finite sample is evidence of nothing, so it is the
+    worst sample: the scan stops there and returns margin -inf with that
+    sample's point and t. The loop alone decides -inf margins and raises
+    evaluation errors; an array value that is NaN where the scalar source
+    would raise only sends the scan to the loop.
     """
+    if on_grid is not None:
+        with np.errstate(all="ignore"):
+            values = on_grid(bd.grid[None, :, :], bd.t_grid[:, None])
+        if values is not None:
+            values = np.broadcast_to(values, (bd.t_grid.size, bd.grid.shape[0]))
+            if np.all(np.isfinite(values)):
+                i, j = np.unravel_index(np.argmin(values), values.shape)
+                return float(values[i, j]), tuple(float(c) for c in bd.grid[j]), float(bd.t_grid[i])
     worst = np.inf
     worst_p = None
     worst_t = None
@@ -146,9 +169,18 @@ def _scan_grid(bd, quantity):
     return float(worst), worst_p, worst_t
 
 
+def _missing(*sources):
+    return any(source is None for source in sources)
+
+
 def check_bounded_below(fs, bd):
     """Premise: V(p, t) >= beta0(t) on the sampled window."""
-    margin, p, t = _scan_grid(bd, lambda q, s: fs.value(q, s) - float(bd.beta0(s)))
+    def on_grid(x, t):
+        if _missing(fs.potential_array, bd.beta0_array):
+            return None
+        return fs.potential_array(x, t) - bd.beta0_array(t)
+
+    margin, p, t = _scan_grid(bd, lambda q, s: fs.value(q, s) - float(bd.beta0(s)), on_grid)
     return PremiseCheck(
         name="potential_bounded_below",
         passed=margin >= 0.0,
@@ -202,16 +234,23 @@ def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
     if signed not in ("two_sided", "forward", "backward"):
         raise ValueError(f"unknown signed mode {signed!r}")
 
-    def margin_at(p, t):
-        q = fs.dt(p, t)
+    def signed_dt(q):
         if signed == "two_sided":
-            q = abs(q)
-        elif signed == "backward":
-            q = -q
+            return abs(q)
+        return -q if signed == "backward" else q
+
+    def margin_at(p, t):
+        q = signed_dt(fs.dt(p, t))
         rhs = float(bd.alpha0(t)) * (fs.value(p, t) - float(bd.beta0(t)))
         return rhs - q
 
-    margin, p, t = _scan_grid(bd, margin_at)
+    def on_grid(x, t):
+        if _missing(fs.potential_array, fs.potential_dt_array, bd.alpha0_array, bd.beta0_array):
+            return None
+        q = signed_dt(fs.potential_dt_array(x, t))
+        return bd.alpha0_array(t) * (fs.potential_array(x, t) - bd.beta0_array(t)) - q
+
+    margin, p, t = _scan_grid(bd, margin_at, on_grid)
     return PremiseCheck(
         name=f"potential_dt_{signed}",
         passed=margin >= 0.0 and prerequisite_passed,
@@ -223,6 +262,19 @@ def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
     )
 
 
+def _growth_ratios(manifold, wave, grid, dists, u):
+    """|grad H|_g / (1 + distance) at each grid point, one point at a time."""
+    ratios = np.empty(grid.shape[0])
+    for i, p in enumerate(grid):
+        dh = wave.dx(p, u)
+        g = metric_at(manifold, p)
+        q = float(dh @ np.linalg.solve(g, dh))
+        # max() would drop a NaN; keep it so the slice fails below
+        norm_grad = np.nan if np.isnan(q) else float(np.sqrt(max(0.0, q)))
+        ratios[i] = norm_grad / (1.0 + dists[i])
+    return ratios
+
+
 def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     """Premise: the metric norm of grad H grows at most linearly with chart distance.
 
@@ -232,6 +284,12 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     mean. This decile criterion is the operational definition of "at most
     linear growth" on a finite sample: it is scale free and robust to grid
     anisotropy.
+
+    A slice takes grad H from the wave's array form in one call, and the
+    metric at the grid points, which does not depend on u, once for all
+    slices. A slice whose array ratios are not all finite, or a wave without
+    an array form, is evaluated one point at a time instead; only that path
+    raises evaluation errors or fails a slice on a non-finite sample.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     anchor = np.asarray(anchor, dtype=float)
@@ -245,15 +303,20 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     worst_margin = np.inf
     worst_u = None
     max_ratio = 0.0
+    metrics = None
     for u in u_grid:
-        ratios = np.empty(k)
-        for i, p in enumerate(grid):
-            dh = wave.dx(p, float(u))
-            g = metric_at(manifold, p)
-            q = float(dh @ np.linalg.solve(g, dh))
-            # max() would drop a NaN; keep it so the slice fails below
-            norm_grad = np.nan if np.isnan(q) else float(np.sqrt(max(0.0, q)))
-            ratios[i] = norm_grad / (1.0 + dists[i])
+        ratios = None
+        if wave.h_dx_array is not None:
+            with np.errstate(all="ignore"):
+                dh = wave.h_dx_array(grid, float(u))
+                # a non-finite dh goes to the pointwise path before any metric is evaluated
+                if np.all(np.isfinite(dh)):
+                    if metrics is None:
+                        metrics = metrics_at(manifold, grid)
+                    q = np.vecdot(dh, np.linalg.solve(metrics, dh[..., None])[..., 0])
+                    ratios = np.sqrt(np.maximum(0.0, q)) / (1.0 + dists)
+        if ratios is None or not np.all(np.isfinite(ratios)):
+            ratios = _growth_ratios(manifold, wave, grid, dists, float(u))
         max_ratio = max(max_ratio, float(ratios.max()))
         med = float(ratios[med_idx].mean())
         far = float(ratios[far_idx].mean())
@@ -276,7 +339,12 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
 
 def check_wave_bounded_above(wave, bd):
     """Premise: H(x, u) <= beta0(u) on the sampled window."""
-    margin, p, t = _scan_grid(bd, lambda q, u: float(bd.beta0(u)) - wave.value(q, u))
+    def on_grid(x, u):
+        if _missing(wave.h_array, bd.beta0_array):
+            return None
+        return bd.beta0_array(u) - wave.h_array(x, u)
+
+    margin, p, t = _scan_grid(bd, lambda q, u: float(bd.beta0(u)) - wave.value(q, u), on_grid)
     return PremiseCheck(
         name="wave_bounded_above",
         passed=margin >= 0.0,
@@ -293,7 +361,13 @@ def check_wave_du_bound(wave, bd, prerequisite_passed=True):
         rhs = float(bd.alpha0(u)) * (float(bd.beta0(u)) - wave.value(p, u))
         return rhs - abs(wave.du(p, u))
 
-    margin, p, t = _scan_grid(bd, margin_at)
+    def on_grid(x, u):
+        if _missing(wave.h_array, wave.h_du_array, bd.alpha0_array, bd.beta0_array):
+            return None
+        rhs = bd.alpha0_array(u) * (bd.beta0_array(u) - wave.h_array(x, u))
+        return rhs - np.abs(wave.h_du_array(x, u))
+
+    margin, p, t = _scan_grid(bd, margin_at, on_grid)
     return PremiseCheck(
         name="wave_du_bound",
         passed=margin >= 0.0 and prerequisite_passed,

@@ -118,10 +118,6 @@ class Trajectory:
         return self.states[:, : self.dim]
 
     @property
-    def velocities(self):
-        return self.states[:, self.dim:]
-
-    @property
     def t_span(self):
         return float(self.times.min()), float(self.times.max())
 
@@ -353,38 +349,49 @@ def integrate(manifold, fs, init, cfg, direction=FORWARD):
 
 
 def hermite(ts, ys, ds, t):
-    """Cubic Hermite interpolant at t of values ys and derivatives ds on ascending nodes ts.
+    """Cubic Hermite interpolant of values ys and derivatives ds on ascending nodes ts.
 
-    t may lie up to 1e-12 * max(1, span) outside [ts[0], ts[-1]] and is then
-    clamped; further out raises OutOfRange.
+    t is one time, giving one row like ys[0], or an array of times, giving
+    one such row per time. t may lie up to 1e-12 * max(1, span) outside
+    [ts[0], ts[-1]] and is then clamped; further out raises OutOfRange. A
+    single time is evaluated in numpy scalars and an array elementwise, with
+    the same operations in the same order, except that numpy squares an
+    array by one multiplication where a scalar goes through pow: about one
+    square in a thousand differs in the last bit.
     """
-    t = float(t)
-    span = ts[-1] - ts[0]
-    slack = 1e-12 * max(1.0, abs(span))
-    if t < ts[0] - slack or t > ts[-1] + slack:
-        raise OutOfRange(f"t={t} outside covered interval [{ts[0]}, {ts[-1]}]")
-    t = min(max(t, ts[0]), ts[-1])
-    i = int(np.searchsorted(ts, t, side="right"))
-    i = min(max(i, 1), len(ts) - 1)
-    t0, t1 = ts[i - 1], ts[i]
-    h = t1 - t0
-    if h == 0.0:
-        return ys[i]
-    theta = (t - t0) / h
+    lo, hi = ts[0], ts[-1]
+    slack = 1e-12 * max(1.0, abs(hi - lo))
+    t = np.asarray(t, dtype=float)[()]   # one time as a numpy scalar
+    outside = (t < lo - slack) | (t > hi + slack)
+    if np.count_nonzero(outside):
+        bad = float(np.extract(outside, t)[0])
+        raise OutOfRange(f"t={bad} outside covered interval [{lo}, {hi}]")
+    t = t.clip(lo, hi)
+    # the bracketing step [ts[i - 1], ts[i]], with 1 <= i <= len(ts) - 1
+    i = np.minimum(np.searchsorted(ts[1:-1], t, side="right") + 1, len(ts) - 1)
+    t0 = ts[i - 1]
+    h = ts[i] - t0
+    # a zero-width step is a repeated last node; theta = 1 there gives ys[i]
+    repeated = h == 0.0
+    theta = (t - t0 + repeated) / (h + repeated)
     h00 = (1 + 2 * theta) * (1 - theta) ** 2
     h10 = theta * (1 - theta) ** 2
     h01 = theta**2 * (3 - 2 * theta)
     h11 = theta**2 * (theta - 1)
-    return h00 * ys[i - 1] + h10 * h * ds[i - 1] + h01 * ys[i] + h11 * h * ds[i]
+    # transposed, so a row of ys meets one weight per time in either case
+    return (h00 * ys[i - 1].T + h10 * h * ds[i - 1].T + h01 * ys[i].T + h11 * h * ds[i].T).T
 
 
 def sample(traj, t):
-    """Dense output at time t: (x, xdot) by cubic Hermite on the bracketing step."""
+    """Dense output at time t: (x, xdot) by cubic Hermite on the bracketing step.
+
+    For an array of times, x and xdot hold one row per time.
+    """
     ts, ys, ds = traj.times, traj.states, traj.derivs
     if ts[-1] < ts[0]:
         ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
     y = hermite(ts, ys, ds, t)
-    return y[: traj.dim].copy(), y[traj.dim:].copy()
+    return y[..., : traj.dim].copy(), y[..., traj.dim:].copy()
 
 
 @dataclass(frozen=True)

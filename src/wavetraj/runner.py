@@ -142,7 +142,11 @@ def _run_envelope(sc, out_dir, report):
         "v_initial": float(vs[0]),
     }
     rate = _envelope_rate(frame)
-    phi = PhiFunction(a=1.0, fn=lambda s: rate * s)
+
+    def linear(s):
+        return rate * s
+
+    phi = PhiFunction(a=1.0, fn=linear, fn_array=linear)
     if vs[0] < phi.a:
         envelope["error"] = "initial energy below the comparison domain; bounds do not hold here"
     else:
@@ -244,7 +248,7 @@ def _run_gpw_map(sc, out_dir, report):
 
 def _run_compare_lemma(sc, out_dir, report):
     spec = sc.compare
-    phi = PhiFunction(a=spec["a"], fn=spec["phi"])
+    phi = PhiFunction(a=spec["a"], fn=spec["phi"], fn_array=spec["phi"].on_arrays)
     div = check_divergence(phi)
     comparison = {
         "phi": spec["phi_source"],

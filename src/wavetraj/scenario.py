@@ -8,6 +8,7 @@ materialized, keys sorted on write) echoes into every report so a run can be
 reproduced from its own output.
 """
 
+import dataclasses
 import importlib.resources
 import json
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from . import catalog
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
-from .expressions import parse_expression
+from .expressions import coordinates, parse_expression
 from .geometry import ChartManifold
 from .gpw import GeodesicInitialData, GpwSpacetime
 from .hypotheses import BoundData
@@ -94,12 +95,13 @@ def _vector(d, key, context, required=True):
 
 
 def _time_expr(text, context):
+    """A bounds function of time and its array form."""
     # bounds expressions may use t or u interchangeably for the time variable
     try:
         expr = parse_expression(text, ("t", "u"))
     except ParseError as exc:
         raise ValidationError(f"bad expression in {context}: {exc}", key=context) from exc
-    return lambda s: expr(s, s)
+    return (lambda s: expr(s, s)), (lambda s: expr.on_arrays(s, s))
 
 
 @dataclass
@@ -176,7 +178,7 @@ def _build_manifold(section):
         _check_keys(section, {"catalog", "params"}, {"catalog"}, "manifold")
         params = _expect_mapping(section.get("params", {}), "manifold.params")
         return catalog.build_manifold(section["catalog"], params)
-    _check_keys(section, {"metric", "guard", "complete", "christoffel"}, {"metric"}, "manifold")
+    _check_keys(section, {"metric", "guard", "complete"}, {"metric"}, "manifold")
     rows = section["metric"]
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError("manifold.metric must be a list of expression rows", key="metric")
@@ -232,6 +234,8 @@ def _build_force(section, manifold):
                 potential_dt=lambda x, t: dt(*x, t),
                 time_independent="t" not in expr.used,
                 name=f"expr({pot_sec['expr']})",
+                potential_array=lambda x, t: expr.on_arrays(*coordinates(x), t),
+                potential_dt_array=lambda x, t: dt.on_arrays(*coordinates(x), t),
             )
     tensor_sec = section.get("tensor")
     if tensor_sec is not None:
@@ -250,14 +254,7 @@ def _build_force(section, manifold):
             variables = tuple(f"x{i + 1}" for i in range(n)) + ("t",)
             exprs = [[parse_expression(str(e), variables) for e in row] for row in rows]
             tensor = lambda x, t: np.array([[e(*x, t) for e in row] for row in exprs])
-        fs = ForceSystem(
-            potential=fs.potential,
-            potential_dx=fs.potential_dx,
-            potential_dt=fs.potential_dt,
-            tensor_F=tensor,
-            time_independent=fs.time_independent,
-            name=fs.name,
-        )
+        fs = dataclasses.replace(fs, tensor_F=tensor)
     return fs
 
 
@@ -290,11 +287,15 @@ def _build_bounds(section, manifold):
     grid = _build_grid(section["grid"], "bounds.grid")
     if grid.shape[1] != manifold.dim:
         raise ValidationError("bounds.grid dimension does not match the manifold", key="grid")
+    alpha0, alpha0_array = _time_expr(str(section["alpha0"]), "bounds.alpha0")
+    beta0, beta0_array = _time_expr(str(section["beta0"]), "bounds.beta0")
     bd = BoundData(
-        alpha0=_time_expr(str(section["alpha0"]), "bounds.alpha0"),
-        beta0=_time_expr(str(section["beta0"]), "bounds.beta0"),
+        alpha0=alpha0,
+        beta0=beta0,
         grid=grid,
         t_grid=np.linspace(-T, T, t_samples),
+        alpha0_array=alpha0_array,
+        beta0_array=beta0_array,
     )
     return bd, T
 
@@ -399,7 +400,7 @@ def _build_compare(section):
         raise ValidationError("compare_lemma.check_points must be an integer >= 3",
                               key="check_points")
     return {
-        "phi": lambda s: expr(s),
+        "phi": expr,
         "phi_source": str(section["phi"]),
         "a": _number(section, "a", "compare_lemma", required=True),
         "v0_init": _number(section, "v0_init", "compare_lemma", required=True),

@@ -185,3 +185,21 @@ def test_fd_of_energy_matches_identity_on_autonomous_systems(hyperbolic, euclide
             exact = energy_derivative_identity(m, fs, (x, xd, t))
             worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
         assert worst < 1e-4
+
+
+def test_operator_eigen_range_equals_scipy_eigh_bit_for_bit():
+    import scipy.linalg
+
+    from wavetraj.catalog import build_manifold
+    from wavetraj.dynamics import operator_eigen_range
+    from wavetraj.geometry import metric_at
+
+    m = build_manifold("diagonal_conformal", {"entries": ["1 + x1^2", "2 + sin(x1*x2)"]})
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        f = rng.normal(size=(2, 2))
+        fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor(f))
+        x = rng.uniform(-2.0, 2.0, 2)
+        g = metric_at(m, x)
+        w = scipy.linalg.eigh(0.5 * (g @ f + f.T @ g), g, eigvals_only=True)
+        assert operator_eigen_range(m, fs, x, 0.0) == (w[0], w[-1])

@@ -3,7 +3,9 @@
 sympy is the independent oracle for values and exact derivatives; it parses
 the same text on its own (with '^' read as '**', whose precedence and
 associativity match the grammar's). Central differences check the exact
-derivatives once more. sympy is a test-only dependency.
+derivatives once more. The scalar form is the reference for the array form,
+and the one-sample-at-a-time loop of a premise scan for its array path.
+sympy is a test-only dependency.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from wavetraj.errors import ParseError, WavetrajError
 from wavetraj.expressions import FUNCTIONS, _compile, parse_expression
+from wavetraj.hypotheses import BoundData, _scan_grid
 from wavetraj.numdiff import fd_step
 
 sympy = pytest.importorskip("sympy")
@@ -285,3 +288,107 @@ def test_compiled_function_equals_a_walk_of_the_tree(case):
     compiled = _compile(expr.tree, len(variables))
     for values in (point, tuple(np.float64(v) for v in point)):
         assert _outcome(compiled, values) == _outcome(lambda *v: _walk(expr.tree, v), values), text
+
+
+# ---------------------------------------------------------------- array form
+
+@st.composite
+def batches(draw, values=st.floats(-3.0, 3.0)):
+    """(text, variables, points): an expression in 1-3 variables and 1-8 points."""
+    nvars = draw(st.integers(1, 3))
+    text = _render(draw(trees), nvars)[0]
+    points = draw(st.lists(st.tuples(*[values] * nvars), min_size=1, max_size=8))
+    return text, NAMES[:nvars], points
+
+
+def _on_points(expr, points):
+    """The array form at each point, one array per variable."""
+    return expr.on_arrays(*np.array(points, dtype=float).T)
+
+
+@PROFILE
+@given(batches())
+def test_array_form_agrees_with_the_scalar_form(batch):
+    text, variables, points = batch
+    expr = parse_expression(text, variables)
+    for e in [expr] + [expr.derivative(name) for name in variables]:
+        out = _on_points(e, points)
+        for point, a in zip(points, out):
+            val = _evaluate(e, point)
+            if val is not None and math.isfinite(a):
+                # numpy's exp, log, sinh, cosh and ^ round differently from
+                # Python's, within the rounding bound of either evaluation
+                assert abs(a - val) <= _tolerance(0.0, e, point, val), (e.source, point, a, val)
+
+
+@PROFILE
+@given(batches(st.floats(allow_nan=True, allow_infinity=True)))
+def test_a_finite_array_value_means_the_scalar_form_succeeds(batch):
+    text, variables, points = batch
+    expr = parse_expression(text, variables)
+    for e in [expr] + [expr.derivative(name) for name in variables]:
+        out = _on_points(e, points)
+        for point, a in zip(points, out):
+            if math.isfinite(a):
+                val = e(*point)   # raises nothing
+                assert math.isfinite(val), (e.source, point, a, val)
+
+
+@PROFILE
+@given(st.one_of(cases().map(lambda c: c[0]),
+                 st.lists(st.sampled_from(list("x123+-*/^()., 0123456789e") + ["sin", "log", "y"]),
+                          max_size=24).map("".join)),
+       st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+def test_array_evaluation_emits_no_warning(text, points):
+    try:
+        expr = parse_expression(text, NAMES)
+    except ParseError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in [expr] + [expr.derivative(name) for name in NAMES]:
+            assert _on_points(e, points).shape == (len(points),)
+
+
+# ---------------------------------------------------------------- premise scans
+
+_LEVELS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def scans(draw):
+    """(text, grid, t_grid): an expression in x1, x2 and t (as x3) on a small grid with ties."""
+    text = _render(draw(trees), 3)[0]
+    grid = draw(st.lists(st.lists(_LEVELS, min_size=2, max_size=2), min_size=1, max_size=6))
+    t_grid = draw(st.lists(_LEVELS, min_size=1, max_size=4))
+    poison = draw(st.one_of(st.none(), st.integers(0, len(grid) - 1)))
+    if poison is not None:
+        grid[poison][draw(st.integers(0, 1))] = math.nan
+    return text, grid, t_grid
+
+
+def _scan_outcome(bd, quantity, on_grid=None):
+    """(verdict, worst point, worst t) and the margin, or the error the scan raises."""
+    try:
+        margin, point, t = _scan_grid(bd, quantity, on_grid)
+    except WavetrajError as exc:
+        return repr(exc), None
+    return repr((margin >= 0.0, point, t)), margin
+
+
+@PROFILE
+@given(scans())
+def test_array_scan_equals_the_scalar_loop(scan):
+    text, grid, t_grid = scan
+    expr = parse_expression(text, NAMES)
+    bd = BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, grid=grid, t_grid=t_grid)
+    # Python floats, so a failed evaluation raises instead of warning
+    quantity = lambda p, t: expr(float(p[0]), float(p[1]), t)
+    on_grid = lambda x, t: expr.on_arrays(x[..., 0], x[..., 1], t)
+    looped, loop_margin = _scan_outcome(bd, quantity)
+    batched, margin = _scan_outcome(bd, quantity, on_grid)
+    assert batched == looped, text
+    if margin is not None and math.isfinite(loop_margin):
+        _, point, t = _scan_grid(bd, quantity)
+        assert abs(margin - loop_margin) <= _tolerance(0.0, expr, (*point, t), loop_margin), text

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from wavetraj.errors import EvaluationError, ParseError, ValidationError, WavetrajError
@@ -161,3 +163,55 @@ def test_derivative_evaluation_errors_are_typed():
     assert excinfo.value.source == "d(x^0.5)/dx"
     with pytest.raises(EvaluationError):
         parse_expression("log(x)", ("x",)).derivative("x")(0.0)
+
+
+def test_derivative_of_an_undefined_quotient_is_undefined():
+    # 0/b folds to 0 only where b is a nonzero constant
+    d = parse_expression("0.5/0.0", ("x",)).derivative("x")
+    with pytest.raises(EvaluationError, match="division by zero"):
+        d(1.0)
+    assert parse_expression("0.5/2", ("x",)).derivative("x").tree == ("num", 0.0)
+    assert parse_expression("1/x", ("x", "y")).derivative("y")(2.0, 1.0) == 0.0
+    with pytest.raises(EvaluationError, match="division by zero"):
+        parse_expression("1/x", ("x", "y")).derivative("y")(0.0, 1.0)
+
+
+@pytest.mark.parametrize("text,values,expected", [
+    ("exp(-exp(1000))", [0.0], [math.nan]),       # a failed intermediate cannot hide
+    ("(1/0)^0", [0.0], [math.nan]),
+    ("x^0.5", [-4.0, 4.0], [math.nan, 2.0]),
+    ("x^-1", [0.0, 2.0], [math.nan, 0.5]),
+    ("10^x", [400.0, 2.0], [math.nan, 100.0]),
+    ("1/x", [0.0, -0.0, 4.0], [math.nan, math.nan, 0.25]),
+    ("log(x)", [0.0, -1.0, 1.0], [math.nan, math.nan, 0.0]),
+    ("sqrt(x)", [-1.0, 9.0], [math.nan, 3.0]),
+    ("sinh(x) + cosh(x)", [1000.0, 0.0], [math.nan, 1.0]),
+    ("exp(x)", [1e5, -math.inf, math.inf], [math.nan, 0.0, math.inf]),
+    ("x^0", [math.nan, 3.0], [math.nan, 1.0]),
+])
+def test_array_form_gives_nan_where_the_scalar_form_raises(text, values, expected):
+    expr = parse_expression(text, ("x",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expr.on_arrays(np.array(values))
+    np.testing.assert_array_equal(out, expected)
+    for v, e in zip(values, expected):
+        if math.isnan(e) and not math.isnan(v):
+            with pytest.raises(EvaluationError):
+                expr(v)
+
+
+def test_array_form_broadcasts_and_compiles_lazily():
+    expr = parse_expression("2*x + t", ("x", "t"))
+    assert expr._array_fn is None
+    out = expr.on_arrays(np.array([[1.0, 2.0, 3.0]]), np.array([[0.0], [10.0]]))
+    np.testing.assert_array_equal(out, [[2.0, 4.0, 6.0], [12.0, 14.0, 16.0]])
+    assert expr._array_fn is not None and expr._fn is None
+    # a constant, or a variable left out, still fills the broadcast shape
+    assert parse_expression("3", ("x", "t")).on_arrays(np.zeros((1, 3)), np.zeros((2, 1))).shape == (2, 3)
+    assert parse_expression("t", ("x", "t")).on_arrays(np.zeros(4), 1.5).tolist() == [1.5] * 4
+    a = parse_expression("2.5/x + sin(x)^3", ("x",))
+    b = parse_expression("7/x + sin(x)^0.5", ("x",))
+    a.on_arrays(np.ones(2))
+    b.on_arrays(np.ones(2))
+    assert a._array_fn.__code__ is b._array_fn.__code__

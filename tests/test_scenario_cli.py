@@ -66,6 +66,22 @@ def test_unknown_catalog_name():
         parse_scenario(raw)
 
 
+def test_manifold_christoffel_key_is_rejected(tmp_path):
+    raw = {
+        "name": "christoffel-key",
+        "task": "integrate",
+        "manifold": {"metric": [["1 + x1^2", "0"], ["0", "1"]],
+                     "christoffel": "not even an expression"},
+        "integrator": {"horizon": 0.5},
+        "initial": {"position": [2.0, 0.0], "velocity": [0.0, 0.0]},
+    }
+    with pytest.raises(ValidationError, match="christoffel"):
+        parse_scenario(raw)
+    path = tmp_path / "christoffel-key.scn"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+
+
 def test_expression_metric_manifold():
     raw = {
         "name": "expr-metric",
@@ -331,6 +347,8 @@ def test_cli_batch_survives_an_expression_evaluation_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# the scalar x1^0.5 of a numpy scalar warns instead of raising (ROADMAP item 6)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_batch_survives_a_non_finite_tensor_sample(tmp_path, capsys):
     # x1^0.5 is NaN on the grid's x1 < 0 half (numpy scalars do not raise),
     # so the sampled operator pencil is not finite there
