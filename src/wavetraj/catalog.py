@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import ForceSystem
 from .errors import ValidationError
-from .expressions import coordinates, parse_expression
+from .expressions import at_chart_point, parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient, plane_wave_H
 
@@ -125,20 +125,19 @@ MANIFOLDS = {
 
 # ---------------------------------------------------------------- potentials
 
-def _zeros_array(x, t):
-    return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(t)))
+# V ≡ 0 or ∂V/∂t ≡ 0
+_zero = with_array_form(lambda x, t: 0.0,
+                        lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(t))))
 
 
 def _build_zero_potential(params):
     _check_params("zero", params, allowed=set())
     return ForceSystem(
-        potential=lambda x, t: 0.0,
+        potential=_zero,
         potential_dx=lambda x, t: np.zeros(np.asarray(x).shape),
-        potential_dt=lambda x, t: 0.0,
+        potential_dt=_zero,
         time_independent=True,
         name="zero",
-        potential_array=_zeros_array,
-        potential_dt_array=_zeros_array,
     )
 
 
@@ -149,26 +148,25 @@ def _build_harmonic(params):
     _check_params("harmonic", params, allowed={"k"})
     k = float(params.get("k", 1.0))
     return ForceSystem(
-        potential=lambda x, t: 0.5 * k * float(x @ x),
+        potential=with_array_form(lambda x, t: 0.5 * k * float(x @ x),
+                                  lambda x, t: 0.5 * k * np.vecdot(x, x)),
         potential_dx=lambda x, t: k * np.asarray(x, dtype=float),
-        potential_dt=lambda x, t: 0.0,
+        potential_dt=_zero,
         time_independent=True,
         name=f"harmonic(k={k})",
-        potential_array=lambda x, t: 0.5 * k * np.vecdot(x, x),
-        potential_dt_array=_zeros_array,
     )
 
 
 def _build_exp_time_quadratic(params):
     _check_params("exp_time_quadratic", params, allowed=set())
-    value_array = lambda x, t: np.exp(t) * (1.0 + np.vecdot(x, x))
+    # V is its own time derivative
+    value = with_array_form(lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
+                            lambda x, t: np.exp(t) * (1.0 + np.vecdot(x, x)))
     return ForceSystem(
-        potential=lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
+        potential=value,
         potential_dx=lambda x, t: 2.0 * np.exp(t) * np.asarray(x, dtype=float),
-        potential_dt=lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
+        potential_dt=value,
         name="exp_time_quadratic",
-        potential_array=value_array,
-        potential_dt_array=value_array,
     )
 
 
@@ -176,13 +174,12 @@ def _build_negative_quartic(params):
     _check_params("negative_quartic", params, allowed={"c"})
     c = float(params.get("c", 1.0))
     return ForceSystem(
-        potential=lambda x, t: -c * float(x @ x) ** 2,
+        potential=with_array_form(lambda x, t: -c * float(x @ x) ** 2,
+                                  lambda x, t: -c * np.vecdot(x, x) ** 2),
         potential_dx=lambda x, t: -4.0 * c * float(x @ x) * np.asarray(x, dtype=float),
-        potential_dt=lambda x, t: 0.0,
+        potential_dt=_zero,
         time_independent=True,
         name=f"negative_quartic(c={c})",
-        potential_array=lambda x, t: -c * np.vecdot(x, x) ** 2,
-        potential_dt_array=_zeros_array,
     )
 
 
@@ -247,16 +244,10 @@ def _build_expression_wave(params):
     n = int(params["n"])
     variables = tuple(f"x{i + 1}" for i in range(n)) + ("u",)
     fn = parse_expression(params["H"], variables)
-    grad = [fn.derivative(v) for v in variables[:-1]]
-    du = fn.derivative("u")
-    return WaveCoefficient(h=lambda x, u: fn(*x, u),
-                           h_dx=lambda x, u: np.array([d(*x, u) for d in grad]),
-                           h_du=lambda x, u: du(*x, u),
-                           name=f"expression({params['H']})",
-                           h_array=lambda x, u: fn.on_arrays(*coordinates(x), u),
-                           h_dx_array=lambda x, u: np.stack(
-                               [d.on_arrays(*coordinates(x), u) for d in grad], axis=-1),
-                           h_du_array=lambda x, u: du.on_arrays(*coordinates(x), u))
+    return WaveCoefficient(h=at_chart_point(fn),
+                           h_dx=at_chart_point([fn.derivative(v) for v in variables[:-1]]),
+                           h_du=at_chart_point(fn.derivative("u")),
+                           name=f"expression({params['H']})")
 
 
 WAVES = {

@@ -28,9 +28,6 @@ def _build_parser():
     run_p.add_argument("--output-dir", default=".", help="directory for artifacts")
     run_p.add_argument("--echo-config", action="store_true",
                        help="also write the canonical scenario next to the report")
-    run_p.add_argument("--tol-rel", type=float, default=None, help="override integrator.rel_tol")
-    run_p.add_argument("--tol-abs", type=float, default=None, help="override integrator.abs_tol")
-    run_p.add_argument("--horizon", type=float, default=None, help="override integrator.horizon")
 
     sub.add_parser("catalog", help="list built-in manifolds, potentials, tensors and waves")
 
@@ -71,11 +68,6 @@ def main(argv=None):
     if not paths:
         print("no scenario files given", file=sys.stderr)
         return 2
-    for flag, key in ((args.tol_rel, "integrator.rel_tol"),
-                      (args.tol_abs, "integrator.abs_tol"),
-                      (args.horizon, "integrator.horizon")):
-        if flag is not None:
-            overrides = overrides + [f"{key}={flag!r}"]
 
     status = 0
     for path in paths:

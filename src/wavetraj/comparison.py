@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisViolated
+from .expressions import on_rows
 
 DIVERGES = "Diverges"
 CONVERGES = "Converges"
@@ -88,15 +89,17 @@ class PhiFunction:
 
     Construction samples [a, a + initial_span]; check_divergence extends the
     certificate window as it doubles outward. A nonpositive value or a
-    decrease anywhere on the sample is a hard error. fn_array, when given,
-    evaluates fn over an array of points, NaN where fn would raise.
+    decrease anywhere on the sample is a hard error, and so is a NaN or
+    infinite sample. fn may carry an array form (expressions.array_form: an
+    Expression in one variable, or a callable given one by
+    expressions.with_array_form), which evaluates it over an array of
+    points, NaN where fn would raise.
     """
 
     a: float
     fn: Callable[[float], float]
     initial_span: float = 10.0
     samples_per_window: int = 257
-    fn_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     monotone_certificate: MonotoneCertificate = field(init=False)
 
     def __post_init__(self):
@@ -108,16 +111,11 @@ class PhiFunction:
     def values(self, ss):
         """phi at each point of the array ss.
 
-        fn_array, which returns an array of the shape of ss, serves when its
-        values are all finite; otherwise fn is called once per point, and
-        raises where it raises.
+        fn's array form, which returns an array of the shape of ss, serves
+        when its values are all finite; otherwise fn is called once per
+        point, and raises where it raises (expressions.on_rows).
         """
-        if self.fn_array is not None:
-            with np.errstate(all="ignore"):
-                out = self.fn_array(ss)
-            if np.isfinite(out).all():
-                return out
-        return np.array([self(s) for s in ss])
+        return on_rows(self.fn, self, ss)
 
     def reciprocal(self, ss):
         """1/phi at each point of the array ss; a point where phi is not positive raises."""
@@ -131,12 +129,15 @@ class PhiFunction:
         ss = np.linspace(lo, hi, self.samples_per_window)
         vals = self.values(ss)
         vmin = float(vals.min())
-        if vmin <= 0.0:
+        if not vmin > 0.0:   # a NaN fails too; argmin finds the first one
             where = float(ss[int(vals.argmin())])
             raise HypothesisViolated(f"phi({where}) = {vmin} is not positive")
+        if not np.isfinite(vals).all():
+            k = int(np.argmin(np.isfinite(vals)))
+            raise HypothesisViolated(f"phi({float(ss[k])}) = {float(vals[k])} is not finite")
         increments = np.diff(vals)
         slack = -1e-12 * max(1.0, float(np.abs(vals).max()))
-        if increments.min() < slack:
+        if not increments.min() >= slack:
             where = float(ss[int(increments.argmin())])
             raise HypothesisViolated(f"phi decreases near s = {where}")
         return MonotoneCertificate(s_lo=float(lo), s_hi=float(hi), n_samples=self.samples_per_window,

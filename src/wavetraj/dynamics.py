@@ -31,9 +31,12 @@ class ForceSystem:
     None means F ≡ 0. time_independent marks potentials with no t dependence
     (used only for reporting conserved-energy drift).
 
-    potential_array and potential_dt_array, when given, evaluate V and ∂V/∂t
-    over arrays: chart points on the last axis of x, broadcast against t. An
-    element where the scalar source would raise is NaN.
+    A source may carry an array form (expressions.array_form), which
+    evaluates it over arrays: chart points on the last axis of x, broadcast
+    against t, NaN where the scalar call would raise. The premise scans use
+    the array forms of potential and potential_dt. The array form belongs to
+    the callable, so a force system with a replaced source never evaluates
+    the old one.
     """
 
     potential: Callable[[np.ndarray, float], float]
@@ -42,8 +45,6 @@ class ForceSystem:
     tensor_F: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     time_independent: bool = False
     name: str = ""
-    potential_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    potential_dt_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def value(self, x, t):
         return float(self.potential(np.asarray(x, dtype=float), float(t)))

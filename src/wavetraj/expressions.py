@@ -31,6 +31,16 @@ cannot vanish from the result. Nothing raises or warns. numpy's exp, log,
 sinh, cosh and '^' can differ from Python's in the last bit, so the array
 form agrees with the scalar one to rounding, not bit for bit.
 
+Any source callable (a potential, a wave coefficient, a bound, a comparison
+function) carries its array form the same way, as its own on_arrays
+attribute, and array_form(fn) is the one place that reads it; a callable
+without one has none, so replacing a source can never leave a stale array
+form behind. with_array_form attaches one to a hand-written callable, and
+at_chart_point gives an Expression, or a list of them, the chart-point call
+f(x, s) of force and wave sources together with its array form. on_rows is
+the rule every consumer follows: the array form serves when all its values
+are finite, else the scalar source is called once per row.
+
 derivative(name) gives the exact partial derivative as another Expression,
 built by the sum, product, quotient, power and chain rules (abs
 differentiates to the sign) with constants folded, and compiled the same way
@@ -431,8 +441,46 @@ def coordinates(x):
 
 
 def array_form(fn):
-    """fn.on_arrays when fn is an Expression, else None: other callables have no array form."""
-    return fn.on_arrays if isinstance(fn, Expression) else None
+    """fn's array form, its on_arrays attribute, or None when it has none."""
+    return getattr(fn, "on_arrays", None)
+
+
+def with_array_form(fn, on_arrays):
+    """fn with on_arrays attached as its array form; returns fn."""
+    fn.on_arrays = on_arrays
+    return fn
+
+
+def at_chart_point(expr):
+    """The call f(x, s) = expr(*x, s) of an Expression over the chart coordinates and s.
+
+    Its array form takes chart points on the last axis of x, broadcast
+    against s. A list of such Expressions (a gradient) gives the array of
+    their values, and over arrays their values on a new last axis.
+    """
+    if isinstance(expr, Expression):
+        return with_array_form(lambda x, s: expr(*x, s),
+                               lambda x, s: expr.on_arrays(*coordinates(x), s))
+    exprs = tuple(expr)
+    return with_array_form(
+        lambda x, s: np.array([e(*x, s) for e in exprs]),
+        lambda x, s: np.stack([e.on_arrays(*coordinates(x), s) for e in exprs], axis=-1))
+
+
+def on_rows(source, scalar, *args):
+    """source at each row of args (rows run along the first axis), as an array.
+
+    source's array form, called on args, serves when every value it gives is
+    finite; otherwise scalar is called once per row, in order, and raises
+    where the source cannot be evaluated.
+    """
+    form = array_form(source)
+    if form is not None:
+        with np.errstate(all="ignore"):
+            out = form(*args)
+        if np.isfinite(out).all():
+            return out
+    return np.array([scalar(*row) for row in zip(*args)])
 
 
 class _Parser:

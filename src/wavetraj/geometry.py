@@ -84,10 +84,6 @@ class TangentVector:
     base: np.ndarray
     components: np.ndarray
 
-    def norm_sq(self, manifold):
-        g = metric_at(manifold, self.base)
-        return float(self.components @ g @ self.components)
-
 
 def require_in_chart(manifold, x):
     """Raise OutOfChart unless x satisfies the manifold's domain guard."""

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .dynamics import ForceSystem, FREE
-from .expressions import array_form
+from .expressions import array_form, on_rows, with_array_form
 from .geometry import metric_at, metrics_at
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
@@ -39,10 +39,12 @@ class WaveCoefficient:
     gravitational_wave is set by the plane-wave factory when the two diagonal
     profiles coincide on samples, None when unknown.
 
-    h_array, h_dx_array and h_du_array, when given, evaluate H, its
-    x-partials (on a new last axis) and its u-partial over arrays: chart
-    points on the last axis of x, broadcast against u. An element where the
-    scalar source would raise is NaN.
+    h, h_dx and h_du may each carry an array form (expressions.array_form),
+    which evaluates H, its x-partials (on a new last axis) or its u-partial
+    over arrays: chart points on the last axis of x, broadcast against u,
+    NaN where the scalar call would raise. The array form belongs to the
+    callable, so a coefficient with a replaced source never evaluates the
+    old one.
     """
 
     h: Callable[[np.ndarray, float], float]
@@ -50,9 +52,6 @@ class WaveCoefficient:
     h_du: Optional[Callable[[np.ndarray, float], float]] = None
     name: str = ""
     gravitational_wave: Optional[bool] = None
-    h_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    h_dx_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    h_du_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def value(self, x, u):
         return float(self.h(np.asarray(x, dtype=float), float(u)))
@@ -72,15 +71,11 @@ class WaveCoefficient:
     def value_rows(self, x, u):
         """H at each row of x and the matching entry of u, as an array.
 
-        h_array serves when its values are all finite; otherwise H is
-        evaluated once per row, which raises where H cannot be evaluated.
+        h's array form serves when its values are all finite; otherwise H is
+        evaluated once per row, which raises where H cannot be evaluated
+        (expressions.on_rows).
         """
-        if self.h_array is not None:
-            with np.errstate(all="ignore"):
-                out = self.h_array(x, u)
-            if np.all(np.isfinite(out)):
-                return out
-        return np.array([self.value(p, v) for p, v in zip(x, u)])
+        return on_rows(self.h, self.value, x, u)
 
 
 def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
@@ -88,8 +83,9 @@ def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
 
     Profile derivatives may be supplied; otherwise they are differenced. The
     gravitational-wave flag is set by sampled equality of f1 and f2 on
-    [-u_window, u_window]. Profiles given as Expressions also give the
-    coefficient its array forms.
+    [-u_window, u_window]. Profiles with array forms (Expressions, say) give
+    the coefficient's callables theirs: h and h_dx from f1, f2 and f, h_du
+    from their derivatives.
     """
     def value(x, u):
         return f1(u) * x[0] ** 2 - f2(u) * x[1] ** 2 + 2.0 * f(u) * x[0] * x[1]
@@ -110,26 +106,25 @@ def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
     scale = max(1.0, float(np.abs(vals1).max()), float(np.abs(vals2).max()))
     grav = bool(np.abs(vals1 - vals2).max() <= 1e-12 * scale)
 
-    def on_arrays(p1, p2, p12):
-        # the form p1(u) x^2 - p2(u) y^2 + 2 p12(u) x y over points on the last axis of x
+    def form(p1, p2, p12):
+        # p1(u) x^2 - p2(u) y^2 + 2 p12(u) x y over points on the last axis of x
         def h(x, u):
             x1, x2 = x[..., 0], x[..., 1]
             return p1(u) * x1 ** 2 - p2(u) * x2 ** 2 + 2.0 * p12(u) * x1 * x2
         return h
 
     a1, a2, a, d1, d2, d = (array_form(p) for p in (f1, f2, f, df1, df2, df))
-    arrays = {}
     if None not in (a1, a2, a):
         def dx_array(x, u):
             x1, x2 = x[..., 0], x[..., 1]
             return np.stack([2.0 * a1(u) * x1 + 2.0 * a(u) * x2,
                              -2.0 * a2(u) * x2 + 2.0 * a(u) * x1], axis=-1)
 
-        arrays.update(h_array=on_arrays(a1, a2, a), h_dx_array=dx_array)
+        with_array_form(value, form(a1, a2, a))
+        with_array_form(dx, dx_array)
     if None not in (d1, d2, d):
-        arrays.update(h_du_array=on_arrays(d1, d2, d))
-    return WaveCoefficient(h=value, h_dx=dx, h_du=du, name="plane_wave",
-                           gravitational_wave=grav, **arrays)
+        with_array_form(du, form(d1, d2, d))
+    return WaveCoefficient(h=value, h_dx=dx, h_du=du, name="plane_wave", gravitational_wave=grav)
 
 
 @dataclass(frozen=True)

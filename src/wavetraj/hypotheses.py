@@ -13,7 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import operator_bounds
-from .geometry import metric_at, metrics_at
+from .expressions import array_form, on_rows
+from .geometry import metrics_at
 
 CAVEAT = "premises verified on sampled domain only"
 
@@ -40,16 +41,16 @@ class BoundData:
 
     alpha0 and beta0 are continuous functions of time (of the wave parameter u
     for wave-coefficient routes). grid rows are chart points; t_grid spans
-    [-T, T]. alpha0_array and beta0_array, when given, evaluate alpha0 and
-    beta0 over an array of times, NaN where the scalar function would raise.
+    [-T, T]. A bound with an array form (expressions.array_form: an
+    Expression in one variable, or a callable given one by
+    expressions.with_array_form) is evaluated over an array of times in one
+    call, NaN where the scalar call would raise.
     """
 
     alpha0: Callable[[float], float]
     beta0: Callable[[float], float]
     grid: np.ndarray
     t_grid: np.ndarray
-    alpha0_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    beta0_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "grid", np.atleast_2d(np.asarray(self.grid, dtype=float)))
@@ -128,59 +129,67 @@ class CompletenessCertificate:
         }
 
 
-def _scan_grid(bd, quantity, on_grid=None):
-    """Minimize quantity(p, t) over grid x t_grid; returns (min, point, t).
+def _scan_grid(bd, margin, sources):
+    """Minimize a premise's margin over grid x t_grid; returns (min, point, t).
 
-    on_grid(x, t), when given, evaluates the same quantity over the whole
-    (len(t_grid), len(grid)) sample array at once, t-major, from the grid
-    points x (shape (1, len(grid), dim)) and the times t (shape
-    (len(t_grid), 1)); it returns None when a source has no array form. If
-    every value is finite, the first minimum in that order (np.argmin, like
-    the strict < of the loop below) gives the margin, the worst point and
-    the worst t.
+    sources is a list of (scalar, form) pairs, one per quantity the margin
+    formula takes, in its argument order: scalar(p, t) is the value at one
+    chart point and time (a holder's method, such as ForceSystem.value), and
+    form(x, t) the values over arrays of them, the array form of the
+    holder's source, or None when the source has none. The one formula
+    margin(*values) serves both.
 
-    Otherwise the loop evaluates quantity one sample at a time, t outer and
-    points inner. A non-finite sample is evidence of nothing, so it is the
-    worst sample: the scan stops there and returns margin -inf with that
-    sample's point and t. The loop alone decides -inf margins and raises
-    evaluation errors; an array value that is NaN where the scalar source
-    would raise only sends the scan to the loop.
+    When every source has an array form, the margin is evaluated over the
+    whole (len(t_grid), len(grid)) sample array at once, t-major, from the
+    grid points x (shape (1, len(grid), dim)) and the times t (shape
+    (len(t_grid), 1)). If every value is finite, the first minimum in that
+    order (np.argmin, like the strict < of the loop below) gives the margin,
+    the worst point and the worst t.
+
+    Otherwise the loop evaluates the margin one sample at a time, t outer
+    and points inner, calling the scalar sources in order. A non-finite
+    sample is evidence of nothing, so it is the worst sample: the scan stops
+    there and returns margin -inf with that sample's point and t. The loop
+    alone decides -inf margins and raises evaluation errors; an array value
+    that is NaN where the scalar source would raise only sends the scan to
+    the loop.
     """
-    if on_grid is not None:
+    forms = [form for _, form in sources]
+    if None not in forms:
+        x, t = bd.grid[None, :, :], bd.t_grid[:, None]
         with np.errstate(all="ignore"):
-            values = on_grid(bd.grid[None, :, :], bd.t_grid[:, None])
-        if values is not None:
-            values = np.broadcast_to(values, (bd.t_grid.size, bd.grid.shape[0]))
-            if np.all(np.isfinite(values)):
-                i, j = np.unravel_index(np.argmin(values), values.shape)
-                return float(values[i, j]), tuple(float(c) for c in bd.grid[j]), float(bd.t_grid[i])
+            values = margin(*(form(x, t) for form in forms))
+        values = np.broadcast_to(values, (bd.t_grid.size, bd.grid.shape[0]))
+        if np.all(np.isfinite(values)):
+            i, j = np.unravel_index(np.argmin(values), values.shape)
+            return float(values[i, j]), tuple(float(c) for c in bd.grid[j]), float(bd.t_grid[i])
+    scalars = [scalar for scalar, _ in sources]
     worst = np.inf
     worst_p = None
     worst_t = None
     for t in bd.t_grid:
+        t = float(t)
         for p in bd.grid:
-            val = quantity(p, float(t))
+            val = margin(*[scalar(p, t) for scalar in scalars])
             if not np.isfinite(val):
-                return -np.inf, tuple(float(c) for c in p), float(t)
+                return -np.inf, tuple(float(c) for c in p), t
             if val < worst:
                 worst = val
                 worst_p = tuple(float(c) for c in p)
-                worst_t = float(t)
+                worst_t = t
     return float(worst), worst_p, worst_t
 
 
-def _missing(*sources):
-    return any(source is None for source in sources)
+def _bound(fn):
+    """A bound of time as a sampled field, fn(t) at every point."""
+    form = array_form(fn)
+    return (lambda p, t: float(fn(t))), (None if form is None else lambda x, t: form(t))
 
 
 def check_bounded_below(fs, bd):
     """Premise: V(p, t) >= beta0(t) on the sampled window."""
-    def on_grid(x, t):
-        if _missing(fs.potential_array, bd.beta0_array):
-            return None
-        return fs.potential_array(x, t) - bd.beta0_array(t)
-
-    margin, p, t = _scan_grid(bd, lambda q, s: fs.value(q, s) - float(bd.beta0(s)), on_grid)
+    margin, p, t = _scan_grid(bd, lambda v, beta0: v - beta0,
+                              [(fs.value, array_form(fs.potential)), _bound(bd.beta0)])
     return PremiseCheck(
         name="potential_bounded_below",
         passed=margin >= 0.0,
@@ -239,18 +248,10 @@ def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
             return abs(q)
         return -q if signed == "backward" else q
 
-    def margin_at(p, t):
-        q = signed_dt(fs.dt(p, t))
-        rhs = float(bd.alpha0(t)) * (fs.value(p, t) - float(bd.beta0(t)))
-        return rhs - q
-
-    def on_grid(x, t):
-        if _missing(fs.potential_array, fs.potential_dt_array, bd.alpha0_array, bd.beta0_array):
-            return None
-        q = signed_dt(fs.potential_dt_array(x, t))
-        return bd.alpha0_array(t) * (fs.potential_array(x, t) - bd.beta0_array(t)) - q
-
-    margin, p, t = _scan_grid(bd, margin_at, on_grid)
+    margin, p, t = _scan_grid(
+        bd, lambda dv_dt, alpha0, v, beta0: alpha0 * (v - beta0) - signed_dt(dv_dt),
+        [(fs.dt, array_form(fs.potential_dt)), _bound(bd.alpha0),
+         (fs.value, array_form(fs.potential)), _bound(bd.beta0)])
     return PremiseCheck(
         name=f"potential_dt_{signed}",
         passed=margin >= 0.0 and prerequisite_passed,
@@ -260,19 +261,6 @@ def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
         note="min of alpha0*(V - beta0) - signed dV/dt over the sample grid",
         dependent_failure=not prerequisite_passed,
     )
-
-
-def _growth_ratios(manifold, wave, grid, dists, u):
-    """|grad H|_g / (1 + distance) at each grid point, one point at a time."""
-    ratios = np.empty(grid.shape[0])
-    for i, p in enumerate(grid):
-        dh = wave.dx(p, u)
-        g = metric_at(manifold, p)
-        q = float(dh @ np.linalg.solve(g, dh))
-        # max() would drop a NaN; keep it so the slice fails below
-        norm_grad = np.nan if np.isnan(q) else float(np.sqrt(max(0.0, q)))
-        ratios[i] = norm_grad / (1.0 + dists[i])
-    return ratios
 
 
 def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
@@ -285,11 +273,12 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     linear growth" on a finite sample: it is scale free and robust to grid
     anisotropy.
 
-    A slice takes grad H from the wave's array form in one call, and the
-    metric at the grid points, which does not depend on u, once for all
-    slices. A slice whose array ratios are not all finite, or a wave without
-    an array form, is evaluated one point at a time instead; only that path
-    raises evaluation errors or fails a slice on a non-finite sample.
+    A slice takes grad H at the grid points by expressions.on_rows: one
+    call of h_dx's array form when all its values are finite, else one
+    h_dx call per point, which raises where h_dx cannot be evaluated. The
+    metric at the grid points, which does not depend on u, is evaluated
+    once, after the first slice's grad H. A slice with a non-finite ratio
+    fails.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     anchor = np.asarray(anchor, dtype=float)
@@ -305,18 +294,13 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     max_ratio = 0.0
     metrics = None
     for u in u_grid:
-        ratios = None
-        if wave.h_dx_array is not None:
-            with np.errstate(all="ignore"):
-                dh = wave.h_dx_array(grid, float(u))
-                # a non-finite dh goes to the pointwise path before any metric is evaluated
-                if np.all(np.isfinite(dh)):
-                    if metrics is None:
-                        metrics = metrics_at(manifold, grid)
-                    q = np.vecdot(dh, np.linalg.solve(metrics, dh[..., None])[..., 0])
-                    ratios = np.sqrt(np.maximum(0.0, q)) / (1.0 + dists)
-        if ratios is None or not np.all(np.isfinite(ratios)):
-            ratios = _growth_ratios(manifold, wave, grid, dists, float(u))
+        dh = on_rows(wave.h_dx, wave.dx, grid, np.full(k, float(u)))
+        with np.errstate(all="ignore"):
+            if metrics is None:
+                metrics = metrics_at(manifold, grid)
+            q = np.vecdot(dh, np.linalg.solve(metrics, dh[..., None])[..., 0])
+            # np.maximum keeps a NaN, so the slice fails below
+            ratios = np.sqrt(np.maximum(0.0, q)) / (1.0 + dists)
         max_ratio = max(max_ratio, float(ratios.max()))
         med = float(ratios[med_idx].mean())
         far = float(ratios[far_idx].mean())
@@ -339,12 +323,8 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
 
 def check_wave_bounded_above(wave, bd):
     """Premise: H(x, u) <= beta0(u) on the sampled window."""
-    def on_grid(x, u):
-        if _missing(wave.h_array, bd.beta0_array):
-            return None
-        return bd.beta0_array(u) - wave.h_array(x, u)
-
-    margin, p, t = _scan_grid(bd, lambda q, u: float(bd.beta0(u)) - wave.value(q, u), on_grid)
+    margin, p, t = _scan_grid(bd, lambda beta0, h: beta0 - h,
+                              [_bound(bd.beta0), (wave.value, array_form(wave.h))])
     return PremiseCheck(
         name="wave_bounded_above",
         passed=margin >= 0.0,
@@ -357,17 +337,10 @@ def check_wave_bounded_above(wave, bd):
 
 def check_wave_du_bound(wave, bd, prerequisite_passed=True):
     """Premise: |dH/du| <= alpha0(u) (beta0(u) - H) on the sampled window."""
-    def margin_at(p, u):
-        rhs = float(bd.alpha0(u)) * (float(bd.beta0(u)) - wave.value(p, u))
-        return rhs - abs(wave.du(p, u))
-
-    def on_grid(x, u):
-        if _missing(wave.h_array, wave.h_du_array, bd.alpha0_array, bd.beta0_array):
-            return None
-        rhs = bd.alpha0_array(u) * (bd.beta0_array(u) - wave.h_array(x, u))
-        return rhs - np.abs(wave.h_du_array(x, u))
-
-    margin, p, t = _scan_grid(bd, margin_at, on_grid)
+    margin, p, t = _scan_grid(
+        bd, lambda alpha0, beta0, h, dh_du: alpha0 * (beta0 - h) - abs(dh_du),
+        [_bound(bd.alpha0), _bound(bd.beta0), (wave.value, array_form(wave.h)),
+         (wave.du, array_form(wave.h_du))])
     return PremiseCheck(
         name="wave_du_bound",
         passed=margin >= 0.0 and prerequisite_passed,

@@ -410,11 +410,6 @@ class BlowupInterval:
     def width(self):
         return self.t_hi - self.t_lo
 
-    @property
-    def levels(self):
-        """The bracket as a one-element tuple of (t_lo, t_hi) pairs; only tests read it."""
-        return ((self.t_lo, self.t_hi),)
-
 
 def _ceiling_crossing(traj, speed_of, ceiling):
     """Bisect, in internal time, the first crossing of speed_of over the ceiling."""

@@ -7,8 +7,10 @@ import numpy as np
 from . import __version__
 from .comparison import DIVERGES, DominatingSolution, PhiFunction, check_divergence, solve_dominating, verify_envelope
 from .dynamics import build_energy_frame, energy_derivative_identity, energy_v
-from .gpw import (classify_gpw_completeness, full_geodesic_oracle, full_metric,
-                  reduce_geodesic, split_geodesic_to_csv, split_state)
+from .expressions import with_array_form
+from .geometry import metric_at
+from .gpw import (GeodesicInitialData, classify_gpw_completeness, full_geodesic_oracle,
+                  oracle_quadratic_form, reduce_geodesic, split_geodesic_to_csv, split_state)
 from .hypotheses import CertificationTask, certify, check_S_bounds, INCONCLUSIVE
 from .integrate import (BLOW_UP_SUSPECTED, CHART_EXIT, HORIZON_REACHED, TOLERANCE_FAILURE,
                         integrate, refine_blowup, sample, trajectory_to_csv)
@@ -69,8 +71,6 @@ def _mechanical_energy_drift(sc, traj):
     """Relative drift per unit time of (1/2) u + V for autonomous F-free systems."""
     if sc.force is None or sc.force.tensor_F is not None or not sc.force.time_independent:
         return None
-    from .geometry import metric_at
-
     n = traj.dim
     values = []
     for t, y in zip(traj.times, traj.states):
@@ -146,7 +146,7 @@ def _run_envelope(sc, out_dir, report):
     def linear(s):
         return rate * s
 
-    phi = PhiFunction(a=1.0, fn=linear, fn_array=linear)
+    phi = PhiFunction(a=1.0, fn=with_array_form(linear, linear))
     if vs[0] < phi.a:
         envelope["error"] = "initial energy below the comparison domain; bounds do not hold here"
     else:
@@ -206,8 +206,7 @@ def _oracle_comparison(st, init, cfg, sg, n_points=201):
     n_full = st.base.dim + 2
     udots = oracle.states[:, n_full + st.base.dim]
     udot_drift = float(np.abs(udots - udots[0]).max()) / max(abs(float(udots[0])), 1.0)
-    energies = [float(oracle.states[k][n_full:] @ full_metric(st, oracle.states[k][:n_full])
-                      @ oracle.states[k][n_full:]) for k in range(oracle.times.size)]
+    energies = [oracle_quadratic_form(st, oracle, k) for k in range(oracle.times.size)]
     e0 = energies[0]
     energy_drift = max(abs(e - e0) for e in energies) / max(abs(e0), 1.0)
     return {
@@ -219,8 +218,6 @@ def _oracle_comparison(st, init, cfg, sg, n_points=201):
 
 
 def _run_gpw_map(sc, out_dir, report):
-    from .gpw import GeodesicInitialData
-
     spec = sc.map_spec
     counts = {}
     rows = []
@@ -248,7 +245,7 @@ def _run_gpw_map(sc, out_dir, report):
 
 def _run_compare_lemma(sc, out_dir, report):
     spec = sc.compare
-    phi = PhiFunction(a=spec["a"], fn=spec["phi"], fn_array=spec["phi"].on_arrays)
+    phi = PhiFunction(a=spec["a"], fn=spec["phi"])
     div = check_divergence(phi)
     comparison = {
         "phi": spec["phi_source"],

@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
-from .expressions import coordinates, parse_expression
+from .expressions import at_chart_point, parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import GeodesicInitialData, GpwSpacetime
 from .hypotheses import BoundData
@@ -95,13 +95,13 @@ def _vector(d, key, context, required=True):
 
 
 def _time_expr(text, context):
-    """A bounds function of time and its array form."""
+    """A bounds function of time, with its array form."""
     # bounds expressions may use t or u interchangeably for the time variable
     try:
         expr = parse_expression(text, ("t", "u"))
     except ParseError as exc:
         raise ValidationError(f"bad expression in {context}: {exc}", key=context) from exc
-    return (lambda s: expr(s, s)), (lambda s: expr.on_arrays(s, s))
+    return with_array_form(lambda s: expr(s, s), lambda s: expr.on_arrays(s, s))
 
 
 @dataclass
@@ -226,16 +226,12 @@ def _build_force(section, manifold):
             n = manifold.dim
             variables = tuple(f"x{i + 1}" for i in range(n)) + ("t",)
             expr = parse_expression(str(pot_sec["expr"]), variables)
-            grad = [expr.derivative(v) for v in variables[:-1]]
-            dt = expr.derivative("t")
             fs = ForceSystem(
-                potential=lambda x, t: expr(*x, t),
-                potential_dx=lambda x, t: np.array([d(*x, t) for d in grad]),
-                potential_dt=lambda x, t: dt(*x, t),
+                potential=at_chart_point(expr),
+                potential_dx=at_chart_point([expr.derivative(v) for v in variables[:-1]]),
+                potential_dt=at_chart_point(expr.derivative("t")),
                 time_independent="t" not in expr.used,
                 name=f"expr({pot_sec['expr']})",
-                potential_array=lambda x, t: expr.on_arrays(*coordinates(x), t),
-                potential_dt_array=lambda x, t: dt.on_arrays(*coordinates(x), t),
             )
     tensor_sec = section.get("tensor")
     if tensor_sec is not None:
@@ -287,15 +283,11 @@ def _build_bounds(section, manifold):
     grid = _build_grid(section["grid"], "bounds.grid")
     if grid.shape[1] != manifold.dim:
         raise ValidationError("bounds.grid dimension does not match the manifold", key="grid")
-    alpha0, alpha0_array = _time_expr(str(section["alpha0"]), "bounds.alpha0")
-    beta0, beta0_array = _time_expr(str(section["beta0"]), "bounds.beta0")
     bd = BoundData(
-        alpha0=alpha0,
-        beta0=beta0,
+        alpha0=_time_expr(str(section["alpha0"]), "bounds.alpha0"),
+        beta0=_time_expr(str(section["beta0"]), "bounds.beta0"),
         grid=grid,
         t_grid=np.linspace(-T, T, t_samples),
-        alpha0_array=alpha0_array,
-        beta0_array=beta0_array,
     )
     return bd, T
 

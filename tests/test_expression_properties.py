@@ -371,7 +371,7 @@ def scans(draw):
 def _scan_outcome(bd, quantity, on_grid=None):
     """(verdict, worst point, worst t) and the margin, or the error the scan raises."""
     try:
-        margin, point, t = _scan_grid(bd, quantity, on_grid)
+        margin, point, t = _scan_grid(bd, lambda v: v, [(quantity, on_grid)])
     except WavetrajError as exc:
         return repr(exc), None
     return repr((margin >= 0.0, point, t)), margin
@@ -390,5 +390,5 @@ def test_array_scan_equals_the_scalar_loop(scan):
     batched, margin = _scan_outcome(bd, quantity, on_grid)
     assert batched == looped, text
     if margin is not None and math.isfinite(loop_margin):
-        _, point, t = _scan_grid(bd, quantity)
+        _, point, t = _scan_grid(bd, lambda v: v, [(quantity, None)])
         assert abs(margin - loop_margin) <= _tolerance(0.0, expr, (*point, t), loop_margin), text

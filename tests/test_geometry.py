@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavetraj.errors import NotPositiveDefinite, OutOfChart
-from wavetraj.geometry import ChartManifold, TangentVector, christoffel_at, gradient, metric_at
+from wavetraj.geometry import ChartManifold, christoffel_at, gradient, metric_at
 
 
 def diag_metric(entries_fn, n, guard=None):
@@ -182,13 +182,6 @@ def test_gradient_linear_and_round_trip(seed):
                     rtol=1e-9, atol=1e-9)
     w = rng.normal(size=n)
     assert_allclose(gradient(m, x, g @ w).components, w, rtol=1e-9, atol=1e-9)
-
-
-def test_tangent_vector_norm(hyperbolic):
-    v = TangentVector(base=np.array([0.0, 2.0]), components=np.array([2.0, 0.0]))
-    assert v.norm_sq(hyperbolic) == pytest.approx(1.0)
-    zero = TangentVector(base=np.array([0.0, 2.0]), components=np.zeros(2))
-    assert zero.norm_sq(hyperbolic) == 0.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

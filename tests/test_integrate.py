@@ -248,12 +248,6 @@ def test_refine_blowup_brackets_true_singularity():
     result = refine_blowup(m, fs, init, cfg, coarse)
     assert result.t_lo <= 1.0 / SQRT2 <= result.t_hi
     assert result.width <= 1e-3 * result.t_hi
-    # running intersections never grow
-    lo, hi = -np.inf, np.inf
-    for level_lo, level_hi in result.levels:
-        new_lo, new_hi = max(lo, level_lo), min(hi, level_hi)
-        assert (new_hi - new_lo) <= (hi - lo)
-        lo, hi = new_lo, new_hi
 
 
 def test_refine_blowup_quadrature_energy_case():

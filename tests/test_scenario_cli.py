@@ -192,7 +192,7 @@ def test_cli_run_with_flag_overrides(tmp_path):
     scn = tmp_path / "mini.scn"
     scn.write_text(json.dumps(MINIMAL_INTEGRATE))
     out_dir = tmp_path / "out"
-    assert main(["run", str(scn), "--output-dir", str(out_dir), "--horizon", "2.0"]) == 0
+    assert main(["run", str(scn), "integrator.horizon=2.0", "--output-dir", str(out_dir)]) == 0
     payload = json.loads((out_dir / "mini.report.json").read_text())
     assert payload["config"]["integrator"]["horizon"] == 2.0
     assert payload["outcome"]["t_span"] == [0.0, 2.0]
