@@ -12,7 +12,7 @@ from .dynamics import (EnergyFrame, ForceSystem, FREE, build_energy_frame,
 from .errors import (EigFailure, EvaluationError, HypothesisViolated, InvalidInit, NotABlowup,
                      NotPositiveDefinite, OutOfChart, OutOfRange, ParseError,
                      ValidationError, WavetrajError)
-from .geometry import ChartManifold, TangentVector, christoffel_at, gradient, metric_at
+from .geometry import ChartManifold, christoffel_at, metric_at
 from .gpw import (GeodesicInitialData, GpwSpacetime, SplitGeodesic, WaveCoefficient,
                   classify_gpw_completeness, full_geodesic_oracle, plane_wave_H,
                   reduce_geodesic, split_state)

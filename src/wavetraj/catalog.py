@@ -19,7 +19,6 @@ from .gpw import WaveCoefficient, plane_wave_H
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     signature: str
     summary: str
     build: Callable[[dict], object]
@@ -45,7 +44,6 @@ def _build_euclidean(params):
         dim=n,
         metric=np.eye(n),
         complete_flag=True,
-        name=f"euclidean({n})",
     )
 
 
@@ -72,7 +70,6 @@ def _build_hyperbolic(params):
         christoffel=_hyperbolic_christoffel,
         domain_guard=lambda x: x[1] > 0.0,
         complete_flag=True,
-        name="hyperbolic_half_plane",
     )
 
 
@@ -107,18 +104,17 @@ def _build_diagonal_conformal(params):
         metric_dx=metric_dx,
         domain_guard=guard_fn,
         complete_flag=bool(params.get("complete", False)),
-        name=f"diagonal_conformal({n})",
     )
 
 
 MANIFOLDS = {
     "euclidean": CatalogEntry(
-        "euclidean", "euclidean(n)", "flat metric, identity matrix, complete", _build_euclidean),
+        "euclidean(n)", "flat metric, identity matrix, complete", _build_euclidean),
     "hyperbolic_half_plane": CatalogEntry(
-        "hyperbolic_half_plane", "hyperbolic_half_plane",
+        "hyperbolic_half_plane",
         "half-plane model diag(1/x2^2, 1/x2^2), guard x2 > 0, complete", _build_hyperbolic),
     "diagonal_conformal": CatalogEntry(
-        "diagonal_conformal", "diagonal_conformal(entries, complete?, guard?)",
+        "diagonal_conformal(entries, complete?, guard?)",
         "diagonal metric with expression entries in x1..xn", _build_diagonal_conformal),
 }
 
@@ -137,7 +133,6 @@ def _build_zero_potential(params):
         potential_dx=lambda x, t: np.zeros(np.asarray(x).shape),
         potential_dt=_zero,
         time_independent=True,
-        name="zero",
     )
 
 
@@ -153,7 +148,6 @@ def _build_harmonic(params):
         potential_dx=lambda x, t: k * np.asarray(x, dtype=float),
         potential_dt=_zero,
         time_independent=True,
-        name=f"harmonic(k={k})",
     )
 
 
@@ -166,7 +160,6 @@ def _build_exp_time_quadratic(params):
         potential=value,
         potential_dx=lambda x, t: 2.0 * np.exp(t) * np.asarray(x, dtype=float),
         potential_dt=value,
-        name="exp_time_quadratic",
     )
 
 
@@ -179,17 +172,16 @@ def _build_negative_quartic(params):
         potential_dx=lambda x, t: -4.0 * c * float(x @ x) * np.asarray(x, dtype=float),
         potential_dt=_zero,
         time_independent=True,
-        name=f"negative_quartic(c={c})",
     )
 
 
 POTENTIALS = {
-    "zero": CatalogEntry("zero", "zero", "V = 0, plain geodesics", _build_zero_potential),
-    "harmonic": CatalogEntry("harmonic", "harmonic(k=1)", "V = (k/2) |x|^2", _build_harmonic),
+    "zero": CatalogEntry("zero", "V = 0, plain geodesics", _build_zero_potential),
+    "harmonic": CatalogEntry("harmonic(k=1)", "V = (k/2) |x|^2", _build_harmonic),
     "exp_time_quadratic": CatalogEntry(
-        "exp_time_quadratic", "exp_time_quadratic", "V = e^t (1 + |x|^2)", _build_exp_time_quadratic),
+        "exp_time_quadratic", "V = e^t (1 + |x|^2)", _build_exp_time_quadratic),
     "negative_quartic": CatalogEntry(
-        "negative_quartic", "negative_quartic(c=1)", "V = -c |x|^4, finite-time blow-up",
+        "negative_quartic(c=1)", "V = -c |x|^4, finite-time blow-up",
         _build_negative_quartic),
 }
 
@@ -221,12 +213,12 @@ def _build_time_scalar(params):
 
 TENSORS = {
     "skew_rotation": CatalogEntry(
-        "skew_rotation", "skew_rotation(omega=1)", "F = [[0, w], [-w, 0]], metric-skew on the plane",
+        "skew_rotation(omega=1)", "F = [[0, w], [-w, 0]], metric-skew on the plane",
         _build_skew_rotation),
     "scalar_multiple": CatalogEntry(
-        "scalar_multiple", "scalar_multiple(c, n)", "F = c I", _build_scalar_multiple),
+        "scalar_multiple(c, n)", "F = c I", _build_scalar_multiple),
     "time_scalar": CatalogEntry(
-        "time_scalar", "time_scalar(expr, n)", "F = c(t) I with c an expression in t",
+        "time_scalar(expr, n)", "F = c(t) I with c an expression in t",
         _build_time_scalar),
 }
 
@@ -246,16 +238,15 @@ def _build_expression_wave(params):
     fn = parse_expression(params["H"], variables)
     return WaveCoefficient(h=at_chart_point(fn),
                            h_dx=at_chart_point([fn.derivative(v) for v in variables[:-1]]),
-                           h_du=at_chart_point(fn.derivative("u")),
-                           name=f"expression({params['H']})")
+                           h_du=at_chart_point(fn.derivative("u")))
 
 
 WAVES = {
     "plane_wave": CatalogEntry(
-        "plane_wave", "plane_wave(f1,f2,f)",
+        "plane_wave(f1,f2,f)",
         "quadratic coefficient f1(u) x^2 - f2(u) y^2 + 2 f(u) xy on the plane", _build_plane_wave),
     "expression": CatalogEntry(
-        "expression", "expression(H, n)", "wave coefficient from an expression in x1..xn, u",
+        "expression(H, n)", "wave coefficient from an expression in x1..xn, u",
         _build_expression_wave),
 }
 

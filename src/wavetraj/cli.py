@@ -22,9 +22,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one or more scenario files")
-    run_p.add_argument("scenarios", nargs="+", metavar="SCENARIO")
-    run_p.add_argument("overrides", nargs="*", default=[], metavar="KEY=VALUE",
-                       help="dotted-path overrides, e.g. integrator.rel_tol=1e-10")
+    run_p.add_argument("items", nargs="+", metavar="SCENARIO|KEY=VALUE",
+                       help="scenario files, and dotted-path overrides such as "
+                            "integrator.rel_tol=1e-10 anywhere on the line")
     run_p.add_argument("--output-dir", default=".", help="directory for artifacts")
     run_p.add_argument("--echo-config", action="store_true",
                        help="also write the canonical scenario next to the report")
@@ -36,17 +36,18 @@ def _build_parser():
     return parser
 
 
-def _split_run_args(items):
-    # positional args mixing file paths and key=value overrides
-    paths, overrides = [], []
-    for item in items:
-        (overrides if "=" in item else paths).append(item)
-    return paths, overrides
+def _is_override(word):
+    return "=" in word and not word.startswith("-")
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes one run of positional words; key=value words after an
+    # option come back as extras and join the run's items
+    args, extras = parser.parse_known_args(argv)
+    stray = [w for w in extras if args.command != "run" or not _is_override(w)]
+    if stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
 
     if args.command == "catalog":
         sys.stdout.write(list_catalog())
@@ -64,7 +65,9 @@ def main(argv=None):
         return status
 
     # run
-    paths, overrides = _split_run_args(args.scenarios + args.overrides)
+    items = args.items + extras
+    paths = [w for w in items if not _is_override(w)]
+    overrides = [w for w in items if _is_override(w)]
     if not paths:
         print("no scenario files given", file=sys.stderr)
         return 2

@@ -26,6 +26,15 @@ INCONCLUSIVE = "Inconclusive"
 _SATURATION_RTOL = 1e-10
 _DOUBLING_BUDGET = 64
 _DIVERGENCE_RATIO = 0.98
+# adaptive_quad: absolute floor of the panel tolerance, and the bisection
+# depth at which a panel is accepted unconverged
+_QUAD_ABS_TOL = 1e-300
+_QUAD_MAX_DEPTH = 48
+# PhiFunction: the span certified at construction, and samples per certified window
+_PHI_INITIAL_SPAN = 10.0
+_PHI_SAMPLES = 257
+# verify_envelope: slack relative to the running scale of the integral bound
+_ENVELOPE_REL_SLACK = 1e-6
 
 @functools.cache
 def _gl_rules():
@@ -49,12 +58,14 @@ def _gl_apply(f, lo, hi):
     return half * float(w16 @ vals[:16]), half * float(w32 @ vals[16:])
 
 
-def adaptive_quad(f, lo, hi, rel_tol=1e-14, abs_tol=1e-300, max_depth=48):
+def adaptive_quad(f, lo, hi, rel_tol=1e-14):
     """Adaptive Gauss-Legendre 16/32 quadrature on [lo, hi].
 
     f maps an array of nodes to the array of its values there. Panels are
-    bisected until the 16-point and 32-point values agree to the requested
-    tolerance; the 32-point value is kept.
+    bisected until the 16-point and 32-point values agree to rel_tol
+    (relative to the 32-point value, with an absolute floor of 1e-300), or
+    until a panel is _QUAD_MAX_DEPTH bisections deep, where it is accepted
+    unconverged; the 32-point value is kept.
     """
     if hi == lo:
         return 0.0
@@ -63,7 +74,8 @@ def adaptive_quad(f, lo, hi, rel_tol=1e-14, abs_tol=1e-300, max_depth=48):
     while stack:
         a, b, depth = stack.pop()
         coarse, fine = _gl_apply(f, a, b)
-        if abs(fine - coarse) <= max(abs_tol, rel_tol * abs(fine)) or depth >= max_depth:
+        converged = abs(fine - coarse) <= max(_QUAD_ABS_TOL, rel_tol * abs(fine))
+        if converged or depth >= _QUAD_MAX_DEPTH:
             total += fine
         else:
             m = 0.5 * (a + b)
@@ -87,23 +99,21 @@ class MonotoneCertificate:
 class PhiFunction:
     """Comparison function phi on [a, inf): positive and nondecreasing.
 
-    Construction samples [a, a + initial_span]; check_divergence extends the
-    certificate window as it doubles outward. A nonpositive value or a
-    decrease anywhere on the sample is a hard error, and so is a NaN or
-    infinite sample. fn may carry an array form (expressions.array_form: an
-    Expression in one variable, or a callable given one by
-    expressions.with_array_form), which evaluates it over an array of
-    points, NaN where fn would raise.
+    Construction samples [a, a + 10] at 257 points; check_divergence extends
+    the certificate window as it doubles outward, 257 points per extension.
+    A nonpositive value or a decrease anywhere on the sample is a hard
+    error, and so is a NaN or infinite sample. fn may carry an array form
+    (expressions.array_form: an Expression in one variable, or a callable
+    given one by expressions.with_array_form), which evaluates it over an
+    array of points, NaN where fn would raise.
     """
 
     a: float
     fn: Callable[[float], float]
-    initial_span: float = 10.0
-    samples_per_window: int = 257
     monotone_certificate: MonotoneCertificate = field(init=False)
 
     def __post_init__(self):
-        self.monotone_certificate = self._certify(self.a, self.a + self.initial_span)
+        self.monotone_certificate = self._certify(self.a, self.a + _PHI_INITIAL_SPAN)
 
     def __call__(self, s):
         return float(self.fn(s))
@@ -126,7 +136,7 @@ class PhiFunction:
         return 1.0 / vals
 
     def _certify(self, lo, hi):
-        ss = np.linspace(lo, hi, self.samples_per_window)
+        ss = np.linspace(lo, hi, _PHI_SAMPLES)
         vals = self.values(ss)
         vmin = float(vals.min())
         if not vmin > 0.0:   # a NaN fails too; argmin finds the first one
@@ -140,7 +150,7 @@ class PhiFunction:
         if not increments.min() >= slack:
             where = float(ss[int(increments.argmin())])
             raise HypothesisViolated(f"phi decreases near s = {where}")
-        return MonotoneCertificate(s_lo=float(lo), s_hi=float(hi), n_samples=self.samples_per_window,
+        return MonotoneCertificate(s_lo=float(lo), s_hi=float(hi), n_samples=_PHI_SAMPLES,
                                    min_value=vmin, min_increment=float(increments.min()))
 
     def extend_certificate(self, s_hi):
@@ -342,13 +352,13 @@ class EnvelopeReport:
         }
 
 
-def verify_envelope(t_samples, v_samples, phi, v0, rel_slack=1e-6):
+def verify_envelope(t_samples, v_samples, phi, v0):
     """Check the comparison hypotheses and conclusion on sampled v.
 
     The integral inequality is checked with cumulative trapezoid quadrature on
-    the samples, granted rel_slack (relative to the running scale) to absorb
-    discretization; all raw margins are reported, violations included, and
-    nothing raises.
+    the samples, granted a slack of 1e-6 relative to the running scale to
+    absorb discretization; all raw margins are reported, violations
+    included, and nothing raises.
     """
     t = np.asarray(t_samples, dtype=float)
     v = np.asarray(v_samples, dtype=float)
@@ -361,7 +371,7 @@ def verify_envelope(t_samples, v_samples, phi, v0, rel_slack=1e-6):
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (phiv[1:] + phiv[:-1]) * np.diff(t))])
     bound = v[0] + cumulative
     scale = np.maximum(1.0, np.abs(bound))
-    slack = rel_slack * float(scale.max())
+    slack = _ENVELOPE_REL_SLACK * float(scale.max())
     integral_margins = bound - v
     i_int = int(integral_margins.argmin())
     lower_margins = v - phi.a

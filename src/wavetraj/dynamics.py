@@ -44,7 +44,6 @@ class ForceSystem:
     potential_dt: Optional[Callable[[np.ndarray, float], float]] = None
     tensor_F: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     time_independent: bool = False
-    name: str = ""
 
     def value(self, x, t):
         return float(self.potential(np.asarray(x, dtype=float), float(t)))
@@ -72,8 +71,7 @@ class ForceSystem:
 FREE = ForceSystem(potential=lambda x, t: 0.0,
                    potential_dx=lambda x, t: np.zeros(np.asarray(x).shape),
                    potential_dt=lambda x, t: 0.0,
-                   time_independent=True,
-                   name="free")
+                   time_independent=True)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,8 @@ class EnergyFrame:
     dominates alpha0 there, N_T bounds the sampled operator norm, and
     a_t_star = 2 N_T + A_T dominates N_T·u + A_T·(V-B_T) against the energy
     (using u <= 2v and V - B_T <= v), the sharpest constant expressible from
-    those inequalities.
+    those inequalities. t_horizon is the T of the bounds the frame was built
+    from (build_energy_frame).
     """
 
     t_horizon: float
@@ -97,12 +96,15 @@ class EnergyFrame:
         return 2.0 * self.n_t + self.a_t
 
 
-def build_energy_frame(alpha0, beta0, t_horizon, n_t, t_samples=41):
-    """EnergyFrame with A_T = max alpha0 and B_T = min beta0 - 1 on a [-T, T] grid."""
-    ts = np.linspace(-t_horizon, t_horizon, t_samples)
-    a_t = max(float(alpha0(t)) for t in ts)
-    b_t = min(float(beta0(t)) for t in ts) - 1.0
-    return EnergyFrame(t_horizon=float(t_horizon), a_t=a_t, b_t=b_t, n_t=float(n_t))
+def build_energy_frame(bounds, n_t):
+    """EnergyFrame on the window of bounds (hypotheses.BoundData), T = bounds.T.
+
+    A_T = max alpha0 and B_T = min beta0 - 1 over bounds.t_grid, the times
+    every premise and the operator-norm bound N_T were sampled at.
+    """
+    a_t = max(float(bounds.alpha0(t)) for t in bounds.t_grid)
+    b_t = min(float(bounds.beta0(t)) for t in bounds.t_grid) - 1.0
+    return EnergyFrame(t_horizon=bounds.T, a_t=a_t, b_t=b_t, n_t=float(n_t))
 
 
 def rhs_E(manifold, fs, state):

@@ -38,7 +38,9 @@ class ChartManifold:
 
     flat (the metric is a constant matrix) and identity_metric (that matrix
     is the identity) are derived from metric, not constructor arguments.
-    Manifolds hold functions and arrays, so they compare by identity.
+    A chart carries no name; the scenario or catalog entry that built it
+    names it. Manifolds hold functions and arrays, so they compare by
+    identity.
     """
 
     dim: int
@@ -46,7 +48,6 @@ class ChartManifold:
     christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_guard: Optional[Callable[[np.ndarray], bool]] = None
     complete_flag: bool = False
-    name: str = ""
     metric_dx: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flat: bool = field(init=False, repr=False)
     identity_metric: bool = field(init=False, repr=False)
@@ -75,14 +76,6 @@ class ChartManifold:
         if self.domain_guard is None:
             return True
         return bool(self.domain_guard(np.asarray(x, dtype=float)))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector attached to a chart point."""
-
-    base: np.ndarray
-    components: np.ndarray
 
 
 def require_in_chart(manifold, x):
@@ -164,14 +157,4 @@ def christoffel_at(manifold, x, h=None):
         if manifold.metric_dx is not None:
             return christoffel_from_partials(metric_at(manifold, x), manifold.metric_dx(x))
     return christoffel_from_metric(lambda p: metric_at(manifold, p), x, h=h)
-
-
-def gradient(manifold, x, dv):
-    """Metric-raised differential: the vector with components G(x)^{-1} dv."""
-    x = np.asarray(x, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    if dv.shape != (manifold.dim,):
-        raise ValueError(f"covector has shape {dv.shape}, expected ({manifold.dim},)")
-    g = metric_at(manifold, x)
-    return TangentVector(base=x, components=np.linalg.solve(g, dv))
 

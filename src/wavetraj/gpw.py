@@ -36,8 +36,7 @@ class WaveCoefficient:
 
     h_dx returns the covector of x-partials and h_du the u-partial; absent
     sources fall back to central differences with the shared stencil policy.
-    gravitational_wave is set by the plane-wave factory when the two diagonal
-    profiles coincide on samples, None when unknown.
+    A coefficient carries no name or classification, only these sources.
 
     h, h_dx and h_du may each carry an array form (expressions.array_form),
     which evaluates H, its x-partials (on a new last axis) or its u-partial
@@ -50,8 +49,6 @@ class WaveCoefficient:
     h: Callable[[np.ndarray, float], float]
     h_dx: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     h_du: Optional[Callable[[np.ndarray, float], float]] = None
-    name: str = ""
-    gravitational_wave: Optional[bool] = None
 
     def value(self, x, u):
         return float(self.h(np.asarray(x, dtype=float), float(u)))
@@ -78,14 +75,13 @@ class WaveCoefficient:
         return on_rows(self.h, self.value, x, u)
 
 
-def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
+def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None):
     """Quadratic wave coefficient f1(u) x^2 - f2(u) y^2 + 2 f(u) x y on the plane.
 
-    Profile derivatives may be supplied; otherwise they are differenced. The
-    gravitational-wave flag is set by sampled equality of f1 and f2 on
-    [-u_window, u_window]. Profiles with array forms (Expressions, say) give
-    the coefficient's callables theirs: h and h_dx from f1, f2 and f, h_du
-    from their derivatives.
+    Profile derivatives may be supplied; otherwise they are differenced.
+    The profiles are not called here. Profiles with array forms
+    (Expressions, say) give the coefficient's callables theirs: h and h_dx
+    from f1, f2 and f, h_du from their derivatives.
     """
     def value(x, u):
         return f1(u) * x[0] ** 2 - f2(u) * x[1] ** 2 + 2.0 * f(u) * x[0] * x[1]
@@ -99,12 +95,6 @@ def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
         d2 = df2(u) if df2 is not None else partial_in_scalar(f2, u)
         d3 = df(u) if df is not None else partial_in_scalar(f, u)
         return d1 * x[0] ** 2 - d2 * x[1] ** 2 + 2.0 * d3 * x[0] * x[1]
-
-    us = np.linspace(-u_window, u_window, 101)
-    vals1 = np.array([float(f1(u)) for u in us])
-    vals2 = np.array([float(f2(u)) for u in us])
-    scale = max(1.0, float(np.abs(vals1).max()), float(np.abs(vals2).max()))
-    grav = bool(np.abs(vals1 - vals2).max() <= 1e-12 * scale)
 
     def form(p1, p2, p12):
         # p1(u) x^2 - p2(u) y^2 + 2 p12(u) x y over points on the last axis of x
@@ -124,7 +114,7 @@ def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None, u_window=5.0):
         with_array_form(dx, dx_array)
     if None not in (d1, d2, d):
         with_array_form(du, form(d1, d2, d))
-    return WaveCoefficient(h=value, h_dx=dx, h_du=du, name="plane_wave", gravitational_wave=grav)
+    return WaveCoefficient(h=value, h_dx=dx, h_du=du)
 
 
 @dataclass(frozen=True)
@@ -213,7 +203,6 @@ def wave_force_system(st, u0, delta):
         potential_dx=lambda x, t: -half_d2 * wave.dx(x, u0 + delta * t),
         potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
-        name="wave_potential",
     )
 
 
@@ -337,22 +326,14 @@ def oracle_quadratic_form(st, traj, k):
     return float(qd @ g @ qd)
 
 
-def classify_gpw_completeness(st, bd, anchor=None, attempts=None):
+def classify_gpw_completeness(st, bd, anchor=None):
     """Certificate for the wave spacetime via the base-potential reduction.
 
     Delegates to the premise checks with V = -H/2 semantics carried by the
-    wave-coefficient routes; the verdict never asserts completeness when the
-    base manifold's complete_flag is unset.
+    wave-coefficient routes, on the window of bd; the verdict never asserts
+    completeness when the base manifold's complete_flag is unset.
     """
-    task = CertificationTask(
-        manifold=st.base,
-        bounds=bd,
-        T=float(np.abs(bd.t_grid).max()),
-        wave=st.wave,
-        anchor=anchor,
-        attempts=attempts,
-    )
-    return certify(task)
+    return certify(CertificationTask(manifold=st.base, bounds=bd, wave=st.wave, anchor=anchor))
 
 
 def split_geodesic_to_csv(sg, st, fileobj):

@@ -39,12 +39,15 @@ _PRECEDENCE = (
 class BoundData:
     """Scenario-supplied bound functions with the grids they are checked on.
 
-    alpha0 and beta0 are continuous functions of time (of the wave parameter u
-    for wave-coefficient routes). grid rows are chart points; t_grid spans
-    [-T, T]. A bound with an array form (expressions.array_form: an
-    Expression in one variable, or a callable given one by
-    expressions.with_array_form) is evaluated over an array of times in one
-    call, NaN where the scalar call would raise.
+    This is the one description of the sampled window: every premise, the
+    operator-norm bound N_T and the energy frame sample grid x t_grid. alpha0
+    and beta0 are continuous functions of time (of the wave parameter u for
+    wave-coefficient routes). grid rows are chart points; t_grid spans
+    [-T, T], and T (derived, not stored) is max |t_grid|, which for
+    np.linspace(-T, T, n) is T exactly. A bound with an array form
+    (expressions.array_form: an Expression in one variable, or a callable
+    given one by expressions.with_array_form) is evaluated over an array of
+    times in one call, NaN where the scalar call would raise.
     """
 
     alpha0: Callable[[float], float]
@@ -57,6 +60,10 @@ class BoundData:
         object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
         if self.grid.shape[0] == 0 or self.t_grid.size == 0:
             raise ValueError("sample grids must be nonempty")
+
+    @property
+    def T(self):
+        return float(np.abs(self.t_grid).max())
 
 
 @dataclass(frozen=True)
@@ -200,36 +207,38 @@ def check_bounded_below(fs, bd):
     )
 
 
-def check_S_bounds(manifold, fs, T, grid, t_samples=41):
-    """Sampled operator-norm bounds of the self-adjoint part of F on [-T, T].
+def check_S_bounds(manifold, fs, bounds):
+    """Sampled operator-norm bounds of the self-adjoint part of F on the window of bounds.
 
+    Scans bounds.grid x bounds.t_grid, the samples of every other premise.
     Returns the three candidate bounds: two-sided max(|S_sup|, |S_inf|), the
-    upper bound max S_sup, and the lower bound max(-S_inf). These suprema are
-    over the sample grid only, the weakest link of any certificate with a
-    nonzero tensor force.
+    upper bound max S_sup, and the lower bound max(-S_inf), each recording
+    bounds.T. These suprema are over the sample grid only, the weakest link
+    of any certificate with a nonzero tensor force.
     """
-    ts = np.linspace(-T, T, t_samples)
+    ts = bounds.t_grid
     sup_vals = np.zeros(ts.size)
     inf_vals = np.zeros(ts.size)
     if fs.tensor_F is not None:
         for j, t in enumerate(ts):
-            inf_vals[j], sup_vals[j] = operator_bounds(manifold, fs, grid, t)
+            inf_vals[j], sup_vals[j] = operator_bounds(manifold, fs, bounds.grid, t)
     n_two_sided = float(np.maximum(np.abs(sup_vals), np.abs(inf_vals)).max())
     n_upper = float(sup_vals.max())
     n_lower = float((-inf_vals).max())
+    T = bounds.T
     return {
         "bounded": PremiseCheck(
             name="operator_bound_two_sided", passed=True, margin=0.0,
             note="N_T is the sampled supremum of the operator norm",
-            values={"N_T": n_two_sided, "T": float(T)}),
+            values={"N_T": n_two_sided, "T": T}),
         "upper_bounded": PremiseCheck(
             name="operator_bound_upper", passed=True, margin=0.0,
             note="N_T is the sampled supremum of S_sup",
-            values={"N_T": n_upper, "T": float(T)}),
+            values={"N_T": n_upper, "T": T}),
         "lower_bounded": PremiseCheck(
             name="operator_bound_lower", passed=True, margin=0.0,
             note="N_T is the sampled supremum of -S_inf",
-            values={"N_T": n_lower, "T": float(T)}),
+            values={"N_T": n_lower, "T": T}),
     }
 
 
@@ -366,26 +375,24 @@ class CertificationTask:
     """What to certify: a force system on a manifold, or a wave coefficient.
 
     When wave is set the wave-coefficient routes run (bounded coefficient, and
-    linear gradient growth when anchor is given); otherwise the force-system
-    routes run (two-sided plus the one-sided variants). T is the half-width of
-    the time window the bounds are sampled on.
+    linear gradient growth about anchor, the chart origin when None);
+    otherwise the force-system routes run (two-sided plus the one-sided
+    variants). Every route runs, on the window of bounds.
     """
 
     manifold: object
     bounds: BoundData
-    T: float
     force: object = None
     wave: object = None
     anchor: Optional[np.ndarray] = None
-    attempts: Optional[tuple] = None
 
 
 def certify(task):
     """Run premise checks and emit the strongest verdict whose premises pass.
 
     Precedence: two-sided potential bounds > wave coefficient bounds > linear
-    gradient growth > forward > backward. All attempted routes and every
-    margin stay in the evidence; failures never raise.
+    gradient growth > forward > backward. Every route and every margin stay
+    in the evidence; failures never raise.
     """
     evidence = {}
     routes = []
@@ -397,38 +404,32 @@ def certify(task):
     flag = record(_flag_check(task.manifold))
 
     if task.wave is not None:
-        attempts = task.attempts or ("wave_bounds", "linear_growth")
-        if "wave_bounds" in attempts:
-            bounded = record(check_wave_bounded_above(task.wave, task.bounds))
-            du_check = record(check_wave_du_bound(task.wave, task.bounds,
-                                                  prerequisite_passed=bounded.passed))
-            names = (flag.name, bounded.name, du_check.name)
-            routes.append(RouteResult(
-                route="wave_bounds", verdict=COMPLETE_WAVE_BOUNDS,
-                passed=all(evidence[n].passed for n in names), premises=names))
-        if "linear_growth" in attempts:
-            anchor = task.anchor if task.anchor is not None else np.zeros(task.manifold.dim)
-            growth = record(check_linear_growth_gradH(task.manifold, task.wave,
-                                                      task.bounds.grid, anchor,
-                                                      task.bounds.t_grid))
-            names = (flag.name, growth.name)
-            routes.append(RouteResult(
-                route="linear_growth", verdict=COMPLETE_LINEAR_GRADIENT,
-                passed=all(evidence[n].passed for n in names), premises=names))
+        bounded = record(check_wave_bounded_above(task.wave, task.bounds))
+        du_check = record(check_wave_du_bound(task.wave, task.bounds,
+                                              prerequisite_passed=bounded.passed))
+        names = (flag.name, bounded.name, du_check.name)
+        routes.append(RouteResult(
+            route="wave_bounds", verdict=COMPLETE_WAVE_BOUNDS,
+            passed=all(evidence[n].passed for n in names), premises=names))
+        anchor = task.anchor if task.anchor is not None else np.zeros(task.manifold.dim)
+        growth = record(check_linear_growth_gradH(task.manifold, task.wave,
+                                                  task.bounds.grid, anchor,
+                                                  task.bounds.t_grid))
+        names = (flag.name, growth.name)
+        routes.append(RouteResult(
+            route="linear_growth", verdict=COMPLETE_LINEAR_GRADIENT,
+            passed=all(evidence[n].passed for n in names), premises=names))
     else:
         if task.force is None:
             raise ValueError("certification task needs a force system or a wave coefficient")
-        attempts = task.attempts or ("two_sided", "forward", "backward")
         bounded = record(check_bounded_below(task.force, task.bounds))
-        s_checks = check_S_bounds(task.manifold, task.force, task.T, task.bounds.grid)
+        s_checks = check_S_bounds(task.manifold, task.force, task.bounds)
         route_map = {
             "two_sided": (s_checks["bounded"], COMPLETE_POTENTIAL_BOUNDS),
             "forward": (s_checks["upper_bounded"], FORWARD_COMPLETE),
             "backward": (s_checks["lower_bounded"], BACKWARD_COMPLETE),
         }
         for mode in ("two_sided", "forward", "backward"):
-            if mode not in attempts:
-                continue
             s_check, verdict = route_map[mode]
             record(s_check)
             dvdt = record(check_dVdt_bound(task.force, task.bounds, signed=mode,

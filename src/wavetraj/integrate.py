@@ -435,7 +435,7 @@ def _ceiling_crossing(traj, speed_of, ceiling):
     return 0.5 * (lo_t + hi_t)
 
 
-def refine_blowup(manifold, fs, init, cfg, coarse):
+def refine_blowup(manifold, fs, cfg, coarse):
     """Bracket the blow-up time by continuing the coarse run at tighter tolerances.
 
     The continuation starts from the coarse run's last accepted record at or
@@ -443,15 +443,14 @@ def refine_blowup(manifold, fs, init, cfg, coarse):
     with rel/abs tolerances a hundredfold tighter, and runs on to a
     thousandfold higher ceiling, deeper toward the singular time. The bracket
     is [crossing of the original ceiling, bisected on the continuation's
-    dense output; deepest time reached + 4x the gap]. init is the coarse
-    run's initial data; the continuation needs only the coarse records.
-    Raises NotABlowup when the coarse run was not a blow-up, when the
-    continuation reaches the horizon, or when the far end of a bracket from
-    a crossing after the continuation's start lies past the horizon: a speed
-    that grows only exponentially crosses each higher ceiling later by about
-    the same amount, so its bracket does not close. (When even the first
-    record is above the ceiling, the bracket starts there and its width
-    measures nothing about the growth.)
+    dense output; deepest time reached + 4x the gap]; cfg is the coarse
+    run's configuration. Raises NotABlowup when the coarse run was not a
+    blow-up, when the continuation reaches the horizon, or when the far end
+    of a bracket from a crossing after the continuation's start lies past
+    the horizon: a speed that grows only exponentially crosses each higher
+    ceiling later by about the same amount, so its bracket does not close.
+    (When even the first record is above the ceiling, the bracket starts
+    there and its width measures nothing about the growth.)
     """
     if coarse.outcome.kind != BLOW_UP_SUSPECTED:
         raise NotABlowup(f"coarse outcome is {coarse.outcome.kind}")

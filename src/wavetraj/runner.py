@@ -17,6 +17,11 @@ from .integrate import (BLOW_UP_SUSPECTED, CHART_EXIT, HORIZON_REACHED, TOLERANC
 from .report import RunReport, render_human, render_json
 
 _OUTCOME_CODES = {HORIZON_REACHED: 0, BLOW_UP_SUSPECTED: 1, CHART_EXIT: 2, TOLERANCE_FAILURE: 3}
+# envelope: times and step of the centered-difference check of dv/dt
+_FD_POINTS = 401
+_FD_STEP = 1e-3
+# gpw-geodesic: times at which the split geodesic is compared with the oracle
+_ORACLE_POINTS = 201
 
 
 def run_scenario(sc, output_dir, echo_config=False):
@@ -92,7 +97,7 @@ def _run_integrate(sc, out_dir, report):
         if drift is not None:
             report.outcome["energy_drift_per_time"] = drift
     if traj.outcome.kind == BLOW_UP_SUSPECTED and sc.refine:
-        interval = refine_blowup(sc.manifold, sc.force, sc.initial, sc.config, traj)
+        interval = refine_blowup(sc.manifold, sc.force, sc.config, traj)
         report.outcome["blowup_refined"] = {
             "t_lo": interval.t_lo,
             "t_hi": interval.t_hi,
@@ -110,8 +115,7 @@ def _run_certify(sc, out_dir, report):
     if sc.spacetime is not None:
         cert = classify_gpw_completeness(sc.spacetime, sc.bounds, anchor=sc.gpw_anchor)
     else:
-        cert = certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds,
-                                         T=sc.bounds_T, force=sc.force))
+        cert = certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds, force=sc.force))
     report.certificate = cert.to_dict()
     report.outcome = {"verdict": cert.verdict}
     if sc.probe_initial is not None and sc.config is not None:
@@ -129,10 +133,8 @@ def _envelope_rate(frame):
 
 def _run_envelope(sc, out_dir, report):
     traj = integrate(sc.manifold, sc.force, sc.initial, sc.config)
-    s_checks = check_S_bounds(sc.manifold, sc.force, sc.bounds_T, sc.bounds.grid)
-    n_t = s_checks["bounded"].values["N_T"]
-    frame = build_energy_frame(sc.bounds.alpha0, sc.bounds.beta0, sc.bounds_T, n_t,
-                               t_samples=sc.bounds.t_grid.size)
+    s_checks = check_S_bounds(sc.manifold, sc.force, sc.bounds)
+    frame = build_energy_frame(sc.bounds, s_checks["bounded"].values["N_T"])
     times = traj.times
     vs = np.array([energy_v(sc.manifold, sc.force, frame, (y[:traj.dim], y[traj.dim:], t))
                    for t, y in zip(times, traj.states)])
@@ -158,14 +160,15 @@ def _run_envelope(sc, out_dir, report):
     report.outcome = _outcome_dict(traj)
 
 
-def _fd_identity_mismatch(sc, traj, frame, n_points=401, h=1e-3):
+def _fd_identity_mismatch(sc, traj, frame):
     """Max relative mismatch of centered-difference dv/dt against the exact identity."""
+    h = _FD_STEP
     lo, hi = traj.t_span
     lo, hi = lo + 2 * h, hi - 2 * h
     if hi <= lo:
         return None
     worst = 0.0
-    for t in np.linspace(lo, hi, n_points):
+    for t in np.linspace(lo, hi, _FD_POINTS):
         def v_at(s):
             x, xd = sample(traj, s)
             return energy_v(sc.manifold, sc.force, frame, (x, xd, s))
@@ -193,13 +196,13 @@ def _run_gpw_geodesic(sc, out_dir, report):
     report.artifacts.append(csv_name)
 
 
-def _oracle_comparison(st, init, cfg, sg, n_points=201):
+def _oracle_comparison(st, init, cfg, sg):
     oracle = full_geodesic_oracle(st, init, cfg)
     lo1, hi1 = sg.base_trajectory.t_span
     lo2, hi2 = oracle.t_span
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     worst = 0.0
-    for t in np.linspace(lo, hi, n_points):
+    for t in np.linspace(lo, hi, _ORACLE_POINTS):
         pos_split, _ = split_state(sg, st, t)
         pos_oracle, _ = sample(oracle, t)
         worst = max(worst, float(np.abs(pos_split - pos_oracle).max()))

@@ -114,7 +114,6 @@ class Scenario:
     manifold: Optional[ChartManifold] = None
     force: Optional[ForceSystem] = None
     bounds: Optional[BoundData] = None
-    bounds_T: Optional[float] = None
     config: Optional[IntegratorConfig] = None
     initial: Optional[tuple] = None
     direction: str = FORWARD
@@ -203,8 +202,7 @@ def _build_manifold(section):
         return 0.5 * (dg + dg.transpose(0, 2, 1))
 
     return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
-                         complete_flag=bool(section.get("complete", False)),
-                         name="expression_metric")
+                         complete_flag=bool(section.get("complete", False)))
 
 
 def _build_force(section, manifold):
@@ -231,7 +229,6 @@ def _build_force(section, manifold):
                 potential_dx=at_chart_point([expr.derivative(v) for v in variables[:-1]]),
                 potential_dt=at_chart_point(expr.derivative("t")),
                 time_independent="t" not in expr.used,
-                name=f"expr({pot_sec['expr']})",
             )
     tensor_sec = section.get("tensor")
     if tensor_sec is not None:
@@ -283,13 +280,12 @@ def _build_bounds(section, manifold):
     grid = _build_grid(section["grid"], "bounds.grid")
     if grid.shape[1] != manifold.dim:
         raise ValidationError("bounds.grid dimension does not match the manifold", key="grid")
-    bd = BoundData(
+    return BoundData(
         alpha0=_time_expr(str(section["alpha0"]), "bounds.alpha0"),
         beta0=_time_expr(str(section["beta0"]), "bounds.beta0"),
         grid=grid,
         t_grid=np.linspace(-T, T, t_samples),
     )
-    return bd, T
 
 
 def _build_config(section, task):
@@ -439,9 +435,13 @@ def parse_scenario(raw):
         else:
             sc.force = _build_force(raw.get("force"), sc.manifold)
     if "bounds" in raw:
-        sc.bounds, sc.bounds_T = _build_bounds(raw["bounds"], sc.manifold)
+        sc.bounds = _build_bounds(raw["bounds"], sc.manifold)
     if "integrator" in raw or task in ("integrate", "envelope", "gpw-geodesic", "gpw-map"):
         sc.config = _build_config(raw.get("integrator"), task)
+    if task == "envelope" and sc.config.horizon > sc.bounds.T:
+        # the energy frame, and so the envelope, holds only on [-T, T]
+        raise ValidationError("integrator.horizon must not exceed bounds.T for an envelope",
+                              key="horizon")
     if "initial" in raw:
         sc.initial = _build_initial(raw["initial"], sc.manifold)
     if "probe_initial" in raw:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavetraj.catalog import build_manifold, build_potential
+from wavetraj.hypotheses import BoundData
 
 
 def box_grid(lo, hi, shape):
@@ -9,6 +10,11 @@ def box_grid(lo, hi, shape):
     axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def window(alpha0, beta0, T, grid=((0.0,),)):
+    """Bounds alpha0 and beta0 sampled at 41 times spanning [-T, T], on the points of grid."""
+    return BoundData(alpha0=alpha0, beta0=beta0, grid=grid, t_grid=np.linspace(-T, T, 41))
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from wavetraj.integrate import (BLOW_UP_SUSPECTED, HORIZON_REACHED, IntegratorCo
 from wavetraj.runner import run_scenario
 from wavetraj.scenario import bundled_scenarios, load_scenario
 
-from conftest import box_grid
+from conftest import box_grid, window
 
 SQRT2 = np.sqrt(2.0)
 
@@ -58,7 +58,7 @@ def test_criterion_2_closed_form_blowup():
     t_true = 1.0 / SQRT2  # exact solution x(t) = 1/(1 - sqrt(2) t)
     started = time.perf_counter()
     traj = integrate(m, fs, init, cfg)
-    refined = refine_blowup(m, fs, init, cfg, traj)
+    refined = refine_blowup(m, fs, cfg, traj)
     elapsed = time.perf_counter() - started
     err = abs(refined.estimate - t_true)
     report(2, "quartic blow-up detected, refined t* within 1e-3 of 1/sqrt(2), runtime < 5 s",
@@ -84,7 +84,7 @@ def test_criterion_3_comparison_solver():
 def test_criterion_4_gronwall_envelope():
     m = build_manifold("euclidean", {"n": 2})
     fs = build_potential("exp_time_quadratic", {})
-    frame = build_energy_frame(lambda t: 1.0, lambda t: 0.0, 3.0, 0.0)
+    frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)
     assert frame.a_t_star == 1.0
     cfg = IntegratorConfig(horizon=3.0)
     rng = np.random.default_rng(20250808)
@@ -122,18 +122,18 @@ def test_criterion_5_certificates_on_bundled_systems():
     results = []
 
     cert = certify(CertificationTask(
-        manifold=e2, T=3.0, force=build_potential("harmonic", {}),
+        manifold=e2, force=build_potential("harmonic", {}),
         bounds=BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, grid=grid2, t_grid=tgrid)))
     results.append(("harmonic", cert.verdict == COMPLETE_POTENTIAL_BOUNDS, cert.verdict))
 
     cert = certify(CertificationTask(
-        manifold=e2, T=3.0, force=build_potential("exp_time_quadratic", {}),
+        manifold=e2, force=build_potential("exp_time_quadratic", {}),
         bounds=BoundData(alpha0=lambda t: 1.0, beta0=lambda t: 0.0, grid=grid2, t_grid=tgrid)))
     results.append(("exp potential", cert.verdict == COMPLETE_POTENTIAL_BOUNDS, cert.verdict))
 
     quartic = build_potential("negative_quartic", {})
     cert = certify(CertificationTask(
-        manifold=e1, T=3.0, force=quartic,
+        manifold=e1, force=quartic,
         bounds=BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0,
                          grid=np.linspace(-2, 2, 9).reshape(-1, 1), t_grid=tgrid)))
     traj = integrate(e1, quartic, (np.array([1.0]), np.array([SQRT2])),

@@ -190,7 +190,9 @@ def test_envelope_on_independent_fine_integration():
 
     m = build_manifold("euclidean", {"n": 2})
     fs = build_potential("exp_time_quadratic", {})
-    frame = build_energy_frame(lambda t: 1.0, lambda t: 0.0, 3.0, 0.0)
+    from conftest import window
+
+    frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)
     traj = integrate(m, fs, (np.array([0.5, -0.3]), np.array([1.0, 0.2])),
                      IntegratorConfig(horizon=3.0))
     worst = 0.0

@@ -9,7 +9,7 @@ from wavetraj.dynamics import (ForceSystem, build_energy_frame, energy_derivativ
                                energy_v, operator_bounds, rhs_E, self_adjoint_part)
 from wavetraj.geometry import ChartManifold
 
-from conftest import box_grid
+from conftest import box_grid, window
 
 
 def const_tensor(mat):
@@ -108,10 +108,10 @@ def test_operator_bounds_monotone_under_refinement(euclidean2):
 
 
 def test_energy_v_examples(euclidean2, hyperbolic, harmonic):
-    frame = build_energy_frame(lambda t: 0.0, lambda t: 0.0, 1.0, 0.0)  # B_T = -1
+    frame = build_energy_frame(window(lambda t: 0.0, lambda t: 0.0, 1.0), 0.0)  # B_T = -1
     assert energy_v(euclidean2, harmonic, frame, (np.zeros(2), np.zeros(2), 0.0)) == pytest.approx(1.0)
     assert energy_v(euclidean2, harmonic, frame, (np.array([1.0, 0]), np.array([1.0, 0]), 0.0)) == pytest.approx(2.0)
-    frame2 = build_energy_frame(lambda t: 0.0, lambda t: 2.0, 1.0, 0.0)  # B_T = 1
+    frame2 = build_energy_frame(window(lambda t: 0.0, lambda t: 2.0, 1.0), 0.0)  # B_T = 1
     v_const = ForceSystem(potential=lambda x, t: 2.0, time_independent=True)
     val = energy_v(hyperbolic, v_const, frame2, (np.array([0.0, 2.0]), np.array([2.0, 0.0]), 0.0))
     assert val == pytest.approx(1.5)
@@ -144,7 +144,7 @@ def test_finite_difference_potential_derivatives_match_analytic():
 
 
 def test_energy_frame_constants():
-    frame = build_energy_frame(lambda t: t * t, lambda t: np.cos(t), 2.0, 1.5)
+    frame = build_energy_frame(window(lambda t: t * t, lambda t: np.cos(t), 2.0), 1.5)
     assert frame.a_t == pytest.approx(4.0)
     assert frame.b_t == pytest.approx(np.cos(2.0) - 1.0)
     assert frame.a_t_star == pytest.approx(2 * 1.5 + 4.0)
@@ -154,7 +154,7 @@ def test_frame_shift_keeps_potential_at_least_one(euclidean2):
     # with B_T = min beta0 - 1 the shifted potential clears 1 wherever the
     # lower bound itself holds
     fs = build_potential("exp_time_quadratic", {})
-    frame = build_energy_frame(lambda t: 1.0, lambda t: 0.0, 3.0, 0.0)
+    frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)
     worst = min(fs.value(p, t) - frame.b_t
                 for t in np.linspace(-3.0, 3.0, 13)
                 for p in box_grid([-2, -2], [2, 2], [5, 5]))
@@ -166,7 +166,7 @@ def test_fd_of_energy_matches_identity_on_autonomous_systems(hyperbolic, euclide
     # the exact derivative identity, on force-free and harmonic systems
     from wavetraj.integrate import IntegratorConfig, integrate, sample
 
-    frame = build_energy_frame(lambda t: 0.0, lambda t: 0.0, 10.0, 0.0)
+    frame = build_energy_frame(window(lambda t: 0.0, lambda t: 0.0, 10.0), 0.0)
     cases = [
         (hyperbolic, build_potential("zero", {}), np.array([0.0, 1.0]), np.array([1.0, 0.0])),
         (euclidean2, build_potential("harmonic", {}), np.array([1.0, 0.0]), np.array([0.0, 1.0])),

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavetraj.errors import NotPositiveDefinite, OutOfChart
-from wavetraj.geometry import ChartManifold, christoffel_at, gradient, metric_at
+from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
 
 
 def diag_metric(entries_fn, n, guard=None):
@@ -156,32 +154,6 @@ def test_christoffel_stencil_must_fit_in_chart(hyperbolic):
                          domain_guard=lambda x: x[1] > 0)
     with pytest.raises(OutOfChart):
         christoffel_at(m_fd, [0.0, 1e-9])
-
-
-def test_gradient_examples(euclidean2, hyperbolic):
-    assert_allclose(gradient(euclidean2, [0.0, 0.0], [2.0, 0.0]).components, [2.0, 0.0])
-    m = diag_metric(lambda x: [4.0, 1.0], 2)
-    assert_allclose(gradient(m, [0.0, 0.0], [2.0, 0.0]).components, [0.5, 0.0])
-    assert_allclose(gradient(hyperbolic, [0.0, 1.0], [1.0, 1.0]).components, [1.0, 1.0])
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_gradient_linear_and_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    a = rng.normal(size=(n, n))
-    g = a @ a.T + n * np.eye(n)
-    m = ChartManifold(dim=n, metric=lambda x: g)
-    x = rng.normal(size=n)
-    dv1 = rng.normal(size=n)
-    dv2 = rng.normal(size=n)
-    c = float(rng.normal())
-    lin = gradient(m, x, dv1 + c * dv2).components
-    assert_allclose(lin, gradient(m, x, dv1).components + c * gradient(m, x, dv2).components,
-                    rtol=1e-9, atol=1e-9)
-    w = rng.normal(size=n)
-    assert_allclose(gradient(m, x, g @ w).components, w, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -38,11 +38,6 @@ def test_plane_wave_values():
     assert wave3.value([1.0, 2.0], 7.0) == 4.0
 
 
-def test_gravitational_wave_flag():
-    assert plane_wave_H(lambda u: np.cos(u), lambda u: np.cos(u), lambda u: 0.0).gravitational_wave
-    assert not plane_wave_H(lambda u: 1.0, lambda u: 2.0, lambda u: 0.0).gravitational_wave
-
-
 def test_wave_coefficient_fd_derivatives():
     wave = WaveCoefficient(h=lambda x, u: np.sin(u) * x[0] ** 2)
     x = np.array([1.5, -0.5])

@@ -12,7 +12,10 @@ from wavetraj.hypotheses import (BACKWARD_COMPLETE, COMPLETE_POTENTIAL_BOUNDS,
                                  check_linear_growth_gradH, check_wave_bounded_above,
                                  check_wave_du_bound)
 
-from conftest import box_grid
+from conftest import box_grid, window
+
+# the operator-bound scans sample [-2, 2] x a 3 x 3 box
+S_WINDOW = window(lambda t: 0.0, lambda t: 0.0, 2.0, grid=box_grid([-1, -1], [1, 1], [3, 3]))
 
 
 def bounds_1d(alpha, beta, lo=-2.0, hi=2.0, points=9, T=3.0, t_points=41):
@@ -51,8 +54,7 @@ def test_bounded_below_exp_potential():
 
 
 def test_s_bounds_zero_force(euclidean2):
-    checks = check_S_bounds(euclidean2, build_potential("harmonic", {}), 2.0,
-                            box_grid([-1, -1], [1, 1], [3, 3]))
+    checks = check_S_bounds(euclidean2, build_potential("harmonic", {}), S_WINDOW)
     assert checks["bounded"].values["N_T"] == 0.0
     assert checks["upper_bounded"].values["N_T"] == 0.0
     assert checks["lower_bounded"].values["N_T"] == 0.0
@@ -61,7 +63,7 @@ def test_s_bounds_zero_force(euclidean2):
 def test_s_bounds_skew_rotation(euclidean2):
     fs = ForceSystem(potential=lambda x, t: 0.0,
                      tensor_F=lambda x, t: np.array([[0.0, 2.0], [-2.0, 0.0]]))
-    checks = check_S_bounds(euclidean2, fs, 2.0, box_grid([-1, -1], [1, 1], [3, 3]))
+    checks = check_S_bounds(euclidean2, fs, S_WINDOW)
     assert checks["bounded"].values["N_T"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -69,7 +71,7 @@ def test_s_bounds_time_dependent_scalar(euclidean2):
     # F = -(1 + t^2) I on [-2, 2]: two-sided bound 5, frozen by arithmetic
     fs = ForceSystem(potential=lambda x, t: 0.0,
                      tensor_F=lambda x, t: -(1.0 + t * t) * np.eye(2))
-    checks = check_S_bounds(euclidean2, fs, 2.0, box_grid([-1, -1], [1, 1], [3, 3]))
+    checks = check_S_bounds(euclidean2, fs, S_WINDOW)
     assert checks["bounded"].values["N_T"] == pytest.approx(5.0)
     assert checks["upper_bounded"].values["N_T"] == pytest.approx(-1.0)
     assert checks["lower_bounded"].values["N_T"] == pytest.approx(5.0)
@@ -161,7 +163,7 @@ def test_linear_growth_needs_enough_points(euclidean2):
 def test_certify_harmonic_strongest_verdict(euclidean2):
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                                     T=3.0, force=build_potential("harmonic", {})))
+                                     force=build_potential("harmonic", {})))
     assert cert.verdict == COMPLETE_POTENTIAL_BOUNDS
     assert cert.caveat == "premises verified on sampled domain only"
     # one-sided routes also pass and stay listed in the evidence
@@ -171,7 +173,7 @@ def test_certify_harmonic_strongest_verdict(euclidean2):
 def test_certify_negative_quartic_inconclusive(euclidean1):
     cert = certify(CertificationTask(manifold=euclidean1,
                                      bounds=bounds_1d(lambda t: 0.0, lambda t: 0.0),
-                                     T=3.0, force=build_potential("negative_quartic", {})))
+                                     force=build_potential("negative_quartic", {})))
     assert cert.verdict == INCONCLUSIVE
     assert not cert.conclusive
     below = [e for e in cert.evidence if e.name == "potential_bounded_below"][0]
@@ -184,7 +186,7 @@ def test_certify_one_sided_only(euclidean2):
                      potential_dt=lambda x, t: -np.exp(-t) * (1.0 + float(x @ x)))
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                                     T=3.0, force=fs))
+                                     force=fs))
     assert cert.verdict == FORWARD_COMPLETE
 
 
@@ -196,7 +198,7 @@ def test_certify_backward_only(euclidean2):
                      potential_dt=lambda x, t: np.exp(t) * (1.0 + float(x @ x)))
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                                     T=3.0, force=fs))
+                                     force=fs))
     assert cert.verdict == BACKWARD_COMPLETE
 
 
@@ -206,7 +208,7 @@ def test_certify_requires_complete_flag():
     incomplete = ChartManifold(dim=2, metric=lambda x: np.eye(2), complete_flag=False)
     cert = certify(CertificationTask(manifold=incomplete,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                                     T=3.0, force=build_potential("harmonic", {})))
+                                     force=build_potential("harmonic", {})))
     assert cert.verdict == INCONCLUSIVE
     flag = [e for e in cert.evidence if e.name == "manifold_complete_flag"][0]
     assert not flag.passed
@@ -217,7 +219,7 @@ def test_certify_wave_routes(euclidean2):
                      dx=lambda x, u: -4.0 * float(x @ x) * np.asarray(x),
                      du=lambda x, u: 0.0)
     bd = bounds_2d(lambda u: 0.0, lambda u: 0.0, reach=5.0, side=11)
-    cert = certify(CertificationTask(manifold=euclidean2, bounds=bd, T=3.0, wave=wave))
+    cert = certify(CertificationTask(manifold=euclidean2, bounds=bd, wave=wave))
     assert cert.verdict == COMPLETE_WAVE_BOUNDS
     routes = {r.route: r.passed for r in cert.routes}
     assert routes == {"wave_bounds": True, "linear_growth": False}
@@ -257,6 +259,12 @@ def test_wave_and_potential_route_equivalence(euclidean2):
     assert pot_dt.margin == pytest.approx(0.5 * wave_du.margin, rel=1e-12)
 
 
+def test_bound_data_window_half_width():
+    # T is derived from the time grid: exactly the T of np.linspace(-T, T, n)
+    for T, n in [(3.0, 41), (2.7, 3), (0.1, 2), (1e3, 1001)]:
+        assert bounds_1d(lambda t: 0.0, lambda t: 0.0, T=T, t_points=n).T == T
+
+
 def test_bound_data_validation():
     with pytest.raises(ValueError, match="nonempty"):
         BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0,
@@ -266,7 +274,7 @@ def test_bound_data_validation():
 def test_certificates_reproducible(euclidean2):
     task = CertificationTask(manifold=euclidean2,
                              bounds=bounds_2d(lambda t: 1.0, lambda t: 0.0),
-                             T=3.0, force=build_potential("exp_time_quadratic", {}))
+                             force=build_potential("exp_time_quadratic", {}))
     assert certify(task).to_dict() == certify(task).to_dict()
 
 

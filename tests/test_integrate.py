@@ -245,7 +245,7 @@ def test_refine_blowup_brackets_true_singularity():
     cfg = IntegratorConfig(horizon=2.0)
     init = (np.array([1.0]), np.array([SQRT2]))
     coarse = integrate(m, fs, init, cfg)
-    result = refine_blowup(m, fs, init, cfg, coarse)
+    result = refine_blowup(m, fs, cfg, coarse)
     assert result.t_lo <= 1.0 / SQRT2 <= result.t_hi
     assert result.width <= 1e-3 * result.t_hi
 
@@ -257,7 +257,7 @@ def test_refine_blowup_quadrature_energy_case():
     init = (np.array([1.0]), np.array([2.0]))
     coarse = integrate(m, fs, init, cfg)
     assert coarse.outcome.kind == BLOW_UP_SUSPECTED
-    result = refine_blowup(m, fs, init, cfg, coarse)
+    result = refine_blowup(m, fs, cfg, coarse)
     assert result.t_lo <= T_STAR_E1 <= result.t_hi
     assert result.width <= 1e-3 * result.t_hi
 
@@ -267,7 +267,7 @@ def test_refine_blowup_backward_direction():
     cfg = IntegratorConfig(horizon=2.0)
     init = (np.array([1.0]), np.array([-SQRT2]))
     coarse = integrate(m, fs, init, cfg, BACKWARD)
-    result = refine_blowup(m, fs, init, cfg, coarse)
+    result = refine_blowup(m, fs, cfg, coarse)
     assert result.t_lo <= -1.0 / SQRT2 <= result.t_hi
     assert result.width <= 1e-3 * abs(result.t_lo)
 
@@ -277,7 +277,7 @@ def test_refine_blowup_rejects_complete_trajectory(euclidean2, harmonic):
     init = (np.array([1.0, 0.0]), np.zeros(2))
     traj = integrate(euclidean2, harmonic, init, cfg)
     with pytest.raises(NotABlowup):
-        refine_blowup(euclidean2, harmonic, init, cfg, traj)
+        refine_blowup(euclidean2, harmonic, cfg, traj)
 
 
 @pytest.mark.parametrize("direction,speed", [(FORWARD, SQRT2), (BACKWARD, -SQRT2)])
@@ -291,7 +291,7 @@ def test_refine_blowup_time_dependent_potential(direction, speed):
     cfg = IntegratorConfig(horizon=2.0)
     init = (np.array([1.0]), np.array([speed]))
     coarse = integrate(m, fs, init, cfg, direction)
-    result = refine_blowup(m, fs, init, cfg, coarse)
+    result = refine_blowup(m, fs, cfg, coarse)
     reference = integrate(m, fs, init, replace(cfg, rel_tol=1e-13, abs_tol=1e-14), direction)
     assert reference.outcome.kind == BLOW_UP_SUSPECTED
     crossed = reference.outcome.t_star_estimate    # first record past the ceiling
@@ -309,7 +309,7 @@ def test_refine_blowup_from_a_first_record_above_the_ceiling():
     coarse = integrate(m, fs, init, cfg)
     assert coarse.outcome.kind == BLOW_UP_SUSPECTED
     assert coarse.times.size == 1
-    result = refine_blowup(m, fs, init, cfg, coarse)
+    result = refine_blowup(m, fs, cfg, coarse)
     assert result.t_lo == 0.0
     assert result.t_lo <= T_STAR_E1 <= result.t_hi
     assert result.n_rhs > 0
@@ -323,7 +323,7 @@ def test_refine_blowup_continuation_reaching_horizon(euclidean2, harmonic):
     coarse = integrate(euclidean2, harmonic, init, cfg)
     assert coarse.outcome.kind == BLOW_UP_SUSPECTED
     with pytest.raises(NotABlowup, match="horizon"):
-        refine_blowup(euclidean2, harmonic, init, cfg, coarse)
+        refine_blowup(euclidean2, harmonic, cfg, coarse)
 
 
 def test_csv_export_round_trips(euclidean2, harmonic):
@@ -380,7 +380,7 @@ def test_flat_chart_blowup_refinement_matches_callable_metric():
     runs = []
     for m in (build_manifold("euclidean", {"n": 2}), callable_euclidean(2)):
         coarse = integrate(m, fs, init, cfg)
-        runs.append((coarse, refine_blowup(m, fs, init, cfg, coarse)))
+        runs.append((coarse, refine_blowup(m, fs, cfg, coarse)))
     (flat, flat_bracket), (reference, reference_bracket) = runs
     assert flat.outcome.kind == BLOW_UP_SUSPECTED
     assert_same_run(flat, reference)
@@ -415,4 +415,4 @@ def test_refine_blowup_rejects_a_bracket_past_the_horizon():
     coarse = integrate(m, fs, init, cfg)
     assert coarse.outcome.kind == BLOW_UP_SUSPECTED
     with pytest.raises(NotABlowup, match="past the horizon"):
-        refine_blowup(m, fs, init, cfg, coarse)
+        refine_blowup(m, fs, cfg, coarse)

@@ -198,6 +198,21 @@ def test_cli_run_with_flag_overrides(tmp_path):
     assert payload["outcome"]["t_span"] == [0.0, 2.0]
 
 
+def test_cli_run_takes_overrides_after_an_option(tmp_path):
+    scn = tmp_path / "mini.scn"
+    scn.write_text(json.dumps(MINIMAL_INTEGRATE))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scn), "--output-dir", str(out_dir), "integrator.horizon=2.0"]) == 0
+    payload = json.loads((out_dir / "mini.report.json").read_text())
+    assert payload["config"]["integrator"]["horizon"] == 2.0
+    assert payload["outcome"]["t_span"] == [0.0, 2.0]
+    # a word after an option that is not key=value is still an error
+    for stray in ("other.scn", "--bogus=1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(scn), "--output-dir", str(out_dir), stray])
+        assert excinfo.value.code == 2
+
+
 def test_echo_config_reproduces_report(tmp_path):
     scn = tmp_path / "mini.scn"
     scn.write_text(json.dumps(MINIMAL_INTEGRATE))
@@ -308,6 +323,53 @@ def test_envelope_task_on_autonomous_system(tmp_path):
     assert report.envelope["frame"]["A_T_star"] == 0.0
     assert report.envelope["check"]["passed"]
     assert report.envelope["fd_identity_max_rel_error"] < 1e-4
+
+
+def test_envelope_horizon_beyond_the_window_is_rejected(tmp_path):
+    raw = {
+        "name": "long-envelope",
+        "task": "envelope",
+        "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+        "force": {"potential": {"catalog": "harmonic"}},
+        "bounds": {"alpha0": "0", "beta0": "0", "T": 3.0,
+                   "grid": {"min": [-2.0, -2.0], "max": [2.0, 2.0], "shape": [3, 3]}},
+        "integrator": {"horizon": 5.0},
+        "initial": {"position": [1.0, 0.0], "velocity": [0.0, 1.0]},
+    }
+    with pytest.raises(ValidationError, match="horizon"):
+        parse_scenario(raw)
+    scn = tmp_path / "long.scn"
+    scn.write_text(json.dumps(raw))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("task", ["certify", "envelope"])
+def test_operator_bound_samples_the_bounds_time_grid(tmp_path, task):
+    # with t_samples 3 on T = 3 every premise sees t in {-3, 0, 3}, and so
+    # does N_T: for F = sin(t) I it is |sin(3)| there, not the ~1 of a finer grid
+    raw = {
+        "name": f"window-{task}",
+        "task": task,
+        "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+        "force": {"potential": {"catalog": "harmonic"},
+                  "tensor": {"catalog": "time_scalar", "params": {"expr": "sin(t)", "n": 2}}},
+        "bounds": {"alpha0": "0", "beta0": "0", "T": 3.0, "t_samples": 3,
+                   "grid": {"min": [-2.0, -2.0], "max": [2.0, 2.0], "shape": [5, 5]}},
+    }
+    if task == "envelope":
+        raw["integrator"] = {"horizon": 3.0}
+        raw["initial"] = {"position": [1.0, 0.0], "velocity": [0.0, 1.0]}
+    sc = parse_scenario(raw)
+    report = run_scenario(sc, tmp_path)
+    if task == "certify":
+        evidence = {e["name"]: e for e in report.certificate["evidence"]}
+        n_t = evidence["operator_bound_two_sided"]["values"]["N_T"]
+        assert evidence["operator_bound_two_sided"]["values"]["T"] == 3.0
+    else:
+        n_t = report.envelope["frame"]["N_T"]
+        assert report.envelope["frame"]["T"] == 3.0
+    assert n_t == pytest.approx(float(np.abs(np.sin(sc.bounds.t_grid)).max()), rel=1e-12)
+    assert n_t == pytest.approx(0.14112000805986721, rel=1e-12)
 
 
 def test_bundled_blowup_scenario_reports_refined_interval(tmp_path):
