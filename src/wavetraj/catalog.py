@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import ForceSystem
 from .errors import ValidationError
-from .expressions import at_chart_point, parse_expression, with_array_form
+from .expressions import at_chart_point, fused, parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient, plane_wave_H
 
@@ -88,15 +88,17 @@ def _build_diagonal_conformal(params):
         guard_expr = parse_expression(params["guard"], variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
-    partials = [[fn.derivative(v) for fn in fns] for v in variables]   # [i][k] = ∂_i g_kk
+    zero = parse_expression("0", variables)
+    # G and ∂_i G in row-major order, 0 off the diagonal
+    entries = fused([fns[j] if j == k else zero for j in range(n) for k in range(n)])
+    partials = fused([fns[j].derivative(v) if j == k else zero
+                      for v in variables for j in range(n) for k in range(n)])
 
     def metric(x):
-        return np.diag([fn(*x) for fn in fns])
+        return np.array(entries(*x)).reshape(n, n)
 
     def metric_dx(x):
-        dg = np.zeros((n, n * n))
-        dg[:, ::n + 1] = [[d(*x) for d in row] for row in partials]   # the diagonals
-        return dg.reshape(n, n, n)
+        return np.array(partials(*x)).reshape(n, n, n)
 
     return ChartManifold(
         dim=n,

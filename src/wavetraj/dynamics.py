@@ -10,11 +10,12 @@ so the operator bounds and the energy derivative identity below are the
 quantities the completeness checks consume.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import EigFailure
 from .geometry import christoffel_at, metric_at, require_in_chart
@@ -107,6 +108,27 @@ def build_energy_frame(bounds, n_t):
     return EnergyFrame(t_horizon=bounds.T, a_t=a_t, b_t=b_t, n_t=float(n_t))
 
 
+def solve_metric(g, v):
+    """G^-1 v for a checked metric G, elementwise when G is diagonal.
+
+    A checked metric has a positive diagonal, so it is diagonal exactly when
+    it has dim nonzero entries, and then the quotients v_i / g_ii are what
+    np.linalg.solve(G, v) gives: the LU factors of a diagonal matrix are
+    itself, and the triangular solve divides. That holds for this LAPACK
+    build (tests/test_lean_hot_path.py checks it); a solve is not a product
+    with the reciprocals, which round differently. The quotients are taken
+    in Python floats, which overflow without a warning, as the solve does.
+    Where one is not finite the solve runs instead, as it spreads NaN over
+    the components.
+    """
+    if np.count_nonzero(g) == len(g):
+        out = [a / d for a, d in zip(v.tolist(), g.diagonal().tolist())]
+        # a finite sum means every quotient is finite
+        if math.isfinite(sum(out)):
+            return np.array(out)
+    return np.linalg.solve(g, v)
+
+
 def rhs_E(manifold, fs, state):
     """First-order field of the force equation at state = (x, xdot, t).
 
@@ -115,7 +137,8 @@ def rhs_E(manifold, fs, state):
     identity metric so is the solve against G. On a chart with exact metric
     partials the evaluation is fused: one checked metric evaluation, the
     lower-index contraction Γ_lij xd^i xd^j plus ∂_l V, and one solve
-    against G raising that sum.
+    against G raising that sum. A diagonal G is solved against elementwise
+    (solve_metric).
     """
     x, xdot, t = state
     x = np.asarray(x, dtype=float)
@@ -123,7 +146,7 @@ def rhs_E(manifold, fs, state):
     if manifold.metric_dx is not None:
         g = metric_at(manifold, x)
         lowered = christoffel_lower(manifold.metric_dx(x)) @ xdot @ xdot + fs.dx(x, t)
-        acc = -np.linalg.solve(g, lowered)
+        acc = -solve_metric(g, lowered)
         fmat = fs.force_matrix(x, t)
         if fmat is not None:
             acc = acc + fmat @ xdot
@@ -139,12 +162,11 @@ def rhs_E(manifold, fs, state):
     if fmat is not None:
         acc = acc + fmat @ xdot
     dv = fs.dx(x, t)
-    if np.any(dv):
+    if np.count_nonzero(dv):
         if manifold.identity_metric:
             acc = acc - dv
         else:
-            g = metric_at(manifold, x)
-            acc = acc - np.linalg.solve(g, dv)
+            acc = acc - solve_metric(metric_at(manifold, x), dv)
     return np.concatenate([xdot, acc])
 
 
@@ -167,6 +189,13 @@ def self_adjoint_part(manifold, fs, x, t):
     return 0.5 * (fmat + np.linalg.solve(g, fmat.T @ g))
 
 
+@functools.cache
+def _dsygvd():
+    """scipy's LAPACK dsygvd, imported on first use: only its callers load scipy.linalg."""
+    from scipy.linalg.lapack import dsygvd
+    return dsygvd
+
+
 def operator_eigen_range(manifold, fs, x, t):
     """(lambda_min, lambda_max) of S at one point, via the pencil (GF + F^T G)/2 vs G."""
     fmat = fs.force_matrix(x, t)
@@ -180,7 +209,7 @@ def operator_eigen_range(manifold, fs, x, t):
         raise EigFailure(f"generalized eigenproblem at {x} has a non-finite entry")
     # the routine and arguments scipy.linalg.eigh(a, g, eigvals_only=True)
     # uses, without its per-call validation, which costs five times the solve
-    w, _, info = scipy.linalg.lapack.dsygvd(a, g, jobz="N", uplo="L")
+    w, _, info = _dsygvd()(a, g, jobz="N", uplo="L")
     if info != 0:
         raise EigFailure(f"generalized eigenproblem failed at {x}: LAPACK dsygvd info {info}")
     return float(w[0]), float(w[-1])

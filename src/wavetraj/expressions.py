@@ -37,7 +37,10 @@ attribute, and array_form(fn) is the one place that reads it; a callable
 without one has none, so replacing a source can never leave a stale array
 form behind. with_array_form attaches one to a hand-written callable, and
 at_chart_point gives an Expression, or a list of them, the chart-point call
-f(x, s) of force and wave sources together with its array form. on_rows is
+f(x, s) of force and wave sources together with its array form. fused(exprs)
+compiles a list of Expressions over the same variables into one generated
+function returning the tuple of their values, each with its own operations,
+so one call serves a gradient, a metric's entries or its partials. on_rows is
 the rule every consumer follows: the array form serves when all its values
 are finite, else the scalar source is called once per row.
 
@@ -197,10 +200,15 @@ def _code(source):
 def _compile(tree, arity, array=False):
     """One Python function of arity positional values evaluating tree.
 
-    array selects the form for numpy arrays (see the module docstring).
+    A list of trees gives one function returning the tuple of their values,
+    with the constants of all of them in one namespace. array selects the
+    form for numpy arrays (see the module docstring).
     """
     consts = []
-    body, _ = _emit(tree, consts, array)
+    if isinstance(tree, list):
+        body = "(" + "".join(_emit(t, consts, array)[0] + ", " for t in tree) + ")"
+    else:
+        body, _ = _emit(tree, consts, array)
     params = ", ".join(f"_v{i}" for i in range(arity))
     namespace = dict(_ARRAY_NAMESPACE if array else _NAMESPACE)
     namespace.update((f"_c{i}", c) for i, c in enumerate(consts))
@@ -435,6 +443,36 @@ class Expression:
         return f"Expression({self.source!r}, variables={self.variables})"
 
 
+def fused(exprs):
+    """One call f(*values) giving the tuple of the values of Expressions over the same variables.
+
+    The expressions are compiled on the first call into one generated
+    function with their constants in one namespace. Each value keeps its own
+    expression's operations, so the tuple holds exactly the values of the
+    expressions' own calls. Where the fused call raises, the expressions are
+    called one at a time, so the EvaluationError names the first expression
+    that fails and the point, as the calls in turn would.
+    """
+    exprs = tuple(exprs)
+    variables = exprs[0].variables
+    if any(e.variables != variables for e in exprs):
+        raise ValueError("fused expressions must share their variables")
+    fn = None
+
+    def call(*values):
+        nonlocal fn
+        if fn is None:
+            fn = _compile([e.tree for e in exprs], len(variables))
+        try:
+            return fn(*values)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            for e in exprs:
+                e(*values)
+            raise
+
+    return call
+
+
 def coordinates(x):
     """The chart coordinates of points on the last axis of x, one array per coordinate."""
     return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
@@ -456,14 +494,16 @@ def at_chart_point(expr):
 
     Its array form takes chart points on the last axis of x, broadcast
     against s. A list of such Expressions (a gradient) gives the array of
-    their values, and over arrays their values on a new last axis.
+    their values from one fused call, and over arrays their values on a new
+    last axis.
     """
     if isinstance(expr, Expression):
         return with_array_form(lambda x, s: expr(*x, s),
                                lambda x, s: expr.on_arrays(*coordinates(x), s))
     exprs = tuple(expr)
+    values = fused(exprs)
     return with_array_form(
-        lambda x, s: np.array([e(*x, s) for e in exprs]),
+        lambda x, s: np.array(values(*x, s)),
         lambda x, s: np.stack([e.on_arrays(*coordinates(x), s) for e in exprs], axis=-1))
 
 

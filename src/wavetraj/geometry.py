@@ -6,13 +6,14 @@ guarded region is reported by the integrator as a distinct outcome, never
 conflated with blow-up.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
-from .numdiff import christoffel_from_metric, christoffel_from_partials
+from .numdiff import christoffel_from_metric, christoffel_from_partials, symmetric_part
 
 SYMMETRY_RTOL = 1e-12
 
@@ -91,10 +92,22 @@ def _checked_metric(g, dim, x):
     matrix is symmetric to 1e-12 relative tolerance. Positive definiteness is
     checked by Cholesky; failure is a hard error, and so is a NaN or inf
     entry, which Cholesky would pass on as NaN factors.
+
+    A diagonal matrix (its off-diagonal entries exactly 0; a NaN counts as
+    nonzero) is symmetric as it stands, and Cholesky succeeds on it exactly
+    when every entry is positive, so it is checked elementwise: the averaged
+    matrix comes back when each of its entries is positive and finite, and
+    any other diagonal takes the general path below, which raises the same
+    errors as ever (or, for entries above DBL_MAX/2 that the average turns
+    into inf, returns that matrix as ever).
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (dim, dim):
         raise ValueError(f"metric has shape {g.shape}, expected {(dim, dim)}")
+    if np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
+        sym = symmetric_part(g)
+        if all(0.0 < d < math.inf for d in sym.diagonal().tolist()):
+            return sym
     largest = float(np.abs(g).max())
     if not np.isfinite(largest):
         raise NotPositiveDefinite(x, problem="finite")
@@ -102,7 +115,7 @@ def _checked_metric(g, dim, x):
     if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
         where = "as a constant" if x is None else f"at {x}"
         raise ValueError(f"metric not symmetric {where} beyond {SYMMETRY_RTOL} relative tolerance")
-    g = 0.5 * (g + g.T)
+    g = symmetric_part(g)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -152,8 +165,7 @@ def christoffel_at(manifold, x, h=None):
     require_in_chart(manifold, x)
     if h is None:
         if manifold.christoffel is not None:
-            gamma = np.asarray(manifold.christoffel(x), dtype=float)
-            return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+            return symmetric_part(np.asarray(manifold.christoffel(x), dtype=float))
         if manifold.metric_dx is not None:
             return christoffel_from_partials(metric_at(manifold, x), manifold.metric_dx(x))
     return christoffel_from_metric(lambda p: metric_at(manifold, p), x, h=h)

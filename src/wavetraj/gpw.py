@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .dynamics import ForceSystem, FREE
 from .expressions import array_form, on_rows, with_array_form
@@ -239,6 +238,9 @@ def reduce_geodesic(st, init, cfg, v_sample_count=2049):
         v_dots = np.full(ts.shape, float(init.vdot0))
         return SplitGeodesic(base_trajectory=base, u0=float(init.u0), delta=0.0,
                              v_times=ts, v_values=v_vals, v_dots=v_dots, energy=energy)
+
+    # imported here, so that only split geodesics load scipy.integrate
+    from scipy.integrate import cumulative_simpson
 
     fs = wave_force_system(st, init.u0, delta)
     base = integrate(st.base, fs, (x0, xdot0), cfg, FORWARD)

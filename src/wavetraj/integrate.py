@@ -15,8 +15,19 @@ so stored steps always carry the true (t, x, xdot).
 Classification is a numerical verdict, never a theorem: a complete trajectory
 of a stiff system is reported as ToleranceFailure, not blow-up, when the step
 collapses without growing speed.
+
+The step loop is the package's hot path, so an attempt does its control in
+Python floats (a stage is finite when the sum of its entries is, the error
+norm is math.sqrt of a sum) instead of calling numpy's reducing wrappers,
+all without changing a float. The stage sums stay the BLAS products
+kmat[:, :i] @ A_i, on column views built once per run: a sum written out
+term by term rounds differently from gemv. Overflow and invalid-value
+warnings are silenced once around the whole step loop, where a non-finite
+stage only rejects the step; the first RHS call and the initial step choice
+run outside it and warn as usual.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -123,7 +134,8 @@ class Trajectory:
 
 
 def _rms_norm(v):
-    return float(np.sqrt(np.mean(np.square(v))))
+    # the floats of np.sqrt(np.mean(np.square(v))), without the wrappers
+    return math.sqrt(float(np.square(v).sum()) / v.size)
 
 
 def _initial_step(f, t0, y0, f0, cfg, remaining):
@@ -160,6 +172,8 @@ class _Core:
         self.speeds = []
         # stage derivatives k1..k7 as columns, refilled by every attempt
         self.kmat = np.empty((self.ys[0].size, 7))
+        # (column, the columns before it, their weights, time fraction) per stage
+        self.stages = [(i, self.kmat[:, :i], _A[i], _C[i]) for i in range(1, 7)]
 
     def _eval(self, t, y):
         self.n_rhs += 1
@@ -184,8 +198,12 @@ class _Core:
 
         min_step = cfg.min_step_fraction * cfg.horizon
         h = max(_initial_step(self._eval, t, y, k1, cfg, cfg.horizon - t), min_step)
-        err_prev = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._steps(t, y, h, k1, min_step)
 
+    def _steps(self, t, y, h, k1, min_step):
+        cfg = self.cfg
+        err_prev = None
         while t < cfg.horizon * (1.0 - 1e-14):
             h = min(h, cfg.max_step, cfg.horizon - t)
             if h < min_step:
@@ -198,9 +216,9 @@ class _Core:
                 if h < min_step:
                     return Outcome(CHART_EXIT, t_exit=t)
                 continue
-            if not np.isfinite(err) or err > 1.0:
+            if not math.isfinite(err) or err > 1.0:
                 self.n_rejected += 1
-                if not np.isfinite(err):
+                if not math.isfinite(err):
                     factor = _MIN_FACTOR
                 else:
                     factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP))
@@ -217,7 +235,7 @@ class _Core:
             self.fs.append(k_new)
             speed = self.speed_of(y)
             self.speeds.append(speed)
-            if speed > cfg.speed_ceiling or not np.isfinite(speed):
+            if speed > cfg.speed_ceiling or not math.isfinite(speed):
                 return Outcome(BLOW_UP_SUSPECTED, t_star_estimate=t)
             if err == 0.0:
                 factor = _MAX_FACTOR
@@ -230,20 +248,24 @@ class _Core:
         return Outcome(HORIZON_REACHED)
 
     def _attempt(self, t, y, h, k1):
+        """(y_new, k at y_new, error norm) of one DP5 step; runs inside _steps' errstate."""
+        f = self.f
         kmat = self.kmat
         kmat[:, 0] = k1
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, 7):
-                yi = y + h * (kmat[:, :i] @ _A[i])
-                if not np.all(np.isfinite(yi)):
-                    return y, k1, np.inf
-                k_last = self._eval(t + _C[i] * h, yi)
-                kmat[:, i] = k_last
-            y_new = y + h * (kmat @ _B)
-            # FSAL: stage 7 was evaluated at (t + h, y_new)
-            err_vec = h * (kmat @ _E)
-            scale = self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms_norm(err_vec / scale)
+        for i, cols, a, c in self.stages:
+            yi = y + h * (cols @ a)
+            # a finite sum means every entry is finite; only a sum that
+            # overflows from finite entries needs the count
+            if not math.isfinite(sum(yi.tolist())) and np.count_nonzero(np.isfinite(yi)) != yi.size:
+                return y, k1, math.inf
+            self.n_rhs += 1
+            k_last = f(t + c * h, yi)
+            kmat[:, i] = k_last
+        y_new = y + h * (kmat @ _B)
+        # FSAL: stage 7 was evaluated at (t + h, y_new)
+        err_vec = h * (kmat @ _E)
+        scale = self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms_norm(err_vec / scale)
         if not self.guard_ok(y_new):
             raise OutOfChart(y_new, "accepted endpoint violates the chart guard")
         return y_new, k_last, err
@@ -313,10 +335,15 @@ def _internal_problem(manifold, fs, direction):
     if direction == FORWARD:
         f_int = f_fwd
     else:
+        # (x, w) -> (x, -w), and back: sign changes are exact, so these
+        # products are the concatenations of y[:n] with -y[n:]
+        to_actual = np.repeat([1.0, -1.0], n)
+        to_internal = -to_actual
+
         def f_int(s, y):
-            # reversed field: d/ds (x, w) = (w, a(x, -w, -s)) for w(s) = -xdot(-s)
-            val = f_fwd(-s, np.concatenate([y[:n], -y[n:]]))
-            return np.concatenate([y[n:], val[n:]])
+            # reversed field: d/ds (x, w) = (w, a(x, -w, -s)) for w(s) = -xdot(-s);
+            # the first half of f_fwd's value is the velocity -w it was given
+            return f_fwd(-s, y * to_actual) * to_internal
 
     def speed_of(y):
         # the integrator checks the guard before it asks for a speed, and a
@@ -325,7 +352,7 @@ def _internal_problem(manifold, fs, direction):
         w = y[n:]
         with np.errstate(over="ignore", invalid="ignore"):
             q = float(w @ g @ w)
-        return np.sqrt(q) if np.isfinite(q) and q >= 0 else np.inf
+        return math.sqrt(q) if math.isfinite(q) and q >= 0 else math.inf
 
     guard_ok = lambda y: manifold.contains(y[:n])
     return f_int, speed_of, guard_ok

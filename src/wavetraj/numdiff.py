@@ -45,6 +45,19 @@ def gradient_fd(f, x, h=None):
     return np.array([partial_in_coord(f, x, i, h=h) for i in range(x.size)])
 
 
+def symmetric_part(a):
+    """0.5 * (a + a^T) over the last two axes, with the floats of that expression.
+
+    The sum is formed as a^T + a in a contiguous copy of a^T: addition
+    commutes exactly (only which of two NaNs comes through can differ), and
+    small contiguous arrays add faster.
+    """
+    out = a.swapaxes(-1, -2).copy()
+    out += a
+    out *= 0.5
+    return out
+
+
 def christoffel_lower(dg):
     """Christoffel symbols of the first kind from the metric partials dg[i] = ∂_i G.
 
@@ -58,8 +71,7 @@ def christoffel_lower(dg):
 
 def christoffel_from_partials(g, dg):
     """Levi-Civita symbols Γ^k_ij = g^{kl} Γ_lij, shape (n, n, n), symmetric in (i, j)."""
-    gamma = np.einsum("kl,lij->kij", np.linalg.inv(g), christoffel_lower(dg))
-    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    return symmetric_part(np.einsum("kl,lij->kij", np.linalg.inv(g), christoffel_lower(dg)))
 
 
 def christoffel_from_metric(metric, x, h=None):

@@ -19,11 +19,12 @@ import numpy as np
 from . import catalog
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
-from .expressions import at_chart_point, parse_expression, with_array_form
+from .expressions import at_chart_point, fused, parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import GeodesicInitialData, GpwSpacetime
 from .hypotheses import BoundData
 from .integrate import BACKWARD, FORWARD, IntegratorConfig
+from .numdiff import symmetric_part
 
 TASKS = ("integrate", "certify", "envelope", "gpw-geodesic", "gpw-map", "compare-lemma")
 
@@ -191,15 +192,15 @@ def _build_manifold(section):
         guard_expr = parse_expression(str(section["guard"]), variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
-    # partials[i][j][k] = ∂_i g_jk, symmetrized as metric_at symmetrizes G
-    partials = [[[e.derivative(v) for e in row] for row in exprs] for v in variables]
+    entries = fused([e for row in exprs for e in row])
+    # ∂_i g_jk at [(i * n + j) * n + k], symmetrized as metric_at symmetrizes G
+    partials = fused([e.derivative(v) for v in variables for row in exprs for e in row])
 
     def metric(x):
-        return np.array([[e(*x) for e in row] for row in exprs])
+        return np.array(entries(*x)).reshape(n, n)
 
     def metric_dx(x):
-        dg = np.array([[[d(*x) for d in row] for row in part] for part in partials])
-        return 0.5 * (dg + dg.transpose(0, 2, 1))
+        return symmetric_part(np.array(partials(*x)).reshape(n, n, n))
 
     return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
                          complete_flag=bool(section.get("complete", False)))
@@ -245,8 +246,8 @@ def _build_force(section, manifold):
                 raise ValidationError("force.tensor.expr_matrix must be an n x n expression matrix",
                                       key="expr_matrix")
             variables = tuple(f"x{i + 1}" for i in range(n)) + ("t",)
-            exprs = [[parse_expression(str(e), variables) for e in row] for row in rows]
-            tensor = lambda x, t: np.array([[e(*x, t) for e in row] for row in exprs])
+            entries = fused([parse_expression(str(e), variables) for row in rows for e in row])
+            tensor = lambda x, t: np.array(entries(*x, t)).reshape(n, n)
         fs = dataclasses.replace(fs, tensor_F=tensor)
     return fs
 

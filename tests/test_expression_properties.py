@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from wavetraj.errors import ParseError, WavetrajError
-from wavetraj.expressions import FUNCTIONS, _compile, parse_expression
+from wavetraj.errors import EvaluationError, ParseError, WavetrajError
+from wavetraj.expressions import FUNCTIONS, _compile, fused, parse_expression
 from wavetraj.hypotheses import BoundData, _scan_grid
 from wavetraj.numdiff import fd_step
 
@@ -392,3 +392,38 @@ def test_array_scan_equals_the_scalar_loop(scan):
     if margin is not None and math.isfinite(loop_margin):
         _, point, t = _scan_grid(bd, lambda v: v, [(quantity, None)])
         assert abs(margin - loop_margin) <= _tolerance(0.0, expr, (*point, t), loop_margin), text
+
+
+# ---------------------------------------------------------------- fused lists
+
+@st.composite
+def expression_lists(draw):
+    """(texts, variables, point): one to four expressions over the same 1-3 variables."""
+    nvars = draw(st.integers(1, 3))
+    texts = draw(st.lists(trees.map(lambda tree: _render(tree, nvars)[0]), min_size=1, max_size=4))
+    point = tuple(draw(st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                          st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+                                min_size=nvars, max_size=nvars)))
+    return texts, NAMES[:nvars], point
+
+
+def _values_or_error(call, values):
+    """repr of each value (NaN as nan), or the source and point of the EvaluationError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return [repr(float(v)) for v in call(*values)]
+    except EvaluationError as exc:
+        return exc.source, repr(exc.point)
+
+
+@PROFILE
+@given(expression_lists())
+def test_fused_call_equals_the_expressions_called_in_turn(case):
+    texts, variables, point = case
+    exprs = [parse_expression(text, variables) for text in texts]
+    exprs += [e.derivative(name) for e in exprs[:2] for name in variables]
+    call = fused(exprs)
+    for values in (point, tuple(np.float64(v) for v in point)):
+        assert (_values_or_error(call, values)
+                == _values_or_error(lambda *v: [e(*v) for e in exprs], values)), texts
