@@ -14,8 +14,7 @@ from .errors import (EigFailure, EvaluationError, HypothesisViolated, InvalidIni
                      ValidationError, WavetrajError)
 from .geometry import ChartManifold, christoffel_at, metric_at
 from .gpw import (GeodesicInitialData, GpwSpacetime, SplitGeodesic, WaveCoefficient,
-                  classify_gpw_completeness, full_geodesic_oracle, plane_wave_H,
-                  reduce_geodesic, split_state)
+                  classify_gpw_completeness, full_geodesic_oracle, reduce_geodesic, split_state)
 from .hypotheses import (BACKWARD_COMPLETE, BoundData, CertificationTask,
                          COMPLETE_LINEAR_GRADIENT, COMPLETE_POTENTIAL_BOUNDS,
                          COMPLETE_WAVE_BOUNDS, CompletenessCertificate, FORWARD_COMPLETE,

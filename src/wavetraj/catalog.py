@@ -1,10 +1,13 @@
 """Built-in manifolds, potentials, tensor forces, and wave families.
 
 Entries are addressable by name from scenario files. Builders take a params
-dict; unknown parameters are hard errors so scenario typos cannot pass
-silently.
+dict; unknown parameters, and parameters of the wrong type or range, are
+hard errors so scenario typos cannot pass silently. This is also the one
+module that turns expression text in x1..xn into chart sources: metric rows,
+potentials, tensors and wave coefficients.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,7 +17,8 @@ from .dynamics import ForceSystem
 from .errors import ValidationError
 from .expressions import at_chart_point, fused, parse_expression, with_array_form
 from .geometry import ChartManifold
-from .gpw import WaveCoefficient, plane_wave_H
+from .gpw import WaveCoefficient
+from .numdiff import symmetric_part
 
 
 @dataclass(frozen=True)
@@ -35,11 +39,41 @@ def _check_params(name, params, allowed, required=()):
                               key=sorted(missing)[0])
 
 
+def _dimension(name, params):
+    """The parameter n, an integer >= 1."""
+    value = params["n"]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"parameter 'n' of catalog entry {name!r} must be an integer >= 1",
+                              key="n")
+    return int(value)
+
+
+def _real(name, key, value):
+    """The value of the parameter key, a finite number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValidationError(f"parameter {key!r} of catalog entry {name!r} must be a finite number",
+                              key=key)
+    return float(value)
+
+
+def _chart_variables(n, *last):
+    """The variables of a chart source: the coordinates x1..xn, then last."""
+    return tuple(f"x{i + 1}" for i in range(n)) + last
+
+
+def _chart_field(text, variables):
+    """Text over (x1..xn, s): the expression, its value, x-gradient and s-partial as f(x, s)."""
+    expr = parse_expression(text, variables)
+    return (expr, at_chart_point(expr),
+            at_chart_point([expr.derivative(v) for v in variables[:-1]]),
+            at_chart_point(expr.derivative(variables[-1])))
+
+
 # ---------------------------------------------------------------- manifolds
 
 def _build_euclidean(params):
     _check_params("euclidean", params, allowed={"n"}, required={"n"})
-    n = int(params["n"])
+    n = _dimension("euclidean", params)
     return ChartManifold(
         dim=n,
         metric=np.eye(n),
@@ -73,40 +107,53 @@ def _build_hyperbolic(params):
     )
 
 
-def _build_diagonal_conformal(params):
-    _check_params("diagonal_conformal", params, allowed={"entries", "complete", "guard"},
-                  required={"entries"})
-    entries = params["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise ValidationError("diagonal_conformal 'entries' must be a nonempty list of expressions",
-                              key="entries")
-    n = len(entries)
-    variables = tuple(f"x{i + 1}" for i in range(n))
-    fns = [parse_expression(e, variables) for e in entries]
+def metric_rows(rows, guard=None, complete=False):
+    """The chart whose metric has the n x n expression text rows, guard > 0 inside it.
+
+    The metric and its exact partials are each one fused call. The partials
+    are symmetrized as metric_at symmetrizes G unless the rows read the same
+    transposed; averaging would then give their own bits, short of overflow.
+    """
+    if not isinstance(complete, bool):
+        raise ValidationError("'complete' must be true or false", key="complete")
+    n = len(rows)
+    variables = _chart_variables(n)
+    # equal texts share one expression, and with it its derivatives
+    texts = dict.fromkeys(e for row in rows for e in row)
+    parsed = {text: parse_expression(text, variables) for text in texts}
+    exprs = [[parsed[e] for e in row] for row in rows]
     guard_fn = None
-    if params.get("guard") is not None:
-        guard_expr = parse_expression(params["guard"], variables)
+    if guard is not None:
+        guard_expr = parse_expression(guard, variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
-    zero = parse_expression("0", variables)
-    # G and ∂_i G in row-major order, 0 off the diagonal
-    entries = fused([fns[j] if j == k else zero for j in range(n) for k in range(n)])
-    partials = fused([fns[j].derivative(v) if j == k else zero
-                      for v in variables for j in range(n) for k in range(n)])
+    entries = fused([e for row in exprs for e in row])
+    # ∂_i g_jk at [(i * n + j) * n + k]
+    partials = fused([e.derivative(v) for v in variables for row in exprs for e in row])
 
     def metric(x):
         return np.array(entries(*x)).reshape(n, n)
 
-    def metric_dx(x):
-        return np.array(partials(*x)).reshape(n, n, n)
+    symmetric = all(rows[j][k] == rows[k][j] for j in range(n) for k in range(j))
 
-    return ChartManifold(
-        dim=n,
-        metric=metric,
-        metric_dx=metric_dx,
-        domain_guard=guard_fn,
-        complete_flag=bool(params.get("complete", False)),
-    )
+    def metric_dx(x):
+        dg = np.array(partials(*x)).reshape(n, n, n)
+        return dg if symmetric else symmetric_part(dg)
+
+    return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
+                         complete_flag=complete)
+
+
+def _build_diagonal_conformal(params):
+    _check_params("diagonal_conformal", params, allowed={"entries", "complete", "guard"},
+                  required={"entries"})
+    entries = params["entries"]
+    if not isinstance(entries, list) or not entries or not all(isinstance(e, str) for e in entries):
+        raise ValidationError("diagonal_conformal 'entries' must be a nonempty list of expressions",
+                              key="entries")
+    n = len(entries)
+    rows = [[entries[j] if j == k else "0" for k in range(n)] for j in range(n)]
+    return metric_rows(rows, params.get("guard"), params.get("complete", False))
 
 
 MANIFOLDS = {
@@ -143,7 +190,7 @@ def _build_zero_potential(params):
 
 def _build_harmonic(params):
     _check_params("harmonic", params, allowed={"k"})
-    k = float(params.get("k", 1.0))
+    k = _real("harmonic", "k", params.get("k", 1.0))
     return ForceSystem(
         potential=with_array_form(lambda x, t: 0.5 * k * float(x @ x),
                                   lambda x, t: 0.5 * k * np.vecdot(x, x)),
@@ -167,7 +214,7 @@ def _build_exp_time_quadratic(params):
 
 def _build_negative_quartic(params):
     _check_params("negative_quartic", params, allowed={"c"})
-    c = float(params.get("c", 1.0))
+    c = _real("negative_quartic", "c", params.get("c", 1.0))
     return ForceSystem(
         potential=with_array_form(lambda x, t: -c * float(x @ x) ** 2,
                                   lambda x, t: -c * np.vecdot(x, x) ** 2),
@@ -188,29 +235,44 @@ POTENTIALS = {
 }
 
 
+def expression_potential(text, n):
+    """The force system of the potential with expression text in x1..xn and t."""
+    expr, value, dx, dt = _chart_field(text, _chart_variables(n, "t"))
+    return ForceSystem(potential=value, potential_dx=dx, potential_dt=dt,
+                       time_independent="t" not in expr.used)
+
+
 # ---------------------------------------------------------------- tensor forces
 
 def _build_skew_rotation(params):
     _check_params("skew_rotation", params, allowed={"omega"})
-    omega = float(params.get("omega", 1.0))
+    omega = _real("skew_rotation", "omega", params.get("omega", 1.0))
     mat = np.array([[0.0, omega], [-omega, 0.0]])
     return lambda x, t: mat
 
 
 def _build_scalar_multiple(params):
     _check_params("scalar_multiple", params, allowed={"c", "n"}, required={"c", "n"})
-    c = float(params["c"])
-    n = int(params["n"])
+    c = _real("scalar_multiple", "c", params["c"])
+    n = _dimension("scalar_multiple", params)
     mat = c * np.eye(n)
     return lambda x, t: mat
 
 
 def _build_time_scalar(params):
     _check_params("time_scalar", params, allowed={"expr", "n"}, required={"expr", "n"})
-    n = int(params["n"])
+    n = _dimension("time_scalar", params)
     fn = parse_expression(params["expr"], ("t",))
     eye = np.eye(n)
     return lambda x, t: fn(t) * eye
+
+
+def expression_tensor(rows):
+    """The tensor F(x, t) whose n x n matrix has the expression text rows in x1..xn and t."""
+    n = len(rows)
+    variables = _chart_variables(n, "t")
+    entries = at_chart_point([parse_expression(e, variables) for row in rows for e in row])
+    return lambda x, t: entries(x, t).reshape(n, n)
 
 
 TENSORS = {
@@ -227,20 +289,24 @@ TENSORS = {
 
 # ---------------------------------------------------------------- wave families
 
+# f1(u) x^2 - f2(u) y^2 + 2 f(u) x y, each profile text in parentheses
+_PLANE_WAVE_H = "({f1})*x1^2 - ({f2})*x2^2 + 2*({f})*x1*x2"
+
+
 def _build_plane_wave(params):
     _check_params("plane_wave", params, allowed={"f1", "f2", "f"})
-    profiles = [parse_expression(str(params.get(key, "0")), ("u",)) for key in ("f1", "f2", "f")]
-    return plane_wave_H(*profiles, *(p.derivative("u") for p in profiles))
+    profiles = {key: str(params.get(key, "0")) for key in ("f1", "f2", "f")}
+    for text in profiles.values():
+        # each profile is a whole expression in u, and a parse error points into its own text
+        parse_expression(text, ("u",))
+    return _build_expression_wave({"H": _PLANE_WAVE_H.format(**profiles), "n": 2})
 
 
 def _build_expression_wave(params):
     _check_params("expression", params, allowed={"H", "n"}, required={"H", "n"})
-    n = int(params["n"])
-    variables = tuple(f"x{i + 1}" for i in range(n)) + ("u",)
-    fn = parse_expression(params["H"], variables)
-    return WaveCoefficient(h=at_chart_point(fn),
-                           h_dx=at_chart_point([fn.derivative(v) for v in variables[:-1]]),
-                           h_du=at_chart_point(fn.derivative("u")))
+    n = _dimension("expression", params)
+    _, h, h_dx, h_du = _chart_field(params["H"], _chart_variables(n, "u"))
+    return WaveCoefficient(h=h, h_dx=h_dx, h_du=h_du)
 
 
 WAVES = {
@@ -277,10 +343,17 @@ def build_potential(name, params):
     return POTENTIALS[name].build(dict(params))
 
 
-def build_tensor(name, params):
+def build_tensor(name, params, dim):
+    """The catalog tensor name, whose n x n matrix must act on a dim-dimensional manifold."""
     if name not in TENSORS:
         raise ValidationError(f"unknown tensor {name!r}; see the catalog listing", key=name)
-    return TENSORS[name].build(dict(params))
+    tensor = TENSORS[name].build(dict(params))
+    # the builder checked n; skew_rotation, the one tensor without it, acts on the plane
+    n = params.get("n", 2)
+    if n != dim:
+        raise ValidationError(f"catalog tensor {name!r} is an n x n matrix with n = {n}, "
+                              f"but the manifold is {dim}-dimensional", key="n")
+    return tensor
 
 
 def build_wave(name, params):

@@ -15,7 +15,8 @@ Expression compiles its tree into one Python function from generated source
 that holds only generated names (_v0.. for the variables, _c0.. for the
 constants), operators, and the whitelisted function names; the values are
 bound in the function's namespace, never spliced in as text, so expressions
-that differ only in their constants share one cached code object. The
+that differ only in their constants (a minus sign on a number is part of
+the number) share one cached code object. The
 function evaluates in the parser's order, and every '^' goes through the
 checked _real_power, so values are those of a direct walk of the tree.
 
@@ -84,21 +85,18 @@ _TOKEN_RE = re.compile(
 def _tokenize(text):
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r} in expression", line=1, column=col)
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num") + 1))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        # the group that matched is the token's kind: num, name or op
+        kind = m.lastgroup
+        value = m.group(kind)
+        tokens.append((kind, float(value) if kind == "num" else value, m.start(kind) + 1))
         pos = m.end()
+    stripped = text[pos:].lstrip()
+    if stripped:
+        col = len(text) - len(stripped) + 1
+        raise ParseError(f"unexpected character {stripped[0]!r} in expression", line=1, column=col)
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
@@ -575,7 +573,11 @@ class _Parser:
         if kind == "op" and value in "+-":
             self.advance()
             inner = self.unary()
-            return ("neg", inner) if value == "-" else inner
+            if value == "+":
+                return inner
+            # a negated number is a number: texts that differ only in their
+            # constants, signs included, share one code object
+            return ("num", -inner[1]) if inner[0] == "num" else ("neg", inner)
         return self.power()
 
     def power(self):

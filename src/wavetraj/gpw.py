@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import ForceSystem, FREE
-from .expressions import array_form, on_rows, with_array_form
+from .expressions import on_rows
 from .geometry import metric_at, metrics_at
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
@@ -72,48 +72,6 @@ class WaveCoefficient:
         (expressions.on_rows).
         """
         return on_rows(self.h, self.value, x, u)
-
-
-def plane_wave_H(f1, f2, f, df1=None, df2=None, df=None):
-    """Quadratic wave coefficient f1(u) x^2 - f2(u) y^2 + 2 f(u) x y on the plane.
-
-    Profile derivatives may be supplied; otherwise they are differenced.
-    The profiles are not called here. Profiles with array forms
-    (Expressions, say) give the coefficient's callables theirs: h and h_dx
-    from f1, f2 and f, h_du from their derivatives.
-    """
-    def value(x, u):
-        return f1(u) * x[0] ** 2 - f2(u) * x[1] ** 2 + 2.0 * f(u) * x[0] * x[1]
-
-    def dx(x, u):
-        return np.array([2.0 * f1(u) * x[0] + 2.0 * f(u) * x[1],
-                         -2.0 * f2(u) * x[1] + 2.0 * f(u) * x[0]])
-
-    def du(x, u):
-        d1 = df1(u) if df1 is not None else partial_in_scalar(f1, u)
-        d2 = df2(u) if df2 is not None else partial_in_scalar(f2, u)
-        d3 = df(u) if df is not None else partial_in_scalar(f, u)
-        return d1 * x[0] ** 2 - d2 * x[1] ** 2 + 2.0 * d3 * x[0] * x[1]
-
-    def form(p1, p2, p12):
-        # p1(u) x^2 - p2(u) y^2 + 2 p12(u) x y over points on the last axis of x
-        def h(x, u):
-            x1, x2 = x[..., 0], x[..., 1]
-            return p1(u) * x1 ** 2 - p2(u) * x2 ** 2 + 2.0 * p12(u) * x1 * x2
-        return h
-
-    a1, a2, a, d1, d2, d = (array_form(p) for p in (f1, f2, f, df1, df2, df))
-    if None not in (a1, a2, a):
-        def dx_array(x, u):
-            x1, x2 = x[..., 0], x[..., 1]
-            return np.stack([2.0 * a1(u) * x1 + 2.0 * a(u) * x2,
-                             -2.0 * a2(u) * x2 + 2.0 * a(u) * x1], axis=-1)
-
-        with_array_form(value, form(a1, a2, a))
-        with_array_form(dx, dx_array)
-    if None not in (d1, d2, d):
-        with_array_form(du, form(d1, d2, d))
-    return WaveCoefficient(h=value, h_dx=dx, h_du=du)
 
 
 @dataclass(frozen=True)

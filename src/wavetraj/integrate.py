@@ -195,6 +195,9 @@ class _Core:
         self.speeds.append(self.speed_of(y))
         if self.speeds[0] > cfg.speed_ceiling:
             return Outcome(BLOW_UP_SUSPECTED, t_star_estimate=t)
+        if not np.all(np.isfinite(k1)):
+            # no step size can be probed from a derivative that is not finite
+            raise InvalidInit("vector field is not finite at the initial state")
 
         min_step = cfg.min_step_fraction * cfg.horizon
         h = max(_initial_step(self._eval, t, y, k1, cfg, cfg.horizon - t), min_step)
@@ -207,7 +210,7 @@ class _Core:
         while t < cfg.horizon * (1.0 - 1e-14):
             h = min(h, cfg.max_step, cfg.horizon - t)
             if h < min_step:
-                return self._collapse_outcome(h)
+                return self._collapse_outcome()
             try:
                 y_new, k_new, err = self._attempt(t, y, h, k1)
             except OutOfChart:
@@ -224,7 +227,7 @@ class _Core:
                     factor = max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP))
                 h *= factor
                 if h < min_step:
-                    return self._collapse_outcome(h)
+                    return self._collapse_outcome()
                 continue
             # accepted
             t = t + h
@@ -270,7 +273,7 @@ class _Core:
             raise OutOfChart(y_new, "accepted endpoint violates the chart guard")
         return y_new, k_last, err
 
-    def _collapse_outcome(self, h):
+    def _collapse_outcome(self):
         recent = self.speeds[-(_GROWTH_WINDOW + 1):]
         growing = len(recent) == _GROWTH_WINDOW + 1 and all(
             a < b for a, b in zip(recent, recent[1:])

@@ -33,9 +33,9 @@ def partial_in_coord(f, x, i, h=None):
     return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hi)
 
 
-def partial_in_scalar(f, t, h=None):
+def partial_in_scalar(f, t):
     """Central difference of f in a scalar argument t."""
-    ht = fd_step(t) if h is None else h
+    ht = fd_step(t)
     return (f(t + ht) - f(t - ht)) / (2.0 * ht)
 
 

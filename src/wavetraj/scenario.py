@@ -19,12 +19,11 @@ import numpy as np
 from . import catalog
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
-from .expressions import at_chart_point, fused, parse_expression, with_array_form
+from .expressions import parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import GeodesicInitialData, GpwSpacetime
 from .hypotheses import BoundData
 from .integrate import BACKWARD, FORWARD, IntegratorConfig
-from .numdiff import symmetric_part
 
 TASKS = ("integrate", "certify", "envelope", "gpw-geodesic", "gpw-map", "compare-lemma")
 
@@ -84,7 +83,8 @@ def _number(d, key, context, default=None, required=False):
     return float(val)
 
 
-def _vector(d, key, context, required=True):
+def _vector(d, key, context, size=None, required=True):
+    """d[key], a list of numbers (size of them when size is given), as an array."""
     if key not in d:
         if required:
             raise ValidationError(f"missing key {key!r} in {context}", key=key)
@@ -92,6 +92,8 @@ def _vector(d, key, context, required=True):
     val = d[key]
     if not isinstance(val, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
         raise ValidationError(f"key {key!r} in {context} must be a list of numbers", key=key)
+    if size is not None and len(val) != size:
+        raise ValidationError(f"key {key!r} in {context} must have length {size}", key=key)
     return np.asarray(val, dtype=float)
 
 
@@ -172,97 +174,68 @@ def apply_overrides(raw, overrides):
     return out
 
 
+def _text_rows(rows, context):
+    """rows, n >= 1 lists of n entries each, with every entry as expression text."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ValidationError(f"{context} must be an n x n matrix of expressions",
+                              key=context.rpartition(".")[2])
+    return [[str(e) for e in row] for row in rows]
+
+
+def _catalog_entry(section, context):
+    """The name and params of a section that names a catalog entry."""
+    _check_keys(section, {"catalog", "params"}, {"catalog"}, context)
+    return section["catalog"], _expect_mapping(section.get("params", {}), f"{context}.params")
+
+
 def _build_manifold(section):
     section = _expect_mapping(section, "manifold")
     if "catalog" in section:
-        _check_keys(section, {"catalog", "params"}, {"catalog"}, "manifold")
-        params = _expect_mapping(section.get("params", {}), "manifold.params")
-        return catalog.build_manifold(section["catalog"], params)
+        return catalog.build_manifold(*_catalog_entry(section, "manifold"))
     _check_keys(section, {"metric", "guard", "complete"}, {"metric"}, "manifold")
-    rows = section["metric"]
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValidationError("manifold.metric must be a list of expression rows", key="metric")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValidationError("manifold.metric must be square", key="metric")
-    variables = tuple(f"x{i + 1}" for i in range(n))
-    exprs = [[parse_expression(str(e), variables) for e in row] for row in rows]
-    guard_fn = None
-    if section.get("guard") is not None:
-        guard_expr = parse_expression(str(section["guard"]), variables)
-        guard_fn = lambda x: guard_expr(*x) > 0.0
-
-    entries = fused([e for row in exprs for e in row])
-    # ∂_i g_jk at [(i * n + j) * n + k], symmetrized as metric_at symmetrizes G
-    partials = fused([e.derivative(v) for v in variables for row in exprs for e in row])
-
-    def metric(x):
-        return np.array(entries(*x)).reshape(n, n)
-
-    def metric_dx(x):
-        return symmetric_part(np.array(partials(*x)).reshape(n, n, n))
-
-    return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
-                         complete_flag=bool(section.get("complete", False)))
+    guard = section.get("guard")
+    return catalog.metric_rows(_text_rows(section["metric"], "manifold.metric"),
+                               None if guard is None else str(guard),
+                               section.get("complete", False))
 
 
 def _build_force(section, manifold):
-    if section is None:
-        return catalog.build_potential("zero", {})
-    section = _expect_mapping(section, "force")
+    section = _expect_mapping({} if section is None else section, "force")
     _check_keys(section, {"potential", "tensor"}, set(), "force")
     pot_sec = section.get("potential")
-    if pot_sec is None:
-        fs = catalog.build_potential("zero", {})
+    pot_sec = _expect_mapping({"catalog": "zero"} if pot_sec is None else pot_sec, "force.potential")
+    if "catalog" in pot_sec:
+        fs = catalog.build_potential(*_catalog_entry(pot_sec, "force.potential"))
     else:
-        pot_sec = _expect_mapping(pot_sec, "force.potential")
-        if "catalog" in pot_sec:
-            _check_keys(pot_sec, {"catalog", "params"}, {"catalog"}, "force.potential")
-            fs = catalog.build_potential(pot_sec["catalog"],
-                                         _expect_mapping(pot_sec.get("params", {}), "force.potential.params"))
-        else:
-            _check_keys(pot_sec, {"expr"}, {"expr"}, "force.potential")
-            n = manifold.dim
-            variables = tuple(f"x{i + 1}" for i in range(n)) + ("t",)
-            expr = parse_expression(str(pot_sec["expr"]), variables)
-            fs = ForceSystem(
-                potential=at_chart_point(expr),
-                potential_dx=at_chart_point([expr.derivative(v) for v in variables[:-1]]),
-                potential_dt=at_chart_point(expr.derivative("t")),
-                time_independent="t" not in expr.used,
-            )
+        _check_keys(pot_sec, {"expr"}, {"expr"}, "force.potential")
+        fs = catalog.expression_potential(str(pot_sec["expr"]), manifold.dim)
     tensor_sec = section.get("tensor")
     if tensor_sec is not None:
         tensor_sec = _expect_mapping(tensor_sec, "force.tensor")
         if "catalog" in tensor_sec:
-            _check_keys(tensor_sec, {"catalog", "params"}, {"catalog"}, "force.tensor")
-            tensor = catalog.build_tensor(tensor_sec["catalog"],
-                                          _expect_mapping(tensor_sec.get("params", {}), "force.tensor.params"))
+            tensor = catalog.build_tensor(*_catalog_entry(tensor_sec, "force.tensor"), manifold.dim)
         else:
             _check_keys(tensor_sec, {"expr_matrix"}, {"expr_matrix"}, "force.tensor")
-            rows = tensor_sec["expr_matrix"]
-            n = manifold.dim
-            if not isinstance(rows, list) or len(rows) != n or any(len(r) != n for r in rows):
-                raise ValidationError("force.tensor.expr_matrix must be an n x n expression matrix",
+            rows = _text_rows(tensor_sec["expr_matrix"], "force.tensor.expr_matrix")
+            if len(rows) != manifold.dim:
+                raise ValidationError(f"force.tensor.expr_matrix must be {manifold.dim} x {manifold.dim}",
                                       key="expr_matrix")
-            variables = tuple(f"x{i + 1}" for i in range(n)) + ("t",)
-            entries = fused([parse_expression(str(e), variables) for row in rows for e in row])
-            tensor = lambda x, t: np.array(entries(*x, t)).reshape(n, n)
+            tensor = catalog.expression_tensor(rows)
         fs = dataclasses.replace(fs, tensor_F=tensor)
     return fs
 
 
-def _build_grid(section, context):
+def _build_grid(section, context, dim):
+    """The points of a box grid in dim coordinates, one per row."""
     section = _expect_mapping(section, context)
     _check_keys(section, {"min", "max", "shape"}, {"min", "max", "shape"}, context)
-    lo = _vector(section, "min", context)
-    hi = _vector(section, "max", context)
+    lo = _vector(section, "min", context, dim)
+    hi = _vector(section, "max", context, dim)
     shape = section["shape"]
-    if not isinstance(shape, list) or len(shape) != lo.size or not all(
+    if not isinstance(shape, list) or len(shape) != dim or not all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shape):
-        raise ValidationError(f"{context}.shape must be positive integers matching min/max", key="shape")
-    if hi.size != lo.size:
-        raise ValidationError(f"{context}.min and {context}.max must have the same length", key="max")
+        raise ValidationError(f"{context}.shape must be {dim} positive integers", key="shape")
     axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -273,14 +246,12 @@ def _build_bounds(section, manifold):
     _check_keys(section, {"alpha0", "beta0", "T", "grid", "t_samples"},
                 {"alpha0", "beta0", "T", "grid"}, "bounds")
     T = _number(section, "T", "bounds", required=True)
-    if T <= 0:
-        raise ValidationError("bounds.T must be positive", key="T")
+    if not 0 < T < np.inf:
+        raise ValidationError("bounds.T must be positive and finite", key="T")
     t_samples = section.get("t_samples", 41)
     if not isinstance(t_samples, int) or isinstance(t_samples, bool) or t_samples < 2:
         raise ValidationError("bounds.t_samples must be an integer >= 2", key="t_samples")
-    grid = _build_grid(section["grid"], "bounds.grid")
-    if grid.shape[1] != manifold.dim:
-        raise ValidationError("bounds.grid dimension does not match the manifold", key="grid")
+    grid = _build_grid(section["grid"], "bounds.grid", manifold.dim)
     return BoundData(
         alpha0=_time_expr(str(section["alpha0"]), "bounds.alpha0"),
         beta0=_time_expr(str(section["beta0"]), "bounds.beta0"),
@@ -298,6 +269,8 @@ def _build_config(section, task):
     for key in _INTEGRATOR_KEYS:
         if key in section:
             kwargs[key] = _number(section, key, "integrator")
+            if not kwargs[key] > 0:
+                raise ValidationError(f"integrator.{key} must be positive", key=key)
     if task in ("integrate", "envelope", "gpw-geodesic", "gpw-map") and "horizon" not in kwargs:
         raise ValidationError("integrator.horizon is required for this task", key="horizon")
     return IntegratorConfig(**kwargs)
@@ -306,11 +279,8 @@ def _build_config(section, task):
 def _build_initial(section, manifold, context="initial"):
     section = _expect_mapping(section, context)
     _check_keys(section, {"position", "velocity"}, {"position", "velocity"}, context)
-    p = _vector(section, "position", context)
-    v = _vector(section, "velocity", context)
-    if p.size != manifold.dim or v.size != manifold.dim:
-        raise ValidationError(f"{context} vectors must have length {manifold.dim}", key="position")
-    return p, v
+    return (_vector(section, "position", context, manifold.dim),
+            _vector(section, "velocity", context, manifold.dim))
 
 
 def _build_gpw(section, manifold):
@@ -318,14 +288,10 @@ def _build_gpw(section, manifold):
     _check_keys(section, {"wave", "witness", "initial", "oracle_check", "anchor"},
                 {"wave", "witness"}, "gpw")
     wave_sec = _expect_mapping(section["wave"], "gpw.wave")
-    _check_keys(wave_sec, {"catalog", "params"}, {"catalog"}, "gpw.wave")
-    wave = catalog.build_wave(wave_sec["catalog"],
-                              _expect_mapping(wave_sec.get("params", {}), "gpw.wave.params"))
+    wave = catalog.build_wave(*_catalog_entry(wave_sec, "gpw.wave"))
     witness = _expect_mapping(section["witness"], "gpw.witness")
     _check_keys(witness, {"x", "u"}, {"x", "u"}, "gpw.witness")
-    wx = _vector(witness, "x", "gpw.witness")
-    if wx.size != manifold.dim:
-        raise ValidationError(f"gpw.witness.x must have length {manifold.dim}", key="x")
+    wx = _vector(witness, "x", "gpw.witness", manifold.dim)
     wu = _number(witness, "u", "gpw.witness", required=True)
     try:
         st = GpwSpacetime(base=manifold, wave=wave, nonzero_witness=(wx, wu))
@@ -340,18 +306,15 @@ def _build_gpw(section, manifold):
     if "initial" in section:
         init_sec = _expect_mapping(section["initial"], "gpw.initial")
         _check_keys(init_sec, {"x", "xdot", "u", "udot", "v", "vdot"}, {"x", "xdot"}, "gpw.initial")
-        x0 = _vector(init_sec, "x", "gpw.initial")
-        xdot0 = _vector(init_sec, "xdot", "gpw.initial")
-        if x0.size != manifold.dim or xdot0.size != manifold.dim:
-            raise ValidationError(f"gpw.initial vectors must have length {manifold.dim}", key="x")
         init = GeodesicInitialData(
-            x0=x0, xdot0=xdot0,
+            x0=_vector(init_sec, "x", "gpw.initial", manifold.dim),
+            xdot0=_vector(init_sec, "xdot", "gpw.initial", manifold.dim),
             u0=_number(init_sec, "u", "gpw.initial", default=0.0),
             udot0=_number(init_sec, "udot", "gpw.initial", default=1.0),
             v0=_number(init_sec, "v", "gpw.initial", default=0.0),
             vdot0=_number(init_sec, "vdot", "gpw.initial", default=0.0),
         )
-    anchor = _vector(section, "anchor", "gpw", required=False)
+    anchor = _vector(section, "anchor", "gpw", manifold.dim, required=False)
     return st, init, bool(section.get("oracle_check", False)), anchor
 
 
@@ -359,17 +322,13 @@ def _build_map(section, manifold):
     section = _expect_mapping(section, "map")
     _check_keys(section, {"x0_grid", "xdot0", "deltas", "u0", "v0", "vdot0"},
                 {"x0_grid", "xdot0", "deltas"}, "map")
-    x0_grid = _build_grid(section["x0_grid"], "map.x0_grid")
-    if x0_grid.shape[1] != manifold.dim:
-        raise ValidationError("map.x0_grid dimension does not match the manifold", key="x0_grid")
-    xdot0 = _vector(section, "xdot0", "map")
-    deltas = section["deltas"]
-    if not isinstance(deltas, list) or not deltas:
+    deltas = _vector(section, "deltas", "map")
+    if deltas.size == 0:
         raise ValidationError("map.deltas must be a nonempty list of numbers", key="deltas")
     return {
-        "x0_grid": x0_grid,
-        "xdot0": xdot0,
-        "deltas": [float(d) for d in deltas],
+        "x0_grid": _build_grid(section["x0_grid"], "map.x0_grid", manifold.dim),
+        "xdot0": _vector(section, "xdot0", "map", manifold.dim),
+        "deltas": deltas.tolist(),
         "u0": _number(section, "u0", "map", default=0.0),
         "v0": _number(section, "v0", "map", default=0.0),
         "vdot0": _number(section, "vdot0", "map", default=0.0),
@@ -388,7 +347,7 @@ def _build_compare(section):
     if not isinstance(check_points, int) or isinstance(check_points, bool) or check_points < 3:
         raise ValidationError("compare_lemma.check_points must be an integer >= 3",
                               key="check_points")
-    return {
+    spec = {
         "phi": expr,
         "phi_source": str(section["phi"]),
         "a": _number(section, "a", "compare_lemma", required=True),
@@ -396,6 +355,12 @@ def _build_compare(section):
         "t_max": _number(section, "t_max", "compare_lemma", required=True),
         "check_points": check_points,
     }
+    # the dominating solution starts inside phi's domain [a, inf) and runs forward
+    if not spec["v0_init"] >= spec["a"]:
+        raise ValidationError("compare_lemma.v0_init must not be below a", key="v0_init")
+    if not spec["t_max"] > 0:
+        raise ValidationError("compare_lemma.t_max must be positive", key="t_max")
+    return spec
 
 
 def _canonicalize(raw, scenario):
@@ -429,12 +394,11 @@ def parse_scenario(raw):
 
     if "manifold" in raw:
         sc.manifold = _build_manifold(raw["manifold"])
-    if task in ("integrate", "certify", "envelope"):
-        if "gpw" in raw and task == "certify":
-            sc.spacetime, sc.gpw_initial, sc.gpw_oracle_check, sc.gpw_anchor = \
-                _build_gpw(raw["gpw"], sc.manifold)
-        else:
-            sc.force = _build_force(raw.get("force"), sc.manifold)
+    if "gpw" in raw:
+        sc.spacetime, sc.gpw_initial, sc.gpw_oracle_check, sc.gpw_anchor = \
+            _build_gpw(raw["gpw"], sc.manifold)
+    elif task in ("integrate", "certify", "envelope"):
+        sc.force = _build_force(raw.get("force"), sc.manifold)
     if "bounds" in raw:
         sc.bounds = _build_bounds(raw["bounds"], sc.manifold)
     if "integrator" in raw or task in ("integrate", "envelope", "gpw-geodesic", "gpw-map"):
@@ -457,11 +421,8 @@ def parse_scenario(raw):
         if not isinstance(raw["refine"], bool):
             raise ValidationError("refine must be a boolean", key="refine")
         sc.refine = raw["refine"]
-    if task in ("gpw-geodesic", "gpw-map"):
-        sc.spacetime, sc.gpw_initial, sc.gpw_oracle_check, sc.gpw_anchor = \
-            _build_gpw(raw["gpw"], sc.manifold)
-        if task == "gpw-geodesic" and sc.gpw_initial is None:
-            raise ValidationError("gpw.initial is required for gpw-geodesic", key="initial")
+    if task == "gpw-geodesic" and sc.gpw_initial is None:
+        raise ValidationError("gpw.initial is required for gpw-geodesic", key="initial")
     if task == "gpw-map":
         sc.map_spec = _build_map(raw["map"], sc.manifold)
     if task == "compare-lemma":

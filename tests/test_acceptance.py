@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from wavetraj.catalog import build_manifold, build_potential
+from wavetraj.catalog import build_manifold, build_potential, build_wave
 from wavetraj.comparison import CONVERGES, PhiFunction, check_divergence, solve_dominating
 from wavetraj.dynamics import build_energy_frame, energy_derivative_identity, energy_v
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient,
                           classify_gpw_completeness, full_geodesic_oracle,
-                          oracle_quadratic_form, plane_wave_H, reduce_geodesic, split_state)
+                          oracle_quadratic_form, reduce_geodesic, split_state)
 from wavetraj.hypotheses import (COMPLETE_LINEAR_GRADIENT, COMPLETE_POTENTIAL_BOUNDS,
                                  COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData,
                                  CertificationTask, certify)
@@ -151,7 +151,7 @@ def test_criterion_5_certificates_on_bundled_systems():
     cert = classify_gpw_completeness(st, bd)
     results.append(("wave -|x|^4", cert.verdict == COMPLETE_WAVE_BOUNDS, cert.verdict))
 
-    plane = plane_wave_H(lambda u: 1.0 + u * u, lambda u: 2.0, lambda u: u)
+    plane = build_wave("plane_wave", {"f1": "1 + u*u", "f2": "2", "f": "u"})
     st2 = GpwSpacetime(base=e2, wave=plane, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     bd2 = BoundData(alpha0=lambda u: 1.0, beta0=lambda u: 0.0,
                     grid=box_grid([-5, -5], [5, 5], [11, 11]), t_grid=tgrid)
@@ -173,10 +173,9 @@ def test_criterion_6_gpw_reduction_vs_oracle():
     worst_energy = 0.0
     for delta in deltas:
         c = rng.uniform(-1.0, 1.0, 9)
-        wave = plane_wave_H(
-            lambda u, c=c: c[0] + c[1] * u + c[2] * u * u,
-            lambda u, c=c: c[3] + c[4] * u + c[5] * u * u,
-            lambda u, c=c: c[6] + c[7] * u + c[8] * u * u)
+        wave = build_wave("plane_wave", {
+            key: f"({float(c[i])!r}) + ({float(c[i + 1])!r})*u + ({float(c[i + 2])!r})*u*u"
+            for key, i in (("f1", 0), ("f2", 3), ("f", 6))})
         st = GpwSpacetime(base=base, wave=wave, nonzero_witness=_witness(wave, rng))
         init = GeodesicInitialData(
             x0=rng.uniform(-1, 1, 2), xdot0=rng.uniform(-1, 1, 2),

@@ -113,9 +113,12 @@ def test_nothing_compiles_at_parse_time():
 def test_expressions_differing_in_constants_share_code():
     a = parse_expression("2.5*x + sin(x)^3", ("x",))
     b = parse_expression("7*x + sin(x)^0.5", ("x",))
+    # a minus sign on a number is part of the constant
+    c = parse_expression("-7*x + sin(x)^(-0.5)", ("x",))
     assert a(1.0) == 2.5 + math.sin(1.0) ** 3
     assert b(1.0) == 7.0 + math.sin(1.0) ** 0.5
-    assert a._fn.__code__ is b._fn.__code__
+    assert c(1.0) == -7.0 + math.sin(1.0) ** -0.5
+    assert a._fn.__code__ is b._fn.__code__ is c._fn.__code__
 
 
 @pytest.mark.parametrize("text,name,point,expected", [

@@ -1,15 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavetraj.catalog import build_manifold
+from wavetraj.catalog import build_manifold, build_wave
+from wavetraj.cli import main
+from wavetraj.expressions import array_form, parse_expression
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, energy_of,
                           full_christoffel, full_geodesic_oracle, full_metric, oracle_quadratic_form,
-                          plane_wave_H, reduce_geodesic, split_geodesic_to_csv, split_state)
+                          reduce_geodesic, split_geodesic_to_csv, split_state)
 from wavetraj.hypotheses import COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData
 from wavetraj.integrate import BLOW_UP_SUSPECTED, HORIZON_REACHED, IntegratorConfig, sample
+from wavetraj.scenario import bundled_scenarios
 
 from conftest import box_grid
+from test_array_paths import WAVES as ARRAY_PATH_WAVES
 
 COSH1 = 1.5430806348152437
 
@@ -18,8 +24,12 @@ def euclid2():
     return build_manifold("euclidean", {"n": 2})
 
 
+def plane_wave(f1, f2, f):
+    return build_wave("plane_wave", {"f1": f1, "f2": f2, "f": f})
+
+
 def gravitational_spacetime():
-    wave = plane_wave_H(lambda u: 1.0, lambda u: 1.0, lambda u: 0.0)
+    wave = plane_wave("1", "1", "0")
     return GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
 
 
@@ -30,12 +40,57 @@ def wave_bounds(alpha, beta, reach=5.0, side=11, T=3.0):
 
 
 def test_plane_wave_values():
-    wave = plane_wave_H(lambda u: 1.0, lambda u: 1.0, lambda u: 0.0)
+    wave = plane_wave("1", "1", "0")
     assert wave.value([1.0, 1.0], 0.3) == 0.0
-    wave2 = plane_wave_H(lambda u: 1.0, lambda u: 0.0, lambda u: 0.0)
+    wave2 = plane_wave("1", "0", "0")
     assert wave2.value([2.0, 5.0], -1.0) == 4.0
-    wave3 = plane_wave_H(lambda u: 0.0, lambda u: 0.0, lambda u: 1.0)
+    wave3 = plane_wave("0", "0", "1")
     assert wave3.value([1.0, 2.0], 7.0) == 4.0
+
+
+def _plane_wave_profile_sets():
+    sets = [params for name, params in ARRAY_PATH_WAVES if name == "plane_wave"]
+    for path in bundled_scenarios().values():
+        wave = json.loads(path.read_text()).get("gpw", {}).get("wave", {})
+        if wave.get("catalog") == "plane_wave":
+            sets.append(wave["params"])
+    return sets
+
+
+def test_plane_wave_is_the_expression_wave_of_its_composed_H(tmp_path):
+    rng = np.random.default_rng(3)
+    X, U = rng.uniform(-4.0, 4.0, (200, 2)), rng.uniform(-3.0, 3.0, 200)
+    sets = _plane_wave_profile_sets()
+    assert len(sets) == 4
+    for params in sets:
+        texts = {key: params.get(key, "0") for key in ("f1", "f2", "f")}
+        plane = build_wave("plane_wave", params)
+        composed = build_wave("expression", {
+            "H": "({f1})*x1^2 - ({f2})*x2^2 + 2*({f})*x1*x2".format(**texts), "n": 2})
+        f1, f2, f = (parse_expression(texts[key], ("u",)) for key in ("f1", "f2", "f"))
+        d1, d2, d = (p.derivative("u") for p in (f1, f2, f))
+        for x, u in zip(X, U):
+            h = f1(u) * x[0] ** 2 - f2(u) * x[1] ** 2 + 2.0 * f(u) * x[0] * x[1]
+            h_dx = [2.0 * f1(u) * x[0] + 2.0 * f(u) * x[1], -2.0 * f2(u) * x[1] + 2.0 * f(u) * x[0]]
+            h_du = d1(u) * x[0] ** 2 - d2(u) * x[1] ** 2 + 2.0 * d(u) * x[0] * x[1]
+            for wave in (plane, composed):
+                assert wave.value(x, u) == h
+                assert list(wave.dx(x, u)) == h_dx
+                assert wave.du(x, u) == h_du
+        for source in ("h", "h_dx", "h_du"):
+            on_arrays = array_form(getattr(plane, source))(X, U)
+            assert np.array_equal(on_arrays, array_form(getattr(composed, source))(X, U))
+    # H is a form in two coordinates
+    for n in (1, 3):
+        raw = {"name": "plane", "task": "gpw-geodesic",
+               "manifold": {"catalog": "euclidean", "params": {"n": n}},
+               "gpw": {"wave": {"catalog": "plane_wave", "params": {"f1": "1"}},
+                       "witness": {"x": [1.0] * n, "u": 0.0},
+                       "initial": {"x": [0.5] * n, "xdot": [0.0] * n}},
+               "integrator": {"horizon": 1.0}}
+        path = tmp_path / f"plane-{n}.scn"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
 
 
 def test_wave_coefficient_fd_derivatives():
@@ -46,7 +101,7 @@ def test_wave_coefficient_fd_derivatives():
 
 
 def test_nonzero_witness_enforced():
-    wave = plane_wave_H(lambda u: 1.0, lambda u: 1.0, lambda u: 0.0)
+    wave = plane_wave("1", "1", "0")
     with pytest.raises(ValueError, match="vanishes"):
         GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 1.0]), 0.0))
 
@@ -54,9 +109,7 @@ def test_nonzero_witness_enforced():
 def test_full_christoffel_closed_form_over_flat_base():
     # g = dx^2 + dy^2 + 2 du dv + H du^2: the only nonzero symbols are
     # Γ^x_uu = -H_x/2, Γ^v_ux = Γ^v_xu = H_x/2 and Γ^v_uu = H_u/2
-    wave = plane_wave_H(lambda u: 1.0 + 0.5 * np.sin(u), lambda u: np.cos(u), lambda u: 0.3 * u,
-                        df1=lambda u: 0.5 * np.cos(u), df2=lambda u: -np.sin(u),
-                        df=lambda u: 0.3)
+    wave = plane_wave("1 + 0.5*sin(u)", "cos(u)", "0.3*u")
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     rng = np.random.default_rng(11)
     for q in rng.uniform(-3.0, 3.0, size=(20, 4)):
@@ -209,7 +262,7 @@ def test_delta_scaling_covariance():
 def test_v_quadrature_against_closed_form():
     # H = -y^2, delta = 1, start (0, 1) at rest: y(t) = cos t and the
     # conservation law gives vdot = -sin^2 t, so v(t) = -t/2 + sin(2t)/4
-    wave = plane_wave_H(lambda u: 0.0, lambda u: 1.0, lambda u: 0.0)
+    wave = plane_wave("0", "1", "0")
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([0.0, 1.0]), 0.0))
     init = GeodesicInitialData(x0=np.array([0.0, 1.0]), xdot0=np.zeros(2),
                                u0=0.0, udot0=1.0, v0=0.0, vdot0=0.0)

@@ -155,6 +155,14 @@ def test_invalid_init(euclidean2, free, hyperbolic):
         integrate(euclidean2, free, (np.array([np.nan, 0.0]), np.zeros(2)), cfg)
 
 
+def test_an_infinite_vector_field_at_the_initial_state_is_invalid_init(euclidean1):
+    # the initial step size cannot be probed from an infinite derivative
+    steep = ForceSystem(potential=lambda x, t: 0.0, potential_dx=lambda x, t: np.array([np.inf]),
+                        potential_dt=lambda x, t: 0.0, time_independent=True)
+    with pytest.raises(InvalidInit, match="not finite"):
+        integrate(euclidean1, steep, (np.array([1.0]), np.zeros(1)), IntegratorConfig(horizon=1.0))
+
+
 def test_sample_at_nodes_exact(euclidean2, harmonic):
     cfg = IntegratorConfig(horizon=3.0)
     traj = integrate(euclidean2, harmonic, (np.array([1.0, 0.0]), np.zeros(2)), cfg)

@@ -510,3 +510,86 @@ def test_runtime_needs_neither_sympy_nor_hypothesis(tmp_path):
                          env={"PYTHONPATH": src, "PATH": ""}, check=True)
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "plane-wave-certify.report.json").exists()
+
+
+PLANE_WAVE_CERTIFY = {
+    "name": "bad", "task": "certify",
+    "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+    "gpw": {"wave": {"catalog": "plane_wave", "params": {"f1": "1 + u^2", "f2": "2", "f": "u"}},
+            "witness": {"x": [1.0, 0.0], "u": 0.0}},
+    "bounds": {"alpha0": "1", "beta0": "0", "T": 1.0,
+               "grid": {"min": [-1.0, -1.0], "max": [1.0, 1.0], "shape": [3, 3]}},
+}
+SMALL_MAP = {
+    "name": "bad", "task": "gpw-map",
+    "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+    "gpw": {"wave": {"catalog": "plane_wave", "params": {"f1": "1"}},
+            "witness": {"x": [1.0, 0.0], "u": 0.0}},
+    "map": {"x0_grid": {"min": [0.5, 0.5], "max": [1.0, 1.0], "shape": [1, 1]},
+            "xdot0": [0.0, 0.0], "deltas": [1.0]},
+    "integrator": {"horizon": 0.5},
+}
+SMALL_COMPARE = {"name": "bad", "task": "compare-lemma",
+                 "compare_lemma": {"phi": "s", "a": 1.0, "v0_init": 2.0, "t_max": 1.0}}
+BAD_INTEGRATE = dict(MINIMAL_INTEGRATE, name="bad")
+
+# (template, overrides, exit status, the text the one stderr line must hold)
+BAD_INPUTS = {
+    **{f"integrator.{key}={value}": (BAD_INTEGRATE, [f"integrator.{key}={value}"], 2, key)
+       for key, value in (("horizon", 0), ("horizon", -1), ("rel_tol", 0), ("abs_tol", -1e-12),
+                          ("max_step", 0), ("speed_ceiling", -1), ("min_step_fraction", 0))},
+    **{f"euclidean-n={value}": (BAD_INTEGRATE, [f"manifold.params.n={value}"], 2, "'n'")
+       for value in ('"two"', 0, -1, "true", 1.5)},
+    "harmonic-k=big": (BAD_INTEGRATE, ["force.potential.catalog=harmonic",
+                                       'force.potential.params.k="big"'], 2, "'k'"),
+    "map.xdot0-length": (SMALL_MAP, ["map.xdot0=[0.0, 0.0, 0.0]"], 2, "xdot0"),
+    "gpw.anchor-length": (PLANE_WAVE_CERTIFY, ["gpw.anchor=[0.0, 0.0, 0.0]"], 2, "anchor"),
+    "scalar_multiple-n": (BAD_INTEGRATE, ["force.tensor.catalog=scalar_multiple",
+                                          "force.tensor.params.c=1.0",
+                                          "force.tensor.params.n=3"], 2, "n = 3"),
+    "time_scalar-n": (BAD_INTEGRATE, ["force.tensor.catalog=time_scalar",
+                                      'force.tensor.params.expr="t"',
+                                      "force.tensor.params.n=2"], 2, "n = 2"),
+    "skew_rotation-off-the-plane": (BAD_INTEGRATE, ["force.tensor.catalog=skew_rotation"], 2, "n = 2"),
+    **{f"map.deltas={value}": (SMALL_MAP, [f"map.deltas={value}"], 2, "deltas")
+       for value in ('["x"]', "[null]", "[true]")},
+    **{f"bounds.T={value}": (PLANE_WAVE_CERTIFY, [f"bounds.T={value}"], 2, "bounds.T")
+       for value in ("NaN", "Infinity")},
+    "manifold.complete-text": (BAD_INTEGRATE, ['manifold={"metric": [["1"]], "complete": "no"}'],
+                               2, "complete"),
+    "diagonal_conformal-complete-text": (
+        BAD_INTEGRATE, ['manifold={"catalog": "diagonal_conformal", '
+                        '"params": {"entries": ["1"], "complete": "no"}}'], 2, "complete"),
+    "diagonal_conformal-entry-not-text": (
+        BAD_INTEGRATE, ['manifold={"catalog": "diagonal_conformal", "params": {"entries": [1]}}'],
+        2, "entries"),
+    "compare_lemma.t_max=0": (SMALL_COMPARE, ["compare_lemma.t_max=0"], 2, "t_max"),
+    "compare_lemma.t_max=-1": (SMALL_COMPARE, ["compare_lemma.t_max=-1"], 2, "t_max"),
+    "compare_lemma.v0_init<a": (SMALL_COMPARE, ["compare_lemma.v0_init=0.5"], 2, "v0_init"),
+    # the gradient of 1e400*x1 is infinite, so the vector field is not finite at the start
+    "infinite-rhs": (BAD_INTEGRATE, ['force.potential.expr="1e400*x1"'], 1, "InvalidInit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_batch_rejects_a_bad_input_and_runs_the_next_scenario(tmp_path, capsys, case):
+    template, overrides, status, named = BAD_INPUTS[case]
+    bad = tmp_path / "bad.scn"
+    bad.write_text(json.dumps(apply_overrides(template, overrides)))
+    good = tmp_path / "mini.scn"
+    good.write_text(json.dumps(MINIMAL_INTEGRATE))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(bad), str(good), "--output-dir", str(out_dir)]) == status
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if not line.startswith("mini: ")]
+    assert len(lines) == 1 and lines[0].startswith(f"{bad}: ") and named in lines[0], captured.err
+    assert "mini: integrate -> HorizonReached" in captured.out
+    assert (out_dir / "mini.report.json").exists()
+
+
+def test_compare_lemma_with_a_tiny_horizon_checks_its_residual_inside_t_ge_0(tmp_path):
+    # the central-difference step is clamped to t, so no stencil point lies before t = 0
+    raw = apply_overrides(SMALL_COMPARE, ["compare_lemma.t_max=1e-9"])
+    report = run_scenario(parse_scenario(raw), tmp_path)
+    assert report.outcome["verdict"] == "Diverges"
+    assert np.isfinite(report.comparison["ode_residual_max_rel"])
