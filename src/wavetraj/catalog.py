@@ -5,8 +5,15 @@ dict; unknown parameters, and parameters of the wrong type or range, are
 hard errors so scenario typos cannot pass silently. This is also the one
 module that turns expression text in x1..xn into chart sources: metric rows,
 potentials, tensors and wave coefficients.
+
+Every source here takes a chart point as a list of Python floats and returns
+Python floats in plain (nested) sequences, the values the integrator's step
+loop works on (geometry.ChartManifold); products stand where numpy squared,
+so a value that overflows is inf, as it was, and never a Python
+OverflowError.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +25,6 @@ from .errors import ValidationError
 from .expressions import at_chart_point, fused, parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
-from .numdiff import symmetric_part
 
 
 @dataclass(frozen=True)
@@ -39,21 +45,58 @@ def _check_params(name, params, allowed, required=()):
                               key=sorted(missing)[0])
 
 
+#: the largest catalog n: a larger n would allocate n x n matrices before
+#: anything else is checked, and the step loop's RHS on a curved chart does
+#: of order n^3 Python-float operations per call
+MAX_DIMENSION = 100
+
+
 def _dimension(name, params):
-    """The parameter n, an integer >= 1."""
+    """The parameter n, an integer from 1 to MAX_DIMENSION."""
     value = params["n"]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"parameter 'n' of catalog entry {name!r} must be an integer >= 1",
-                              key="n")
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 1 <= value <= MAX_DIMENSION):
+        raise ValidationError(f"parameter 'n' of catalog entry {name!r} must be an integer "
+                              f"from 1 to {MAX_DIMENSION}", key="n")
     return int(value)
 
 
 def _real(name, key, value):
-    """The value of the parameter key, a finite number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+    """The value of the parameter key, a finite number (an integer past DBL_MAX is not)."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
         raise ValidationError(f"parameter {key!r} of catalog entry {name!r} must be a finite number",
                               key=key)
-    return float(value)
+    return number
+
+
+def _text(name, key, value):
+    """The value of the parameter key, expression text."""
+    if not isinstance(value, str):
+        raise ValidationError(f"parameter {key!r} of catalog entry {name!r} must be an expression "
+                              f"string, got {type(value).__name__}", key=key)
+    return value
+
+
+def _square(x):
+    """x1^2 + ... + xn^2 of a list of floats, as products."""
+    total = 0.0
+    for c in x:
+        total += c * c
+    return total
+
+
+def _exp(t):
+    """e^t, inf where math.exp overflows (as np.exp gives)."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def _chart_variables(n, *last):
@@ -82,18 +125,15 @@ def _build_euclidean(params):
 
 
 def _hyperbolic_metric(x):
-    w = 1.0 / x[1] ** 2
-    return np.array([[w, 0.0], [0.0, w]])
+    w = 1.0 / (x[1] * x[1])
+    return ((w, 0.0), (0.0, w))
 
 
 def _hyperbolic_christoffel(x):
+    # Γ^k_ij at [k][i][j]
     inv_y = 1.0 / x[1]
-    gamma = np.zeros((2, 2, 2))
-    gamma[0, 0, 1] = -inv_y
-    gamma[0, 1, 0] = -inv_y
-    gamma[1, 0, 0] = inv_y
-    gamma[1, 1, 1] = -inv_y
-    return gamma
+    return (((0.0, -inv_y), (-inv_y, 0.0)),
+            ((inv_y, 0.0), (0.0, -inv_y)))
 
 
 def _build_hyperbolic(params):
@@ -110,9 +150,10 @@ def _build_hyperbolic(params):
 def metric_rows(rows, guard=None, complete=False):
     """The chart whose metric has the n x n expression text rows, guard > 0 inside it.
 
-    The metric and its exact partials are each one fused call. The partials
-    are symmetrized as metric_at symmetrizes G unless the rows read the same
-    transposed; averaging would then give their own bits, short of overflow.
+    The metric and its exact partials are each one fused call, cut into
+    rows. The partials are symmetrized as metric_at symmetrizes G unless the
+    rows read the same transposed; averaging would then give their own bits,
+    short of overflow.
     """
     if not isinstance(complete, bool):
         raise ValidationError("'complete' must be true or false", key="complete")
@@ -131,14 +172,22 @@ def metric_rows(rows, guard=None, complete=False):
     # ∂_i g_jk at [(i * n + j) * n + k]
     partials = fused([e.derivative(v) for v in variables for row in exprs for e in row])
 
+    cuts = [(j * n, (j + 1) * n) for j in range(n)]
+
     def metric(x):
-        return np.array(entries(*x)).reshape(n, n)
+        values = entries(*x)
+        return [values[a:b] for a, b in cuts]
 
     symmetric = all(rows[j][k] == rows[k][j] for j in range(n) for k in range(j))
+    blocks = [[(a + i * n * n, b + i * n * n) for a, b in cuts] for i in range(n)]
 
     def metric_dx(x):
-        dg = np.array(partials(*x)).reshape(n, n, n)
-        return dg if symmetric else symmetric_part(dg)
+        values = partials(*x)
+        dg = [[values[a:b] for a, b in block] for block in blocks]
+        if symmetric:
+            return dg
+        # 0.5 * (a + a^T) of each ∂_i G, with the floats of numdiff.symmetric_part
+        return [[[(m[k][j] + m[j][k]) * 0.5 for k in range(n)] for j in range(n)] for m in dg]
 
     return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
                          complete_flag=complete)
@@ -179,22 +228,22 @@ def _build_zero_potential(params):
     _check_params("zero", params, allowed=set())
     return ForceSystem(
         potential=_zero,
-        potential_dx=lambda x, t: np.zeros(np.asarray(x).shape),
+        potential_dx=lambda x, t: [0.0] * len(x),
         potential_dt=_zero,
         time_independent=True,
     )
 
 
-# each array form repeats its scalar form's operations; np.vecdot(x, x) is
-# bit for bit x @ x
+# each array form takes the scalar form's operations over arrays: its sum of
+# squares (np.vecdot) rounds as numpy's, and its exp is numpy's
 
 def _build_harmonic(params):
     _check_params("harmonic", params, allowed={"k"})
     k = _real("harmonic", "k", params.get("k", 1.0))
     return ForceSystem(
-        potential=with_array_form(lambda x, t: 0.5 * k * float(x @ x),
+        potential=with_array_form(lambda x, t: 0.5 * k * _square(x),
                                   lambda x, t: 0.5 * k * np.vecdot(x, x)),
-        potential_dx=lambda x, t: k * np.asarray(x, dtype=float),
+        potential_dx=lambda x, t: [k * c for c in x],
         potential_dt=_zero,
         time_independent=True,
     )
@@ -203,22 +252,35 @@ def _build_harmonic(params):
 def _build_exp_time_quadratic(params):
     _check_params("exp_time_quadratic", params, allowed=set())
     # V is its own time derivative
-    value = with_array_form(lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
+
+    def potential_dx(x, t):
+        a = 2.0 * _exp(t)
+        return [a * c for c in x]
+
+    value = with_array_form(lambda x, t: _exp(t) * (1.0 + _square(x)),
                             lambda x, t: np.exp(t) * (1.0 + np.vecdot(x, x)))
-    return ForceSystem(
-        potential=value,
-        potential_dx=lambda x, t: 2.0 * np.exp(t) * np.asarray(x, dtype=float),
-        potential_dt=value,
-    )
+    return ForceSystem(potential=value, potential_dx=potential_dx, potential_dt=value)
 
 
 def _build_negative_quartic(params):
     _check_params("negative_quartic", params, allowed={"c"})
     c = _real("negative_quartic", "c", params.get("c", 1.0))
+
+    def value(x, t):
+        r2 = _square(x)
+        return -c * (r2 * r2)
+
+    def potential_dx(x, t):
+        a = -4.0 * c * _square(x)
+        return [a * v for v in x]
+
+    def array_value(x, t):
+        r2 = np.vecdot(x, x)
+        return -c * (r2 * r2)
+
     return ForceSystem(
-        potential=with_array_form(lambda x, t: -c * float(x @ x) ** 2,
-                                  lambda x, t: -c * np.vecdot(x, x) ** 2),
-        potential_dx=lambda x, t: -4.0 * c * float(x @ x) * np.asarray(x, dtype=float),
+        potential=with_array_form(value, array_value),
+        potential_dx=potential_dx,
         potential_dt=_zero,
         time_independent=True,
     )
@@ -247,24 +309,33 @@ def expression_potential(text, n):
 def _build_skew_rotation(params):
     _check_params("skew_rotation", params, allowed={"omega"})
     omega = _real("skew_rotation", "omega", params.get("omega", 1.0))
-    mat = np.array([[0.0, omega], [-omega, 0.0]])
+    mat = ((0.0, omega), (-omega, 0.0))
     return lambda x, t: mat
+
+
+def _identity_rows(n):
+    return [[1.0 if j == k else 0.0 for k in range(n)] for j in range(n)]
 
 
 def _build_scalar_multiple(params):
     _check_params("scalar_multiple", params, allowed={"c", "n"}, required={"c", "n"})
     c = _real("scalar_multiple", "c", params["c"])
     n = _dimension("scalar_multiple", params)
-    mat = c * np.eye(n)
+    mat = [[c * e for e in row] for row in _identity_rows(n)]
     return lambda x, t: mat
 
 
 def _build_time_scalar(params):
     _check_params("time_scalar", params, allowed={"expr", "n"}, required={"expr", "n"})
     n = _dimension("time_scalar", params)
-    fn = parse_expression(params["expr"], ("t",))
-    eye = np.eye(n)
-    return lambda x, t: fn(t) * eye
+    fn = parse_expression(_text("time_scalar", "expr", params["expr"]), ("t",))
+    eye = _identity_rows(n)
+
+    def tensor(x, t):
+        c = fn(t)
+        return [[c * e for e in row] for row in eye]
+
+    return tensor
 
 
 def expression_tensor(rows):
@@ -272,7 +343,13 @@ def expression_tensor(rows):
     n = len(rows)
     variables = _chart_variables(n, "t")
     entries = at_chart_point([parse_expression(e, variables) for row in rows for e in row])
-    return lambda x, t: entries(x, t).reshape(n, n)
+    cuts = [(j * n, (j + 1) * n) for j in range(n)]
+
+    def tensor(x, t):
+        values = entries(x, t)
+        return [values[a:b] for a, b in cuts]
+
+    return tensor
 
 
 TENSORS = {
@@ -305,7 +382,8 @@ def _build_plane_wave(params):
 def _build_expression_wave(params):
     _check_params("expression", params, allowed={"H", "n"}, required={"H", "n"})
     n = _dimension("expression", params)
-    _, h, h_dx, h_du = _chart_field(params["H"], _chart_variables(n, "u"))
+    _, h, h_dx, h_du = _chart_field(_text("expression", "H", params["H"]),
+                                    _chart_variables(n, "u"))
     return WaveCoefficient(h=h, h_dx=h_dx, h_du=h_du)
 
 

@@ -8,28 +8,37 @@ with a time-dependent potential V and an optional (1,1) tensor field F acting
 on the velocity. Only the metric-self-adjoint part S of F feeds energy growth,
 so the operator bounds and the energy derivative identity below are the
 quantities the completeness checks consume.
+
+rhs_E, the force equation the integrator calls, runs in Python floats: the
+chart point and velocity come in as lists of floats, every source is called
+on them and returns floats, and the value goes back as a list. Everything
+else here (energies, operator bounds) works on numpy arrays.
 """
 
 import functools
-import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EigFailure
-from .geometry import christoffel_at, metric_at, require_in_chart
-from .numdiff import christoffel_lower, gradient_fd, partial_in_scalar
+from .errors import EigFailure, OutOfChart
+from .geometry import chart_point, christoffel_at, metric_at, metric_diagonal
+from .numdiff import gradient_fd, partial_in_scalar
 
 
 @dataclass(frozen=True)
 class ForceSystem:
     """Potential V(x, t) plus optional velocity-linear tensor force F(x, t).
 
+    Every source takes the chart point x as a list of Python floats and t as
+    a Python float, and returns Python floats: potential and potential_dt
+    one, potential_dx a sequence of n, tensor_F n rows of n (the chart
+    components of F; None means F ≡ 0). The methods below take arrays too
+    and give arrays, for the callers off the integrator's hot path.
     potential_dx and potential_dt are analytic derivative sources; when absent
     the derivatives fall back to central differences with the shared stencil
-    policy. tensor_F returns the chart components of F as an n x n matrix;
-    None means F ≡ 0. time_independent marks potentials with no t dependence
+    policy. time_independent marks potentials with no t dependence
     (used only for reporting conserved-energy drift).
 
     A source may carry an array form (expressions.array_form), which
@@ -47,16 +56,16 @@ class ForceSystem:
     time_independent: bool = False
 
     def value(self, x, t):
-        return float(self.potential(np.asarray(x, dtype=float), float(t)))
+        return float(self.potential(chart_point(x), float(t)))
 
     def dx(self, x, t):
-        x = np.asarray(x, dtype=float)
         if self.potential_dx is not None:
-            return np.asarray(self.potential_dx(x, float(t)), dtype=float)
-        return gradient_fd(lambda p: self.potential(p, float(t)), x)
+            return np.asarray(self.potential_dx(chart_point(x), float(t)), dtype=float)
+        return gradient_fd(lambda p: self.potential(p.tolist(), float(t)),
+                           np.asarray(x, dtype=float))
 
     def dt(self, x, t):
-        x = np.asarray(x, dtype=float)
+        x = chart_point(x)
         if self.potential_dt is not None:
             return float(self.potential_dt(x, float(t)))
         if self.time_independent:
@@ -66,11 +75,11 @@ class ForceSystem:
     def force_matrix(self, x, t):
         if self.tensor_F is None:
             return None
-        return np.asarray(self.tensor_F(np.asarray(x, dtype=float), float(t)), dtype=float)
+        return np.asarray(self.tensor_F(chart_point(x), float(t)), dtype=float)
 
 
 FREE = ForceSystem(potential=lambda x, t: 0.0,
-                   potential_dx=lambda x, t: np.zeros(np.asarray(x).shape),
+                   potential_dx=lambda x, t: [0.0] * len(x),
                    potential_dt=lambda x, t: 0.0,
                    time_independent=True)
 
@@ -108,70 +117,98 @@ def build_energy_frame(bounds, n_t):
     return EnergyFrame(t_horizon=bounds.T, a_t=a_t, b_t=b_t, n_t=float(n_t))
 
 
-def solve_metric(g, v):
-    """G^-1 v for a checked metric G, elementwise when G is diagonal.
+def _floats(v):
+    """A source's value as Python floats: a list or tuple as it is, an array as nested lists."""
+    return v if type(v) in (list, tuple) else np.asarray(v, dtype=float).tolist()
 
-    A checked metric has a positive diagonal, so it is diagonal exactly when
-    it has dim nonzero entries, and then the quotients v_i / g_ii are what
-    np.linalg.solve(G, v) gives: the LU factors of a diagonal matrix are
-    itself, and the triangular solve divides. That holds for this LAPACK
-    build (tests/test_lean_hot_path.py checks it); a solve is not a product
-    with the reciprocals, which round differently. The quotients are taken
-    in Python floats, which overflow without a warning, as the solve does.
-    Where one is not finite the solve runs instead, as it spreads NaN over
-    the components.
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _raised(diagonal, g, v):
+    """G^-1 v as a list of floats: quotients on a diagonal G, else one np.linalg.solve.
+
+    The quotients are what np.linalg.solve gives on a diagonal matrix with
+    this LAPACK build (tests/test_lean_hot_path.py checks it).
     """
-    if np.count_nonzero(g) == len(g):
-        out = [a / d for a, d in zip(v.tolist(), g.diagonal().tolist())]
-        # a finite sum means every quotient is finite
-        if math.isfinite(sum(out)):
-            return np.array(out)
-    return np.linalg.solve(g, v)
+    if diagonal is not None:
+        return [a / d for a, d in zip(v, diagonal)]
+    return np.linalg.solve(g, v).tolist()
 
 
 def rhs_E(manifold, fs, state):
-    """First-order field of the force equation at state = (x, xdot, t).
+    """First-order field of the force equation at state = (x, xdot, t), in Python floats.
 
-    Returns the length-2n array (xdot, xddot). On a flat chart Γ ≡ 0, so the
-    Christoffel contraction is skipped after the guard check, and on an
-    identity metric so is the solve against G. On a chart with exact metric
-    partials the evaluation is fused: one checked metric evaluation, the
-    lower-index contraction Γ_lij xd^i xd^j plus ∂_l V, and one solve
-    against G raising that sum. A diagonal G is solved against elementwise
-    (solve_metric).
+    x and xdot are lists of floats (arrays are converted), t a float; the
+    value is the list (xdot, xddot) of 2n floats. After the guard check:
+
+    - on a chart with exact metric partials the evaluation is fused: one
+      checked metric evaluation, the lower-index contraction
+      Γ_lij xd^i xd^j = (∂_i g_jl) xd^i xd^j - 1/2 (∂_l g_ij) xd^i xd^j
+      plus ∂_l V, and that sum raised by G;
+    - on a flat chart Γ ≡ 0, so the contraction is skipped, and on an
+      identity metric so is raising ∂V;
+    - otherwise Γ^k_ij xd^i xd^j comes from the chart's Christoffel source,
+      or from christoffel_at's finite differences when it has none.
+
+    F xd is added after the contraction. A metric that is diagonal at x is
+    checked and raised against in floats, by division (geometry.metric_diagonal);
+    any other is checked by metric_at's rules and solved by np.linalg.solve.
+    A domain error of a source raises its EvaluationError, where numpy
+    scalars used to give NaN.
     """
     x, xdot, t = state
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
+    if type(x) is not list or type(xdot) is not list:
+        x, xdot = chart_point(x), chart_point(xdot)
+    if manifold.domain_guard is not None and not manifold.domain_guard(x):
+        raise OutOfChart(np.array(x))
     if manifold.metric_dx is not None:
-        g = metric_at(manifold, x)
-        lowered = christoffel_lower(manifold.metric_dx(x)) @ xdot @ xdot + fs.dx(x, t)
-        acc = -solve_metric(g, lowered)
-        fmat = fs.force_matrix(x, t)
+        diagonal, g = metric_diagonal(manifold, x)
+        # dg_v[i] = ∂_i G xd
+        dg_v = [[_dot(row, xdot) for row in dg] for dg in _floats(manifold.metric_dx(x))]
+        lowered = [_dot(xdot, [m[l] for m in dg_v]) - 0.5 * _dot(xdot, dg_v[l]) + d
+                   for l, d in enumerate(_gradient(fs, x, t))]
+        acc = [-a for a in _raised(diagonal, g, lowered)]
+        fmat = _tensor(fs, x, t)
         if fmat is not None:
-            acc = acc + fmat @ xdot
-        return np.concatenate([xdot, acc])
+            acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
+        return xdot + acc
     if manifold.flat:
-        require_in_chart(manifold, x)
         # what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
-        acc = -0.0 * xdot * xdot
+        acc = [-0.0 * v * v for v in xdot]
     else:
-        gamma = christoffel_at(manifold, x)
-        acc = -np.einsum("kij,i,j->k", gamma, xdot, xdot)
-    fmat = fs.force_matrix(x, t)
+        gamma = (manifold.christoffel(x) if manifold.christoffel is not None
+                 else christoffel_at(manifold, np.array(x)))
+        acc = [-_dot(xdot, [_dot(row, xdot) for row in gk]) for gk in _floats(gamma)]
+    fmat = _tensor(fs, x, t)
     if fmat is not None:
-        acc = acc + fmat @ xdot
-    dv = fs.dx(x, t)
-    if np.count_nonzero(dv):
+        acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
+    dv = _gradient(fs, x, t)
+    if any(dv):
         if manifold.identity_metric:
-            acc = acc - dv
+            acc = [a - d for a, d in zip(acc, dv)]
         else:
-            acc = acc - solve_metric(metric_at(manifold, x), dv)
-    return np.concatenate([xdot, acc])
+            acc = [a - d for a, d in zip(acc, _raised(*metric_diagonal(manifold, x), dv))]
+    return xdot + acc
+
+
+def _gradient(fs, x, t):
+    """∂V at (x, t) as floats."""
+    return _floats(fs.potential_dx(x, t) if fs.potential_dx is not None else fs.dx(x, t))
+
+
+def _tensor(fs, x, t):
+    """The rows of F at (x, t) as floats, or None for F ≡ 0."""
+    return None if fs.tensor_F is None else _floats(fs.tensor_F(x, t))
 
 
 def make_rhs(manifold, fs):
-    """Closure f(t, y) over y = (x, xdot) for the integrator."""
+    """Closure f(t, y) over y = (x, xdot), a list of floats, for the integrator.
+
+    rhs_E is looked up as a module global at each call, so a wrapper bound
+    in its place sees every evaluation.
+    """
     n = manifold.dim
 
     def f(t, y):

@@ -51,9 +51,11 @@ differentiates to the sign) with constants folded, and compiled the same way
 on its first call.
 
 A math-function domain or range error (log of a negative number, exp
-overflow) raises EvaluationError. Division by zero and a negative base raised
-to a fractional power raise it only for Python-float inputs; numpy scalars
-give inf or NaN with a RuntimeWarning instead.
+overflow), a division by zero, a negative base raised to a fractional power
+and a power that overflows raise EvaluationError. That holds for the
+Python-float inputs every caller in the package passes (numpy scalars would
+give inf or NaN with a RuntimeWarning instead), so sources are called on
+chart points as lists of Python floats.
 """
 
 import functools
@@ -490,10 +492,11 @@ def with_array_form(fn, on_arrays):
 def at_chart_point(expr):
     """The call f(x, s) = expr(*x, s) of an Expression over the chart coordinates and s.
 
-    Its array form takes chart points on the last axis of x, broadcast
-    against s. A list of such Expressions (a gradient) gives the array of
-    their values from one fused call, and over arrays their values on a new
-    last axis.
+    x is a chart point as a list of Python floats and s a Python float. Its
+    array form takes chart points on the last axis of x, broadcast against
+    s. A list of such Expressions (a gradient) gives the tuple of their
+    values from one fused call, and over arrays their values on a new last
+    axis.
     """
     if isinstance(expr, Expression):
         return with_array_form(lambda x, s: expr(*x, s),
@@ -501,7 +504,7 @@ def at_chart_point(expr):
     exprs = tuple(expr)
     values = fused(exprs)
     return with_array_form(
-        lambda x, s: np.array(values(*x, s)),
+        lambda x, s: values(*x, s),
         lambda x, s: np.stack([e.on_arrays(*coordinates(x), s) for e in exprs], axis=-1))
 
 

@@ -22,20 +22,24 @@ SYMMETRY_RTOL = 1e-12
 class ChartManifold:
     """A connected Riemannian manifold presented in a single chart.
 
-    metric maps a chart point (array of length dim) to the dim x dim metric
-    matrix, or is one constant dim x dim matrix. A constant metric is checked
-    once, here, and makes the chart flat: its Christoffel symbols vanish, so
-    christoffel must be None and a zero source is installed in its place.
+    Every source takes a chart point as a list of dim Python floats and
+    returns Python floats in plain (nested) sequences, and the consumers
+    (metric_at, christoffel_at) turn what it returns into arrays. metric
+    maps a chart point to the dim x dim metric rows, or is one constant
+    dim x dim matrix. A constant metric is checked once, here, and makes
+    the chart flat: its Christoffel symbols vanish, so christoffel must be
+    None and a zero source is installed in its place.
     christoffel, when given, is an analytic source returning the
-    (dim, dim, dim) array indexed [k, i, j]. metric_dx, when given, returns
-    the exact metric partials ∂_i G stacked on the first axis, shape
-    (dim, dim, dim) indexed [i, j, k]; the Christoffel symbols then come from
+    (dim, dim, dim) values indexed [k][i][j]. metric_dx, when given, returns
+    the exact metric partials ∂_i G stacked on the first index, (dim, dim,
+    dim) values indexed [i][j][k]; the Christoffel symbols then come from
     them, and the force equation is evaluated in one fused pass. Without
     either, Christoffel symbols come from central differences of the
     metric. A constant metric takes neither. domain_guard returns True
-    for points inside the valid chart region. complete_flag is the scenario
-    author's assertion that the manifold is geodesically complete; it is an
-    unverified input recorded on every certificate.
+    for points inside the valid chart region; it too takes a list of
+    floats. complete_flag is the scenario author's assertion that the
+    manifold is geodesically complete; it is an unverified input recorded
+    on every certificate.
 
     flat (the metric is a constant matrix) and identity_metric (that matrix
     is the identity) are derived from metric, not constructor arguments.
@@ -76,7 +80,12 @@ class ChartManifold:
     def contains(self, x):
         if self.domain_guard is None:
             return True
-        return bool(self.domain_guard(np.asarray(x, dtype=float)))
+        return bool(self.domain_guard(chart_point(x)))
+
+
+def chart_point(x):
+    """The chart point x as the list of Python floats that sources take; a list passes as it is."""
+    return x if type(x) is list else np.asarray(x, dtype=float).tolist()
 
 
 def require_in_chart(manifold, x):
@@ -92,22 +101,10 @@ def _checked_metric(g, dim, x):
     matrix is symmetric to 1e-12 relative tolerance. Positive definiteness is
     checked by Cholesky; failure is a hard error, and so is a NaN or inf
     entry, which Cholesky would pass on as NaN factors.
-
-    A diagonal matrix (its off-diagonal entries exactly 0; a NaN counts as
-    nonzero) is symmetric as it stands, and Cholesky succeeds on it exactly
-    when every entry is positive, so it is checked elementwise: the averaged
-    matrix comes back when each of its entries is positive and finite, and
-    any other diagonal takes the general path below, which raises the same
-    errors as ever (or, for entries above DBL_MAX/2 that the average turns
-    into inf, returns that matrix as ever).
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (dim, dim):
         raise ValueError(f"metric has shape {g.shape}, expected {(dim, dim)}")
-    if np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
-        sym = symmetric_part(g)
-        if all(0.0 < d < math.inf for d in sym.diagonal().tolist()):
-            return sym
     largest = float(np.abs(g).max())
     if not np.isfinite(largest):
         raise NotPositiveDefinite(x, problem="finite")
@@ -134,7 +131,53 @@ def metric_at(manifold, x):
     require_in_chart(manifold, x)
     if manifold.flat:
         return manifold.metric
-    return _checked_metric(manifold.metric(x), manifold.dim, x)
+    return _checked_metric(manifold.metric(x.tolist()), manifold.dim, x)
+
+
+def metric_diagonal(manifold, x):
+    """(diagonal, None) or (None, matrix) of G at the chart point x, a list of floats in the chart.
+
+    The Python-float form of metric_at for the integrator. A diagonal
+    matrix (its off-diagonal entries exactly 0, a NaN counting as nonzero)
+    is symmetric as it stands, and Cholesky succeeds on it exactly when
+    every entry is positive, so it is checked elementwise: a value whose
+    entries are positive and finite, even doubled, comes back as the list of
+    its diagonal entries, which are what the symmetrized matrix holds. Any
+    other value comes back as the matrix metric_at gives, or raises its
+    error (for entries above DBL_MAX/2, which the average turns into inf,
+    that matrix). The guard is not checked here.
+    """
+    g = manifold.metric if manifold.flat else manifold.metric(x)
+    if type(g) is np.ndarray:
+        g = g.tolist()
+    n = len(x)
+    diagonal = []
+    for j, row in enumerate(g):
+        if len(row) != n:
+            break
+        d = row[j]
+        if not 0.0 < d + d < math.inf or any(row[:j]) or any(row[j + 1:]):
+            break
+        diagonal.append(d)
+    if len(diagonal) == n == len(g):
+        return diagonal, None
+    return None, _checked_metric(g, manifold.dim, np.asarray(x, dtype=float))
+
+
+def squared_norm(manifold, x, w):
+    """g_x(w, w) for lists of floats x, a point in the chart, and w.
+
+    Python floats on an identity or diagonal metric (metric_diagonal), one
+    array product on any other; an overflow gives inf without a warning.
+    """
+    if manifold.identity_metric:
+        return sum([v * v for v in w])
+    diagonal, g = metric_diagonal(manifold, x)
+    if diagonal is not None:
+        return sum([v * d * v for v, d in zip(w, diagonal)])
+    w = np.array(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(w @ g @ w)
 
 
 def metrics_at(manifold, points):
@@ -165,8 +208,9 @@ def christoffel_at(manifold, x, h=None):
     require_in_chart(manifold, x)
     if h is None:
         if manifold.christoffel is not None:
-            return symmetric_part(np.asarray(manifold.christoffel(x), dtype=float))
+            return symmetric_part(np.asarray(manifold.christoffel(x.tolist()), dtype=float))
         if manifold.metric_dx is not None:
-            return christoffel_from_partials(metric_at(manifold, x), manifold.metric_dx(x))
+            dg = np.asarray(manifold.metric_dx(x.tolist()), dtype=float)
+            return christoffel_from_partials(metric_at(manifold, x), dg)
     return christoffel_from_metric(lambda p: metric_at(manifold, p), x, h=h)
 

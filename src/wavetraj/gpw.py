@@ -16,6 +16,7 @@ The Lorentzian metric deliberately never passes through the geometry module's
 positive-definiteness checks.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dynamics import ForceSystem, FREE
 from .expressions import on_rows
-from .geometry import metric_at, metrics_at
+from .geometry import chart_point, metric_at, metrics_at
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric, gradient_fd, partial_in_scalar
@@ -33,8 +34,11 @@ from .numdiff import christoffel_from_metric, gradient_fd, partial_in_scalar
 class WaveCoefficient:
     """The scalar coefficient H(x, u) with its derivatives.
 
-    h_dx returns the covector of x-partials and h_du the u-partial; absent
-    sources fall back to central differences with the shared stencil policy.
+    Each source takes the chart point x as a list of Python floats and u as
+    a Python float; h and h_du return a float, h_dx the sequence of the
+    x-partials as floats. The methods below take arrays too and give arrays.
+    Absent derivative sources fall back to central differences with the
+    shared stencil policy.
     A coefficient carries no name or classification, only these sources.
 
     h, h_dx and h_du may each carry an array form (expressions.array_form),
@@ -50,16 +54,15 @@ class WaveCoefficient:
     h_du: Optional[Callable[[np.ndarray, float], float]] = None
 
     def value(self, x, u):
-        return float(self.h(np.asarray(x, dtype=float), float(u)))
+        return float(self.h(chart_point(x), float(u)))
 
     def dx(self, x, u):
-        x = np.asarray(x, dtype=float)
         if self.h_dx is not None:
-            return np.asarray(self.h_dx(x, float(u)), dtype=float)
-        return gradient_fd(lambda p: self.h(p, float(u)), x)
+            return np.asarray(self.h_dx(chart_point(x), float(u)), dtype=float)
+        return gradient_fd(lambda p: self.h(p.tolist(), float(u)), np.asarray(x, dtype=float))
 
     def du(self, x, u):
-        x = np.asarray(x, dtype=float)
+        x = chart_point(x)
         if self.h_du is not None:
             return float(self.h_du(x, float(u)))
         return float(partial_in_scalar(lambda s: self.h(x, s), float(u)))
@@ -151,13 +154,18 @@ def energy_of(st, init):
 
 
 def wave_force_system(st, u0, delta):
-    """Force system for the base part: V(x, t) = -(delta^2 / 2) H(x, u0 + delta t)."""
+    """Force system for the base part: V(x, t) = -(delta^2 / 2) H(x, u0 + delta t).
+
+    Its gradient, which the integrator calls, is taken in Python floats from
+    h_dx's values (or the finite differences of WaveCoefficient.dx).
+    """
     half_d2 = 0.5 * delta * delta
     wave = st.wave
+    h_dx = wave.h_dx if wave.h_dx is not None else lambda x, u: wave.dx(x, u).tolist()
 
     return ForceSystem(
         potential=lambda x, t: -half_d2 * wave.value(x, u0 + delta * t),
-        potential_dx=lambda x, t: -half_d2 * wave.dx(x, u0 + delta * t),
+        potential_dx=lambda x, t: [-half_d2 * d for d in h_dx(x, u0 + delta * t)],
         potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
     )
@@ -267,10 +275,10 @@ def full_geodesic_oracle(st, init, cfg):
         x = y[:n]
         qd = y[n_full:]
         g0 = metric_at(st.base, x)
-        w = qd[:n]
+        w = np.array(qd[:n])
         with np.errstate(over="ignore", invalid="ignore"):
-            val = float(w @ g0 @ w) + float(qd[n] ** 2 + qd[n + 1] ** 2)
-        return np.sqrt(val) if np.isfinite(val) and val >= 0 else np.inf
+            val = float(w @ g0 @ w) + (qd[n] * qd[n] + qd[n + 1] * qd[n + 1])
+        return math.sqrt(val) if math.isfinite(val) and val >= 0 else math.inf
 
     guard_ok = lambda y: st.base.contains(y[:n])
     return integrate_ode(f, np.concatenate([q0, qd0]), cfg, direction=FORWARD,

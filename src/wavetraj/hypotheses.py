@@ -154,12 +154,12 @@ def _scan_grid(bd, margin, sources):
     the worst point and the worst t.
 
     Otherwise the loop evaluates the margin one sample at a time, t outer
-    and points inner, calling the scalar sources in order. A non-finite
-    sample is evidence of nothing, so it is the worst sample: the scan stops
-    there and returns margin -inf with that sample's point and t. The loop
-    alone decides -inf margins and raises evaluation errors; an array value
-    that is NaN where the scalar source would raise only sends the scan to
-    the loop.
+    and points inner, calling the scalar sources in order on Python floats.
+    A non-finite sample is evidence of nothing, so it is the worst sample:
+    the scan stops there and returns margin -inf with that sample's point
+    and t. The loop alone decides -inf margins and raises evaluation errors;
+    an array value that is NaN where the scalar source would raise only
+    sends the scan to the loop.
     """
     forms = [form for _, form in sources]
     if None not in forms:
@@ -174,9 +174,9 @@ def _scan_grid(bd, margin, sources):
     worst = np.inf
     worst_p = None
     worst_t = None
-    for t in bd.t_grid:
-        t = float(t)
-        for p in bd.grid:
+    points = bd.grid.tolist()   # chart points as the Python floats sources take
+    for t in bd.t_grid.tolist():
+        for p in points:
             val = margin(*[scalar(p, t) for scalar in scalars])
             if not np.isfinite(val):
                 return -np.inf, tuple(float(c) for c in p), t

@@ -16,15 +16,18 @@ Classification is a numerical verdict, never a theorem: a complete trajectory
 of a stiff system is reported as ToleranceFailure, not blow-up, when the step
 collapses without growing speed.
 
-The step loop is the package's hot path, so an attempt does its control in
-Python floats (a stage is finite when the sum of its entries is, the error
-norm is math.sqrt of a sum) instead of calling numpy's reducing wrappers,
-all without changing a float. The stage sums stay the BLAS products
-kmat[:, :i] @ A_i, on column views built once per run: a sum written out
-term by term rounds differently from gemv. Overflow and invalid-value
-warnings are silenced once around the whole step loop, where a non-finite
-stage only rejects the step; the first RHS call and the initial step choice
-run outside it and warn as usual.
+The step loop is the package's hot path, and it runs in Python floats: the
+state, the stage derivatives and the records are lists of floats, the
+Dormand-Prince tableau is written out stage by stage over them (as DOPRI5
+codes it; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-5), and the error
+norm is math.sqrt of a sum of products. The force equation (dynamics.rhs_E)
+takes and gives floats too; any other field may return an array, which is
+converted with .tolist() once per call. The records become the trajectory's
+arrays once, at the end of the run.
+
+A stage that is not finite, or whose evaluation raises EvaluationError (a
+source's domain error, which numpy scalars used to turn into NaN), rejects
+the step and shrinks it; at the initial state either one is InvalidInit.
 """
 
 import math
@@ -34,23 +37,21 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import make_rhs
-from .errors import InvalidInit, NotABlowup, OutOfChart, OutOfRange
-from .geometry import metric_at
+from .errors import EvaluationError, InvalidInit, NotABlowup, OutOfChart, OutOfRange
+from .geometry import squared_norm
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# fifth-order minus embedded fourth-order weights, for the local error estimate
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A (rows 2..7, zero
+# entries left out), fifth-order weights B (row 7 of A: stage 7 is the new
+# state, FSAL) and the error weights E, fifth minus embedded fourth order
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+                                -1 / 40)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -133,21 +134,30 @@ class Trajectory:
         return float(self.times.min()), float(self.times.max())
 
 
-def _rms_norm(v):
-    # the floats of np.sqrt(np.mean(np.square(v))), without the wrappers
-    return math.sqrt(float(np.square(v).sum()) / v.size)
+def _finite(v):
+    """Every entry of the list v is finite; a finite sum says so at once."""
+    return math.isfinite(sum(v)) or all(map(math.isfinite, v))
+
+
+def _rms(v, scale):
+    """Root mean square of v / scale over two lists of floats."""
+    total = 0.0
+    for a, s in zip(v, scale):
+        q = a / s
+        total += q * q
+    return math.sqrt(total / len(v))
 
 
 def _initial_step(f, t0, y0, f0, cfg, remaining):
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = _rms_norm(y0 / scale)
-    d1 = _rms_norm(f0 / scale)
+    scale = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, remaining)
     try:
-        f1 = f(t0 + h0, y0 + h0 * f0)
-        d2 = _rms_norm((f1 - f0) / scale) / h0
-    except OutOfChart:
+        f1 = f(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+        d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
+    except (OutOfChart, EvaluationError):
         d2 = d1
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -160,24 +170,29 @@ class _Core:
     """One integration run in internal time s in [t0, horizon]."""
 
     def __init__(self, f, y0, cfg, speed_of, guard_ok, t0):
-        self.f = f
+        # f counted, with its value as a list of floats; the count lives in
+        # a list of its own, so the closure holds no reference to the run
+        # and the run's records go when it does, not at the next full collection
+        calls = self._calls = [0]
+
+        def field(t, y):
+            calls[0] += 1
+            k = f(t, y)
+            return k if type(k) is list else np.asarray(k, dtype=float).tolist()
+
+        self.f = field
         self.cfg = cfg
         self.speed_of = speed_of
         self.guard_ok = guard_ok
-        self.n_rhs = 0
         self.n_rejected = 0
         self.ts = [float(t0)]
-        self.ys = [np.asarray(y0, dtype=float)]
+        self.ys = [np.asarray(y0, dtype=float).tolist()]
         self.fs = []
         self.speeds = []
-        # stage derivatives k1..k7 as columns, refilled by every attempt
-        self.kmat = np.empty((self.ys[0].size, 7))
-        # (column, the columns before it, their weights, time fraction) per stage
-        self.stages = [(i, self.kmat[:, :i], _A[i], _C[i]) for i in range(1, 7)]
 
-    def _eval(self, t, y):
-        self.n_rhs += 1
-        return self.f(t, y)
+    @property
+    def n_rhs(self):
+        return self._calls[0]
 
     def run(self):
         cfg = self.cfg
@@ -185,24 +200,23 @@ class _Core:
         t = self.ts[0]
         if not self.guard_ok(y):
             raise InvalidInit("initial state violates the chart guard")
-        if not np.all(np.isfinite(y)):
+        if not all(map(math.isfinite, y)):
             raise InvalidInit("initial state is not finite")
         try:
-            k1 = self._eval(t, y)
-        except OutOfChart as exc:
+            k1 = self.f(t, y)
+        except (OutOfChart, EvaluationError) as exc:
             raise InvalidInit(f"vector field undefined at the initial state: {exc}") from exc
         self.fs.append(k1)
         self.speeds.append(self.speed_of(y))
         if self.speeds[0] > cfg.speed_ceiling:
             return Outcome(BLOW_UP_SUSPECTED, t_star_estimate=t)
-        if not np.all(np.isfinite(k1)):
+        if not all(map(math.isfinite, k1)):
             # no step size can be probed from a derivative that is not finite
             raise InvalidInit("vector field is not finite at the initial state")
 
         min_step = cfg.min_step_fraction * cfg.horizon
-        h = max(_initial_step(self._eval, t, y, k1, cfg, cfg.horizon - t), min_step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._steps(t, y, h, k1, min_step)
+        h = max(_initial_step(self.f, t, y, k1, cfg, cfg.horizon - t), min_step)
+        return self._steps(t, y, h, k1, min_step)
 
     def _steps(self, t, y, h, k1, min_step):
         cfg = self.cfg
@@ -251,27 +265,54 @@ class _Core:
         return Outcome(HORIZON_REACHED)
 
     def _attempt(self, t, y, h, k1):
-        """(y_new, k at y_new, error norm) of one DP5 step; runs inside _steps' errstate."""
+        """(y_new, k at y_new, error norm) of one DP5 step.
+
+        A stage that is not finite, or whose evaluation raises
+        EvaluationError, gives the error norm inf, which rejects the step.
+        """
         f = self.f
-        kmat = self.kmat
-        kmat[:, 0] = k1
-        for i, cols, a, c in self.stages:
-            yi = y + h * (cols @ a)
-            # a finite sum means every entry is finite; only a sum that
-            # overflows from finite entries needs the count
-            if not math.isfinite(sum(yi.tolist())) and np.count_nonzero(np.isfinite(yi)) != yi.size:
+        try:
+            y2 = [a + h * (_A21 * p) for a, p in zip(y, k1)]
+            if not _finite(y2):
                 return y, k1, math.inf
-            self.n_rhs += 1
-            k_last = f(t + c * h, yi)
-            kmat[:, i] = k_last
-        y_new = y + h * (kmat @ _B)
-        # FSAL: stage 7 was evaluated at (t + h, y_new)
-        err_vec = h * (kmat @ _E)
-        scale = self.cfg.abs_tol + self.cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms_norm(err_vec / scale)
+            k2 = f(t + _C2 * h, y2)
+            y3 = [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)]
+            if not _finite(y3):
+                return y, k1, math.inf
+            k3 = f(t + _C3 * h, y3)
+            y4 = [a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)]
+            if not _finite(y4):
+                return y, k1, math.inf
+            k4 = f(t + _C4 * h, y4)
+            y5 = [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * u)
+                  for a, p, q, r, u in zip(y, k1, k2, k3, k4)]
+            if not _finite(y5):
+                return y, k1, math.inf
+            k5 = f(t + _C5 * h, y5)
+            y6 = [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * u + _A65 * v)
+                  for a, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)]
+            if not _finite(y6):
+                return y, k1, math.inf
+            k6 = f(t + h, y6)
+            y_new = [a + h * (_B1 * p + _B3 * r + _B4 * u + _B5 * v + _B6 * w)
+                     for a, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)]
+            if not _finite(y_new):
+                return y, k1, math.inf
+            # FSAL: stage 7 is the derivative at the new state
+            k7 = f(t + h, y_new)
+        except EvaluationError:
+            return y, k1, math.inf
+        cfg = self.cfg
+        atol, rtol = cfg.abs_tol, cfg.rel_tol
+        total = 0.0
+        for a, b, p, r, u, v, w, z in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            a, b = abs(a), abs(b)
+            q = h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * z) / (
+                atol + rtol * (a if a >= b else b))
+            total += q * q
         if not self.guard_ok(y_new):
             raise OutOfChart(y_new, "accepted endpoint violates the chart guard")
-        return y_new, k_last, err
+        return y_new, k7, math.sqrt(total / len(y))
 
     def _collapse_outcome(self):
         recent = self.speeds[-(_GROWTH_WINDOW + 1):]
@@ -287,15 +328,17 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, d
                   t0=0.0):
     """Low-level entry: integrate y' = f(s, y) from y(t0) = y0 with classification.
 
-    speed_of(y) feeds the blow-up classifier (defaults to the euclidean norm
-    of the second half of y), guard_ok(y) the chart-exit logic. Backward runs
-    receive the already-reversed field, with y0 and t0 in internal time
-    (s = -t), and records are mapped back to actual time here.
+    f, speed_of and guard_ok take the state y as a list of Python floats; f
+    returns d/ds y as a list of floats or as an array. speed_of(y) feeds the
+    blow-up classifier (defaults to the euclidean norm of the second half of
+    y), guard_ok(y) the chart-exit logic. Backward runs receive the
+    already-reversed field, with y0 and t0 in internal time (s = -t), and
+    records are mapped back to actual time here.
     """
     y0 = np.asarray(y0, dtype=float)
     n = dim if dim is not None else y0.size // 2
     if speed_of is None:
-        speed_of = lambda y: float(np.linalg.norm(y[n:]))
+        speed_of = lambda y: math.hypot(*y[n:])
     if guard_ok is None:
         guard_ok = lambda y: True
 
@@ -303,8 +346,8 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, d
     outcome = core.run()
 
     ts = np.array(core.ts)
-    ys = np.stack(core.ys)
-    fvals = np.stack(core.fs)
+    ys = np.array(core.ys)
+    fvals = np.array(core.fs)
     if direction == FORWARD:
         times, states, derivs = ts, ys, fvals
     else:
@@ -327,7 +370,7 @@ def _flip_outcome_times(outcome):
 
 
 def _internal_problem(manifold, fs, direction):
-    """(f, speed_of, guard_ok) of the force equation in internal time.
+    """(f, speed_of, guard_ok) of the force equation in internal time, over lists of floats.
 
     A backward run integrates the reversed field for (x, w) with
     w(s) = -xdot(-s); f evaluates the force equation at the true time -s.
@@ -338,26 +381,20 @@ def _internal_problem(manifold, fs, direction):
     if direction == FORWARD:
         f_int = f_fwd
     else:
-        # (x, w) -> (x, -w), and back: sign changes are exact, so these
-        # products are the concatenations of y[:n] with -y[n:]
-        to_actual = np.repeat([1.0, -1.0], n)
-        to_internal = -to_actual
-
         def f_int(s, y):
             # reversed field: d/ds (x, w) = (w, a(x, -w, -s)) for w(s) = -xdot(-s);
             # the first half of f_fwd's value is the velocity -w it was given
-            return f_fwd(-s, y * to_actual) * to_internal
+            k = f_fwd(-s, y[:n] + [-w for w in y[n:]])
+            return [-v for v in k[:n]] + k[n:]
 
     def speed_of(y):
         # the integrator checks the guard before it asks for a speed, and a
         # constant metric was checked when the chart was built
-        g = manifold.metric if manifold.flat else metric_at(manifold, y[:n])
-        w = y[n:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = float(w @ g @ w)
+        q = squared_norm(manifold, y[:n], y[n:])
         return math.sqrt(q) if math.isfinite(q) and q >= 0 else math.inf
 
-    guard_ok = lambda y: manifold.contains(y[:n])
+    guard = manifold.domain_guard
+    guard_ok = (lambda y: True) if guard is None else (lambda y: bool(guard(y[:n])))
     return f_int, speed_of, guard_ok
 
 
@@ -446,7 +483,7 @@ def _ceiling_crossing(traj, speed_of, ceiling):
     # speed_of is even in the velocity, so actual-time states serve
     backward = traj.direction == BACKWARD
     ts = -traj.times if backward else traj.times
-    speeds = np.array([speed_of(y) for y in traj.states])
+    speeds = np.array([speed_of(y) for y in traj.states.tolist()])
     above = np.nonzero(speeds > ceiling)[0]
     if above.size == 0:
         return None
@@ -458,7 +495,7 @@ def _ceiling_crossing(traj, speed_of, ceiling):
         mid = 0.5 * (lo_t + hi_t)
         if hi_t - lo_t <= 1e-15 * max(1.0, abs(hi_t)):
             break
-        if speed_of(np.concatenate(sample(traj, -mid if backward else mid))) > ceiling:
+        if speed_of(np.concatenate(sample(traj, -mid if backward else mid)).tolist()) > ceiling:
             hi_t = mid
         else:
             lo_t = mid
@@ -495,7 +532,7 @@ def refine_blowup(manifold, fs, cfg, coarse):
     # the coarse run stops at its first record above the ceiling; metric
     # speed is even in the velocity, so actual-time states serve here
     start = len(coarse.times) - 1
-    while start > 0 and not speed_of(coarse.states[start]) <= ceiling:
+    while start > 0 and not speed_of(coarse.states[start].tolist()) <= ceiling:
         start -= 1
     n = coarse.dim
     x, xdot = coarse.states[start, :n], coarse.states[start, n:]

@@ -61,10 +61,10 @@ def symmetric_part(a):
 def christoffel_lower(dg):
     """Christoffel symbols of the first kind from the metric partials dg[i] = ∂_i G.
 
-    Γ_lij = 1/2 (∂_i g_jl + ∂_j g_il − ∂_l g_ij), indexed [l, i, j]. This is
-    the one place the Levi-Civita index algebra lives: christoffel_from_partials
-    raises it, and the fused force-equation evaluation contracts it with the
-    velocity before raising.
+    Γ_lij = 1/2 (∂_i g_jl + ∂_j g_il − ∂_l g_ij), indexed [l, i, j], which
+    christoffel_from_partials raises. The fused force equation (dynamics.rhs_E)
+    contracts the same formula with the velocity in Python floats, and its
+    test holds the two together.
     """
     return 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
 

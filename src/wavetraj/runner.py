@@ -8,7 +8,7 @@ from . import __version__
 from .comparison import DIVERGES, DominatingSolution, PhiFunction, check_divergence, solve_dominating, verify_envelope
 from .dynamics import build_energy_frame, energy_derivative_identity, energy_v
 from .expressions import with_array_form
-from .geometry import metric_at
+from .geometry import squared_norm
 from .gpw import (GeodesicInitialData, classify_gpw_completeness, full_geodesic_oracle,
                   oracle_quadratic_form, reduce_geodesic, split_geodesic_to_csv, split_state)
 from .hypotheses import CertificationTask, certify, check_S_bounds, INCONCLUSIVE
@@ -73,15 +73,17 @@ def _outcome_dict(traj):
 
 
 def _mechanical_energy_drift(sc, traj):
-    """Relative drift per unit time of (1/2) u + V for autonomous F-free systems."""
+    """Relative drift per unit time of (1/2) u + V for autonomous F-free systems.
+
+    Each accepted state is evaluated in Python floats, as the integrator
+    evaluated it: g(xdot, xdot) by geometry.squared_norm and V by its source.
+    """
     if sc.force is None or sc.force.tensor_F is not None or not sc.force.time_independent:
         return None
     n = traj.dim
-    values = []
-    for t, y in zip(traj.times, traj.states):
-        g = metric_at(sc.manifold, y[:n])
-        values.append(0.5 * float(y[n:] @ g @ y[n:]) + sc.force.value(y[:n], t))
-    values = np.asarray(values)
+    manifold, potential = sc.manifold, sc.force.potential
+    values = np.array([0.5 * squared_norm(manifold, y[:n], y[n:]) + float(potential(y[:n], t))
+                       for t, y in zip(traj.times.tolist(), traj.states.tolist())])
     spread = float(np.abs(values - values[0]).max())
     scale = max(abs(float(values[0])), 1.0)
     duration = max(abs(traj.times[-1] - traj.times[0]), 1e-300)

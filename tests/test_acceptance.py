@@ -142,8 +142,8 @@ def test_criterion_5_certificates_on_bundled_systems():
                     cert.verdict == INCONCLUSIVE and traj.outcome.kind == BLOW_UP_SUSPECTED,
                     f"{cert.verdict}/{traj.outcome.kind}"))
 
-    well = WaveCoefficient(h=lambda x, u: -float(x @ x) ** 2,
-                           h_dx=lambda x, u: -4.0 * float(x @ x) * np.asarray(x),
+    well = WaveCoefficient(h=lambda x, u: -float(np.dot(x, x)) ** 2,
+                           h_dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
     st = GpwSpacetime(base=e2, wave=well, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     bd = BoundData(alpha0=lambda u: 0.0, beta0=lambda u: 0.0,

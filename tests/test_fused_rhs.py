@@ -107,18 +107,19 @@ def test_fused_rhs_matches_closed_form_and_finite_difference_path(build, partial
 def test_fused_rhs_makes_one_metric_call_and_no_christoffel_call(monkeypatch):
     sc = _conformal()
     calls = []
-    checked = dynamics.metric_at
 
-    def counting(manifold, x):
+    def counting(x):
         calls.append(x)
-        return checked(manifold, x)
+        return sc.manifold.metric(x)
 
     def unexpected(*args, **kwargs):
-        raise AssertionError("the fused path must not build the Christoffel tensor")
+        raise AssertionError("the fused path must build neither the metric array "
+                             "nor the Christoffel tensor")
 
-    monkeypatch.setattr(dynamics, "metric_at", counting)
+    m = ChartManifold(dim=2, metric=counting, metric_dx=sc.manifold.metric_dx)
+    monkeypatch.setattr(dynamics, "metric_at", unexpected)
     monkeypatch.setattr(dynamics, "christoffel_at", unexpected)
-    rhs_E(sc.manifold, sc.force, (POINTS[0], VELOCITY, 0.0))
+    rhs_E(m, sc.force, (POINTS[0], VELOCITY, 0.0))
     assert len(calls) == 1
 
 

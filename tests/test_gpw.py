@@ -277,8 +277,8 @@ def test_v_quadrature_against_closed_form():
 
 
 def test_base_blowup_propagates():
-    wave = WaveCoefficient(h=lambda x, u: float(x @ x) ** 2,
-                           h_dx=lambda x, u: 4.0 * float(x @ x) * np.asarray(x),
+    wave = WaveCoefficient(h=lambda x, u: float(np.dot(x, x)) ** 2,
+                           h_dx=lambda x, u: 4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     init = GeodesicInitialData(x0=np.array([1.0, 0.0]), xdot0=np.zeros(2), udot0=1.0)
@@ -297,8 +297,8 @@ def test_classify_plane_wave_linear_gradient():
 def test_classify_bounded_wave_coefficient():
     from wavetraj.gpw import classify_gpw_completeness
 
-    wave = WaveCoefficient(h=lambda x, u: -float(x @ x) ** 2,
-                           h_dx=lambda x, u: -4.0 * float(x @ x) * np.asarray(x),
+    wave = WaveCoefficient(h=lambda x, u: -float(np.dot(x, x)) ** 2,
+                           h_dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     cert = classify_gpw_completeness(st, wave_bounds(lambda u: 0.0, lambda u: 0.0))
@@ -308,8 +308,8 @@ def test_classify_bounded_wave_coefficient():
 def test_classify_unbounded_wave_inconclusive():
     from wavetraj.gpw import classify_gpw_completeness
 
-    wave = WaveCoefficient(h=lambda x, u: float(x @ x) ** 2,
-                           h_dx=lambda x, u: 4.0 * float(x @ x) * np.asarray(x),
+    wave = WaveCoefficient(h=lambda x, u: float(np.dot(x, x)) ** 2,
+                           h_dx=lambda x, u: 4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     cert = classify_gpw_completeness(st, wave_bounds(lambda u: 0.0, lambda u: 0.0))

@@ -93,9 +93,9 @@ def test_dvdt_exp_potential_identity():
 
 
 def test_dvdt_fails_at_t_zero_plane():
-    fs = ForceSystem(potential=lambda x, t: t * float(x @ x),
+    fs = ForceSystem(potential=lambda x, t: t * float(np.dot(x, x)),
                      potential_dx=lambda x, t: 2.0 * t * np.asarray(x),
-                     potential_dt=lambda x, t: float(x @ x))
+                     potential_dt=lambda x, t: float(np.dot(x, x)))
     bd = BoundData(alpha0=lambda t: 1.0, beta0=lambda t: 0.0,
                    grid=np.linspace(-2.0, 2.0, 9).reshape(-1, 1),
                    t_grid=np.linspace(0.0, 3.0, 31))
@@ -107,9 +107,9 @@ def test_dvdt_fails_at_t_zero_plane():
 
 def test_dvdt_one_sided_variants():
     # dV/dt = -V <= 0 = alpha0 (V - beta0) holds forward but not backward
-    fs = ForceSystem(potential=lambda x, t: np.exp(-t) * (1.0 + float(x @ x)),
+    fs = ForceSystem(potential=lambda x, t: np.exp(-t) * (1.0 + float(np.dot(x, x))),
                      potential_dx=lambda x, t: 2.0 * np.exp(-t) * np.asarray(x),
-                     potential_dt=lambda x, t: -np.exp(-t) * (1.0 + float(x @ x)))
+                     potential_dt=lambda x, t: -np.exp(-t) * (1.0 + float(np.dot(x, x))))
     bd = bounds_2d(lambda t: 0.0, lambda t: 0.0)
     assert check_dVdt_bound(fs, bd, "forward").passed
     assert not check_dVdt_bound(fs, bd, "backward").passed
@@ -181,9 +181,9 @@ def test_certify_negative_quartic_inconclusive(euclidean1):
 
 
 def test_certify_one_sided_only(euclidean2):
-    fs = ForceSystem(potential=lambda x, t: np.exp(-t) * (1.0 + float(x @ x)),
+    fs = ForceSystem(potential=lambda x, t: np.exp(-t) * (1.0 + float(np.dot(x, x))),
                      potential_dx=lambda x, t: 2.0 * np.exp(-t) * np.asarray(x),
-                     potential_dt=lambda x, t: -np.exp(-t) * (1.0 + float(x @ x)))
+                     potential_dt=lambda x, t: -np.exp(-t) * (1.0 + float(np.dot(x, x))))
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
                                      force=fs))
@@ -193,9 +193,9 @@ def test_certify_one_sided_only(euclidean2):
 def test_certify_backward_only(euclidean2):
     # dV/dt = +V > 0 breaks the forward bound with alpha0 = 0 while the
     # backward one (-dV/dt <= 0) holds everywhere
-    fs = ForceSystem(potential=lambda x, t: np.exp(t) * (1.0 + float(x @ x)),
+    fs = ForceSystem(potential=lambda x, t: np.exp(t) * (1.0 + float(np.dot(x, x))),
                      potential_dx=lambda x, t: 2.0 * np.exp(t) * np.asarray(x),
-                     potential_dt=lambda x, t: np.exp(t) * (1.0 + float(x @ x)))
+                     potential_dt=lambda x, t: np.exp(t) * (1.0 + float(np.dot(x, x))))
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
                                      force=fs))
@@ -215,8 +215,8 @@ def test_certify_requires_complete_flag():
 
 
 def test_certify_wave_routes(euclidean2):
-    wave = make_wave(lambda x, u: -float(x @ x) ** 2,
-                     dx=lambda x, u: -4.0 * float(x @ x) * np.asarray(x),
+    wave = make_wave(lambda x, u: -float(np.dot(x, x)) ** 2,
+                     dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
                      du=lambda x, u: 0.0)
     bd = bounds_2d(lambda u: 0.0, lambda u: 0.0, reach=5.0, side=11)
     cert = certify(CertificationTask(manifold=euclidean2, bounds=bd, wave=wave))
@@ -237,14 +237,14 @@ def test_monotone_evidence_under_grid_growth(euclidean1):
 def test_wave_and_potential_route_equivalence(euclidean2):
     # wave-form margins are exactly half the potential-form margins under
     # V = -H/2, beta0_V = -beta0_H/2, identical alpha0
-    wave = make_wave(lambda x, u: -float(x @ x) ** 2 - np.sin(u),
-                     dx=lambda x, u: -4.0 * float(x @ x) * np.asarray(x),
+    wave = make_wave(lambda x, u: -float(np.dot(x, x)) ** 2 - np.sin(u),
+                     dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
                      du=lambda x, u: -np.cos(u))
     alpha = lambda s: 2.0
     beta_h = lambda s: 0.5
     bd_wave = bounds_2d(alpha, beta_h)
-    fs = ForceSystem(potential=lambda x, t: 0.5 * (float(x @ x) ** 2 + np.sin(t)),
-                     potential_dx=lambda x, t: 2.0 * float(x @ x) * np.asarray(x),
+    fs = ForceSystem(potential=lambda x, t: 0.5 * (float(np.dot(x, x)) ** 2 + np.sin(t)),
+                     potential_dx=lambda x, t: 2.0 * float(np.dot(x, x)) * np.asarray(x),
                      potential_dt=lambda x, t: 0.5 * np.cos(t))
     bd_pot = bounds_2d(alpha, lambda s: -beta_h(s) / 2.0)
 
@@ -285,7 +285,7 @@ def _poisoned(x, bad_x, bad_value, otherwise):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_potential_fails_bounded_below(bad):
     # V = x^2 >= 0 everywhere except one sample: that sample is the evidence
-    fs = ForceSystem(potential=lambda x, t: _poisoned(x, 1.5, bad, float(x @ x)))
+    fs = ForceSystem(potential=lambda x, t: _poisoned(x, 1.5, bad, float(np.dot(x, x))))
     bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
     check = check_bounded_below(fs, bd)
     assert not check.passed
@@ -304,7 +304,7 @@ def test_nan_everywhere_fails_bounded_below():
 
 @pytest.mark.parametrize("signed", ["two_sided", "forward", "backward"])
 def test_nan_time_derivative_fails_dvdt_bound(signed):
-    fs = ForceSystem(potential=lambda x, t: 1.0 + float(x @ x),
+    fs = ForceSystem(potential=lambda x, t: 1.0 + float(np.dot(x, x)),
                      potential_dt=lambda x, t: _poisoned(x, -1.0, float("nan"), 0.0))
     bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
     check = check_dVdt_bound(fs, bd, signed=signed)

@@ -409,11 +409,10 @@ def test_cli_batch_survives_an_expression_evaluation_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-# the scalar x1^0.5 of a numpy scalar warns instead of raising (ROADMAP item 6)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_batch_survives_a_non_finite_tensor_sample(tmp_path, capsys):
-    # x1^0.5 is NaN on the grid's x1 < 0 half (numpy scalars do not raise),
-    # so the sampled operator pencil is not finite there
+    # x1^0.5 cannot be evaluated on the grid's x1 < 0 half: the chart point
+    # reaches the tensor as Python floats, so the sample raises a typed
+    # EvaluationError naming the entry, and the batch runs on
     good = tmp_path / "mini.scn"
     good.write_text(json.dumps(MINIMAL_INTEGRATE))
     bad = tmp_path / "sqrt-tensor.scn"
@@ -430,7 +429,7 @@ def test_cli_batch_survives_a_non_finite_tensor_sample(tmp_path, capsys):
     assert main(["run", str(bad), str(good), "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert "mini: integrate -> HorizonReached" in captured.out
-    assert "EigFailure" in captured.err and "non-finite" in captured.err
+    assert "EvaluationError" in captured.err and "x1^0.5" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -568,7 +567,43 @@ BAD_INPUTS = {
     "compare_lemma.v0_init<a": (SMALL_COMPARE, ["compare_lemma.v0_init=0.5"], 2, "v0_init"),
     # the gradient of 1e400*x1 is infinite, so the vector field is not finite at the start
     "infinite-rhs": (BAD_INTEGRATE, ['force.potential.expr="1e400*x1"'], 1, "InvalidInit"),
+    # 400*x1^399 overflows at x1 = 10: a Python-float power raises there
+    "overflowing-power-at-the-start": (BAD_INTEGRATE, ['force.potential.expr="x1^400"',
+                                                       "initial.position=[10.0]"],
+                                       1, "InvalidInit"),
+    **{f"euclidean-n={value}": (BAD_INTEGRATE, [f"manifold.params.n={value}"], 2, "'n'")
+       for value in ("1" + "0" * 400, 101)},
+    "harmonic-k=10**400": (BAD_INTEGRATE, ["force.potential.catalog=harmonic",
+                                           "force.potential.params.k=1" + "0" * 400], 2, "'k'"),
+    "expression-wave-H-not-text": (
+        PLANE_WAVE_CERTIFY, ['gpw.wave={"catalog": "expression", "params": {"H": 5, "n": 2}}'],
+        2, "parameter 'H' of catalog entry 'expression'"),
+    "time_scalar-expr-not-text": (
+        BAD_INTEGRATE, ['force.tensor={"catalog": "time_scalar", "params": {"expr": 3, "n": 1}}'],
+        2, "parameter 'expr' of catalog entry 'time_scalar'"),
 }
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({**PLANE_WAVE_CERTIFY, "gpw": {"wave": {"catalog": "expression", "params": {"H": 5, "n": 2}},
+                                    "witness": {"x": [1.0, 0.0], "u": 0.0}}}, "H"),
+    ({**BAD_INTEGRATE,
+      "force": {"tensor": {"catalog": "time_scalar", "params": {"expr": 3, "n": 1}}}}, "expr"),
+])
+def test_a_non_string_catalog_expression_names_its_parameter(doc, key):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(doc)
+    assert info.value.key == key
+    assert f"parameter {key!r} of catalog entry" in str(info.value)
+
+
+@pytest.mark.parametrize("n", [10**400, 101])
+def test_a_catalog_dimension_past_the_bound_is_a_validation_error(n):
+    from wavetraj.catalog import MAX_DIMENSION
+    assert MAX_DIMENSION == 100
+    with pytest.raises(ValidationError) as info:
+        parse_scenario({**BAD_INTEGRATE, "manifold": {"catalog": "euclidean", "params": {"n": n}}})
+    assert info.value.key == "n"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
