@@ -1,18 +1,20 @@
 """Built-in manifolds, potentials, tensor forces, and wave families.
 
 Entries are addressable by name from scenario files. Builders take a params
-dict; unknown parameters, and parameters of the wrong type or range, are
-hard errors so scenario typos cannot pass silently. This is also the one
-module that turns expression text in x1..xn into chart sources: metric rows,
-potentials, tensors and wave coefficients.
+dict, and a potential's builder the manifold's dimension too; unknown
+parameters, and parameters of the wrong type or range, are hard errors so
+scenario typos cannot pass silently. This is also the one module that turns
+expression text in x1..xn into chart sources: metric rows, potentials,
+tensors and wave coefficients; every potential and tensor entry is such
+text. Of the curved charts only hyperbolic_half_plane is written in floats,
+because as metric rows a task on it takes about 1.5 times as long.
 
 Every source here takes a chart point as a list of Python floats and returns
 Python floats in plain (nested) sequences, the values the integrator's step
-loop works on (geometry.ChartManifold); products stand where numpy squared,
-so a value that overflows is inf, as it was, and never a Python
-OverflowError.
+loop works on (geometry.ChartManifold).
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 
 from .dynamics import ForceSystem
 from .errors import ValidationError
-from .expressions import at_chart_point, fused, parse_expression, with_array_form
+from .expressions import Expression, _add, _mul, _sub, at_chart_point, fused, parse_expression
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
 
@@ -31,7 +33,7 @@ from .gpw import WaveCoefficient
 class CatalogEntry:
     signature: str
     summary: str
-    build: Callable[[dict], object]
+    build: Callable[..., object]
 
 
 def _check_params(name, params, allowed, required=()):
@@ -83,20 +85,14 @@ def _text(name, key, value):
     return value
 
 
-def _square(x):
-    """x1^2 + ... + xn^2 of a list of floats, as products."""
-    total = 0.0
-    for c in x:
-        total += c * c
-    return total
+def _number_text(x):
+    """A float as expression text that parses back to it, in parentheses."""
+    return f"({x!r})"
 
 
-def _exp(t):
-    """e^t, inf where math.exp overflows (as np.exp gives)."""
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
+def _square_text(n):
+    """x1*x1 + ... + xn*xn, in parentheses."""
+    return "(" + " + ".join(f"x{i + 1}*x{i + 1}" for i in range(n)) + ")"
 
 
 def _chart_variables(n, *last):
@@ -104,12 +100,12 @@ def _chart_variables(n, *last):
     return tuple(f"x{i + 1}" for i in range(n)) + last
 
 
-def _chart_field(text, variables):
-    """Text over (x1..xn, s): the expression, its value, x-gradient and s-partial as f(x, s)."""
-    expr = parse_expression(text, variables)
-    return (expr, at_chart_point(expr),
-            at_chart_point([expr.derivative(v) for v in variables[:-1]]),
-            at_chart_point(expr.derivative(variables[-1])))
+def _chart_field(expr, n, params=()):
+    """expr over (x1..xn, s, parameters valued params): value, x-gradient, s-partial as f(x, s)."""
+    variables = expr.variables
+    return (at_chart_point(expr, params),
+            at_chart_point([expr.derivative(v) for v in variables[:n]], params),
+            at_chart_point(expr.derivative(variables[n]), params))
 
 
 # ---------------------------------------------------------------- manifolds
@@ -129,11 +125,12 @@ def _hyperbolic_metric(x):
     return ((w, 0.0), (0.0, w))
 
 
-def _hyperbolic_christoffel(x):
-    # Γ^k_ij at [k][i][j]
-    inv_y = 1.0 / x[1]
-    return (((0.0, -inv_y), (-inv_y, 0.0)),
-            ((inv_y, 0.0), (0.0, -inv_y)))
+def _hyperbolic_term(x, v):
+    # Γ_lij v^i v^j of w(x2) I, with w = 1/x2^2 and w' = -2/x2^3
+    y = x[1]
+    dw = -2.0 / (y * y * y)
+    v1, v2 = v
+    return (dw * v1 * v2, 0.5 * dw * (v2 * v2 - v1 * v1))
 
 
 def _build_hyperbolic(params):
@@ -141,55 +138,86 @@ def _build_hyperbolic(params):
     return ChartManifold(
         dim=2,
         metric=_hyperbolic_metric,
-        christoffel=_hyperbolic_christoffel,
+        geodesic_term=_hyperbolic_term,
         domain_guard=lambda x: x[1] > 0.0,
         complete_flag=True,
     )
 
 
+def _parsed_rows(rows, variables):
+    """The n x n expression text rows parsed over variables; equal texts share one Expression."""
+    parsed = {text: parse_expression(text, variables)
+              for text in dict.fromkeys(e for row in rows for e in row)}
+    return [[parsed[e] for e in row] for row in rows]
+
+
+def _cut(values, n):
+    """n * n values as n rows of n."""
+    return [values[j * n:(j + 1) * n] for j in range(n)]
+
+
+def _sum(terms):
+    """The tree of the terms summed left to right; terms that fold to zero drop out."""
+    return functools.reduce(_add, terms, ("num", 0.0))
+
+
+def _geodesic_terms(exprs, variables):
+    """Γ_lij v^i v^j of the metric entries exprs over (x1..xn), as trees over (x1..xn, v1..vn).
+
+    With dg_v[i][j] = Σ_k ∂_i g_jk v_k, it is Σ_i v_i dg_v[i][l] − 0.5 Σ_j v_j dg_v[l][j].
+    As metric_at averages G, an entry whose transposed text differs has its
+    partials averaged; averaging would give any other entry its own bits.
+    """
+    n = len(exprs)
+    half = ("num", 0.5)
+    v = [("var", n + k) for k in range(n)]
+
+    def partial(i, j, k):
+        d = exprs[j][k].derivative(variables[i]).tree
+        if exprs[k][j] is exprs[j][k]:
+            return d
+        return _mul(_add(exprs[k][j].derivative(variables[i]).tree, d), half)
+
+    dg_v = [[_sum(_mul(partial(i, j, k), v[k]) for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    return [_sub(_sum(_mul(v[i], dg_v[i][l]) for i in range(n)),
+                 _mul(half, _sum(_mul(v[j], dg_v[l][j]) for j in range(n))))
+            for l in range(n)]
+
+
 def metric_rows(rows, guard=None, complete=False):
     """The chart whose metric has the n x n expression text rows, guard > 0 inside it.
 
-    The metric and its exact partials are each one fused call, cut into
-    rows. The partials are symmetrized as metric_at symmetrizes G unless the
-    rows read the same transposed; averaging would then give their own bits,
-    short of overflow.
+    The metric is one fused call, cut into rows. Its geodesic term is one
+    fused call over (x1..xn, v1..vn) too, built on its first call from the
+    exact partials (_geodesic_terms).
     """
     if not isinstance(complete, bool):
         raise ValidationError("'complete' must be true or false", key="complete")
     n = len(rows)
     variables = _chart_variables(n)
-    # equal texts share one expression, and with it its derivatives
-    texts = dict.fromkeys(e for row in rows for e in row)
-    parsed = {text: parse_expression(text, variables) for text in texts}
-    exprs = [[parsed[e] for e in row] for row in rows]
+    exprs = _parsed_rows(rows, variables)
     guard_fn = None
     if guard is not None:
         guard_expr = parse_expression(guard, variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
     entries = fused([e for row in exprs for e in row])
-    # ∂_i g_jk at [(i * n + j) * n + k]
-    partials = fused([e.derivative(v) for v in variables for row in exprs for e in row])
-
-    cuts = [(j * n, (j + 1) * n) for j in range(n)]
 
     def metric(x):
-        values = entries(*x)
-        return [values[a:b] for a, b in cuts]
+        return _cut(entries(*x), n)
 
-    symmetric = all(rows[j][k] == rows[k][j] for j in range(n) for k in range(j))
-    blocks = [[(a + i * n * n, b + i * n * n) for a, b in cuts] for i in range(n)]
+    term = None
 
-    def metric_dx(x):
-        values = partials(*x)
-        dg = [[values[a:b] for a, b in block] for block in blocks]
-        if symmetric:
-            return dg
-        # 0.5 * (a + a^T) of each ∂_i G, with the floats of numdiff.symmetric_part
-        return [[[(m[k][j] + m[j][k]) * 0.5 for k in range(n)] for j in range(n)] for m in dg]
+    def geodesic_term(x, v):
+        nonlocal term
+        if term is None:
+            names = variables + tuple(f"v{k + 1}" for k in range(n))
+            term = fused([Expression(f"Gamma_{l + 1}ij v^i v^j of the metric rows", names, tree)
+                          for l, tree in enumerate(_geodesic_terms(exprs, variables))])
+        return term(*x, *v)
 
-    return ChartManifold(dim=n, metric=metric, metric_dx=metric_dx, domain_guard=guard_fn,
+    return ChartManifold(dim=n, metric=metric, geodesic_term=geodesic_term, domain_guard=guard_fn,
                          complete_flag=complete)
 
 
@@ -219,71 +247,47 @@ MANIFOLDS = {
 
 # ---------------------------------------------------------------- potentials
 
-# V ≡ 0 or ∂V/∂t ≡ 0
-_zero = with_array_form(lambda x, t: 0.0,
-                        lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(t))))
+# each potential is a template over x1..xn, t and its parameters with the
+# operations of its float formula, S = (x1*x1 + ... + xn*xn) left to right
+
+@functools.cache
+def _template(text, n, names):
+    """text over x1..xn, t and names, parsed once: entries share its derivatives and code."""
+    return parse_expression(text, _chart_variables(n, "t", *names))
 
 
-def _build_zero_potential(params):
+def _template_potential(text, n, **params):
+    """The force system of the template text on n coordinates, its parameters valued params."""
+    return _force_system(_template(text, n, tuple(params)), n, tuple(params.values()))
+
+
+@functools.cache
+def _zero_potential(n):
+    # one per dimension: most scenarios run without a potential
+    return _template_potential("0", n)
+
+
+def _build_zero_potential(params, n):
     _check_params("zero", params, allowed=set())
-    return ForceSystem(
-        potential=_zero,
-        potential_dx=lambda x, t: [0.0] * len(x),
-        potential_dt=_zero,
-        time_independent=True,
-    )
+    return _zero_potential(n)
 
 
-# each array form takes the scalar form's operations over arrays: its sum of
-# squares (np.vecdot) rounds as numpy's, and its exp is numpy's
-
-def _build_harmonic(params):
+def _build_harmonic(params, n):
     _check_params("harmonic", params, allowed={"k"})
     k = _real("harmonic", "k", params.get("k", 1.0))
-    return ForceSystem(
-        potential=with_array_form(lambda x, t: 0.5 * k * _square(x),
-                                  lambda x, t: 0.5 * k * np.vecdot(x, x)),
-        potential_dx=lambda x, t: [k * c for c in x],
-        potential_dt=_zero,
-        time_independent=True,
-    )
+    return _template_potential(f"0.5*k*{_square_text(n)}", n, k=k)
 
 
-def _build_exp_time_quadratic(params):
+def _build_exp_time_quadratic(params, n):
     _check_params("exp_time_quadratic", params, allowed=set())
-    # V is its own time derivative
-
-    def potential_dx(x, t):
-        a = 2.0 * _exp(t)
-        return [a * c for c in x]
-
-    value = with_array_form(lambda x, t: _exp(t) * (1.0 + _square(x)),
-                            lambda x, t: np.exp(t) * (1.0 + np.vecdot(x, x)))
-    return ForceSystem(potential=value, potential_dx=potential_dx, potential_dt=value)
+    return _template_potential(f"exp(t)*(1 + {_square_text(n)})", n)
 
 
-def _build_negative_quartic(params):
+def _build_negative_quartic(params, n):
     _check_params("negative_quartic", params, allowed={"c"})
     c = _real("negative_quartic", "c", params.get("c", 1.0))
-
-    def value(x, t):
-        r2 = _square(x)
-        return -c * (r2 * r2)
-
-    def potential_dx(x, t):
-        a = -4.0 * c * _square(x)
-        return [a * v for v in x]
-
-    def array_value(x, t):
-        r2 = np.vecdot(x, x)
-        return -c * (r2 * r2)
-
-    return ForceSystem(
-        potential=with_array_form(value, array_value),
-        potential_dx=potential_dx,
-        potential_dt=_zero,
-        time_independent=True,
-    )
+    square = _square_text(n)
+    return _template_potential(f"-c*({square}*{square})", n, c=c)
 
 
 POTENTIALS = {
@@ -299,57 +303,50 @@ POTENTIALS = {
 
 def expression_potential(text, n):
     """The force system of the potential with expression text in x1..xn and t."""
-    expr, value, dx, dt = _chart_field(text, _chart_variables(n, "t"))
+    return _force_system(parse_expression(text, _chart_variables(n, "t")), n)
+
+
+def _force_system(expr, n, params=()):
+    """The force system of the potential expr over x1..xn, t and any parameters, valued params."""
+    value, dx, dt = _chart_field(expr, n, params)
     return ForceSystem(potential=value, potential_dx=dx, potential_dt=dt,
                        time_independent="t" not in expr.used)
 
 
 # ---------------------------------------------------------------- tensor forces
 
+def _diagonal_rows(text, n):
+    """n x n rows with text on the diagonal and 0 elsewhere."""
+    return [[text if j == k else "0" for k in range(n)] for j in range(n)]
+
+
 def _build_skew_rotation(params):
     _check_params("skew_rotation", params, allowed={"omega"})
-    omega = _real("skew_rotation", "omega", params.get("omega", 1.0))
-    mat = ((0.0, omega), (-omega, 0.0))
-    return lambda x, t: mat
-
-
-def _identity_rows(n):
-    return [[1.0 if j == k else 0.0 for k in range(n)] for j in range(n)]
+    omega = _number_text(_real("skew_rotation", "omega", params.get("omega", 1.0)))
+    return expression_tensor([["0", omega], ["-" + omega, "0"]])
 
 
 def _build_scalar_multiple(params):
     _check_params("scalar_multiple", params, allowed={"c", "n"}, required={"c", "n"})
     c = _real("scalar_multiple", "c", params["c"])
     n = _dimension("scalar_multiple", params)
-    mat = [[c * e for e in row] for row in _identity_rows(n)]
-    return lambda x, t: mat
+    return expression_tensor(_diagonal_rows(_number_text(c), n))
 
 
 def _build_time_scalar(params):
     _check_params("time_scalar", params, allowed={"expr", "n"}, required={"expr", "n"})
     n = _dimension("time_scalar", params)
-    fn = parse_expression(_text("time_scalar", "expr", params["expr"]), ("t",))
-    eye = _identity_rows(n)
-
-    def tensor(x, t):
-        c = fn(t)
-        return [[c * e for e in row] for row in eye]
-
-    return tensor
+    text = _text("time_scalar", "expr", params["expr"])
+    # c is an expression in t alone: an x1 in it is a parse error
+    parse_expression(text, ("t",))
+    return expression_tensor(_diagonal_rows(f"({text})", n))
 
 
 def expression_tensor(rows):
     """The tensor F(x, t) whose n x n matrix has the expression text rows in x1..xn and t."""
     n = len(rows)
-    variables = _chart_variables(n, "t")
-    entries = at_chart_point([parse_expression(e, variables) for row in rows for e in row])
-    cuts = [(j * n, (j + 1) * n) for j in range(n)]
-
-    def tensor(x, t):
-        values = entries(x, t)
-        return [values[a:b] for a, b in cuts]
-
-    return tensor
+    entries = at_chart_point([e for row in _parsed_rows(rows, _chart_variables(n, "t")) for e in row])
+    return lambda x, t: _cut(entries(x, t), n)
 
 
 TENSORS = {
@@ -382,8 +379,8 @@ def _build_plane_wave(params):
 def _build_expression_wave(params):
     _check_params("expression", params, allowed={"H", "n"}, required={"H", "n"})
     n = _dimension("expression", params)
-    _, h, h_dx, h_du = _chart_field(_text("expression", "H", params["H"]),
-                                    _chart_variables(n, "u"))
+    h, h_dx, h_du = _chart_field(
+        parse_expression(_text("expression", "H", params["H"]), _chart_variables(n, "u")), n)
     return WaveCoefficient(h=h, h_dx=h_dx, h_du=h_du)
 
 
@@ -415,10 +412,11 @@ def build_manifold(name, params):
     return MANIFOLDS[name].build(dict(params))
 
 
-def build_potential(name, params):
+def build_potential(name, params, dim):
+    """The catalog potential name on a dim-dimensional manifold."""
     if name not in POTENTIALS:
         raise ValidationError(f"unknown potential {name!r}; see the catalog listing", key=name)
-    return POTENTIALS[name].build(dict(params))
+    return POTENTIALS[name].build(dict(params), dim)
 
 
 def build_tensor(name, params, dim):

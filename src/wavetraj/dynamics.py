@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EigFailure, OutOfChart
-from .geometry import chart_point, christoffel_at, metric_at, metric_diagonal
+from .geometry import chart_point, metric_at, metric_diagonal
 from .numdiff import gradient_fd, partial_in_scalar
 
 
@@ -130,7 +130,8 @@ def _raised(diagonal, g, v):
     """G^-1 v as a list of floats: quotients on a diagonal G, else one np.linalg.solve.
 
     The quotients are what np.linalg.solve gives on a diagonal matrix with
-    this LAPACK build (tests/test_lean_hot_path.py checks it).
+    this LAPACK build, up to the sign of a zero: for v = [-0.0, -0.0] it
+    gives [-0.0, 0.0] (tests/test_lean_hot_path.py checks it).
     """
     if diagonal is not None:
         return [a / d for a, d in zip(v, diagonal)]
@@ -143,53 +144,40 @@ def rhs_E(manifold, fs, state):
     x and xdot are lists of floats (arrays are converted), t a float; the
     value is the list (xdot, xddot) of 2n floats. After the guard check:
 
-    - on a chart with exact metric partials the evaluation is fused: one
-      checked metric evaluation, the lower-index contraction
-      Γ_lij xd^i xd^j = (∂_i g_jl) xd^i xd^j - 1/2 (∂_l g_ij) xd^i xd^j
-      plus ∂_l V, and that sum raised by G;
-    - on a flat chart Γ ≡ 0, so the contraction is skipped, and on an
-      identity metric so is raising ∂V;
-    - otherwise Γ^k_ij xd^i xd^j comes from the chart's Christoffel source,
-      or from christoffel_at's finite differences when it has none.
+    - on a flat chart Γ ≡ 0, so xddot = F xd − G^-1 ∂V, and on an identity
+      metric raising ∂V is skipped too;
+    - on a curved chart the metric is checked once (geometry.metric_diagonal),
+      the chart's geodesic_term Γ_lij xd^i xd^j plus ∂_l V is raised by G,
+      negated, and F xd is added.
 
-    F xd is added after the contraction. A metric that is diagonal at x is
-    checked and raised against in floats, by division (geometry.metric_diagonal);
-    any other is checked by metric_at's rules and solved by np.linalg.solve.
-    A domain error of a source raises its EvaluationError, where numpy
-    scalars used to give NaN.
+    A metric that is diagonal at x is checked and raised against in floats,
+    by division; any other is checked by metric_at's rules and solved by
+    np.linalg.solve. A domain error of a source raises its EvaluationError.
     """
     x, xdot, t = state
     if type(x) is not list or type(xdot) is not list:
         x, xdot = chart_point(x), chart_point(xdot)
     if manifold.domain_guard is not None and not manifold.domain_guard(x):
         raise OutOfChart(np.array(x))
-    if manifold.metric_dx is not None:
-        diagonal, g = metric_diagonal(manifold, x)
-        # dg_v[i] = ∂_i G xd
-        dg_v = [[_dot(row, xdot) for row in dg] for dg in _floats(manifold.metric_dx(x))]
-        lowered = [_dot(xdot, [m[l] for m in dg_v]) - 0.5 * _dot(xdot, dg_v[l]) + d
-                   for l, d in enumerate(_gradient(fs, x, t))]
-        acc = [-a for a in _raised(diagonal, g, lowered)]
-        fmat = _tensor(fs, x, t)
-        if fmat is not None:
-            acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
-        return xdot + acc
     if manifold.flat:
         # what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
         acc = [-0.0 * v * v for v in xdot]
-    else:
-        gamma = (manifold.christoffel(x) if manifold.christoffel is not None
-                 else christoffel_at(manifold, np.array(x)))
-        acc = [-_dot(xdot, [_dot(row, xdot) for row in gk]) for gk in _floats(gamma)]
+        fmat = _tensor(fs, x, t)
+        if fmat is not None:
+            acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
+        dv = _gradient(fs, x, t)
+        if any(dv):
+            if manifold.identity_metric:
+                acc = [a - d for a, d in zip(acc, dv)]
+            else:
+                acc = [a - d for a, d in zip(acc, _raised(*metric_diagonal(manifold, x), dv))]
+        return xdot + acc
+    diagonal, g = metric_diagonal(manifold, x)
+    lowered = [a + d for a, d in zip(_floats(manifold.geodesic_term(x, xdot)), _gradient(fs, x, t))]
+    acc = [-a for a in _raised(diagonal, g, lowered)]
     fmat = _tensor(fs, x, t)
     if fmat is not None:
         acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
-    dv = _gradient(fs, x, t)
-    if any(dv):
-        if manifold.identity_metric:
-            acc = [a - d for a, d in zip(acc, dv)]
-        else:
-            acc = [a - d for a, d in zip(acc, _raised(*metric_diagonal(manifold, x), dv))]
     return xdot + acc
 
 

@@ -489,23 +489,24 @@ def with_array_form(fn, on_arrays):
     return fn
 
 
-def at_chart_point(expr):
-    """The call f(x, s) = expr(*x, s) of an Expression over the chart coordinates and s.
+def at_chart_point(expr, params=()):
+    """The call f(x, s) = expr(*x, s, *params) of an Expression over the chart coordinates and s.
 
-    x is a chart point as a list of Python floats and s a Python float. Its
-    array form takes chart points on the last axis of x, broadcast against
-    s. A list of such Expressions (a gradient) gives the tuple of their
-    values from one fused call, and over arrays their values on a new last
-    axis.
+    x is a chart point as a list of Python floats and s a Python float;
+    params are the values of any variables after s, such as a catalog
+    template's parameters. Its array form takes chart points on the last
+    axis of x, broadcast against s. A list of such Expressions (a gradient)
+    gives the tuple of their values from one fused call, and over arrays
+    their values on a new last axis.
     """
     if isinstance(expr, Expression):
-        return with_array_form(lambda x, s: expr(*x, s),
-                               lambda x, s: expr.on_arrays(*coordinates(x), s))
+        return with_array_form(lambda x, s: expr(*x, s, *params),
+                               lambda x, s: expr.on_arrays(*coordinates(x), s, *params))
     exprs = tuple(expr)
     values = fused(exprs)
     return with_array_form(
-        lambda x, s: values(*x, s),
-        lambda x, s: np.stack([e.on_arrays(*coordinates(x), s) for e in exprs], axis=-1))
+        lambda x, s: values(*x, s, *params),
+        lambda x, s: np.stack([e.on_arrays(*coordinates(x), s, *params) for e in exprs], axis=-1))
 
 
 def on_rows(source, scalar, *args):

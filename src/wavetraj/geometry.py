@@ -6,16 +6,20 @@ guarded region is reported by the integrator as a distinct outcome, never
 conflated with blow-up.
 """
 
+import contextlib
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
-from .numdiff import christoffel_from_metric, christoffel_from_partials, symmetric_part
+from .numdiff import christoffel_from_metric, gradient_fd, symmetric_part
 
 SYMMETRY_RTOL = 1e-12
+_HALF_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,22 +28,19 @@ class ChartManifold:
 
     Every source takes a chart point as a list of dim Python floats and
     returns Python floats in plain (nested) sequences, and the consumers
-    (metric_at, christoffel_at) turn what it returns into arrays. metric
-    maps a chart point to the dim x dim metric rows, or is one constant
-    dim x dim matrix. A constant metric is checked once, here, and makes
-    the chart flat: its Christoffel symbols vanish, so christoffel must be
-    None and a zero source is installed in its place.
-    christoffel, when given, is an analytic source returning the
-    (dim, dim, dim) values indexed [k][i][j]. metric_dx, when given, returns
-    the exact metric partials ∂_i G stacked on the first index, (dim, dim,
-    dim) values indexed [i][j][k]; the Christoffel symbols then come from
-    them, and the force equation is evaluated in one fused pass. Without
-    either, Christoffel symbols come from central differences of the
-    metric. A constant metric takes neither. domain_guard returns True
-    for points inside the valid chart region; it too takes a list of
-    floats. complete_flag is the scenario author's assertion that the
-    manifold is geodesically complete; it is an unverified input recorded
-    on every certificate.
+    (metric_at, the force equation) turn what it returns into arrays where
+    they need them. metric maps a chart point to the dim x dim metric rows,
+    or is one constant dim x dim matrix. A constant metric is checked once,
+    here, and makes the chart flat: its Christoffel symbols vanish, so it
+    takes no geodesic_term. geodesic_term(x, v), the one way the metric's
+    derivatives enter the force equation, gives the dim floats Γ_lij v^i v^j:
+    the Christoffel symbols of the first kind, Γ_lij = 1/2 (∂_i g_jl + ∂_j
+    g_il − ∂_l g_ij), contracted twice with the velocity v. A metric function
+    given without one gets it from central differences of metric_at, which
+    checks every stencil point. domain_guard returns True for points inside
+    the valid chart region; it too takes a list of floats. complete_flag is
+    the scenario author's assertion that the manifold is geodesically
+    complete; it is an unverified input recorded on every certificate.
 
     flat (the metric is a constant matrix) and identity_metric (that matrix
     is the identity) are derived from metric, not constructor arguments.
@@ -49,11 +50,10 @@ class ChartManifold:
     """
 
     dim: int
-    metric: Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
-    christoffel: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain_guard: Optional[Callable[[np.ndarray], bool]] = None
+    metric: Union[Callable[[list], object], np.ndarray]
+    geodesic_term: Optional[Callable[[list, list], object]] = None
+    domain_guard: Optional[Callable[[list], bool]] = None
     complete_flag: bool = False
-    metric_dx: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flat: bool = field(init=False, repr=False)
     identity_metric: bool = field(init=False, repr=False)
 
@@ -63,17 +63,15 @@ class ChartManifold:
         flat = not callable(self.metric)
         identity = False
         if flat:
-            for slot in ("christoffel", "metric_dx"):
-                if getattr(self, slot) is not None:
-                    raise ValueError("a constant metric has zero Christoffel symbols; "
-                                     f"{slot} must be None")
+            if self.geodesic_term is not None:
+                raise ValueError("a constant metric has zero Christoffel symbols; "
+                                 "geodesic_term must be None")
             g = _checked_metric(self.metric, self.dim, None)
             g.flags.writeable = False
-            zeros = np.zeros((self.dim,) * 3)
-            zeros.flags.writeable = False
             identity = bool(np.array_equal(g, np.eye(self.dim)))
             object.__setattr__(self, "metric", g)
-            object.__setattr__(self, "christoffel", lambda x: zeros)
+        elif self.geodesic_term is None:
+            object.__setattr__(self, "geodesic_term", functools.partial(_fd_geodesic_term, self))
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "identity_metric", identity)
 
@@ -81,6 +79,13 @@ class ChartManifold:
         if self.domain_guard is None:
             return True
         return bool(self.domain_guard(chart_point(x)))
+
+
+def _fd_geodesic_term(manifold, x, v):
+    """Σ_i v^i dg_v[i] − 1/2 dg_v v, dg_v[i] = ∂_i G v, with ∂_i G by central differences."""
+    v = np.array(v, dtype=float)
+    dg_v = gradient_fd(lambda p: metric_at(manifold, p), np.array(x, dtype=float)) @ v
+    return (v @ dg_v - 0.5 * (dg_v @ v)).tolist()
 
 
 def chart_point(x):
@@ -100,7 +105,8 @@ def _checked_metric(g, dim, x):
     Symmetry is enforced by averaging (G + G^T)/2 after verifying the raw
     matrix is symmetric to 1e-12 relative tolerance. Positive definiteness is
     checked by Cholesky; failure is a hard error, and so is a NaN or inf
-    entry, which Cholesky would pass on as NaN factors.
+    entry, which Cholesky would pass on as NaN factors, in G or, quietly
+    overflowed from entries above DBL_MAX/2, in the average.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (dim, dim):
@@ -109,10 +115,15 @@ def _checked_metric(g, dim, x):
     if not np.isfinite(largest):
         raise NotPositiveDefinite(x, problem="finite")
     scale = max(1.0, largest)
-    if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
-        where = "as a constant" if x is None else f"at {x}"
-        raise ValueError(f"metric not symmetric {where} beyond {SYMMETRY_RTOL} relative tolerance")
-    g = symmetric_part(g)
+    # only past DBL_MAX/2 can G - G^T or the average overflow
+    may_overflow = largest > _HALF_MAX
+    with np.errstate(over="ignore") if may_overflow else contextlib.nullcontext():
+        if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
+            where = "as a constant" if x is None else f"at {x}"
+            raise ValueError(f"metric not symmetric {where} beyond {SYMMETRY_RTOL} relative tolerance")
+        g = symmetric_part(g)
+    if may_overflow and not np.isfinite(g).all():
+        raise NotPositiveDefinite(x, problem="finite")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -144,8 +155,8 @@ def metric_diagonal(manifold, x):
     entries are positive and finite, even doubled, comes back as the list of
     its diagonal entries, which are what the symmetrized matrix holds. Any
     other value comes back as the matrix metric_at gives, or raises its
-    error (for entries above DBL_MAX/2, which the average turns into inf,
-    that matrix). The guard is not checked here.
+    error (NotPositiveDefinite for an entry above DBL_MAX/2, which the
+    average turns into inf). The guard is not checked here.
     """
     g = manifold.metric if manifold.flat else manifold.metric(x)
     if type(g) is np.ndarray:
@@ -198,19 +209,14 @@ def metrics_at(manifold, points):
 def christoffel_at(manifold, x, h=None):
     """Christoffel symbols Γ^k_ij at x, shape (dim, dim, dim), symmetric in (i, j).
 
-    Unless h forces central differences, uses the analytic source when the
-    manifold carries one, else Γ^k_ij = 1/2 g^{kl} (∂_i g_jl + ∂_j g_il −
-    ∂_l g_ij) with the exact partials metric_dx when it carries those, else
-    with central differences of the metric. The finite-difference stencil
-    must fit inside the chart guard.
+    Zero on a flat chart; otherwise Γ^k_ij = 1/2 g^{kl} (∂_i g_jl + ∂_j g_il
+    − ∂_l g_ij) from central differences of metric_at, with the stencil step
+    h or the package's default. The stencil must fit inside the chart guard.
+    The force equation never calls this: it takes Γ_lij v^i v^j from the
+    chart's geodesic_term, which the tests hold against this reference.
     """
     x = np.asarray(x, dtype=float)
     require_in_chart(manifold, x)
-    if h is None:
-        if manifold.christoffel is not None:
-            return symmetric_part(np.asarray(manifold.christoffel(x.tolist()), dtype=float))
-        if manifold.metric_dx is not None:
-            dg = np.asarray(manifold.metric_dx(x.tolist()), dtype=float)
-            return christoffel_from_partials(metric_at(manifold, x), dg)
+    if manifold.flat:
+        return np.zeros((manifold.dim,) * 3)
     return christoffel_from_metric(lambda p: metric_at(manifold, p), x, h=h)
-

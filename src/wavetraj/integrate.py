@@ -149,11 +149,14 @@ def _rms(v, scale):
 
 
 def _initial_step(f, t0, y0, f0, cfg, remaining):
+    """Hairer's starting step, or 0 where the scaled derivative overflows (run floors it)."""
     scale = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, remaining)
+    if not h0 > 0.0:
+        return 0.0
     try:
         f1 = f(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
         d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0

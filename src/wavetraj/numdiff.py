@@ -7,8 +7,8 @@ accuracy model is uniform. They serve Python callables that carry no
 derivative source, the Lorentzian oracle and the tests; scenario expressions
 are differentiated exactly (expressions.Expression.derivative). Christoffel
 symbols of any metric, Riemannian or Lorentzian, come from
-christoffel_from_partials, fed with exact partials or, through
-christoffel_from_metric, with finite differences.
+christoffel_from_partials, fed through christoffel_from_metric with finite
+differences.
 """
 
 import numpy as np
@@ -62,9 +62,9 @@ def christoffel_lower(dg):
     """Christoffel symbols of the first kind from the metric partials dg[i] = ∂_i G.
 
     Γ_lij = 1/2 (∂_i g_jl + ∂_j g_il − ∂_l g_ij), indexed [l, i, j], which
-    christoffel_from_partials raises. The fused force equation (dynamics.rhs_E)
-    contracts the same formula with the velocity in Python floats, and its
-    test holds the two together.
+    christoffel_from_partials raises. A chart's geodesic term
+    (geometry.ChartManifold) is this formula contracted twice with the
+    velocity, and the tests hold the two together.
     """
     return 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
 

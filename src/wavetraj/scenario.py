@@ -206,7 +206,7 @@ def _build_force(section, manifold):
     pot_sec = section.get("potential")
     pot_sec = _expect_mapping({"catalog": "zero"} if pot_sec is None else pot_sec, "force.potential")
     if "catalog" in pot_sec:
-        fs = catalog.build_potential(*_catalog_entry(pot_sec, "force.potential"))
+        fs = catalog.build_potential(*_catalog_entry(pot_sec, "force.potential"), manifold.dim)
     else:
         _check_keys(pot_sec, {"expr"}, {"expr"}, "force.potential")
         fs = catalog.expression_potential(str(pot_sec["expr"]), manifold.dim)

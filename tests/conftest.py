@@ -34,9 +34,9 @@ def hyperbolic():
 
 @pytest.fixture
 def harmonic():
-    return build_potential("harmonic", {})
+    return build_potential("harmonic", {}, 2)
 
 
 @pytest.fixture
 def free():
-    return build_potential("zero", {})
+    return build_potential("zero", {}, 2)

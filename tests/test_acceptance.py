@@ -37,7 +37,7 @@ def report(num, description, passed, detail=""):
 
 def test_criterion_1_harmonic_oscillator_fidelity():
     m = build_manifold("euclidean", {"n": 2})
-    fs = build_potential("harmonic", {})
+    fs = build_potential("harmonic", {}, 2)
     cfg = IntegratorConfig(horizon=20.0)
     started = time.perf_counter()
     traj = integrate(m, fs, (np.array([1.0, 0.0]), np.zeros(2)), cfg)
@@ -52,7 +52,7 @@ def test_criterion_1_harmonic_oscillator_fidelity():
 
 def test_criterion_2_closed_form_blowup():
     m = build_manifold("euclidean", {"n": 1})
-    fs = build_potential("negative_quartic", {})
+    fs = build_potential("negative_quartic", {}, 1)
     cfg = IntegratorConfig(horizon=2.0)
     init = (np.array([1.0]), np.array([SQRT2]))
     t_true = 1.0 / SQRT2  # exact solution x(t) = 1/(1 - sqrt(2) t)
@@ -83,7 +83,7 @@ def test_criterion_3_comparison_solver():
 
 def test_criterion_4_gronwall_envelope():
     m = build_manifold("euclidean", {"n": 2})
-    fs = build_potential("exp_time_quadratic", {})
+    fs = build_potential("exp_time_quadratic", {}, 2)
     frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)
     assert frame.a_t_star == 1.0
     cfg = IntegratorConfig(horizon=3.0)
@@ -122,16 +122,16 @@ def test_criterion_5_certificates_on_bundled_systems():
     results = []
 
     cert = certify(CertificationTask(
-        manifold=e2, force=build_potential("harmonic", {}),
+        manifold=e2, force=build_potential("harmonic", {}, 2),
         bounds=BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, grid=grid2, t_grid=tgrid)))
     results.append(("harmonic", cert.verdict == COMPLETE_POTENTIAL_BOUNDS, cert.verdict))
 
     cert = certify(CertificationTask(
-        manifold=e2, force=build_potential("exp_time_quadratic", {}),
+        manifold=e2, force=build_potential("exp_time_quadratic", {}, 2),
         bounds=BoundData(alpha0=lambda t: 1.0, beta0=lambda t: 0.0, grid=grid2, t_grid=tgrid)))
     results.append(("exp potential", cert.verdict == COMPLETE_POTENTIAL_BOUNDS, cert.verdict))
 
-    quartic = build_potential("negative_quartic", {})
+    quartic = build_potential("negative_quartic", {}, 1)
     cert = certify(CertificationTask(
         manifold=e1, force=quartic,
         bounds=BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0,
@@ -211,7 +211,7 @@ def _witness(wave, rng):
 
 def test_criterion_7_hyperbolic_geodesic_invariant():
     m = build_manifold("hyperbolic_half_plane", {})
-    fs = build_potential("zero", {})
+    fs = build_potential("zero", {}, 2)
     cfg = IntegratorConfig(horizon=10.0)
     worst = 0.0
     from wavetraj.geometry import metric_at

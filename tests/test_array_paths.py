@@ -71,7 +71,7 @@ def expression_potential(text, reach=2.0, alpha="1", beta="0"):
 
 @pytest.mark.parametrize("name", CATALOG_POTENTIALS)
 def test_catalog_potential_scans_equal_the_loop_bit_for_bit(name):
-    fs = build_potential(name, {})
+    fs = build_potential(name, {}, 2)
     bd = time_bounds("1 + 0.1*t^2", "-1 - cos(t)")
     looped = (swap(fs, plain, "potential", "potential_dt"), swap(bd, plain, "alpha0", "beta0"))
     assert check_bounded_below(fs, bd) == check_bounded_below(*looped)
@@ -83,7 +83,7 @@ def test_a_finite_scan_makes_no_per_sample_call():
     expression, bd = expression_potential("exp(-t)*(1 + x1^2 + x2^2)^1.5 - sin(x1*x2)",
                                           alpha="1 + 0.1*u^2", beta="-1 - cos(t)")
     strict_bd = swap(bd, array_only, "alpha0", "beta0")
-    for fs in [build_potential(name, {}) for name in CATALOG_POTENTIALS] + [expression]:
+    for fs in [build_potential(name, {}, 2) for name in CATALOG_POTENTIALS] + [expression]:
         strict = swap(fs, array_only, "potential", "potential_dt")
         assert check_bounded_below(strict, strict_bd) == check_bounded_below(fs, bd)
         for signed in ("two_sided", "forward", "backward"):
@@ -289,7 +289,7 @@ def test_runs_evaluate_phi_and_waves_on_arrays(scenario, monkeypatch, tmp_path):
 # values calls evaluate the new source, never the old one's array form.
 
 def test_a_replaced_potential_is_the_one_scanned():
-    fs = replace(build_potential("harmonic", {}), potential=lambda x, t: -1e9)
+    fs = replace(build_potential("harmonic", {}, 2), potential=lambda x, t: -1e9)
     bd = time_bounds("1", "0")
     check = check_bounded_below(fs, bd)
     assert not check.passed and check.margin == -1e9

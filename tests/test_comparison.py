@@ -189,7 +189,7 @@ def test_envelope_on_independent_fine_integration():
     from wavetraj.integrate import IntegratorConfig, integrate, sample
 
     m = build_manifold("euclidean", {"n": 2})
-    fs = build_potential("exp_time_quadratic", {})
+    fs = build_potential("exp_time_quadratic", {}, 2)
     from conftest import window
 
     frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)

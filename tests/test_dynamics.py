@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,7 @@ def test_energy_v_examples(euclidean2, hyperbolic, harmonic):
 
 
 def test_energy_derivative_identity_examples(euclidean2):
-    autonomous = build_potential("harmonic", {})
+    autonomous = build_potential("harmonic", {}, 2)
     assert energy_derivative_identity(euclidean2, autonomous,
                                       (np.array([1.0, 2.0]), np.array([0.5, -0.5]), 0.3)) == 0.0
     c = 1.3
@@ -129,13 +131,34 @@ def test_energy_derivative_identity_examples(euclidean2):
     u = float(xdot @ xdot)
     val = energy_derivative_identity(euclidean2, dissipative, (np.zeros(2), xdot, 0.0))
     assert val == pytest.approx(-c * u)
-    exp_pot = build_potential("exp_time_quadratic", {})
+    exp_pot = build_potential("exp_time_quadratic", {}, 2)
     val = energy_derivative_identity(euclidean2, exp_pot, (np.zeros(2), np.array([1.0, 0.0]), 1.0))
     assert val == pytest.approx(np.e, rel=1e-14)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3), t=st.floats(-5.0, 5.0),
+       k=st.floats(-1e3, 1e3, allow_subnormal=False))
+def test_catalog_potentials_keep_their_float_formulas(x, t, k):
+    # the templates' operations are the float formulas' own, so the values match bit for bit
+    n = len(x)
+    s = 0.0
+    for c in x:
+        s += c * c
+    harmonic = build_potential("harmonic", {"k": k}, n)
+    assert harmonic.potential(x, t) == 0.5 * k * s
+    assert list(harmonic.potential_dx(x, t)) == [k * c for c in x]
+    exp_quadratic = build_potential("exp_time_quadratic", {}, n)
+    assert exp_quadratic.potential(x, t) == exp_quadratic.potential_dt(x, t) == math.exp(t) * (1.0 + s)
+    assert list(exp_quadratic.potential_dx(x, t)) == [2.0 * math.exp(t) * c for c in x]
+    quartic = build_potential("negative_quartic", {"c": k}, n)
+    assert quartic.potential(x, t) == -k * (s * s)
+    # its gradient rounds (x_i S) c where the formula rounds (c S) x_i: two roundings on each side
+    assert_allclose(quartic.potential_dx(x, t), [-4.0 * k * s * c for c in x], rtol=1e-15, atol=1e-300)
+
+
 def test_finite_difference_potential_derivatives_match_analytic():
-    analytic = build_potential("exp_time_quadratic", {})
+    analytic = build_potential("exp_time_quadratic", {}, 2)
     fd = ForceSystem(potential=analytic.potential)
     x = np.array([0.4, -1.1])
     t = 0.7
@@ -153,7 +176,7 @@ def test_energy_frame_constants():
 def test_frame_shift_keeps_potential_at_least_one(euclidean2):
     # with B_T = min beta0 - 1 the shifted potential clears 1 wherever the
     # lower bound itself holds
-    fs = build_potential("exp_time_quadratic", {})
+    fs = build_potential("exp_time_quadratic", {}, 2)
     frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)
     worst = min(fs.value(p, t) - frame.b_t
                 for t in np.linspace(-3.0, 3.0, 13)
@@ -168,8 +191,8 @@ def test_fd_of_energy_matches_identity_on_autonomous_systems(hyperbolic, euclide
 
     frame = build_energy_frame(window(lambda t: 0.0, lambda t: 0.0, 10.0), 0.0)
     cases = [
-        (hyperbolic, build_potential("zero", {}), np.array([0.0, 1.0]), np.array([1.0, 0.0])),
-        (euclidean2, build_potential("harmonic", {}), np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+        (hyperbolic, build_potential("zero", {}, 2), np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+        (euclidean2, build_potential("harmonic", {}, 2), np.array([1.0, 0.0]), np.array([0.0, 1.0])),
     ]
     h = 1e-3
     for m, fs, p, v in cases:

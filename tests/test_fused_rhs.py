@@ -1,4 +1,4 @@
-"""Exact metric partials and the fused force-equation evaluation on curved expression charts.
+"""The geodesic term Γ_lij v^i v^j of curved charts and the force equation built on it.
 
 Each chart is checked three ways: against closed-form Christoffel symbols,
 against the finite-difference path (christoffel_at with a forced step h, and a copy of
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavetraj import dynamics
+import wavetraj
+from wavetraj import dynamics, geometry
 from wavetraj.catalog import build_manifold
 from wavetraj.dynamics import ForceSystem, rhs_E
 from wavetraj.errors import NotPositiveDefinite
@@ -18,7 +19,8 @@ from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
 from wavetraj.integrate import IntegratorConfig, integrate
 from wavetraj.scenario import parse_scenario
 
-POINTS = [np.array([0.3, -0.7]), np.array([-1.2, 0.4]), np.array([0.9, 1.1])]
+# inside the hyperbolic chart, x2 > 0
+POINTS = [np.array([0.3, 0.7]), np.array([-1.2, 0.4]), np.array([0.9, 1.1])]
 VELOCITY = np.array([0.8, -0.5])
 
 
@@ -51,17 +53,33 @@ def _rows_partials(x):
     return np.array([[[2 * x1, 0.5 * x2], [0.5 * x2, 0.0]], [[0.0, 0.5 * x1], [0.5 * x1, 2 * x2]]])
 
 
-def _closed_form_gamma(g, dg):
-    """Γ^k_ij = 1/2 g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij), written out index by index."""
-    n = g.shape[0]
-    ginv = np.linalg.inv(g)
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
+def _hyperbolic():
+    return _scenario({"catalog": "hyperbolic_half_plane"})
+
+
+def _hyperbolic_partials(x):
+    dw = -2.0 / x[1] ** 3
+    return np.array([np.zeros((2, 2)), np.diag([dw, dw])])
+
+
+def _closed_form_lower(dg):
+    """Γ_lij = 1/2 (∂_i g_jl + ∂_j g_il − ∂_l g_ij), written out index by index."""
+    n = dg.shape[0]
+    lower = np.zeros((n, n, n))
+    for l in range(n):
         for i in range(n):
             for j in range(n):
-                gamma[k, i, j] = 0.5 * sum(ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                                           for l in range(n))
-    return gamma
+                lower[l, i, j] = 0.5 * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+    return lower
+
+
+def _closed_form_gamma(g, dg):
+    """Γ^k_ij = g^kl Γ_lij."""
+    return np.einsum("kl,lij->kij", np.linalg.inv(g), _closed_form_lower(dg))
+
+
+def _closed_form_term(dg, v):
+    return np.einsum("lij,i,j->l", _closed_form_lower(dg), v, v)
 
 
 def _potential_gradient(x, t):
@@ -69,27 +87,40 @@ def _potential_gradient(x, t):
     return np.array([x1 + x2 ** 3, 3 * x1 * x2 ** 2 + np.sin(t)])
 
 
-CHARTS = [(_conformal, _conformal_partials), (_rows, _rows_partials)]
+# the hyperbolic entry's term is hand-written; the rows of _rows read differently transposed
+CHARTS = [(_conformal, _conformal_partials), (_rows, _rows_partials),
+          (_hyperbolic, _hyperbolic_partials)]
+CHART_IDS = ["diagonal_conformal", "metric_rows", "hyperbolic"]
 
 
-@pytest.mark.parametrize("build,partials", CHARTS, ids=["diagonal_conformal", "metric_rows"])
-def test_exact_christoffel_matches_closed_form_and_finite_differences(build, partials):
+@pytest.mark.parametrize("build,partials", CHARTS, ids=CHART_IDS)
+def test_geodesic_term_matches_closed_form_and_finite_differences(build, partials):
     m = build().manifold
-    assert m.metric_dx is not None and m.christoffel is None
     for x in POINTS:
-        g = metric_at(m, x)
-        assert_allclose(m.metric_dx(x), partials(x), rtol=1e-14, atol=1e-15)
-        exact = christoffel_at(m, x)
-        assert_allclose(exact, _closed_form_gamma(g, partials(x)), rtol=1e-13, atol=1e-14)
-        assert_allclose(christoffel_at(m, x, h=1e-5), exact, rtol=1e-8, atol=1e-9)
+        for v in (VELOCITY, np.array([-1.7, 0.25]), np.array([0.0, 3.0])):
+            term = m.geodesic_term(x.tolist(), v.tolist())
+            closed = _closed_form_term(partials(x), v)
+            assert_allclose(term, closed, rtol=1e-13, atol=1e-14)
+            # the finite-difference reference, lowered by G
+            reference = metric_at(m, x) @ np.einsum("kij,i,j->k", christoffel_at(m, x, h=1e-5), v, v)
+            assert_allclose(term, reference, rtol=1e-8, atol=1e-9)
 
 
-@pytest.mark.parametrize("build,partials", CHARTS, ids=["diagonal_conformal", "metric_rows"])
+@pytest.mark.parametrize("build,partials", CHARTS, ids=CHART_IDS)
+def test_a_metric_function_gets_a_finite_difference_term(build, partials):
+    m = build().manifold
+    m_fd = ChartManifold(dim=2, metric=m.metric, domain_guard=m.domain_guard)
+    for x in POINTS:
+        term = m_fd.geodesic_term(x.tolist(), VELOCITY.tolist())
+        assert_allclose(term, _closed_form_term(partials(x), VELOCITY), rtol=1e-7, atol=1e-8)
+
+
+@pytest.mark.parametrize("build,partials", CHARTS, ids=CHART_IDS)
 def test_fused_rhs_matches_closed_form_and_finite_difference_path(build, partials):
     sc = build()
     m, fs = sc.manifold, sc.force
     # the same chart and forces with no derivative sources: finite differences throughout
-    m_fd = ChartManifold(dim=2, metric=m.metric)
+    m_fd = ChartManifold(dim=2, metric=m.metric, domain_guard=m.domain_guard)
     fs_fd = ForceSystem(potential=fs.potential, tensor_F=fs.tensor_F)
     for x in POINTS:
         t = 0.4
@@ -104,8 +135,9 @@ def test_fused_rhs_matches_closed_form_and_finite_difference_path(build, partial
         assert_allclose(rhs_E(m_fd, fs_fd, (x, VELOCITY, t)), fused, rtol=1e-8, atol=1e-9)
 
 
-def test_fused_rhs_makes_one_metric_call_and_no_christoffel_call(monkeypatch):
-    sc = _conformal()
+@pytest.mark.parametrize("build", [_conformal, _rows, _hyperbolic], ids=CHART_IDS)
+def test_fused_rhs_makes_one_metric_call_and_no_christoffel_call(monkeypatch, build):
+    sc = build()
     calls = []
 
     def counting(x):
@@ -113,14 +145,19 @@ def test_fused_rhs_makes_one_metric_call_and_no_christoffel_call(monkeypatch):
         return sc.manifold.metric(x)
 
     def unexpected(*args, **kwargs):
-        raise AssertionError("the fused path must build neither the metric array "
+        raise AssertionError("the force equation must build neither the metric array "
                              "nor the Christoffel tensor")
 
-    m = ChartManifold(dim=2, metric=counting, metric_dx=sc.manifold.metric_dx)
+    m = ChartManifold(dim=2, metric=counting, geodesic_term=sc.manifold.geodesic_term,
+                      domain_guard=sc.manifold.domain_guard)
     monkeypatch.setattr(dynamics, "metric_at", unexpected)
-    monkeypatch.setattr(dynamics, "christoffel_at", unexpected)
+    monkeypatch.setattr(geometry, "christoffel_at", unexpected)
+    monkeypatch.setattr(wavetraj, "christoffel_at", unexpected)
     rhs_E(m, sc.force, (POINTS[0], VELOCITY, 0.0))
     assert len(calls) == 1
+    # nor does a whole run, with the scenario's own chart
+    traj = integrate(sc.manifold, sc.force, (POINTS[0], VELOCITY), IntegratorConfig(horizon=1.0))
+    assert traj.stats.n_rhs > 0
 
 
 @pytest.mark.parametrize("manifold", [
@@ -136,9 +173,21 @@ def test_expression_metric_losing_definiteness_is_hard_error(manifold):
                   IntegratorConfig(horizon=5.0))
 
 
-def test_constant_metric_takes_no_partials():
-    with pytest.raises(ValueError, match="metric_dx must be None"):
-        ChartManifold(dim=2, metric=np.eye(2), metric_dx=lambda x: np.zeros((2, 2, 2)))
+def test_constant_metric_takes_no_geodesic_term():
+    with pytest.raises(ValueError, match="geodesic_term must be None"):
+        ChartManifold(dim=2, metric=np.eye(2), geodesic_term=lambda x, v: [0.0, 0.0])
+
+
+def test_conformal_run_keeps_its_bits():
+    # pinned bits: the fused geodesic term has the floats of the exact
+    # partials contracted term by term, left to right, in Python floats
+    sc = _conformal()
+    traj = integrate(sc.manifold, sc.force, (np.array([0.1, 0.2]), np.array([0.3, -0.1])),
+                     IntegratorConfig(horizon=3.0))
+    assert [float(v).hex() for v in traj.states[-1]] == [
+        "-0x1.9ee055d703266p-2", "-0x1.32c0771c68a36p+0", "0x1.bde55313c9c4ep-4",
+        "-0x1.28463c98a6ce0p-2"]
+    assert (traj.stats.n_accepted, traj.stats.n_rejected, traj.stats.n_rhs) == (97, 1, 590)
 
 
 def test_conformal_geodesic_conserves_speed_on_the_exact_path():

@@ -56,10 +56,10 @@ def test_christoffel_euclidean_zero(euclidean2):
     assert_allclose(gamma, np.zeros((2, 2, 2)), atol=0)
 
 
-def test_constant_metric_is_flat_with_zero_christoffel_source(euclidean2):
+def test_constant_metric_is_flat_with_no_geodesic_term(euclidean2):
     assert euclidean2.flat and euclidean2.identity_metric
-    # a zero source, not the finite-difference path
-    assert euclidean2.christoffel is not None
+    # no term, not the finite-difference one
+    assert euclidean2.geodesic_term is None
     gamma = christoffel_at(euclidean2, [1.0, 2.0])
     assert gamma.shape == (2, 2, 2) and not gamma.any()
     g = metric_at(euclidean2, [1.0, 2.0])
@@ -76,8 +76,8 @@ def test_constant_metric_checked_at_construction():
     assert info.value.eigenvalue == -1.0
     with pytest.raises(ValueError, match="shape"):
         ChartManifold(dim=2, metric=np.eye(3))
-    with pytest.raises(ValueError, match="christoffel must be None"):
-        ChartManifold(dim=2, metric=np.eye(2), christoffel=lambda x: np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="geodesic_term must be None"):
+        ChartManifold(dim=2, metric=np.eye(2), geodesic_term=lambda x, v: [0.0, 0.0])
 
 
 def test_constant_metric_symmetrized_once():
@@ -103,12 +103,14 @@ HYPERBOLIC_GAMMA_AT_01 = {
 }
 
 
-def test_christoffel_hyperbolic_analytic(hyperbolic):
-    gamma = christoffel_at(hyperbolic, [0.0, 1.0])
-    expected = np.zeros((2, 2, 2))
+def test_hyperbolic_geodesic_term_analytic(hyperbolic):
+    # G = I at (0, 1), so the term is Γ^k_ij v^i v^j there
+    gamma = np.zeros((2, 2, 2))
     for idx, val in HYPERBOLIC_GAMMA_AT_01.items():
-        expected[idx] = val
-    assert_allclose(gamma, expected, atol=1e-14)
+        gamma[idx] = val
+    v = np.array([0.7, -1.3])
+    term = hyperbolic.geodesic_term([0.0, 1.0], v.tolist())
+    assert_allclose(term, np.einsum("kij,i,j->k", gamma, v, v), rtol=1e-15, atol=0)
 
 
 def test_christoffel_hyperbolic_finite_difference_matches():

@@ -31,7 +31,7 @@ def bounds_2d(alpha, beta, reach=2.0, side=9, T=3.0, t_points=41):
 
 
 def test_bounded_below_harmonic():
-    check = check_bounded_below(build_potential("harmonic", {}),
+    check = check_bounded_below(build_potential("harmonic", {}, 2),
                                 bounds_2d(lambda t: 0.0, lambda t: 0.0))
     assert check.passed
     assert check.margin == pytest.approx(0.0)
@@ -39,14 +39,14 @@ def test_bounded_below_harmonic():
 
 
 def test_bounded_below_negative_quartic_fails():
-    check = check_bounded_below(build_potential("negative_quartic", {}),
+    check = check_bounded_below(build_potential("negative_quartic", {}, 1),
                                 bounds_1d(lambda t: 0.0, lambda t: 0.0))
     assert not check.passed
     assert check.margin == pytest.approx(-16.0)
 
 
 def test_bounded_below_exp_potential():
-    check = check_bounded_below(build_potential("exp_time_quadratic", {}),
+    check = check_bounded_below(build_potential("exp_time_quadratic", {}, 2),
                                 bounds_2d(lambda t: 0.0, lambda t: np.exp(t)))
     assert check.passed
     assert check.margin == pytest.approx(0.0, abs=1e-12)
@@ -54,7 +54,7 @@ def test_bounded_below_exp_potential():
 
 
 def test_s_bounds_zero_force(euclidean2):
-    checks = check_S_bounds(euclidean2, build_potential("harmonic", {}), S_WINDOW)
+    checks = check_S_bounds(euclidean2, build_potential("harmonic", {}, 2), S_WINDOW)
     assert checks["bounded"].values["N_T"] == 0.0
     assert checks["upper_bounded"].values["N_T"] == 0.0
     assert checks["lower_bounded"].values["N_T"] == 0.0
@@ -78,7 +78,7 @@ def test_s_bounds_time_dependent_scalar(euclidean2):
 
 
 def test_dvdt_autonomous_zero_alpha():
-    check = check_dVdt_bound(build_potential("harmonic", {}),
+    check = check_dVdt_bound(build_potential("harmonic", {}, 2),
                              bounds_2d(lambda t: 0.0, lambda t: 0.0), "two_sided")
     assert check.passed
     assert check.margin == pytest.approx(0.0)
@@ -86,7 +86,7 @@ def test_dvdt_autonomous_zero_alpha():
 
 def test_dvdt_exp_potential_identity():
     # |dV/dt| = V = 1 * (V - 0) exactly, margin 0 on every grid point
-    check = check_dVdt_bound(build_potential("exp_time_quadratic", {}),
+    check = check_dVdt_bound(build_potential("exp_time_quadratic", {}, 2),
                              bounds_2d(lambda t: 1.0, lambda t: 0.0), "two_sided")
     assert check.passed
     assert check.margin == pytest.approx(0.0, abs=1e-12)
@@ -117,7 +117,7 @@ def test_dvdt_one_sided_variants():
 
 
 def test_dvdt_dependent_failure_stamp():
-    check = check_dVdt_bound(build_potential("harmonic", {}),
+    check = check_dVdt_bound(build_potential("harmonic", {}, 2),
                              bounds_2d(lambda t: 0.0, lambda t: 0.0),
                              "two_sided", prerequisite_passed=False)
     assert check.dependent_failure
@@ -163,7 +163,7 @@ def test_linear_growth_needs_enough_points(euclidean2):
 def test_certify_harmonic_strongest_verdict(euclidean2):
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                                     force=build_potential("harmonic", {})))
+                                     force=build_potential("harmonic", {}, 2)))
     assert cert.verdict == COMPLETE_POTENTIAL_BOUNDS
     assert cert.caveat == "premises verified on sampled domain only"
     # one-sided routes also pass and stay listed in the evidence
@@ -173,7 +173,7 @@ def test_certify_harmonic_strongest_verdict(euclidean2):
 def test_certify_negative_quartic_inconclusive(euclidean1):
     cert = certify(CertificationTask(manifold=euclidean1,
                                      bounds=bounds_1d(lambda t: 0.0, lambda t: 0.0),
-                                     force=build_potential("negative_quartic", {})))
+                                     force=build_potential("negative_quartic", {}, 1)))
     assert cert.verdict == INCONCLUSIVE
     assert not cert.conclusive
     below = [e for e in cert.evidence if e.name == "potential_bounded_below"][0]
@@ -208,7 +208,7 @@ def test_certify_requires_complete_flag():
     incomplete = ChartManifold(dim=2, metric=lambda x: np.eye(2), complete_flag=False)
     cert = certify(CertificationTask(manifold=incomplete,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                                     force=build_potential("harmonic", {})))
+                                     force=build_potential("harmonic", {}, 2)))
     assert cert.verdict == INCONCLUSIVE
     flag = [e for e in cert.evidence if e.name == "manifold_complete_flag"][0]
     assert not flag.passed
@@ -226,7 +226,7 @@ def test_certify_wave_routes(euclidean2):
 
 
 def test_monotone_evidence_under_grid_growth(euclidean1):
-    fs = build_potential("negative_quartic", {})
+    fs = build_potential("negative_quartic", {}, 1)
     coarse = bounds_1d(lambda t: 0.0, lambda t: 0.0, lo=-1.0, hi=1.0, points=5)
     fine = bounds_1d(lambda t: 0.0, lambda t: 0.0, lo=-2.0, hi=2.0, points=17)
     margin_coarse = check_bounded_below(fs, coarse).margin
@@ -274,7 +274,7 @@ def test_bound_data_validation():
 def test_certificates_reproducible(euclidean2):
     task = CertificationTask(manifold=euclidean2,
                              bounds=bounds_2d(lambda t: 1.0, lambda t: 0.0),
-                             force=build_potential("exp_time_quadratic", {}))
+                             force=build_potential("exp_time_quadratic", {}, 2))
     assert certify(task).to_dict() == certify(task).to_dict()
 
 

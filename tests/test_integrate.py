@@ -22,7 +22,7 @@ T_STAR_E1 = 0.6555143885730299
 
 def quartic_blowup_setup():
     m = build_manifold("euclidean", {"n": 1})
-    fs = build_potential("negative_quartic", {})
+    fs = build_potential("negative_quartic", {}, 1)
     return m, fs
 
 
@@ -138,13 +138,13 @@ def test_lost_positive_definiteness_is_hard_error(free):
         integrate(m, free, (np.array([0.0, 0.0]), np.array([0.5, 0.0])), cfg)
 
 
-def test_overflowing_metric_stops_the_run(free):
+def test_overflowing_metric_stops_the_run():
     # the metric overflows for x1 >= 1: a stage there ends the run with the
     # same hard error as lost positive definiteness
     m = ChartManifold(dim=1, metric=lambda x: np.array([[1.0 if x[0] < 1.0 else np.inf]]))
     cfg = IntegratorConfig(horizon=5.0)
     with pytest.raises(NotPositiveDefinite, match="not finite"):
-        integrate(m, free, (np.array([0.0]), np.array([1.0])), cfg)
+        integrate(m, build_potential("zero", {}, 1), (np.array([0.0]), np.array([1.0])), cfg)
 
 
 def test_invalid_init(euclidean2, free, hyperbolic):
@@ -355,10 +355,9 @@ def test_config_validation():
 
 
 def callable_euclidean(n, domain_guard=None):
-    """The euclidean chart as a metric function with an analytic zero connection."""
+    """The euclidean chart as a metric function with an analytic zero geodesic term."""
     eye = np.eye(n)
-    zeros = np.zeros((n, n, n))
-    return ChartManifold(dim=n, metric=lambda x: eye, christoffel=lambda x: zeros,
+    return ChartManifold(dim=n, metric=lambda x: eye, geodesic_term=lambda x, v: [0.0] * n,
                          domain_guard=domain_guard)
 
 
@@ -381,7 +380,7 @@ def test_flat_chart_matches_callable_metric(harmonic, direction):
 
 
 def test_flat_chart_blowup_refinement_matches_callable_metric():
-    fs = build_potential("negative_quartic", {})
+    fs = build_potential("negative_quartic", {}, 2)
     cfg = IntegratorConfig(horizon=2.0)
     p = np.array([0.6, 0.8])
     init = (p, SQRT2 * p)
@@ -417,7 +416,7 @@ def test_refine_blowup_rejects_a_bracket_past_the_horizon():
     # quadratic), so each thousandfold ceiling is crossed about 0.55 later and
     # the bracket [t_cross, t_deep + 4 gap] runs past the horizon
     m = build_manifold("diagonal_conformal", {"entries": ["1 + 0.1*x1^2", "1 + 0.1*x2^2"]})
-    fs = build_potential("negative_quartic", {"c": 1.0})
+    fs = build_potential("negative_quartic", {"c": 1.0}, 2)
     cfg = IntegratorConfig(horizon=5.0)
     init = (np.array([0.8, 0.1]), np.array([0.2, -0.3]))
     coarse = integrate(m, fs, init, cfg)

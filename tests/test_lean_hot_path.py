@@ -18,10 +18,11 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wavetraj
@@ -31,8 +32,7 @@ from wavetraj.catalog import (build_manifold, build_potential, build_tensor, exp
 from wavetraj.dynamics import rhs_E
 from wavetraj.errors import EvaluationError, InvalidInit, NotPositiveDefinite, OutOfChart
 from wavetraj.expressions import parse_expression
-from wavetraj.geometry import (ChartManifold, _checked_metric, christoffel_at, metric_at,
-                               metric_diagonal)
+from wavetraj.geometry import ChartManifold, _checked_metric, metric_at, metric_diagonal
 from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD,
                                 IntegratorConfig, _Core, _internal_problem, _rms, integrate,
                                 integrate_ode, refine_blowup)
@@ -60,7 +60,7 @@ def test_import_loads_neither_scipy_linalg_nor_scipy_integrate():
         "import wavetraj\n"
         "from wavetraj.catalog import build_manifold, build_potential\n"
         "from wavetraj.integrate import IntegratorConfig, integrate\n"
-        "integrate(build_manifold('hyperbolic_half_plane', {}), build_potential('harmonic', {}),\n"
+        "integrate(build_manifold('hyperbolic_half_plane', {}), build_potential('harmonic', {}, 2),\n"
         "          (np.array([0.1, 1.0]), np.array([0.3, 0.2])), IntegratorConfig(horizon=1.0))\n"
         "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules))\n"
     )
@@ -73,14 +73,17 @@ def test_import_loads_neither_scipy_linalg_nor_scipy_integrate():
 # ---------------------------------------------------------------- diagonal metrics
 
 def _cholesky_checked(g, dim, x):
-    """The general check: finite entries, symmetry, then Cholesky on the average."""
+    """The general check: finite entries, symmetry, a finite average, then Cholesky on it."""
     g = np.asarray(g, dtype=float)
     largest = float(np.abs(g).max())
     if not np.isfinite(largest):
         raise NotPositiveDefinite(x, problem="finite")
-    if np.abs(g - g.T).max() > 1e-12 * max(1.0, largest):
-        raise ValueError("metric not symmetric")
-    g = 0.5 * (g + g.T)
+    with np.errstate(over="ignore"):
+        if np.abs(g - g.T).max() > 1e-12 * max(1.0, largest):
+            raise ValueError("metric not symmetric")
+        g = 0.5 * (g + g.T)
+    if not np.isfinite(g).all():
+        raise NotPositiveDefinite(x, problem="finite")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -185,12 +188,17 @@ def diagonal_systems(draw):
 
 @PROFILE
 @given(diagonal_systems())
+# LAPACK gives [-0.0, 0.0] here: a zero quotient may differ from it in its sign
+@example((np.array([1.0, 1.0]), np.array([-0.0, -0.0])))
+@example((np.array([5e-324, 5e-324]), np.array([-0.0, -0.0])))
 def test_quotient_equals_the_lapack_solve(system):
     d, v = system
     reference = np.linalg.solve(np.diag(d), v)
-    quotients = [a / b for a, b in zip(v.tolist(), d.tolist())]
-    if all(map(math.isfinite, quotients)):
-        assert np.array(quotients).tobytes() == reference.tobytes()
+    quotients = np.array([a / b for a, b in zip(v.tolist(), d.tolist())])
+    if np.isfinite(quotients).all():
+        nonzero = reference != 0.0
+        assert quotients[nonzero].tobytes() == reference[nonzero].tobytes()
+        assert np.array_equal(quotients[~nonzero], reference[~nonzero])
 
 
 def test_quotient_equals_the_lapack_solve_on_random_systems():
@@ -284,9 +292,9 @@ def _conformal_system():
 
 
 PROBLEMS = {
-    "flat": lambda: (build_manifold("euclidean", {"n": 2}), build_potential("harmonic", {"k": 2.0}),
+    "flat": lambda: (build_manifold("euclidean", {"n": 2}), build_potential("harmonic", {"k": 2.0}, 2),
                      (np.array([0.4, -0.2]), np.array([0.3, 0.9]))),
-    "hyperbolic": lambda: (build_manifold("hyperbolic_half_plane", {}), build_potential("zero", {}),
+    "hyperbolic": lambda: (build_manifold("hyperbolic_half_plane", {}), build_potential("zero", {}, 2),
                            (np.array([0.1, 1.2]), np.array([0.6, -0.4]))),
     "conformal": _conformal_system,
 }
@@ -415,7 +423,7 @@ def test_an_evaluation_error_at_the_initial_state_is_invalid_init():
 def test_chart_exit_keeps_its_counts(direction):
     m = ChartManifold(dim=2, metric=np.eye(2), domain_guard=lambda x: x[0] < 1.0)
     v = np.array([1.0 if direction == FORWARD else -1.0, 0.5])
-    traj = integrate(m, build_potential("zero", {}), (np.zeros(2), v),
+    traj = integrate(m, build_potential("zero", {}, 2), (np.zeros(2), v),
                      IntegratorConfig(horizon=3.0), direction)
     assert traj.outcome.kind == CHART_EXIT
     assert abs(traj.outcome.t_exit) == 0.9999999999999991
@@ -439,7 +447,7 @@ def test_rhs_is_called_once_per_counted_evaluation(monkeypatch, problem, directi
 
 
 def test_rhs_calls_of_a_refined_blowup_are_counted(monkeypatch):
-    manifold, fs = build_manifold("euclidean", {"n": 1}), build_potential("negative_quartic", {})
+    manifold, fs = build_manifold("euclidean", {"n": 1}), build_potential("negative_quartic", {}, 1)
     cfg = IntegratorConfig(horizon=2.0)
     coarse = integrate(manifold, fs, (np.array([1.0]), np.array([1.0])), cfg)
     calls = []
@@ -451,15 +459,35 @@ def test_rhs_calls_of_a_refined_blowup_are_counted(monkeypatch):
 
 # ---------------------------------------------------------------- the force equation in floats
 
+# the metric rows of the expression charts below
+CHART_ROWS = {
+    "diagonal_conformal": [["1 + 0.3*(x1^2 + x2^2)", "0"], ["0", "exp(0.2*x1)"]],
+    "diagonal_rows": [["2 + sin(x1)", "0"], ["0", "1 + x1^2*x2^2"]],
+    # the off-diagonal texts differ, so the partials are symmetrized
+    "general_rows": [["2 + x1^2", "0.3*x1*x2"], ["0.3*x2*x1", "1 + x2^2"]],
+}
+
 CHARTS = {
     "euclidean": lambda: build_manifold("euclidean", {"n": 2}),
     "hyperbolic": lambda: build_manifold("hyperbolic_half_plane", {}),
     "diagonal_conformal": lambda: build_manifold(
-        "diagonal_conformal", {"entries": ["1 + 0.3*(x1^2 + x2^2)", "exp(0.2*x1)"]}),
-    "diagonal_rows": lambda: metric_rows([["2 + sin(x1)", "0"], ["0", "1 + x1^2*x2^2"]]),
-    # the off-diagonal texts differ, so the partials are symmetrized
-    "general_rows": lambda: metric_rows([["2 + x1^2", "0.3*x1*x2"], ["0.3*x2*x1", "1 + x2^2"]]),
+        "diagonal_conformal", {"entries": [CHART_ROWS["diagonal_conformal"][j][j] for j in range(2)]}),
+    "diagonal_rows": lambda: metric_rows(CHART_ROWS["diagonal_rows"]),
+    "general_rows": lambda: metric_rows(CHART_ROWS["general_rows"]),
 }
+
+
+def _partials(chart, x):
+    """dg[i] = ∂_i G at x, None on the flat chart: each entry's derivative called in turn,
+    symmetrized as metric_at symmetrizes G, or the half-plane's in closed form."""
+    if chart == "euclidean":
+        return None
+    if chart == "hyperbolic":
+        dw = -2.0 / x[1] ** 3
+        return np.array([np.zeros((2, 2)), np.diag([dw, dw])])
+    dg = np.array([[[parse_expression(e, ("x1", "x2")).derivative(name)(*x) for e in row]
+                    for row in CHART_ROWS[chart]] for name in ("x1", "x2")])
+    return 0.5 * (dg + dg.transpose(0, 2, 1))
 
 
 def _with_tensor(fs, tensor):
@@ -469,36 +497,33 @@ def _with_tensor(fs, tensor):
 
 
 FORCES = {
-    "free": lambda: build_potential("zero", {}),
+    "free": lambda: build_potential("zero", {}, 2),
     "potential": lambda: expression_potential("0.5*x1^2 + x1*x2^3 + sin(t)*x2", 2),
-    "tensor": lambda: _with_tensor(build_potential("zero", {}),
+    "tensor": lambda: _with_tensor(build_potential("zero", {}, 2),
                                    build_tensor("skew_rotation", {"omega": 0.6}, 2)),
-    "both": lambda: _with_tensor(build_potential("harmonic", {"k": 1.7}),
+    "both": lambda: _with_tensor(build_potential("harmonic", {"k": 1.7}, 2),
                                  expression_tensor([["sin(t)", "x1"], ["-x1", "0.5*x2"]])),
 }
 
 
-def _numpy_rhs(manifold, fs, x, v, t):
-    """The force equation in numpy arrays, as rhs_E computed it before it ran in floats."""
-    if manifold.metric_dx is not None:
-        dg = np.asarray(manifold.metric_dx(x.tolist()), dtype=float)
+def _numpy_rhs(manifold, dg, fs, x, v, t):
+    """The force equation in numpy arrays, from the metric partials dg (None on a flat chart)."""
+    if dg is not None:
         lowered = christoffel_lower(dg) @ v @ v + fs.dx(x, t)
         acc = -np.linalg.solve(metric_at(manifold, x), lowered)
-    elif manifold.flat:
-        acc = -0.0 * v * v
     else:
-        acc = -np.einsum("kij,i,j->k", christoffel_at(manifold, x), v, v)
+        acc = -0.0 * v * v
     fmat = fs.force_matrix(x, t)
     if fmat is not None:
         acc = acc + fmat @ v
-    if manifold.metric_dx is None:
+    if dg is None:
         dv = fs.dx(x, t)
         if np.count_nonzero(dv):
             acc = acc - np.linalg.solve(metric_at(manifold, x), dv)
     return np.concatenate([v, acc])
 
 
-def _rounding_bound(manifold, fs, x, v, t):
+def _rounding_bound(manifold, dg, fs, x, v, t):
     """Per component, how far two roundings of _numpy_rhs's formula may lie apart.
 
     Every term is a product of at most four factors, summed over at most
@@ -521,19 +546,17 @@ def _rounding_bound(manifold, fs, x, v, t):
         return np.full(n, np.linalg.norm(inv, 2) * np.linalg.norm(magnitude)
                        + np.linalg.cond(g) * np.linalg.norm(solved))
 
-    if manifold.metric_dx is not None:
-        dg = np.abs(np.asarray(manifold.metric_dx(x.tolist()), dtype=float))
-        low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) + dg) @ av @ av
-        lowered = christoffel_lower(np.asarray(manifold.metric_dx(x.tolist()))) @ v @ v
+    if dg is not None:
+        adg = np.abs(dg)
+        low = 0.5 * (adg.transpose(2, 0, 1) + adg.transpose(2, 1, 0) + adg) @ av @ av
+        lowered = christoffel_lower(dg) @ v @ v
         magnitude = raised(low + np.abs(fs.dx(x, t)), np.linalg.solve(g, lowered + fs.dx(x, t)))
-    elif manifold.flat:
-        magnitude = np.zeros(n)
     else:
-        magnitude = np.einsum("kij,i,j->k", np.abs(christoffel_at(manifold, x)), av, av)
+        magnitude = np.zeros(n)
     fmat = fs.force_matrix(x, t)
     if fmat is not None:
         magnitude = magnitude + np.abs(fmat) @ av
-    if manifold.metric_dx is None:
+    if dg is None:
         dv = fs.dx(x, t)
         magnitude = magnitude + raised(np.abs(dv), np.linalg.solve(g, dv))
     return 2 * k * magnitude
@@ -547,9 +570,10 @@ def test_float_rhs_is_the_numpy_formula_within_rounding(chart, force, x, v, t):
     manifold, fs = CHARTS[chart](), FORCES[force]()
     x, v = np.array(x), np.array(v)
     out = rhs_E(manifold, fs, (x.tolist(), v.tolist(), t))
-    reference = _numpy_rhs(manifold, fs, x, v, t)
+    dg = _partials(chart, x)
+    reference = _numpy_rhs(manifold, dg, fs, x, v, t)
     assert out[:2] == v.tolist()
-    bound = _rounding_bound(manifold, fs, x, v, t)
+    bound = _rounding_bound(manifold, dg, fs, x, v, t)
     assert np.all(np.abs(np.array(out[2:]) - reference[2:]) <= bound), (out, reference, bound)
 
 
@@ -569,13 +593,17 @@ def test_diagonal_conformal_sources_equal_their_entries_called_in_turn():
     m = build_manifold("diagonal_conformal", {"entries": entries})
     fns = [parse_expression(e, ("x1", "x2")) for e in entries]
     rng = np.random.default_rng(2)
-    for x in rng.uniform(-2.0, 2.0, size=(50, 2)).tolist():
+    for x, v in zip(rng.uniform(-2.0, 2.0, size=(50, 2)).tolist(),
+                    rng.uniform(-2.0, 2.0, size=(50, 2)).tolist()):
         assert np.array(m.metric(x)).tobytes() == np.diag([fn(*x) for fn in fns]).tobytes()
-        dg = np.zeros((2, 2, 2))
-        for i, name in enumerate(("x1", "x2")):
-            for k, fn in enumerate(fns):
-                dg[i, k, k] = fn.derivative(name)(*x)
-        assert np.array(m.metric_dx(x)).tobytes() == dg.tobytes()
+        # the geodesic term keeps the floats of the contraction of the partials
+        # in floats: dg_v[i][j] = Σ_k ∂_i g_jk v_k, then Σ_i v_i dg_v[i][l] − 0.5 Σ_j v_j dg_v[l][j]
+        dg = [[[fns[j].derivative(name)(*x) if j == k else 0.0 for k in range(2)] for j in range(2)]
+              for name in ("x1", "x2")]
+        dg_v = [[sum(map(mul, row, v)) for row in d] for d in dg]
+        expected = [sum(map(mul, v, [d[l] for d in dg_v])) - 0.5 * sum(map(mul, v, dg_v[l]))
+                    for l in range(2)]
+        assert list(m.geodesic_term(x, v)) == expected
 
 
 def test_a_failing_metric_entry_is_named_as_before():

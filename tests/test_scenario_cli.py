@@ -578,6 +578,9 @@ BAD_INPUTS = {
     "expression-wave-H-not-text": (
         PLANE_WAVE_CERTIFY, ['gpw.wave={"catalog": "expression", "params": {"H": 5, "n": 2}}'],
         2, "parameter 'H' of catalog entry 'expression'"),
+    # (G + G^T)/2 is inf: a NotPositiveDefinite line, with no overflow warning
+    "metric-average-overflows": (BAD_INTEGRATE, ['manifold={"metric": [["1e308"]]}'], 1,
+                                 "NotPositiveDefinite: metric not finite"),
     "time_scalar-expr-not-text": (
         BAD_INTEGRATE, ['force.tensor={"catalog": "time_scalar", "params": {"expr": 3, "n": 1}}'],
         2, "parameter 'expr' of catalog entry 'time_scalar'"),
@@ -620,6 +623,19 @@ def test_cli_batch_rejects_a_bad_input_and_runs_the_next_scenario(tmp_path, caps
     assert len(lines) == 1 and lines[0].startswith(f"{bad}: ") and named in lines[0], captured.err
     assert "mini: integrate -> HorizonReached" in captured.out
     assert (out_dir / "mini.report.json").exists()
+
+
+def test_cli_runs_a_field_whose_scaled_norm_overflows(tmp_path, capsys):
+    # the field 1e200 is finite, but its norm scaled by the tolerances
+    # overflows, so the starting step is 0: the run floors it at the minimum
+    # step and ends as a suspected blow-up, not with a traceback
+    path = tmp_path / "steep.scn"
+    path.write_text(json.dumps(apply_overrides(MINIMAL_INTEGRATE, [
+        'force.potential.expr="1e200*x1"', "initial.position=[1.0]", "initial.velocity=[0.0]"])))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "mini: integrate -> BlowUpSuspected" in captured.out
 
 
 def test_compare_lemma_with_a_tiny_horizon_checks_its_residual_inside_t_ge_0(tmp_path):
