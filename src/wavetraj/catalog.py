@@ -343,10 +343,24 @@ def _build_time_scalar(params):
 
 
 def expression_tensor(rows):
-    """The tensor F(x, t) whose n x n matrix has the expression text rows in x1..xn and t."""
+    """The tensor F(x, t) whose n x n matrix has the expression text rows in x1..xn and t.
+
+    A constant matrix (no entry uses x1..xn or t) keeps the rows of its first
+    successful call; a call that raises stores nothing, so it raises every time.
+    """
     n = len(rows)
-    entries = at_chart_point([e for row in _parsed_rows(rows, _chart_variables(n, "t")) for e in row])
-    return lambda x, t: _cut(entries(x, t), n)
+    exprs = [e for row in _parsed_rows(rows, _chart_variables(n, "t")) for e in row]
+    entries = at_chart_point(exprs)
+    if any(e.used for e in exprs):
+        return lambda x, t: _cut(entries(x, t), n)
+    stored = []
+
+    def constant(x, t):
+        if not stored:
+            stored.append(tuple(_cut(entries(x, t), n)))
+        return stored[0]
+
+    return constant
 
 
 TENSORS = {

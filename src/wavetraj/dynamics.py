@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import EigFailure, OutOfChart
 from .geometry import chart_point, metric_at, metric_diagonal
-from .numdiff import gradient_fd, partial_in_scalar
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,9 @@ class ForceSystem:
     one, potential_dx a sequence of n, tensor_F n rows of n (the chart
     components of F; None means F ≡ 0). The methods below take arrays too
     and give arrays, for the callers off the integrator's hot path.
-    potential_dx and potential_dt are analytic derivative sources; when absent
-    the derivatives fall back to central differences with the shared stencil
-    policy. time_independent marks potentials with no t dependence
-    (used only for reporting conserved-energy drift).
+    potential_dx and potential_dt are the exact derivatives of potential, and
+    both are required. time_independent marks potentials with no t
+    dependence (used only for reporting conserved-energy drift).
 
     A source may carry an array form (expressions.array_form), which
     evaluates it over arrays: chart points on the last axis of x, broadcast
@@ -50,27 +48,20 @@ class ForceSystem:
     """
 
     potential: Callable[[np.ndarray, float], float]
-    potential_dx: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    potential_dt: Optional[Callable[[np.ndarray, float], float]] = None
+    potential_dx: Callable[[np.ndarray, float], np.ndarray]
+    potential_dt: Callable[[np.ndarray, float], float]
     tensor_F: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     time_independent: bool = False
+
+    def __post_init__(self):
+        if not (callable(self.potential_dx) and callable(self.potential_dt)):
+            raise TypeError("a force system needs its derivatives potential_dx and potential_dt")
 
     def value(self, x, t):
         return float(self.potential(chart_point(x), float(t)))
 
-    def dx(self, x, t):
-        if self.potential_dx is not None:
-            return np.asarray(self.potential_dx(chart_point(x), float(t)), dtype=float)
-        return gradient_fd(lambda p: self.potential(p.tolist(), float(t)),
-                           np.asarray(x, dtype=float))
-
     def dt(self, x, t):
-        x = chart_point(x)
-        if self.potential_dt is not None:
-            return float(self.potential_dt(x, float(t)))
-        if self.time_independent:
-            return 0.0
-        return float(partial_in_scalar(lambda s: self.potential(x, s), float(t)))
+        return float(self.potential_dt(chart_point(x), float(t)))
 
     def force_matrix(self, x, t):
         if self.tensor_F is None:
@@ -165,7 +156,7 @@ def rhs_E(manifold, fs, state):
         fmat = _tensor(fs, x, t)
         if fmat is not None:
             acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
-        dv = _gradient(fs, x, t)
+        dv = _floats(fs.potential_dx(x, t))
         if any(dv):
             if manifold.identity_metric:
                 acc = [a - d for a, d in zip(acc, dv)]
@@ -173,17 +164,13 @@ def rhs_E(manifold, fs, state):
                 acc = [a - d for a, d in zip(acc, _raised(*metric_diagonal(manifold, x), dv))]
         return xdot + acc
     diagonal, g = metric_diagonal(manifold, x)
-    lowered = [a + d for a, d in zip(_floats(manifold.geodesic_term(x, xdot)), _gradient(fs, x, t))]
+    lowered = [a + d for a, d in zip(_floats(manifold.geodesic_term(x, xdot)),
+                                     _floats(fs.potential_dx(x, t)))]
     acc = [-a for a in _raised(diagonal, g, lowered)]
     fmat = _tensor(fs, x, t)
     if fmat is not None:
         acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
     return xdot + acc
-
-
-def _gradient(fs, x, t):
-    """∂V at (x, t) as floats."""
-    return _floats(fs.potential_dx(x, t) if fs.potential_dx is not None else fs.dx(x, t))
 
 
 def _tensor(fs, x, t):

@@ -7,7 +7,6 @@ conflated with blow-up.
 """
 
 import contextlib
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
-from .numdiff import christoffel_from_metric, gradient_fd, symmetric_part
+from .numdiff import christoffel_from_metric, symmetric_part
 
 SYMMETRY_RTOL = 1e-12
 _HALF_MAX = sys.float_info.max / 2
@@ -36,8 +35,8 @@ class ChartManifold:
     derivatives enter the force equation, gives the dim floats Γ_lij v^i v^j:
     the Christoffel symbols of the first kind, Γ_lij = 1/2 (∂_i g_jl + ∂_j
     g_il − ∂_l g_ij), contracted twice with the velocity v. A metric function
-    given without one gets it from central differences of metric_at, which
-    checks every stencil point. domain_guard returns True for points inside
+    must come with one, so that the force equation runs on exact derivatives
+    of the metric. domain_guard returns True for points inside
     the valid chart region; it too takes a list of floats. complete_flag is
     the scenario author's assertion that the manifold is geodesically
     complete; it is an unverified input recorded on every certificate.
@@ -71,7 +70,7 @@ class ChartManifold:
             identity = bool(np.array_equal(g, np.eye(self.dim)))
             object.__setattr__(self, "metric", g)
         elif self.geodesic_term is None:
-            object.__setattr__(self, "geodesic_term", functools.partial(_fd_geodesic_term, self))
+            raise ValueError("a metric function needs its geodesic_term, Γ_lij v^i v^j")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "identity_metric", identity)
 
@@ -79,13 +78,6 @@ class ChartManifold:
         if self.domain_guard is None:
             return True
         return bool(self.domain_guard(chart_point(x)))
-
-
-def _fd_geodesic_term(manifold, x, v):
-    """Σ_i v^i dg_v[i] − 1/2 dg_v v, dg_v[i] = ∂_i G v, with ∂_i G by central differences."""
-    v = np.array(v, dtype=float)
-    dg_v = gradient_fd(lambda p: metric_at(manifold, p), np.array(x, dtype=float)) @ v
-    return (v @ dg_v - 0.5 * (dg_v @ v)).tolist()
 
 
 def chart_point(x):

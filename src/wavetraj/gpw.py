@@ -18,7 +18,7 @@ positive-definiteness checks.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .expressions import on_rows
 from .geometry import chart_point, metric_at, metrics_at
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
-from .numdiff import christoffel_from_metric, gradient_fd, partial_in_scalar
+from .numdiff import christoffel_from_metric
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ class WaveCoefficient:
 
     Each source takes the chart point x as a list of Python floats and u as
     a Python float; h and h_du return a float, h_dx the sequence of the
-    x-partials as floats. The methods below take arrays too and give arrays.
-    Absent derivative sources fall back to central differences with the
-    shared stencil policy.
+    x-partials as floats. h_dx and h_du are the exact derivatives of h, and
+    both are required. The methods below take arrays too and give arrays.
     A coefficient carries no name or classification, only these sources.
 
     h, h_dx and h_du may each carry an array form (expressions.array_form),
@@ -50,22 +49,21 @@ class WaveCoefficient:
     """
 
     h: Callable[[np.ndarray, float], float]
-    h_dx: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    h_du: Optional[Callable[[np.ndarray, float], float]] = None
+    h_dx: Callable[[np.ndarray, float], np.ndarray]
+    h_du: Callable[[np.ndarray, float], float]
+
+    def __post_init__(self):
+        if not (callable(self.h_dx) and callable(self.h_du)):
+            raise TypeError("a wave coefficient needs its derivatives h_dx and h_du")
 
     def value(self, x, u):
         return float(self.h(chart_point(x), float(u)))
 
     def dx(self, x, u):
-        if self.h_dx is not None:
-            return np.asarray(self.h_dx(chart_point(x), float(u)), dtype=float)
-        return gradient_fd(lambda p: self.h(p.tolist(), float(u)), np.asarray(x, dtype=float))
+        return np.asarray(self.h_dx(chart_point(x), float(u)), dtype=float)
 
     def du(self, x, u):
-        x = chart_point(x)
-        if self.h_du is not None:
-            return float(self.h_du(x, float(u)))
-        return float(partial_in_scalar(lambda s: self.h(x, s), float(u)))
+        return float(self.h_du(chart_point(x), float(u)))
 
     def value_rows(self, x, u):
         """H at each row of x and the matching entry of u, as an array.
@@ -156,16 +154,15 @@ def energy_of(st, init):
 def wave_force_system(st, u0, delta):
     """Force system for the base part: V(x, t) = -(delta^2 / 2) H(x, u0 + delta t).
 
-    Its gradient, which the integrator calls, is taken in Python floats from
-    h_dx's values (or the finite differences of WaveCoefficient.dx).
+    Its derivatives come from the wave's exact h_dx and h_du; the gradient,
+    which the integrator calls, is taken in Python floats from h_dx's values.
     """
     half_d2 = 0.5 * delta * delta
     wave = st.wave
-    h_dx = wave.h_dx if wave.h_dx is not None else lambda x, u: wave.dx(x, u).tolist()
 
     return ForceSystem(
         potential=lambda x, t: -half_d2 * wave.value(x, u0 + delta * t),
-        potential_dx=lambda x, t: [-half_d2 * d for d in h_dx(x, u0 + delta * t)],
+        potential_dx=lambda x, t: [-half_d2 * d for d in wave.h_dx(x, u0 + delta * t)],
         potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
     )

@@ -1,14 +1,11 @@
 """Central finite differences with the package-wide stencil policy.
 
 The step for first derivatives of smooth functions is cbrt(eps) * max(1, |x|),
-applied per coordinate. All finite-difference fallbacks (metric derivatives,
-potential derivatives, wave-coefficient derivatives) share this policy so the
-accuracy model is uniform. They serve Python callables that carry no
-derivative source, the Lorentzian oracle and the tests; scenario expressions
-are differentiated exactly (expressions.Expression.derivative). Christoffel
-symbols of any metric, Riemannian or Lorentzian, come from
-christoffel_from_partials, fed through christoffel_from_metric with finite
-differences.
+applied per coordinate. Every source carries its own exact derivatives, so
+central differences serve only christoffel_from_metric, for two callers:
+geometry.christoffel_at, the reference the tests hold each chart's
+geodesic_term against, and gpw.full_christoffel, the Lorentzian oracle that
+cross-checks the split reduction. Nothing here assumes a signature.
 """
 
 import numpy as np
@@ -31,12 +28,6 @@ def partial_in_coord(f, x, i, h=None):
     xp[i] += hi
     xm[i] -= hi
     return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hi)
-
-
-def partial_in_scalar(f, t):
-    """Central difference of f in a scalar argument t."""
-    ht = fd_step(t)
-    return (f(t + ht) - f(t - ht)) / (2.0 * ht)
 
 
 def gradient_fd(f, x, h=None):

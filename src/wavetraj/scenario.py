@@ -11,6 +11,7 @@ reproduced from its own output.
 import dataclasses
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +27,10 @@ from .hypotheses import BoundData
 from .integrate import BACKWARD, FORWARD, IntegratorConfig
 
 TASKS = ("integrate", "certify", "envelope", "gpw-geodesic", "gpw-map", "compare-lemma")
+
+#: the most samples a scenario may request (bounds grid points times t_samples,
+#: map.x0_grid points, compare_lemma.check_points), checked before any allocation
+MAX_SAMPLES = 10**6
 
 _INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "max_step", "horizon", "speed_ceiling", "min_step_fraction"}
 
@@ -226,8 +231,15 @@ def _build_force(section, manifold):
     return fs
 
 
-def _build_grid(section, context, dim):
-    """The points of a box grid in dim coordinates, one per row."""
+def _check_samples(count, what, key):
+    """Raise a ValidationError naming key when count samples exceed MAX_SAMPLES."""
+    if count > MAX_SAMPLES:
+        raise ValidationError(f"{what} requests {count} samples; a scenario may request at most "
+                              f"{MAX_SAMPLES}", key=key)
+
+
+def _build_grid(section, context, dim, times=1):
+    """The points of a box grid in dim coordinates, one per row; each is sampled at times times."""
     section = _expect_mapping(section, context)
     _check_keys(section, {"min", "max", "shape"}, {"min", "max", "shape"}, context)
     lo = _vector(section, "min", context, dim)
@@ -236,6 +248,8 @@ def _build_grid(section, context, dim):
     if not isinstance(shape, list) or len(shape) != dim or not all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shape):
         raise ValidationError(f"{context}.shape must be {dim} positive integers", key="shape")
+    _check_samples(math.prod(shape) * times,
+                   f"{context}.shape" + ("" if times == 1 else f" at {times} times"), "shape")
     axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -251,7 +265,8 @@ def _build_bounds(section, manifold):
     t_samples = section.get("t_samples", 41)
     if not isinstance(t_samples, int) or isinstance(t_samples, bool) or t_samples < 2:
         raise ValidationError("bounds.t_samples must be an integer >= 2", key="t_samples")
-    grid = _build_grid(section["grid"], "bounds.grid", manifold.dim)
+    _check_samples(t_samples, "bounds.t_samples", "t_samples")
+    grid = _build_grid(section["grid"], "bounds.grid", manifold.dim, t_samples)
     return BoundData(
         alpha0=_time_expr(str(section["alpha0"]), "bounds.alpha0"),
         beta0=_time_expr(str(section["beta0"]), "bounds.beta0"),
@@ -347,6 +362,7 @@ def _build_compare(section):
     if not isinstance(check_points, int) or isinstance(check_points, bool) or check_points < 3:
         raise ValidationError("compare_lemma.check_points must be an integer >= 3",
                               key="check_points")
+    _check_samples(check_points, "compare_lemma.check_points", "check_points")
     spec = {
         "phi": expr,
         "phi_source": str(section["phi"]),

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wavetraj.catalog import build_manifold, build_potential
+from wavetraj.dynamics import FREE
 from wavetraj.hypotheses import BoundData
 
 
@@ -15,6 +18,11 @@ def box_grid(lo, hi, shape):
 def window(alpha0, beta0, T, grid=((0.0,),)):
     """Bounds alpha0 and beta0 sampled at 41 times spanning [-T, T], on the points of grid."""
     return BoundData(alpha0=alpha0, beta0=beta0, grid=grid, t_grid=np.linspace(-T, T, 41))
+
+
+def tensor_force(tensor_F):
+    """The zero potential, with its derivatives, plus the tensor force tensor_F."""
+    return dataclasses.replace(FREE, tensor_F=tensor_F)
 
 
 @pytest.fixture

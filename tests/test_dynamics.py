@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavetraj.catalog import build_potential
+from wavetraj.catalog import build_potential, expression_potential
 from wavetraj.dynamics import (ForceSystem, build_energy_frame, energy_derivative_identity,
                                energy_v, operator_bounds, rhs_E, self_adjoint_part)
 from wavetraj.geometry import ChartManifold
+from wavetraj.gpw import WaveCoefficient
 
-from conftest import box_grid, window
+from conftest import box_grid, tensor_force, window
 
 
 def const_tensor(mat):
     mat = np.asarray(mat, dtype=float)
     return lambda x, t: mat
-
 
 def test_rhs_harmonic(euclidean2, harmonic):
     out = rhs_E(euclidean2, harmonic, (np.array([1.0, 0.0]), np.zeros(2), 0.0))
@@ -39,23 +39,23 @@ def test_rhs_hyperbolic_geodesic(hyperbolic, free):
     assert_allclose(out, [1.0, 0.0, 0.0, -1.0], atol=1e-14)
 
 
-def test_self_adjoint_part_skew_vanishes(euclidean2, free):
+def test_self_adjoint_part_skew_vanishes(euclidean2):
     omega = 2.5
-    fs = ForceSystem(potential=free.potential, tensor_F=const_tensor([[0, omega], [-omega, 0]]))
+    fs = tensor_force(const_tensor([[0, omega], [-omega, 0]]))
     s = self_adjoint_part(euclidean2, fs, np.zeros(2), 0.0)
     assert_allclose(s, np.zeros((2, 2)), atol=0)
 
 
-def test_self_adjoint_part_diagonal_fixed(euclidean2, free):
-    fs = ForceSystem(potential=free.potential, tensor_F=const_tensor([[1.5, 0], [0, -2.0]]))
+def test_self_adjoint_part_diagonal_fixed(euclidean2):
+    fs = tensor_force(const_tensor([[1.5, 0], [0, -2.0]]))
     s = self_adjoint_part(euclidean2, fs, np.zeros(2), 0.0)
     assert_allclose(s, np.diag([1.5, -2.0]), atol=0)
 
 
 def test_self_adjoint_part_curved_metric():
     # G = diag(4, 1), F = [[0,1],[0,0]]: frozen from a symbolic matrix oracle
-    m = ChartManifold(dim=2, metric=lambda x: np.diag([4.0, 1.0]))
-    fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor([[0, 1], [0, 0]]))
+    m = ChartManifold(dim=2, metric=np.diag([4.0, 1.0]))
+    fs = tensor_force(const_tensor([[0, 1], [0, 0]]))
     s = self_adjoint_part(m, fs, np.zeros(2), 0.0)
     assert_allclose(s, [[0.0, 0.5], [2.0, 0.0]], atol=1e-15)
     g = np.diag([4.0, 1.0])
@@ -70,8 +70,8 @@ def test_skew_part_is_metric_skew_adjoint(seed):
     a = rng.normal(size=(n, n))
     g = a @ a.T + n * np.eye(n)
     f = rng.normal(size=(n, n))
-    m = ChartManifold(dim=n, metric=lambda x: g)
-    fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor(f))
+    m = ChartManifold(dim=n, metric=g)
+    fs = tensor_force(const_tensor(f))
     s = self_adjoint_part(m, fs, np.zeros(n), 0.0)
     skew = f - s
     assert_allclose(g @ skew + skew.T @ g, np.zeros((n, n)), atol=1e-10)
@@ -80,27 +80,26 @@ def test_skew_part_is_metric_skew_adjoint(seed):
 
 def test_operator_bounds_scalar(euclidean2):
     c = 0.7
-    fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor(-c * np.eye(2)))
+    fs = tensor_force(const_tensor(-c * np.eye(2)))
     lo, hi = operator_bounds(euclidean2, fs, [[0.0, 0.0], [1.0, 2.0]], 0.0)
     assert_allclose([lo, hi], [-c, -c], atol=1e-14)
 
 
 def test_operator_bounds_skew_zero(euclidean2):
-    fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor([[0, 3], [-3, 0]]))
+    fs = tensor_force(const_tensor([[0, 3], [-3, 0]]))
     lo, hi = operator_bounds(euclidean2, fs, [[0.0, 0.0]], 0.0)
     assert_allclose([lo, hi], [0.0, 0.0], atol=1e-13)
 
 
 def test_operator_bounds_diagonal(euclidean2):
-    fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor([[1, 0], [0, -2]]))
+    fs = tensor_force(const_tensor([[1, 0], [0, -2]]))
     lo, hi = operator_bounds(euclidean2, fs, [[0.0, 0.0]], 0.0)
     assert_allclose([lo, hi], [-2.0, 1.0], atol=1e-13)
 
 
 def test_operator_bounds_monotone_under_refinement(euclidean2):
     # position-dependent force: refining the grid never shrinks the interval
-    fs = ForceSystem(potential=lambda x, t: 0.0,
-                     tensor_F=lambda x, t: np.diag([np.sin(3 * x[0]), np.cos(2 * x[1])]))
+    fs = tensor_force(lambda x, t: np.diag([np.sin(3 * x[0]), np.cos(2 * x[1])]))
     coarse = box_grid([-1, -1], [1, 1], [3, 3])
     fine = np.vstack([coarse, box_grid([-1, -1], [1, 1], [7, 7])])
     lo_c, hi_c = operator_bounds(euclidean2, fs, coarse, 0.0)
@@ -114,7 +113,7 @@ def test_energy_v_examples(euclidean2, hyperbolic, harmonic):
     assert energy_v(euclidean2, harmonic, frame, (np.zeros(2), np.zeros(2), 0.0)) == pytest.approx(1.0)
     assert energy_v(euclidean2, harmonic, frame, (np.array([1.0, 0]), np.array([1.0, 0]), 0.0)) == pytest.approx(2.0)
     frame2 = build_energy_frame(window(lambda t: 0.0, lambda t: 2.0, 1.0), 0.0)  # B_T = 1
-    v_const = ForceSystem(potential=lambda x, t: 2.0, time_independent=True)
+    v_const = expression_potential("2", 2)
     val = energy_v(hyperbolic, v_const, frame2, (np.array([0.0, 2.0]), np.array([2.0, 0.0]), 0.0))
     assert val == pytest.approx(1.5)
 
@@ -157,13 +156,22 @@ def test_catalog_potentials_keep_their_float_formulas(x, t, k):
     assert_allclose(quartic.potential_dx(x, t), [-4.0 * k * s * c for c in x], rtol=1e-15, atol=1e-300)
 
 
-def test_finite_difference_potential_derivatives_match_analytic():
-    analytic = build_potential("exp_time_quadratic", {}, 2)
-    fd = ForceSystem(potential=analytic.potential)
-    x = np.array([0.4, -1.1])
-    t = 0.7
-    assert_allclose(fd.dx(x, t), analytic.dx(x, t), rtol=1e-8)
-    assert fd.dt(x, t) == pytest.approx(analytic.dt(x, t), rel=1e-8)
+def _zero(x, s):
+    return 0.0
+
+
+@pytest.mark.parametrize("source,derivatives", [
+    (ForceSystem, {"potential_dt": _zero}),
+    (ForceSystem, {"potential_dx": _zero}),
+    (ForceSystem, {"potential_dx": None, "potential_dt": _zero}),
+    (WaveCoefficient, {"h_du": _zero}),
+    (WaveCoefficient, {"h_dx": _zero}),
+    (WaveCoefficient, {"h_dx": _zero, "h_du": None}),
+])
+def test_a_source_without_its_derivative_is_a_construction_error(source, derivatives):
+    # nothing stands in for a missing derivative
+    with pytest.raises(TypeError, match="missing 1 required|needs its derivatives"):
+        source(_zero, **derivatives)
 
 
 def test_energy_frame_constants():
@@ -221,7 +229,7 @@ def test_operator_eigen_range_equals_scipy_eigh_bit_for_bit():
     rng = np.random.default_rng(5)
     for _ in range(200):
         f = rng.normal(size=(2, 2))
-        fs = ForceSystem(potential=lambda x, t: 0.0, tensor_F=const_tensor(f))
+        fs = tensor_force(const_tensor(f))
         x = rng.uniform(-2.0, 2.0, 2)
         g = metric_at(m, x)
         w = scipy.linalg.eigh(0.5 * (g @ f + f.T @ g), g, eigvals_only=True)

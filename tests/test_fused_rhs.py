@@ -1,9 +1,9 @@
 """The geodesic term Γ_lij v^i v^j of curved charts and the force equation built on it.
 
 Each chart is checked three ways: against closed-form Christoffel symbols,
-against the finite-difference path (christoffel_at with a forced step h, and a copy of
-the chart and force system without derivative sources), and for the hard
-errors the checked metric evaluation raises.
+against the finite-difference reference (christoffel_at, with a forced step h
+or the default one, and numdiff.gradient_fd of V), and for the hard errors
+the checked metric evaluation raises.
 """
 
 import numpy as np
@@ -11,13 +11,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wavetraj
-from wavetraj import dynamics, geometry
+from wavetraj import catalog, dynamics, geometry
 from wavetraj.catalog import build_manifold
 from wavetraj.dynamics import ForceSystem, rhs_E
-from wavetraj.errors import NotPositiveDefinite
+from wavetraj.errors import EvaluationError, NotPositiveDefinite
+from wavetraj.expressions import parse_expression
 from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
 from wavetraj.integrate import IntegratorConfig, integrate
+from wavetraj.numdiff import gradient_fd
 from wavetraj.scenario import parse_scenario
+
+from conftest import tensor_force
 
 # inside the hyperbolic chart, x2 > 0
 POINTS = [np.array([0.3, 0.7]), np.array([-1.2, 0.4]), np.array([0.9, 1.1])]
@@ -107,21 +111,9 @@ def test_geodesic_term_matches_closed_form_and_finite_differences(build, partial
 
 
 @pytest.mark.parametrize("build,partials", CHARTS, ids=CHART_IDS)
-def test_a_metric_function_gets_a_finite_difference_term(build, partials):
-    m = build().manifold
-    m_fd = ChartManifold(dim=2, metric=m.metric, domain_guard=m.domain_guard)
-    for x in POINTS:
-        term = m_fd.geodesic_term(x.tolist(), VELOCITY.tolist())
-        assert_allclose(term, _closed_form_term(partials(x), VELOCITY), rtol=1e-7, atol=1e-8)
-
-
-@pytest.mark.parametrize("build,partials", CHARTS, ids=CHART_IDS)
 def test_fused_rhs_matches_closed_form_and_finite_difference_path(build, partials):
     sc = build()
     m, fs = sc.manifold, sc.force
-    # the same chart and forces with no derivative sources: finite differences throughout
-    m_fd = ChartManifold(dim=2, metric=m.metric, domain_guard=m.domain_guard)
-    fs_fd = ForceSystem(potential=fs.potential, tensor_F=fs.tensor_F)
     for x in POINTS:
         t = 0.4
         g = metric_at(m, x)
@@ -132,7 +124,11 @@ def test_fused_rhs_matches_closed_form_and_finite_difference_path(build, partial
         fused = rhs_E(m, fs, (x, VELOCITY, t))
         assert_allclose(fused[:2], VELOCITY, rtol=0, atol=0)
         assert_allclose(fused[2:], expected, rtol=1e-13, atol=1e-13)
-        assert_allclose(rhs_E(m_fd, fs_fd, (x, VELOCITY, t)), fused, rtol=1e-8, atol=1e-9)
+        # the finite-difference reference: christoffel_at and central differences of V
+        reference = (-np.einsum("kij,i,j->k", christoffel_at(m, x), VELOCITY, VELOCITY)
+                     + fs.force_matrix(x, t) @ VELOCITY
+                     - np.linalg.solve(g, gradient_fd(lambda p: fs.value(p, t), x)))
+        assert_allclose(np.concatenate([VELOCITY, reference]), fused, rtol=1e-8, atol=1e-9)
 
 
 @pytest.mark.parametrize("build", [_conformal, _rows, _hyperbolic], ids=CHART_IDS)
@@ -198,3 +194,51 @@ def test_conformal_geodesic_conserves_speed_on_the_exact_path():
     traj = integrate(m, free, (x0, v0), IntegratorConfig(horizon=4.0))
     speeds = [float(s[2:] @ metric_at(m, s[:2]) @ s[2:]) for s in traj.states]
     assert_allclose(speeds, speeds[0], rtol=1e-8)
+
+
+def _counting_entries(monkeypatch):
+    """The list of chart points at which expression_tensor's fused entries run."""
+    runs = []
+    at_chart_point = catalog.at_chart_point
+
+    def counting(exprs, params=()):
+        entries = at_chart_point(exprs, params)
+
+        def call(x, s):
+            runs.append(x)
+            return entries(x, s)
+
+        return call
+
+    monkeypatch.setattr(catalog, "at_chart_point", counting)
+    return runs
+
+
+@pytest.mark.parametrize("rows,constant", [
+    ([["0", "-(0.1 + 0.2)"], ["sqrt(2)/3", "-0"]], True),
+    ([["0", "1"], ["-1", "sin(t)"]], False),
+    ([["0", "x2"], ["-x1", "0"]], False),
+], ids=["constant", "in-t", "in-x"])
+def test_a_constant_tensor_is_evaluated_once(monkeypatch, rows, constant):
+    runs = _counting_entries(monkeypatch)
+    tensor = catalog.expression_tensor(rows)
+    m = build_manifold("euclidean", {"n": 2})
+    fs = tensor_force(tensor)
+    states = [([0.1 * k, 0.2], [0.3, -0.4], 0.01 * k) for k in range(50)]
+    for state in states:
+        rhs_E(m, fs, state)
+    assert len(runs) == (1 if constant else len(states))
+    # the rows returned are those of the entries called one at a time, bit for bit
+    exprs = [[parse_expression(e, ("x1", "x2", "t")) for e in row] for row in rows]
+    for x, _, t in states:
+        per_call = [[e(*x, t).hex() for e in row] for row in exprs]
+        assert [[v.hex() for v in row] for row in tensor(x, t)] == per_call
+
+
+def test_a_constant_tensor_with_a_domain_error_raises_at_every_call(monkeypatch):
+    runs = _counting_entries(monkeypatch)
+    tensor = catalog.expression_tensor([["log(-1)"]])
+    for _ in range(3):
+        with pytest.raises(EvaluationError, match="log"):
+            tensor([0.0], 0.0)
+    assert len(runs) == 3

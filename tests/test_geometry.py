@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wavetraj.catalog import build_manifold, metric_rows
 from wavetraj.errors import NotPositiveDefinite, OutOfChart
 from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
 
 
-def diag_metric(entries_fn, n, guard=None):
-    return ChartManifold(dim=n, metric=lambda x: np.diag(entries_fn(x)), domain_guard=guard)
+def diag_metric(entries):
+    """The chart whose metric is diagonal with the expression text entries."""
+    return build_manifold("diagonal_conformal", {"entries": entries})
+
+
+def half_plane_rows():
+    """The hyperbolic half-plane as metric rows, guard x2 > 0."""
+    return metric_rows([["1/x2^2", "0"], ["0", "1/x2^2"]], guard="x2")
 
 
 def test_metric_euclidean_identity(euclidean2):
@@ -21,27 +28,25 @@ def test_metric_hyperbolic_half_plane(hyperbolic):
 
 
 def test_metric_diagonal_example():
-    m = diag_metric(lambda x: [1.0 + x[0] ** 2, 1.0], 2)
+    m = diag_metric(["1 + x1^2", "1"])
     assert_allclose(metric_at(m, [2.0, 0.0]), np.diag([5.0, 1.0]), rtol=1e-15)
 
 
 def test_metric_symmetrized_within_tolerance():
-    skewed = np.array([[1.0, 1e-13], [0.0, 1.0]])
-    m = ChartManifold(dim=2, metric=lambda x: skewed)
+    m = metric_rows([["1", "1e-13"], ["0", "1"]])
     g = metric_at(m, [0.0, 0.0])
     assert_allclose(g, g.T, rtol=0, atol=0)
     assert_allclose(g[0, 1], 5e-14)
 
 
 def test_metric_asymmetry_beyond_tolerance_rejected():
-    bad = np.array([[1.0, 1e-3], [0.0, 1.0]])
-    m = ChartManifold(dim=2, metric=lambda x: bad)
+    m = metric_rows([["1", "1e-3"], ["0", "1"]])
     with pytest.raises(ValueError, match="not symmetric"):
         metric_at(m, [0.0, 0.0])
 
 
 def test_metric_not_positive_definite():
-    m = diag_metric(lambda x: [1.0, x[0]], 2)
+    m = diag_metric(["1", "x1"])
     with pytest.raises(NotPositiveDefinite):
         metric_at(m, [-1.0, 0.0])
 
@@ -78,6 +83,8 @@ def test_constant_metric_checked_at_construction():
         ChartManifold(dim=2, metric=np.eye(3))
     with pytest.raises(ValueError, match="geodesic_term must be None"):
         ChartManifold(dim=2, metric=np.eye(2), geodesic_term=lambda x, v: [0.0, 0.0])
+    with pytest.raises(ValueError, match="needs its geodesic_term"):
+        ChartManifold(dim=2, metric=lambda x: np.eye(2))
 
 
 def test_constant_metric_symmetrized_once():
@@ -114,9 +121,7 @@ def test_hyperbolic_geodesic_term_analytic(hyperbolic):
 
 
 def test_christoffel_hyperbolic_finite_difference_matches():
-    m = ChartManifold(dim=2, metric=lambda x: np.diag([1.0 / x[1] ** 2] * 2),
-                      domain_guard=lambda x: x[1] > 0)
-    gamma = christoffel_at(m, [0.0, 1.0])
+    gamma = christoffel_at(half_plane_rows(), [0.0, 1.0])
     expected = np.zeros((2, 2, 2))
     for idx, val in HYPERBOLIC_GAMMA_AT_01.items():
         expected[idx] = val
@@ -125,7 +130,7 @@ def test_christoffel_hyperbolic_finite_difference_matches():
 
 def test_christoffel_exponential_metric():
     # metric diag(e^{2 x2}, 1): frozen from a symbolic differentiation oracle
-    m = diag_metric(lambda x: [np.exp(2.0 * x[1]), 1.0], 2)
+    m = diag_metric(["exp(2*x2)", "1"])
     y = 0.3
     gamma = christoffel_at(m, [0.7, y])
     assert_allclose(gamma[0, 0, 1], 1.0, rtol=1e-9)
@@ -135,14 +140,13 @@ def test_christoffel_exponential_metric():
 
 
 def test_christoffel_symmetric_lower_indices():
-    m = diag_metric(lambda x: [1.0 + x[0] ** 2 + x[1] ** 2, 2.0 + np.sin(x[0])], 2)
+    m = diag_metric(["1 + x1^2 + x2^2", "2 + sin(x1)"])
     gamma = christoffel_at(m, [0.4, -0.7])
     assert_allclose(gamma, gamma.transpose(0, 2, 1), atol=0)
 
 
 def test_christoffel_fd_second_order_convergence():
-    m_fd = ChartManifold(dim=2, metric=lambda x: np.diag([1.0 / x[1] ** 2] * 2),
-                         domain_guard=lambda x: x[1] > 0)
+    m_fd = half_plane_rows()
     exact = np.zeros((2, 2, 2))
     for idx, val in HYPERBOLIC_GAMMA_AT_01.items():
         exact[idx] = val
@@ -151,11 +155,9 @@ def test_christoffel_fd_second_order_convergence():
     assert err_h / err_h2 == pytest.approx(4.0, rel=0.15)
 
 
-def test_christoffel_stencil_must_fit_in_chart(hyperbolic):
-    m_fd = ChartManifold(dim=2, metric=lambda x: np.diag([1.0 / x[1] ** 2] * 2),
-                         domain_guard=lambda x: x[1] > 0)
+def test_christoffel_stencil_must_fit_in_chart():
     with pytest.raises(OutOfChart):
-        christoffel_at(m_fd, [0.0, 1e-9])
+        christoffel_at(half_plane_rows(), [0.0, 1e-9])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -168,7 +170,8 @@ def test_non_finite_constant_metric_rejected(value):
 
 
 def test_non_finite_metric_function_rejected():
-    m = ChartManifold(dim=2, metric=lambda x: np.full((2, 2), np.nan))
+    m = ChartManifold(dim=2, metric=lambda x: np.full((2, 2), np.nan),
+                      geodesic_term=lambda x, v: [0.0, 0.0])
     with pytest.raises(NotPositiveDefinite, match="not finite at") as info:
         metric_at(m, [0.5, -1.0])
     assert_allclose(info.value.point, [0.5, -1.0])

@@ -93,13 +93,6 @@ def test_plane_wave_is_the_expression_wave_of_its_composed_H(tmp_path):
         assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
 
 
-def test_wave_coefficient_fd_derivatives():
-    wave = WaveCoefficient(h=lambda x, u: np.sin(u) * x[0] ** 2)
-    x = np.array([1.5, -0.5])
-    assert wave.du(x, 0.7) == pytest.approx(np.cos(0.7) * 2.25, rel=1e-8)
-    assert_allclose(wave.dx(x, 0.7), [np.sin(0.7) * 3.0, 0.0], rtol=1e-8, atol=1e-8)
-
-
 def test_nonzero_witness_enforced():
     wave = plane_wave("1", "1", "0")
     with pytest.raises(ValueError, match="vanishes"):

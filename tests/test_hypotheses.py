@@ -12,7 +12,7 @@ from wavetraj.hypotheses import (BACKWARD_COMPLETE, COMPLETE_POTENTIAL_BOUNDS,
                                  check_linear_growth_gradH, check_wave_bounded_above,
                                  check_wave_du_bound)
 
-from conftest import box_grid, window
+from conftest import box_grid, tensor_force, window
 
 # the operator-bound scans sample [-2, 2] x a 3 x 3 box
 S_WINDOW = window(lambda t: 0.0, lambda t: 0.0, 2.0, grid=box_grid([-1, -1], [1, 1], [3, 3]))
@@ -61,16 +61,14 @@ def test_s_bounds_zero_force(euclidean2):
 
 
 def test_s_bounds_skew_rotation(euclidean2):
-    fs = ForceSystem(potential=lambda x, t: 0.0,
-                     tensor_F=lambda x, t: np.array([[0.0, 2.0], [-2.0, 0.0]]))
+    fs = tensor_force(lambda x, t: np.array([[0.0, 2.0], [-2.0, 0.0]]))
     checks = check_S_bounds(euclidean2, fs, S_WINDOW)
     assert checks["bounded"].values["N_T"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_s_bounds_time_dependent_scalar(euclidean2):
     # F = -(1 + t^2) I on [-2, 2]: two-sided bound 5, frozen by arithmetic
-    fs = ForceSystem(potential=lambda x, t: 0.0,
-                     tensor_F=lambda x, t: -(1.0 + t * t) * np.eye(2))
+    fs = tensor_force(lambda x, t: -(1.0 + t * t) * np.eye(2))
     checks = check_S_bounds(euclidean2, fs, S_WINDOW)
     assert checks["bounded"].values["N_T"] == pytest.approx(5.0)
     assert checks["upper_bounded"].values["N_T"] == pytest.approx(-1.0)
@@ -124,7 +122,7 @@ def test_dvdt_dependent_failure_stamp():
     assert not check.passed
 
 
-def make_wave(h, dx=None, du=None):
+def make_wave(h, dx, du):
     return WaveCoefficient(h=h, h_dx=dx, h_du=du)
 
 
@@ -154,7 +152,7 @@ def test_linear_growth_constant_passes(euclidean2):
 
 
 def test_linear_growth_needs_enough_points(euclidean2):
-    wave = make_wave(lambda x, u: 0.0, dx=lambda x, u: np.zeros(2))
+    wave = make_wave(lambda x, u: 0.0, dx=lambda x, u: np.zeros(2), du=lambda x, u: 0.0)
     with pytest.raises(ValueError, match="at least 20"):
         check_linear_growth_gradH(euclidean2, wave, box_grid([-1, -1], [1, 1], [2, 2]),
                                   np.zeros(2), [0.0])
@@ -205,7 +203,7 @@ def test_certify_backward_only(euclidean2):
 def test_certify_requires_complete_flag():
     from wavetraj.geometry import ChartManifold
 
-    incomplete = ChartManifold(dim=2, metric=lambda x: np.eye(2), complete_flag=False)
+    incomplete = ChartManifold(dim=2, metric=np.eye(2), complete_flag=False)
     cert = certify(CertificationTask(manifold=incomplete,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
                                      force=build_potential("harmonic", {}, 2)))
@@ -285,7 +283,9 @@ def _poisoned(x, bad_x, bad_value, otherwise):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_potential_fails_bounded_below(bad):
     # V = x^2 >= 0 everywhere except one sample: that sample is the evidence
-    fs = ForceSystem(potential=lambda x, t: _poisoned(x, 1.5, bad, float(np.dot(x, x))))
+    fs = ForceSystem(potential=lambda x, t: _poisoned(x, 1.5, bad, float(np.dot(x, x))),
+                     potential_dx=lambda x, t: [2.0 * c for c in x],
+                     potential_dt=lambda x, t: 0.0)
     bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
     check = check_bounded_below(fs, bd)
     assert not check.passed
@@ -295,7 +295,9 @@ def test_non_finite_potential_fails_bounded_below(bad):
 
 
 def test_nan_everywhere_fails_bounded_below():
-    fs = ForceSystem(potential=lambda x, t: float("nan"))
+    fs = ForceSystem(potential=lambda x, t: float("nan"),
+                     potential_dx=lambda x, t: [float("nan")] * len(x),
+                     potential_dt=lambda x, t: float("nan"))
     check = check_bounded_below(fs, bounds_1d(lambda t: 0.0, lambda t: 0.0))
     assert not check.passed
     assert check.worst_point == (-2.0,)
@@ -305,6 +307,7 @@ def test_nan_everywhere_fails_bounded_below():
 @pytest.mark.parametrize("signed", ["two_sided", "forward", "backward"])
 def test_nan_time_derivative_fails_dvdt_bound(signed):
     fs = ForceSystem(potential=lambda x, t: 1.0 + float(np.dot(x, x)),
+                     potential_dx=lambda x, t: [2.0 * c for c in x],
                      potential_dt=lambda x, t: _poisoned(x, -1.0, float("nan"), 0.0))
     bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
     check = check_dVdt_bound(fs, bd, signed=signed)
@@ -316,7 +319,8 @@ def test_nan_time_derivative_fails_dvdt_bound(signed):
 
 def test_nan_gradient_fails_linear_growth(euclidean2):
     wave = make_wave(lambda x, u: 0.0,
-                     dx=lambda x, u: np.full(2, np.nan) if u > 0.5 else np.zeros(2))
+                     dx=lambda x, u: np.full(2, np.nan) if u > 0.5 else np.zeros(2),
+                     du=lambda x, u: 0.0)
     check = check_linear_growth_gradH(euclidean2, wave, box_grid([-4, -4], [4, 4], [9, 9]),
                                       np.zeros(2), np.linspace(-1, 1, 5))
     assert not check.passed

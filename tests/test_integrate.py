@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavetraj.catalog import build_manifold, build_potential
+from wavetraj.catalog import build_manifold, build_potential, expression_potential, metric_rows
 from wavetraj.dynamics import ForceSystem, make_rhs
 from wavetraj.errors import InvalidInit, NotABlowup, NotPositiveDefinite, OutOfChart, OutOfRange
-from wavetraj.expressions import parse_expression
 from wavetraj.geometry import ChartManifold, metric_at
 from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD,
                                 HORIZON_REACHED, TOLERANCE_FAILURE, IntegratorConfig,
@@ -90,8 +89,7 @@ def test_step_collapse_without_growth_is_tolerance_failure():
 
 
 def test_chart_exit_reported(free):
-    strip = ChartManifold(dim=2, metric=lambda x: np.eye(2),
-                          domain_guard=lambda x: x[0] < 2.0)
+    strip = metric_rows([["1", "0"], ["0", "1"]], guard="2 - x1")
     cfg = IntegratorConfig(horizon=5.0)
     traj = integrate(strip, free, (np.array([1.0, 0.0]), np.array([1.0, 0.0])), cfg)
     assert traj.outcome.kind == CHART_EXIT
@@ -118,8 +116,7 @@ def test_metric_blowup_without_coordinate_escape(hyperbolic):
 def test_chart_exit_on_curved_manifold(free):
     # a guard strictly inside the half-plane: a geodesic crossing it exits in
     # finite time with bounded speed, so the verdict is ChartExit
-    m = ChartManifold(dim=2, metric=lambda x: np.diag([1.0 / x[1] ** 2] * 2),
-                      domain_guard=lambda x: x[1] > 1.0)
+    m = metric_rows([["1/x2^2", "0"], ["0", "1/x2^2"]], guard="x2 - 1")
     cfg = IntegratorConfig(horizon=10.0)
     traj = integrate(m, free, (np.array([0.0, 2.0]), np.array([1.0, 0.0])), cfg)
     assert traj.outcome.kind == CHART_EXIT
@@ -128,11 +125,12 @@ def test_chart_exit_on_curved_manifold(free):
 
 
 def test_lost_positive_definiteness_is_hard_error(free):
-    # no guard declared: the metric silently degenerates at x1 = 1 and the
-    # geometry layer must fail loudly instead of classifying an outcome
+    # no guard declared: the metric silently degenerates at x1 = 1, which the
+    # geodesic along x1 crosses at t = 2, and the geometry layer must fail
+    # loudly instead of classifying an outcome
     from wavetraj.errors import NotPositiveDefinite
 
-    m = ChartManifold(dim=2, metric=lambda x: np.diag([1.0 - x[0] ** 2, 1.0]))
+    m = metric_rows([["1", "0"], ["0", "1 - x1^2"]])
     cfg = IntegratorConfig(horizon=5.0)
     with pytest.raises(NotPositiveDefinite):
         integrate(m, free, (np.array([0.0, 0.0]), np.array([0.5, 0.0])), cfg)
@@ -140,8 +138,10 @@ def test_lost_positive_definiteness_is_hard_error(free):
 
 def test_overflowing_metric_stops_the_run():
     # the metric overflows for x1 >= 1: a stage there ends the run with the
-    # same hard error as lost positive definiteness
-    m = ChartManifold(dim=1, metric=lambda x: np.array([[1.0 if x[0] < 1.0 else np.inf]]))
+    # same hard error as lost positive definiteness; it is constant where
+    # finite, so its geodesic term is 0
+    m = ChartManifold(dim=1, metric=lambda x: np.array([[1.0 if x[0] < 1.0 else np.inf]]),
+                      geodesic_term=lambda x, v: [0.0])
     cfg = IntegratorConfig(horizon=5.0)
     with pytest.raises(NotPositiveDefinite, match="not finite"):
         integrate(m, build_potential("zero", {}, 1), (np.array([0.0]), np.array([1.0])), cfg)
@@ -211,10 +211,9 @@ def test_geodesic_norm_conserved_on_curved_base(hyperbolic, free):
     assert drift_per_time < 1e-8
 
 
-def test_geodesic_norm_conserved_with_fd_christoffels(free):
-    # expression-style metric without an analytic connection: the whole rhs
-    # runs through the finite-difference Christoffel path
-    m = ChartManifold(dim=2, metric=lambda x: np.diag([np.exp(2.0 * x[1]), 1.0]))
+def test_geodesic_norm_conserved_on_exponential_metric_rows(free):
+    # metric rows diag(e^{2 x2}, 1): the rhs runs on the exact geodesic term
+    m = metric_rows([["exp(2*x2)", "0"], ["0", "1"]])
     cfg = IntegratorConfig(horizon=5.0)
     traj = integrate(m, free, (np.array([0.0, 0.2]), np.array([0.4, 0.3])), cfg)
     assert traj.outcome.kind == HORIZON_REACHED
@@ -294,8 +293,7 @@ def test_refine_blowup_time_dependent_potential(direction, speed):
     # force at its own elapsed time instead of the true time would bracket
     # a later blow-up
     m = build_manifold("euclidean", {"n": 1})
-    expr = parse_expression("-(1 + t)*(x1^2)^2", ("x1", "t"))
-    fs = ForceSystem(potential=lambda x, t: expr(*x, t))
+    fs = expression_potential("-(1 + t)*(x1^2)^2", 1)
     cfg = IntegratorConfig(horizon=2.0)
     init = (np.array([1.0]), np.array([speed]))
     coarse = integrate(m, fs, init, cfg, direction)

@@ -137,7 +137,8 @@ def test_diagonal_metric_is_checked_as_cholesky_would(g):
     # metric_diagonal checks a diagonal value elementwise in floats
     n = len(g)
     x = np.full(n, 0.5)
-    m = ChartManifold(dim=n, metric=lambda x: g)
+    # a metric function, so that metric_diagonal checks g at x; the term is never called
+    m = ChartManifold(dim=n, metric=lambda x: g, geodesic_term=lambda x, v: [0.0] * n)
     value, warned = _outcome(lambda: metric_diagonal(m, x.tolist()))
     checked, checked_warned = _outcome(lambda: _cholesky_checked(g, n, x))
     assert warned == checked_warned
@@ -506,10 +507,15 @@ FORCES = {
 }
 
 
+def _dv(fs, x, t):
+    """∂V at (x, t) as an array."""
+    return np.asarray(fs.potential_dx(np.asarray(x, dtype=float).tolist(), float(t)), dtype=float)
+
+
 def _numpy_rhs(manifold, dg, fs, x, v, t):
     """The force equation in numpy arrays, from the metric partials dg (None on a flat chart)."""
     if dg is not None:
-        lowered = christoffel_lower(dg) @ v @ v + fs.dx(x, t)
+        lowered = christoffel_lower(dg) @ v @ v + _dv(fs, x, t)
         acc = -np.linalg.solve(metric_at(manifold, x), lowered)
     else:
         acc = -0.0 * v * v
@@ -517,7 +523,7 @@ def _numpy_rhs(manifold, dg, fs, x, v, t):
     if fmat is not None:
         acc = acc + fmat @ v
     if dg is None:
-        dv = fs.dx(x, t)
+        dv = _dv(fs, x, t)
         if np.count_nonzero(dv):
             acc = acc - np.linalg.solve(metric_at(manifold, x), dv)
     return np.concatenate([v, acc])
@@ -550,14 +556,14 @@ def _rounding_bound(manifold, dg, fs, x, v, t):
         adg = np.abs(dg)
         low = 0.5 * (adg.transpose(2, 0, 1) + adg.transpose(2, 1, 0) + adg) @ av @ av
         lowered = christoffel_lower(dg) @ v @ v
-        magnitude = raised(low + np.abs(fs.dx(x, t)), np.linalg.solve(g, lowered + fs.dx(x, t)))
+        magnitude = raised(low + np.abs(_dv(fs, x, t)), np.linalg.solve(g, lowered + _dv(fs, x, t)))
     else:
         magnitude = np.zeros(n)
     fmat = fs.force_matrix(x, t)
     if fmat is not None:
         magnitude = magnitude + np.abs(fmat) @ av
     if dg is None:
-        dv = fs.dx(x, t)
+        dv = _dv(fs, x, t)
         magnitude = magnitude + raised(np.abs(dv), np.linalg.solve(g, dv))
     return 2 * k * magnitude
 

@@ -1,0 +1,44 @@
+"""Import boundaries that keep a second accuracy model out of the package.
+
+Every source carries its exact derivatives, so central differences
+(wavetraj.numdiff) serve two uses only: christoffel_at in geometry, the
+tests' reference, and the Lorentzian oracle gpw.full_christoffel. A module
+that imports more of numdiff could stand finite differences in for a missing
+derivative again.
+"""
+
+import ast
+from pathlib import Path
+
+import wavetraj
+
+PACKAGE = Path(wavetraj.__file__).parent
+NUMDIFF_MODULES = {"geometry", "gpw"}
+NUMDIFF_NAMES = {"christoffel_from_metric", "symmetric_part"}
+
+
+def _numdiff_imports(tree):
+    """The names each import in tree takes from numdiff; "numdiff" for the module itself."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "numdiff":
+                names += [alias.name for alias in node.names]
+            else:
+                names += [alias.name for alias in node.names if alias.name == "numdiff"]
+        elif isinstance(node, ast.Import):
+            names += ["numdiff" for alias in node.names if alias.name.split(".")[-1] == "numdiff"]
+    return names
+
+
+def test_only_geometry_and_gpw_import_numdiff_and_only_the_christoffel_routines():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "numdiff":
+            names = _numdiff_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if names:
+                found[path.stem] = set(names)
+    # the scan sees christoffel_at's import, so an empty result is not a pass
+    assert "christoffel_from_metric" in found.get("geometry", set())
+    assert set(found) <= NUMDIFF_MODULES, found
+    assert set().union(*found.values()) <= NUMDIFF_NAMES, found

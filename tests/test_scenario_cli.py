@@ -581,6 +581,15 @@ BAD_INPUTS = {
     # (G + G^T)/2 is inf: a NotPositiveDefinite line, with no overflow warning
     "metric-average-overflows": (BAD_INTEGRATE, ['manifold={"metric": [["1e308"]]}'], 1,
                                  "NotPositiveDefinite: metric not finite"),
+    # each count would allocate terabytes: the cap rejects it while parsing
+    "bounds.t_samples=10**13": (PLANE_WAVE_CERTIFY, [f"bounds.t_samples={10**13}"], 2,
+                                "bounds.t_samples requests"),
+    "bounds.grid.shape-10**13": (PLANE_WAVE_CERTIFY, [f"bounds.grid.shape=[{10**13}, 2]"], 2,
+                                 "bounds.grid.shape at 41 times requests"),
+    "map.x0_grid.shape-10**13": (SMALL_MAP, [f"map.x0_grid.shape=[{10**13}, 1]"], 2,
+                                 "map.x0_grid.shape requests"),
+    "compare_lemma.check_points=10**13": (SMALL_COMPARE, [f"compare_lemma.check_points={10**13}"],
+                                          2, "compare_lemma.check_points requests"),
     "time_scalar-expr-not-text": (
         BAD_INTEGRATE, ['force.tensor={"catalog": "time_scalar", "params": {"expr": 3, "n": 1}}'],
         2, "parameter 'expr' of catalog entry 'time_scalar'"),
