@@ -18,7 +18,9 @@ bound in the function's namespace, never spliced in as text, so expressions
 that differ only in their constants (a minus sign on a number is part of
 the number) share one cached code object. The
 function evaluates in the parser's order, and every '^' goes through the
-checked _real_power, so values are those of a direct walk of the tree.
+checked _real_power, so values are those of a direct walk of the tree. An
+expression nested deeper than MAX_DEPTH is a ParseError at the token that
+passes the cap.
 
 on_arrays(*arrays) is a second compiled form of the same tree for numpy
 arrays that broadcast together: numpy ufuncs in the namespace, '/' through a
@@ -525,12 +527,25 @@ def on_rows(source, scalar, *args):
     return np.array([scalar(*row) for row in zip(*args)])
 
 
+#: The deepest expression the parser builds. Depth counts each operator,
+#: function call, sign and pair of parentheses from the root down, so it
+#: bounds the parser's own recursion and the height of the tree that compiling
+#: and differentiating walk (nested quotients 201 deep overflow the 200 nested
+#: parentheses compile() takes). Every catalog template at MAX_DIMENSION
+#: (depth 105) fits.
+MAX_DEPTH = 128
+
+
 class _Parser:
+    """Recursive descent over the grammar; each rule returns (tree, depth)."""
+
     def __init__(self, text, variables):
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.variables = list(variables)
+        # constructs (parentheses, calls, signs, exponents) around the current token
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -545,90 +560,112 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}, found {value!r}", line=1, column=col)
 
+    def too_deep(self, col):
+        return ParseError(f"expression nests deeper than {MAX_DEPTH} levels", line=1, column=col)
+
+    def inside(self, rule, col):
+        """rule() inside the construct at col, which adds a level above what rule() parses."""
+        self.level += 1
+        if self.level >= MAX_DEPTH:   # the levels around, and a leaf below
+            raise self.too_deep(col)
+        result = rule()
+        self.level -= 1
+        return result
+
+    def node(self, tree, depth, col):
+        """(tree, depth) of the operator at col, where the tree so far fits under MAX_DEPTH."""
+        if self.level + depth > MAX_DEPTH:
+            raise self.too_deep(col)
+        return tree, depth
+
     def parse(self):
-        tree = self.expr()
+        tree, _ = self.expr()
         kind, value, col = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing token {value!r}", line=1, column=col)
         return tree
 
     def expr(self):
-        tree = self.term()
+        tree, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, col = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                tree = (value, tree, self.term())
+                right, right_depth = self.term()
+                tree, depth = self.node((value, tree, right), 1 + max(depth, right_depth), col)
             else:
-                return tree
+                return tree, depth
 
     def term(self):
-        tree = self.unary()
+        tree, depth = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, col = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                tree = (value, tree, self.unary())
+                right, right_depth = self.unary()
+                tree, depth = self.node((value, tree, right), 1 + max(depth, right_depth), col)
             else:
-                return tree
+                return tree, depth
 
     def unary(self):
-        kind, value, _ = self.peek()
+        kind, value, col = self.peek()
         if kind == "op" and value in "+-":
             self.advance()
-            inner = self.unary()
+            inner, depth = self.inside(self.unary, col)
             if value == "+":
-                return inner
+                return inner, depth + 1
             # a negated number is a number: texts that differ only in their
             # constants, signs included, share one code object
-            return ("num", -inner[1]) if inner[0] == "num" else ("neg", inner)
+            return ("num", -inner[1]) if inner[0] == "num" else ("neg", inner), depth + 1
         return self.power()
 
     def power(self):
-        base = self.atom()
-        kind, value, _ = self.peek()
+        base, depth = self.atom()
+        kind, value, col = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return ("^", base, self.unary())
-        return base
+            exponent, exponent_depth = self.inside(self.unary, col)
+            return self.node(("^", base, exponent), 1 + max(depth, exponent_depth), col)
+        return base, depth
 
     def atom(self):
         kind, value, col = self.advance()
         if kind == "num":
-            return ("num", value)
+            return ("num", value), 1
         if kind == "name":
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", line=1, column=col)
                 self.advance()
-                args = [self.expr()]
+                args = [self.inside(self.expr, col)]
                 while True:
                     pkind, pvalue, pcol = self.advance()
                     if pkind == "op" and pvalue == ")":
                         break
                     if pkind == "op" and pvalue == ",":
-                        args.append(self.expr())
+                        args.append(self.inside(self.expr, pcol))
                     else:
                         raise ParseError(f"expected ')' or ',', found {pvalue!r}", line=1, column=pcol)
                 if len(args) == 1:
-                    return ("call", value, args[0])
+                    arg, depth = args[0]
+                    return ("call", value, arg), depth + 1
                 raise ParseError(f"function {value!r} takes one argument", line=1, column=col)
             if value not in self.variables:
                 raise ParseError(f"unknown variable {value!r}", line=1, column=col)
-            return ("var", self.variables.index(value))
+            return ("var", self.variables.index(value)), 1
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner, depth = self.inside(self.expr, col)
             self.expect_op(")")
-            return inner
+            return inner, depth + 1
         raise ParseError(f"unexpected token {value!r}", line=1, column=col)
 
 
 def parse_expression(text, variables):
     """Parse text into an Expression over the ordered variable names.
 
-    Raises ParseError on malformed input and on any name outside the declared
-    variables or the function table.
+    Raises ParseError on malformed input, on any name outside the declared
+    variables or the function table, and past MAX_DEPTH.
     """
     if not isinstance(text, str):
         raise ValidationError(f"expression must be a string, got {type(text).__name__}")

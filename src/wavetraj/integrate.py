@@ -8,9 +8,10 @@ split into blow-up versus tolerance failure by whether the speed has been
 strictly increasing, and guard violations during stage evaluation shrink the
 step until the exit is localized.
 
-Backward trajectories integrate the time-reversed vector field (the state
-(x, w) with w(s) = -xdot(-s)), then records are mapped back to actual time,
-so stored steps always carry the true (t, x, xdot).
+Both directions step in actual time with a step sign, as DOPRI5 does
+(POSNEG): step sizes are magnitudes for the step-size control, and each
+attempt moves by sign * h, with sign = -1 on backward runs. Records carry
+the true (t, x, xdot).
 
 Classification is a numerical verdict, never a theorem: a complete trajectory
 of a stiff system is reported as ToleranceFailure, not blow-up, when the step
@@ -83,8 +84,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step", "horizon", "speed_ceiling", "min_step_fraction"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # min_step is a fraction of the horizon: an infinite one never collapses a step
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,11 @@ def _rms(v, scale):
     return math.sqrt(total / len(v))
 
 
-def _initial_step(f, t0, y0, f0, cfg, remaining):
-    """Hairer's starting step, or 0 where the scaled derivative overflows (run floors it)."""
+def _initial_step(f, t0, y0, f0, cfg, remaining, sign):
+    """Hairer's starting step size, or 0 where the scaled derivative overflows (run floors it).
+
+    The probe step goes sign * h0 from t0; the size returned is a magnitude.
+    """
     scale = [cfg.abs_tol + cfg.rel_tol * abs(a) for a in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
@@ -158,7 +165,8 @@ def _initial_step(f, t0, y0, f0, cfg, remaining):
     if not h0 > 0.0:
         return 0.0
     try:
-        f1 = f(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+        probe = sign * h0
+        f1 = f(t0 + probe, [a + probe * b for a, b in zip(y0, f0)])
         d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     except (OutOfChart, EvaluationError):
         d2 = d1
@@ -170,9 +178,12 @@ def _initial_step(f, t0, y0, f0, cfg, remaining):
 
 
 class _Core:
-    """One integration run in internal time s in [t0, horizon]."""
+    """One integration run from t0 toward t = sign * horizon, sign = 1.0 or -1.0.
 
-    def __init__(self, f, y0, cfg, speed_of, guard_ok, t0):
+    Step sizes h are magnitudes; each attempt moves by sign * h.
+    """
+
+    def __init__(self, f, y0, cfg, speed_of, guard_ok, t0, sign):
         # f counted, with its value as a list of floats; the count lives in
         # a list of its own, so the closure holds no reference to the run
         # and the run's records go when it does, not at the next full collection
@@ -187,6 +198,7 @@ class _Core:
         self.cfg = cfg
         self.speed_of = speed_of
         self.guard_ok = guard_ok
+        self.sign = sign
         self.n_rejected = 0
         self.ts = [float(t0)]
         self.ys = [np.asarray(y0, dtype=float).tolist()]
@@ -202,9 +214,9 @@ class _Core:
         y = self.ys[0]
         t = self.ts[0]
         if not self.guard_ok(y):
-            raise InvalidInit("initial state violates the chart guard")
+            raise InvalidInit(f"initial state {y} violates the chart guard")
         if not all(map(math.isfinite, y)):
-            raise InvalidInit("initial state is not finite")
+            raise InvalidInit(f"initial state {y} is not finite")
         try:
             k1 = self.f(t, y)
         except (OutOfChart, EvaluationError) as exc:
@@ -218,18 +230,20 @@ class _Core:
             raise InvalidInit("vector field is not finite at the initial state")
 
         min_step = cfg.min_step_fraction * cfg.horizon
-        h = max(_initial_step(self.f, t, y, k1, cfg, cfg.horizon - t), min_step)
+        sign = self.sign
+        h = max(_initial_step(self.f, t, y, k1, cfg, cfg.horizon - sign * t, sign), min_step)
         return self._steps(t, y, h, k1, min_step)
 
     def _steps(self, t, y, h, k1, min_step):
         cfg = self.cfg
+        sign = self.sign
         err_prev = None
-        while t < cfg.horizon * (1.0 - 1e-14):
-            h = min(h, cfg.max_step, cfg.horizon - t)
+        while sign * t < cfg.horizon * (1.0 - 1e-14):
+            h = min(h, cfg.max_step, cfg.horizon - sign * t)
             if h < min_step:
                 return self._collapse_outcome()
             try:
-                y_new, k_new, err = self._attempt(t, y, h, k1)
+                y_new, k_new, err = self._attempt(t, y, sign * h, k1)
             except OutOfChart:
                 # stage left the guarded region: localize the exit by shrinking
                 h *= 0.5
@@ -247,7 +261,7 @@ class _Core:
                     return self._collapse_outcome()
                 continue
             # accepted
-            t = t + h
+            t = t + sign * h
             y = y_new
             k1 = k_new
             self.ts.append(t)
@@ -268,7 +282,7 @@ class _Core:
         return Outcome(HORIZON_REACHED)
 
     def _attempt(self, t, y, h, k1):
-        """(y_new, k at y_new, error norm) of one DP5 step.
+        """(y_new, k at y_new, error norm) of one DP5 step from t to t + h; h is signed.
 
         A stage that is not finite, or whose evaluation raises
         EvaluationError, gives the error norm inf, which rejects the step.
@@ -329,15 +343,16 @@ class _Core:
 
 def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, dim=None,
                   t0=0.0):
-    """Low-level entry: integrate y' = f(s, y) from y(t0) = y0 with classification.
+    """Low-level entry: integrate y' = f(t, y) from y(t0) = y0 with classification.
 
-    f, speed_of and guard_ok take the state y as a list of Python floats; f
-    returns d/ds y as a list of floats or as an array. speed_of(y) feeds the
-    blow-up classifier (defaults to the euclidean norm of the second half of
-    y), guard_ok(y) the chart-exit logic. Backward runs receive the
-    already-reversed field, with y0 and t0 in internal time (s = -t), and
-    records are mapped back to actual time here.
+    A forward run goes toward t = horizon, a backward one toward t = -horizon;
+    both take f, y0 and t0 in actual time. f, speed_of and guard_ok take the
+    state y as a list of Python floats; f returns d/dt y as a list of floats
+    or as an array. speed_of(y) feeds the blow-up classifier (defaults to the
+    euclidean norm of the second half of y), guard_ok(y) the chart-exit logic.
     """
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
     y0 = np.asarray(y0, dtype=float)
     n = dim if dim is not None else y0.size // 2
     if speed_of is None:
@@ -345,50 +360,17 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, d
     if guard_ok is None:
         guard_ok = lambda y: True
 
-    core = _Core(f, y0, cfg, speed_of, guard_ok, t0)
+    core = _Core(f, y0, cfg, speed_of, guard_ok, t0, 1.0 if direction == FORWARD else -1.0)
     outcome = core.run()
-
-    ts = np.array(core.ts)
-    ys = np.array(core.ys)
-    fvals = np.array(core.fs)
-    if direction == FORWARD:
-        times, states, derivs = ts, ys, fvals
-    else:
-        # records were produced for ytilde(s) = (x(-s), -xdot(-s)); map back
-        times = -ts + 0.0    # + 0.0 turns -0.0 into +0.0 at the start record
-        states = np.concatenate([ys[:, :n], -ys[:, n:]], axis=1)
-        derivs = np.concatenate([-fvals[:, :n], fvals[:, n:]], axis=1)
-        outcome = _flip_outcome_times(outcome)
-    stats = IntegrationStats(n_accepted=len(ts) - 1, n_rejected=core.n_rejected, n_rhs=core.n_rhs)
-    return Trajectory(direction=direction, times=times, states=states, derivs=derivs,
-                      outcome=outcome, stats=stats, dim=n)
+    stats = IntegrationStats(n_accepted=len(core.ts) - 1, n_rejected=core.n_rejected,
+                             n_rhs=core.n_rhs)
+    return Trajectory(direction=direction, times=np.array(core.ts), states=np.array(core.ys),
+                      derivs=np.array(core.fs), outcome=outcome, stats=stats, dim=n)
 
 
-def _flip_outcome_times(outcome):
-    if outcome.t_star_estimate is not None:
-        outcome = replace(outcome, t_star_estimate=-outcome.t_star_estimate)
-    if outcome.t_exit is not None:
-        outcome = replace(outcome, t_exit=-outcome.t_exit)
-    return outcome
-
-
-def _internal_problem(manifold, fs, direction):
-    """(f, speed_of, guard_ok) of the force equation in internal time, over lists of floats.
-
-    A backward run integrates the reversed field for (x, w) with
-    w(s) = -xdot(-s); f evaluates the force equation at the true time -s.
-    """
+def _problem(manifold, fs):
+    """(f, speed_of, guard_ok) of the force equation, over lists of floats."""
     n = manifold.dim
-    f_fwd = make_rhs(manifold, fs)
-
-    if direction == FORWARD:
-        f_int = f_fwd
-    else:
-        def f_int(s, y):
-            # reversed field: d/ds (x, w) = (w, a(x, -w, -s)) for w(s) = -xdot(-s);
-            # the first half of f_fwd's value is the velocity -w it was given
-            k = f_fwd(-s, y[:n] + [-w for w in y[n:]])
-            return [-v for v in k[:n]] + k[n:]
 
     def speed_of(y):
         # the integrator checks the guard before it asks for a speed, and a
@@ -398,23 +380,13 @@ def _internal_problem(manifold, fs, direction):
 
     guard = manifold.domain_guard
     guard_ok = (lambda y: True) if guard is None else (lambda y: bool(guard(y[:n])))
-    return f_int, speed_of, guard_ok
+    return make_rhs(manifold, fs), speed_of, guard_ok
 
 
 def integrate(manifold, fs, init, cfg, direction=FORWARD):
     """Integrate the force equation from init = (p, v) and classify the outcome."""
-    p, v = init
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
-    if not manifold.contains(p):
-        raise InvalidInit(f"initial point {p} violates the chart guard")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-        raise InvalidInit("initial data is not finite")
-    f_int, speed_of, guard_ok = _internal_problem(manifold, fs, direction)
-    y0 = np.concatenate([p, v if direction == FORWARD else -v])
-    return integrate_ode(f_int, y0, cfg, direction=direction, speed_of=speed_of,
+    f, speed_of, guard_ok = _problem(manifold, fs)
+    return integrate_ode(f, np.concatenate(init), cfg, direction=direction, speed_of=speed_of,
                          guard_ok=guard_ok, dim=manifold.dim)
 
 
@@ -482,10 +454,8 @@ class BlowupInterval:
 
 
 def _ceiling_crossing(traj, speed_of, ceiling):
-    """Bisect, in internal time, the first crossing of speed_of over the ceiling."""
-    # speed_of is even in the velocity, so actual-time states serve
-    backward = traj.direction == BACKWARD
-    ts = -traj.times if backward else traj.times
+    """Bisect the first crossing of speed_of over the ceiling on the dense output."""
+    ts = traj.times
     speeds = np.array([speed_of(y) for y in traj.states.tolist()])
     above = np.nonzero(speeds > ceiling)[0]
     if above.size == 0:
@@ -493,16 +463,16 @@ def _ceiling_crossing(traj, speed_of, ceiling):
     j = above[0]
     if j == 0:
         return float(ts[0])
-    lo_t, hi_t = float(ts[j - 1]), float(ts[j])
+    t_below, t_above = float(ts[j - 1]), float(ts[j])
     for _ in range(80):
-        mid = 0.5 * (lo_t + hi_t)
-        if hi_t - lo_t <= 1e-15 * max(1.0, abs(hi_t)):
+        mid = 0.5 * (t_below + t_above)
+        if abs(t_above - t_below) <= 1e-15 * max(1.0, abs(t_above)):
             break
-        if speed_of(np.concatenate(sample(traj, -mid if backward else mid)).tolist()) > ceiling:
-            hi_t = mid
+        if speed_of(np.concatenate(sample(traj, mid)).tolist()) > ceiling:
+            t_above = mid
         else:
-            lo_t = mid
-    return 0.5 * (lo_t + hi_t)
+            t_below = mid
+    return 0.5 * (t_below + t_above)
 
 
 def refine_blowup(manifold, fs, cfg, coarse):
@@ -510,14 +480,15 @@ def refine_blowup(manifold, fs, cfg, coarse):
 
     The continuation starts from the coarse run's last accepted record at or
     below the speed ceiling (its first record when even that one is above),
-    with rel/abs tolerances a hundredfold tighter, and runs on to a
-    thousandfold higher ceiling, deeper toward the singular time. The bracket
-    is [crossing of the original ceiling, bisected on the continuation's
-    dense output; deepest time reached + 4x the gap]; cfg is the coarse
-    run's configuration. Raises NotABlowup when the coarse run was not a
-    blow-up, when the continuation reaches the horizon, or when the far end
-    of a bracket from a crossing after the continuation's start lies past
-    the horizon: a speed that grows only exponentially crosses each higher
+    with rel/abs tolerances a hundredfold tighter, and runs on in the coarse
+    run's direction to a thousandfold higher ceiling, deeper toward the
+    singular time. The bracket runs from the crossing of the original
+    ceiling, bisected on the continuation's dense output, to the deepest time
+    reached plus 4x the gap between the two; cfg is the coarse run's
+    configuration. Raises NotABlowup when the coarse run was not a blow-up,
+    when the continuation reaches the horizon, or when the far end of a
+    bracket from a crossing after the continuation's start lies past the
+    horizon: a speed that grows only exponentially crosses each higher
     ceiling later by about the same amount, so its bracket does not close.
     (When even the first record is above the ceiling, the bracket starts
     there and its width measures nothing about the growth.)
@@ -531,32 +502,26 @@ def refine_blowup(manifold, fs, cfg, coarse):
         abs_tol=max(cfg.abs_tol * 1e-2, 1e-14),
         speed_ceiling=min(ceiling * 1e3, 1e200),
     )
-    f_int, speed_of, guard_ok = _internal_problem(manifold, fs, coarse.direction)
-    # the coarse run stops at its first record above the ceiling; metric
-    # speed is even in the velocity, so actual-time states serve here
+    f, speed_of, guard_ok = _problem(manifold, fs)
+    # the coarse run stops at its first record above the ceiling
     start = len(coarse.times) - 1
     while start > 0 and not speed_of(coarse.states[start].tolist()) <= ceiling:
         start -= 1
-    n = coarse.dim
-    x, xdot = coarse.states[start, :n], coarse.states[start, n:]
-    if coarse.direction == FORWARD:
-        y0, s0 = np.concatenate([x, xdot]), coarse.times[start]
-    else:
-        y0, s0 = np.concatenate([x, -xdot]), -coarse.times[start]
-    traj = integrate_ode(f_int, y0, fine, direction=coarse.direction, speed_of=speed_of,
-                         guard_ok=guard_ok, dim=n, t0=s0)
+    t0 = float(coarse.times[start])
+    traj = integrate_ode(f, coarse.states[start], fine, direction=coarse.direction,
+                         speed_of=speed_of, guard_ok=guard_ok, dim=coarse.dim, t0=t0)
     if traj.outcome.kind == HORIZON_REACHED:
         raise NotABlowup("refinement run reached the horizon")
+    t_deep = float(traj.times[-1])
     t_cross = _ceiling_crossing(traj, speed_of, ceiling)
-    t_deep = float(np.abs(traj.times).max())
     if t_cross is None:
         t_cross = t_deep
-    gap = max(t_deep - t_cross, 1e-15 * max(1.0, t_deep))
-    lo, hi = t_cross, t_deep + 4.0 * gap
-    if hi > cfg.horizon and t_cross > s0:
+    gap = max(abs(t_deep - t_cross), 1e-15 * max(1.0, abs(t_deep)))
+    sign = 1.0 if coarse.direction == FORWARD else -1.0
+    t_far = t_deep + sign * 4.0 * gap
+    if sign * t_far > cfg.horizon and sign * t_cross > sign * t0:
         raise NotABlowup("refined bracket reaches past the horizon")
-    if coarse.direction == BACKWARD:
-        lo, hi = -hi, -lo
+    lo, hi = sorted((t_cross, t_far))
     return BlowupInterval(t_lo=lo, t_hi=hi, n_rhs=traj.stats.n_rhs)
 
 

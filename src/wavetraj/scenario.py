@@ -286,6 +286,9 @@ def _build_config(section, task):
             kwargs[key] = _number(section, key, "integrator")
             if not kwargs[key] > 0:
                 raise ValidationError(f"integrator.{key} must be positive", key=key)
+    if kwargs.get("horizon") == math.inf:
+        # min_step is a fraction of the horizon, and an infinite one never collapses a step
+        raise ValidationError("integrator.horizon must be finite", key="horizon")
     if task in ("integrate", "envelope", "gpw-geodesic", "gpw-map") and "horizon" not in kwargs:
         raise ValidationError("integrator.horizon is required for this task", key="horizon")
     return IntegratorConfig(**kwargs)

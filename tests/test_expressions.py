@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from wavetraj.catalog import (MAX_DIMENSION, POTENTIALS, build_potential, expression_potential,
+                              metric_rows)
 from wavetraj.errors import EvaluationError, ParseError, ValidationError, WavetrajError
-from wavetraj.expressions import parse_expression
+from wavetraj.expressions import MAX_DEPTH, parse_expression
 
 
 def ev(text, variables=(), *values):
@@ -218,3 +221,52 @@ def test_array_form_broadcasts_and_compiles_lazily():
     a.on_arrays(np.ones(2))
     b.on_arrays(np.ones(2))
     assert a._array_fn.__code__ is b._array_fn.__code__
+
+
+# depth counts each operator, call, sign and pair of parentheses from the root
+# down; each shape below sits at MAX_DEPTH (nested quotients, two levels each,
+# one below it), and two more levels of it are a parse error
+DEEPEST = {
+    "parentheses": lambda k: "(" * (k - 1) + "x1" + ")" * (k - 1),
+    "signs": lambda k: "-" * (k - 1) + "x1",
+    "calls": lambda k: "sin(" * (k - 1) + "x1" + ")" * (k - 1),
+    "calls-of-products": lambda k: "sin(" * (k - 2) + "x1*x2" + ")" * (k - 2),
+    "nested-quotients": lambda k: "x1/(" * ((k - 1) // 2) + "x1" + ")" * ((k - 1) // 2),
+    "power-tower": lambda k: "^".join(["x1"] * k),
+    "quotient-chain": lambda k: "/".join(["x1"] * k),
+    "sum-of-products": lambda k: "+".join(["x1*x2"] * (k - 1)),
+    "product-of-calls": lambda k: "*".join(["sin(x1)"] * (k - 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEPEST))
+def test_the_deepest_expressions_run_through_every_pass(shape):
+    text = DEEPEST[shape](MAX_DEPTH)
+    e = parse_expression(text, ("x1", "x2", "t"))
+    d = e.derivative("x1")
+    point = (1.1, 0.9, 0.3)
+    assert math.isfinite(e(*point)) and math.isfinite(d(*point))
+    assert_allclose(e.on_arrays(np.array([1.1]), 0.9, 0.3), [e(*point)], rtol=1e-12)
+    assert_allclose(d.on_arrays(np.array([1.1]), 0.9, 0.3), [d(*point)], rtol=1e-12)
+    assert np.all(np.isfinite(expression_potential(text, 2).potential_dx([1.1, 0.9], 0.3)))
+    chart = metric_rows([[text, "0.1*x1"], ["0.1*x1", text]])
+    assert all(map(math.isfinite, chart.geodesic_term([1.1, 0.9], [0.3, -0.2])))
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_expression(DEEPEST[shape](MAX_DEPTH + 2), ("x1", "x2", "t"))
+
+
+def test_an_expression_too_deep_is_rejected_at_the_token_that_passes_the_cap():
+    # the chain's depth passes the cap at its MAX_DEPTH-th '+', column 2 * MAX_DEPTH
+    with pytest.raises(ParseError) as info:
+        parse_expression("+".join(["x"] * 3000), ("x",))
+    assert info.value.column == 2 * MAX_DEPTH
+    # nesting is caught on the way down, at the opening parenthesis past the cap
+    with pytest.raises(ParseError) as info:
+        parse_expression("(" * 2000 + "x" + ")" * 2000, ("x",))
+    assert info.value.column == MAX_DEPTH
+
+
+def test_every_catalog_potential_parses_at_the_largest_dimension():
+    for name in POTENTIALS:
+        fs = build_potential(name, {}, MAX_DIMENSION)
+        assert np.all(np.isfinite(fs.potential_dx([0.01] * MAX_DIMENSION, 0.0)))

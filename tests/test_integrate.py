@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD
                                 HORIZON_REACHED, TOLERANCE_FAILURE, IntegratorConfig,
                                 integrate, integrate_ode, refine_blowup, sample,
                                 trajectory_to_csv)
+from wavetraj.scenario import parse_scenario
 
 SQRT2 = np.sqrt(2.0)
 # int_1^inf dx / sqrt(2 (1 + x^4)), frozen from an independent quadrature oracle
@@ -350,6 +352,96 @@ def test_config_validation():
         IntegratorConfig(horizon=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(horizon=1.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step", "horizon", "speed_ceiling",
+                                   "min_step_fraction"])
+def test_config_rejects_nan_in_every_field(field):
+    # NaN fails every comparison, so a test for <= 0 lets it through
+    with pytest.raises(ValueError, match=field):
+        IntegratorConfig(**{field: np.nan})
+
+
+def test_config_rejects_an_infinite_horizon_but_not_an_infinite_max_step():
+    # min_step is a fraction of the horizon: an infinite one would never
+    # collapse a step, and a run whose attempts are all non-finite would hang
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        IntegratorConfig(horizon=np.inf)
+    assert IntegratorConfig().max_step == np.inf
+
+
+def test_an_unknown_direction_is_rejected(euclidean2, harmonic):
+    cfg = IntegratorConfig(horizon=1.0)
+    with pytest.raises(ValueError, match="direction must be"):
+        integrate_ode(lambda t, y: [y[1], -y[0]], [1.0, 0.0], cfg, direction="sideways")
+    with pytest.raises(ValueError, match="direction must be"):
+        integrate(euclidean2, harmonic, (np.zeros(2), np.zeros(2)), cfg, "sideways")
+
+
+def _non_autonomous_conformal():
+    return parse_scenario({
+        "name": "back", "task": "integrate",
+        "manifold": {"catalog": "diagonal_conformal",
+                     "params": {"entries": ["1 + 0.1*x1^2 + 0.2*x2^2", "2 + sin(x1)*x2"]}},
+        "force": {"potential": {"expr": "exp(t)*(0.5*x1^2 + 0.3*x2^2) + 0.2*sin(t)*x1*x2"},
+                  "tensor": {"catalog": "skew_rotation", "params": {"omega": 0.6}}},
+        "integrator": {"horizon": 2.0},
+        "initial": {"position": [0.1, 0.2], "velocity": [0.3, -0.1]}})
+
+
+def test_backward_non_autonomous_run_keeps_its_bits():
+    # pinned bits of a backward run whose potential and tensor force both
+    # see the time: each stage is evaluated at its true time t + c * (-h)
+    sc = _non_autonomous_conformal()
+    traj = integrate(sc.manifold, sc.force, sc.initial, sc.config, BACKWARD)
+    assert traj.outcome.kind == HORIZON_REACHED
+    assert [float(v).hex() for v in traj.states[-1]] == [
+        "-0x1.6a0fbdc890befp-2", "-0x1.05a79d3707bd9p-6", "0x1.8879cd789628dp-5",
+        "0x1.002037951f96ap-2"]
+    assert traj.t_span == (-2.0, 0.0)
+    assert (traj.stats.n_accepted, traj.stats.n_rejected, traj.stats.n_rhs) == (52, 0, 314)
+
+
+@pytest.mark.parametrize("system", ["conformal", "quartic"])
+def test_backward_run_mirrors_the_forward_run_with_reversed_velocity(system):
+    # with no tensor force and no time in V, x(-t) solves the force equation
+    # from (p, -v); the negative steps round as the exact negations of the
+    # positive ones, so the two runs agree bit for bit
+    if system == "conformal":
+        m = build_manifold("diagonal_conformal",
+                           {"entries": ["1 + 0.1*x1^2 + 0.2*x2^2", "2 + sin(x1)*x2"]})
+        fs = expression_potential("0.5*x1^2 + x1*x2^3", 2)
+        p, v, cfg = np.array([0.1, 0.2]), np.array([0.3, -0.1]), IntegratorConfig(horizon=3.0)
+    else:
+        (m, fs), cfg = quartic_blowup_setup(), IntegratorConfig(horizon=2.0)
+        p, v = np.array([1.0]), np.array([-SQRT2])
+    back = integrate(m, fs, (p, v), cfg, BACKWARD)
+    fwd = integrate(m, fs, (p, -v), cfg)
+    n = m.dim
+    assert back.stats == fwd.stats and back.stats.n_accepted > 10
+    assert np.array_equal(back.times, -fwd.times)
+    assert np.array_equal(back.states, np.concatenate([fwd.states[:, :n], -fwd.states[:, n:]], 1))
+    assert np.array_equal(back.derivs, np.concatenate([-fwd.derivs[:, :n], fwd.derivs[:, n:]], 1))
+    assert back.outcome.kind == fwd.outcome.kind
+    if system == "quartic":
+        assert back.outcome.t_star_estimate == -fwd.outcome.t_star_estimate
+
+
+def test_backward_outcome_at_the_start_record_has_the_sign_of_its_time():
+    # the speed is over the ceiling at t = 0, and a guard just past the start
+    # turns back every step: both outcomes fall on the start record
+    m, fs = quartic_blowup_setup()
+    over = integrate(m, fs, (np.array([1.0]), np.array([-2e12])), IntegratorConfig(horizon=2.0),
+                     BACKWARD)
+    strip = ChartManifold(dim=1, metric=np.eye(1), domain_guard=lambda x: x[0] < 1.0)
+    exit_ = integrate(strip, build_potential("zero", {}, 1),
+                      (np.array([np.nextafter(1.0, 0.0)]), np.array([-1.0])),
+                      IntegratorConfig(horizon=1.0), BACKWARD)
+    assert over.outcome.kind == BLOW_UP_SUSPECTED and exit_.outcome.kind == CHART_EXIT
+    for traj, t in ((over, over.outcome.t_star_estimate), (exit_, exit_.outcome.t_exit)):
+        assert traj.times.size == 1
+        assert t == traj.times[0] == 0.0
+        assert math.copysign(1.0, t) == math.copysign(1.0, traj.times[0])
 
 
 def callable_euclidean(n, domain_guard=None):

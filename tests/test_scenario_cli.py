@@ -535,8 +535,9 @@ BAD_INTEGRATE = dict(MINIMAL_INTEGRATE, name="bad")
 # (template, overrides, exit status, the text the one stderr line must hold)
 BAD_INPUTS = {
     **{f"integrator.{key}={value}": (BAD_INTEGRATE, [f"integrator.{key}={value}"], 2, key)
-       for key, value in (("horizon", 0), ("horizon", -1), ("rel_tol", 0), ("abs_tol", -1e-12),
-                          ("max_step", 0), ("speed_ceiling", -1), ("min_step_fraction", 0))},
+       for key, value in (("horizon", 0), ("horizon", -1), ("horizon", "Infinity"), ("rel_tol", 0),
+                          ("abs_tol", -1e-12), ("max_step", 0), ("speed_ceiling", -1),
+                          ("min_step_fraction", 0))},
     **{f"euclidean-n={value}": (BAD_INTEGRATE, [f"manifold.params.n={value}"], 2, "'n'")
        for value in ('"two"', 0, -1, "true", 1.5)},
     "harmonic-k=big": (BAD_INTEGRATE, ["force.potential.catalog=harmonic",
@@ -590,6 +591,18 @@ BAD_INPUTS = {
                                  "map.x0_grid.shape requests"),
     "compare_lemma.check_points=10**13": (SMALL_COMPARE, [f"compare_lemma.check_points={10**13}"],
                                           2, "compare_lemma.check_points requests"),
+    # past MAX_DEPTH an expression is a parse error; these raised RecursionError
+    # while parsing, and the product a SyntaxError when its geodesic term compiled
+    "potential-2000-nested-parentheses": (
+        BAD_INTEGRATE, ['force.potential.expr="' + "(" * 2000 + "x1" + ")" * 2000 + '"'], 2,
+        "deeper than"),
+    "potential-3000-term-sum": (BAD_INTEGRATE, [f'force.potential.expr="{"+".join(["x1"] * 3000)}"'],
+                                2, "deeper than"),
+    "potential-1500-power-chain": (
+        BAD_INTEGRATE, [f'force.potential.expr="{"^".join(["x1"] * 1500)}"'], 2, "deeper than"),
+    "metric-200-factor-product": (
+        BAD_INTEGRATE, ['manifold={"metric": [["' + "*".join(["sin(x1)"] * 200) + '"]]}'], 2,
+        "deeper than"),
     "time_scalar-expr-not-text": (
         BAD_INTEGRATE, ['force.tensor={"catalog": "time_scalar", "params": {"expr": 3, "n": 1}}'],
         2, "parameter 'expr' of catalog entry 'time_scalar'"),
