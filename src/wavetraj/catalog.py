@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ForceSystem
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .expressions import Expression, _add, _mul, _sub, at_chart_point, fused, parse_expression
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
@@ -339,7 +339,7 @@ def _build_time_scalar(params):
     text = _text("time_scalar", "expr", params["expr"])
     # c is an expression in t alone: an x1 in it is a parse error
     parse_expression(text, ("t",))
-    return expression_tensor(_diagonal_rows(f"({text})", n))
+    return expression_tensor(_diagonal_rows(text, n))
 
 
 def expression_tensor(rows):
@@ -387,7 +387,19 @@ def _build_plane_wave(params):
     for text in profiles.values():
         # each profile is a whole expression in u, and a parse error points into its own text
         parse_expression(text, ("u",))
-    return _build_expression_wave({"H": _PLANE_WAVE_H.format(**profiles), "n": 2})
+    try:
+        return _build_expression_wave({"H": _PLANE_WAVE_H.format(**profiles), "n": 2})
+    except ParseError as exc:
+        # the profiles parse alone, so the template's own levels took one past MAX_DEPTH;
+        # the first that fails in the template by itself is named
+        zeros = dict.fromkeys(profiles, "0")
+        for key, text in profiles.items():
+            try:
+                parse_expression(_PLANE_WAVE_H.format(**{**zeros, key: text}), _chart_variables(2, "u"))
+            except ParseError:
+                raise ValidationError(f"parameter {key!r} of catalog entry 'plane_wave' nests too "
+                                      f"deeply for the plane-wave template", key=key) from exc
+        raise
 
 
 def _build_expression_wave(params):

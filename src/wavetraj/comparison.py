@@ -84,36 +84,25 @@ def adaptive_quad(f, lo, hi, rel_tol=1e-14):
     return total
 
 
-@dataclass(frozen=True)
-class MonotoneCertificate:
-    """Sampled evidence that phi is positive and nondecreasing."""
-
-    s_lo: float
-    s_hi: float
-    n_samples: int
-    min_value: float
-    min_increment: float
-
-
 @dataclass
 class PhiFunction:
     """Comparison function phi on [a, inf): positive and nondecreasing.
 
     Construction samples [a, a + 10] at 257 points; check_divergence extends
-    the certificate window as it doubles outward, 257 points per extension.
-    A nonpositive value or a decrease anywhere on the sample is a hard
-    error, and so is a NaN or infinite sample. fn may carry an array form
-    (expressions.array_form: an Expression in one variable, or a callable
-    given one by expressions.with_array_form), which evaluates it over an
-    array of points, NaN where fn would raise.
+    the certified window [a, certified_to] as it doubles outward, 257 points
+    per extension. A nonpositive value or a decrease anywhere on the sample
+    is a hard error, and so is a NaN or infinite sample. fn may carry an
+    array form (expressions.array_form: an Expression in one variable, or a
+    callable given one by expressions.with_array_form), which evaluates it
+    over an array of points, NaN where fn would raise.
     """
 
     a: float
     fn: Callable[[float], float]
-    monotone_certificate: MonotoneCertificate = field(init=False)
+    certified_to: float = field(init=False)
 
     def __post_init__(self):
-        self.monotone_certificate = self._certify(self.a, self.a + _PHI_INITIAL_SPAN)
+        self._certify(self.a, self.a + _PHI_INITIAL_SPAN)
 
     def __call__(self, s):
         return float(self.fn(s))
@@ -136,6 +125,7 @@ class PhiFunction:
         return 1.0 / vals
 
     def _certify(self, lo, hi):
+        """Sample phi on [lo, hi], raising where it fails; the certified window then ends at hi."""
         ss = np.linspace(lo, hi, _PHI_SAMPLES)
         vals = self.values(ss)
         vmin = float(vals.min())
@@ -150,20 +140,12 @@ class PhiFunction:
         if not increments.min() >= slack:
             where = float(ss[int(increments.argmin())])
             raise HypothesisViolated(f"phi decreases near s = {where}")
-        return MonotoneCertificate(s_lo=float(lo), s_hi=float(hi), n_samples=_PHI_SAMPLES,
-                                   min_value=vmin, min_increment=float(increments.min()))
+        self.certified_to = float(hi)
 
     def extend_certificate(self, s_hi):
-        """Re-sample monotonicity out to s_hi when the window grows."""
-        if s_hi > self.monotone_certificate.s_hi:
-            tail = self._certify(self.monotone_certificate.s_hi, s_hi)
-            self.monotone_certificate = MonotoneCertificate(
-                s_lo=self.monotone_certificate.s_lo,
-                s_hi=tail.s_hi,
-                n_samples=self.monotone_certificate.n_samples + tail.n_samples,
-                min_value=min(self.monotone_certificate.min_value, tail.min_value),
-                min_increment=min(self.monotone_certificate.min_increment, tail.min_increment),
-            )
+        """Sample phi out to s_hi when the window grows."""
+        if s_hi > self.certified_to:
+            self._certify(self.certified_to, s_hi)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EigFailure, OutOfChart
-from .geometry import chart_point, metric_at, metric_diagonal
+from .expressions import on_rows
+from .geometry import chart_point, inner_products, metric_at, metric_diagonal
 
 
 @dataclass(frozen=True)
@@ -242,28 +243,29 @@ def operator_bounds(manifold, fs, grid, t):
 
 
 def energy_v(manifold, fs, frame, state):
-    """Shifted energy (1/2) xd^T G xd + V(x, t) - B_T at state = (x, xdot, t).
+    """Shifted energy (1/2) xd^T G xd + V(x, t) - B_T at each row of state = (x, xdot, t).
 
-    The frame constants only control the window [-T, T], so t must lie inside
-    it (up to roundoff slack).
+    x and xdot hold one state per row and t one time per state; a single
+    state is one row. The frame constants only control the window [-T, T],
+    so every t must lie inside it (up to roundoff slack).
     """
-    x, xdot, t = state
-    if abs(t) > frame.t_horizon * (1.0 + 1e-12) + 1e-12:
-        raise ValueError(f"t = {t} outside the energy frame window [-{frame.t_horizon}, {frame.t_horizon}]")
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    g = metric_at(manifold, x)
-    return 0.5 * float(xdot @ g @ xdot) + fs.value(x, t) - frame.b_t
+    x, xdot, t = (np.asarray(a, dtype=float) for a in state)
+    outside = np.abs(t) > frame.t_horizon * (1.0 + 1e-12) + 1e-12
+    if outside.any():
+        raise ValueError(f"t = {float(t[outside][0])} outside the energy frame window "
+                         f"[-{frame.t_horizon}, {frame.t_horizon}]")
+    return (0.5 * inner_products(manifold, x, xdot, xdot) + on_rows(fs.potential, fs.value, x, t)
+            - frame.b_t)
 
 
 def energy_derivative_identity(manifold, fs, state):
-    """Exact dv/dt along solutions: xd^T G S xd + ∂V/∂t at the state."""
-    x, xdot, t = state
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    out = fs.dt(x, t)
+    """Exact dv/dt along solutions, xd^T G S xd + ∂V/∂t, at each row of state = (x, xdot, t).
+
+    xd^T G S xd is g(xd, F xd): the metric-skew part of F drops out of it.
+    """
+    x, xdot, t = (np.asarray(a, dtype=float) for a in state)
+    out = on_rows(fs.potential_dt, fs.dt, x, t)
     if fs.tensor_F is not None:
-        g = metric_at(manifold, x)
-        s = self_adjoint_part(manifold, fs, x, t)
-        out += float(xdot @ g @ (s @ xdot))
-    return float(out)
+        fx = np.matmul(on_rows(fs.tensor_F, fs.force_matrix, x, t), xdot[:, :, None])[:, :, 0]
+        out = out + inner_products(manifold, x, xdot, fx)
+    return out

@@ -198,6 +198,12 @@ def metrics_at(manifold, points):
     return np.broadcast_to(manifold.metric, (len(points),) + manifold.metric.shape)
 
 
+def inner_products(manifold, points, a, b):
+    """g(a, b) at each row of points, with one vector of a and one of b per row."""
+    g = metrics_at(manifold, points)
+    return np.vecdot(np.matmul(np.asarray(a, dtype=float)[:, None, :], g)[:, 0, :], b)
+
+
 def christoffel_at(manifold, x, h=None):
     """Christoffel symbols Γ^k_ij at x, shape (dim, dim, dim), symmetric in (i, j).
 

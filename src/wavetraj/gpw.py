@@ -24,10 +24,13 @@ import numpy as np
 
 from .dynamics import ForceSystem, FREE
 from .expressions import on_rows
-from .geometry import chart_point, metric_at, metrics_at
+from .geometry import chart_point, inner_products, metric_at
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
+
+#: the times of a split geodesic's v-table, spread evenly over the base run
+_V_NODES = 2049
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class GpwSpacetime:
     """Base chart manifold plus wave coefficient, with a nonzero witness.
 
     The witness (x, u) certifies H is not identically zero, which the wave
-    definition requires.
+    definition requires: H must be finite and nonzero there.
     """
 
     base: object
@@ -90,8 +93,9 @@ class GpwSpacetime:
     def __post_init__(self):
         x_w, u_w = self.nonzero_witness
         val = self.wave.value(np.asarray(x_w, dtype=float), float(u_w))
-        if val == 0.0:
-            raise ValueError(f"wave coefficient vanishes at the declared witness {self.nonzero_witness}")
+        if not (math.isfinite(val) and val != 0.0):
+            raise ValueError(f"wave coefficient vanishes or is not finite at the declared witness "
+                             f"{self.nonzero_witness}: H = {val}")
 
 
 @dataclass(frozen=True)
@@ -130,16 +134,6 @@ class SplitGeodesic:
     def outcome(self):
         return self.base_trajectory.outcome
 
-    @property
-    def dim(self):
-        return self.base_trajectory.dim
-
-    def u_of(self, t):
-        return self.u0 + self.delta * float(t)
-
-    def v_of(self, t):
-        return float(hermite(self.v_times, self.v_values, self.v_dots, t))
-
 
 def energy_of(st, init):
     """Conserved g(gamma', gamma') from the initial data."""
@@ -174,60 +168,60 @@ def _conserved_vdot(st, energy, delta, x, xdot, u):
     x and xdot hold one state per row and u one coordinate per state; the
     result holds one vdot per state.
     """
-    g = metrics_at(st.base, x)
-    quad = np.vecdot(np.matmul(xdot[:, None, :], g)[:, 0, :], xdot)
+    quad = inner_products(st.base, x, xdot, xdot)
     h_val = st.wave.value_rows(x, u)
     return (energy - quad - h_val * delta * delta) / (2.0 * delta)
 
 
-def reduce_geodesic(st, init, cfg, v_sample_count=2049):
+def base_trajectory(st, init, cfg):
+    """The base part of a geodesic, integrated forward; its outcome is the geodesic's.
+
+    For delta != 0 it moves under the potential -(delta^2/2) H(x, u0 + delta t),
+    for delta = 0 it is a plain geodesic of the base metric.
+    """
+    delta = init.delta
+    fs = FREE if delta == 0.0 else wave_force_system(st, init.u0, delta)
+    return integrate(st.base, fs, (np.asarray(init.x0, dtype=float),
+                                   np.asarray(init.xdot0, dtype=float)), cfg, FORWARD)
+
+
+def reduce_geodesic(st, init, cfg):
     """Split a geodesic: affine u, base trajectory, v by quadrature.
 
-    For delta != 0 the base part integrates the force equation with potential
-    -(delta^2/2) H(x, u0 + delta t) and vdot follows from conservation of
-    g(gamma', gamma'); for delta = 0 the base part is a plain geodesic of the
-    base metric and v is linear. Integrator outcomes propagate unchanged.
+    v is tabulated on _V_NODES even times over the base run: for delta != 0 by
+    cumulative Simpson quadrature of vdot from the conservation of
+    g(gamma', gamma'), for delta = 0 linearly.
     """
-    x0 = np.asarray(init.x0, dtype=float)
-    xdot0 = np.asarray(init.xdot0, dtype=float)
     delta = init.delta
     energy = energy_of(st, init)
-
-    if delta == 0.0:
-        base = integrate(st.base, FREE, (x0, xdot0), cfg, FORWARD)
-        lo, hi = base.t_span
-        ts = np.linspace(lo, hi, v_sample_count)
-        v_vals = init.v0 + init.vdot0 * (ts - 0.0)
-        v_dots = np.full(ts.shape, float(init.vdot0))
-        return SplitGeodesic(base_trajectory=base, u0=float(init.u0), delta=0.0,
-                             v_times=ts, v_values=v_vals, v_dots=v_dots, energy=energy)
-
-    # imported here, so that only split geodesics load scipy.integrate
-    from scipy.integrate import cumulative_simpson
-
-    fs = wave_force_system(st, init.u0, delta)
-    base = integrate(st.base, fs, (x0, xdot0), cfg, FORWARD)
+    base = base_trajectory(st, init, cfg)
     lo, hi = base.t_span
-    ts = np.linspace(lo, hi, v_sample_count)
-    x, xdot = sample(base, ts)
-    v_dots = _conserved_vdot(st, energy, delta, x, xdot, init.u0 + delta * ts)
-    v_vals = init.v0 + cumulative_simpson(v_dots, x=ts, initial=0.0)
+    ts = np.linspace(lo, hi, _V_NODES)
+    if delta == 0.0:
+        v_dots = np.full(ts.shape, float(init.vdot0))
+        v_vals = init.v0 + init.vdot0 * ts
+    else:
+        # imported here, so that only split geodesics load scipy.integrate
+        from scipy.integrate import cumulative_simpson
+
+        x, xdot = sample(base, ts)
+        v_dots = _conserved_vdot(st, energy, delta, x, xdot, init.u0 + delta * ts)
+        v_vals = init.v0 + cumulative_simpson(v_dots, x=ts, initial=0.0)
     return SplitGeodesic(base_trajectory=base, u0=float(init.u0), delta=delta,
                          v_times=ts, v_values=v_vals, v_dots=v_dots, energy=energy)
 
 
-def split_state(sg, st, t):
-    """Full state of a split geodesic at t, with vdot from the conservation law."""
-    x, xdot = sample(sg.base_trajectory, t)
-    u = sg.u_of(t)
-    v = sg.v_of(t)
+def split_state(sg, st, ts):
+    """Positions (x, u, v) and velocities (xdot, delta, vdot), one row per time of ts."""
+    ts = np.asarray(ts, dtype=float)
+    x, xdot = sample(sg.base_trajectory, ts)
+    u = sg.u0 + sg.delta * ts
+    v = hermite(sg.v_times, sg.v_values, sg.v_dots, ts)
     if sg.delta == 0.0:
-        vdot = float(sg.v_dots[0])
+        vdot = np.full(ts.shape, sg.v_dots[0])
     else:
-        vdot = float(_conserved_vdot(st, sg.energy, sg.delta, x[None], xdot[None], [u])[0])
-    pos = np.concatenate([x, [u, v]])
-    vel = np.concatenate([xdot, [sg.delta, vdot]])
-    return pos, vel
+        vdot = _conserved_vdot(st, sg.energy, sg.delta, x, xdot, u)
+    return np.column_stack([x, u, v]), np.column_stack([xdot, np.full(ts.shape, sg.delta), vdot])
 
 
 def full_metric(st, q):
@@ -282,13 +276,12 @@ def full_geodesic_oracle(st, init, cfg):
                          speed_of=speed_of, guard_ok=guard_ok, dim=n_full)
 
 
-def oracle_quadratic_form(st, traj, k):
-    """g(gamma', gamma') at accepted step k of an oracle trajectory."""
-    n_full = st.base.dim + 2
-    q = traj.states[k][:n_full]
-    qd = traj.states[k][n_full:]
-    g = full_metric(st, q)
-    return float(qd @ g @ qd)
+def full_quadratic_form(st, q, qd):
+    """g(qd, qd) = g0(xdot, xdot) + 2 udot vdot + H udot^2 at each row of q = (x..., u, v) and qd."""
+    n = st.base.dim
+    x, xdot, udot = q[:, :n], qd[:, :n], qd[:, n]
+    return (inner_products(st.base, x, xdot, xdot) + 2.0 * udot * qd[:, n + 1]
+            + st.wave.value_rows(x, q[:, n]) * udot * udot)
 
 
 def classify_gpw_completeness(st, bd, anchor=None):
@@ -304,13 +297,13 @@ def classify_gpw_completeness(st, bd, anchor=None):
 def split_geodesic_to_csv(sg, st, fileobj):
     """CSV of a split geodesic at the base trajectory's accepted steps.
 
-    Header: t, u, v, x1..xn, xdot1..xdotn (full precision).
+    Header: t, u, v, x1..xn, xdot1..xdotn (full precision), with x and xdot
+    the accepted states themselves.
     """
-    n = sg.dim
+    n = sg.base_trajectory.dim
     header = ["t", "u", "v"] + [f"x{i + 1}" for i in range(n)] + [f"xdot{i + 1}" for i in range(n)]
     fileobj.write(",".join(header) + "\n")
-    for t in sg.base_trajectory.times:
-        x, xdot = sample(sg.base_trajectory, t)
-        row = [repr(float(t)), repr(sg.u_of(t)), repr(sg.v_of(t))]
-        row += [repr(float(c)) for c in x] + [repr(float(c)) for c in xdot]
-        fileobj.write(",".join(row) + "\n")
+    ts = sg.base_trajectory.times
+    v = hermite(sg.v_times, sg.v_values, sg.v_dots, ts)
+    for row in np.column_stack([ts, sg.u0 + sg.delta * ts, v, sg.base_trajectory.states]).tolist():
+        fileobj.write(",".join(map(repr, row)) + "\n")

@@ -9,8 +9,9 @@ from .comparison import DIVERGES, DominatingSolution, PhiFunction, check_diverge
 from .dynamics import build_energy_frame, energy_derivative_identity, energy_v
 from .expressions import with_array_form
 from .geometry import squared_norm
-from .gpw import (GeodesicInitialData, classify_gpw_completeness, full_geodesic_oracle,
-                  oracle_quadratic_form, reduce_geodesic, split_geodesic_to_csv, split_state)
+from .gpw import (GeodesicInitialData, base_trajectory, classify_gpw_completeness,
+                  full_geodesic_oracle, full_quadratic_form, reduce_geodesic,
+                  split_geodesic_to_csv, split_state)
 from .hypotheses import CertificationTask, certify, check_S_bounds, INCONCLUSIVE
 from .integrate import (BLOW_UP_SUSPECTED, CHART_EXIT, HORIZON_REACHED, TOLERANCE_FAILURE,
                         integrate, refine_blowup, sample, trajectory_to_csv)
@@ -137,9 +138,8 @@ def _run_envelope(sc, out_dir, report):
     traj = integrate(sc.manifold, sc.force, sc.initial, sc.config)
     s_checks = check_S_bounds(sc.manifold, sc.force, sc.bounds)
     frame = build_energy_frame(sc.bounds, s_checks["bounded"].values["N_T"])
-    times = traj.times
-    vs = np.array([energy_v(sc.manifold, sc.force, frame, (y[:traj.dim], y[traj.dim:], t))
-                   for t, y in zip(times, traj.states)])
+    times, n = traj.times, traj.dim
+    vs = energy_v(sc.manifold, sc.force, frame, (traj.states[:, :n], traj.states[:, n:], times))
     envelope = {
         "frame": {"T": frame.t_horizon, "A_T": frame.a_t, "B_T": frame.b_t,
                   "N_T": frame.n_t, "A_T_star": frame.a_t_star},
@@ -169,17 +169,14 @@ def _fd_identity_mismatch(sc, traj, frame):
     lo, hi = lo + 2 * h, hi - 2 * h
     if hi <= lo:
         return None
-    worst = 0.0
-    for t in np.linspace(lo, hi, _FD_POINTS):
-        def v_at(s):
-            x, xd = sample(traj, s)
-            return energy_v(sc.manifold, sc.force, frame, (x, xd, s))
-
-        fd = (v_at(t + h) - v_at(t - h)) / (2.0 * h)
-        x, xd = sample(traj, t)
-        exact = energy_derivative_identity(sc.manifold, sc.force, (x, xd, t))
-        worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
-    return worst
+    ts = np.linspace(lo, hi, _FD_POINTS)
+    stencil = np.concatenate([ts + h, ts - h, ts])
+    x, xd = sample(traj, stencil)
+    k = 2 * _FD_POINTS
+    ahead, behind = np.split(energy_v(sc.manifold, sc.force, frame, (x[:k], xd[:k], stencil[:k])), 2)
+    fd = (ahead - behind) / (2.0 * h)
+    exact = energy_derivative_identity(sc.manifold, sc.force, (x[k:], xd[k:], ts))
+    return float((np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))).max())
 
 
 def _run_gpw_geodesic(sc, out_dir, report):
@@ -202,18 +199,17 @@ def _oracle_comparison(st, init, cfg, sg):
     oracle = full_geodesic_oracle(st, init, cfg)
     lo1, hi1 = sg.base_trajectory.t_span
     lo2, hi2 = oracle.t_span
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    worst = 0.0
-    for t in np.linspace(lo, hi, _ORACLE_POINTS):
-        pos_split, _ = split_state(sg, st, t)
-        pos_oracle, _ = sample(oracle, t)
-        worst = max(worst, float(np.abs(pos_split - pos_oracle).max()))
+    ts = np.linspace(max(lo1, lo2), min(hi1, hi2), _ORACLE_POINTS)
+    pos_split, _ = split_state(sg, st, ts)
+    pos_oracle, _ = sample(oracle, ts)
+    worst = float(np.abs(pos_split - pos_oracle).max())
     n_full = st.base.dim + 2
-    udots = oracle.states[:, n_full + st.base.dim]
+    q, qd = oracle.states[:, :n_full], oracle.states[:, n_full:]
+    udots = qd[:, st.base.dim]
     udot_drift = float(np.abs(udots - udots[0]).max()) / max(abs(float(udots[0])), 1.0)
-    energies = [oracle_quadratic_form(st, oracle, k) for k in range(oracle.times.size)]
-    e0 = energies[0]
-    energy_drift = max(abs(e - e0) for e in energies) / max(abs(e0), 1.0)
+    energies = full_quadratic_form(st, q, qd)
+    e0 = float(energies[0])
+    energy_drift = float(np.abs(energies - e0).max()) / max(abs(e0), 1.0)
     return {
         "outcome": oracle.outcome.kind,
         "max_coordinate_discrepancy": worst,
@@ -231,10 +227,10 @@ def _run_gpw_map(sc, out_dir, report):
         for delta in spec["deltas"]:
             init = GeodesicInitialData(x0=x0, xdot0=spec["xdot0"], u0=spec["u0"],
                                        udot0=delta, v0=spec["v0"], vdot0=spec["vdot0"])
-            sg = reduce_geodesic(sc.spacetime, init, sc.config, v_sample_count=65)
-            kind = sg.outcome.kind
+            outcome = base_trajectory(sc.spacetime, init, sc.config).outcome
+            kind = outcome.kind
             counts[kind] = counts.get(kind, 0) + 1
-            t_star = sg.outcome.t_star_estimate
+            t_star = outcome.t_star_estimate
             rows.append([*(float(c) for c in x0), float(delta),
                          _OUTCOME_CODES[kind], "" if t_star is None else repr(float(t_star))])
     csv_name = sc.outputs["map_csv"]

@@ -12,6 +12,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -77,6 +78,13 @@ def _check_keys(d, allowed, required, context):
         raise ValidationError(f"missing key {key!r} in {context}", key=key)
 
 
+def _finite(val, key, context):
+    """val, the number at key in context, as a float; NaN, ±Infinity and integers past DBL_MAX raise."""
+    if not abs(val) <= sys.float_info.max:
+        raise ValidationError(f"{context}.{key} must be a finite number", key=key)
+    return float(val)
+
+
 def _number(d, key, context, default=None, required=False):
     if key not in d:
         if required:
@@ -85,7 +93,7 @@ def _number(d, key, context, default=None, required=False):
     val = d[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"key {key!r} in {context} must be a number", key=key)
-    return float(val)
+    return _finite(val, key, context)
 
 
 def _vector(d, key, context, size=None, required=True):
@@ -99,7 +107,7 @@ def _vector(d, key, context, size=None, required=True):
         raise ValidationError(f"key {key!r} in {context} must be a list of numbers", key=key)
     if size is not None and len(val) != size:
         raise ValidationError(f"key {key!r} in {context} must have length {size}", key=key)
-    return np.asarray(val, dtype=float)
+    return np.array([_finite(v, key, context) for v in val], dtype=float)
 
 
 def _time_expr(text, context):
@@ -260,8 +268,8 @@ def _build_bounds(section, manifold):
     _check_keys(section, {"alpha0", "beta0", "T", "grid", "t_samples"},
                 {"alpha0", "beta0", "T", "grid"}, "bounds")
     T = _number(section, "T", "bounds", required=True)
-    if not 0 < T < np.inf:
-        raise ValidationError("bounds.T must be positive and finite", key="T")
+    if not T > 0:
+        raise ValidationError("bounds.T must be positive", key="T")
     t_samples = section.get("t_samples", 41)
     if not isinstance(t_samples, int) or isinstance(t_samples, bool) or t_samples < 2:
         raise ValidationError("bounds.t_samples must be an integer >= 2", key="t_samples")
@@ -286,9 +294,6 @@ def _build_config(section, task):
             kwargs[key] = _number(section, key, "integrator")
             if not kwargs[key] > 0:
                 raise ValidationError(f"integrator.{key} must be positive", key=key)
-    if kwargs.get("horizon") == math.inf:
-        # min_step is a fraction of the horizon, and an infinite one never collapses a step
-        raise ValidationError("integrator.horizon must be finite", key="horizon")
     if task in ("integrate", "envelope", "gpw-geodesic", "gpw-map") and "horizon" not in kwargs:
         raise ValidationError("integrator.horizon is required for this task", key="horizon")
     return IntegratorConfig(**kwargs)

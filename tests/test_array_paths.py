@@ -198,7 +198,7 @@ def test_v_quadrature_equals_one_state_at_a_time(name, params):
                       nonzero_witness=(np.array([1.0, 0.5]), 0.3))
     init = GeodesicInitialData(x0=np.array([0.3, -0.2]), xdot0=np.array([0.1, 0.4]),
                                u0=0.2, udot0=0.8, vdot0=0.5)
-    sg = reduce_geodesic(st, init, IntegratorConfig(horizon=1.0), v_sample_count=129)
+    sg = reduce_geodesic(st, init, IntegratorConfig(horizon=1.0))
     one_by_one = []
     for t in sg.v_times:
         x, xdot = sample(sg.base_trajectory, t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wavetraj.catalog import build_potential, expression_potential
 from wavetraj.dynamics import (ForceSystem, build_energy_frame, energy_derivative_identity,
@@ -76,6 +76,10 @@ def test_skew_part_is_metric_skew_adjoint(seed):
     skew = f - s
     assert_allclose(g @ skew + skew.T @ g, np.zeros((n, n)), atol=1e-10)
     assert_allclose(g @ s, (g @ s).T, atol=1e-10)
+    # only S feeds the energy: the identity's g(xd, F xd) is xd^T G S xd
+    xdot = rng.normal(size=(3, n))
+    identity = energy_derivative_identity(m, fs, (np.zeros((3, n)), xdot, np.zeros(3)))
+    assert_allclose(identity, [w @ g @ s @ w for w in xdot], rtol=1e-10, atol=1e-10)
 
 
 def test_operator_bounds_scalar(euclidean2):
@@ -110,29 +114,35 @@ def test_operator_bounds_monotone_under_refinement(euclidean2):
 
 def test_energy_v_examples(euclidean2, hyperbolic, harmonic):
     frame = build_energy_frame(window(lambda t: 0.0, lambda t: 0.0, 1.0), 0.0)  # B_T = -1
-    assert energy_v(euclidean2, harmonic, frame, (np.zeros(2), np.zeros(2), 0.0)) == pytest.approx(1.0)
-    assert energy_v(euclidean2, harmonic, frame, (np.array([1.0, 0]), np.array([1.0, 0]), 0.0)) == pytest.approx(2.0)
+    # one state per row: the zero state, then x = xdot = (1, 0)
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    vals = energy_v(euclidean2, harmonic, frame, (x, x, np.zeros(2)))
+    assert vals.shape == (2,)
+    assert_allclose(vals, [1.0, 2.0], rtol=1e-6)
     frame2 = build_energy_frame(window(lambda t: 0.0, lambda t: 2.0, 1.0), 0.0)  # B_T = 1
     v_const = expression_potential("2", 2)
-    val = energy_v(hyperbolic, v_const, frame2, (np.array([0.0, 2.0]), np.array([2.0, 0.0]), 0.0))
-    assert val == pytest.approx(1.5)
+    val = energy_v(hyperbolic, v_const, frame2, ([[0.0, 2.0]], [[2.0, 0.0]], [0.0]))
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(1.5)
+    with pytest.raises(ValueError, match="outside the energy frame window"):
+        energy_v(euclidean2, harmonic, frame, (x, x, [0.0, 1.5]))
 
 
 def test_energy_derivative_identity_examples(euclidean2):
     autonomous = build_potential("harmonic", {}, 2)
-    assert energy_derivative_identity(euclidean2, autonomous,
-                                      (np.array([1.0, 2.0]), np.array([0.5, -0.5]), 0.3)) == 0.0
+    assert_array_equal(energy_derivative_identity(euclidean2, autonomous,
+                                                  ([[1.0, 2.0]], [[0.5, -0.5]], [0.3])), [0.0])
     c = 1.3
     dissipative = ForceSystem(potential=autonomous.potential, potential_dx=autonomous.potential_dx,
                               potential_dt=autonomous.potential_dt,
                               tensor_F=const_tensor(-c * np.eye(2)), time_independent=True)
     xdot = np.array([2.0, 1.0])
     u = float(xdot @ xdot)
-    val = energy_derivative_identity(euclidean2, dissipative, (np.zeros(2), xdot, 0.0))
-    assert val == pytest.approx(-c * u)
+    val = energy_derivative_identity(euclidean2, dissipative, (np.zeros((1, 2)), xdot[None], [0.0]))
+    assert val[0] == pytest.approx(-c * u)
     exp_pot = build_potential("exp_time_quadratic", {}, 2)
-    val = energy_derivative_identity(euclidean2, exp_pot, (np.zeros(2), np.array([1.0, 0.0]), 1.0))
-    assert val == pytest.approx(np.e, rel=1e-14)
+    val = energy_derivative_identity(euclidean2, exp_pot, ([[0.0, 0.0]], [[1.0, 0.0]], [1.0]))
+    assert val[0] == pytest.approx(np.e, rel=1e-14)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -205,17 +215,16 @@ def test_fd_of_energy_matches_identity_on_autonomous_systems(hyperbolic, euclide
     h = 1e-3
     for m, fs, p, v in cases:
         traj = integrate(m, fs, (p, v), IntegratorConfig(horizon=10.0))
-        worst = 0.0
-        for t in np.linspace(0.1, 9.9, 30):
-            def v_at(s):
-                x, xd = sample(traj, s)
-                return energy_v(m, fs, frame, (x, xd, s))
+        ts = np.linspace(0.1, 9.9, 30)
 
-            fd = (v_at(t + h) - v_at(t - h)) / (2.0 * h)
-            x, xd = sample(traj, t)
-            exact = energy_derivative_identity(m, fs, (x, xd, t))
-            worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
-        assert worst < 1e-4
+        def v_at(times):
+            x, xd = sample(traj, times)
+            return energy_v(m, fs, frame, (x, xd, times))
+
+        fd = (v_at(ts + h) - v_at(ts - h)) / (2.0 * h)
+        x, xd = sample(traj, ts)
+        exact = energy_derivative_identity(m, fs, (x, xd, ts))
+        assert (np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))).max() < 1e-4
 
 
 def test_operator_eigen_range_equals_scipy_eigh_bit_for_bit():

@@ -2,17 +2,18 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wavetraj.catalog import build_manifold, build_wave
 from wavetraj.cli import main
 from wavetraj.expressions import array_form, parse_expression
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, energy_of,
-                          full_christoffel, full_geodesic_oracle, full_metric, oracle_quadratic_form,
+                          full_christoffel, full_geodesic_oracle, full_metric, full_quadratic_form,
                           reduce_geodesic, split_geodesic_to_csv, split_state)
 from wavetraj.hypotheses import COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData
 from wavetraj.integrate import BLOW_UP_SUSPECTED, HORIZON_REACHED, IntegratorConfig, sample
-from wavetraj.scenario import bundled_scenarios
+from wavetraj.runner import run_scenario
+from wavetraj.scenario import bundled_scenarios, load_scenario
 
 from conftest import box_grid
 from test_array_paths import WAVES as ARRAY_PATH_WAVES
@@ -99,6 +100,20 @@ def test_nonzero_witness_enforced():
         GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 1.0]), 0.0))
 
 
+INFINITE_WAVE = WaveCoefficient(h=lambda x, u: np.inf, h_dx=lambda x, u: [0.0, 0.0],
+                                h_du=lambda x, u: 0.0)
+
+
+@pytest.mark.parametrize("wave,witness", [
+    (plane_wave("u", "1", "0"), (np.array([1.0, 0.0]), np.nan)),   # H = NaN
+    (plane_wave("1", "1", "0"), (np.array([np.inf, 0.0]), 0.0)),
+    (INFINITE_WAVE, (np.array([1.0, 0.0]), 0.0)),
+])
+def test_a_witness_where_h_is_not_finite_is_refused(wave, witness):
+    with pytest.raises(ValueError, match="not finite"):
+        GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=witness)
+
+
 def test_full_christoffel_closed_form_over_flat_base():
     # g = dx^2 + dy^2 + 2 du dv + H du^2: the only nonzero symbols are
     # Γ^x_uu = -H_x/2, Γ^v_ux = Γ^v_xu = H_x/2 and Γ^v_uu = H_u/2
@@ -140,8 +155,10 @@ def test_reduce_delta_zero_branch():
     init = GeodesicInitialData(x0=np.array([0.3, -0.2]), xdot0=np.array([0.5, 1.0]),
                                u0=2.0, udot0=0.0, v0=1.0, vdot0=-0.5)
     sg = reduce_geodesic(st, init, IntegratorConfig(horizon=2.0))
-    assert sg.u_of(1.7) == 2.0
-    assert sg.v_of(1.7) == pytest.approx(1.0 - 0.5 * 1.7, abs=1e-12)
+    pos, vel = split_state(sg, st, [1.7])
+    assert pos[0, 2] == 2.0
+    assert pos[0, 3] == pytest.approx(1.0 - 0.5 * 1.7, abs=1e-12)
+    assert_array_equal(vel[0, 2:], [0.0, -0.5])
     x, xd = sample(sg.base_trajectory, 2.0)
     assert_allclose(x, [0.3 + 1.0, -0.2 + 2.0], atol=1e-9)
     assert_allclose(xd, [0.5, 1.0], atol=1e-12)
@@ -151,8 +168,10 @@ def test_u_is_exactly_affine():
     st = gravitational_spacetime()
     init = GeodesicInitialData(x0=np.array([1.0, 0.0]), xdot0=np.zeros(2), u0=0.25, udot0=2.0)
     sg = reduce_geodesic(st, init, IntegratorConfig(horizon=1.0))
-    for t in (0.0, 0.3, 1.0):
-        assert sg.u_of(t) == 0.25 + 2.0 * t
+    ts = np.array([0.0, 0.3, 1.0])
+    pos, vel = split_state(sg, st, ts)
+    assert_array_equal(pos[:, 2], [0.25 + 2.0 * t for t in ts.tolist()])
+    assert_array_equal(vel[:, 2], 2.0)
 
 
 def test_energy_constant_reproduced_along_split():
@@ -160,10 +179,12 @@ def test_energy_constant_reproduced_along_split():
     init = GeodesicInitialData(x0=np.array([1.0, 0.5]), xdot0=np.array([0.2, -0.1]),
                                udot0=1.0, vdot0=0.3)
     sg = reduce_geodesic(st, init, IntegratorConfig(horizon=1.0))
-    for t in np.linspace(0.0, 1.0, 21):
-        pos, vel = split_state(sg, st, t)
-        g = full_metric(st, pos)
-        assert float(vel @ g @ vel) == pytest.approx(sg.energy, rel=1e-6, abs=1e-6)
+    pos, vel = split_state(sg, st, np.linspace(0.0, 1.0, 21))
+    assert pos.shape == vel.shape == (21, 4)
+    energies = np.array([w @ full_metric(st, q) @ w for q, w in zip(pos, vel)])
+    assert_allclose(energies, sg.energy, rtol=1e-6, atol=1e-6)
+    # the row form of the full quadratic form is the full metric's, row by row
+    assert_allclose(full_quadratic_form(st, pos, vel), energies, rtol=1e-14, atol=1e-14)
 
 
 def test_oracle_conserved_quantities():
@@ -174,9 +195,9 @@ def test_oracle_conserved_quantities():
     assert traj.outcome.kind == HORIZON_REACHED
     udots = traj.states[:, 4 + 2]
     assert np.abs(udots - 1.3).max() < 1e-9 * max(1.0, 1.3)
-    e0 = oracle_quadratic_form(st, traj, 0)
-    drift = max(abs(oracle_quadratic_form(st, traj, k) - e0) for k in range(traj.times.size))
-    assert drift < 1e-8 * max(1.0, abs(e0))
+    energies = full_quadratic_form(st, traj.states[:, :4], traj.states[:, 4:])
+    drift = np.abs(energies - energies[0]).max()
+    assert drift < 1e-8 * max(1.0, abs(energies[0]))
 
 
 def test_oracle_null_initial_data_stays_null():
@@ -190,7 +211,7 @@ def test_oracle_null_initial_data_stays_null():
     init = GeodesicInitialData(x0=x0, xdot0=xdot0, udot0=delta, vdot0=vdot0)
     assert energy_of(st, init) == pytest.approx(0.0, abs=1e-15)
     traj = full_geodesic_oracle(st, init, IntegratorConfig(horizon=1.0))
-    worst = max(abs(oracle_quadratic_form(st, traj, k)) for k in range(traj.times.size))
+    worst = np.abs(full_quadratic_form(st, traj.states[:, :4], traj.states[:, 4:])).max()
     assert worst < 1e-8
 
 
@@ -201,12 +222,10 @@ def test_reduction_matches_oracle():
     cfg = IntegratorConfig(horizon=1.0)
     sg = reduce_geodesic(st, init, cfg)
     oracle = full_geodesic_oracle(st, init, cfg)
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, 101):
-        pos_split, _ = split_state(sg, st, t)
-        pos_oracle, _ = sample(oracle, t)
-        worst = max(worst, float(np.abs(pos_split - pos_oracle).max()))
-    assert worst < 1e-5
+    ts = np.linspace(0.0, 1.0, 101)
+    pos_split, _ = split_state(sg, st, ts)
+    pos_oracle, _ = sample(oracle, ts)
+    assert np.abs(pos_split - pos_oracle).max() < 1e-5
 
 
 def test_reduction_matches_oracle_on_curved_base():
@@ -222,16 +241,13 @@ def test_reduction_matches_oracle_on_curved_base():
     sg = reduce_geodesic(st, init, cfg)
     oracle = full_geodesic_oracle(st, init, cfg)
     assert sg.outcome.kind == HORIZON_REACHED and oracle.outcome.kind == HORIZON_REACHED
-    worst = 0.0
-    for t in np.linspace(0.0, 0.5, 51):
-        pos_s, _ = split_state(sg, st, t)
-        pos_o, _ = sample(oracle, t)
-        worst = max(worst, float(np.abs(pos_s - pos_o).max()))
-    assert worst < 1e-5
-    e0 = oracle_quadratic_form(st, oracle, 0)
-    drift = max(abs(oracle_quadratic_form(st, oracle, k) - e0)
-                for k in range(oracle.times.size))
-    assert drift < 1e-8 * max(1.0, abs(e0))
+    ts = np.linspace(0.0, 0.5, 51)
+    pos_s, _ = split_state(sg, st, ts)
+    pos_o, _ = sample(oracle, ts)
+    assert np.abs(pos_s - pos_o).max() < 1e-5
+    energies = full_quadratic_form(st, oracle.states[:, :4], oracle.states[:, 4:])
+    drift = np.abs(energies - energies[0]).max()
+    assert drift < 1e-8 * max(1.0, abs(energies[0]))
 
 
 def test_delta_scaling_covariance():
@@ -243,7 +259,7 @@ def test_delta_scaling_covariance():
     init_b = GeodesicInitialData(x0=np.array([1.0, 0.4]), xdot0=2.0 * xdot, udot0=2.0)
     sg_a = reduce_geodesic(st, init_a, IntegratorConfig(horizon=1.0))
     sg_b = reduce_geodesic(st, init_b, IntegratorConfig(horizon=0.5))
-    assert sg_a.u_of(1.0) == sg_b.u_of(0.5)
+    assert split_state(sg_a, st, [1.0])[0][0, 2] == split_state(sg_b, st, [0.5])[0][0, 2]
     worst = 0.0
     for t in np.linspace(0.0, 0.5, 51):
         xa, _ = sample(sg_a.base_trajectory, 2.0 * t)
@@ -261,12 +277,10 @@ def test_v_quadrature_against_closed_form():
                                u0=0.0, udot0=1.0, v0=0.0, vdot0=0.0)
     sg = reduce_geodesic(st, init, IntegratorConfig(horizon=3.0))
     assert sg.energy == pytest.approx(-1.0)  # timelike
-    worst = 0.0
-    for t in np.linspace(0.0, 3.0, 61):
-        exact = -0.5 * t + 0.25 * np.sin(2.0 * t)
-        worst = max(worst, abs(sg.v_of(t) - exact))
+    ts = np.linspace(0.0, 3.0, 61)
+    pos, _ = split_state(sg, st, ts)
     # limited by the dense-output accuracy of the base trajectory
-    assert worst < 1e-7
+    assert np.abs(pos[:, 3] - (-0.5 * ts + 0.25 * np.sin(2.0 * ts))).max() < 1e-7
 
 
 def test_base_blowup_propagates():
@@ -310,6 +324,30 @@ def test_classify_unbounded_wave_inconclusive():
     assert not any(r.passed for r in cert.routes)
 
 
+def test_an_oracle_check_reads_each_run_once(tmp_path, monkeypatch):
+    # one v-grid, one split_state call on the check times and one dense-output
+    # call on the oracle: no per-time reads
+    import wavetraj.gpw as gpw_module
+    import wavetraj.runner as runner_module
+
+    calls = {"split_state": 0, "sample": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runner_module, "split_state", counted("split_state", gpw_module.split_state))
+    counted_sample = counted("sample", gpw_module.sample)
+    monkeypatch.setattr(gpw_module, "sample", counted_sample)
+    monkeypatch.setattr(runner_module, "sample", counted_sample)
+    sc = load_scenario(bundled_scenarios()["plane-wave-geodesic"])
+    assert sc.gpw_oracle_check
+    run_scenario(sc, tmp_path)
+    assert calls == {"split_state": 1, "sample": 3}
+
+
 def test_split_geodesic_csv(tmp_path):
     st = gravitational_spacetime()
     init = GeodesicInitialData(x0=np.array([1.0, 0.0]), xdot0=np.zeros(2), udot0=1.0)
@@ -321,3 +359,10 @@ def test_split_geodesic_csv(tmp_path):
     assert lines[0] == "t,u,v,x1,x2,xdot1,xdot2"
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    # every row is the split state at an accepted step of the base run
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    pos, vel = split_state(sg, st, sg.base_trajectory.times)
+    assert_array_equal(rows[:, 0], sg.base_trajectory.times)
+    assert_array_equal(rows[:, 1:3], pos[:, 2:])
+    assert_array_equal(rows[:, 3:5], pos[:, :2])
+    assert_array_equal(rows[:, 5:], vel[:, :2])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -528,6 +529,14 @@ SMALL_MAP = {
             "xdot0": [0.0, 0.0], "deltas": [1.0]},
     "integrator": {"horizon": 0.5},
 }
+SMALL_GEODESIC = {
+    "name": "bad", "task": "gpw-geodesic",
+    "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+    "gpw": {"wave": {"catalog": "plane_wave", "params": {"f1": "1"}},
+            "witness": {"x": [1.0, 0.0], "u": 0.0},
+            "initial": {"x": [1.0, 0.0], "xdot": [0.0, 0.0]}},
+    "integrator": {"horizon": 0.5},
+}
 SMALL_COMPARE = {"name": "bad", "task": "compare-lemma",
                  "compare_lemma": {"phi": "s", "a": 1.0, "v0_init": 2.0, "t_max": 1.0}}
 BAD_INTEGRATE = dict(MINIMAL_INTEGRATE, name="bad")
@@ -603,6 +612,18 @@ BAD_INPUTS = {
     "metric-200-factor-product": (
         BAD_INTEGRATE, ['manifold={"metric": [["' + "*".join(["sin(x1)"] * 200) + '"]]}'], 2,
         "deeper than"),
+    # a non-finite number is refused while parsing, named by its dotted key
+    "gpw.initial.vdot=NaN": (SMALL_GEODESIC, ["gpw.initial.vdot=NaN", "gpw.oracle_check=true"], 2,
+                             "gpw.initial.vdot"),
+    "gpw.initial.vdot=Infinity": (SMALL_GEODESIC, ["gpw.initial.vdot=Infinity"], 2,
+                                  "gpw.initial.vdot"),
+    "gpw.witness.u=NaN": (PLANE_WAVE_CERTIFY, ["gpw.witness.u=NaN"], 2, "gpw.witness.u"),
+    "integrator.horizon=10**400": (BAD_INTEGRATE, ["integrator.horizon=1" + "0" * 400], 2,
+                                   "integrator.horizon"),
+    # the profile parses alone; the plane-wave template nests it past MAX_DEPTH
+    "plane_wave-f1-nests-too-deeply": (
+        PLANE_WAVE_CERTIFY, ['gpw.wave.params.f1="' + "sin(" * 126 + "u" + ")" * 126 + '"'], 2,
+        "'f1'"),
     "time_scalar-expr-not-text": (
         BAD_INTEGRATE, ['force.tensor={"catalog": "time_scalar", "params": {"expr": 3, "n": 1}}'],
         2, "parameter 'expr' of catalog entry 'time_scalar'"),
@@ -629,6 +650,21 @@ def test_a_catalog_dimension_past_the_bound_is_a_validation_error(n):
     with pytest.raises(ValidationError) as info:
         parse_scenario({**BAD_INTEGRATE, "manifold": {"catalog": "euclidean", "params": {"n": n}}})
     assert info.value.key == "n"
+
+
+def test_a_time_scalar_at_the_depth_cap_builds():
+    # the diagonal entry is the expr text itself, so it nests as deep as the
+    # expr parsed alone; past the cap that parse names the expr's own column
+    text = "sin(" * 127 + "t" + ")" * 127
+    tensor = {"catalog": "time_scalar", "params": {"expr": text, "n": 1}}
+    sc = parse_scenario({**BAD_INTEGRATE, "force": {"tensor": tensor}})
+    c = 0.5
+    for _ in range(127):
+        c = math.sin(c)
+    assert sc.force.force_matrix([0.0], 0.5)[0, 0] == c
+    with pytest.raises(ParseError, match="column 509"):
+        parse_scenario({**BAD_INTEGRATE, "force": {"tensor": {
+            "catalog": "time_scalar", "params": {"expr": "sin(" + text + ")", "n": 1}}}})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
