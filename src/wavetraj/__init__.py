@@ -8,7 +8,7 @@ from .comparison import (DIVERGES, CONVERGES, INCONCLUSIVE as DIVERGENCE_INCONCL
                          check_divergence, solve_dominating, verify_envelope)
 from .dynamics import (EnergyFrame, ForceSystem, FREE, build_energy_frame,
                        energy_derivative_identity, energy_v, make_rhs, operator_bounds,
-                       rhs_E, self_adjoint_part)
+                       rhs_E)
 from .errors import (EigFailure, EvaluationError, HypothesisViolated, InvalidInit, NotABlowup,
                      NotPositiveDefinite, OutOfChart, OutOfRange, ParseError,
                      ValidationError, WavetrajError)

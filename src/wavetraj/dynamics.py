@@ -15,7 +15,6 @@ on them and returns floats, and the value goes back as a list. Everything
 else here (energies, operator bounds) works on numpy arrays.
 """
 
-import functools
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import EigFailure, OutOfChart
 from .expressions import on_rows
-from .geometry import chart_point, inner_products, metric_at, metric_diagonal
+from .geometry import chart_point, inner_products, metric_diagonal, metrics_at
 
 
 @dataclass(frozen=True)
@@ -193,39 +192,30 @@ def make_rhs(manifold, fs):
     return f
 
 
-def self_adjoint_part(manifold, fs, x, t):
-    """Metric-self-adjoint part S = (F + G^{-1} F^T G) / 2 in chart components."""
-    fmat = fs.force_matrix(x, t)
-    if fmat is None:
-        raise ValueError("force system has no tensor field")
-    g = metric_at(manifold, x)
-    return 0.5 * (fmat + np.linalg.solve(g, fmat.T @ g))
+def operator_eigen_range(manifold, fs, points, t):
+    """(lambda_min, lambda_max) of S at each row of points at time t, as two arrays.
 
-
-@functools.cache
-def _dsygvd():
-    """scipy's LAPACK dsygvd, imported on first use: only its callers load scipy.linalg."""
-    from scipy.linalg.lapack import dsygvd
-    return dsygvd
-
-
-def operator_eigen_range(manifold, fs, x, t):
-    """(lambda_min, lambda_max) of S at one point, via the pencil (GF + F^T G)/2 vs G."""
-    fmat = fs.force_matrix(x, t)
-    if fmat is None:
-        return 0.0, 0.0
-    g = metric_at(manifold, x)
-    a = 0.5 * (g @ fmat + fmat.T @ g)
-    # g passed the metric checks, so only a can be non-finite; a NaN would
-    # reach LAPACK unchecked
-    if not np.isfinite(a).all():
-        raise EigFailure(f"generalized eigenproblem at {x} has a non-finite entry")
-    # the routine and arguments scipy.linalg.eigh(a, g, eigvals_only=True)
-    # uses, without its per-call validation, which costs five times the solve
-    w, _, info = _dsygvd()(a, g, jobz="N", uplo="L")
-    if info != 0:
-        raise EigFailure(f"generalized eigenproblem failed at {x}: LAPACK dsygvd info {info}")
-    return float(w[0]), float(w[-1])
+    S has the eigenvalues of the pencil A - lambda G, A = (GF + F^T G)/2, and so,
+    with L = cholesky(G), of the symmetric C = L^-1 A L^-T (Golub & Van Loan,
+    Matrix Computations, §8.7): one stacked eigvalsh over the rows.
+    """
+    points = np.asarray(points, dtype=float)
+    if fs.tensor_F is None:
+        return np.zeros(len(points)), np.zeros(len(points))
+    fmat = on_rows(fs.tensor_F, fs.force_matrix, points, np.full(len(points), float(t)))
+    g = metrics_at(manifold, points)
+    # g passed the metric checks, so only a can be non-finite, and then it fails here
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = 0.5 * (g @ fmat + np.swapaxes(fmat, 1, 2) @ g)
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    if bad.any():
+        raise EigFailure(f"generalized eigenproblem at {points[bad.argmax()]} has a non-finite entry")
+    try:
+        low = np.linalg.cholesky(g)
+        w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), 1, 2)))
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(f"generalized eigenproblem failed on the sample grid: {exc}") from None
+    return w[:, 0], w[:, -1]
 
 
 def operator_bounds(manifold, fs, grid, t):
@@ -233,13 +223,8 @@ def operator_bounds(manifold, fs, grid, t):
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
         raise ValueError("sample grid is empty")
-    lo = np.inf
-    hi = -np.inf
-    for p in grid:
-        wmin, wmax = operator_eigen_range(manifold, fs, p, t)
-        lo = min(lo, wmin)
-        hi = max(hi, wmax)
-    return lo, hi
+    lo, hi = operator_eigen_range(manifold, fs, grid, t)
+    return float(lo.min()), float(hi.max())
 
 
 def energy_v(manifold, fs, frame, state):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import ForceSystem, FREE
 from .expressions import on_rows
-from .geometry import chart_point, inner_products, metric_at
+from .geometry import chart_point, inner_products, metric_at, squared_norm
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
@@ -185,6 +185,27 @@ def base_trajectory(st, init, cfg):
                                    np.asarray(init.xdot0, dtype=float)), cfg, FORWARD)
 
 
+def cumulative_simpson(y, x):
+    """The integral of y from x[0] to each node of x, by the composite Simpson rule.
+
+    Cartwright's rule for unequal intervals (J. Math. Sci. Math. Educ. 12 (2)):
+    the parabola through an interval and the next node integrates every second
+    interval; the one through it and the node before (the rule on the reversed
+    nodes) integrates the others and the last. x increases strictly, len(x) >= 3.
+    """
+    def ahead(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        r = x21 / (x21 + x32)
+        q = r * (x21 / x32)
+        return x21 / 6 * ((3 - r) * y[:-2] + (3 + q + r) * y[1:-1] - q * y[2:])
+
+    dx = np.diff(x)
+    h1, h2 = ahead(y, dx), ahead(y[::-1], dx[::-1])[::-1]
+    parts = np.zeros(len(y))
+    parts[1:-1:2], parts[2::2], parts[-1] = h1[::2], h2[::2], h2[-1]
+    return np.cumsum(parts)
+
+
 def reduce_geodesic(st, init, cfg):
     """Split a geodesic: affine u, base trajectory, v by quadrature.
 
@@ -201,12 +222,9 @@ def reduce_geodesic(st, init, cfg):
         v_dots = np.full(ts.shape, float(init.vdot0))
         v_vals = init.v0 + init.vdot0 * ts
     else:
-        # imported here, so that only split geodesics load scipy.integrate
-        from scipy.integrate import cumulative_simpson
-
         x, xdot = sample(base, ts)
         v_dots = _conserved_vdot(st, energy, delta, x, xdot, init.u0 + delta * ts)
-        v_vals = init.v0 + cumulative_simpson(v_dots, x=ts, initial=0.0)
+        v_vals = init.v0 + cumulative_simpson(v_dots, ts)
     return SplitGeodesic(base_trajectory=base, u0=float(init.u0), delta=delta,
                          v_times=ts, v_values=v_vals, v_dots=v_dots, energy=energy)
 
@@ -263,12 +281,8 @@ def full_geodesic_oracle(st, init, cfg):
         return np.concatenate([qd, acc])
 
     def speed_of(y):
-        x = y[:n]
         qd = y[n_full:]
-        g0 = metric_at(st.base, x)
-        w = np.array(qd[:n])
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = float(w @ g0 @ w) + (qd[n] * qd[n] + qd[n + 1] * qd[n + 1])
+        val = squared_norm(st.base, y[:n], qd[:n]) + (qd[n] * qd[n] + qd[n + 1] * qd[n + 1])
         return math.sqrt(val) if math.isfinite(val) and val >= 0 else math.inf
 
     guard_ok = lambda y: st.base.contains(y[:n])

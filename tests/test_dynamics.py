@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from wavetraj.catalog import build_potential, expression_potential
 from wavetraj.dynamics import (ForceSystem, build_energy_frame, energy_derivative_identity,
-                               energy_v, operator_bounds, rhs_E, self_adjoint_part)
+                               energy_v, operator_bounds, operator_eigen_range, rhs_E)
+from wavetraj.errors import EigFailure
 from wavetraj.geometry import ChartManifold
 from wavetraj.gpw import WaveCoefficient
 
@@ -39,27 +41,26 @@ def test_rhs_hyperbolic_geodesic(hyperbolic, free):
     assert_allclose(out, [1.0, 0.0, 0.0, -1.0], atol=1e-14)
 
 
-def test_self_adjoint_part_skew_vanishes(euclidean2):
+def test_operator_eigen_range_skew_vanishes(euclidean2):
     omega = 2.5
     fs = tensor_force(const_tensor([[0, omega], [-omega, 0]]))
-    s = self_adjoint_part(euclidean2, fs, np.zeros(2), 0.0)
-    assert_allclose(s, np.zeros((2, 2)), atol=0)
+    lo, hi = operator_eigen_range(euclidean2, fs, np.zeros((1, 2)), 0.0)
+    assert_allclose([lo, hi], [[0.0], [0.0]], atol=0)
 
 
-def test_self_adjoint_part_diagonal_fixed(euclidean2):
+def test_operator_eigen_range_diagonal_fixed(euclidean2):
     fs = tensor_force(const_tensor([[1.5, 0], [0, -2.0]]))
-    s = self_adjoint_part(euclidean2, fs, np.zeros(2), 0.0)
-    assert_allclose(s, np.diag([1.5, -2.0]), atol=0)
+    lo, hi = operator_eigen_range(euclidean2, fs, np.zeros((1, 2)), 0.0)
+    assert_allclose([lo, hi], [[-2.0], [1.5]], atol=0)
 
 
-def test_self_adjoint_part_curved_metric():
-    # G = diag(4, 1), F = [[0,1],[0,0]]: frozen from a symbolic matrix oracle
+def test_operator_eigen_range_curved_metric():
+    # G = diag(4, 1), F = [[0,1],[0,0]]: S = [[0, 1/2], [2, 0]] (frozen from a
+    # symbolic matrix oracle), whose eigenvalues are -1 and 1
     m = ChartManifold(dim=2, metric=np.diag([4.0, 1.0]))
     fs = tensor_force(const_tensor([[0, 1], [0, 0]]))
-    s = self_adjoint_part(m, fs, np.zeros(2), 0.0)
-    assert_allclose(s, [[0.0, 0.5], [2.0, 0.0]], atol=1e-15)
-    g = np.diag([4.0, 1.0])
-    assert_allclose(g @ s, (g @ s).T, atol=1e-12)
+    lo, hi = operator_eigen_range(m, fs, np.zeros((1, 2)), 0.0)
+    assert_allclose([lo, hi], [[-1.0], [1.0]], atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
@@ -72,10 +73,15 @@ def test_skew_part_is_metric_skew_adjoint(seed):
     f = rng.normal(size=(n, n))
     m = ChartManifold(dim=n, metric=g)
     fs = tensor_force(const_tensor(f))
-    s = self_adjoint_part(m, fs, np.zeros(n), 0.0)
+    # the metric-self-adjoint part S = (F + G^-1 F^T G)/2 and its skew rest
+    s = 0.5 * (f + np.linalg.solve(g, f.T @ g))
     skew = f - s
     assert_allclose(g @ skew + skew.T @ g, np.zeros((n, n)), atol=1e-10)
     assert_allclose(g @ s, (g @ s).T, atol=1e-10)
+    # S is G-self-adjoint, so its eigenvalues are real: their extremes are the range
+    lam = np.sort(np.linalg.eigvals(s).real)
+    lo, hi = operator_eigen_range(m, fs, np.zeros((1, n)), 0.0)
+    assert_allclose([lo[0], hi[0]], [lam[0], lam[-1]], rtol=1e-10, atol=1e-10)
     # only S feeds the energy: the identity's g(xd, F xd) is xd^T G S xd
     xdot = rng.normal(size=(3, n))
     identity = energy_derivative_identity(m, fs, (np.zeros((3, n)), xdot, np.zeros(3)))
@@ -227,19 +233,38 @@ def test_fd_of_energy_matches_identity_on_autonomous_systems(hyperbolic, euclide
         assert (np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))).max() < 1e-4
 
 
-def test_operator_eigen_range_equals_scipy_eigh_bit_for_bit():
+def test_operator_eigen_range_within_rounding_of_scipy_eigh():
+    # the stacked Cholesky reduction and scipy's dsygvd reach the same
+    # eigenvalues by different rounding: each agrees with eigh within
+    # 8 n u kappa_2(G) max|lambda|, u the unit roundoff
     import scipy.linalg
 
     from wavetraj.catalog import build_manifold
-    from wavetraj.dynamics import operator_eigen_range
-    from wavetraj.geometry import metric_at
+    from wavetraj.geometry import metrics_at
+
+    def check(m, fs, points, f):
+        lo, hi = operator_eigen_range(m, fs, points, 0.0)
+        for p, g, got in zip(points, metrics_at(m, points), zip(lo, hi)):
+            w = scipy.linalg.eigh(0.5 * (g @ f + f.T @ g), g, eigvals_only=True)
+            bound = 8 * m.dim * 2.0**-53 * np.linalg.cond(g) * np.abs(w).max()
+            assert np.abs(np.array(got) - w[[0, -1]]).max() <= bound, p
 
     m = build_manifold("diagonal_conformal", {"entries": ["1 + x1^2", "2 + sin(x1*x2)"]})
     rng = np.random.default_rng(5)
     for _ in range(200):
         f = rng.normal(size=(2, 2))
-        fs = tensor_force(const_tensor(f))
-        x = rng.uniform(-2.0, 2.0, 2)
-        g = metric_at(m, x)
-        w = scipy.linalg.eigh(0.5 * (g @ f + f.T @ g), g, eigvals_only=True)
-        assert operator_eigen_range(m, fs, x, 0.0) == (w[0], w[-1])
+        check(m, tensor_force(const_tensor(f)), rng.uniform(-2.0, 2.0, (1, 2)), f)
+    for n in range(1, 5):
+        for _ in range(50):
+            a = rng.normal(size=(n, n))
+            f = rng.normal(size=(n, n))
+            m = ChartManifold(dim=n, metric=a @ a.T + rng.uniform(0.01, 1.0) * np.eye(n))
+            check(m, tensor_force(const_tensor(f)), rng.normal(size=(3, n)), f)
+
+
+def test_operator_eigen_range_names_the_row_where_F_is_not_finite(euclidean2):
+    grid = np.array([[-1.0, 2.0], [0.5, 2.0], [1.0, 2.0]])
+    for bad in (math.inf, math.nan):
+        fs = tensor_force(lambda x, t, bad=bad: [[bad if x[0] == 0.5 else 1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(EigFailure, match=re.escape(str(grid[1]))):
+            operator_eigen_range(euclidean2, fs, grid, 0.0)

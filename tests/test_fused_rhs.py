@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import wavetraj
-from wavetraj import catalog, dynamics, geometry
+from wavetraj import catalog, geometry
 from wavetraj.catalog import build_manifold
 from wavetraj.dynamics import ForceSystem, rhs_E
 from wavetraj.errors import EvaluationError, NotPositiveDefinite
@@ -146,7 +146,7 @@ def test_fused_rhs_makes_one_metric_call_and_no_christoffel_call(monkeypatch, bu
 
     m = ChartManifold(dim=2, metric=counting, geodesic_term=sc.manifold.geodesic_term,
                       domain_guard=sc.manifold.domain_guard)
-    monkeypatch.setattr(dynamics, "metric_at", unexpected)
+    monkeypatch.setattr(geometry, "metric_at", unexpected)
     monkeypatch.setattr(geometry, "christoffel_at", unexpected)
     monkeypatch.setattr(wavetraj, "christoffel_at", unexpected)
     rhs_E(m, sc.force, (POINTS[0], VELOCITY, 0.0))

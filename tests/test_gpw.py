@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose, assert_array_equal
 
 from wavetraj.catalog import build_manifold, build_wave
 from wavetraj.cli import main
 from wavetraj.expressions import array_form, parse_expression
-from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, energy_of,
+from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, cumulative_simpson,
+                          energy_of,
                           full_christoffel, full_geodesic_oracle, full_metric, full_quadratic_form,
                           reduce_geodesic, split_geodesic_to_csv, split_state)
 from wavetraj.hypotheses import COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData
@@ -281,6 +283,22 @@ def test_v_quadrature_against_closed_form():
     pos, _ = split_state(sg, st, ts)
     # limited by the dense-output accuracy of the base trajectory
     assert np.abs(pos[:, 3] - (-0.5 * ts + 0.25 * np.sin(2.0 * ts))).max() < 1e-7
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.floats(-50.0, 50.0), strategies.floats(1e-3, 100.0),
+       strategies.lists(strategies.floats(-1e3, 1e3), min_size=3, max_size=3),
+       strategies.floats(0.0, 20.0), strategies.integers(0, 2**32 - 1))
+def test_cumulative_simpson_equals_scipy_bit_for_bit(lo, width, coeffs, freq, seed):
+    # smooth and rough integrands on the nodes of a split geodesic's v-table
+    from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+    ts = np.linspace(lo, lo + width, 2049)
+    a, b, c = coeffs
+    noise = np.random.default_rng(seed).normal(size=ts.size)
+    for y in (a + b * np.cos(freq * ts) + c * ts * ts, a * noise):
+        assert_array_equal(cumulative_simpson(y, ts),
+                           scipy_cumulative_simpson(y, x=ts, initial=0.0), strict=True)
 
 
 def test_base_blowup_propagates():

@@ -14,9 +14,6 @@ rejection and chart-exit paths are pinned.
 """
 
 import math
-import pathlib
-import subprocess
-import sys
 import warnings
 from operator import mul
 
@@ -25,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import wavetraj
 from wavetraj import dynamics
 from wavetraj.catalog import (build_manifold, build_potential, build_tensor, expression_potential,
                               expression_tensor, metric_rows)
@@ -48,26 +44,6 @@ UNIT_ROUNDOFF = 2.0 ** -53
 def gamma(m):
     """Higham's gamma_m, the relative rounding bound of an m-term sum or product."""
     return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
-
-
-def test_import_loads_neither_scipy_linalg_nor_scipy_integrate():
-    # scipy.linalg serves the operator eigen range and scipy.integrate the
-    # v-quadrature of a split geodesic; importing the package and running a
-    # trajectory loads neither
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import wavetraj\n"
-        "from wavetraj.catalog import build_manifold, build_potential\n"
-        "from wavetraj.integrate import IntegratorConfig, integrate\n"
-        "integrate(build_manifold('hyperbolic_half_plane', {}), build_potential('harmonic', {}, 2),\n"
-        "          (np.array([0.1, 1.0]), np.array([0.3, 0.2])), IntegratorConfig(horizon=1.0))\n"
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules))\n"
-    )
-    src = str(pathlib.Path(wavetraj.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env={"PYTHONPATH": src, "PATH": ""}, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- diagonal metrics

@@ -1,4 +1,8 @@
-"""Import boundaries that keep a second accuracy model out of the package.
+"""Import boundaries: numpy is the only runtime dependency, and no second
+accuracy model enters the package.
+
+scipy stays in the tests as an oracle (eigh, cumulative_simpson); no module
+under wavetraj imports it, so a run never pays for loading it.
 
 Every source carries its exact derivatives, so central differences
 (wavetraj.numdiff) serve two uses only: christoffel_at in geometry, the
@@ -42,3 +46,22 @@ def test_only_geometry_and_gpw_import_numdiff_and_only_the_christoffel_routines(
     assert "christoffel_from_metric" in found.get("geometry", set())
     assert set(found) <= NUMDIFF_MODULES, found
     assert set().union(*found.values()) <= NUMDIFF_NAMES, found
+
+
+def _top_level_imports(tree):
+    """The top-level package of every module an import in tree names; "" for a relative one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add("" if node.level else node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def test_no_module_imports_scipy():
+    found = {str(path.relative_to(PACKAGE)): _top_level_imports(ast.parse(path.read_text("utf-8")))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    # the scan sees the numpy import of dynamics, so an empty result is not a pass
+    assert "numpy" in found["dynamics.py"]
+    assert [stem for stem, names in found.items() if "scipy" in names] == []

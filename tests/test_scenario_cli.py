@@ -490,26 +490,42 @@ def test_certify_probe_conflict_flag(tmp_path):
     assert report.conflict
 
 
-def test_runtime_needs_neither_sympy_nor_hypothesis(tmp_path):
-    # the tests use sympy and hypothesis; a run of the package must not import them
+def test_runtime_needs_neither_scipy_nor_sympy_nor_hypothesis(tmp_path):
+    # the tests use scipy, sympy and hypothesis; a run of the package imports
+    # none of them: not a certificate, not a split geodesic with its
+    # v-quadrature (delta != 0), not the operator eigen scan of a tensor force
     import pathlib
     import subprocess
     import sys
 
     import wavetraj
 
+    tensor_certify = {
+        "name": "tensor-certify", "task": "certify",
+        "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+        "force": {"potential": {"catalog": "harmonic"},
+                  "tensor": {"catalog": "time_scalar", "params": {"expr": "sin(t)", "n": 2}}},
+        "bounds": {"alpha0": "0", "beta0": "0", "T": 1.0,
+                   "grid": {"min": [-1.0, -1.0], "max": [1.0, 1.0], "shape": [3, 3]}},
+    }
     script = (
         "import sys\n"
         "from wavetraj.runner import run_scenario\n"
-        "from wavetraj.scenario import bundled_scenarios, load_scenario\n"
-        f"run_scenario(load_scenario(bundled_scenarios()['plane-wave-certify']), {str(tmp_path)!r})\n"
-        "print(sorted(m for m in ('sympy', 'hypothesis') if m in sys.modules))\n"
+        "from wavetraj.scenario import bundled_scenarios, load_scenario, parse_scenario\n"
+        "for name in ('plane-wave-certify', 'plane-wave-geodesic'):\n"
+        f"    run_scenario(load_scenario(bundled_scenarios()[name]), {str(tmp_path)!r})\n"
+        f"run_scenario(parse_scenario({tensor_certify!r}), {str(tmp_path)!r})\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'sympy', 'hypothesis')))\n"
     )
     src = str(pathlib.Path(wavetraj.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "PATH": ""}, check=True)
     assert out.stdout.strip() == "[]"
-    assert (tmp_path / "plane-wave-certify.report.json").exists()
+    for name in ("plane-wave-certify", "plane-wave-geodesic", "tensor-certify"):
+        assert (tmp_path / f"{name}.report.json").exists()
+    evidence = json.loads((tmp_path / "tensor-certify.report.json").read_text())
+    assert "operator_bound_two_sided" in {e["name"] for e in evidence["certificate"]["evidence"]}
 
 
 PLANE_WAVE_CERTIFY = {
