@@ -24,7 +24,8 @@ import numpy as np
 
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
-from .expressions import Expression, _add, _mul, _sub, at_chart_point, fused, parse_expression
+from .expressions import (Expression, _add, _mul, _sub, at_chart_point, coordinates, fused,
+                          parse_expression, with_array_form)
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
 
@@ -347,12 +348,20 @@ def expression_tensor(rows):
 
     A constant matrix (no entry uses x1..xn or t) keeps the rows of its first
     successful call; a call that raises stores nothing, so it raises every time.
+    The array form takes chart points on the last axis of x, broadcast against
+    t, and gives the matrices on two new last axes: a varying matrix from its
+    entries' own array forms, a constant one by broadcasting its stored rows.
     """
     n = len(rows)
     exprs = [e for row in _parsed_rows(rows, _chart_variables(n, "t")) for e in row]
     entries = at_chart_point(exprs)
     if any(e.used for e in exprs):
-        return lambda x, t: _cut(entries(x, t), n)
+        def matrices(x, t):
+            coords = coordinates(x)
+            values = np.stack([e.on_arrays(*coords, t) for e in exprs], axis=-1)
+            return values.reshape(values.shape[:-1] + (n, n))
+
+        return with_array_form(lambda x, t: _cut(entries(x, t), n), matrices)
     stored = []
 
     def constant(x, t):
@@ -360,7 +369,11 @@ def expression_tensor(rows):
             stored.append(tuple(_cut(entries(x, t), n)))
         return stored[0]
 
-    return constant
+    def broadcast(x, t):
+        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(t))
+        return np.broadcast_to(np.array(constant([0.0] * n, 0.0)), shape + (n, n))
+
+    return with_array_form(constant, broadcast)
 
 
 TENSORS = {

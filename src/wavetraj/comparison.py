@@ -6,10 +6,10 @@ v0' = phi(v0) exists for all t >= 0 and bounds every sampled function that
 satisfies the integral inequality v(t) <= v(0) + int_0^t phi(v(s)) ds with
 a <= v and v(0) <= v0(0). This module checks the phi hypotheses on samples,
 decides the divergence question numerically with an explicit Inconclusive
-verdict, constructs v0 by quadrature inversion, and verifies envelopes.
+verdict, constructs v0 by inverting a table of quadrature panels, and
+verifies envelopes.
 """
 
-import bisect
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import HypothesisViolated
 from .expressions import on_rows
+from .integrate import hermite
 
 DIVERGES = "Diverges"
 CONVERGES = "Converges"
@@ -35,6 +36,11 @@ _PHI_INITIAL_SPAN = 10.0
 _PHI_SAMPLES = 257
 # verify_envelope: slack relative to the running scale of the integral bound
 _ENVELOPE_REL_SLACK = 1e-6
+# DominatingSolution: tolerance of the table's panels, its doubling segments at
+# most, and the Newton sweeps of one values call at most
+_TABLE_REL_TOL = 1e-14
+_TABLE_SEGMENTS = 200
+_NEWTON_SWEEPS = 60
 
 @functools.cache
 def _gl_rules():
@@ -58,29 +64,37 @@ def _gl_apply(f, lo, hi):
     return half * float(w16 @ vals[:16]), half * float(w32 @ vals[16:])
 
 
-def adaptive_quad(f, lo, hi, rel_tol=1e-14):
-    """Adaptive Gauss-Legendre 16/32 quadrature on [lo, hi].
+def _quad_panels(f, lo, hi, rel_tol):
+    """The accepted panels (a, b, fine, converged) of adaptive Gauss-Legendre 16/32 on [lo, hi].
 
     f maps an array of nodes to the array of its values there. Panels are
     bisected until the 16-point and 32-point values agree to rel_tol
     (relative to the 32-point value, with an absolute floor of 1e-300), or
     until a panel is _QUAD_MAX_DEPTH bisections deep, where it is accepted
-    unconverged; the 32-point value is kept.
+    with converged False. fine is the panel's 32-point value. The panels come
+    in the order the depth-first walk accepts them, right to left.
     """
-    if hi == lo:
-        return 0.0
-    stack = [(lo, hi, 0)]
-    total = 0.0
+    panels = []
+    stack = [(lo, hi, 0)] if hi != lo else []
     while stack:
         a, b, depth = stack.pop()
         coarse, fine = _gl_apply(f, a, b)
         converged = abs(fine - coarse) <= max(_QUAD_ABS_TOL, rel_tol * abs(fine))
         if converged or depth >= _QUAD_MAX_DEPTH:
-            total += fine
+            panels.append((a, b, fine, converged))
         else:
             m = 0.5 * (a + b)
             stack.append((a, m, depth + 1))
             stack.append((m, b, depth + 1))
+    return panels
+
+
+def adaptive_quad(f, lo, hi, rel_tol=1e-14):
+    """Adaptive Gauss-Legendre 16/32 quadrature on [lo, hi]: the sum of the
+    32-point values of _quad_panels, in the order they are accepted."""
+    total = 0.0
+    for _, _, fine, _ in _quad_panels(f, lo, hi, rel_tol):
+        total += fine
     return total
 
 
@@ -116,13 +130,17 @@ class PhiFunction:
         """
         return on_rows(self.fn, self, ss)
 
-    def reciprocal(self, ss):
-        """1/phi at each point of the array ss; a point where phi is not positive raises."""
+    def positive_values(self, ss):
+        """phi at each point of the array ss; a point where phi is not positive raises."""
         vals = self.values(ss)
         if not vals.min() > 0.0:   # a NaN fails too
             k = int(np.argmin(vals > 0.0))
             raise HypothesisViolated(f"phi({float(ss[k])}) = {float(vals[k])} is not positive")
-        return 1.0 / vals
+        return vals
+
+    def reciprocal(self, ss):
+        """1/phi at each point of the array ss; a point where phi is not positive raises."""
+        return 1.0 / self.positive_values(ss)
 
     def _certify(self, lo, hi):
         """Sample phi on [lo, hi], raising where it fails; the certified window then ends at hi."""
@@ -204,80 +222,97 @@ def check_divergence(phi):
 
 
 class DominatingSolution:
-    """The solution v0 of v0' = phi(v0), v0(0) = v0_init, by quadrature inversion.
+    """The solution v0 of v0' = phi(v0), v0(0) = v0_init, by inverting a panel table.
 
-    time_of(w) = int_{v0_init}^{w} ds/phi(s) is tabulated on a doubling node
-    cache out to t_max at construction; __call__ inverts it by bracketing plus
-    Newton polish. The returned function is nondecreasing by construction and
-    safe to share across threads for queries within [0, t_max] (queries beyond
-    t_max extend the cache in place).
+    t(w) = int_{v0_init}^{w} ds/phi(s) is tabulated on doubling segments
+    [w_j, w_j + 2^j width] out to t_max at construction. Each segment is
+    integrated by the adaptive 16/32 rule, and the table keeps the end w_k of
+    every accepted panel, the time T_k = t(w_k) there and phi(w_k).
+    values(ts) inverts a batch of times against that table: each time finds
+    its panel, starts from the cubic Hermite of w(t) on it (its end slopes
+    dw/dt = phi(w) are exact) and is finished by Newton steps on the panel.
+    A time past the table extends it in place. unconverged_panels counts the
+    table's panels accepted _QUAD_MAX_DEPTH bisections deep without meeting
+    the quadrature tolerance.
     """
 
     def __init__(self, phi, v0_init, t_max):
         self.phi = phi
         self.v0_init = float(v0_init)
         self.t_max = float(t_max)
-        self._nodes_w = [self.v0_init]
-        self._nodes_t = [0.0]
+        self.unconverged_panels = 0
+        self._w = np.array([self.v0_init])
+        self._t = np.array([0.0])
+        self._phi_w = phi.values(self._w)
+        self._width = max(1.0, abs(self.v0_init))
+        self._segments = 0
         self._extend_until(self.t_max)
 
     def _extend_until(self, t_target):
-        width = max(1.0, abs(self.v0_init))
-        while self._nodes_t[-1] < t_target:
-            w_prev = self._nodes_w[-1]
-            w_next = w_prev + width
-            width *= 2.0
+        while self._t[-1] < t_target:
+            w_prev = float(self._w[-1])
+            w_next = w_prev + self._width
+            self._width *= 2.0
+            self._segments += 1
             self.phi.extend_certificate(w_next)
-            dt = adaptive_quad(self.phi.reciprocal, w_prev, w_next, rel_tol=1e-14)
-            self._nodes_w.append(w_next)
-            self._nodes_t.append(self._nodes_t[-1] + dt)
-            if len(self._nodes_w) > 200:
+            panels = sorted(_quad_panels(self.phi.reciprocal, w_prev, w_next, _TABLE_REL_TOL))
+            _, ends, fine, converged = (np.array(column) for column in zip(*panels))
+            self.unconverged_panels += int(np.count_nonzero(~converged))
+            self._w = np.concatenate([self._w, ends])
+            self._t = np.concatenate([self._t, self._t[-1] + np.cumsum(fine)])
+            self._phi_w = np.concatenate([self._phi_w, self.phi.values(ends)])
+            if self._segments >= _TABLE_SEGMENTS:
                 raise HypothesisViolated(
-                    f"t({w_next:.3g}) = {self._nodes_t[-1]:.6g} still below {t_target}; "
+                    f"t({w_next:.3g}) = {self._t[-1]:.6g} still below {t_target}; "
                     "phi grows too slowly to tabulate (or t_max is enormous)")
 
     def time_of(self, w):
         """t(w) = int_{v0_init}^{w} ds/phi(s)."""
         if w < self.v0_init:
             raise ValueError(f"w = {w} below v0(0) = {self.v0_init}")
-        if w > self._nodes_w[-1]:
+        if w > self._w[-1]:
             self.phi.extend_certificate(w)
-        i = bisect.bisect_right(self._nodes_w, w) - 1
-        i = min(i, len(self._nodes_w) - 1)
-        return self._nodes_t[i] + adaptive_quad(
-            self.phi.reciprocal, self._nodes_w[i], w, rel_tol=1e-14)
+        k = int(np.searchsorted(self._w, w, side="right")) - 1
+        return float(self._t[k]) + adaptive_quad(
+            self.phi.reciprocal, float(self._w[k]), w, rel_tol=_TABLE_REL_TOL)
 
     def __call__(self, t):
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("dominating solution is defined for t >= 0")
-        if t == 0.0:
-            return self.v0_init
-        self._extend_until(t)
-        i = bisect.bisect_right(self._nodes_t, t) - 1
-        i = min(i, len(self._nodes_t) - 2)
-        w_lo, w_hi = self._nodes_w[i], self._nodes_w[i + 1]
-        t_lo = self._nodes_t[i]
-        # bisection start, then Newton with dt/dw = 1/phi(w)
-        for _ in range(8):
-            w_mid = 0.5 * (w_lo + w_hi)
-            if self._segment_time(i, w_mid) + t_lo > t:
-                w_hi = w_mid
-            else:
-                w_lo = w_mid
-        w = 0.5 * (w_lo + w_hi)
-        for _ in range(60):
-            residual = (t_lo + self._segment_time(i, w)) - t
-            step = residual * self.phi(w)
-            w_new = min(max(w - step, w_lo), w_hi)
-            if abs(w_new - w) <= 1e-15 * max(1.0, abs(w)):
-                w = w_new
-                break
-            w = w_new
-        return w
+        return float(self.values(np.array([float(t)]))[0])
 
-    def _segment_time(self, i, w):
-        return adaptive_quad(self.phi.reciprocal, self._nodes_w[i], w, rel_tol=1e-14)
+    def values(self, ts):
+        """v0 at each time of the 1-d array ts, in any order; t = 0 gives v0_init exactly.
+
+        Each Newton sweep makes one phi.values call: the 32-point
+        Gauss-Legendre nodes of [w_k, w] and w itself, for every query not yet
+        settled. A query settles when its step is at most 1e-15 max(1, |w|).
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.size == 0:
+            return np.empty(0)
+        if not ts.min() >= 0.0:   # a NaN fails too
+            raise ValueError("dominating solution is defined for t >= 0")
+        self._extend_until(float(ts.max()))
+        # each time's panel [w_k, w_k+1], and the cubic Hermite of w(t) on it as the start
+        k = np.minimum(np.searchsorted(self._t, ts, side="right") - 1, self._t.size - 2)
+        w_lo, w_hi, t_lo = self._w[k], self._w[k + 1], self._t[k]
+        w = np.clip(hermite(self._t, self._w, self._phi_w, ts), w_lo, w_hi)
+        nodes, _, weights = _gl_rules()
+        nodes = nodes[16:]
+        todo = np.flatnonzero(ts > 0.0)
+        for _ in range(_NEWTON_SWEEPS):
+            if todo.size == 0:
+                break
+            a, b = w_lo[todo], w[todo]
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            vals = self.phi.positive_values(
+                np.concatenate([(mid[:, None] + half[:, None] * nodes).ravel(), b]))
+            integral = half * (weights / vals[:-todo.size].reshape(todo.size, 32)).sum(axis=1)
+            step = (t_lo[todo] + integral - ts[todo]) * vals[-todo.size:]
+            w_new = np.clip(b - step, a, w_hi[todo])
+            w[todo] = w_new
+            todo = todo[np.abs(w_new - b) > 1e-15 * np.maximum(1.0, np.abs(b))]
+        w[ts == 0.0] = self.v0_init
+        return w
 
 
 def solve_dominating(phi, v0_init, t_max):
@@ -340,7 +375,8 @@ def verify_envelope(t_samples, v_samples, phi, v0):
     The integral inequality is checked with cumulative trapezoid quadrature on
     the samples, granted a slack of 1e-6 relative to the running scale to
     absorb discretization; all raw margins are reported, violations
-    included, and nothing raises.
+    included, and nothing raises. v0 is a DominatingSolution, queried once at
+    all sample times.
     """
     t = np.asarray(t_samples, dtype=float)
     v = np.asarray(v_samples, dtype=float)
@@ -357,7 +393,7 @@ def verify_envelope(t_samples, v_samples, phi, v0):
     integral_margins = bound - v
     i_int = int(integral_margins.argmin())
     lower_margins = v - phi.a
-    v0_vals = np.array([v0(ti - t[0]) for ti in t])
+    v0_vals = v0.values(t - t[0])
     margins = v0_vals - v
     i_m = int(margins.argmin())
 

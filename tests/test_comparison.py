@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from wavetraj.comparison import (CONVERGES, DIVERGES, INCONCLUSIVE, DominatingSo
                                  PhiFunction, adaptive_quad, check_divergence,
                                  solve_dominating, verify_envelope)
 from wavetraj.errors import HypothesisViolated
+from wavetraj.expressions import with_array_form
+from wavetraj.runner import run_scenario
+from wavetraj.scenario import bundled_scenarios, load_scenario
 
 
 def test_adaptive_quad_smooth():
@@ -227,3 +232,131 @@ def test_dominating_solution_direct_construction():
     v0 = DominatingSolution(phi, 2.0, 5.0)
     assert v0(0.0) == 2.0
     assert v0(1.0) == pytest.approx(2.0 * np.e, rel=1e-10)
+
+
+def _reference_query(phi, v0_init, t):
+    """v0(t) by the per-query algorithm that DominatingSolution.values replaced.
+
+    t(w) on doubling nodes, one adaptive quadrature per segment; then 8
+    bisection steps on the segment holding t and Newton with dt/dw = 1/phi(w),
+    each step a fresh adaptive quadrature from the segment's start.
+    """
+    nodes_w, nodes_t = [v0_init], [0.0]
+    width = max(1.0, abs(v0_init))
+    while nodes_t[-1] < t:
+        w_next = nodes_w[-1] + width
+        width *= 2.0
+        phi.extend_certificate(w_next)
+        nodes_t.append(nodes_t[-1] + adaptive_quad(phi.reciprocal, nodes_w[-1], w_next))
+        nodes_w.append(w_next)
+    if t == 0.0:
+        return v0_init
+    i = min(bisect.bisect_right(nodes_t, t) - 1, len(nodes_t) - 2)
+    w_lo, w_hi, t_lo = nodes_w[i], nodes_w[i + 1], nodes_t[i]
+
+    def elapsed(w):
+        return t_lo + adaptive_quad(phi.reciprocal, nodes_w[i], w)
+
+    for _ in range(8):
+        w_mid = 0.5 * (w_lo + w_hi)
+        if elapsed(w_mid) > t:
+            w_hi = w_mid
+        else:
+            w_lo = w_mid
+    w = 0.5 * (w_lo + w_hi)
+    for _ in range(60):
+        w_new = min(max(w - (elapsed(w) - t) * phi(w), w_lo), w_hi)
+        settled = abs(w_new - w) <= 1e-15 * max(1.0, abs(w))
+        w = w_new
+        if settled:
+            break
+    return w
+
+
+_PHI_FAMILIES = {
+    "c*s": lambda c, b: lambda s: c * s,
+    "c*(s+b)": lambda c, b: lambda s: c * (s + b),
+    "c*sqrt(s)": lambda c, b: lambda s: c * np.sqrt(s),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_PHI_FAMILIES)),
+    c=st.floats(min_value=0.1, max_value=3.0),
+    b=st.floats(min_value=0.0, max_value=3.0),
+    v_init=st.floats(min_value=1.0, max_value=5.0),
+    t_max=st.floats(min_value=0.5, max_value=8.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+)
+def test_batch_values_equal_single_queries_of_the_per_query_algorithm(
+        family, c, b, v_init, t_max, fractions):
+    fn = _PHI_FAMILIES[family](c, b)
+    phi = PhiFunction(a=1.0, fn=with_array_form(fn, fn))
+    ts = t_max * np.array(fractions)
+    got = DominatingSolution(phi, v_init, t_max).values(ts)
+    want = np.array([_reference_query(phi, v_init, float(t)) for t in ts])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
+
+
+def test_values_take_zero_among_other_times_and_any_order():
+    phi = PhiFunction(a=1.0, fn=lambda s: s)
+    v0 = DominatingSolution(phi, 2.0, 5.0)
+    ts = np.array([3.0, 0.0, 1.0, 4.5, 0.0, 0.25])
+    got = v0.values(ts)
+    assert got[1] == got[4] == 2.0
+    np.testing.assert_allclose(got, 2.0 * np.exp(ts), rtol=1e-13)
+    # each time's value does not depend on the others in the batch
+    assert [v0(t) for t in ts] == got.tolist()
+    assert v0.values(np.sort(ts)).tolist() == np.sort(got).tolist()
+
+
+def test_values_of_no_times_is_empty():
+    v0 = DominatingSolution(PhiFunction(a=1.0, fn=lambda s: s), 2.0, 5.0)
+    assert v0.values(np.array([])).shape == (0,)
+
+
+def test_values_past_t_max_extend_the_table():
+    v0 = DominatingSolution(PhiFunction(a=1.0, fn=lambda s: s), 1.0, 2.0)
+    np.testing.assert_allclose(v0.values(np.array([1.0, 12.0])), np.exp([1.0, 12.0]), rtol=1e-12)
+    assert v0.time_of(np.exp(12.0)) == pytest.approx(12.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1e-300, -1.0, float("nan")])
+def test_values_before_zero_raise(t):
+    v0 = DominatingSolution(PhiFunction(a=1.0, fn=lambda s: s), 1.0, 2.0)
+    with pytest.raises(ValueError, match="t >= 0"):
+        v0.values(np.array([1.0, t]))
+    with pytest.raises(ValueError, match="t >= 0"):
+        v0(t)
+
+
+def test_a_jump_in_phi_is_an_unconverged_panel():
+    # phi = 1 below 2.3 and 2 above: no panel around the jump meets the
+    # tolerance before the bisection depth cap
+    phi = PhiFunction(a=1.0, fn=lambda s: 1.0 if s < 2.3 else 2.0)
+    v0 = DominatingSolution(phi, 1.0, 3.0)
+    assert v0.unconverged_panels == 1
+    ts = np.linspace(0.0, 3.0, 31)
+    exact = np.where(ts < 1.3, 1.0 + ts, 2.3 + 2.0 * (ts - 1.3))
+    np.testing.assert_allclose(v0.values(ts), exact, rtol=1e-12)
+
+
+def test_a_smooth_phi_has_no_unconverged_panel():
+    v0 = DominatingSolution(PhiFunction(a=1.0, fn=lambda s: 0.5 * np.sqrt(s) + 1.0), 1.0, 20.0)
+    assert v0.unconverged_panels == 0
+
+
+@pytest.mark.parametrize("scenario", ["compare-linear", "exp-envelope"])
+def test_a_bundled_comparison_evaluates_phi_at_most_250_times(scenario, monkeypatch, tmp_path):
+    # one table and batched Newton: the per-query inversion made 1253 and 3174 calls
+    calls = []
+    values = PhiFunction.values
+
+    def counting(self, ss):
+        calls.append(np.size(ss))
+        return values(self, ss)
+
+    monkeypatch.setattr(PhiFunction, "values", counting)
+    run_scenario(load_scenario(bundled_scenarios()[scenario]), tmp_path)
+    assert 0 < len(calls) <= 250

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import wavetraj
 from wavetraj import catalog, geometry
 from wavetraj.catalog import build_manifold
-from wavetraj.dynamics import ForceSystem, rhs_E
+from wavetraj.dynamics import ForceSystem, energy_derivative_identity, operator_eigen_range, rhs_E
 from wavetraj.errors import EvaluationError, NotPositiveDefinite
 from wavetraj.expressions import parse_expression
 from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
@@ -242,3 +242,31 @@ def test_a_constant_tensor_with_a_domain_error_raises_at_every_call(monkeypatch)
         with pytest.raises(EvaluationError, match="log"):
             tensor([0.0], 0.0)
     assert len(runs) == 3
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "-(0.1 + 0.2)"], ["sqrt(2)/3", "-0"]],
+    [["x1*x2 - t", "0.5"], ["sqrt(2)/3", "t*x1 + x2/3"]],
+    [["1 + t/2", "0"], ["0", "1 + t/2"]],
+], ids=["constant", "in-x-and-t", "in-t"])
+def test_a_tensor_on_arrays_equals_its_rows_bit_for_bit(rows):
+    tensor = catalog.expression_tensor(rows)
+    rng = np.random.default_rng(3)
+    x, t = rng.uniform(-2.0, 2.0, (40, 2)), rng.uniform(-3.0, 3.0, 40)
+    per_row = np.array([tensor(p.tolist(), float(s)) for p, s in zip(x, t)])
+    assert tensor.on_arrays(x, t).tobytes() == per_row.tobytes()
+    # one time broadcasts against every point, and a grid of points keeps its shape
+    assert tensor.on_arrays(x, 0.5).tobytes() == np.array([tensor(p.tolist(), 0.5) for p in x]).tobytes()
+    assert tensor.on_arrays(x.reshape(4, 10, 2), t.reshape(4, 10)).shape == (4, 10, 2, 2)
+
+
+def test_the_eigen_scan_makes_no_scalar_call_of_a_time_scalar_tensor(monkeypatch):
+    runs = _counting_entries(monkeypatch)
+    tensor = catalog.build_tensor("time_scalar", {"expr": "cos(t)", "n": 2}, 2)
+    m, fs = build_manifold("euclidean", {"n": 2}), tensor_force(tensor)
+    points = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), -1).reshape(-1, 2)
+    lo, hi = operator_eigen_range(m, fs, points, 0.7)
+    assert_allclose(lo, np.cos(0.7)) and assert_allclose(hi, np.cos(0.7))
+    ts = np.linspace(-1.0, 1.0, len(points))
+    energy_derivative_identity(m, fs, (points, points[::-1], ts))
+    assert runs == []
