@@ -173,6 +173,7 @@ class DivergenceReport:
     reached: float
     estimate: Optional[float] = None
     doublings: int = 0
+    unconverged_panels: int = 0
 
 
 def check_divergence(phi):
@@ -183,19 +184,39 @@ def check_divergence(phi):
     Diverges when the doubling budget runs out with the last five increment
     ratios averaging >= 0.98 (no decaying tail in sight); Inconclusive
     otherwise. The rule is operational: tail exponents barely above 1 land in
-    Diverges or Inconclusive, never silently in Converges.
+    Diverges or Inconclusive, never silently in Converges. Each window is the
+    sum of its _quad_panels in the order adaptive_quad takes them;
+    unconverged_panels counts the panels accepted unconverged, and a
+    Converges or Diverges verdict with any of them in its partial integral
+    reads Inconclusive, without a tail estimate.
     """
+    unconverged = 0
+
+    def window(lo, hi):
+        nonlocal unconverged
+        total = 0.0
+        for _, _, fine, converged in _quad_panels(phi.reciprocal, lo, hi, 1e-13):
+            total += fine
+            unconverged += not converged
+        return total
+
+    def verdict(kind, total, right, doublings, estimate=None):
+        if unconverged:
+            kind, estimate = INCONCLUSIVE, None
+        return DivergenceReport(kind, partial_integral=total, reached=right, estimate=estimate,
+                                doublings=doublings, unconverged_panels=unconverged)
+
     a = phi.a
     width = max(1.0, abs(a))
     right = a + width
     phi.extend_certificate(right)
-    total = adaptive_quad(phi.reciprocal, a, right, rel_tol=1e-13)
+    total = window(a, right)
     increments = []
     saturated_once = False
     for k in range(_DOUBLING_BUDGET):
         new_right = a + (right - a) * 2.0
         phi.extend_certificate(new_right)
-        inc = adaptive_quad(phi.reciprocal, right, new_right, rel_tol=1e-13)
+        inc = window(right, new_right)
         increments.append(inc)
         total += inc
         right = new_right
@@ -206,19 +227,15 @@ def check_divergence(phi):
                 if len(increments) >= 2 and increments[-2] > increments[-1] > 0.0:
                     rho = increments[-1] / increments[-2]
                     tail = increments[-1] * rho / (1.0 - rho)
-                return DivergenceReport(CONVERGES, partial_integral=total, reached=right,
-                                        estimate=total + tail, doublings=k + 1)
+                return verdict(CONVERGES, total, right, k + 1, estimate=total + tail)
             saturated_once = True
         else:
             saturated_once = False
     last = increments[-5:]
     ratios = [b / a_ for a_, b in zip(last, last[1:]) if a_ > 0.0]
     mean_ratio = float(np.mean(ratios)) if ratios else 0.0
-    if mean_ratio >= _DIVERGENCE_RATIO:
-        return DivergenceReport(DIVERGES, partial_integral=total, reached=right,
-                                doublings=_DOUBLING_BUDGET)
-    return DivergenceReport(INCONCLUSIVE, partial_integral=total, reached=right,
-                            doublings=_DOUBLING_BUDGET)
+    kind = DIVERGES if mean_ratio >= _DIVERGENCE_RATIO else INCONCLUSIVE
+    return verdict(kind, total, right, _DOUBLING_BUDGET)
 
 
 class DominatingSolution:

@@ -8,9 +8,14 @@ coordinates (u, v) and the Lorentzian metric
 Geodesics split: u is affine in the parameter, the base part solves the force
 equation with potential -(delta^2 / 2) H(x, u0 + delta t), and v is recovered
 by quadrature from conservation of g(gamma', gamma'). The split is validated
-against a direct integration of the full (n+2)-dimensional geodesic equation
-with signature-agnostic finite-difference Christoffel symbols; that oracle
-never feeds the main pipeline.
+against a direct integration of the full (n+2)-dimensional geodesic equation;
+that oracle never feeds the main pipeline. Its acceleration comes from the
+same exact partials the reduction uses (the base's geodesic term, h_dx and
+h_du), so what stays independent of the reduction is the full-dimensional
+Lorentzian integration with an LU solve against the full metric, never the
+reduction's algebra (u affine, v from conservation). The finite-difference
+Christoffel symbols of full_metric (full_christoffel) are the tests'
+reference for those partials and are called from no run path.
 
 The Lorentzian metric deliberately never passes through the geometry module's
 positive-definiteness checks.
@@ -18,6 +23,7 @@ positive-definiteness checks.
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -257,16 +263,49 @@ def full_metric(st, q):
 
 
 def full_christoffel(st, q):
-    """Signature-agnostic finite-difference Christoffel symbols of the full metric."""
+    """Signature-agnostic finite-difference Christoffel symbols of the full metric.
+
+    The reference the tests hold full_acceleration against; no run calls it.
+    """
     return christoffel_from_metric(lambda p: full_metric(st, p), q)
+
+
+def full_acceleration(st, q, qd):
+    """q̈ of the full geodesic equation at q = (x..., u, v) with velocity qd, as an array.
+
+    Λ_L = Γ_L,ij q̇^i q̇^j, the Christoffel symbols of the first kind of
+    g = g0 + 2 du dv + H du^2 contracted twice with qd, comes from exact
+    partials: on the base Λ_l = (the base's geodesic term)_l − ½ u̇^2 ∂_l H,
+    then Λ_u = u̇ (∇H · ẋ) + ½ u̇^2 ∂_u H and Λ_v = 0. q̈ solves G q̈ = −Λ
+    by one LU solve against the full metric G (det G = −det g0 ≠ 0), which
+    is never inverted block by block. Each call makes one checked metric_at
+    call and one call each of h, h_dx and h_du.
+    """
+    base, wave = st.base, st.wave
+    n = base.dim
+    x, xdot = chart_point(q[:n]), chart_point(qd[:n])
+    u, udot = float(q[n]), float(qd[n])
+    g = np.zeros((n + 2, n + 2))
+    g[:n, :n] = metric_at(base, x)
+    g[n, n] = wave.h(x, u)
+    g[n, n + 1] = g[n + 1, n] = 1.0
+    h_dx = wave.h_dx(x, u)
+    half_u2 = 0.5 * udot * udot
+    lam = [-half_u2 * d for d in h_dx]
+    if not base.flat:
+        lam = [a + b for a, b in zip(base.geodesic_term(x, xdot), lam)]
+    lam.append(udot * sum(map(mul, h_dx, xdot)) + half_u2 * wave.h_du(x, u))
+    lam.append(0.0)
+    return -np.linalg.solve(g, lam)
 
 
 def full_geodesic_oracle(st, init, cfg):
     """Direct integration of the full geodesic equation, for cross-validation only.
 
-    State order is (x..., u, v). The blow-up classifier uses the auxiliary
-    positive-definite norm g0(xdot, xdot) + udot^2 + vdot^2, since the
-    Lorentzian norm can vanish on null directions.
+    State order is (x..., u, v); the acceleration is full_acceleration. The
+    blow-up classifier uses the auxiliary positive-definite norm
+    g0(xdot, xdot) + udot^2 + vdot^2, since the Lorentzian norm can vanish
+    on null directions.
     """
     n = st.base.dim
     n_full = n + 2
@@ -274,11 +313,8 @@ def full_geodesic_oracle(st, init, cfg):
     qd0 = np.concatenate([np.asarray(init.xdot0, dtype=float), [init.udot0, init.vdot0]])
 
     def f(t, y):
-        q = y[:n_full]
         qd = y[n_full:]
-        gamma = full_christoffel(st, q)
-        acc = -np.einsum("kij,i,j->k", gamma, qd, qd)
-        return np.concatenate([qd, acc])
+        return qd + full_acceleration(st, y[:n_full], qd).tolist()
 
     def speed_of(y):
         qd = y[n_full:]

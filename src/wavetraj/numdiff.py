@@ -2,10 +2,13 @@
 
 The step for first derivatives of smooth functions is cbrt(eps) * max(1, |x|),
 applied per coordinate. Every source carries its own exact derivatives, so
-central differences serve only christoffel_from_metric, for two callers:
-geometry.christoffel_at, the reference the tests hold each chart's
-geodesic_term against, and gpw.full_christoffel, the Lorentzian oracle that
-cross-checks the split reduction. Nothing here assumes a signature.
+central differences serve only christoffel_from_metric, for two callers that
+no run reaches: geometry.christoffel_at, the reference the tests hold each
+chart's geodesic_term against, and gpw.full_christoffel, the reference they
+hold the full-geodesic oracle's exact acceleration against. The oracle's
+independence from the split reduction lies in its full-dimensional
+Lorentzian integration and LU solve, not in finite differences. Nothing here
+assumes a signature.
 """
 
 import numpy as np

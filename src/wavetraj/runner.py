@@ -253,6 +253,7 @@ def _run_compare_lemma(sc, out_dir, report):
         "divergence_verdict": div.verdict,
         "partial_integral": div.partial_integral,
         "doublings": div.doublings,
+        "divergence_unconverged_panels": div.unconverged_panels,
     }
     if div.estimate is not None:
         comparison["tail_estimate"] = div.estimate

@@ -342,6 +342,37 @@ def test_a_jump_in_phi_is_an_unconverged_panel():
     np.testing.assert_allclose(v0.values(ts), exact, rtol=1e-12)
 
 
+def test_a_divergence_check_across_a_jump_is_inconclusive():
+    # 1/phi on [1, inf) diverges like the linear case, but the panel that
+    # straddles the jump at 2.3 is accepted unconverged, so no verdict rests on it
+    phi = PhiFunction(a=1.0, fn=lambda s: 1.0 if s < 2.3 else 2.0)
+    report = check_divergence(phi)
+    assert report.unconverged_panels == 1
+    assert report.verdict == INCONCLUSIVE and report.estimate is None
+    smooth = check_divergence(PhiFunction(a=1.0, fn=lambda s: 2.0))
+    assert smooth.verdict == DIVERGES and smooth.unconverged_panels == 0
+    # the partial integral keeps adaptive_quad's floats, window by window
+    total, right = adaptive_quad(phi.reciprocal, 1.0, 2.0, rel_tol=1e-13), 2.0
+    for _ in range(report.doublings):
+        new_right = 1.0 + (right - 1.0) * 2.0
+        total += adaptive_quad(phi.reciprocal, right, new_right, rel_tol=1e-13)
+        right = new_right
+    assert (report.partial_integral, report.reached) == (total, right)
+
+
+def test_a_compare_lemma_report_counts_unconverged_divergence_panels(tmp_path):
+    sc = load_scenario(bundled_scenarios()["compare-linear"])
+    report = run_scenario(sc, tmp_path / "smooth").comparison
+    assert report["divergence_verdict"] == DIVERGES
+    assert report["divergence_unconverged_panels"] == 0
+    # phi = s with a jump to 2s at 2.3: no dominating solution rests on the jump
+    sc.compare["phi"] = lambda s: s if s < 2.3 else 2.0 * s
+    report = run_scenario(sc, tmp_path / "jump").comparison
+    assert report["divergence_verdict"] == INCONCLUSIVE
+    assert report["divergence_unconverged_panels"] == 1
+    assert "v0_at_t_max" not in report and "tail_estimate" not in report
+
+
 def test_a_smooth_phi_has_no_unconverged_panel():
     v0 = DominatingSolution(PhiFunction(a=1.0, fn=lambda s: 0.5 * np.sqrt(s) + 1.0), 1.0, 20.0)
     assert v0.unconverged_panels == 0

@@ -9,7 +9,7 @@ from wavetraj.catalog import build_manifold, build_wave
 from wavetraj.cli import main
 from wavetraj.expressions import array_form, parse_expression
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, cumulative_simpson,
-                          energy_of,
+                          energy_of, full_acceleration,
                           full_christoffel, full_geodesic_oracle, full_metric, full_quadratic_form,
                           reduce_geodesic, split_geodesic_to_csv, split_state)
 from wavetraj.hypotheses import COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData
@@ -51,19 +51,20 @@ def test_plane_wave_values():
     assert wave3.value([1.0, 2.0], 7.0) == 4.0
 
 
-def _plane_wave_profile_sets():
-    sets = [params for name, params in ARRAY_PATH_WAVES if name == "plane_wave"]
+def _wave_entries():
+    """(catalog name, params) of every bundled wave and of the array-path waves, each once."""
+    entries = list(ARRAY_PATH_WAVES)
     for path in bundled_scenarios().values():
-        wave = json.loads(path.read_text()).get("gpw", {}).get("wave", {})
-        if wave.get("catalog") == "plane_wave":
-            sets.append(wave["params"])
-    return sets
+        wave = json.loads(path.read_text()).get("gpw", {}).get("wave")
+        if wave and (wave["catalog"], wave["params"]) not in entries:
+            entries.append((wave["catalog"], wave["params"]))
+    return entries
 
 
 def test_plane_wave_is_the_expression_wave_of_its_composed_H(tmp_path):
     rng = np.random.default_rng(3)
     X, U = rng.uniform(-4.0, 4.0, (200, 2)), rng.uniform(-3.0, 3.0, 200)
-    sets = _plane_wave_profile_sets()
+    sets = [params for name, params in _wave_entries() if name == "plane_wave"]
     assert len(sets) == 4
     for params in sets:
         texts = {key: params.get(key, "0") for key in ("f1", "f2", "f")}
@@ -132,6 +133,58 @@ def test_full_christoffel_closed_form_over_flat_base():
         exact[3, 2, 2] = 0.5 * h_u
         scale = max(1.0, float(np.abs(exact).max()))
         assert_allclose(full_christoffel(st, q), exact, rtol=1e-7, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("base_name", ["euclidean", "hyperbolic_half_plane"])
+@pytest.mark.parametrize("name,params", _wave_entries())
+@settings(max_examples=25, deadline=None)
+@given(strategies.lists(strategies.floats(-2.0, 2.0), min_size=8, max_size=8))
+def test_full_acceleration_matches_the_finite_difference_christoffel_symbols(base_name, name,
+                                                                             params, coords):
+    # the exact partials against central differences of full_metric: -Γ^k_ij q̇^i q̇^j
+    base = build_manifold(base_name, {"n": 2} if base_name == "euclidean" else {})
+    st = GpwSpacetime(base=base, wave=build_wave(name, params),
+                      nonzero_witness=(np.array([1.0, 0.0]), 0.0))
+    q, qd = np.array(coords[:4]), np.array(coords[4:])
+    q[1] = 1.25 + 0.375 * q[1]   # inside the half-plane's guard x2 > 0
+    reference = -np.einsum("kij,i,j->k", full_christoffel(st, q), qd, qd)
+    scale = max(1.0, float(np.abs(reference).max()))
+    assert_allclose(full_acceleration(st, q, qd), reference, rtol=1e-6, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("base_name", ["euclidean", "hyperbolic_half_plane"])
+def test_an_oracle_run_evaluates_the_metric_once_per_rhs(base_name, monkeypatch):
+    # no finite differences: one checked base metric and one h, h_dx and h_du per RHS
+    import wavetraj.geometry as geometry_module
+    import wavetraj.gpw as gpw_module
+
+    calls = {"metric_at": 0, "h": 0, "h_dx": 0, "h_du": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def refused(*args):
+        raise AssertionError("the oracle took a finite-difference path")
+
+    metric_at = counted("metric_at", geometry_module.metric_at)
+    monkeypatch.setattr(geometry_module, "metric_at", metric_at)
+    monkeypatch.setattr(gpw_module, "metric_at", metric_at)
+    monkeypatch.setattr(gpw_module, "full_metric", refused)
+    monkeypatch.setattr(gpw_module, "full_christoffel", refused)
+    base = build_manifold(base_name, {"n": 2} if base_name == "euclidean" else {})
+    wave = plane_wave("1 + 0.5*sin(u)", "cos(u)", "0.3*u")
+    counting = WaveCoefficient(**{k: counted(k, getattr(wave, k)) for k in ("h", "h_dx", "h_du")})
+    st = GpwSpacetime(base=base, wave=counting, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
+    calls["h"] = 0
+    init = GeodesicInitialData(x0=np.array([0.2, 1.5]), xdot0=np.array([0.3, -0.1]),
+                               u0=0.1, udot0=0.8, v0=0.0, vdot0=0.2)
+    traj = full_geodesic_oracle(st, init, IntegratorConfig(horizon=0.5))
+    assert traj.outcome.kind == HORIZON_REACHED
+    n_rhs = traj.stats.n_rhs
+    assert n_rhs > 0 and calls == {"metric_at": n_rhs, "h": n_rhs, "h_dx": n_rhs, "h_du": n_rhs}
 
 
 def test_reduce_cosh_growth():

@@ -5,10 +5,13 @@ scipy stays in the tests as an oracle (eigh, cumulative_simpson); no module
 under wavetraj imports it, so a run never pays for loading it.
 
 Every source carries its exact derivatives, so central differences
-(wavetraj.numdiff) serve two uses only: christoffel_at in geometry, the
-tests' reference, and the Lorentzian oracle gpw.full_christoffel. A module
-that imports more of numdiff could stand finite differences in for a missing
-derivative again.
+(wavetraj.numdiff) serve the tests' references only: christoffel_at in
+geometry for the geodesic terms, and gpw.full_christoffel for the
+full-geodesic oracle, whose acceleration comes from exact partials and one
+LU solve; what keeps that oracle independent of the split reduction is the
+full-dimensional Lorentzian integration, and the finite-difference
+cross-check of its derivatives is a test. A module that imports more of
+numdiff could stand finite differences in for a missing derivative again.
 """
 
 import ast
