@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
-from .expressions import (Expression, _add, _mul, _sub, at_chart_point, coordinates, fused,
+from .expressions import (Expression, _add, _mul, _sub, at_chart_point, chart_function,
                           parse_expression, with_array_form)
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
@@ -152,11 +152,6 @@ def _parsed_rows(rows, variables):
     return [[parsed[e] for e in row] for row in rows]
 
 
-def _cut(values, n):
-    """n * n values as n rows of n."""
-    return [values[j * n:(j + 1) * n] for j in range(n)]
-
-
 def _sum(terms):
     """The tree of the terms summed left to right; terms that fold to zero drop out."""
     return functools.reduce(_add, terms, ("num", 0.0))
@@ -189,9 +184,9 @@ def _geodesic_terms(exprs, variables):
 def metric_rows(rows, guard=None, complete=False):
     """The chart whose metric has the n x n expression text rows, guard > 0 inside it.
 
-    The metric is one fused call, cut into rows. Its geodesic term is one
-    fused call over (x1..xn, v1..vn) too, built on its first call from the
-    exact partials (_geodesic_terms).
+    The metric is one generated function of the chart point x, giving the
+    rows. Its geodesic term is one generated function of (x, v), built on
+    its first call from the exact partials (_geodesic_terms).
     """
     if not isinstance(complete, bool):
         raise ValidationError("'complete' must be true or false", key="complete")
@@ -203,23 +198,14 @@ def metric_rows(rows, guard=None, complete=False):
         guard_expr = parse_expression(guard, variables)
         guard_fn = lambda x: guard_expr(*x) > 0.0
 
-    entries = fused([e for row in exprs for e in row])
+    def geodesic_terms():
+        names = variables + tuple(f"v{k + 1}" for k in range(n))
+        return [Expression(f"Gamma_{l + 1}ij v^i v^j of the metric rows", names, tree)
+                for l, tree in enumerate(_geodesic_terms(exprs, variables))]
 
-    def metric(x):
-        return _cut(entries(*x), n)
-
-    term = None
-
-    def geodesic_term(x, v):
-        nonlocal term
-        if term is None:
-            names = variables + tuple(f"v{k + 1}" for k in range(n))
-            term = fused([Expression(f"Gamma_{l + 1}ij v^i v^j of the metric rows", names, tree)
-                          for l, tree in enumerate(_geodesic_terms(exprs, variables))])
-        return term(*x, *v)
-
-    return ChartManifold(dim=n, metric=metric, geodesic_term=geodesic_term, domain_guard=guard_fn,
-                         complete_flag=complete)
+    return ChartManifold(dim=n, metric=chart_function(exprs, (n,)),
+                         geodesic_term=chart_function(geodesic_terms, (n, n)),
+                         domain_guard=guard_fn, complete_flag=complete)
 
 
 def _build_diagonal_conformal(params):
@@ -353,20 +339,15 @@ def expression_tensor(rows):
     entries' own array forms, a constant one by broadcasting its stored rows.
     """
     n = len(rows)
-    exprs = [e for row in _parsed_rows(rows, _chart_variables(n, "t")) for e in row]
+    exprs = _parsed_rows(rows, _chart_variables(n, "t"))
     entries = at_chart_point(exprs)
-    if any(e.used for e in exprs):
-        def matrices(x, t):
-            coords = coordinates(x)
-            values = np.stack([e.on_arrays(*coords, t) for e in exprs], axis=-1)
-            return values.reshape(values.shape[:-1] + (n, n))
-
-        return with_array_form(lambda x, t: _cut(entries(x, t), n), matrices)
+    if any(e.used for row in exprs for e in row):
+        return entries
     stored = []
 
     def constant(x, t):
         if not stored:
-            stored.append(tuple(_cut(entries(x, t), n)))
+            stored.append(entries(x, t))
         return stored[0]
 
     def broadcast(x, t):

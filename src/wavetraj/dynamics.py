@@ -151,12 +151,16 @@ def rhs_E(manifold, fs, state):
     if manifold.domain_guard is not None and not manifold.domain_guard(x):
         raise OutOfChart(np.array(x))
     if manifold.flat:
-        # what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
-        acc = [-0.0 * v * v for v in xdot]
         fmat = _tensor(fs, x, t)
+        dv = _floats(fs.potential_dx(x, t))
+        # -0.0 * v * v is what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN
+        # where xdot is not finite. On an identity metric with no tensor the
+        # steps below are one pass; where ∂V is zero they keep the -0.0
+        if fmat is None and manifold.identity_metric and any(dv):
+            return xdot + [-0.0 * v * v - d for v, d in zip(xdot, dv)]
+        acc = [-0.0 * v * v for v in xdot]
         if fmat is not None:
             acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
-        dv = _floats(fs.potential_dx(x, t))
         if any(dv):
             if manifold.identity_metric:
                 acc = [a - d for a, d in zip(acc, dv)]

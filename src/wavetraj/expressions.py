@@ -13,12 +13,17 @@ there is no way to reach host-language code from an expression. Parsing
 builds a small tree of tuples and compiles nothing. On its first call an
 Expression compiles its tree into one Python function from generated source
 that holds only generated names (_v0.. for the variables, _c0.. for the
-constants), operators, and the whitelisted function names; the values are
-bound in the function's namespace, never spliced in as text, so expressions
-that differ only in their constants (a minus sign on a number is part of
-the number) share one cached code object. The
-function evaluates in the parser's order, and every '^' goes through the
-checked _real_power, so values are those of a direct walk of the tree. An
+constants, _t0.. for shared subexpressions), operators, and the whitelisted
+function names; the values are bound in the function's namespace, never
+spliced in as text. A '^' whose exponent is a constant whole number is an
+inline '**' (a real number to a whole power is never complex, so the float
+is the same operation's); every other '^' goes through the checked
+_real_power. A subtree that repeats is computed once, at its first
+occurrence, into a local _tK. So expressions that differ only in their
+constants (a minus sign on a number is part of the number) share one cached
+code object when their exponents are alike, all whole or all not whole, and
+the same subtrees repeat. The function evaluates in the parser's order, so
+values, and the first error, are those of a direct walk of the tree. An
 expression nested deeper than MAX_DEPTH is a ParseError at the token that
 passes the cap.
 
@@ -38,14 +43,17 @@ Any source callable (a potential, a wave coefficient, a bound, a comparison
 function) carries its array form the same way, as its own on_arrays
 attribute, and array_form(fn) is the one place that reads it; a callable
 without one has none, so replacing a source can never leave a stale array
-form behind. with_array_form attaches one to a hand-written callable, and
-at_chart_point gives an Expression, or a list of them, the chart-point call
-f(x, s) of force and wave sources together with its array form. fused(exprs)
-compiles a list of Expressions over the same variables into one generated
-function returning the tuple of their values, each with its own operations,
-so one call serves a gradient, a metric's entries or its partials. on_rows is
-the rule every consumer follows: the array form serves when all its values
-are finite, else the scalar source is called once per row.
+form behind. with_array_form attaches one to a hand-written callable.
+chart_function compiles an Expression, a list of them or a list of rows of
+them into one generated function of the points that carry their variables,
+such as f(x, s), f(x) or f(x, v) for a chart point x: it unpacks x itself,
+binds a template's parameters as constants, shares subexpressions across
+all the trees, and raises the EvaluationError of the first expression that
+fails. at_chart_point gives force and wave sources the call f(x, s) this way
+together with its array form, and fused(exprs) is the same function with
+one argument per variable. on_rows is the rule every consumer follows: the
+array form serves when all its values are finite, else the scalar source is
+called once per row.
 
 derivative(name) gives the exact partial derivative as another Expression,
 built by the sum, product, quotient, power and chain rules (abs
@@ -63,6 +71,7 @@ chart points as lists of Python floats.
 import functools
 import math
 import re
+import types
 
 import numpy as np
 
@@ -129,11 +138,15 @@ def _sign(x):
 _ZERO = ("num", 0.0)
 _ONE = ("num", 1.0)
 
-# precedence of the generated Python text; calls, names and _pow(...) are atoms
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
-_ATOM = 4
+# precedence of the generated Python text; calls, names and _pow(...) are
+# atoms. '**' binds above unary minus, and its base is an atom
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "**": 4}
+_ATOM = 5
 
 _NAMESPACE = dict(FUNCTIONS, sign=_sign, _pow=_real_power)
+
+#: what a scalar function raises where its expression cannot be evaluated
+_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def _nan_where_overflow(ufunc):
@@ -163,35 +176,117 @@ _ARRAY_NAMESPACE = {
 }
 
 
-def _emit(node, consts, array=False):
-    """Python source of node and its precedence; constants are appended to consts.
+def _whole(node):
+    """node is a constant whose value is a whole number."""
+    return node[0] == "num" and isinstance(node[1], float) and node[1].is_integer()
 
-    The array form writes each division as a call of the checked _div.
+
+class _Emitter:
+    """Python source of the trees of one generated function.
+
+    A subtree that the function would evaluate more than once, within one
+    tree or across several, is computed at its first occurrence into a
+    local _tK by an assignment expression and read from _tK after that. The
+    text keeps the parser's order of evaluation, so every value, and the
+    first error, is that of a direct walk of the trees. Constants are
+    appended to consts and named _c0.. in order. The scalar form writes a
+    constant whole exponent as an inline '**', which is never complex; the
+    array form (array=True) calls _pow for every '^' and the checked _div
+    for every division.
     """
-    kind = node[0]
-    if kind == "num":
-        consts.append(node[1])
-        return f"_c{len(consts) - 1}", _ATOM
-    if kind == "var":
-        return f"_v{node[1]}", _ATOM
-    if kind == "neg":
-        text, prec = _emit(node[1], consts, array)
-        return "-" + (text if prec >= _PREC["neg"] else f"({text})"), _PREC["neg"]
-    if kind == "call":
-        return f"{node[1]}({_emit(node[2], consts, array)[0]})", _ATOM
-    left, lprec = _emit(node[1], consts, array)
-    right, rprec = _emit(node[2], consts, array)
-    if kind == "^":
-        return f"_pow({left}, {right})", _ATOM
-    if kind == "/" and array:
-        return f"_div({left}, {right})", _ATOM
-    prec = _PREC[kind]
-    # the grammar's binary operators associate to the left, like Python's
-    if lprec < prec:
-        left = f"({left})"
-    if rprec <= prec:
-        right = f"({right})"
-    return f"{left} {kind} {right}", prec
+
+    def __init__(self, trees, array=False):
+        self.array = array
+        self.consts = []
+        # id(node) -> an int naming its structure, which equal subtrees
+        # share; a subtree object shared by several trees is walked once
+        self.keys = {}
+        self.shapes = {}
+        # per structure, how often the function evaluates it: once per root,
+        # and once per place it takes in a distinct structure above it,
+        # since each structure is evaluated once
+        self.evaluations = []
+        for tree in trees:
+            key = self._key(tree)
+            if type(key) is int:
+                self.evaluations[key] += 1
+        self.temps = {}
+
+    def _key(self, node):
+        """A hashable name of node's structure: an int for an operation."""
+        kind = node[0]
+        if kind == "num":
+            # 0.0 == -0.0, so a zero's key carries its sign; a NaN equals no other
+            return node if node[1] else (node, math.copysign(1.0, node[1]))
+        if kind == "var":
+            return node
+        key = self.keys.get(id(node))
+        if key is not None:
+            return key
+        if kind == "call":
+            shape = kind, node[1], self._key(node[2])
+        elif kind == "neg":
+            shape = kind, self._key(node[1])
+        else:
+            shape = kind, self._key(node[1]), self._key(node[2])
+        key = self.shapes.get(shape)
+        if key is None:
+            key = self.shapes[shape] = len(self.evaluations)
+            self.evaluations.append(0)
+            for child in shape[1:]:
+                if type(child) is int:
+                    self.evaluations[child] += 1
+        self.keys[id(node)] = key
+        return key
+
+    def text(self, node, arg=False):
+        """Python source of node and its precedence.
+
+        arg marks a call's argument or a tuple's item, where an assignment
+        expression needs no parentheses of its own, so a generated function
+        nests its parentheses about as deep as its tree (compile() takes
+        200 levels; MAX_DEPTH is 128).
+        """
+        kind = node[0]
+        if kind == "num":
+            self.consts.append(node[1])
+            return f"_c{len(self.consts) - 1}", _ATOM
+        if kind == "var":
+            return f"_v{node[1]}", _ATOM
+        key = self.keys[id(node)]
+        name = self.temps.get(key)
+        if name is not None:
+            return name, _ATOM
+        text, prec = self._operation(kind, node)
+        if self.evaluations[key] == 1:
+            return text, prec
+        name = self.temps[key] = f"_t{len(self.temps)}"
+        return (f"{name} := {text}", 0) if arg else (f"({name} := {text})", _ATOM)
+
+    def _operation(self, kind, node):
+        if kind == "neg":
+            text, prec = self.text(node[1])
+            return "-" + (text if prec >= _PREC["neg"] else f"({text})"), _PREC["neg"]
+        if kind == "call":
+            return f"{node[1]}({self.text(node[2], arg=True)[0]})", _ATOM
+        if kind == "^" and not self.array and _whole(node[2]):
+            base, prec = self.text(node[1])
+            if prec < _ATOM:
+                base = f"({base})"
+            return f"{base} ** {self.text(node[2])[0]}", _PREC["**"]
+        if kind == "^" or (kind == "/" and self.array):
+            left = self.text(node[1], arg=True)[0]
+            right = self.text(node[2], arg=True)[0]
+            return f"{'_pow' if kind == '^' else '_div'}({left}, {right})", _ATOM
+        left, lprec = self.text(node[1])
+        right, rprec = self.text(node[2])
+        prec = _PREC[kind]
+        # the grammar's binary operators associate to the left, like Python's
+        if lprec < prec:
+            left = f"({left})"
+        if rprec <= prec:
+            right = f"({right})"
+        return f"{left} {kind} {right}", prec
 
 
 @functools.lru_cache(maxsize=1024)
@@ -202,18 +297,13 @@ def _code(source):
 def _compile(tree, arity, array=False):
     """One Python function of arity positional values evaluating tree.
 
-    A list of trees gives one function returning the tuple of their values,
-    with the constants of all of them in one namespace. array selects the
-    form for numpy arrays (see the module docstring).
+    array selects the form for numpy arrays (see the module docstring).
     """
-    consts = []
-    if isinstance(tree, list):
-        body = "(" + "".join(_emit(t, consts, array)[0] + ", " for t in tree) + ")"
-    else:
-        body, _ = _emit(tree, consts, array)
+    emitter = _Emitter([tree], array)
+    body, _ = emitter.text(tree)
     params = ", ".join(f"_v{i}" for i in range(arity))
-    namespace = dict(_ARRAY_NAMESPACE if array else _NAMESPACE)
-    namespace.update((f"_c{i}", c) for i, c in enumerate(consts))
+    namespace = {"__builtins__": _ARRAY_NAMESPACE if array else _SCALAR_BUILTINS}
+    namespace.update((f"_c{i}", c) for i, c in enumerate(emitter.consts))
     exec(_code(f"def _f({params}):\n    return {body}\n"), namespace)
     return namespace["_f"]
 
@@ -407,7 +497,7 @@ class Expression:
             fn = self._fn = _compile(self.tree, len(self.variables))
         try:
             return fn(*values)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _ERRORS as exc:
             point = {name: float(v) for name, v in zip(self.variables, values)}
             raise EvaluationError(self.source, point, exc) from None
 
@@ -445,34 +535,122 @@ class Expression:
         return f"Expression({self.source!r}, variables={self.variables})"
 
 
+def _leaves(item):
+    """The Expressions of an Expression, a list of them or a list of rows of them, in order."""
+    if isinstance(item, Expression):
+        return [item]
+    return [e for sub in item for e in _leaves(sub)]
+
+
+def _chart_source(exprs, groups, params):
+    """(source, bindings) of chart_function(exprs, groups, params): source defines _f."""
+    if not isinstance(exprs, (Expression, list, tuple)):
+        exprs = exprs()
+    flat = _leaves(exprs)
+    variables = flat[0].variables
+    if any(e.variables != variables for e in flat):
+        raise ValueError("the expressions of one function must share their variables")
+    if sum(1 if k is None else k for k in groups) + len(params) != len(variables):
+        raise ValueError("the arguments and params must carry every variable once")
+
+    def fallback(*args):
+        values = []
+        for arg, count in zip(args, groups):
+            if count is None:
+                values.append(arg)
+            else:
+                values.extend(arg)
+        for e in flat:
+            e(*values, *params)
+
+    emitter = _Emitter([e.tree for e in flat])
+
+    def text(item):
+        if isinstance(item, Expression):
+            return emitter.text(item.tree, arg=True)[0]
+        return "(" + "".join(text(e) + ", " for e in item) + ")"
+
+    body = text(exprs)
+    names, unpack, index = [], [], 0
+    for i, count in enumerate(groups):
+        if count is None:
+            names.append(f"_v{index}")
+            index += 1
+            continue
+        names.append(f"_x{i}")
+        unpack.append("".join(f"_v{index + j}, " for j in range(count)) + f"= _x{i}")
+        index += count
+    args = ", ".join(names)
+    lines = ([f"def _f({args}):"] + [f"    {line}" for line in unpack]
+             + ["    try:", f"        return {body}", "    except _ERRORS:",
+                f"        _fallback({args})", "        raise"])
+    bindings = {"_fallback": fallback}
+    bindings.update((f"_c{i}", c) for i, c in enumerate(emitter.consts))
+    bindings.update((f"_v{index + i}", p) for i, p in enumerate(params))
+    return "\n".join(lines) + "\n", bindings
+
+
+def _first_call(fn, args):
+    """The first call of a chart_function: compile it, take on its code, then run it.
+
+    fn's namespace holds _chart_source's arguments as _build; the source
+    reads its bindings and _SCALAR_BUILTINS as its globals. So every later
+    call runs the generated code in one frame.
+    """
+    namespace = fn.__globals__
+    source, bindings = _chart_source(*namespace["_build"])
+    del namespace["_build"]
+    namespace.update(bindings)
+    exec(_code(source), namespace)
+    fn.__code__ = namespace.pop("_f").__code__
+    return fn(*args)
+
+
+#: what every generated scalar function reads besides its own constants,
+#: shared by all of them as their builtins: the whitelisted functions, the
+#: checked power, the errors a call can raise and the first-call hook
+_SCALAR_BUILTINS = dict(_NAMESPACE, _ERRORS=_ERRORS, _first_call=_first_call)
+
+# the code of a function before its first call
+_FIRST_CALL = next(c for c in compile("def _f(*args):\n    return _first_call(_f, args)\n",
+                                      "<expression>", "exec").co_consts
+                   if isinstance(c, types.CodeType))
+
+
+def chart_function(exprs, groups, params=()):
+    """One generated function of the points that carry the variables of exprs.
+
+    exprs is an Expression, a list of them or a list of rows of them, all
+    over the same variables, or a function of no arguments that gives them
+    on the first call; the function gives its value, the tuple of their
+    values or the tuple of rows of their values. groups has one entry per
+    argument of the function, in the order of the variables: a count k for a
+    sequence of k values (a chart point), which the function unpacks itself,
+    or None for one value. The variables after those take the values params
+    (a catalog template's parameters), bound as constants.
+
+    The function is compiled on its first call (_first_call; _Emitter: shared
+    subexpressions once, inline whole powers), which raises ValueError where
+    the expressions' variables differ or the arguments and params do not
+    carry each of them once. Each value keeps its own expression's
+    operations, so it holds exactly the values of the expressions' own
+    calls. Where the generated code raises, the expressions are called one
+    at a time, so the EvaluationError names the first that fails and the
+    point, as the calls in turn would.
+    """
+    # the function's own namespace, until its first call compiles it there
+    namespace = {"__builtins__": _SCALAR_BUILTINS, "_build": (exprs, groups, tuple(params))}
+    fn = namespace["_f"] = types.FunctionType(_FIRST_CALL, namespace)
+    return fn
+
+
 def fused(exprs):
     """One call f(*values) giving the tuple of the values of Expressions over the same variables.
 
-    The expressions are compiled on the first call into one generated
-    function with their constants in one namespace. Each value keeps its own
-    expression's operations, so the tuple holds exactly the values of the
-    expressions' own calls. Where the fused call raises, the expressions are
-    called one at a time, so the EvaluationError names the first expression
-    that fails and the point, as the calls in turn would.
+    The chart_function of exprs with one argument per variable.
     """
-    exprs = tuple(exprs)
-    variables = exprs[0].variables
-    if any(e.variables != variables for e in exprs):
-        raise ValueError("fused expressions must share their variables")
-    fn = None
-
-    def call(*values):
-        nonlocal fn
-        if fn is None:
-            fn = _compile([e.tree for e in exprs], len(variables))
-        try:
-            return fn(*values)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            for e in exprs:
-                e(*values)
-            raise
-
-    return call
+    exprs = list(exprs)
+    return chart_function(exprs, (None,) * len(exprs[0].variables))
 
 
 def coordinates(x):
@@ -496,19 +674,31 @@ def at_chart_point(expr, params=()):
 
     x is a chart point as a list of Python floats and s a Python float;
     params are the values of any variables after s, such as a catalog
-    template's parameters. Its array form takes chart points on the last
-    axis of x, broadcast against s. A list of such Expressions (a gradient)
-    gives the tuple of their values from one fused call, and over arrays
-    their values on a new last axis.
+    template's parameters. f is one generated function (chart_function). Its
+    array form takes chart points on the last axis of x, broadcast against s.
+    A list of such Expressions (a gradient) gives the tuple of their values,
+    and over arrays their values on a new last axis; a list of rows of them
+    (a tensor) the tuple of rows, and over arrays the matrices on two new
+    last axes.
     """
-    if isinstance(expr, Expression):
-        return with_array_form(lambda x, s: expr(*x, s, *params),
-                               lambda x, s: expr.on_arrays(*coordinates(x), s, *params))
-    exprs = tuple(expr)
-    values = fused(exprs)
-    return with_array_form(
-        lambda x, s: values(*x, s, *params),
-        lambda x, s: np.stack([e.on_arrays(*coordinates(x), s, *params) for e in exprs], axis=-1))
+    first = expr
+    while not isinstance(first, Expression):
+        first = first[0]
+    n = len(first.variables) - 1 - len(params)
+
+    def on_arrays(x, s):
+        coords = coordinates(x)
+
+        def stacked(item):
+            if isinstance(item, Expression):
+                return item.on_arrays(*coords, s, *params)
+            # a row's values on the last axis, the rows of a matrix before it
+            return np.stack([stacked(e) for e in item],
+                            axis=-1 if isinstance(item[0], Expression) else -2)
+
+        return stacked(expr)
+
+    return with_array_form(chart_function(expr, (n, None), params), on_arrays)
 
 
 def on_rows(source, scalar, *args):

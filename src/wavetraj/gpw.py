@@ -159,10 +159,13 @@ def wave_force_system(st, u0, delta):
     """
     half_d2 = 0.5 * delta * delta
     wave = st.wave
+    # bound once for the gradient, which the integrator calls; -half_d2 * d
+    # is (-half_d2) * d, so the factor keeps the floats
+    h_dx, factor = wave.h_dx, -half_d2
 
     return ForceSystem(
         potential=lambda x, t: -half_d2 * wave.value(x, u0 + delta * t),
-        potential_dx=lambda x, t: [-half_d2 * d for d in wave.h_dx(x, u0 + delta * t)],
+        potential_dx=lambda x, t: [factor * d for d in h_dx(x, u0 + delta * t)],
         potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
     )

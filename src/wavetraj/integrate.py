@@ -18,19 +18,23 @@ of a stiff system is reported as ToleranceFailure, not blow-up, when the step
 collapses without growing speed.
 
 The step loop is the package's hot path, and it runs in Python floats: the
-state, the stage derivatives and the records are lists of floats, the
-Dormand-Prince tableau is written out stage by stage over them (as DOPRI5
-codes it; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-5), and the error
-norm is math.sqrt of a sum of products. The force equation (dynamics.rhs_E)
-takes and gives floats too; any other field may return an array, which is
-converted with .tolist() once per call. The records become the trajectory's
-arrays once, at the end of the run.
+state, the stage derivatives and the records are lists of floats. One DP5
+attempt is one generated function per state length m (_attempt_source),
+compiled on first use and cached by m: the Dormand-Prince tableau (as DOPRI5
+codes it; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-5) is written out
+stage by stage and component by component, each stage sum, finiteness check
+and error term in the order of operations of a sum over the stages, and the
+error norm is math.sqrt of a sum of products. Every field goes through it.
+The force equation (dynamics.rhs_E) takes and gives floats too; any other
+field may return an array, which is converted with .tolist() once per call.
+The records become the trajectory's arrays once, at the end of the run.
 
 A stage that is not finite, or whose evaluation raises EvaluationError (a
 source's domain error, which numpy scalars used to turn into NaN), rejects
 the step and shrinks it; at the initial state either one is InvalidInit.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -138,9 +142,78 @@ class Trajectory:
         return float(self.times.min()), float(self.times.max())
 
 
-def _finite(v):
-    """Every entry of the list v is finite; a finite sum says so at once."""
-    return math.isfinite(sum(v)) or all(map(math.isfinite, v))
+def _attempt_source(m):
+    """Source of make(f, guard_ok, atol, rtol), whose attempt(t, y, h, k1) is one DP5 step.
+
+    The attempt works on states of length m and gives (y_new, k at y_new,
+    error norm) of the step from t to t + h, h signed. Each stage input
+    y + h * (A_i1 k1 + ...), the new state y + h * (B_1 k1 + ...) and each
+    error term h * (E_1 k1 + ... + E_7 k7) / (atol + rtol * max(|y|, |y_new|))
+    is written out component by component, a sum over the stages in the
+    tableau's order. A stage input that is not finite, or a stage whose
+    evaluation raises EvaluationError, gives the error norm inf, which
+    rejects the step; an endpoint outside the chart guard raises OutOfChart.
+    The stage derivatives k1..k7 are named p, q, r, u, v, w, z, component i
+    of stage p being p<i>.
+    """
+    comps = range(m)
+
+    def names(letter):
+        return [f"{letter}{i}" for i in comps]
+
+    def combined(weights, i):
+        return " + ".join(f"{c!r} * {k}{i}" for c, k in weights)
+
+    def finite(letter):
+        # sum() over the list would add to 0.0 first, which moves only the sign of a zero
+        total = f"isfinite({' + '.join(names(letter))})"
+        each = " and ".join(f"isfinite({name})" for name in names(letter))
+        return [f"if not ({total if m == 1 else f'{total} or {each}'}):", "    return y, k1, inf"]
+
+    stages = [(_C2, [(_A21, "p")], "q"),
+              (_C3, [(_A31, "p"), (_A32, "q")], "r"),
+              (_C4, [(_A41, "p"), (_A42, "q"), (_A43, "r")], "u"),
+              (_C5, [(_A51, "p"), (_A52, "q"), (_A53, "r"), (_A54, "u")], "v"),
+              (1.0, [(_A61, "p"), (_A62, "q"), (_A63, "r"), (_A64, "u"), (_A65, "v")], "w")]
+    solution = [(_B1, "p"), (_B3, "r"), (_B4, "u"), (_B5, "v"), (_B6, "w")]
+    error = [(_E1, "p"), (_E3, "r"), (_E4, "u"), (_E5, "v"), (_E6, "w"), (_E7, "z")]
+
+    staged = []
+    for c, weights, k in stages:
+        staged += [f"s{i} = a{i} + h * ({combined(weights, i)})" for i in comps] + finite("s")
+        node = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        staged.append(f"{', '.join(names(k))}, = f({node}, [{', '.join(names('s'))}])")
+    staged += [f"b{i} = a{i} + h * ({combined(solution, i)})" for i in comps] + finite("b")
+    # FSAL: stage 7 is the derivative at the new state
+    staged += [f"y_new = [{', '.join(names('b'))}]", "k7 = f(t + h, y_new)"]
+
+    norm = []
+    for i in comps:
+        norm += [f"c = abs(a{i})", f"d = abs(b{i})",
+                 f"e{i} = h * ({combined(error, i)}) / (atol + rtol * (c if c >= d else d))"]
+    # the sum of squares starts at the first: 0.0 + e*e is e*e, a square being +0.0 or more
+    squares = " + ".join(f"e{i} * e{i}" for i in comps)
+    lines = ([f"{', '.join(names('a'))}, = y", f"{', '.join(names('p'))}, = k1", "try:"]
+             + ["    " + line for line in staged]
+             + ["except EvaluationError:", "    return y, k1, inf",
+                f"{', '.join(names('z'))}, = k7"]
+             + norm
+             + ["if not guard_ok(y_new):",
+                "    raise OutOfChart(y_new, 'accepted endpoint violates the chart guard')",
+                f"return y_new, k7, sqrt(({squares}) / {m})"])
+    return ("def make(f, guard_ok, atol, rtol):\n"
+            "    def attempt(t, y, h, k1):\n"
+            + "".join(f"        {line}\n" for line in lines)
+            + "    return attempt\n")
+
+
+@functools.cache
+def _attempt_maker(m):
+    """make(f, guard_ok, atol, rtol) of _attempt_source(m), compiled once per state length m."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf,
+                 "EvaluationError": EvaluationError, "OutOfChart": OutOfChart}
+    exec(compile(_attempt_source(m), f"<DP5 attempt, m={m}>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _rms(v, scale):
@@ -204,6 +277,8 @@ class _Core:
         self.ys = [np.asarray(y0, dtype=float).tolist()]
         self.fs = []
         self.speeds = []
+        # the DP5 attempt for this state length, over the counted field
+        self._attempt = _attempt_maker(len(self.ys[0]))(field, guard_ok, cfg.abs_tol, cfg.rel_tol)
 
     @property
     def n_rhs(self):
@@ -280,56 +355,6 @@ class _Core:
             err_prev = max(err, 1e-10)
             h *= max(factor, _MIN_FACTOR)
         return Outcome(HORIZON_REACHED)
-
-    def _attempt(self, t, y, h, k1):
-        """(y_new, k at y_new, error norm) of one DP5 step from t to t + h; h is signed.
-
-        A stage that is not finite, or whose evaluation raises
-        EvaluationError, gives the error norm inf, which rejects the step.
-        """
-        f = self.f
-        try:
-            y2 = [a + h * (_A21 * p) for a, p in zip(y, k1)]
-            if not _finite(y2):
-                return y, k1, math.inf
-            k2 = f(t + _C2 * h, y2)
-            y3 = [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)]
-            if not _finite(y3):
-                return y, k1, math.inf
-            k3 = f(t + _C3 * h, y3)
-            y4 = [a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)]
-            if not _finite(y4):
-                return y, k1, math.inf
-            k4 = f(t + _C4 * h, y4)
-            y5 = [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * u)
-                  for a, p, q, r, u in zip(y, k1, k2, k3, k4)]
-            if not _finite(y5):
-                return y, k1, math.inf
-            k5 = f(t + _C5 * h, y5)
-            y6 = [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * u + _A65 * v)
-                  for a, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)]
-            if not _finite(y6):
-                return y, k1, math.inf
-            k6 = f(t + h, y6)
-            y_new = [a + h * (_B1 * p + _B3 * r + _B4 * u + _B5 * v + _B6 * w)
-                     for a, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)]
-            if not _finite(y_new):
-                return y, k1, math.inf
-            # FSAL: stage 7 is the derivative at the new state
-            k7 = f(t + h, y_new)
-        except EvaluationError:
-            return y, k1, math.inf
-        cfg = self.cfg
-        atol, rtol = cfg.abs_tol, cfg.rel_tol
-        total = 0.0
-        for a, b, p, r, u, v, w, z in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            a, b = abs(a), abs(b)
-            q = h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * z) / (
-                atol + rtol * (a if a >= b else b))
-            total += q * q
-        if not self.guard_ok(y_new):
-            raise OutOfChart(y_new, "accepted endpoint violates the chart guard")
-        return y_new, k7, math.sqrt(total / len(y))
 
     def _collapse_outcome(self):
         recent = self.speeds[-(_GROWTH_WINDOW + 1):]

@@ -114,14 +114,21 @@ def test_nothing_compiles_at_parse_time():
 
 
 def test_expressions_differing_in_constants_share_code():
-    a = parse_expression("2.5*x + sin(x)^3", ("x",))
-    b = parse_expression("7*x + sin(x)^0.5", ("x",))
+    # texts that differ only in constants share code when their exponents are
+    # alike: all whole (an inline '**') or all not whole (the checked power)
+    whole = [parse_expression("2.5*x + sin(x)^3", ("x",)),
+             parse_expression("7*x + sin(x)^2", ("x",)),
+             parse_expression("-7*x + sin(x)^(-1)", ("x",))]
     # a minus sign on a number is part of the constant
-    c = parse_expression("-7*x + sin(x)^(-0.5)", ("x",))
-    assert a(1.0) == 2.5 + math.sin(1.0) ** 3
-    assert b(1.0) == 7.0 + math.sin(1.0) ** 0.5
-    assert c(1.0) == -7.0 + math.sin(1.0) ** -0.5
-    assert a._fn.__code__ is b._fn.__code__ is c._fn.__code__
+    fractional = [parse_expression("7*x + sin(x)^0.5", ("x",)),
+                  parse_expression("-7*x + sin(x)^(-0.5)", ("x",))]
+    for expr, (a, p) in zip(whole + fractional,
+                            [(2.5, 3.0), (7.0, 2.0), (-7.0, -1.0), (7.0, 0.5), (-7.0, -0.5)]):
+        # the direct walk's value, whichever code computes it
+        assert expr(1.0) == a + math.sin(1.0) ** p
+    assert whole[0]._fn.__code__ is whole[1]._fn.__code__ is whole[2]._fn.__code__
+    assert fractional[0]._fn.__code__ is fractional[1]._fn.__code__
+    assert whole[0]._fn.__code__ is not fractional[0]._fn.__code__
 
 
 @pytest.mark.parametrize("text,name,point,expected", [
