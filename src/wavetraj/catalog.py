@@ -5,9 +5,8 @@ dict, and a potential's builder the manifold's dimension too; unknown
 parameters, and parameters of the wrong type or range, are hard errors so
 scenario typos cannot pass silently. This is also the one module that turns
 expression text in x1..xn into chart sources: metric rows, potentials,
-tensors and wave coefficients; every potential and tensor entry is such
-text. Of the curved charts only hyperbolic_half_plane is written in floats,
-because as metric rows a task on it takes about 1.5 times as long.
+tensors and wave coefficients; every chart, potential and tensor entry is
+such text, hyperbolic_half_plane included.
 
 Every source here takes a chart point as a list of Python floats and returns
 Python floats in plain (nested) sequences, the values the integrator's step
@@ -25,7 +24,7 @@ import numpy as np
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
 from .expressions import (Expression, _add, _mul, _sub, at_chart_point, chart_function,
-                          parse_expression, with_array_form)
+                          chart_guard, parse_expression, with_array_form)
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
 
@@ -121,28 +120,16 @@ def _build_euclidean(params):
     )
 
 
-def _hyperbolic_metric(x):
-    w = 1.0 / (x[1] * x[1])
-    return ((w, 0.0), (0.0, w))
-
-
-def _hyperbolic_term(x, v):
-    # Γ_lij v^i v^j of w(x2) I, with w = 1/x2^2 and w' = -2/x2^3
-    y = x[1]
-    dw = -2.0 / (y * y * y)
-    v1, v2 = v
-    return (dw * v1 * v2, 0.5 * dw * (v2 * v2 - v1 * v1))
-
-
 def _build_hyperbolic(params):
     _check_params("hyperbolic_half_plane", params, allowed=set())
-    return ChartManifold(
-        dim=2,
-        metric=_hyperbolic_metric,
-        geodesic_term=_hyperbolic_term,
-        domain_guard=lambda x: x[1] > 0.0,
-        complete_flag=True,
-    )
+    return _half_plane()
+
+
+@functools.cache
+def _half_plane():
+    # one chart for every scenario, as it takes no parameters; 1/(x2*x2) is
+    # the float 1.0 / (x2 * x2), w = 1/x2^2 rounded once
+    return metric_rows([["1/(x2*x2)", "0"], ["0", "1/(x2*x2)"]], guard="x2", complete=True)
 
 
 def _parsed_rows(rows, variables):
@@ -193,10 +180,7 @@ def metric_rows(rows, guard=None, complete=False):
     n = len(rows)
     variables = _chart_variables(n)
     exprs = _parsed_rows(rows, variables)
-    guard_fn = None
-    if guard is not None:
-        guard_expr = parse_expression(guard, variables)
-        guard_fn = lambda x: guard_expr(*x) > 0.0
+    guard_fn = None if guard is None else chart_guard(parse_expression(guard, variables))
 
     def geodesic_terms():
         names = variables + tuple(f"v{k + 1}" for k in range(n))
@@ -349,6 +333,10 @@ def expression_tensor(rows):
         if not stored:
             stored.append(entries(x, t))
         return stored[0]
+
+    if hasattr(entries, "chart"):
+        # constant's values are the entries', so generated code may write them out
+        constant.chart = entries.chart
 
     def broadcast(x, t):
         shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(t))

@@ -9,21 +9,23 @@ on the velocity. Only the metric-self-adjoint part S of F feeds energy growth,
 so the operator bounds and the energy derivative identity below are the
 quantities the completeness checks consume.
 
-rhs_E, the force equation the integrator calls, runs in Python floats: the
-chart point and velocity come in as lists of floats, every source is called
-on them and returns floats, and the value goes back as a list. Everything
-else here (energies, operator bounds) works on numpy arrays.
+The force equation the integrator calls is make_rhs's kernel: one generated
+function per chart and force system that takes the state as a list of
+Python floats and gives the list (xdot, xddot), with the sources that are
+chart functions written into it and every other source called from it.
+rhs_E is a call of that kernel. Everything else here (energies, operator
+bounds) works on numpy arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EigFailure, OutOfChart
-from .expressions import on_rows
-from .geometry import chart_point, inner_products, metric_diagonal, metrics_at
+from .expressions import Inliner, function_text, on_rows, point_text, shaped
+from .geometry import chart_point, inner_products, metric_diagonal, metric_lines, metrics_at
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class ForceSystem:
     against t, NaN where the scalar call would raise. The premise scans use
     the array forms of potential and potential_dt. The array form belongs to
     the callable, so a force system with a replaced source never evaluates
-    the old one.
+    the old one. generated holds make_rhs's kernel once a run asks for it.
     """
 
     potential: Callable[[np.ndarray, float], float]
@@ -52,6 +54,7 @@ class ForceSystem:
     potential_dt: Callable[[np.ndarray, float], float]
     tensor_F: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     time_independent: bool = False
+    generated: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not (callable(self.potential_dx) and callable(self.potential_dt)):
@@ -117,83 +120,151 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _raised(diagonal, g, v):
-    """G^-1 v as a list of floats: quotients on a diagonal G, else one np.linalg.solve.
-
-    The quotients are what np.linalg.solve gives on a diagonal matrix with
-    this LAPACK build, up to the sign of a zero: for v = [-0.0, -0.0] it
-    gives [-0.0, 0.0] (tests/test_lean_hot_path.py checks it).
-    """
-    if diagonal is not None:
-        return [a / d for a, d in zip(v, diagonal)]
-    return np.linalg.solve(g, v).tolist()
-
-
 def rhs_E(manifold, fs, state):
-    """First-order field of the force equation at state = (x, xdot, t), in Python floats.
+    """First-order field (xdot, xddot) of the force equation at state = (x, xdot, t).
 
     x and xdot are lists of floats (arrays are converted), t a float; the
-    value is the list (xdot, xddot) of 2n floats. After the guard check:
+    value is the list of 2n floats that make_rhs's kernel gives at (t, x + xdot).
+    """
+    x, xdot, t = state
+    if type(x) is not list or type(xdot) is not list:
+        x, xdot = chart_point(x), chart_point(xdot)
+    return make_rhs(manifold, fs)(t, x + xdot)
 
-    - on a flat chart Γ ≡ 0, so xddot = F xd − G^-1 ∂V, and on an identity
-      metric raising ∂V is skipped too;
-    - on a curved chart the metric is checked once (geometry.metric_diagonal),
+
+def make_rhs(manifold, fs):
+    """The force equation's kernel k(t, y) over the state y = x + xdot, a list of 2n floats.
+
+    k is one generated function, built on the first call for the pair and
+    kept on the force system with its manifold: a run calls make_rhs once,
+    and the force system keeps the kernel of the last manifold it was
+    called with, so the kernel of a force system built per run
+    (gpw.wave_force_system) goes with it. k returns the list xdot + xddot,
+    in Python floats. After the guard check:
+
+    - on a flat chart Γ ≡ 0, so xddot = -0.0 xd xd + F xd − G^-1 ∂V, where
+      the last term is left out when ∂V is all zeros and G^-1 is skipped on
+      an identity metric;
+    - on a curved chart the metric is checked once (geometry.metric_lines),
       the chart's geodesic_term Γ_lij xd^i xd^j plus ∂_l V is raised by G,
       negated, and F xd is added.
 
     A metric that is diagonal at x is checked and raised against in floats,
     by division; any other is checked by metric_at's rules and solved by
-    np.linalg.solve. A domain error of a source raises its EvaluationError.
+    np.linalg.solve. Every sum and product is written out in that order, a
+    row of F times xd as sum() adds it, from 0. A source that is a
+    chart_function (and a guard of expression text) is written into k, one
+    try statement per source, so subexpressions shared by the metric, the
+    geodesic term, ∂V and F are computed once; a domain error calls the
+    source itself, whose EvaluationError names the first expression that
+    fails. Any other source is called from k.
     """
-    x, xdot, t = state
-    if type(x) is not list or type(xdot) is not list:
-        x, xdot = chart_point(x), chart_point(xdot)
-    if manifold.domain_guard is not None and not manifold.domain_guard(x):
-        raise OutOfChart(np.array(x))
+    last = fs.generated.get("rhs")
+    if last is not None and last[0] is manifold:
+        return last[1]
+    k = _kernel(manifold, fs)
+    fs.generated["rhs"] = manifold, k
+    return k
+
+
+def _kernel(manifold, fs):
+    n = manifold.dim
+    inliner = Inliner(n)
+    bind = inliner.bind
+    x, xd, t = point_text(0, n), point_text(n, n), f"_v{2 * n}"
+    guard = manifold.domain_guard
+    guard_trees = inliner.add(getattr(guard, "positive", None), ("x",))
+    if not manifold.flat:
+        metric = shaped(inliner.add(manifold.metric, ("x",)), n, rows=True)
+        term = shaped(inliner.add(manifold.geodesic_term, ("x", "v")), n)
+    gradient = shaped(inliner.add(fs.potential_dx, ("x", "t")), n)
+    tensor = shaped(inliner.add(fs.tensor_F, ("x", "t")), n, rows=True)
+
+    def vector(structure, source, prefix, args):
+        """Lines that set the n values of source, and their texts."""
+        if structure is not None:
+            return inliner.assign(structure, prefix, f"{bind(source)}({args})")
+        names = [f"{prefix}{i}" for i in range(n)]
+        return [f"{', '.join(names)}, = {bind(_floats)}({bind(source)}({args}))"], names
+
+    def tensor_lines():
+        """Lines that set F's rows, and lines that then add F xd to the acceleration."""
+        if fs.tensor_F is None:
+            return [], []
+        args = f"{bind(fs.tensor_F)}({x}, {t})"
+        if tensor is None:
+            return ([f"_F = {bind(_floats)}({args})"],
+                    [f"_a{i} = _a{i} + {bind(_dot)}(_F[{i}], {xd})" for i in range(n)])
+        lines, rows = inliner.assign(tensor, "_f", args)
+        return lines, [f"_a{i} = _a{i} + (0.0 + "
+                       + " + ".join(f"{f} * _v{n + j}" for j, f in enumerate(rows[i])) + ")"
+                       for i in range(n)]
+
+    lines = []
+    if guard is not None:
+        raised = f"    raise {bind(OutOfChart)}({bind(np.array)}({x}))"
+        if guard_trees is None:
+            lines += [f"if not {bind(guard)}({x}):", raised]
+        else:
+            guard_lines, value = inliner.assign(guard_trees, "_p", f"{bind(guard)}({x})")
+            lines += guard_lines + [f"if not {value} > 0.0:", raised]
     if manifold.flat:
-        fmat = _tensor(fs, x, t)
-        dv = _floats(fs.potential_dx(x, t))
-        # -0.0 * v * v is what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN
-        # where xdot is not finite. On an identity metric with no tensor the
-        # steps below are one pass; where ∂V is zero they keep the -0.0
-        if fmat is None and manifold.identity_metric and any(dv):
-            return xdot + [-0.0 * v * v - d for v, d in zip(xdot, dv)]
-        acc = [-0.0 * v * v for v in xdot]
-        if fmat is not None:
-            acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
-        if any(dv):
-            if manifold.identity_metric:
-                acc = [a - d for a, d in zip(acc, dv)]
-            else:
-                acc = [a - d for a, d in zip(acc, _raised(*metric_diagonal(manifold, x), dv))]
-        return xdot + acc
-    diagonal, g = metric_diagonal(manifold, x)
-    lowered = [a + d for a, d in zip(_floats(manifold.geodesic_term(x, xdot)),
-                                     _floats(fs.potential_dx(x, t)))]
-    acc = [-a for a in _raised(diagonal, g, lowered)]
-    fmat = _tensor(fs, x, t)
-    if fmat is not None:
-        acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
-    return xdot + acc
+        # F is evaluated before ∂V
+        tensor_values, tensor_sum = tensor_lines()
+        gradient_lines, dv = vector(gradient, fs.potential_dx, "_d", f"{x}, {t}")
+        lines += tensor_values + gradient_lines
+        # -0.0 * v * v is what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
+        lines += [f"_a{i} = -0.0 * _v{n + i} * _v{n + i}" for i in range(n)] + tensor_sum
+        lines += _minus_gradient(manifold, inliner, gradient, dv)
+    else:
+        metric_text, diagonal = metric_lines(manifold, inliner, metric)
+        term_lines, terms = vector(term, manifold.geodesic_term, "_e", f"{x}, {xd}")
+        gradient_lines, dv = vector(gradient, fs.potential_dx, "_d", f"{x}, {t}")
+        lines += metric_text + term_lines + gradient_lines
+        lines += [f"_l{i} = {e} + {d}" for i, (e, d) in enumerate(zip(terms, dv))]
+        lines += ["if _G is None:"]
+        lines += [f"    _a{i} = -(_l{i} / {d})" for i, d in enumerate(diagonal)]
+        lines += ["else:", f"    {', '.join(f'_s{i}' for i in range(n))}, = "
+                           f"{bind(_solve)}(_G, [{', '.join(f'_l{i}' for i in range(n))}])"]
+        lines += [f"    _a{i} = -_s{i}" for i in range(n)]
+        tensor_values, tensor_sum = tensor_lines()
+        lines += tensor_values + tensor_sum
+    state = [f"_v{n + i}" for i in range(n)] + [f"_a{i}" for i in range(n)]
+    lines.append(f"return [{', '.join(state)}]")
+    return inliner.function(function_text(f"{t}, _y", n, lines))
 
 
-def _tensor(fs, x, t):
-    """The rows of F at (x, t) as floats, or None for F ≡ 0."""
-    return None if fs.tensor_F is None else _floats(fs.tensor_F(x, t))
+def _minus_gradient(manifold, inliner, gradient, dv):
+    """Lines that subtract G^-1 ∂V on a flat chart, where any entry of ∂V is nonzero (NaN counts).
 
-
-def make_rhs(manifold, fs):
-    """Closure f(t, y) over y = (x, xdot), a list of floats, for the integrator.
-
-    rhs_E is looked up as a module global at each call, so a wrapper bound
-    in its place sees every evaluation.
+    A zero ∂V leaves the -0.0 of -0.0 * v * v, never the 0.0 of -0.0 - (-0.0);
+    entries that are constants in the text are decided here.
     """
     n = manifold.dim
+    constants = [] if gradient is None else [tree[1] for tree in gradient if tree[0] == "num"]
+    varying = [d for i, d in enumerate(dv) if gradient is None or gradient[i][0] != "num"]
+    if not varying and not any(constants):
+        return []
+    if manifold.identity_metric:
+        subtract = [f"_a{i} = _a{i} - {d}" for i, d in enumerate(dv)]
+    else:
+        diagonal, g = metric_diagonal(manifold, [0.0] * n)
+        if diagonal is not None:
+            subtract = [f"_a{i} = _a{i} - {d} / {inliner.bind(c)}"
+                        for i, (d, c) in enumerate(zip(dv, diagonal))]
+        else:
+            quotients = [f"_q{i}" for i in range(n)]
+            subtract = [f"{', '.join(quotients)}, = {inliner.bind(_solve)}({inliner.bind(g)}, "
+                        f"[{', '.join(dv)}])"]
+            subtract += [f"_a{i} = _a{i} - {q}" for i, q in enumerate(quotients)]
+    if any(constants):
+        return subtract
+    return [f"if {' or '.join(varying)}:"] + [f"    {line}" for line in subtract]
 
-    def f(t, y):
-        return rhs_E(manifold, fs, (y[:n], y[n:], t))
 
-    return f
+def _solve(g, b):
+    """G^-1 b as a list of floats, by np.linalg.solve."""
+    return np.linalg.solve(g, b).tolist()
 
 
 def operator_eigen_range(manifold, fs, points, t):

@@ -71,6 +71,7 @@ chart points as lists of Python floats.
 import functools
 import math
 import re
+import sys
 import types
 
 import numpy as np
@@ -303,7 +304,7 @@ def _compile(tree, arity, array=False):
     body, _ = emitter.text(tree)
     params = ", ".join(f"_v{i}" for i in range(arity))
     namespace = {"__builtins__": _ARRAY_NAMESPACE if array else _SCALAR_BUILTINS}
-    namespace.update((f"_c{i}", c) for i, c in enumerate(emitter.consts))
+    namespace.update(_named("_c", emitter.consts))
     exec(_code(f"def _f({params}):\n    return {body}\n"), namespace)
     return namespace["_f"]
 
@@ -544,8 +545,6 @@ def _leaves(item):
 
 def _chart_source(exprs, groups, params):
     """(source, bindings) of chart_function(exprs, groups, params): source defines _f."""
-    if not isinstance(exprs, (Expression, list, tuple)):
-        exprs = exprs()
     flat = _leaves(exprs)
     variables = flat[0].variables
     if any(e.variables != variables for e in flat):
@@ -585,21 +584,25 @@ def _chart_source(exprs, groups, params):
              + ["    try:", f"        return {body}", "    except _ERRORS:",
                 f"        _fallback({args})", "        raise"])
     bindings = {"_fallback": fallback}
-    bindings.update((f"_c{i}", c) for i, c in enumerate(emitter.consts))
-    bindings.update((f"_v{index + i}", p) for i, p in enumerate(params))
+    bindings.update(_named("_c", emitter.consts))
+    bindings.update(_named("_v", params, index))
     return "\n".join(lines) + "\n", bindings
+
+
+def _named(prefix, values, start=0):
+    """(name, value) pairs prefix<start>, prefix<start + 1>, ...; the names interned, as the
+    code's own names are, so namespaces share them and a lookup finds them by identity."""
+    return ((sys.intern(f"{prefix}{start + i}"), v) for i, v in enumerate(values))
 
 
 def _first_call(fn, args):
     """The first call of a chart_function: compile it, take on its code, then run it.
 
-    fn's namespace holds _chart_source's arguments as _build; the source
-    reads its bindings and _SCALAR_BUILTINS as its globals. So every later
-    call runs the generated code in one frame.
+    The source reads its bindings and _SCALAR_BUILTINS as its globals, fn's
+    own namespace. So every later call runs the generated code in one frame.
     """
     namespace = fn.__globals__
-    source, bindings = _chart_source(*namespace["_build"])
-    del namespace["_build"]
+    source, bindings = _chart_source(*chart_parts(fn))
     namespace.update(bindings)
     exec(_code(source), namespace)
     fn.__code__ = namespace.pop("_f").__code__
@@ -638,10 +641,23 @@ def chart_function(exprs, groups, params=()):
     at a time, so the EvaluationError names the first that fails and the
     point, as the calls in turn would.
     """
-    # the function's own namespace, until its first call compiles it there
-    namespace = {"__builtins__": _SCALAR_BUILTINS, "_build": (exprs, groups, tuple(params))}
+    # the function's own namespace, where its first call compiles it
+    namespace = {"__builtins__": _SCALAR_BUILTINS}
     fn = namespace["_f"] = types.FunctionType(_FIRST_CALL, namespace)
+    fn.chart = (exprs, groups, tuple(params))
     return fn
+
+
+def chart_parts(fn):
+    """(exprs, groups, params) of a chart_function, its Expressions built; None for any other callable.
+
+    A callable that gives exactly a chart function's values may carry that
+    function's chart attribute as its own.
+    """
+    parts = getattr(fn, "chart", None)
+    if parts is not None and not isinstance(parts[0], (Expression, list, tuple)):
+        parts = fn.chart = (parts[0](),) + parts[1:]
+    return parts
 
 
 def fused(exprs):
@@ -699,6 +715,157 @@ def at_chart_point(expr, params=()):
         return stacked(expr)
 
     return with_array_form(chart_function(expr, (n, None), params), on_arrays)
+
+
+def substituted(tree, nodes, memo):
+    """tree with each variable i replaced by the tree nodes[i], built raw, without folding.
+
+    memo maps id(node) to its result, so a subtree shared within or across
+    the trees substituted with one memo stays one object.
+    """
+    kind = tree[0]
+    if kind == "num":
+        return tree
+    if kind == "var":
+        return nodes[tree[1]]
+    out = memo.get(id(tree))
+    if out is None:
+        if kind == "call":
+            out = kind, tree[1], substituted(tree[2], nodes, memo)
+        else:
+            out = (kind,) + tuple(substituted(child, nodes, memo) for child in tree[1:])
+        memo[id(tree)] = out
+    return out
+
+
+def chart_guard(expr):
+    """The chart guard x -> expr(*x) > 0.0 of an Expression over the chart coordinates.
+
+    The value is one generated function (chart_function), which the guard
+    keeps as its attribute positive, so generated code can inline it.
+    """
+    value = chart_function(expr, (len(expr.variables),))
+    guard = lambda x: value(x) > 0.0
+    guard.positive = value
+    return guard
+
+
+class Inliner:
+    """Chart functions written out inline in one generated function of a state.
+
+    The generated function holds the chart point x in its locals _v0..,
+    the velocity v in the n after them and the time t in _v(2n). add(fn,
+    slots) takes a chart_function whose arguments are the slots, each "x",
+    "v" or "t", in order, and gives the structure of its trees over those
+    locals, or None when fn is no such function; a template's parameters
+    become globals after t. Once every source is added, assign(...) writes
+    the trees of one source as chart_function would, each subtree that the
+    added trees evaluate more than once computed once, at its first
+    occurrence, so the sources must be assigned in the order the generated
+    function evaluates them. bind(value) names any other value the text
+    reads, and function(source) compiles the text through the code cache
+    every expression shares, so equal texts share one code object.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.trees = []
+        self.params = []
+        self.emitter = None
+        self.bound = {}
+
+    def bind(self, value):
+        """The global name under which the generated function reads value."""
+        name = self.bound.get(id(value), (None,))[0]
+        if name is None:
+            name = sys.intern(f"_b{len(self.bound)}")
+            self.bound[id(value)] = name, value
+        return name
+
+    def add(self, fn, slots):
+        parts = chart_parts(fn)
+        if parts is None:
+            return None
+        exprs, groups, params = parts
+        if len(groups) != len(slots):
+            return None
+        index = []
+        for slot, count in zip(slots, groups):
+            if (count is None) != (slot == "t") or count not in (None, self.n):
+                return None
+            start = {"x": 0, "v": self.n, "t": 2 * self.n}[slot]
+            index.extend(range(start, start + (count or 1)))
+        first = 2 * self.n + 1 + len(self.params)
+        index.extend(range(first, first + len(params)))
+        if any(len(e.variables) != len(index) for e in _leaves(exprs)):
+            return None
+        self.params.extend(params)
+        variables, memo = [("var", i) for i in index], {}
+
+        def structure(item):
+            if isinstance(item, Expression):
+                self.trees.append(substituted(item.tree, variables, memo))
+                return self.trees[-1]
+            return [structure(e) for e in item]
+
+        return structure(exprs)
+
+    def assign(self, structure, prefix, fallback):
+        """(lines, texts) that evaluate the trees of structure into locals named after prefix.
+
+        The lines are a try statement whose except clause runs fallback, the
+        source's own call, so a domain error raises the EvaluationError of
+        the first expression that fails. texts has structure's shape and
+        holds each tree's local, or where the tree is a number or a
+        variable, its name.
+        """
+        if self.emitter is None:
+            self.emitter = _Emitter(self.trees)
+        lines = []
+
+        def walk(item, name):
+            if isinstance(item, list):
+                return [walk(e, f"{name}_{i}") for i, e in enumerate(item)]
+            if item[0] in ("num", "var"):
+                return self.emitter.text(item)[0]
+            lines.append(f"    {name} = {self.emitter.text(item)[0]}")
+            return name
+
+        texts = walk(structure, prefix)
+        if not lines:
+            return [], texts
+        return ["try:"] + lines + ["except _ERRORS:", f"    {fallback}", "    raise"], texts
+
+    def function(self, source):
+        """The function _f that source defines, reading the bound values, constants and parameters."""
+        namespace = {"__builtins__": _SCALAR_BUILTINS, "_inf": math.inf}
+        namespace.update(self.bound.values())
+        if self.emitter is not None:
+            namespace.update(_named("_c", self.emitter.consts))
+        namespace.update(_named("_v", self.params, 2 * self.n + 1))
+        exec(_code(source), namespace)
+        return namespace["_f"]
+
+
+def point_text(start, n):
+    """The list of the n locals _v<start>.. of a generated function, as text."""
+    return "[" + ", ".join(f"_v{start + i}" for i in range(n)) + "]"
+
+
+def function_text(args, n, body):
+    """Source of def _f(args): that unpacks the state _y into _v0.._v(2n - 1), then runs body."""
+    lines = [f"{', '.join(f'_v{i}' for i in range(2 * n))}, = _y"] + body
+    return f"def _f({args}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def shaped(structure, n, rows=False):
+    """structure (from Inliner.add) when it holds n trees, or with rows n rows of n; else None."""
+    if structure is None or len(structure) != n:
+        return None
+    for item in structure:
+        if (type(item) is list) != rows or (rows and len(item) != n):
+            return None
+    return structure
 
 
 def on_rows(source, scalar, *args):

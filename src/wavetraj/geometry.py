@@ -15,6 +15,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
+from .expressions import Inliner, function_text, point_text, shaped
 from .numdiff import christoffel_from_metric, symmetric_part
 
 SYMMETRY_RTOL = 1e-12
@@ -55,6 +56,9 @@ class ChartManifold:
     complete_flag: bool = False
     flat: bool = field(init=False, repr=False)
     identity_metric: bool = field(init=False, repr=False)
+
+    #: functions generated from the sources on first use (norm_function, guard_function)
+    generated: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -140,17 +144,22 @@ def metric_at(manifold, x):
 def metric_diagonal(manifold, x):
     """(diagonal, None) or (None, matrix) of G at the chart point x, a list of floats in the chart.
 
-    The Python-float form of metric_at for the integrator. A diagonal
-    matrix (its off-diagonal entries exactly 0, a NaN counting as nonzero)
-    is symmetric as it stands, and Cholesky succeeds on it exactly when
-    every entry is positive, so it is checked elementwise: a value whose
-    entries are positive and finite, even doubled, comes back as the list of
-    its diagonal entries, which are what the symmetrized matrix holds. Any
-    other value comes back as the matrix metric_at gives, or raises its
-    error (NotPositiveDefinite for an entry above DBL_MAX/2, which the
-    average turns into inf). The guard is not checked here.
+    The Python-float form of metric_at. A diagonal matrix (its off-diagonal
+    entries exactly 0, a NaN counting as nonzero) is symmetric as it stands,
+    and Cholesky succeeds on it exactly when every entry is positive, so it
+    is checked elementwise: a value whose entries are positive and finite,
+    even doubled, comes back as the list of its diagonal entries, which are
+    what the symmetrized matrix holds. Any other value comes back as the
+    matrix metric_at gives, or raises its error (NotPositiveDefinite for an
+    entry above DBL_MAX/2, which the average turns into inf). The guard is
+    not checked here. Generated code writes the same check out
+    (metric_lines).
     """
-    g = manifold.metric if manifold.flat else manifold.metric(x)
+    return _diagonal_of(manifold.metric if manifold.flat else manifold.metric(x), x)
+
+
+def _diagonal_of(g, x):
+    """metric_diagonal of the metric value g at the chart point x."""
     if type(g) is np.ndarray:
         g = g.tolist()
     n = len(x)
@@ -164,23 +173,120 @@ def metric_diagonal(manifold, x):
         diagonal.append(d)
     if len(diagonal) == n == len(g):
         return diagonal, None
-    return None, _checked_metric(g, manifold.dim, np.asarray(x, dtype=float))
+    return None, _checked_at(g, x)
 
 
-def squared_norm(manifold, x, w):
-    """g_x(w, w) for lists of floats x, a point in the chart, and w.
+def _checked_at(g, x):
+    """_checked_metric of the value g at the chart point x, a sequence of floats."""
+    return _checked_metric(g, len(x), np.asarray(x, dtype=float))
 
-    Python floats on an identity or diagonal metric (metric_diagonal), one
-    array product on any other; an overflow gives inf without a warning.
-    """
-    if manifold.identity_metric:
-        return sum([v * v for v in w])
-    diagonal, g = metric_diagonal(manifold, x)
-    if diagonal is not None:
-        return sum([v * d * v for v, d in zip(w, diagonal)])
+
+def _matrix_norm(g, w):
+    """w^T g w in one array product; an overflow gives inf without a warning."""
     w = np.array(w)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(w @ g @ w)
+
+
+def _zero(tree):
+    return tree[0] == "num" and tree[1] == 0.0
+
+
+def metric_lines(manifold, inliner, structure):
+    """(lines, diagonal): generated lines that evaluate and check G at the chart point x.
+
+    x is in the locals _v0.. (expressions.Inliner), and structure is
+    inliner.add(manifold.metric, ("x",)) on a curved chart: None for a metric
+    that is a plain callable, which the lines call. After the lines, _G is
+    None where G is diagonal at x, diagonal then holding the texts of its
+    entries, and otherwise _G is the matrix metric_at gives. The check, its
+    errors and their order are metric_diagonal's.
+    """
+    n = manifold.dim
+    x = point_text(0, n)
+    source = f"{inliner.bind(manifold.metric)}({x})"
+    if structure is None:
+        diagonal = [f"_g{j}_{j}" for j in range(n)]
+        return [f"_D, _G = {inliner.bind(_diagonal_of)}({source}, {x})", "if _G is None:",
+                f"    {', '.join(diagonal)}, = _D"], diagonal
+    lines, texts = inliner.assign(structure, "_g", source)
+    tests = [f"0.0 < {texts[j][j]} + {texts[j][j]} < _inf" for j in range(n)]
+    off = [texts[j][k] for j in range(n) for k in range(n) if j != k and not _zero(structure[j][k])]
+    if off:
+        tests.append(f"not ({' or '.join(off)})")
+    rows = "(" + "".join("(" + "".join(f"{e}, " for e in row) + "), " for row in texts) + ")"
+    lines += [f"if {' and '.join(tests)}:", "    _G = None", "else:",
+              f"    _G = {inliner.bind(_checked_at)}({rows}, {x})"]
+    return lines, [texts[j][j] for j in range(n)]
+
+
+def _generated(manifold, key, build):
+    fn = manifold.generated.get(key)
+    if fn is None:
+        fn = manifold.generated[key] = build(manifold)
+    return fn
+
+
+def norm_function(manifold):
+    """q(y) = g_x(v, v) at the state y = x + v, a list of 2 dim floats, in one generated function.
+
+    The metric text is inlined where the metric is a chart function and
+    checked as metric_diagonal checks it. On an identity or diagonal metric
+    q is the sum of the terms v * v or v * d * v in floats, from 0 as sum()
+    adds them; on any other, one array product, where an overflow gives inf
+    without a warning. q is generated on the first call and kept on the
+    manifold; it does not check the guard.
+    """
+    return _generated(manifold, "norm", _norm_function)
+
+
+def _norm_function(manifold):
+    n = manifold.dim
+    inliner = Inliner(n)
+    v = [f"_v{n + i}" for i in range(n)]
+
+    def summed(diagonal):
+        if diagonal is None:
+            return " + ".join(f"{a} * {a}" for a in v)
+        return " + ".join(f"{a} * {d} * {a}" for a, d in zip(v, diagonal))
+
+    matrix_norm = f"{inliner.bind(_matrix_norm)}({{}}, {point_text(n, n)})"
+    if manifold.identity_metric:
+        body = [f"return 0.0 + {summed(None)}"]
+    elif manifold.flat:
+        diagonal, g = metric_diagonal(manifold, [0.0] * n)
+        if diagonal is None:
+            body = [f"return {matrix_norm.format(inliner.bind(g))}"]
+        else:
+            body = [f"return 0.0 + {summed([inliner.bind(d) for d in diagonal])}"]
+    else:
+        structure = shaped(inliner.add(manifold.metric, ("x",)), n, rows=True)
+        lines, diagonal = metric_lines(manifold, inliner, structure)
+        body = lines + ["if _G is None:", f"    return 0.0 + {summed(diagonal)}",
+                        f"return {matrix_norm.format('_G')}"]
+    return inliner.function(function_text("_y", n, body))
+
+
+def guard_function(manifold):
+    """guard_ok(y): the chart guard at the position of the state y, a list of 2 dim floats.
+
+    A guard of expression text (expressions.chart_guard) is written out in
+    one generated function, kept on the manifold; any other guard is called
+    on y's first dim entries. No guard gives True.
+    """
+    return _generated(manifold, "guard", _guard_function)
+
+
+def _guard_function(manifold):
+    n, guard = manifold.dim, manifold.domain_guard
+    if guard is None:
+        return lambda y: True
+    inliner = Inliner(n)
+    structure = inliner.add(getattr(guard, "positive", None), ("x",))
+    if structure is None:
+        return lambda y: bool(guard(y[:n]))
+    lines, text = inliner.assign(structure, "_p", f"{inliner.bind(guard)}({point_text(0, n)})")
+    return inliner.function(function_text("_y", n, lines + [f"return {text} > 0.0"]))
 
 
 def metrics_at(manifold, points):

@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ForceSystem, FREE
-from .expressions import on_rows
-from .geometry import chart_point, inner_products, metric_at, squared_norm
+from .expressions import Expression, chart_parts, on_rows, substituted
+from .geometry import chart_point, inner_products, metric_at, norm_function
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
@@ -159,16 +159,47 @@ def wave_force_system(st, u0, delta):
     """
     half_d2 = 0.5 * delta * delta
     wave = st.wave
-    # bound once for the gradient, which the integrator calls; -half_d2 * d
-    # is (-half_d2) * d, so the factor keeps the floats
-    h_dx, factor = wave.h_dx, -half_d2
-
     return ForceSystem(
         potential=lambda x, t: -half_d2 * wave.value(x, u0 + delta * t),
-        potential_dx=lambda x, t: [factor * d for d in h_dx(x, u0 + delta * t)],
+        potential_dx=_wave_gradient(wave.h_dx, u0, delta, -half_d2),
         potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
     )
+
+
+def _wave_gradient(h_dx, u0, delta, factor):
+    """factor ∂_x H(x, u0 + delta t) as f(x, t); -half_d2 * d is (-half_d2) * d, so the factor
+    keeps the floats.
+
+    Where h_dx is a chart function (expressions.chart_parts) over (x, u),
+    f carries as its chart the same values as text: the partials' trees
+    with u replaced by the tree of u0 + delta * t, each multiplied by the
+    factor, built raw, in f's order of operations, over (x, t), h_dx's
+    parameters and u0, delta and factor, which are bound as parameters. So
+    the force equation's kernel writes the gradient out, its text the same
+    for every run on the wave, and a domain error still calls f, whose
+    EvaluationError names the partial that fails at (x, u).
+    """
+    gradient = lambda x, t: [factor * d for d in h_dx(x, u0 + delta * t)]
+    parts = chart_parts(h_dx)
+    if parts is None or len(parts[1]) != 2 or parts[1][1] is not None:
+        return gradient
+    exprs, (n, _), params = parts
+    if not isinstance(exprs, list) or not all(isinstance(e, Expression) for e in exprs):
+        return gradient
+    gradient.chart = _along_geodesic(exprs, n, len(params)), (n, None), params + (u0, delta, factor)
+    return gradient
+
+
+def _along_geodesic(exprs, n, n_params):
+    """factor * e with u = u0 + delta * t for each Expression e over (x1..xn, u, parameters)."""
+    last = n + 1 + n_params
+    u = ("+", ("var", last), ("*", ("var", last + 1), ("var", n)))
+    nodes = [("var", i) for i in range(n)] + [u] + [("var", i) for i in range(n + 1, last)]
+    variables, memo = exprs[0].variables, {}
+    names = variables[:n] + ("t",) + variables[n + 1:] + ("u0", "delta", "factor")
+    return [Expression(f"factor*({e.source}) at u = u0 + delta*t", names,
+                       ("*", ("var", last + 2), substituted(e.tree, nodes, memo))) for e in exprs]
 
 
 def _conserved_vdot(st, energy, delta, x, xdot, u):
@@ -319,9 +350,11 @@ def full_geodesic_oracle(st, init, cfg):
         qd = y[n_full:]
         return qd + full_acceleration(st, y[:n_full], qd).tolist()
 
+    norm = norm_function(st.base)
+
     def speed_of(y):
         qd = y[n_full:]
-        val = squared_norm(st.base, y[:n], qd[:n]) + (qd[n] * qd[n] + qd[n + 1] * qd[n + 1])
+        val = norm(y[:n] + qd[:n]) + (qd[n] * qd[n] + qd[n + 1] * qd[n + 1])
         return math.sqrt(val) if math.isfinite(val) and val >= 0 else math.inf
 
     guard_ok = lambda y: st.base.contains(y[:n])

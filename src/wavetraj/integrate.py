@@ -24,9 +24,12 @@ compiled on first use and cached by m: the Dormand-Prince tableau (as DOPRI5
 codes it; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-5) is written out
 stage by stage and component by component, each stage sum, finiteness check
 and error term in the order of operations of a sum over the stages, and the
-error norm is math.sqrt of a sum of products. Every field goes through it.
-The force equation (dynamics.rhs_E) takes and gives floats too; any other
-field may return an array, which is converted with .tolist() once per call.
+error norm is math.sqrt of a sum of products. Every field goes through it,
+and the attempt calls the field itself and counts the calls. The force
+equation's kernel (dynamics.make_rhs) takes and gives floats too; any other
+field may return an array, which the attempt converts with .tolist(). The
+speed at an accepted state and the chart guard are generated from the
+chart's sources as well (geometry.norm_function, geometry.guard_function).
 The records become the trajectory's arrays once, at the end of the run.
 
 A stage that is not finite, or whose evaluation raises EvaluationError (a
@@ -43,7 +46,7 @@ import numpy as np
 
 from .dynamics import make_rhs
 from .errors import EvaluationError, InvalidInit, NotABlowup, OutOfChart, OutOfRange
-from .geometry import squared_norm
+from .geometry import guard_function, norm_function
 
 # Dormand-Prince 5(4) tableau: nodes C, stage weights A (rows 2..7, zero
 # entries left out), fifth-order weights B (row 7 of A: stage 7 is the new
@@ -143,18 +146,21 @@ class Trajectory:
 
 
 def _attempt_source(m):
-    """Source of make(f, guard_ok, atol, rtol), whose attempt(t, y, h, k1) is one DP5 step.
+    """Source of make(f, guard_ok, atol, rtol), which gives (attempt, evaluate, count) over the field f.
 
-    The attempt works on states of length m and gives (y_new, k at y_new,
-    error norm) of the step from t to t + h, h signed. Each stage input
-    y + h * (A_i1 k1 + ...), the new state y + h * (B_1 k1 + ...) and each
-    error term h * (E_1 k1 + ... + E_7 k7) / (atol + rtol * max(|y|, |y_new|))
-    is written out component by component, a sum over the stages in the
-    tableau's order. A stage input that is not finite, or a stage whose
-    evaluation raises EvaluationError, gives the error norm inf, which
+    attempt(t, y, h, k1) is one DP5 step on states of length m, from t to
+    t + h, h signed; it gives (y_new, k at y_new, error norm). Each stage
+    input y + h * (A_i1 k1 + ...), the new state y + h * (B_1 k1 + ...) and
+    each error term h * (E_1 k1 + ... + E_7 k7) / (atol + rtol * max(|y|,
+    |y_new|)) is written out component by component, a sum over the stages
+    in the tableau's order. A stage input that is not finite, or a stage
+    whose evaluation raises EvaluationError, gives the error norm inf, which
     rejects the step; an endpoint outside the chart guard raises OutOfChart.
     The stage derivatives k1..k7 are named p, q, r, u, v, w, z, component i
-    of stage p being p<i>.
+    of stage p being p<i>. The attempt calls f itself and counts each call
+    before it makes it; a value that is not a list is taken as floats by
+    .tolist() of its array. evaluate(t, y) is one such counted call, as a
+    list, and count() the number of calls so far.
     """
     comps = range(m)
 
@@ -170,6 +176,10 @@ def _attempt_source(m):
         each = " and ".join(f"isfinite({name})" for name in names(letter))
         return [f"if not ({total if m == 1 else f'{total} or {each}'}):", "    return y, k1, inf"]
 
+    def call(node, state):
+        return ["n_rhs += 1", f"k = f({node}, {state})", "if type(k) is not list:",
+                "    k = tolist(k)"]
+
     stages = [(_C2, [(_A21, "p")], "q"),
               (_C3, [(_A31, "p"), (_A32, "q")], "r"),
               (_C4, [(_A41, "p"), (_A42, "q"), (_A43, "r")], "u"),
@@ -182,10 +192,10 @@ def _attempt_source(m):
     for c, weights, k in stages:
         staged += [f"s{i} = a{i} + h * ({combined(weights, i)})" for i in comps] + finite("s")
         node = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        staged.append(f"{', '.join(names(k))}, = f({node}, [{', '.join(names('s'))}])")
+        staged += call(node, f"[{', '.join(names('s'))}]") + [f"{', '.join(names(k))}, = k"]
     staged += [f"b{i} = a{i} + h * ({combined(solution, i)})" for i in comps] + finite("b")
     # FSAL: stage 7 is the derivative at the new state
-    staged += [f"y_new = [{', '.join(names('b'))}]", "k7 = f(t + h, y_new)"]
+    staged += [f"y_new = [{', '.join(names('b'))}]"] + call("t + h", "y_new") + ["k7 = k"]
 
     norm = []
     for i in comps:
@@ -193,7 +203,8 @@ def _attempt_source(m):
                  f"e{i} = h * ({combined(error, i)}) / (atol + rtol * (c if c >= d else d))"]
     # the sum of squares starts at the first: 0.0 + e*e is e*e, a square being +0.0 or more
     squares = " + ".join(f"e{i} * e{i}" for i in comps)
-    lines = ([f"{', '.join(names('a'))}, = y", f"{', '.join(names('p'))}, = k1", "try:"]
+    lines = (["nonlocal n_rhs", f"{', '.join(names('a'))}, = y", f"{', '.join(names('p'))}, = k1",
+              "try:"]
              + ["    " + line for line in staged]
              + ["except EvaluationError:", "    return y, k1, inf",
                 f"{', '.join(names('z'))}, = k7"]
@@ -201,19 +212,31 @@ def _attempt_source(m):
              + ["if not guard_ok(y_new):",
                 "    raise OutOfChart(y_new, 'accepted endpoint violates the chart guard')",
                 f"return y_new, k7, sqrt(({squares}) / {m})"])
+    evaluate = ["nonlocal n_rhs"] + call("t", "y") + ["return k"]
     return ("def make(f, guard_ok, atol, rtol):\n"
+            "    n_rhs = 0\n"
             "    def attempt(t, y, h, k1):\n"
             + "".join(f"        {line}\n" for line in lines)
-            + "    return attempt\n")
+            + "    def evaluate(t, y):\n"
+            + "".join(f"        {line}\n" for line in evaluate)
+            + "    def count():\n"
+            "        return n_rhs\n"
+            "    return attempt, evaluate, count\n")
 
 
 @functools.cache
 def _attempt_maker(m):
     """make(f, guard_ok, atol, rtol) of _attempt_source(m), compiled once per state length m."""
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf,
-                 "EvaluationError": EvaluationError, "OutOfChart": OutOfChart}
+                 "EvaluationError": EvaluationError, "OutOfChart": OutOfChart,
+                 "tolist": _tolist}
     exec(compile(_attempt_source(m), f"<DP5 attempt, m={m}>", "exec"), namespace)
     return namespace["make"]
+
+
+def _tolist(k):
+    """A field's value that is not a list, as a list of floats."""
+    return np.asarray(k, dtype=float).tolist()
 
 
 def _rms(v, scale):
@@ -257,17 +280,6 @@ class _Core:
     """
 
     def __init__(self, f, y0, cfg, speed_of, guard_ok, t0, sign):
-        # f counted, with its value as a list of floats; the count lives in
-        # a list of its own, so the closure holds no reference to the run
-        # and the run's records go when it does, not at the next full collection
-        calls = self._calls = [0]
-
-        def field(t, y):
-            calls[0] += 1
-            k = f(t, y)
-            return k if type(k) is list else np.asarray(k, dtype=float).tolist()
-
-        self.f = field
         self.cfg = cfg
         self.speed_of = speed_of
         self.guard_ok = guard_ok
@@ -277,12 +289,15 @@ class _Core:
         self.ys = [np.asarray(y0, dtype=float).tolist()]
         self.fs = []
         self.speeds = []
-        # the DP5 attempt for this state length, over the counted field
-        self._attempt = _attempt_maker(len(self.ys[0]))(field, guard_ok, cfg.abs_tol, cfg.rel_tol)
+        # the DP5 attempt for this state length, which calls and counts f; the
+        # closures hold no reference to the run, so the run's records go when
+        # it does, not at the next full collection
+        self._attempt, self.f, self._count = _attempt_maker(len(self.ys[0]))(
+            f, guard_ok, cfg.abs_tol, cfg.rel_tol)
 
     @property
     def n_rhs(self):
-        return self._calls[0]
+        return self._count()
 
     def run(self):
         cfg = self.cfg
@@ -395,17 +410,15 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, d
 
 def _problem(manifold, fs):
     """(f, speed_of, guard_ok) of the force equation, over lists of floats."""
-    n = manifold.dim
+    norm = norm_function(manifold)
 
     def speed_of(y):
         # the integrator checks the guard before it asks for a speed, and a
         # constant metric was checked when the chart was built
-        q = squared_norm(manifold, y[:n], y[n:])
+        q = norm(y)
         return math.sqrt(q) if math.isfinite(q) and q >= 0 else math.inf
 
-    guard = manifold.domain_guard
-    guard_ok = (lambda y: True) if guard is None else (lambda y: bool(guard(y[:n])))
-    return make_rhs(manifold, fs), speed_of, guard_ok
+    return make_rhs(manifold, fs), speed_of, guard_function(manifold)
 
 
 def integrate(manifold, fs, init, cfg, direction=FORWARD):

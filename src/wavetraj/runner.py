@@ -8,7 +8,7 @@ from . import __version__
 from .comparison import DIVERGES, DominatingSolution, PhiFunction, check_divergence, solve_dominating, verify_envelope
 from .dynamics import build_energy_frame, energy_derivative_identity, energy_v
 from .expressions import with_array_form
-from .geometry import squared_norm
+from .geometry import norm_function
 from .gpw import (GeodesicInitialData, base_trajectory, classify_gpw_completeness,
                   full_geodesic_oracle, full_quadratic_form, reduce_geodesic,
                   split_geodesic_to_csv, split_state)
@@ -77,13 +77,14 @@ def _mechanical_energy_drift(sc, traj):
     """Relative drift per unit time of (1/2) u + V for autonomous F-free systems.
 
     Each accepted state is evaluated in Python floats, as the integrator
-    evaluated it: g(xdot, xdot) by geometry.squared_norm and V by its source.
+    evaluated it: g(xdot, xdot) by the chart's generated norm (geometry.norm_function)
+    and V by its source.
     """
     if sc.force is None or sc.force.tensor_F is not None or not sc.force.time_independent:
         return None
     n = traj.dim
-    manifold, potential = sc.manifold, sc.force.potential
-    values = np.array([0.5 * squared_norm(manifold, y[:n], y[n:]) + float(potential(y[:n], t))
+    norm, potential = norm_function(sc.manifold), sc.force.potential
+    values = np.array([0.5 * norm(y) + float(potential(y[:n], t))
                        for t, y in zip(traj.times.tolist(), traj.states.tolist())])
     spread = float(np.abs(values - values[0]).max())
     scale = max(abs(float(values[0])), 1.0)

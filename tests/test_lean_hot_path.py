@@ -13,6 +13,7 @@ oracles for the float treatment of diagonal metrics. Step counts on the
 rejection and chart-exit paths are pinned.
 """
 
+import importlib
 import math
 import warnings
 from operator import mul
@@ -34,6 +35,9 @@ from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD
                                 integrate_ode, refine_blowup)
 from wavetraj.numdiff import christoffel_lower
 from wavetraj.scenario import parse_scenario
+
+# wavetraj.integrate is the re-exported function; make_rhs is bound in the module
+integrate_module = importlib.import_module("wavetraj.integrate")
 
 PROFILE = settings(max_examples=300, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -402,18 +406,29 @@ def test_chart_exit_keeps_its_counts(direction):
     assert (traj.stats.n_accepted, traj.stats.n_rejected, traj.stats.n_rhs) == (21, 0, 303)
 
 
+def _counted_kernels(monkeypatch):
+    """The list that gets one entry per call of a kernel make_rhs returns to the integrator."""
+    calls = []
+    make_rhs = dynamics.make_rhs
+
+    def counting_make_rhs(manifold, fs):
+        kernel = make_rhs(manifold, fs)
+
+        def counted(t, y):
+            calls.append(1)
+            return kernel(t, y)
+
+        return counted
+
+    monkeypatch.setattr(integrate_module, "make_rhs", counting_make_rhs)
+    return calls
+
+
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_rhs_is_called_once_per_counted_evaluation(monkeypatch, problem, direction):
     manifold, fs, init = PROBLEMS[problem]()
-    calls = []
-    rhs = dynamics.rhs_E
-
-    def counted(*args):
-        calls.append(1)
-        return rhs(*args)
-
-    monkeypatch.setattr(dynamics, "rhs_E", counted)
+    calls = _counted_kernels(monkeypatch)
     traj = integrate(manifold, fs, init, IntegratorConfig(horizon=2.0), direction)
     assert len(calls) == traj.stats.n_rhs > 0
 
@@ -422,9 +437,7 @@ def test_rhs_calls_of_a_refined_blowup_are_counted(monkeypatch):
     manifold, fs = build_manifold("euclidean", {"n": 1}), build_potential("negative_quartic", {}, 1)
     cfg = IntegratorConfig(horizon=2.0)
     coarse = integrate(manifold, fs, (np.array([1.0]), np.array([1.0])), cfg)
-    calls = []
-    rhs = dynamics.rhs_E
-    monkeypatch.setattr(dynamics, "rhs_E", lambda *args: calls.append(1) or rhs(*args))
+    calls = _counted_kernels(monkeypatch)
     bracket = refine_blowup(manifold, fs, cfg, coarse)
     assert len(calls) == bracket.n_rhs > 0
 

@@ -12,6 +12,10 @@ LU solve; what keeps that oracle independent of the split reduction is the
 full-dimensional Lorentzian integration, and the finite-difference
 cross-check of its derivatives is a test. A module that imports more of
 numdiff could stand finite differences in for a missing derivative again.
+
+Every catalog chart is expression text, so the force equation's kernel can
+write its metric, geodesic term and guard out; a function in catalog.py
+that reads a coordinate of its chart point is a chart written by hand.
 """
 
 import ast
@@ -68,3 +72,22 @@ def test_no_module_imports_scipy():
     # the scan sees the numpy import of dynamics, so an empty result is not a pass
     assert "numpy" in found["dynamics.py"]
     assert [stem for stem, names in found.items() if "scipy" in names] == []
+
+
+def test_catalog_writes_no_chart_function_by_hand():
+    tree = ast.parse((PACKAGE / "catalog.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    # the scan sees the catalog's builders, so an empty result is not a pass
+    assert len(functions) > 20
+    by_hand = []
+    for fn in functions:
+        names = {arg.arg for arg in fn.args.args}
+        for node in ast.walk(fn):
+            read = (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id in names and node.value.id in ("x", "v", "y"))
+            unpacked = (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                        and node.value.id in names and node.value.id in ("x", "v", "y")
+                        and isinstance(node.targets[0], ast.Tuple))
+            if read or unpacked:
+                by_hand.append(getattr(fn, "name", "lambda"))
+    assert by_hand == []
