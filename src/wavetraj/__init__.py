@@ -7,8 +7,7 @@ from .comparison import (DIVERGES, CONVERGES, INCONCLUSIVE as DIVERGENCE_INCONCL
                          DominatingSolution, EnvelopeReport, PhiFunction,
                          check_divergence, solve_dominating, verify_envelope)
 from .dynamics import (EnergyFrame, ForceSystem, FREE, build_energy_frame,
-                       energy_derivative_identity, energy_v, make_rhs, operator_bounds,
-                       rhs_E)
+                       energy_derivative_identity, energy_v, make_rhs, rhs_E)
 from .errors import (EigFailure, EvaluationError, HypothesisViolated, InvalidInit, NotABlowup,
                      NotPositiveDefinite, OutOfChart, OutOfRange, ParseError,
                      ValidationError, WavetrajError)

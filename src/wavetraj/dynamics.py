@@ -270,36 +270,36 @@ def _solve(g, b):
 def operator_eigen_range(manifold, fs, points, t):
     """(lambda_min, lambda_max) of S at each row of points at time t, as two arrays.
 
+    t is one time, giving arrays of shape (len(points),), or a 1-d array of
+    times, giving shape (len(t), len(points)): one call reduces a window.
     S has the eigenvalues of the pencil A - lambda G, A = (GF + F^T G)/2, and so,
     with L = cholesky(G), of the symmetric C = L^-1 A L^-T (Golub & Van Loan,
-    Matrix Computations, §8.7): one stacked eigvalsh over the rows.
+    Matrix Computations, §8.7): one stacked eigvalsh over the rows. F is
+    evaluated once over all (time, point) rows by on_rows, then G and L once
+    per point, broadcast over the times, so an error of F over the whole
+    window raises before any of G.
     """
     points = np.asarray(points, dtype=float)
+    times = np.asarray(t, dtype=float)
+    shape = times.shape + (len(points),)
     if fs.tensor_F is None:
-        return np.zeros(len(points)), np.zeros(len(points))
-    fmat = on_rows(fs.tensor_F, fs.force_matrix, points, np.full(len(points), float(t)))
+        return np.zeros(shape), np.zeros(shape)
+    fmat = on_rows(fs.tensor_F, fs.force_matrix, np.tile(points, (times.size, 1)),
+                   np.repeat(times, len(points))).reshape(shape + (manifold.dim,) * 2)
     g = metrics_at(manifold, points)
     # g passed the metric checks, so only a can be non-finite, and then it fails here
     with np.errstate(invalid="ignore", over="ignore"):
-        a = 0.5 * (g @ fmat + np.swapaxes(fmat, 1, 2) @ g)
-    bad = ~np.isfinite(a).all(axis=(1, 2))
+        a = 0.5 * (g @ fmat + np.swapaxes(fmat, -1, -2) @ g)
+    bad = ~np.isfinite(a).all(axis=(-2, -1))
     if bad.any():
-        raise EigFailure(f"generalized eigenproblem at {points[bad.argmax()]} has a non-finite entry")
+        raise EigFailure(f"generalized eigenproblem at {points[bad.argmax() % len(points)]} "
+                         f"has a non-finite entry")
     try:
         low = np.linalg.cholesky(g)
-        w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), 1, 2)))
+        w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), -1, -2)))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"generalized eigenproblem failed on the sample grid: {exc}") from None
-    return w[:, 0], w[:, -1]
-
-
-def operator_bounds(manifold, fs, grid, t):
-    """(S_inf(t), S_sup(t)) as exact extremes over the sample grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[0] == 0:
-        raise ValueError("sample grid is empty")
-    lo, hi = operator_eigen_range(manifold, fs, grid, t)
-    return float(lo.min()), float(hi.max())
+    return w[..., 0], w[..., -1]
 
 
 def energy_v(manifold, fs, frame, state):

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import operator_bounds
+from .dynamics import operator_eigen_range
 from .expressions import array_form, on_rows
 from .geometry import metrics_at
 
@@ -210,18 +210,15 @@ def check_bounded_below(fs, bd):
 def check_S_bounds(manifold, fs, bounds):
     """Sampled operator-norm bounds of the self-adjoint part of F on the window of bounds.
 
-    Scans bounds.grid x bounds.t_grid, the samples of every other premise.
-    Returns the three candidate bounds: two-sided max(|S_sup|, |S_inf|), the
-    upper bound max S_sup, and the lower bound max(-S_inf), each recording
-    bounds.T. These suprema are over the sample grid only, the weakest link
-    of any certificate with a nonzero tensor force.
+    Scans bounds.grid x bounds.t_grid, the samples of every other premise, in
+    one operator_eigen_range call (F over the window, then G; errors in that
+    order). Returns the three candidate bounds: two-sided max(|S_sup|,
+    |S_inf|), the upper bound max S_sup, and the lower bound max(-S_inf),
+    each recording bounds.T. These suprema are over the sample grid only,
+    the weakest link of any certificate with a nonzero tensor force.
     """
-    ts = bounds.t_grid
-    sup_vals = np.zeros(ts.size)
-    inf_vals = np.zeros(ts.size)
-    if fs.tensor_F is not None:
-        for j, t in enumerate(ts):
-            inf_vals[j], sup_vals[j] = operator_bounds(manifold, fs, bounds.grid, t)
+    lo, hi = operator_eigen_range(manifold, fs, bounds.grid, bounds.t_grid)
+    inf_vals, sup_vals = lo.min(axis=1), hi.max(axis=1)
     n_two_sided = float(np.maximum(np.abs(sup_vals), np.abs(inf_vals)).max())
     n_upper = float(sup_vals.max())
     n_lower = float((-inf_vals).max())
@@ -273,58 +270,58 @@ def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
 
 
 def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
-    """Premise: the metric norm of grad H grows at most linearly with chart distance.
+    """Premise: the metric norm of grad H grows at most linearly with coordinate distance.
 
-    For each u slice, ratios |grad H|_g / (1 + d(point, anchor)) are compared
+    For each u slice, ratios |grad H|_g / (1 + |point - anchor|) are compared
     between the farthest distance decile and the median decile; the slice
     passes when the farthest-decile mean is at most twice the median-decile
     mean. This decile criterion is the operational definition of "at most
     linear growth" on a finite sample: it is scale free and robust to grid
     anisotropy.
 
-    A slice takes grad H at the grid points by expressions.on_rows: one
-    call of h_dx's array form when all its values are finite, else one
-    h_dx call per point, which raises where h_dx cannot be evaluated. The
-    metric at the grid points, which does not depend on u, is evaluated
-    once, after the first slice's grad H. A slice with a non-finite ratio
-    fails.
+    grad H is taken over the whole window, every u at every point, by one
+    expressions.on_rows call: h_dx's array form when all its values are
+    finite, else one h_dx call per sample, u outer, which raises where h_dx
+    cannot be evaluated. Then the metric at the grid points, which does not
+    depend on u, is evaluated once. A slice with a non-finite ratio fails,
+    and the first slice of least margin is the worst. An anchor that is not
+    one grid point's coordinates, or an empty u_grid, is a ValueError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     anchor = np.asarray(anchor, dtype=float)
+    u = np.asarray(u_grid, dtype=float)
     if grid.shape[0] < 20:
         raise ValueError("linear-growth check needs at least 20 grid points for deciles")
+    if anchor.shape != grid.shape[1:]:
+        raise ValueError(f"linear-growth anchor has shape {anchor.shape}, "
+                         f"not that of one grid point {grid.shape[1:]}")
+    if u.size == 0:
+        raise ValueError("linear-growth check needs at least one u sample")
     dists = np.linalg.norm(grid - anchor, axis=1)
     order = np.argsort(dists, kind="stable")
     k = grid.shape[0]
     med_idx = order[int(0.45 * k): max(int(0.55 * k), int(0.45 * k) + 1)]
     far_idx = order[int(0.90 * k):]
-    worst_margin = np.inf
-    worst_u = None
-    max_ratio = 0.0
-    metrics = None
-    for u in u_grid:
-        dh = on_rows(wave.h_dx, wave.dx, grid, np.full(k, float(u)))
-        with np.errstate(all="ignore"):
-            if metrics is None:
-                metrics = metrics_at(manifold, grid)
-            q = np.vecdot(dh, np.linalg.solve(metrics, dh[..., None])[..., 0])
-            # np.maximum keeps a NaN, so the slice fails below
-            ratios = np.sqrt(np.maximum(0.0, q)) / (1.0 + dists)
-        max_ratio = max(max_ratio, float(ratios.max()))
-        med = float(ratios[med_idx].mean())
-        far = float(ratios[far_idx].mean())
-        slack = 1e-12 * max(1.0, float(ratios.max()))
-        margin = 2.0 * med - far + slack
-        if not np.all(np.isfinite(ratios)):
-            margin = -np.inf   # a non-finite sample fails its slice
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_u = float(u)
+    dh = on_rows(wave.h_dx, wave.dx, np.tile(grid, (u.size, 1)),
+                 np.repeat(u, k)).reshape(u.size, k, -1)
+    with np.errstate(all="ignore"):
+        q = np.vecdot(dh, np.linalg.solve(metrics_at(manifold, grid), dh[..., None])[..., 0])
+        # np.maximum keeps a NaN, so the slice fails below
+        ratios = np.sqrt(np.maximum(0.0, q)) / (1.0 + dists)
+        slice_max = ratios.max(axis=1)
+        # one 1-d mean per slice: a mean along axis 1 would sum in another order
+        med = np.array([r[med_idx].mean() for r in ratios])
+        far = np.array([r[far_idx].mean() for r in ratios])
+        margins = 2.0 * med - far + 1e-12 * np.maximum(1.0, slice_max)
+    margins[~np.isfinite(ratios).all(axis=1)] = -np.inf   # a non-finite sample fails its slice
+    worst = int(np.argmin(margins))
+    # fmax skips a NaN slice maximum, so a NaN slice never raises max_ratio
+    max_ratio = float(np.fmax.reduce(slice_max, initial=0.0))
     return PremiseCheck(
         name="wave_gradient_linear_growth",
-        passed=worst_margin >= 0.0,
-        margin=float(worst_margin),
-        worst_t=worst_u,
+        passed=bool(margins[worst] >= 0.0),
+        margin=float(margins[worst]),
+        worst_t=float(u[worst]),
         note="2 * median-decile ratio - farthest-decile ratio of |grad H|_g / (1 + distance)",
         values={"max_ratio": max_ratio},
     )

@@ -158,6 +158,27 @@ def test_linear_growth_needs_enough_points(euclidean2):
                                   np.zeros(2), [0.0])
 
 
+def quartic_well():
+    return make_wave(lambda x, u: -float(np.dot(x, x)) ** 2,
+                     dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
+                     du=lambda x, u: 0.0)
+
+
+def test_linear_growth_needs_a_u_sample(euclidean2):
+    # any one u sample fails this wave, so no sample is no evidence, not a pass
+    grid = box_grid([-4, -4], [4, 4], [9, 9])
+    assert not check_linear_growth_gradH(euclidean2, quartic_well(), grid, [0, 0], [0.0]).passed
+    with pytest.raises(ValueError, match="at least one u sample"):
+        check_linear_growth_gradH(euclidean2, quartic_well(), grid, [0, 0], [])
+
+
+@pytest.mark.parametrize("anchor", [[3.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0])
+def test_linear_growth_anchor_is_one_grid_point(euclidean2, anchor):
+    with pytest.raises(ValueError, match="anchor"):
+        check_linear_growth_gradH(euclidean2, quartic_well(), box_grid([-4, -4], [4, 4], [9, 9]),
+                                  anchor, [0.0])
+
+
 def test_certify_harmonic_strongest_verdict(euclidean2):
     cert = certify(CertificationTask(manifold=euclidean2,
                                      bounds=bounds_2d(lambda t: 0.0, lambda t: 0.0),
