@@ -119,7 +119,8 @@ class PhiFunction:
         self._certify(self.a, self.a + _PHI_INITIAL_SPAN)
 
     def __call__(self, s):
-        return float(self.fn(s))
+        """phi at the point s, passed to fn as a Python float."""
+        return float(self.fn(float(s)))
 
     def values(self, ss):
         """phi at each point of the array ss.

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EigFailure, OutOfChart
-from .expressions import Inliner, function_text, on_rows, point_text, shaped
+from .expressions import Inliner, function_text, on_rows, on_window, point_text, shaped
 from .geometry import chart_point, inner_products, metric_diagonal, metric_lines, metrics_at
 
 
@@ -104,10 +104,12 @@ def build_energy_frame(bounds, n_t):
     """EnergyFrame on the window of bounds (hypotheses.BoundData), T = bounds.T.
 
     A_T = max alpha0 and B_T = min beta0 - 1 over bounds.t_grid, the times
-    every premise and the operator-norm bound N_T were sampled at.
+    every premise and the operator-norm bound N_T were sampled at, each
+    passed as a Python float.
     """
-    a_t = max(float(bounds.alpha0(t)) for t in bounds.t_grid)
-    b_t = min(float(bounds.beta0(t)) for t in bounds.t_grid) - 1.0
+    times = bounds.t_grid.tolist()
+    a_t = max(float(bounds.alpha0(t)) for t in times)
+    b_t = min(float(bounds.beta0(t)) for t in times) - 1.0
     return EnergyFrame(t_horizon=bounds.T, a_t=a_t, b_t=b_t, n_t=float(n_t))
 
 
@@ -275,7 +277,7 @@ def operator_eigen_range(manifold, fs, points, t):
     S has the eigenvalues of the pencil A - lambda G, A = (GF + F^T G)/2, and so,
     with L = cholesky(G), of the symmetric C = L^-1 A L^-T (Golub & Van Loan,
     Matrix Computations, §8.7): one stacked eigvalsh over the rows. F is
-    evaluated once over all (time, point) rows by on_rows, then G and L once
+    evaluated once over all (time, point) pairs by on_window, then G and L once
     per point, broadcast over the times, so an error of F over the whole
     window raises before any of G.
     """
@@ -284,8 +286,7 @@ def operator_eigen_range(manifold, fs, points, t):
     shape = times.shape + (len(points),)
     if fs.tensor_F is None:
         return np.zeros(shape), np.zeros(shape)
-    fmat = on_rows(fs.tensor_F, fs.force_matrix, np.tile(points, (times.size, 1)),
-                   np.repeat(times, len(points))).reshape(shape + (manifold.dim,) * 2)
+    fmat = on_window(fs.tensor_F, fs.force_matrix, points, times)
     g = metrics_at(manifold, points)
     # g passed the metric checks, so only a can be non-finite, and then it fails here
     with np.errstate(invalid="ignore", over="ignore"):

@@ -53,7 +53,8 @@ fails. at_chart_point gives force and wave sources the call f(x, s) this way
 together with its array form, and fused(exprs) is the same function with
 one argument per variable. on_rows is the rule every consumer follows: the
 array form serves when all its values are finite, else the scalar source is
-called once per row.
+called once per row; on_window applies it to every (time, point) pair of a
+sample window.
 
 derivative(name) gives the exact partial derivative as another Expression,
 built by the sum, product, quotient, power and chain rules (abs
@@ -882,6 +883,21 @@ def on_rows(source, scalar, *args):
         if np.isfinite(out).all():
             return out
     return np.array([scalar(*row) for row in zip(*args)])
+
+
+def on_window(source, scalar, points, times):
+    """source at every (time, point) pair, t-major, by one on_rows call.
+
+    points holds one chart point per row and times is one time or a 1-d
+    array of them. The rows are the points repeated for each time in turn,
+    so a fallback to scalar, source's scalar call on a point and a time,
+    raises at the first failing pair in that order. The value has the shape
+    times.shape + (len(points),), followed by the shape of one value.
+    """
+    times = np.asarray(times, dtype=float)
+    k = len(points)
+    out = on_rows(source, scalar, np.tile(points, (times.size, 1)), np.repeat(times, k))
+    return out.reshape(times.shape + (k,) + out.shape[1:])
 
 
 #: The deepest expression the parser builds. Depth counts each operator,

@@ -34,6 +34,7 @@ from .geometry import chart_point, inner_products, metric_at, norm_function
 from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
+from .report import write_csv
 
 #: the times of a split geodesic's v-table, spread evenly over the base run
 _V_NODES = 2049
@@ -359,7 +360,7 @@ def full_geodesic_oracle(st, init, cfg):
 
     guard_ok = lambda y: st.base.contains(y[:n])
     return integrate_ode(f, np.concatenate([q0, qd0]), cfg, direction=FORWARD,
-                         speed_of=speed_of, guard_ok=guard_ok, dim=n_full)
+                         speed_of=speed_of, guard_ok=guard_ok)
 
 
 def full_quadratic_form(st, q, qd):
@@ -388,8 +389,7 @@ def split_geodesic_to_csv(sg, st, fileobj):
     """
     n = sg.base_trajectory.dim
     header = ["t", "u", "v"] + [f"x{i + 1}" for i in range(n)] + [f"xdot{i + 1}" for i in range(n)]
-    fileobj.write(",".join(header) + "\n")
     ts = sg.base_trajectory.times
     v = hermite(sg.v_times, sg.v_values, sg.v_dots, ts)
-    for row in np.column_stack([ts, sg.u0 + sg.delta * ts, v, sg.base_trajectory.states]).tolist():
-        fileobj.write(",".join(map(repr, row)) + "\n")
+    rows = np.column_stack([ts, sg.u0 + sg.delta * ts, v, sg.base_trajectory.states])
+    write_csv(fileobj, header, rows.ravel().tolist())

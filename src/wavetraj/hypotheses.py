@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import operator_eigen_range
-from .expressions import array_form, on_rows
+from .expressions import on_rows, on_window
 from .geometry import metrics_at
 
 CAVEAT = "premises verified on sampled domain only"
@@ -136,75 +136,52 @@ class CompletenessCertificate:
         }
 
 
-def _scan_grid(bd, margin, sources):
-    """Minimize a premise's margin over grid x t_grid; returns (min, point, t).
+def _on_times(bd, fn):
+    """A bound of time at every t of the window, shape (len(t_grid), 1) to broadcast over the grid.
 
-    sources is a list of (scalar, form) pairs, one per quantity the margin
-    formula takes, in its argument order: scalar(p, t) is the value at one
-    chart point and time (a holder's method, such as ForceSystem.value), and
-    form(x, t) the values over arrays of them, the array form of the
-    holder's source, or None when the source has none. The one formula
-    margin(*values) serves both.
-
-    When every source has an array form, the margin is evaluated over the
-    whole (len(t_grid), len(grid)) sample array at once, t-major, from the
-    grid points x (shape (1, len(grid), dim)) and the times t (shape
-    (len(t_grid), 1)). If every value is finite, the first minimum in that
-    order (np.argmin, like the strict < of the loop below) gives the margin,
-    the worst point and the worst t.
-
-    Otherwise the loop evaluates the margin one sample at a time, t outer
-    and points inner, calling the scalar sources in order on Python floats.
-    A non-finite sample is evidence of nothing, so it is the worst sample:
-    the scan stops there and returns margin -inf with that sample's point
-    and t. The loop alone decides -inf margins and raises evaluation errors;
-    an array value that is NaN where the scalar source would raise only
-    sends the scan to the loop.
+    fn's array form serves when its values are all finite; otherwise fn is
+    called once per time, on a Python float (expressions.on_rows).
     """
-    forms = [form for _, form in sources]
-    if None not in forms:
-        x, t = bd.grid[None, :, :], bd.t_grid[:, None]
-        with np.errstate(all="ignore"):
-            values = margin(*(form(x, t) for form in forms))
-        values = np.broadcast_to(values, (bd.t_grid.size, bd.grid.shape[0]))
-        if np.all(np.isfinite(values)):
-            i, j = np.unravel_index(np.argmin(values), values.shape)
-            return float(values[i, j]), tuple(float(c) for c in bd.grid[j]), float(bd.t_grid[i])
-    scalars = [scalar for scalar, _ in sources]
-    worst = np.inf
-    worst_p = None
-    worst_t = None
-    points = bd.grid.tolist()   # chart points as the Python floats sources take
-    for t in bd.t_grid.tolist():
-        for p in points:
-            val = margin(*[scalar(p, t) for scalar in scalars])
-            if not np.isfinite(val):
-                return -np.inf, tuple(float(c) for c in p), t
-            if val < worst:
-                worst = val
-                worst_p = tuple(float(c) for c in p)
-                worst_t = t
-    return float(worst), worst_p, worst_t
+    return on_rows(fn, lambda t: float(fn(float(t))), bd.t_grid)[:, None]
 
 
-def _bound(fn):
-    """A bound of time as a sampled field, fn(t) at every point."""
-    form = array_form(fn)
-    return (lambda p, t: float(fn(t))), (None if form is None else lambda x, t: form(t))
+def _worst(bd, margins):
+    """(margin, worst point, worst t) of a premise's margins over the window, t-major.
+
+    The first minimum; but a non-finite sample is evidence of nothing, so the
+    first such sample is the worst, with margin -inf.
+    """
+    finite = np.isfinite(margins)
+    if finite.all():
+        k = int(np.argmin(margins))
+        margin = float(margins.flat[k])
+    else:
+        k = int(np.argmin(finite))
+        margin = -np.inf
+    i, j = divmod(k, bd.grid.shape[0])
+    return margin, tuple(bd.grid[j].tolist()), float(bd.t_grid[i])
+
+
+def _premise(bd, name, note, margins, prerequisite_passed=True):
+    """The sampled premise name from its margins over the window (_worst).
+
+    It fails, stamped dependent_failure, when its prerequisite failed.
+    """
+    margin, p, t = _worst(bd, margins)
+    return PremiseCheck(name=name, passed=margin >= 0.0 and prerequisite_passed, margin=margin,
+                        worst_point=p, worst_t=t, note=note,
+                        dependent_failure=not prerequisite_passed)
 
 
 def check_bounded_below(fs, bd):
     """Premise: V(p, t) >= beta0(t) on the sampled window."""
-    margin, p, t = _scan_grid(bd, lambda v, beta0: v - beta0,
-                              [(fs.value, array_form(fs.potential)), _bound(bd.beta0)])
-    return PremiseCheck(
-        name="potential_bounded_below",
-        passed=margin >= 0.0,
-        margin=margin,
-        worst_point=p,
-        worst_t=t,
-        note="min of V - beta0 over the sample grid",
-    )
+    v = on_window(fs.potential, fs.value, bd.grid, bd.t_grid)
+    return _bounded_below(bd, v, _on_times(bd, bd.beta0))
+
+
+def _bounded_below(bd, v, beta0):
+    return _premise(bd, "potential_bounded_below", "min of V - beta0 over the sample grid",
+                    v - beta0)
 
 
 def check_S_bounds(manifold, fs, bounds):
@@ -239,6 +216,12 @@ def check_S_bounds(manifold, fs, bounds):
     }
 
 
+def _potential_fields(fs, bd):
+    """V, beta0, alpha0 and dV/dt over the window, evaluated in that order."""
+    return (on_window(fs.potential, fs.value, bd.grid, bd.t_grid), _on_times(bd, bd.beta0),
+            _on_times(bd, bd.alpha0), on_window(fs.potential_dt, fs.dt, bd.grid, bd.t_grid))
+
+
 def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
     """Premise: the (signed) time derivative of V is controlled by alpha0 (V - beta0).
 
@@ -248,25 +231,17 @@ def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
     """
     if signed not in ("two_sided", "forward", "backward"):
         raise ValueError(f"unknown signed mode {signed!r}")
+    return _dvdt_bound(bd, *_potential_fields(fs, bd), signed, prerequisite_passed)
 
-    def signed_dt(q):
-        if signed == "two_sided":
-            return abs(q)
-        return -q if signed == "backward" else q
 
-    margin, p, t = _scan_grid(
-        bd, lambda dv_dt, alpha0, v, beta0: alpha0 * (v - beta0) - signed_dt(dv_dt),
-        [(fs.dt, array_form(fs.potential_dt)), _bound(bd.alpha0),
-         (fs.value, array_form(fs.potential)), _bound(bd.beta0)])
-    return PremiseCheck(
-        name=f"potential_dt_{signed}",
-        passed=margin >= 0.0 and prerequisite_passed,
-        margin=margin,
-        worst_point=p,
-        worst_t=t,
-        note="min of alpha0*(V - beta0) - signed dV/dt over the sample grid",
-        dependent_failure=not prerequisite_passed,
-    )
+def _dvdt_bound(bd, v, beta0, alpha0, dv_dt, signed, prerequisite_passed):
+    if signed == "two_sided":
+        dv_dt = np.abs(dv_dt)
+    elif signed == "backward":
+        dv_dt = -dv_dt
+    return _premise(bd, f"potential_dt_{signed}",
+                    "min of alpha0*(V - beta0) - signed dV/dt over the sample grid",
+                    alpha0 * (v - beta0) - dv_dt, prerequisite_passed)
 
 
 def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
@@ -280,7 +255,7 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     anisotropy.
 
     grad H is taken over the whole window, every u at every point, by one
-    expressions.on_rows call: h_dx's array form when all its values are
+    expressions.on_window call: h_dx's array form when all its values are
     finite, else one h_dx call per sample, u outer, which raises where h_dx
     cannot be evaluated. Then the metric at the grid points, which does not
     depend on u, is evaluated once. A slice with a non-finite ratio fails,
@@ -302,8 +277,7 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     k = grid.shape[0]
     med_idx = order[int(0.45 * k): max(int(0.55 * k), int(0.45 * k) + 1)]
     far_idx = order[int(0.90 * k):]
-    dh = on_rows(wave.h_dx, wave.dx, np.tile(grid, (u.size, 1)),
-                 np.repeat(u, k)).reshape(u.size, k, -1)
+    dh = on_window(wave.h_dx, wave.dx, grid, u)
     with np.errstate(all="ignore"):
         q = np.vecdot(dh, np.linalg.solve(metrics_at(manifold, grid), dh[..., None])[..., 0])
         # np.maximum keeps a NaN, so the slice fails below
@@ -327,35 +301,30 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     )
 
 
+def _wave_fields(wave, bd):
+    """H, beta0, alpha0 and dH/du over the window, evaluated in that order."""
+    return (on_window(wave.h, wave.value, bd.grid, bd.t_grid), _on_times(bd, bd.beta0),
+            _on_times(bd, bd.alpha0), on_window(wave.h_du, wave.du, bd.grid, bd.t_grid))
+
+
 def check_wave_bounded_above(wave, bd):
     """Premise: H(x, u) <= beta0(u) on the sampled window."""
-    margin, p, t = _scan_grid(bd, lambda beta0, h: beta0 - h,
-                              [_bound(bd.beta0), (wave.value, array_form(wave.h))])
-    return PremiseCheck(
-        name="wave_bounded_above",
-        passed=margin >= 0.0,
-        margin=margin,
-        worst_point=p,
-        worst_t=t,
-        note="min of beta0 - H over the sample grid",
-    )
+    h = on_window(wave.h, wave.value, bd.grid, bd.t_grid)
+    return _wave_bounded_above(bd, h, _on_times(bd, bd.beta0))
+
+
+def _wave_bounded_above(bd, h, beta0):
+    return _premise(bd, "wave_bounded_above", "min of beta0 - H over the sample grid", beta0 - h)
 
 
 def check_wave_du_bound(wave, bd, prerequisite_passed=True):
     """Premise: |dH/du| <= alpha0(u) (beta0(u) - H) on the sampled window."""
-    margin, p, t = _scan_grid(
-        bd, lambda alpha0, beta0, h, dh_du: alpha0 * (beta0 - h) - abs(dh_du),
-        [_bound(bd.alpha0), _bound(bd.beta0), (wave.value, array_form(wave.h)),
-         (wave.du, array_form(wave.h_du))])
-    return PremiseCheck(
-        name="wave_du_bound",
-        passed=margin >= 0.0 and prerequisite_passed,
-        margin=margin,
-        worst_point=p,
-        worst_t=t,
-        note="min of alpha0*(beta0 - H) - |dH/du| over the sample grid",
-        dependent_failure=not prerequisite_passed,
-    )
+    return _wave_du_bound(bd, *_wave_fields(wave, bd), prerequisite_passed)
+
+
+def _wave_du_bound(bd, h, beta0, alpha0, dh_du, prerequisite_passed):
+    return _premise(bd, "wave_du_bound", "min of alpha0*(beta0 - H) - |dH/du| over the sample grid",
+                    alpha0 * (beta0 - h) - np.abs(dh_du), prerequisite_passed)
 
 
 def _flag_check(manifold):
@@ -389,7 +358,11 @@ def certify(task):
 
     Precedence: two-sided potential bounds > wave coefficient bounds > linear
     gradient growth > forward > backward. Every route and every margin stay
-    in the evidence; failures never raise.
+    in the evidence; failures never raise. The fields the premises take are
+    each evaluated once over the window, in the order V, beta0, alpha0,
+    dV/dt (H, beta0, alpha0, dH/du for a wave) and before the S-bound or
+    linear-growth scan, so a field that cannot be evaluated raises the
+    EvaluationError of the first that fails.
     """
     evidence = {}
     routes = []
@@ -400,18 +373,18 @@ def certify(task):
 
     flag = record(_flag_check(task.manifold))
 
+    bd = task.bounds
     if task.wave is not None:
-        bounded = record(check_wave_bounded_above(task.wave, task.bounds))
-        du_check = record(check_wave_du_bound(task.wave, task.bounds,
-                                              prerequisite_passed=bounded.passed))
+        h, beta0, alpha0, dh_du = _wave_fields(task.wave, bd)
+        bounded = record(_wave_bounded_above(bd, h, beta0))
+        du_check = record(_wave_du_bound(bd, h, beta0, alpha0, dh_du, bounded.passed))
         names = (flag.name, bounded.name, du_check.name)
         routes.append(RouteResult(
             route="wave_bounds", verdict=COMPLETE_WAVE_BOUNDS,
             passed=all(evidence[n].passed for n in names), premises=names))
         anchor = task.anchor if task.anchor is not None else np.zeros(task.manifold.dim)
         growth = record(check_linear_growth_gradH(task.manifold, task.wave,
-                                                  task.bounds.grid, anchor,
-                                                  task.bounds.t_grid))
+                                                  bd.grid, anchor, bd.t_grid))
         names = (flag.name, growth.name)
         routes.append(RouteResult(
             route="linear_growth", verdict=COMPLETE_LINEAR_GRADIENT,
@@ -419,8 +392,9 @@ def certify(task):
     else:
         if task.force is None:
             raise ValueError("certification task needs a force system or a wave coefficient")
-        bounded = record(check_bounded_below(task.force, task.bounds))
-        s_checks = check_S_bounds(task.manifold, task.force, task.bounds)
+        fields = _potential_fields(task.force, bd)
+        bounded = record(_bounded_below(bd, *fields[:2]))
+        s_checks = check_S_bounds(task.manifold, task.force, bd)
         route_map = {
             "two_sided": (s_checks["bounded"], COMPLETE_POTENTIAL_BOUNDS),
             "forward": (s_checks["upper_bounded"], FORWARD_COMPLETE),
@@ -429,8 +403,7 @@ def certify(task):
         for mode in ("two_sided", "forward", "backward"):
             s_check, verdict = route_map[mode]
             record(s_check)
-            dvdt = record(check_dVdt_bound(task.force, task.bounds, signed=mode,
-                                           prerequisite_passed=bounded.passed))
+            dvdt = record(_dvdt_bound(bd, *fields, mode, bounded.passed))
             names = (flag.name, bounded.name, s_check.name, dvdt.name)
             routes.append(RouteResult(
                 route=mode, verdict=verdict,

@@ -47,6 +47,7 @@ import numpy as np
 from .dynamics import make_rhs
 from .errors import EvaluationError, InvalidInit, NotABlowup, OutOfChart, OutOfRange
 from .geometry import guard_function, norm_function
+from .report import write_csv
 
 # Dormand-Prince 5(4) tableau: nodes C, stage weights A (rows 2..7, zero
 # entries left out), fifth-order weights B (row 7 of A: stage 7 is the new
@@ -381,8 +382,7 @@ class _Core:
         return Outcome(TOLERANCE_FAILURE)
 
 
-def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, dim=None,
-                  t0=0.0):
+def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, t0=0.0):
     """Low-level entry: integrate y' = f(t, y) from y(t0) = y0 with classification.
 
     A forward run goes toward t = horizon, a backward one toward t = -horizon;
@@ -390,11 +390,13 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, d
     state y as a list of Python floats; f returns d/dt y as a list of floats
     or as an array. speed_of(y) feeds the blow-up classifier (defaults to the
     euclidean norm of the second half of y), guard_ok(y) the chart-exit logic.
+    y is a position followed by a velocity of the same length, so the
+    trajectory's dim is half the length of y0.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
     y0 = np.asarray(y0, dtype=float)
-    n = dim if dim is not None else y0.size // 2
+    n = y0.size // 2
     if speed_of is None:
         speed_of = lambda y: math.hypot(*y[n:])
     if guard_ok is None:
@@ -425,7 +427,7 @@ def integrate(manifold, fs, init, cfg, direction=FORWARD):
     """Integrate the force equation from init = (p, v) and classify the outcome."""
     f, speed_of, guard_ok = _problem(manifold, fs)
     return integrate_ode(f, np.concatenate(init), cfg, direction=direction, speed_of=speed_of,
-                         guard_ok=guard_ok, dim=manifold.dim)
+                         guard_ok=guard_ok)
 
 
 def hermite(ts, ys, ds, t):
@@ -547,7 +549,7 @@ def refine_blowup(manifold, fs, cfg, coarse):
         start -= 1
     t0 = float(coarse.times[start])
     traj = integrate_ode(f, coarse.states[start], fine, direction=coarse.direction,
-                         speed_of=speed_of, guard_ok=guard_ok, dim=coarse.dim, t0=t0)
+                         speed_of=speed_of, guard_ok=guard_ok, t0=t0)
     if traj.outcome.kind == HORIZON_REACHED:
         raise NotABlowup("refinement run reached the horizon")
     t_deep = float(traj.times[-1])
@@ -567,7 +569,4 @@ def trajectory_to_csv(traj, fileobj):
     """Write accepted steps as CSV: t, x1..xn, xdot1..xdotn at full precision."""
     n = traj.dim
     header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"xdot{i + 1}" for i in range(n)]
-    fileobj.write(",".join(header) + "\n")
-    for t, y in zip(traj.times, traj.states):
-        row = [repr(float(t))] + [repr(float(v)) for v in y]
-        fileobj.write(",".join(row) + "\n")
+    write_csv(fileobj, header, np.column_stack([traj.times, traj.states]).ravel().tolist())

@@ -1,4 +1,4 @@
-"""Run reports: one machine-readable and one human-readable rendering.
+"""Run reports: one machine-readable and one human-readable rendering, and the CSV writer.
 
 Both renderings are generated from the same nested mapping, so they agree
 field for field. Report files contain no wall-clock data; elapsed time is a
@@ -40,6 +40,17 @@ class RunReport:
         if self.conflict:
             out["conflict"] = True
         return out
+
+
+def write_csv(fileobj, header, values):
+    """Write a CSV file in one write: the header names, then values in rows of len(header).
+
+    values is flat, row after row: Python floats, written as their repr at
+    full precision (str and repr agree on them), ints, or strings written as
+    they are. Every CSV artifact is written here.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    fileobj.write(",".join(header) + "\n" + (line * (len(values) // len(header))) % tuple(values))
 
 
 def _flatten(prefix, value, lines):

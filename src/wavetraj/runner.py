@@ -15,7 +15,7 @@ from .gpw import (GeodesicInitialData, base_trajectory, classify_gpw_completenes
 from .hypotheses import CertificationTask, certify, check_S_bounds, INCONCLUSIVE
 from .integrate import (BLOW_UP_SUSPECTED, CHART_EXIT, HORIZON_REACHED, TOLERANCE_FAILURE,
                         integrate, refine_blowup, sample, trajectory_to_csv)
-from .report import RunReport, render_human, render_json
+from .report import RunReport, render_human, render_json, write_csv
 
 _OUTCOME_CODES = {HORIZON_REACHED: 0, BLOW_UP_SUSPECTED: 1, CHART_EXIT: 2, TOLERANCE_FAILURE: 3}
 # envelope: times and step of the centered-difference check of dv/dt
@@ -222,7 +222,7 @@ def _oracle_comparison(st, init, cfg, sg):
 def _run_gpw_map(sc, out_dir, report):
     spec = sc.map_spec
     counts = {}
-    rows = []
+    values = []
     n = sc.manifold.dim
     for x0 in spec["x0_grid"]:
         for delta in spec["deltas"]:
@@ -232,16 +232,14 @@ def _run_gpw_map(sc, out_dir, report):
             kind = outcome.kind
             counts[kind] = counts.get(kind, 0) + 1
             t_star = outcome.t_star_estimate
-            rows.append([*(float(c) for c in x0), float(delta),
-                         _OUTCOME_CODES[kind], "" if t_star is None else repr(float(t_star))])
+            values += [*(float(c) for c in x0), float(delta),
+                       _OUTCOME_CODES[kind], "" if t_star is None else float(t_star)]
     csv_name = sc.outputs["map_csv"]
     header = [f"x0_{i + 1}" for i in range(n)] + ["delta", "outcome", "t_star"]
     with open(out_dir / csv_name, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+        write_csv(fh, header, values)
     report.artifacts.append(csv_name)
-    report.outcome = {"counts": counts, "n_runs": len(rows),
+    report.outcome = {"counts": counts, "n_runs": sum(counts.values()),
                       "outcome_codes": {k: v for k, v in sorted(_OUTCOME_CODES.items())}}
 
 

@@ -8,6 +8,7 @@ array form. A source's array form belongs to the callable, so replacing the
 source replaces its array form too.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,22 @@ def test_phi_values_leave_a_failed_point_to_fn():
     expr = parse_expression("sqrt(s - 2) + 1", ("s",))
     with pytest.raises(EvaluationError, match="sqrt"):
         PhiFunction(a=1.0, fn=expr)
+
+
+def test_phi_and_the_envelope_bounds_are_called_on_python_floats(tmp_path):
+    # a division by zero in numpy scalars would give inf and a RuntimeWarning
+    phi = PhiFunction(a=1.0, fn=parse_expression("s + 1/(s - 20)^2", ("s",)))
+    envelope = load_scenario(bundled_scenarios()["exp-envelope"], ["bounds.alpha0=1/t"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (phi.values, phi.reciprocal):
+            with pytest.raises(EvaluationError) as exc:
+                call(np.array([19.0, 20.0]))
+            assert (exc.value.source, exc.value.point) == ("s + 1/(s - 20)^2", {"s": 20.0})
+        # the energy frame takes A_T at every time of t_grid, which holds t = 0
+        with pytest.raises(EvaluationError) as exc:
+            run_scenario(envelope, tmp_path)
+        assert (exc.value.source, exc.value.point) == ("1/t", {"t": 0.0, "u": 0.0})
 
 
 def test_quadrature_node_where_phi_is_not_positive_raises():

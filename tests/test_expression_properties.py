@@ -4,7 +4,8 @@ sympy is the independent oracle for values and exact derivatives; it parses
 the same text on its own (with '^' read as '**', whose precedence and
 associativity match the grammar's). Central differences check the exact
 derivatives once more. The scalar form is the reference for the array form,
-and the one-sample-at-a-time loop of a premise scan for its array path.
+and a premise's window scan with one scalar call per sample for the scan of
+its array form.
 sympy is a test-only dependency.
 """
 
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wavetraj.errors import EvaluationError, ParseError, WavetrajError
-from wavetraj.expressions import FUNCTIONS, _compile, fused, parse_expression
-from wavetraj.hypotheses import BoundData, _scan_grid
+from wavetraj.expressions import FUNCTIONS, _compile, fused, on_window, parse_expression, with_array_form
+from wavetraj.hypotheses import BoundData, _worst
 from wavetraj.numdiff import fd_step
 
 sympy = pytest.importorskip("sympy")
@@ -368,10 +369,10 @@ def scans(draw):
     return text, grid, t_grid
 
 
-def _scan_outcome(bd, quantity, on_grid=None):
-    """(verdict, worst point, worst t) and the margin, or the error the scan raises."""
+def _scan_outcome(bd, source, quantity):
+    """(verdict, worst point, worst t) and the margin, or the error the window scan raises."""
     try:
-        margin, point, t = _scan_grid(bd, lambda v: v, [(quantity, on_grid)])
+        margin, point, t = _worst(bd, on_window(source, quantity, bd.grid, bd.t_grid))
     except WavetrajError as exc:
         return repr(exc), None
     return repr((margin >= 0.0, point, t)), margin
@@ -384,13 +385,14 @@ def test_array_scan_equals_the_scalar_loop(scan):
     expr = parse_expression(text, NAMES)
     bd = BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, grid=grid, t_grid=t_grid)
     # Python floats, so a failed evaluation raises instead of warning
-    quantity = lambda p, t: expr(float(p[0]), float(p[1]), t)
-    on_grid = lambda x, t: expr.on_arrays(x[..., 0], x[..., 1], t)
-    looped, loop_margin = _scan_outcome(bd, quantity)
-    batched, margin = _scan_outcome(bd, quantity, on_grid)
+    quantity = lambda p, t: expr(float(p[0]), float(p[1]), float(t))
+    on_grid = with_array_form(lambda p, t: quantity(p, t),
+                              lambda x, t: expr.on_arrays(x[..., 0], x[..., 1], t))
+    looped, loop_margin = _scan_outcome(bd, quantity, quantity)
+    batched, margin = _scan_outcome(bd, on_grid, quantity)
     assert batched == looped, text
     if margin is not None and math.isfinite(loop_margin):
-        _, point, t = _scan_grid(bd, lambda v: v, [(quantity, None)])
+        _, point, t = _worst(bd, on_window(quantity, quantity, bd.grid, bd.t_grid))
         assert abs(margin - loop_margin) <= _tolerance(0.0, expr, (*point, t), loop_margin), text
 
 

@@ -1,12 +1,16 @@
-"""The S-bound and linear-growth scans take the whole sample window in one call.
+"""The premise scans take the whole sample window in one call.
 
 operator_eigen_range over an array of times, and check_linear_growth_gradH
 over every u, against the one-slice-per-time paths they replaced: the same
-floats bit for bit, with G evaluated once per grid point.
+floats bit for bit, with G evaluated once per grid point. A certify route
+evaluates each of its premise fields once over the window, and a failed
+evaluation raises for the first field that fails, in a fixed order.
 """
 
 import math
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +18,14 @@ from numpy.testing import assert_array_equal
 
 from wavetraj.catalog import build_manifold, build_tensor, build_wave, expression_tensor
 from wavetraj.dynamics import operator_eigen_range
-from wavetraj.errors import EigFailure
-from wavetraj.expressions import on_rows
+from wavetraj.errors import EigFailure, EvaluationError
+from wavetraj.expressions import array_form, on_rows, with_array_form
 from wavetraj.geometry import ChartManifold, metrics_at
 from wavetraj.gpw import WaveCoefficient
-from wavetraj.hypotheses import check_linear_growth_gradH, check_S_bounds
+from wavetraj.hypotheses import (CertificationTask, certify, check_linear_growth_gradH,
+                                 check_S_bounds)
+from wavetraj.runner import run_scenario
+from wavetraj.scenario import bundled_scenarios, load_scenario, parse_scenario
 
 from conftest import box_grid, tensor_force, window
 
@@ -152,3 +159,76 @@ def test_linear_growth_equals_the_per_slice_loop(case):
     if case.endswith("_slice"):
         assert got[1] == -np.inf
 
+
+
+def counted(fn, name, calls):
+    """fn with an array form that counts its calls in calls[name]."""
+    form = array_form(fn)
+
+    def counting(*args):
+        calls[name] += 1
+        return form(*args)
+
+    return with_array_form(lambda *args: fn(*args), counting)
+
+
+def test_a_force_certify_evaluates_each_premise_field_once():
+    sc = load_scenario(bundled_scenarios()["exp-certify"])
+    calls = Counter()
+    fs = replace(sc.force, potential=counted(sc.force.potential, "V", calls),
+                 potential_dt=counted(sc.force.potential_dt, "dV/dt", calls))
+    bd = replace(sc.bounds, alpha0=counted(sc.bounds.alpha0, "alpha0", calls),
+                 beta0=counted(sc.bounds.beta0, "beta0", calls))
+    cert = certify(CertificationTask(manifold=sc.manifold, bounds=bd, force=fs))
+    assert calls == {"V": 1, "dV/dt": 1, "alpha0": 1, "beta0": 1}   # not 4, 3, 3 and 4
+    assert cert == certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds, force=sc.force))
+
+
+def test_a_wave_certify_evaluates_each_premise_field_once():
+    sc = load_scenario(bundled_scenarios()["plane-wave-certify"])
+    calls = Counter()
+    wave = sc.spacetime.wave
+    counted_wave = replace(wave, h=counted(wave.h, "H", calls),
+                           h_du=counted(wave.h_du, "dH/du", calls))
+    bd = replace(sc.bounds, alpha0=counted(sc.bounds.alpha0, "alpha0", calls),
+                 beta0=counted(sc.bounds.beta0, "beta0", calls))
+    cert = certify(CertificationTask(manifold=sc.manifold, bounds=bd, wave=counted_wave))
+    assert calls == {"H": 1, "dH/du": 1, "alpha0": 1, "beta0": 1}   # not 2, 1, 1 and 2
+    assert cert == certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds, wave=wave))
+
+
+def _certify_scenario(source, alpha0, beta0):
+    """A certify scenario on E2 over t in [-2, 2]: a potential text, or a wave {"H": text}."""
+    raw = {"name": "order", "task": "certify",
+           "manifold": {"catalog": "euclidean", "params": {"n": 2}},
+           "bounds": {"alpha0": alpha0, "beta0": beta0, "T": 2.0, "t_samples": 5,
+                      "grid": {"min": [-1, -1], "max": [1, 1], "shape": [5, 5]}}}
+    if isinstance(source, dict):
+        raw["gpw"] = {"wave": {"catalog": "expression", "params": {**source, "n": 2}},
+                      "witness": {"x": [1.0, 0.0], "u": 0.0}}
+    else:
+        raw["force"] = {"potential": {"expr": source}}
+    return parse_scenario(raw)
+
+
+# Each field fails at one end of the window, the earlier field in the order
+# of evaluation at the later time: the window of that field is evaluated
+# first, so its error is the one raised. One sample at a time, the other
+# field would fail first.
+@pytest.mark.parametrize("source,alpha0,beta0,failing", [
+    # V before beta0
+    ("log(2 - t) + x1^2", "1", "1/(t + 2)", ("log(2 - t) + x1^2", {"x1": -1.0, "x2": -1.0, "t": 2.0})),
+    # alpha0 before dV/dt
+    ("x1^2 + sqrt(t + 2)", "1/(2 - t)", "0", ("1/(2 - t)", {"t": 2.0, "u": 2.0})),
+    # H before beta0
+    ({"H": "x1^2 + log(2 - u)"}, "1", "1/(t + 2)",
+     ("x1^2 + log(2 - u)", {"x1": -1.0, "x2": -1.0, "u": 2.0})),
+    # alpha0 before dH/du
+    ({"H": "x1^2 + sqrt(u + 2)"}, "1/(2 - t)", "-10", ("1/(2 - t)", {"t": 2.0, "u": 2.0})),
+])
+def test_a_failed_premise_field_raises_in_the_order_v_or_h_beta0_alpha0_derivative(
+        source, alpha0, beta0, failing, tmp_path):
+    sc = _certify_scenario(source, alpha0, beta0)
+    with pytest.raises(EvaluationError) as exc:
+        run_scenario(sc, tmp_path)
+    assert (exc.value.source, exc.value.point) == failing
