@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EigFailure, OutOfChart
 from .expressions import Inliner, function_text, on_rows, on_window, point_text, shaped
-from .geometry import chart_point, inner_products, metric_diagonal, metric_lines, metrics_at
+from .geometry import chart_point, diagonal_of, inner_products, metric_lines, metrics_at
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def make_rhs(manifold, fs):
       negated, and F xd is added.
 
     A metric that is diagonal at x is checked and raised against in floats,
-    by division; any other is checked by metric_at's rules and solved by
+    by division; any other takes metric_at's stacked check and is solved by
     np.linalg.solve. Every sum and product is written out in that order, a
     row of F times xd as sum() adds it, from 0. A source that is a
     chart_function (and a guard of expression text) is written into k, one
@@ -250,7 +250,7 @@ def _minus_gradient(manifold, inliner, gradient, dv):
     if manifold.identity_metric:
         subtract = [f"_a{i} = _a{i} - {d}" for i, d in enumerate(dv)]
     else:
-        diagonal, g = metric_diagonal(manifold, [0.0] * n)
+        diagonal, g = diagonal_of(manifold.metric, [0.0] * n)
         if diagonal is not None:
             subtract = [f"_a{i} = _a{i} - {d} / {inliner.bind(c)}"
                         for i, (d, c) in enumerate(zip(dv, diagonal))]

@@ -30,8 +30,8 @@ class ChartManifold:
     returns Python floats in plain (nested) sequences, and the consumers
     (metric_at, the force equation) turn what it returns into arrays where
     they need them. metric maps a chart point to the dim x dim metric rows,
-    or is one constant dim x dim matrix. A constant metric is checked once,
-    here, and makes the chart flat: its Christoffel symbols vanish, so it
+    or is one constant dim x dim matrix, checked here as a stack of one; it
+    makes the chart flat: its Christoffel symbols vanish, so it
     takes no geodesic_term. geodesic_term(x, v), the one way the metric's
     derivatives enter the force equation, gives the dim floats Γ_lij v^i v^j:
     the Christoffel symbols of the first kind, Γ_lij = 1/2 (∂_i g_jl + ∂_j
@@ -69,7 +69,7 @@ class ChartManifold:
             if self.geodesic_term is not None:
                 raise ValueError("a constant metric has zero Christoffel symbols; "
                                  "geodesic_term must be None")
-            g = _checked_metric(self.metric, self.dim, None)
+            g = _checked_metrics([self.metric], self.dim, [None])[0]
             g.flags.writeable = False
             identity = bool(np.array_equal(g, np.eye(self.dim)))
             object.__setattr__(self, "metric", g)
@@ -95,36 +95,46 @@ def require_in_chart(manifold, x):
         raise OutOfChart(np.asarray(x, dtype=float))
 
 
-def _checked_metric(g, dim, x):
-    """g symmetrized and checked positive definite; x is None for a constant metric.
+def _checked_metrics(g, dim, points):
+    """The stack g of metric values, symmetrized and checked positive definite.
 
-    Symmetry is enforced by averaging (G + G^T)/2 after verifying the raw
-    matrix is symmetric to 1e-12 relative tolerance. Positive definiteness is
-    checked by Cholesky; failure is a hard error, and so is a NaN or inf
-    entry, which Cholesky would pass on as NaN factors, in G or, quietly
-    overflowed from entries above DBL_MAX/2, in the average.
+    points holds each value's chart point as an array, or is [None] for a
+    constant metric, a stack of one. Each test runs once over the stack and
+    raises at the first value that fails it: finite entries, symmetry to
+    1e-12 relative tolerance (then enforced by averaging, (G + G^T)/2), a
+    finite average (entries above DBL_MAX/2 overflow in it), then Cholesky,
+    which would pass a NaN or inf on as NaN factors. Only a failure looks at
+    single values.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (dim, dim):
-        raise ValueError(f"metric has shape {g.shape}, expected {(dim, dim)}")
-    largest = float(np.abs(g).max())
-    if not np.isfinite(largest):
-        raise NotPositiveDefinite(x, problem="finite")
-    scale = max(1.0, largest)
+    if g.shape[1:] != (dim, dim):
+        raise ValueError(f"metric has shape {g.shape[1:]}, expected {(dim, dim)}")
+    largest = np.abs(g).max(axis=(1, 2))
+    top = largest.max()
+    if not math.isfinite(top):
+        raise NotPositiveDefinite(points[np.isfinite(largest).argmin()], problem="finite")
     # only past DBL_MAX/2 can G - G^T or the average overflow
-    may_overflow = largest > _HALF_MAX
+    may_overflow = top > _HALF_MAX
     with np.errstate(over="ignore") if may_overflow else contextlib.nullcontext():
-        if np.abs(g - g.T).max() > SYMMETRY_RTOL * scale:
+        asymmetry = np.abs(g - g.swapaxes(1, 2)).max(axis=(1, 2))
+        asymmetric = asymmetry > SYMMETRY_RTOL * np.maximum(1.0, largest)
+        if asymmetric.any():
+            x = points[asymmetric.argmax()]
             where = "as a constant" if x is None else f"at {x}"
             raise ValueError(f"metric not symmetric {where} beyond {SYMMETRY_RTOL} relative tolerance")
         g = symmetric_part(g)
-    if may_overflow and not np.isfinite(g).all():
-        raise NotPositiveDefinite(x, problem="finite")
+    if may_overflow:
+        finite = np.isfinite(g).all(axis=(1, 2))
+        if not finite.all():
+            raise NotPositiveDefinite(points[finite.argmin()], problem="finite")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        eigmin = float(np.linalg.eigvalsh(g)[0])
-        raise NotPositiveDefinite(x, eigmin) from None
+        for i, row in enumerate(g):
+            try:
+                np.linalg.cholesky(row)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(points[i], float(np.linalg.eigvalsh(row)[0])) from None
     return g
 
 
@@ -138,28 +148,19 @@ def metric_at(manifold, x):
     require_in_chart(manifold, x)
     if manifold.flat:
         return manifold.metric
-    return _checked_metric(manifold.metric(x.tolist()), manifold.dim, x)
+    return _checked_metrics([manifold.metric(x.tolist())], manifold.dim, [x])[0]
 
 
-def metric_diagonal(manifold, x):
-    """(diagonal, None) or (None, matrix) of G at the chart point x, a list of floats in the chart.
+def diagonal_of(g, x):
+    """(diagonal, None) or (None, matrix): the metric value g at the chart point x, checked.
 
-    The Python-float form of metric_at. A diagonal matrix (its off-diagonal
-    entries exactly 0, a NaN counting as nonzero) is symmetric as it stands,
-    and Cholesky succeeds on it exactly when every entry is positive, so it
-    is checked elementwise: a value whose entries are positive and finite,
-    even doubled, comes back as the list of its diagonal entries, which are
-    what the symmetrized matrix holds. Any other value comes back as the
-    matrix metric_at gives, or raises its error (NotPositiveDefinite for an
-    entry above DBL_MAX/2, which the average turns into inf). The guard is
-    not checked here. Generated code writes the same check out
-    (metric_lines).
+    A diagonal g (off-diagonal entries exactly 0, a NaN counting as nonzero)
+    is symmetric, and Cholesky succeeds on it exactly when every entry is
+    positive, so it is checked elementwise: entries positive and finite, even
+    doubled, come back as a list, which is what the symmetrized matrix holds.
+    Any other g is checked by _checked_metrics at x, a sequence of floats.
+    The guard is not checked; metric_lines writes the same check out.
     """
-    return _diagonal_of(manifold.metric if manifold.flat else manifold.metric(x), x)
-
-
-def _diagonal_of(g, x):
-    """metric_diagonal of the metric value g at the chart point x."""
     if type(g) is np.ndarray:
         g = g.tolist()
     n = len(x)
@@ -173,12 +174,7 @@ def _diagonal_of(g, x):
         diagonal.append(d)
     if len(diagonal) == n == len(g):
         return diagonal, None
-    return None, _checked_at(g, x)
-
-
-def _checked_at(g, x):
-    """_checked_metric of the value g at the chart point x, a sequence of floats."""
-    return _checked_metric(g, len(x), np.asarray(x, dtype=float))
+    return None, _checked_metrics([g], n, np.array([x], dtype=float))[0]
 
 
 def _matrix_norm(g, w):
@@ -200,14 +196,14 @@ def metric_lines(manifold, inliner, structure):
     that is a plain callable, which the lines call. After the lines, _G is
     None where G is diagonal at x, diagonal then holding the texts of its
     entries, and otherwise _G is the matrix metric_at gives. The check, its
-    errors and their order are metric_diagonal's.
+    errors and their order are diagonal_of's.
     """
     n = manifold.dim
     x = point_text(0, n)
     source = f"{inliner.bind(manifold.metric)}({x})"
     if structure is None:
         diagonal = [f"_g{j}_{j}" for j in range(n)]
-        return [f"_D, _G = {inliner.bind(_diagonal_of)}({source}, {x})", "if _G is None:",
+        return [f"_D, _G = {inliner.bind(diagonal_of)}({source}, {x})", "if _G is None:",
                 f"    {', '.join(diagonal)}, = _D"], diagonal
     lines, texts = inliner.assign(structure, "_g", source)
     tests = [f"0.0 < {texts[j][j]} + {texts[j][j]} < _inf" for j in range(n)]
@@ -216,7 +212,8 @@ def metric_lines(manifold, inliner, structure):
         tests.append(f"not ({' or '.join(off)})")
     rows = "(" + "".join("(" + "".join(f"{e}, " for e in row) + "), " for row in texts) + ")"
     lines += [f"if {' and '.join(tests)}:", "    _G = None", "else:",
-              f"    _G = {inliner.bind(_checked_at)}({rows}, {x})"]
+              f"    _G = {inliner.bind(_checked_metrics)}(({rows},), {n}, "
+              f"{inliner.bind(np.array)}([{x}]))[0]"]
     return lines, [texts[j][j] for j in range(n)]
 
 
@@ -231,7 +228,7 @@ def norm_function(manifold):
     """q(y) = g_x(v, v) at the state y = x + v, a list of 2 dim floats, in one generated function.
 
     The metric text is inlined where the metric is a chart function and
-    checked as metric_diagonal checks it. On an identity or diagonal metric
+    checked as diagonal_of checks it. On an identity or diagonal metric
     q is the sum of the terms v * v or v * d * v in floats, from 0 as sum()
     adds them; on any other, one array product, where an overflow gives inf
     without a warning. q is generated on the first call and kept on the
@@ -254,7 +251,7 @@ def _norm_function(manifold):
     if manifold.identity_metric:
         body = [f"return 0.0 + {summed(None)}"]
     elif manifold.flat:
-        diagonal, g = metric_diagonal(manifold, [0.0] * n)
+        diagonal, g = diagonal_of(manifold.metric, [0.0] * n)
         if diagonal is None:
             body = [f"return {matrix_norm.format(inliner.bind(g))}"]
         else:
@@ -292,16 +289,17 @@ def _guard_function(manifold):
 def metrics_at(manifold, points):
     """metric_at at each row of points, stacked to shape (len(points), dim, dim).
 
-    Each point passes the guard check; a constant metric then comes back as
-    one read-only matrix broadcast over the rows.
+    Every point passes the guard check first. A constant metric then comes
+    back as one read-only matrix broadcast over the rows; a metric function's
+    values are checked as one stack, each test once (_checked_metrics).
     """
     points = np.asarray(points, dtype=float)
-    if not manifold.flat:
-        return np.array([metric_at(manifold, p) for p in points])
     if manifold.domain_guard is not None:
         for p in points:
             require_in_chart(manifold, p)
-    return np.broadcast_to(manifold.metric, (len(points),) + manifold.metric.shape)
+    if manifold.flat:
+        return np.broadcast_to(manifold.metric, (len(points),) + manifold.metric.shape)
+    return _checked_metrics([manifold.metric(p) for p in points.tolist()], manifold.dim, points)
 
 
 def inner_products(manifold, points, a, b):

@@ -42,9 +42,9 @@ class BoundData:
     This is the one description of the sampled window: every premise, the
     operator-norm bound N_T and the energy frame sample grid x t_grid. alpha0
     and beta0 are continuous functions of time (of the wave parameter u for
-    wave-coefficient routes). grid rows are chart points; t_grid spans
-    [-T, T], and T (derived, not stored) is max |t_grid|, which for
-    np.linspace(-T, T, n) is T exactly. A bound with an array form
+    wave-coefficient routes). grid rows are chart points; t_grid, a 1-d
+    array, spans [-T, T], and T (derived, not stored) is max |t_grid|, which
+    for np.linspace(-T, T, n) is T exactly. A bound with an array form
     (expressions.array_form: an Expression in one variable, or a callable
     given one by expressions.with_array_form) is evaluated over an array of
     times in one call, NaN where the scalar call would raise.
@@ -58,6 +58,8 @@ class BoundData:
     def __post_init__(self):
         object.__setattr__(self, "grid", np.atleast_2d(np.asarray(self.grid, dtype=float)))
         object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
+        if self.t_grid.ndim != 1:
+            raise ValueError(f"t_grid must be 1-d, not of shape {self.t_grid.shape}")
         if self.grid.shape[0] == 0 or self.t_grid.size == 0:
             raise ValueError("sample grids must be nonempty")
 
@@ -260,7 +262,7 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     cannot be evaluated. Then the metric at the grid points, which does not
     depend on u, is evaluated once. A slice with a non-finite ratio fails,
     and the first slice of least margin is the worst. An anchor that is not
-    one grid point's coordinates, or an empty u_grid, is a ValueError.
+    one grid point's coordinates, or a u_grid not 1-d or empty, is a ValueError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     anchor = np.asarray(anchor, dtype=float)
@@ -270,8 +272,8 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     if anchor.shape != grid.shape[1:]:
         raise ValueError(f"linear-growth anchor has shape {anchor.shape}, "
                          f"not that of one grid point {grid.shape[1:]}")
-    if u.size == 0:
-        raise ValueError("linear-growth check needs at least one u sample")
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError(f"linear-growth needs at least one u sample, in 1-d, not shape {u.shape}")
     dists = np.linalg.norm(grid - anchor, axis=1)
     order = np.argsort(dists, kind="stable")
     k = grid.shape[0]

@@ -29,7 +29,7 @@ from wavetraj.catalog import (build_manifold, build_potential, build_tensor, bui
                               expression_potential, expression_tensor, metric_rows)
 from wavetraj.dynamics import FREE, make_rhs
 from wavetraj.errors import EvaluationError, OutOfChart
-from wavetraj.geometry import ChartManifold, _checked_metric, chart_point, norm_function
+from wavetraj.geometry import ChartManifold, _checked_metrics, chart_point, norm_function
 from wavetraj.gpw import GpwSpacetime, wave_force_system
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True,
@@ -53,7 +53,7 @@ def _metric_diagonal(manifold, x):
         diagonal.append(d)
     if len(diagonal) == n == len(g):
         return diagonal, None
-    return None, _checked_metric(g, manifold.dim, np.asarray(x, dtype=float))
+    return None, _checked_metrics([g], manifold.dim, [np.asarray(x, dtype=float)])[0]
 
 
 def _floats(v):

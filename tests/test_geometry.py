@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wavetraj.catalog import build_manifold, metric_rows
 from wavetraj.errors import NotPositiveDefinite, OutOfChart
-from wavetraj.geometry import ChartManifold, christoffel_at, metric_at
+from wavetraj.geometry import ChartManifold, christoffel_at, metric_at, metrics_at
+
+from conftest import box_grid
 
 
 def diag_metric(entries):
@@ -175,3 +177,68 @@ def test_non_finite_metric_function_rejected():
     with pytest.raises(NotPositiveDefinite, match="not finite at") as info:
         metric_at(m, [0.5, -1.0])
     assert_allclose(info.value.point, [0.5, -1.0])
+
+
+# ---------------------------------------------------------------- the stacked check
+
+GENERAL_ROWS = [["2 + x1^2", "0.3*x2"], ["0.3*x2", "1 + x2^2"]]
+
+
+@pytest.mark.parametrize("chart", [lambda: diag_metric(["1 + 0.2*x1^2", "2 + sin(x2)"]),
+                                   lambda: metric_rows(GENERAL_ROWS), half_plane_rows],
+                         ids=["diagonal_conformal", "metric_rows", "half_plane"])
+def test_metrics_at_is_metric_at_row_by_row(chart):
+    m = chart()
+    grid = box_grid([-2.0, 0.25], [2.0, 3.0], (11, 11))
+    stack = metrics_at(m, grid)
+    assert stack.shape == (len(grid), 2, 2)
+    for p, g in zip(grid, stack):
+        assert g.tobytes() == metric_at(m, p).tobytes()
+
+
+def test_curved_metrics_at_factors_the_stack_once(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    grid = box_grid([-2.0, -2.0], [2.0, 2.0], (11, 11))
+    metrics_at(metric_rows(GENERAL_ROWS), grid)
+    assert calls == [(len(grid), 2, 2)]
+
+
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+NEGATIVE = [[1.0, 0.0], [0.0, -1.0]]
+NAN = [[np.nan, 0.0], [0.0, 1.0]]
+ASYMMETRIC = [[1.0, 1e-3], [0.0, 1.0]]
+HUGE = [[1e308, 0.0], [0.0, 1.0]]   # finite, but its average overflows
+
+
+def _stack_chart(values):
+    """A curved chart whose metric at the point (i, 0) is values[i]."""
+    return ChartManifold(dim=2, metric=lambda x: values[int(x[0])],
+                         geodesic_term=lambda x, v: [0.0, 0.0])
+
+
+@pytest.mark.parametrize("values, first, error, match, eigenvalue", [
+    # finite runs first: the non-positive-definite row 1 is not the error
+    ([IDENTITY, NEGATIVE, NAN, NAN], 2, NotPositiveDefinite, "not finite at", None),
+    ([IDENTITY, NEGATIVE, ASYMMETRIC, NAN], 3, NotPositiveDefinite, "not finite at", None),
+    ([IDENTITY, NEGATIVE, ASYMMETRIC, ASYMMETRIC], 2, ValueError, "not symmetric at", None),
+    ([IDENTITY, NEGATIVE, HUGE, HUGE], 2, NotPositiveDefinite, "not finite at", None),
+    ([IDENTITY, IDENTITY, NEGATIVE, NEGATIVE], 2, NotPositiveDefinite, "not positive definite at",
+     -1.0),
+], ids=["non_finite", "non_finite_after_asymmetric", "non_symmetric", "average_overflows",
+        "not_positive"])
+def test_stacked_check_raises_at_the_first_row_that_fails_the_test(values, first, error, match,
+                                                                   eigenvalue):
+    points = [[float(i), 0.0] for i in range(len(values))]
+    with pytest.raises(error, match=match) as info:
+        metrics_at(_stack_chart(values), points)
+    assert f"at {np.array(points[first])}" in str(info.value)
+    if error is NotPositiveDefinite:
+        assert_array_equal(info.value.point, points[first])
+        assert info.value.eigenvalue == eigenvalue

@@ -172,6 +172,13 @@ def test_linear_growth_needs_a_u_sample(euclidean2):
         check_linear_growth_gradH(euclidean2, quartic_well(), grid, [0, 0], [])
 
 
+@pytest.mark.parametrize("u_grid", [0.5, [[0.0, 0.5]]], ids=["scalar", "2-d"])
+def test_linear_growth_u_grid_is_1d(euclidean2, u_grid):
+    with pytest.raises(ValueError, match="in 1-d"):
+        check_linear_growth_gradH(euclidean2, quartic_well(), box_grid([-4, -4], [4, 4], [9, 9]),
+                                  [0, 0], u_grid)
+
+
 @pytest.mark.parametrize("anchor", [[3.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0])
 def test_linear_growth_anchor_is_one_grid_point(euclidean2, anchor):
     with pytest.raises(ValueError, match="anchor"):
@@ -288,6 +295,12 @@ def test_bound_data_validation():
     with pytest.raises(ValueError, match="nonempty"):
         BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0,
                   grid=np.empty((0, 2)), t_grid=np.array([0.0]))
+
+
+@pytest.mark.parametrize("t_grid", [0.5, [[-1.0, 0.0, 1.0]]], ids=["scalar", "2-d"])
+def test_bound_data_t_grid_is_1d(t_grid):
+    with pytest.raises(ValueError, match="t_grid must be 1-d"):
+        BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, grid=[[0.0, 0.0]], t_grid=t_grid)
 
 
 def test_certificates_reproducible(euclidean2):

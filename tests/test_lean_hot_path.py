@@ -29,7 +29,7 @@ from wavetraj.catalog import (build_manifold, build_potential, build_tensor, exp
 from wavetraj.dynamics import rhs_E
 from wavetraj.errors import EvaluationError, InvalidInit, NotPositiveDefinite, OutOfChart
 from wavetraj.expressions import parse_expression
-from wavetraj.geometry import ChartManifold, _checked_metric, metric_at, metric_diagonal
+from wavetraj.geometry import ChartManifold, _checked_metrics, diagonal_of, metric_at
 from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD,
                                 IntegratorConfig, _Core, _problem, _rms, integrate,
                                 integrate_ode, refine_blowup)
@@ -114,12 +114,10 @@ def _outcome(fn):
 @PROFILE
 @given(diagonals())
 def test_diagonal_metric_is_checked_as_cholesky_would(g):
-    # metric_diagonal checks a diagonal value elementwise in floats
+    # diagonal_of checks a diagonal value elementwise in floats
     n = len(g)
     x = np.full(n, 0.5)
-    # a metric function, so that metric_diagonal checks g at x; the term is never called
-    m = ChartManifold(dim=n, metric=lambda x: g, geodesic_term=lambda x, v: [0.0] * n)
-    value, warned = _outcome(lambda: metric_diagonal(m, x.tolist()))
+    value, warned = _outcome(lambda: diagonal_of(g, x.tolist()))
     checked, checked_warned = _outcome(lambda: _cholesky_checked(g, n, x))
     assert warned == checked_warned
     if isinstance(checked, tuple) or value[0] is None:
@@ -136,6 +134,11 @@ def test_diagonal_metric_is_checked_as_cholesky_would(g):
     assert np.count_nonzero(checked) == np.count_nonzero(checked.diagonal()) == n
 
 
+def _checked_one(g, dim, x):
+    """_checked_metrics of g at x, as a stack of one."""
+    return _checked_metrics([g], dim, [x])[0]
+
+
 def test_general_metrics_still_take_the_cholesky_path():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -143,10 +146,10 @@ def test_general_metrics_still_take_the_cholesky_path():
         a = rng.normal(size=(n, n))
         g = a @ a.T + rng.choice([0.0, 0.1, 1.0]) * np.eye(n)
         g[0, 1] += 1e-15   # asymmetric within the tolerance
-        assert _check_outcome(_checked_metric, g) == _check_outcome(_cholesky_checked, g)
+        assert _check_outcome(_checked_one, g) == _check_outcome(_cholesky_checked, g)
     g = np.array([[1.0, math.nan], [math.nan, 1.0]])
-    assert _check_outcome(_checked_metric, g) == (("NotPositiveDefinite",
-                                                   "metric not finite at [0.5 1.5]"), set())
+    assert _check_outcome(_checked_one, g) == (("NotPositiveDefinite",
+                                                "metric not finite at [0.5 1.5]"), set())
 
 
 # A finite v / d equals np.linalg.solve(diag(d), v) because the LAPACK build

@@ -13,6 +13,9 @@ full-dimensional Lorentzian integration, and the finite-difference
 cross-check of its derivatives is a test. A module that imports more of
 numdiff could stand finite differences in for a missing derivative again.
 
+G is checked in one place: one function of geometry factors it by Cholesky,
+and the other modules reach the check only through geometry's public names.
+
 Every catalog chart is expression text, so the force equation's kernel can
 write its metric, geodesic term and guard out; a function in catalog.py
 that reads a coordinate of its chart point is a chart written by hand.
@@ -91,3 +94,35 @@ def test_catalog_writes_no_chart_function_by_hand():
             if read or unpacked:
                 by_hand.append(getattr(fn, "name", "lambda"))
     assert by_hand == []
+
+
+def _is_cholesky(node):
+    """Whether node is the attribute np.linalg.cholesky."""
+    return (isinstance(node, ast.Attribute) and node.attr == "cholesky"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "np")
+
+
+def test_geometry_factors_the_metric_in_one_function():
+    tree = ast.parse((PACKAGE / "geometry.py").read_text(encoding="utf-8"))
+    top = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    top += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)]
+    factoring = {fn.name for fn in top if any(_is_cholesky(node) for node in ast.walk(fn))}
+    everywhere = sum(_is_cholesky(node) for node in ast.walk(tree))
+    inside = sum(_is_cholesky(node) for fn in top for node in ast.walk(fn))
+    assert factoring == {"_checked_metrics"}
+    assert everywhere == inside
+
+
+def test_no_module_imports_a_private_name_of_geometry():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
+                found.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+    # the scan sees dynamics' import of diagonal_of, so an empty result is not a pass
+    assert "diagonal_of" in found.get("dynamics", set())
+    private = sorted((stem, name) for stem, names in found.items()
+                     for name in names if name.startswith("_"))
+    assert private == []
