@@ -57,7 +57,7 @@ class ChartManifold:
     flat: bool = field(init=False, repr=False)
     identity_metric: bool = field(init=False, repr=False)
 
-    #: functions generated from the sources on first use (norm_function, guard_function)
+    #: functions generated from the sources on first use (norm_function)
     generated: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -217,13 +217,6 @@ def metric_lines(manifold, inliner, structure):
     return lines, [texts[j][j] for j in range(n)]
 
 
-def _generated(manifold, key, build):
-    fn = manifold.generated.get(key)
-    if fn is None:
-        fn = manifold.generated[key] = build(manifold)
-    return fn
-
-
 def norm_function(manifold):
     """q(y) = g_x(v, v) at the state y = x + v, a list of 2 dim floats, in one generated function.
 
@@ -234,7 +227,10 @@ def norm_function(manifold):
     without a warning. q is generated on the first call and kept on the
     manifold; it does not check the guard.
     """
-    return _generated(manifold, "norm", _norm_function)
+    fn = manifold.generated.get("norm")
+    if fn is None:
+        fn = manifold.generated["norm"] = _norm_function(manifold)
+    return fn
 
 
 def _norm_function(manifold):
@@ -264,34 +260,13 @@ def _norm_function(manifold):
     return inliner.function(function_text("_y", n, body))
 
 
-def guard_function(manifold):
-    """guard_ok(y): the chart guard at the position of the state y, a list of 2 dim floats.
-
-    A guard of expression text (expressions.chart_guard) is written out in
-    one generated function, kept on the manifold; any other guard is called
-    on y's first dim entries. No guard gives True.
-    """
-    return _generated(manifold, "guard", _guard_function)
-
-
-def _guard_function(manifold):
-    n, guard = manifold.dim, manifold.domain_guard
-    if guard is None:
-        return lambda y: True
-    inliner = Inliner(n)
-    structure = inliner.add(getattr(guard, "positive", None), ("x",))
-    if structure is None:
-        return lambda y: bool(guard(y[:n]))
-    lines, text = inliner.assign(structure, "_p", f"{inliner.bind(guard)}({point_text(0, n)})")
-    return inliner.function(function_text("_y", n, lines + [f"return {text} > 0.0"]))
-
-
 def metrics_at(manifold, points):
     """metric_at at each row of points, stacked to shape (len(points), dim, dim).
 
     Every point passes the guard check first. A constant metric then comes
     back as one read-only matrix broadcast over the rows; a metric function's
-    values are checked as one stack, each test once (_checked_metrics).
+    values are checked as one stack, each test once (_checked_metrics). No
+    points give shape (0, dim, dim) on either.
     """
     points = np.asarray(points, dtype=float)
     if manifold.domain_guard is not None:
@@ -299,6 +274,8 @@ def metrics_at(manifold, points):
             require_in_chart(manifold, p)
     if manifold.flat:
         return np.broadcast_to(manifold.metric, (len(points),) + manifold.metric.shape)
+    if not len(points):
+        return np.empty((0, manifold.dim, manifold.dim))
     return _checked_metrics([manifold.metric(p) for p in points.tolist()], manifold.dim, points)
 
 

@@ -232,8 +232,12 @@ def cumulative_simpson(y, x):
     Cartwright's rule for unequal intervals (J. Math. Sci. Math. Educ. 12 (2)):
     the parabola through an interval and the next node integrates every second
     interval; the one through it and the node before (the rule on the reversed
-    nodes) integrates the others and the last. x increases strictly, len(x) >= 3.
+    nodes) integrates the others and the last. x increases strictly, len(x) >= 3;
+    one node x[0] gives the integral 0 over it.
     """
+    if len(x) == 1:
+        return np.zeros(1)
+
     def ahead(y, dx):
         x21, x32 = dx[:-1], dx[1:]
         r = x21 / (x21 + x32)
@@ -252,13 +256,14 @@ def reduce_geodesic(st, init, cfg):
 
     v is tabulated on _V_NODES even times over the base run: for delta != 0 by
     cumulative Simpson quadrature of vdot from the conservation of
-    g(gamma', gamma'), for delta = 0 linearly.
+    g(gamma', gamma'), for delta = 0 linearly. A base run that stops at its
+    first record covers one time, and v is tabulated there alone, as v0.
     """
     delta = init.delta
     energy = energy_of(st, init)
     base = base_trajectory(st, init, cfg)
     lo, hi = base.t_span
-    ts = np.linspace(lo, hi, _V_NODES)
+    ts = np.linspace(lo, hi, _V_NODES if hi > lo else 1)
     if delta == 0.0:
         v_dots = np.full(ts.shape, float(init.vdot0))
         v_vals = init.v0 + init.vdot0 * ts
@@ -358,9 +363,8 @@ def full_geodesic_oracle(st, init, cfg):
         val = norm(y[:n] + qd[:n]) + (qd[n] * qd[n] + qd[n + 1] * qd[n + 1])
         return math.sqrt(val) if math.isfinite(val) and val >= 0 else math.inf
 
-    guard_ok = lambda y: st.base.contains(y[:n])
     return integrate_ode(f, np.concatenate([q0, qd0]), cfg, direction=FORWARD,
-                         speed_of=speed_of, guard_ok=guard_ok)
+                         speed_of=speed_of)
 
 
 def full_quadratic_form(st, q, qd):

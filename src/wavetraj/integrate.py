@@ -5,8 +5,8 @@ PI step-size control and FSAL. It is written here rather than delegated to a
 library solver because the outcome classifier needs per-step control: every
 accepted state is checked against the metric speed ceiling, step collapse is
 split into blow-up versus tolerance failure by whether the speed has been
-strictly increasing, and guard violations during stage evaluation shrink the
-step until the exit is localized.
+strictly increasing, and a field that raises OutOfChart at a stage point
+(the chart guard) shrinks the step until the exit is localized.
 
 Both directions step in actual time with a step sign, as DOPRI5 does
 (POSNEG): step sizes are magnitudes for the step-size control, and each
@@ -28,13 +28,17 @@ error norm is math.sqrt of a sum of products. Every field goes through it,
 and the attempt calls the field itself and counts the calls. The force
 equation's kernel (dynamics.make_rhs) takes and gives floats too; any other
 field may return an array, which the attempt converts with .tolist(). The
-speed at an accepted state and the chart guard are generated from the
-chart's sources as well (geometry.norm_function, geometry.guard_function).
-The records become the trajectory's arrays once, at the end of the run.
+field is the one place that checks the chart: the kernel raises OutOfChart
+at every stage point outside the guard, the FSAL stage at the new state
+included, so an accepted state is always inside it. The speed at an
+accepted state is generated from the chart's sources as well
+(geometry.norm_function). The records become the trajectory's arrays once,
+at the end of the run.
 
 A stage that is not finite, or whose evaluation raises EvaluationError (a
 source's domain error, which numpy scalars used to turn into NaN), rejects
-the step and shrinks it; at the initial state either one is InvalidInit.
+the step and shrinks it; at the initial state either one is InvalidInit, and
+so is OutOfChart there.
 """
 
 import functools
@@ -46,7 +50,7 @@ import numpy as np
 
 from .dynamics import make_rhs
 from .errors import EvaluationError, InvalidInit, NotABlowup, OutOfChart, OutOfRange
-from .geometry import guard_function, norm_function
+from .geometry import norm_function
 from .report import write_csv
 
 # Dormand-Prince 5(4) tableau: nodes C, stage weights A (rows 2..7, zero
@@ -147,7 +151,7 @@ class Trajectory:
 
 
 def _attempt_source(m):
-    """Source of make(f, guard_ok, atol, rtol), which gives (attempt, evaluate, count) over the field f.
+    """Source of make(f, atol, rtol), which gives (attempt, evaluate, count) over the field f.
 
     attempt(t, y, h, k1) is one DP5 step on states of length m, from t to
     t + h, h signed; it gives (y_new, k at y_new, error norm). Each stage
@@ -156,7 +160,8 @@ def _attempt_source(m):
     |y_new|)) is written out component by component, a sum over the stages
     in the tableau's order. A stage input that is not finite, or a stage
     whose evaluation raises EvaluationError, gives the error norm inf, which
-    rejects the step; an endpoint outside the chart guard raises OutOfChart.
+    rejects the step; OutOfChart from f, at any stage point, the new state's
+    included, passes out of the attempt.
     The stage derivatives k1..k7 are named p, q, r, u, v, w, z, component i
     of stage p being p<i>. The attempt calls f itself and counts each call
     before it makes it; a value that is not a list is taken as floats by
@@ -210,11 +215,9 @@ def _attempt_source(m):
              + ["except EvaluationError:", "    return y, k1, inf",
                 f"{', '.join(names('z'))}, = k7"]
              + norm
-             + ["if not guard_ok(y_new):",
-                "    raise OutOfChart(y_new, 'accepted endpoint violates the chart guard')",
-                f"return y_new, k7, sqrt(({squares}) / {m})"])
+             + [f"return y_new, k7, sqrt(({squares}) / {m})"])
     evaluate = ["nonlocal n_rhs"] + call("t", "y") + ["return k"]
-    return ("def make(f, guard_ok, atol, rtol):\n"
+    return ("def make(f, atol, rtol):\n"
             "    n_rhs = 0\n"
             "    def attempt(t, y, h, k1):\n"
             + "".join(f"        {line}\n" for line in lines)
@@ -227,10 +230,9 @@ def _attempt_source(m):
 
 @functools.cache
 def _attempt_maker(m):
-    """make(f, guard_ok, atol, rtol) of _attempt_source(m), compiled once per state length m."""
+    """make(f, atol, rtol) of _attempt_source(m), compiled once per state length m."""
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf,
-                 "EvaluationError": EvaluationError, "OutOfChart": OutOfChart,
-                 "tolist": _tolist}
+                 "EvaluationError": EvaluationError, "tolist": _tolist}
     exec(compile(_attempt_source(m), f"<DP5 attempt, m={m}>", "exec"), namespace)
     return namespace["make"]
 
@@ -280,10 +282,9 @@ class _Core:
     Step sizes h are magnitudes; each attempt moves by sign * h.
     """
 
-    def __init__(self, f, y0, cfg, speed_of, guard_ok, t0, sign):
+    def __init__(self, f, y0, cfg, speed_of, t0, sign):
         self.cfg = cfg
         self.speed_of = speed_of
-        self.guard_ok = guard_ok
         self.sign = sign
         self.n_rejected = 0
         self.ts = [float(t0)]
@@ -294,7 +295,7 @@ class _Core:
         # closures hold no reference to the run, so the run's records go when
         # it does, not at the next full collection
         self._attempt, self.f, self._count = _attempt_maker(len(self.ys[0]))(
-            f, guard_ok, cfg.abs_tol, cfg.rel_tol)
+            f, cfg.abs_tol, cfg.rel_tol)
 
     @property
     def n_rhs(self):
@@ -304,8 +305,6 @@ class _Core:
         cfg = self.cfg
         y = self.ys[0]
         t = self.ts[0]
-        if not self.guard_ok(y):
-            raise InvalidInit(f"initial state {y} violates the chart guard")
         if not all(map(math.isfinite, y)):
             raise InvalidInit(f"initial state {y} is not finite")
         try:
@@ -382,14 +381,17 @@ class _Core:
         return Outcome(TOLERANCE_FAILURE)
 
 
-def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, t0=0.0):
+def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, t0=0.0):
     """Low-level entry: integrate y' = f(t, y) from y(t0) = y0 with classification.
 
     A forward run goes toward t = horizon, a backward one toward t = -horizon;
-    both take f, y0 and t0 in actual time. f, speed_of and guard_ok take the
-    state y as a list of Python floats; f returns d/dt y as a list of floats
-    or as an array. speed_of(y) feeds the blow-up classifier (defaults to the
-    euclidean norm of the second half of y), guard_ok(y) the chart-exit logic.
+    both take f, y0 and t0 in actual time. f and speed_of take the state y
+    as a list of Python floats; f returns d/dt y as a list of floats or as an
+    array. f is also the chart guard: it raises OutOfChart at a state outside
+    its chart, which shrinks the step toward a ChartExit (InvalidInit at the
+    initial state). speed_of(y) feeds the blow-up classifier (defaults to the
+    euclidean norm of the second half of y) and is asked only at states where
+    f returned.
     y is a position followed by a velocity of the same length, so the
     trajectory's dim is half the length of y0.
     """
@@ -399,10 +401,8 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, t
     n = y0.size // 2
     if speed_of is None:
         speed_of = lambda y: math.hypot(*y[n:])
-    if guard_ok is None:
-        guard_ok = lambda y: True
 
-    core = _Core(f, y0, cfg, speed_of, guard_ok, t0, 1.0 if direction == FORWARD else -1.0)
+    core = _Core(f, y0, cfg, speed_of, t0, 1.0 if direction == FORWARD else -1.0)
     outcome = core.run()
     stats = IntegrationStats(n_accepted=len(core.ts) - 1, n_rejected=core.n_rejected,
                              n_rhs=core.n_rhs)
@@ -411,23 +411,22 @@ def integrate_ode(f, y0, cfg, direction=FORWARD, speed_of=None, guard_ok=None, t
 
 
 def _problem(manifold, fs):
-    """(f, speed_of, guard_ok) of the force equation, over lists of floats."""
+    """(f, speed_of) of the force equation, over lists of floats."""
     norm = norm_function(manifold)
 
     def speed_of(y):
-        # the integrator checks the guard before it asks for a speed, and a
-        # constant metric was checked when the chart was built
+        # the integrator asks for a speed only where f returned, inside the
+        # guard, and a constant metric was checked when the chart was built
         q = norm(y)
         return math.sqrt(q) if math.isfinite(q) and q >= 0 else math.inf
 
-    return make_rhs(manifold, fs), speed_of, guard_function(manifold)
+    return make_rhs(manifold, fs), speed_of
 
 
 def integrate(manifold, fs, init, cfg, direction=FORWARD):
     """Integrate the force equation from init = (p, v) and classify the outcome."""
-    f, speed_of, guard_ok = _problem(manifold, fs)
-    return integrate_ode(f, np.concatenate(init), cfg, direction=direction, speed_of=speed_of,
-                         guard_ok=guard_ok)
+    f, speed_of = _problem(manifold, fs)
+    return integrate_ode(f, np.concatenate(init), cfg, direction=direction, speed_of=speed_of)
 
 
 def hermite(ts, ys, ds, t):
@@ -542,14 +541,14 @@ def refine_blowup(manifold, fs, cfg, coarse):
         abs_tol=max(cfg.abs_tol * 1e-2, 1e-14),
         speed_ceiling=min(ceiling * 1e3, 1e200),
     )
-    f, speed_of, guard_ok = _problem(manifold, fs)
+    f, speed_of = _problem(manifold, fs)
     # the coarse run stops at its first record above the ceiling
     start = len(coarse.times) - 1
     while start > 0 and not speed_of(coarse.states[start].tolist()) <= ceiling:
         start -= 1
     t0 = float(coarse.times[start])
     traj = integrate_ode(f, coarse.states[start], fine, direction=coarse.direction,
-                         speed_of=speed_of, guard_ok=guard_ok, t0=t0)
+                         speed_of=speed_of, t0=t0)
     if traj.outcome.kind == HORIZON_REACHED:
         raise NotABlowup("refinement run reached the horizon")
     t_deep = float(traj.times[-1])

@@ -154,6 +154,8 @@ def _run_envelope(sc, out_dir, report):
     phi = PhiFunction(a=1.0, fn=with_array_form(linear, linear))
     if vs[0] < phi.a:
         envelope["error"] = "initial energy below the comparison domain; bounds do not hold here"
+    elif len(times) < 2:
+        envelope["error"] = "the run stopped at its first record; there is no envelope to check"
     else:
         v0 = solve_dominating(phi, float(vs[0]), float(times[-1]) + 1e-9)
         env_report = verify_envelope(times, vs, phi, v0)

@@ -265,7 +265,7 @@ def test_a_force_system_keeps_the_kernel_of_its_last_manifold():
     assert fs.generated["rhs"][0] is plane
     # a force system built for one run takes its kernel with it
     assert make_rhs(manifold, _wave("0.7*(x1^2 + x2^2)^2", 0.3, -1.4)) is not None
-    assert manifold.generated.keys() <= {"norm", "guard"}
+    assert manifold.generated.keys() <= {"norm"}
 
 
 def test_the_wave_gradient_keeps_the_partials_error():

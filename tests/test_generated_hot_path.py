@@ -6,7 +6,7 @@ replaced is kept here as its reference: the two must agree bit for bit in the
 new state, the FSAL derivative, the error norm, the sequence of stage calls
 and the count of field calls, on fields that are finite, that give a
 non-finite stage, that raise EvaluationError, whose finite stages sum past
-DBL_MAX, and whose endpoint leaves the chart guard.
+DBL_MAX, and that raise OutOfChart at a stage past their chart guard.
 
 The expression sources are generated with repeated subtrees computed once
 and constant whole exponents as an inline '**'. A walk of the tree node by
@@ -52,7 +52,7 @@ def _finite(v):
     return math.isfinite(sum(v)) or all(map(math.isfinite, v))
 
 
-def _list_attempt(f, cfg, guard_ok, t, y, h, k1):
+def _list_attempt(f, cfg, t, y, h, k1):
     """The DP5 attempt as list comprehensions over zipped stages, the generated one's reference."""
     try:
         y2 = [a + h * (_A21 * p) for a, p in zip(y, k1)]
@@ -91,17 +91,21 @@ def _list_attempt(f, cfg, guard_ok, t, y, h, k1):
         q = h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * z) / (
             atol + rtol * (a if a >= b else b))
         total += q * q
-    if not guard_ok(y_new):
-        raise OutOfChart(y_new, "accepted endpoint violates the chart guard")
     return y_new, k7, math.sqrt(total / len(y))
 
 
 FIELD_KINDS = ("finite", "non-finite", "raises", "overflow")
 
 
-def _field(kind, matrix, drift, edge):
-    """A linear field y' = M y + drift t as a list; past y[0] > edge it fails as kind says."""
+def _field(kind, matrix, drift, edge, guard_edge):
+    """A linear field y' = M y + drift t as a list; past y[0] > edge it fails as kind says.
+
+    Like the force kernel, it first checks its chart guard, y[-1] < guard_edge,
+    and raises OutOfChart at a point outside it.
+    """
     def f(t, y):
+        if not y[-1] < guard_edge:
+            raise OutOfChart(list(y))
         k = [sum(m * a for m, a in zip(row, y)) + c * t for row, c in zip(matrix, drift)]
         if y[0] > edge:
             if kind == "non-finite":
@@ -119,7 +123,7 @@ special = st.sampled_from([0.0, -0.0, 1e-300, -1e300, 5e-324])
 
 @st.composite
 def attempts(draw):
-    """(field kind, m, field, guard, t, y, h, cfg) of one DP5 attempt."""
+    """(field kind, m, field, t, y, h, cfg) of one DP5 attempt."""
     m = draw(st.sampled_from([2, 4, 6, 8]))
     kind = draw(st.sampled_from(FIELD_KINDS))
     matrix = draw(st.lists(st.lists(moderate, min_size=m, max_size=m), min_size=m, max_size=m))
@@ -138,8 +142,8 @@ def attempts(draw):
     h = draw(st.sampled_from([1e-6, 0.01, 0.3, 2.0, 40.0])) * draw(st.sampled_from([1.0, -1.0]))
     cfg = IntegratorConfig(rel_tol=draw(st.sampled_from([1e-9, 1e-6, 1e-12])),
                            abs_tol=draw(st.sampled_from([1e-12, 1e-9, 1e-14])))
-    f = _field(kind, matrix, drift, edge)
-    return kind, m, f, (lambda y: y[-1] < guard_edge), t, y, h, cfg
+    f = _field(kind, matrix, drift, edge, guard_edge)
+    return kind, m, f, t, y, h, cfg
 
 
 def _recorded(f):
@@ -165,36 +169,36 @@ def _outcome(attempt):
 @PROFILE
 @given(attempts())
 def test_generated_attempt_is_the_list_attempt_bit_for_bit(case):
-    kind, m, f, guard_ok, t, y, h, cfg = case
+    kind, m, f, t, y, h, cfg = case
     try:
         k1 = f(t, y)
-    except EvaluationError:
+    except (EvaluationError, OutOfChart):
         k1 = [0.5] * m
     field, calls = _recorded(f)
-    core = _Core(field, y, cfg, lambda y: 0.0, guard_ok, t, math.copysign(1.0, h))
+    core = _Core(field, y, cfg, lambda y: 0.0, t, math.copysign(1.0, h))
     generated = _outcome(lambda: core._attempt(t, list(y), h, k1))
     reference_field, reference_calls = _recorded(f)
-    reference = _outcome(lambda: _list_attempt(reference_field, cfg, guard_ok, t, list(y), h, k1))
+    reference = _outcome(lambda: _list_attempt(reference_field, cfg, t, list(y), h, k1))
     assert generated == reference, kind
     assert calls == reference_calls
     assert core.n_rhs == len(reference_calls)
 
 
 def test_the_attempt_kinds_all_occur():
-    # the strategy above reaches every path: each kind, a rejected stage, an
-    # exit from the guard, and a full attempt, for each state length
+    # the strategy above reaches every path: each kind, a rejected stage, a
+    # stage outside the guard, and a full attempt, for each state length
     seen = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(attempts())
     def collect(case):
-        kind, m, f, guard_ok, t, y, h, cfg = case
+        kind, m, f, t, y, h, cfg = case
         try:
             k1 = f(t, y)
-        except EvaluationError:
+        except (EvaluationError, OutOfChart):
             k1 = [0.5] * m
         try:
-            _, _, err = _list_attempt(f, cfg, guard_ok, t, list(y), h, k1)
+            _, _, err = _list_attempt(f, cfg, t, list(y), h, k1)
             seen.add((kind, m, "rejected" if err == math.inf else "full"))
         except OutOfChart:
             seen.add((kind, m, "guard"))
@@ -209,9 +213,9 @@ def test_the_attempt_kinds_all_occur():
 def test_one_attempt_is_generated_per_state_length():
     cfg = IntegratorConfig()
     f = lambda t, y: [0.0] * len(y)
-    a = _Core(f, [1.0, 2.0], cfg, lambda y: 0.0, lambda y: True, 0.0, 1.0)
-    b = _Core(f, [3.0, 4.0], cfg, lambda y: 0.0, lambda y: True, 0.0, 1.0)
-    c = _Core(f, [1.0] * 8, cfg, lambda y: 0.0, lambda y: True, 0.0, 1.0)
+    a = _Core(f, [1.0, 2.0], cfg, lambda y: 0.0, 0.0, 1.0)
+    b = _Core(f, [3.0, 4.0], cfg, lambda y: 0.0, 0.0, 1.0)
+    c = _Core(f, [1.0] * 8, cfg, lambda y: 0.0, 0.0, 1.0)
     assert a._attempt.__code__ is b._attempt.__code__ is not c._attempt.__code__
 
 

@@ -196,6 +196,14 @@ def test_metrics_at_is_metric_at_row_by_row(chart):
         assert g.tobytes() == metric_at(m, p).tobytes()
 
 
+@pytest.mark.parametrize("chart", [lambda: diag_metric(["1 + 0.2*x1^2", "2 + sin(x2)"]),
+                                   lambda: metric_rows(GENERAL_ROWS), half_plane_rows,
+                                   lambda: build_manifold("euclidean", {"n": 2})],
+                         ids=["diagonal_conformal", "metric_rows", "half_plane", "euclidean"])
+def test_metrics_at_no_points_is_an_empty_stack(chart):
+    assert metrics_at(chart(), np.empty((0, 2))).shape == (0, 2, 2)
+
+
 def test_curved_metrics_at_factors_the_stack_once(monkeypatch):
     calls = []
     cholesky = np.linalg.cholesky

@@ -364,6 +364,27 @@ def test_base_blowup_propagates():
     assert sg.outcome.kind == BLOW_UP_SUSPECTED
 
 
+def test_a_base_run_that_stops_at_its_first_record_gives_v0(tmp_path):
+    # the speed 10 is over the ceiling at t = 0, so the base run has one
+    # record; v is v0 there, and no quadrature runs over equal times
+    st = gravitational_spacetime()
+    init = GeodesicInitialData(x0=np.array([1.0, 0.0]), xdot0=np.array([10.0, 0.0]), udot0=1.0,
+                               v0=0.25)
+    sg = reduce_geodesic(st, init, IntegratorConfig(horizon=1.0, speed_ceiling=1.0))
+    assert sg.outcome.kind == BLOW_UP_SUSPECTED
+    assert len(sg.base_trajectory.times) == 1
+    pos, _ = split_state(sg, st, [0.0])
+    assert pos[0].tolist() == [1.0, 0.0, 0.0, 0.25]
+    # the bundled scenario at that ceiling writes v and the oracle's discrepancy as numbers
+    scn = bundled_scenarios()["plane-wave-geodesic"]
+    assert main(["run", str(scn), "gpw.initial.xdot=[10,0]", "integrator.speed_ceiling=1",
+                 "--output-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "plane-wave-geodesic.csv").read_text().splitlines()
+    assert lines[1:] == ["0.0,0.0,0.0,1.0,0.0,10.0,0.0"]
+    report = json.loads((tmp_path / "plane-wave-geodesic.report.json").read_text())
+    assert report["outcome"]["oracle"]["max_coordinate_discrepancy"] == 0.0
+
+
 def test_classify_plane_wave_linear_gradient():
     from wavetraj.gpw import classify_gpw_completeness
 

@@ -289,7 +289,7 @@ PROBLEMS = {
 def test_attempt_is_the_plain_reference_within_rounding(problem, direction):
     manifold, fs, init = PROBLEMS[problem]()
     cfg = IntegratorConfig(horizon=2.0)
-    f, speed_of, guard_ok = _problem(manifold, fs)
+    f, speed_of = _problem(manifold, fs)
     run = integrate(manifold, fs, init, cfg, direction)
     sign = 1.0 if direction == FORWARD else -1.0
     compared = 0
@@ -297,7 +297,7 @@ def test_attempt_is_the_plain_reference_within_rounding(problem, direction):
         k1 = f(t, y)
         for h in (1e-4, 0.03, 0.4, 3.0):
             field, calls = _recorded(f)
-            core = _Core(field, y, cfg, speed_of, guard_ok, t, sign)
+            core = _Core(field, y, cfg, speed_of, t, sign)
             try:
                 attempt = core._attempt(t, y, sign * h, k1)
             except OutOfChart:
@@ -314,7 +314,7 @@ def test_finite_stages_whose_sum_overflows_are_evaluated():
     y = [1.5e308, 1.5e308]
     cfg = IntegratorConfig(horizon=1.0)
     field, calls = _recorded(f)
-    core = _Core(field, y, cfg, lambda y: 0.0, lambda y: True, 0.0, 1.0)
+    core = _Core(field, y, cfg, lambda y: 0.0, 0.0, 1.0)
     attempt = core._attempt(0.0, y, 0.5, f(0.0, y))
     assert core.n_rhs == len(calls) == 6
     assert _check_against_reference(attempt, calls, cfg, 0.0, y, 0.5, f(0.0, y))
@@ -407,6 +407,34 @@ def test_chart_exit_keeps_its_counts(direction):
     assert traj.outcome.kind == CHART_EXIT
     assert abs(traj.outcome.t_exit) == 0.9999999999999991
     assert (traj.stats.n_accepted, traj.stats.n_rejected, traj.stats.n_rhs) == (21, 0, 303)
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_the_field_is_the_one_guard_check_of_a_run(direction):
+    # the kernel asks a plain-callable guard once per call, and the step loop
+    # asks it nothing more: not at the initial state, not at an accepted endpoint
+    calls = []
+
+    def guard(x):
+        calls.append(x)
+        return abs(x[0]) < 2.0
+
+    m = ChartManifold(dim=2, metric=np.eye(2), domain_guard=guard)
+    v = np.array([1.0 if direction == FORWARD else -1.0, 0.5])
+    traj = integrate(m, build_potential("zero", {}, 2), (np.zeros(2), v),
+                     IntegratorConfig(horizon=3.0), direction)
+    assert traj.outcome.kind == CHART_EXIT
+    assert abs(traj.outcome.t_exit) == 1.9999999999999694
+    assert (traj.stats.n_accepted, traj.stats.n_rejected, traj.stats.n_rhs) == (24, 0, 342)
+    assert len(calls) == traj.stats.n_rhs
+
+
+def test_an_initial_state_outside_the_chart_is_invalid_init():
+    m = ChartManifold(dim=2, metric=np.eye(2), domain_guard=lambda x: x[0] < 1.0)
+    with pytest.raises(InvalidInit, match="vector field undefined at the initial state: point "
+                                          r"\[1\.5 0\. \] is outside the chart domain"):
+        integrate(m, build_potential("zero", {}, 2), (np.array([1.5, 0.0]), np.zeros(2)),
+                  IntegratorConfig(horizon=1.0))
 
 
 def _counted_kernels(monkeypatch):

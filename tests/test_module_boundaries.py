@@ -19,6 +19,10 @@ and the other modules reach the check only through geometry's public names.
 Every catalog chart is expression text, so the force equation's kernel can
 write its metric, geodesic term and guard out; a function in catalog.py
 that reads a coordinate of its chart point is a chart written by hand.
+
+The chart guard is checked during a run in one place, the force equation's
+kernel: only dynamics reads a guard's generated value (its positive
+attribute), and no module generates a second guard function.
 """
 
 import ast
@@ -126,3 +130,25 @@ def test_no_module_imports_a_private_name_of_geometry():
     private = sorted((stem, name) for stem, names in found.items()
                      for name in names if name.startswith("_"))
     assert private == []
+
+
+def _reads_positive(node):
+    """Whether node reads an attribute named positive: x.positive, or getattr(x, "positive", ...)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "positive" and isinstance(node.ctx, ast.Load)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "positive")
+
+
+def test_only_dynamics_reads_the_generated_guard():
+    readers, guard_functions = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _reads_positive(node):
+                readers.add(path.stem)
+            if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == "guard_function":
+                guard_functions.append(f"{path.stem}.{node.name}")
+    # the scan sees the kernel's read, so an empty result is not a pass
+    assert readers == {"dynamics"}
+    assert guard_functions == []

@@ -699,6 +699,27 @@ def test_cli_batch_rejects_a_bad_input_and_runs_the_next_scenario(tmp_path, caps
     assert (out_dir / "mini.report.json").exists()
 
 
+def test_an_envelope_run_that_stops_at_its_first_record_reports_it(tmp_path, capsys):
+    # the speed is over the ceiling at t = 0, so the run has one record and
+    # no envelope to check: the report says so, and the batch runs on
+    raw = json.loads(bundled_scenarios()["exp-envelope"].read_text(encoding="utf-8"))
+    short = tmp_path / "short.scn"
+    short.write_text(json.dumps(apply_overrides(raw, ["integrator.speed_ceiling=0.5"])))
+    good = tmp_path / "mini.scn"
+    good.write_text(json.dumps(MINIMAL_INTEGRATE))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(short), str(good), "--output-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if ": elapsed " not in line] == []
+    assert "exp-envelope: envelope -> BlowUpSuspected" in captured.out
+    assert "mini: integrate -> HorizonReached" in captured.out
+    report = json.loads((out_dir / "exp-envelope.report.json").read_text(encoding="utf-8"))
+    assert report["outcome"]["n_accepted"] == 0
+    assert "check" not in report["envelope"]
+    assert report["envelope"]["error"] == (
+        "the run stopped at its first record; there is no envelope to check")
+
+
 def test_cli_runs_a_field_whose_scaled_norm_overflows(tmp_path, capsys):
     # the field 1e200 is finite, but its norm scaled by the tolerances
     # overflows, so the starting step is 0: the run floors it at the minimum
