@@ -13,12 +13,12 @@ from .errors import (EigFailure, EvaluationError, HypothesisViolated, InvalidIni
                      ValidationError, WavetrajError)
 from .geometry import ChartManifold, christoffel_at, metric_at
 from .gpw import (GeodesicInitialData, GpwSpacetime, SplitGeodesic, WaveCoefficient,
-                  classify_gpw_completeness, full_geodesic_oracle, reduce_geodesic, split_state)
+                  full_geodesic_oracle, reduce_geodesic, split_state)
 from .hypotheses import (BACKWARD_COMPLETE, BoundData, CertificationTask,
                          COMPLETE_LINEAR_GRADIENT, COMPLETE_POTENTIAL_BOUNDS,
                          COMPLETE_WAVE_BOUNDS, CompletenessCertificate, FORWARD_COMPLETE,
                          INCONCLUSIVE, PremiseCheck, certify, check_S_bounds,
-                         check_bounded_below, check_dVdt_bound, check_linear_growth_gradH)
+                         check_linear_growth_gradH)
 from .integrate import (BACKWARD, BLOW_UP_SUSPECTED, BlowupInterval, CHART_EXIT, FORWARD,
                         HORIZON_REACHED, IntegratorConfig, Outcome, TOLERANCE_FAILURE,
                         Trajectory, integrate, refine_blowup, sample, trajectory_to_csv)

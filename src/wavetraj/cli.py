@@ -88,6 +88,8 @@ def main(argv=None):
             status = status or 1
             continue
         summary = report.outcome.get("kind") or report.outcome.get("verdict") or "done"
+        if report.conflict:
+            summary += f" (conflict: probe {report.outcome['probe']['kind']})"
         print(f"{report.scenario}: {report.task} -> {summary}")
         print(f"{report.scenario}: elapsed {elapsed:.3f}s", file=sys.stderr)
     return status

@@ -31,7 +31,6 @@ import numpy as np
 from .dynamics import ForceSystem, FREE
 from .expressions import Expression, chart_parts, on_rows, substituted
 from .geometry import chart_point, inner_products, metric_at, norm_function
-from .hypotheses import CertificationTask, certify
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
 from .report import write_csv
@@ -373,16 +372,6 @@ def full_quadratic_form(st, q, qd):
     x, xdot, udot = q[:, :n], qd[:, :n], qd[:, n]
     return (inner_products(st.base, x, xdot, xdot) + 2.0 * udot * qd[:, n + 1]
             + st.wave.value_rows(x, q[:, n]) * udot * udot)
-
-
-def classify_gpw_completeness(st, bd, anchor=None):
-    """Certificate for the wave spacetime via the base-potential reduction.
-
-    Delegates to the premise checks with V = -H/2 semantics carried by the
-    wave-coefficient routes, on the window of bd; the verdict never asserts
-    completeness when the base manifold's complete_flag is unset.
-    """
-    return certify(CertificationTask(manifold=st.base, bounds=bd, wave=st.wave, anchor=anchor))
 
 
 def split_geodesic_to_csv(sg, st, fileobj):

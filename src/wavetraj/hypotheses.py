@@ -124,10 +124,6 @@ class CompletenessCertificate:
     complete_flag_asserted: bool
     caveat: str = CAVEAT
 
-    @property
-    def conclusive(self):
-        return self.verdict != INCONCLUSIVE
-
     def to_dict(self):
         return {
             "verdict": self.verdict,
@@ -175,17 +171,6 @@ def _premise(bd, name, note, margins, prerequisite_passed=True):
                         dependent_failure=not prerequisite_passed)
 
 
-def check_bounded_below(fs, bd):
-    """Premise: V(p, t) >= beta0(t) on the sampled window."""
-    v = on_window(fs.potential, fs.value, bd.grid, bd.t_grid)
-    return _bounded_below(bd, v, _on_times(bd, bd.beta0))
-
-
-def _bounded_below(bd, v, beta0):
-    return _premise(bd, "potential_bounded_below", "min of V - beta0 over the sample grid",
-                    v - beta0)
-
-
 def check_S_bounds(manifold, fs, bounds):
     """Sampled operator-norm bounds of the self-adjoint part of F on the window of bounds.
 
@@ -202,48 +187,28 @@ def check_S_bounds(manifold, fs, bounds):
     n_upper = float(sup_vals.max())
     n_lower = float((-inf_vals).max())
     T = bounds.T
-    return {
-        "bounded": PremiseCheck(
-            name="operator_bound_two_sided", passed=True, margin=0.0,
-            note="N_T is the sampled supremum of the operator norm",
-            values={"N_T": n_two_sided, "T": T}),
-        "upper_bounded": PremiseCheck(
-            name="operator_bound_upper", passed=True, margin=0.0,
-            note="N_T is the sampled supremum of S_sup",
-            values={"N_T": n_upper, "T": T}),
-        "lower_bounded": PremiseCheck(
-            name="operator_bound_lower", passed=True, margin=0.0,
-            note="N_T is the sampled supremum of -S_inf",
-            values={"N_T": n_lower, "T": T}),
-    }
+    return (
+        PremiseCheck(name="operator_bound_two_sided", passed=True, margin=0.0,
+                     note="N_T is the sampled supremum of the operator norm",
+                     values={"N_T": n_two_sided, "T": T}),
+        PremiseCheck(name="operator_bound_upper", passed=True, margin=0.0,
+                     note="N_T is the sampled supremum of S_sup",
+                     values={"N_T": n_upper, "T": T}),
+        PremiseCheck(name="operator_bound_lower", passed=True, margin=0.0,
+                     note="N_T is the sampled supremum of -S_inf",
+                     values={"N_T": n_lower, "T": T}),
+    )
 
 
-def _potential_fields(fs, bd):
-    """V, beta0, alpha0 and dV/dt over the window, evaluated in that order."""
-    return (on_window(fs.potential, fs.value, bd.grid, bd.t_grid), _on_times(bd, bd.beta0),
-            _on_times(bd, bd.alpha0), on_window(fs.potential_dt, fs.dt, bd.grid, bd.t_grid))
+def _fields(bd, value, value_scalar, rate, rate_scalar):
+    """A route kind's four fields over the window, evaluated in this order.
 
-
-def check_dVdt_bound(fs, bd, signed="two_sided", prerequisite_passed=True):
-    """Premise: the (signed) time derivative of V is controlled by alpha0 (V - beta0).
-
-    signed selects |dV/dt| (two_sided), +dV/dt (forward) or -dV/dt (backward).
-    When the bounded-below prerequisite failed the result is still computed
-    but stamped dependent_failure.
+    value is V (H for a wave) and rate dV/dt (dH/du), each a source with its
+    scalar call as expressions.on_window takes them; between them come beta0
+    and alpha0 (_on_times).
     """
-    if signed not in ("two_sided", "forward", "backward"):
-        raise ValueError(f"unknown signed mode {signed!r}")
-    return _dvdt_bound(bd, *_potential_fields(fs, bd), signed, prerequisite_passed)
-
-
-def _dvdt_bound(bd, v, beta0, alpha0, dv_dt, signed, prerequisite_passed):
-    if signed == "two_sided":
-        dv_dt = np.abs(dv_dt)
-    elif signed == "backward":
-        dv_dt = -dv_dt
-    return _premise(bd, f"potential_dt_{signed}",
-                    "min of alpha0*(V - beta0) - signed dV/dt over the sample grid",
-                    alpha0 * (v - beta0) - dv_dt, prerequisite_passed)
+    return (on_window(value, value_scalar, bd.grid, bd.t_grid), _on_times(bd, bd.beta0),
+            _on_times(bd, bd.alpha0), on_window(rate, rate_scalar, bd.grid, bd.t_grid))
 
 
 def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
@@ -303,32 +268,6 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     )
 
 
-def _wave_fields(wave, bd):
-    """H, beta0, alpha0 and dH/du over the window, evaluated in that order."""
-    return (on_window(wave.h, wave.value, bd.grid, bd.t_grid), _on_times(bd, bd.beta0),
-            _on_times(bd, bd.alpha0), on_window(wave.h_du, wave.du, bd.grid, bd.t_grid))
-
-
-def check_wave_bounded_above(wave, bd):
-    """Premise: H(x, u) <= beta0(u) on the sampled window."""
-    h = on_window(wave.h, wave.value, bd.grid, bd.t_grid)
-    return _wave_bounded_above(bd, h, _on_times(bd, bd.beta0))
-
-
-def _wave_bounded_above(bd, h, beta0):
-    return _premise(bd, "wave_bounded_above", "min of beta0 - H over the sample grid", beta0 - h)
-
-
-def check_wave_du_bound(wave, bd, prerequisite_passed=True):
-    """Premise: |dH/du| <= alpha0(u) (beta0(u) - H) on the sampled window."""
-    return _wave_du_bound(bd, *_wave_fields(wave, bd), prerequisite_passed)
-
-
-def _wave_du_bound(bd, h, beta0, alpha0, dh_du, prerequisite_passed):
-    return _premise(bd, "wave_du_bound", "min of alpha0*(beta0 - H) - |dH/du| over the sample grid",
-                    alpha0 * (beta0 - h) - np.abs(dh_du), prerequisite_passed)
-
-
 def _flag_check(manifold):
     return PremiseCheck(
         name="manifold_complete_flag",
@@ -358,69 +297,60 @@ class CertificationTask:
 def certify(task):
     """Run premise checks and emit the strongest verdict whose premises pass.
 
+    The one entry point of the premise checks. Both route kinds take their
+    four fields from one scan (_fields): V, beta0, alpha0 and dV/dt for a
+    force system; H, beta0, alpha0 and dH/du for a wave, whose routes are the
+    force-system criteria applied to the base potential -(delta^2/2) H.
+
     Precedence: two-sided potential bounds > wave coefficient bounds > linear
     gradient growth > forward > backward. Every route and every margin stay
-    in the evidence; failures never raise. The fields the premises take are
-    each evaluated once over the window, in the order V, beta0, alpha0,
-    dV/dt (H, beta0, alpha0, dH/du for a wave) and before the S-bound or
-    linear-growth scan, so a field that cannot be evaluated raises the
-    EvaluationError of the first that fails.
+    in the evidence; failures never raise. Each field is evaluated once over
+    the window, in that order and before the S-bound or linear-growth scan,
+    so a field that cannot be evaluated raises the EvaluationError of the
+    first that fails.
     """
-    evidence = {}
-    routes = []
-
-    def record(check):
-        evidence[check.name] = check
-        return check
-
-    flag = record(_flag_check(task.manifold))
-
-    bd = task.bounds
+    bd, manifold = task.bounds, task.manifold
+    flag = _flag_check(manifold)
     if task.wave is not None:
-        h, beta0, alpha0, dh_du = _wave_fields(task.wave, bd)
-        bounded = record(_wave_bounded_above(bd, h, beta0))
-        du_check = record(_wave_du_bound(bd, h, beta0, alpha0, dh_du, bounded.passed))
-        names = (flag.name, bounded.name, du_check.name)
-        routes.append(RouteResult(
-            route="wave_bounds", verdict=COMPLETE_WAVE_BOUNDS,
-            passed=all(evidence[n].passed for n in names), premises=names))
-        anchor = task.anchor if task.anchor is not None else np.zeros(task.manifold.dim)
-        growth = record(check_linear_growth_gradH(task.manifold, task.wave,
-                                                  bd.grid, anchor, bd.t_grid))
-        names = (flag.name, growth.name)
-        routes.append(RouteResult(
-            route="linear_growth", verdict=COMPLETE_LINEAR_GRADIENT,
-            passed=all(evidence[n].passed for n in names), premises=names))
+        wave = task.wave
+        h, beta0, alpha0, dh_du = _fields(bd, wave.h, wave.value, wave.h_du, wave.du)
+        bounded = _premise(bd, "wave_bounded_above", "min of beta0 - H over the sample grid",
+                           beta0 - h)
+        du_check = _premise(bd, "wave_du_bound",
+                            "min of alpha0*(beta0 - H) - |dH/du| over the sample grid",
+                            alpha0 * (beta0 - h) - np.abs(dh_du), bounded.passed)
+        anchor = task.anchor if task.anchor is not None else np.zeros(manifold.dim)
+        growth = check_linear_growth_gradH(manifold, wave, bd.grid, anchor, bd.t_grid)
+        entries = [("wave_bounds", COMPLETE_WAVE_BOUNDS, (flag, bounded, du_check)),
+                   ("linear_growth", COMPLETE_LINEAR_GRADIENT, (flag, growth))]
     else:
-        if task.force is None:
+        fs = task.force
+        if fs is None:
             raise ValueError("certification task needs a force system or a wave coefficient")
-        fields = _potential_fields(task.force, bd)
-        bounded = record(_bounded_below(bd, *fields[:2]))
-        s_checks = check_S_bounds(task.manifold, task.force, bd)
-        route_map = {
-            "two_sided": (s_checks["bounded"], COMPLETE_POTENTIAL_BOUNDS),
-            "forward": (s_checks["upper_bounded"], FORWARD_COMPLETE),
-            "backward": (s_checks["lower_bounded"], BACKWARD_COMPLETE),
-        }
-        for mode in ("two_sided", "forward", "backward"):
-            s_check, verdict = route_map[mode]
-            record(s_check)
-            dvdt = record(_dvdt_bound(bd, *fields, mode, bounded.passed))
-            names = (flag.name, bounded.name, s_check.name, dvdt.name)
-            routes.append(RouteResult(
-                route=mode, verdict=verdict,
-                passed=all(evidence[n].passed for n in names), premises=names))
+        v, beta0, alpha0, dv_dt = _fields(bd, fs.potential, fs.value, fs.potential_dt, fs.dt)
+        bounded = _premise(bd, "potential_bounded_below", "min of V - beta0 over the sample grid",
+                           v - beta0)
+        s_checks = check_S_bounds(manifold, fs, bd)
+        entries = []
+        for mode, route_verdict, s_check, signed_dt in zip(
+                ("two_sided", "forward", "backward"),
+                (COMPLETE_POTENTIAL_BOUNDS, FORWARD_COMPLETE, BACKWARD_COMPLETE),
+                s_checks, (np.abs(dv_dt), dv_dt, -dv_dt)):
+            dvdt = _premise(bd, f"potential_dt_{mode}",
+                            "min of alpha0*(V - beta0) - signed dV/dt over the sample grid",
+                            alpha0 * (v - beta0) - signed_dt, bounded.passed)
+            entries.append((mode, route_verdict, (flag, bounded, s_check, dvdt)))
 
-    verdict = INCONCLUSIVE
-    for candidate in _PRECEDENCE:
-        hits = [r for r in routes if r.verdict == candidate and r.passed]
-        if hits:
-            verdict = candidate
-            break
-    ordered = tuple(evidence[name] for name in sorted(evidence))
+    routes = tuple(RouteResult(route=route, verdict=verdict,
+                               passed=all(c.passed for c in checks),
+                               premises=tuple(c.name for c in checks))
+                   for route, verdict, checks in entries)
+    evidence = {c.name: c for _, _, checks in entries for c in checks}
+    verdict = next((candidate for candidate in _PRECEDENCE
+                    if any(r.verdict == candidate and r.passed for r in routes)), INCONCLUSIVE)
     return CompletenessCertificate(
         verdict=verdict,
-        routes=tuple(routes),
-        evidence=ordered,
-        complete_flag_asserted=bool(task.manifold.complete_flag),
+        routes=routes,
+        evidence=tuple(evidence[name] for name in sorted(evidence)),
+        complete_flag_asserted=bool(manifold.complete_flag),
     )

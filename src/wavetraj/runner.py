@@ -7,11 +7,11 @@ import numpy as np
 from . import __version__
 from .comparison import DIVERGES, DominatingSolution, PhiFunction, check_divergence, solve_dominating, verify_envelope
 from .dynamics import build_energy_frame, energy_derivative_identity, energy_v
+from .errors import NotABlowup
 from .expressions import with_array_form
 from .geometry import norm_function
-from .gpw import (GeodesicInitialData, base_trajectory, classify_gpw_completeness,
-                  full_geodesic_oracle, full_quadratic_form, reduce_geodesic,
-                  split_geodesic_to_csv, split_state)
+from .gpw import (GeodesicInitialData, base_trajectory, full_geodesic_oracle,
+                  full_quadratic_form, reduce_geodesic, split_geodesic_to_csv, split_state)
 from .hypotheses import CertificationTask, certify, check_S_bounds, INCONCLUSIVE
 from .integrate import (BLOW_UP_SUSPECTED, CHART_EXIT, HORIZON_REACHED, TOLERANCE_FAILURE,
                         integrate, refine_blowup, sample, trajectory_to_csv)
@@ -101,14 +101,19 @@ def _run_integrate(sc, out_dir, report):
         if drift is not None:
             report.outcome["energy_drift_per_time"] = drift
     if traj.outcome.kind == BLOW_UP_SUSPECTED and sc.refine:
-        interval = refine_blowup(sc.manifold, sc.force, sc.config, traj)
-        report.outcome["blowup_refined"] = {
-            "t_lo": interval.t_lo,
-            "t_hi": interval.t_hi,
-            "estimate": interval.estimate,
-            "width": interval.width,
-            "n_rhs": interval.n_rhs,
-        }
+        try:
+            interval = refine_blowup(sc.manifold, sc.force, sc.config, traj)
+        except NotABlowup as exc:
+            # the coarse outcome and trajectory stand; only the bracket is refused
+            report.outcome["blowup_refined"] = {"error": str(exc)}
+        else:
+            report.outcome["blowup_refined"] = {
+                "t_lo": interval.t_lo,
+                "t_hi": interval.t_hi,
+                "estimate": interval.estimate,
+                "width": interval.width,
+                "n_rhs": interval.n_rhs,
+            }
     csv_name = sc.outputs["trajectory_csv"]
     with open(out_dir / csv_name, "w", encoding="utf-8") as fh:
         trajectory_to_csv(traj, fh)
@@ -116,10 +121,9 @@ def _run_integrate(sc, out_dir, report):
 
 
 def _run_certify(sc, out_dir, report):
-    if sc.spacetime is not None:
-        cert = classify_gpw_completeness(sc.spacetime, sc.bounds, anchor=sc.gpw_anchor)
-    else:
-        cert = certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds, force=sc.force))
+    wave = sc.spacetime.wave if sc.spacetime is not None else None
+    cert = certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds, force=sc.force,
+                                     wave=wave, anchor=sc.gpw_anchor))
     report.certificate = cert.to_dict()
     report.outcome = {"verdict": cert.verdict}
     if sc.probe_initial is not None and sc.config is not None:
@@ -137,8 +141,8 @@ def _envelope_rate(frame):
 
 def _run_envelope(sc, out_dir, report):
     traj = integrate(sc.manifold, sc.force, sc.initial, sc.config)
-    s_checks = check_S_bounds(sc.manifold, sc.force, sc.bounds)
-    frame = build_energy_frame(sc.bounds, s_checks["bounded"].values["N_T"])
+    two_sided = check_S_bounds(sc.manifold, sc.force, sc.bounds)[0]
+    frame = build_energy_frame(sc.bounds, two_sided.values["N_T"])
     times, n = traj.times, traj.dim
     vs = energy_v(sc.manifold, sc.force, frame, (traj.states[:, :n], traj.states[:, n:], times))
     envelope = {

@@ -434,6 +434,10 @@ def parse_scenario(raw):
     if "initial" in raw:
         sc.initial = _build_initial(raw["initial"], sc.manifold)
     if "probe_initial" in raw:
+        if sc.spacetime is not None:
+            # the probe integrates sc.force, and a wave scenario has none
+            raise ValidationError("probe_initial applies only to force-system certificates; "
+                                  "a gpw scenario has no force system to probe", key="probe_initial")
         sc.probe_initial = _build_initial(raw["probe_initial"], sc.manifold, "probe_initial")
         if not isinstance(raw.get("integrator"), dict) or "horizon" not in raw["integrator"]:
             raise ValidationError("probe_initial requires integrator.horizon", key="probe_initial")

@@ -5,7 +5,7 @@ import pytest
 
 from wavetraj.catalog import build_manifold, build_potential
 from wavetraj.dynamics import FREE
-from wavetraj.hypotheses import BoundData
+from wavetraj.hypotheses import BoundData, CertificationTask, certify
 
 
 def box_grid(lo, hi, shape):
@@ -18,6 +18,12 @@ def box_grid(lo, hi, shape):
 def window(alpha0, beta0, T, grid=((0.0,),)):
     """Bounds alpha0 and beta0 sampled at 41 times spanning [-T, T], on the points of grid."""
     return BoundData(alpha0=alpha0, beta0=beta0, grid=grid, t_grid=np.linspace(-T, T, 41))
+
+
+def evidence(manifold, bounds, **task):
+    """certify's evidence for a force= or a wave= task, by premise name."""
+    cert = certify(CertificationTask(manifold=manifold, bounds=bounds, **task))
+    return {check.name: check for check in cert.evidence}
 
 
 def tensor_force(tensor_F):

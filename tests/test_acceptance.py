@@ -14,8 +14,8 @@ from wavetraj.catalog import build_manifold, build_potential, build_wave
 from wavetraj.comparison import CONVERGES, PhiFunction, check_divergence, solve_dominating
 from wavetraj.dynamics import build_energy_frame, energy_derivative_identity, energy_v
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient,
-                          classify_gpw_completeness, full_geodesic_oracle,
-                          full_quadratic_form, reduce_geodesic, split_state)
+                          full_geodesic_oracle, full_quadratic_form, reduce_geodesic,
+                          split_state)
 from wavetraj.hypotheses import (COMPLETE_LINEAR_GRADIENT, COMPLETE_POTENTIAL_BOUNDS,
                                  COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData,
                                  CertificationTask, certify)
@@ -144,17 +144,15 @@ def test_criterion_5_certificates_on_bundled_systems():
     well = WaveCoefficient(h=lambda x, u: -float(np.dot(x, x)) ** 2,
                            h_dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
-    st = GpwSpacetime(base=e2, wave=well, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     bd = BoundData(alpha0=lambda u: 0.0, beta0=lambda u: 0.0,
                    grid=box_grid([-5, -5], [5, 5], [11, 11]), t_grid=tgrid)
-    cert = classify_gpw_completeness(st, bd)
+    cert = certify(CertificationTask(manifold=e2, bounds=bd, wave=well))
     results.append(("wave -|x|^4", cert.verdict == COMPLETE_WAVE_BOUNDS, cert.verdict))
 
     plane = build_wave("plane_wave", {"f1": "1 + u*u", "f2": "2", "f": "u"})
-    st2 = GpwSpacetime(base=e2, wave=plane, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
     bd2 = BoundData(alpha0=lambda u: 1.0, beta0=lambda u: 0.0,
                     grid=box_grid([-5, -5], [5, 5], [11, 11]), t_grid=tgrid)
-    cert = classify_gpw_completeness(st2, bd2)
+    cert = certify(CertificationTask(manifold=e2, bounds=bd2, wave=plane))
     results.append(("polynomial plane wave", cert.verdict == COMPLETE_LINEAR_GRADIENT, cert.verdict))
 
     ok = all(passed for _, passed, _ in results)

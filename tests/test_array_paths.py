@@ -21,16 +21,18 @@ from wavetraj.comparison import DominatingSolution, PhiFunction, adaptive_quad, 
 from wavetraj.errors import EvaluationError, HypothesisViolated, OutOfRange
 from wavetraj.expressions import array_form, on_rows, parse_expression, with_array_form
 from wavetraj.gpw import GeodesicInitialData, GpwSpacetime, _conserved_vdot, reduce_geodesic
-from wavetraj.hypotheses import (BoundData, check_bounded_below, check_dVdt_bound,
-                                 check_linear_growth_gradH, check_wave_bounded_above,
-                                 check_wave_du_bound)
+from wavetraj.hypotheses import BoundData, check_linear_growth_gradH
 from wavetraj.integrate import BACKWARD, FORWARD, IntegratorConfig, integrate, sample
 from wavetraj.runner import run_scenario
 from wavetraj.scenario import bundled_scenarios, load_scenario, parse_scenario
 
-from conftest import box_grid
+from conftest import box_grid, evidence
 
 CATALOG_POTENTIALS = ["harmonic", "exp_time_quadratic", "negative_quartic", "zero"]
+POTENTIAL_PREMISES = ("potential_bounded_below", "potential_dt_two_sided",
+                      "potential_dt_forward", "potential_dt_backward")
+WAVE_PREMISES = ("wave_bounded_above", "wave_du_bound")
+E2 = build_manifold("euclidean", {"n": 2})
 
 
 def _fail(*args):
@@ -74,10 +76,9 @@ def expression_potential(text, reach=2.0, alpha="1", beta="0"):
 def test_catalog_potential_scans_equal_the_loop_bit_for_bit(name):
     fs = build_potential(name, {}, 2)
     bd = time_bounds("1 + 0.1*t^2", "-1 - cos(t)")
-    looped = (swap(fs, plain, "potential", "potential_dt"), swap(bd, plain, "alpha0", "beta0"))
-    assert check_bounded_below(fs, bd) == check_bounded_below(*looped)
-    for signed in ("two_sided", "forward", "backward"):
-        assert check_dVdt_bound(fs, bd, signed) == check_dVdt_bound(*looped, signed)
+    looped = swap(fs, plain, "potential", "potential_dt")
+    assert evidence(E2, bd, force=fs) == evidence(E2, swap(bd, plain, "alpha0", "beta0"),
+                                                  force=looped)
 
 
 def test_a_finite_scan_makes_no_per_sample_call():
@@ -86,16 +87,16 @@ def test_a_finite_scan_makes_no_per_sample_call():
     strict_bd = swap(bd, array_only, "alpha0", "beta0")
     for fs in [build_potential(name, {}, 2) for name in CATALOG_POTENTIALS] + [expression]:
         strict = swap(fs, array_only, "potential", "potential_dt")
-        assert check_bounded_below(strict, strict_bd) == check_bounded_below(fs, bd)
-        for signed in ("two_sided", "forward", "backward"):
-            assert check_dVdt_bound(strict, strict_bd, signed) == check_dVdt_bound(fs, bd, signed)
+        assert evidence(E2, strict_bd, force=strict) == evidence(E2, bd, force=fs)
 
 
 def test_expression_potential_scans_equal_the_loop():
     fs, bd = expression_potential("exp(-t)*(1 + x1^2 + x2^2)^1.5 - sin(x1*x2)")
-    looped = (swap(fs, plain, "potential", "potential_dt"), swap(bd, plain, "alpha0", "beta0"))
-    for check in (check_bounded_below, check_dVdt_bound):
-        a, b = check(fs, bd), check(*looped)
+    batched = evidence(E2, bd, force=fs)
+    looped = evidence(E2, swap(bd, plain, "alpha0", "beta0"),
+                      force=swap(fs, plain, "potential", "potential_dt"))
+    for name in POTENTIAL_PREMISES:
+        a, b = batched[name], looped[name]
         assert (a.passed, a.worst_point, a.worst_t) == (b.passed, b.worst_point, b.worst_t)
         assert a.margin == pytest.approx(b.margin, rel=1e-14, abs=1e-14)
 
@@ -105,9 +106,9 @@ def test_a_scan_with_a_failed_sample_leaves_the_error_to_the_loop():
     # array value there is NaN, and the loop raises at the first such sample
     fs, bd = expression_potential("log(x1 + 1)")
     with pytest.raises(EvaluationError) as batched:
-        check_bounded_below(fs, bd)
+        evidence(E2, bd, force=fs)
     with pytest.raises(EvaluationError) as looped:
-        check_bounded_below(swap(fs, plain, "potential"), swap(bd, plain, "beta0"))
+        evidence(E2, swap(bd, plain, "beta0"), force=swap(fs, plain, "potential"))
     assert str(batched.value) == str(looped.value)
 
 
@@ -125,9 +126,10 @@ WAVES = [
 def test_wave_scans_equal_the_loop(name, params):
     wave = build_wave(name, params)
     bd = time_bounds("1", "0", reach=4.0, side=11)
-    looped = (swap(wave, plain, *WAVE_SOURCES), swap(bd, plain, "alpha0", "beta0"))
-    for a, b in ((check_wave_bounded_above(wave, bd), check_wave_bounded_above(*looped)),
-                 (check_wave_du_bound(wave, bd), check_wave_du_bound(*looped))):
+    batched = evidence(E2, bd, wave=wave)
+    looped = evidence(E2, swap(bd, plain, "alpha0", "beta0"), wave=swap(wave, plain, *WAVE_SOURCES))
+    for name in WAVE_PREMISES:
+        a, b = batched[name], looped[name]
         assert (a.passed, a.worst_point, a.worst_t) == (b.passed, b.worst_point, b.worst_t)
         assert a.margin == pytest.approx(b.margin, rel=1e-13, abs=1e-13)
 
@@ -136,14 +138,12 @@ def test_wave_scans_equal_the_loop(name, params):
 def test_a_finite_wave_scan_makes_no_per_sample_call(name, params, euclidean2):
     wave = build_wave(name, params)
     _, bd = expression_potential("0", reach=4.0, alpha="1 + 0.1*u^2", beta="2 - cos(t)")
-    strict = (swap(wave, array_only, *WAVE_SOURCES), swap(bd, array_only, "alpha0", "beta0"))
-    assert check_wave_bounded_above(*strict) == check_wave_bounded_above(wave, bd)
-    assert check_wave_du_bound(*strict) == check_wave_du_bound(wave, bd)
-    args = (bd.grid, np.zeros(2), bd.t_grid)
-    assert (check_linear_growth_gradH(euclidean2, strict[0], *args)
-            == check_linear_growth_gradH(euclidean2, wave, *args))
+    strict = swap(wave, array_only, *WAVE_SOURCES)
+    # the linear-growth premise among them, about the chart origin over bd's window
+    assert (evidence(euclidean2, swap(bd, array_only, "alpha0", "beta0"), wave=strict)
+            == evidence(euclidean2, bd, wave=wave))
     x, u = bd.grid, np.linspace(-1.0, 1.0, bd.grid.shape[0])
-    assert_array_equal(strict[0].value_rows(x, u), wave.value_rows(x, u))
+    assert_array_equal(strict.value_rows(x, u), wave.value_rows(x, u))
 
 
 @pytest.mark.parametrize("name,params", WAVES)
@@ -308,18 +308,19 @@ def test_runs_evaluate_phi_and_waves_on_arrays(scenario, monkeypatch, tmp_path):
 def test_a_replaced_potential_is_the_one_scanned():
     fs = replace(build_potential("harmonic", {}, 2), potential=lambda x, t: -1e9)
     bd = time_bounds("1", "0")
-    check = check_bounded_below(fs, bd)
+    check = evidence(E2, bd, force=fs)["potential_bounded_below"]
     assert not check.passed and check.margin == -1e9
     fs = replace(fs, potential=lambda x, t: 1.0, potential_dt=lambda x, t: 3.0)
-    assert check_dVdt_bound(fs, bd).margin == -2.0
+    assert evidence(E2, bd, force=fs)["potential_dt_two_sided"].margin == -2.0
 
 
 def test_a_replaced_wave_source_is_the_one_scanned(euclidean2):
     wave = build_wave("expression", {"H": "(x1^2 + x2^2)^2 + u", "n": 2})
     other = replace(wave, h=lambda x, u: 1e9, h_du=lambda x, u: 0.0)
     bd = time_bounds("1", "0", reach=4.0, side=11)
-    assert check_wave_bounded_above(other, bd).margin == -1e9
-    assert check_wave_du_bound(other, bd).margin == 1.0 * (0.0 - 1e9)
+    checks = evidence(euclidean2, bd, wave=other)
+    assert checks["wave_bounded_above"].margin == -1e9
+    assert checks["wave_du_bound"].margin == 1.0 * (0.0 - 1e9)
     x, u = bd.grid, np.zeros(bd.grid.shape[0])
     assert_array_equal(other.value_rows(x, u), np.full(u.size, 1e9))
     # a gradient of constant norm passes the growth check; a cubic one does not
@@ -331,9 +332,11 @@ def test_a_replaced_wave_source_is_the_one_scanned(euclidean2):
 
 def test_a_replaced_bound_is_the_one_scanned():
     fs, bd = expression_potential("x1^2 + x2^2")
-    assert check_bounded_below(fs, bd).margin == 0.0
-    assert check_bounded_below(fs, replace(bd, beta0=lambda t: 5.0)).margin == -5.0
-    assert check_dVdt_bound(fs, replace(bd, alpha0=lambda t: -1.0)).margin == -8.0
+    assert evidence(E2, bd, force=fs)["potential_bounded_below"].margin == 0.0
+    below = evidence(E2, replace(bd, beta0=lambda t: 5.0), force=fs)["potential_bounded_below"]
+    assert below.margin == -5.0
+    dvdt = evidence(E2, replace(bd, alpha0=lambda t: -1.0), force=fs)["potential_dt_two_sided"]
+    assert dvdt.margin == -8.0
 
 
 @pytest.mark.parametrize("scenario", ["compare-linear", "exp-envelope"])

@@ -12,7 +12,8 @@ from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, cu
                           energy_of, full_acceleration,
                           full_christoffel, full_geodesic_oracle, full_metric, full_quadratic_form,
                           reduce_geodesic, split_geodesic_to_csv, split_state)
-from wavetraj.hypotheses import COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE, BoundData
+from wavetraj.hypotheses import (COMPLETE_LINEAR_GRADIENT, COMPLETE_WAVE_BOUNDS, INCONCLUSIVE,
+                                 BoundData, CertificationTask, certify)
 from wavetraj.integrate import BLOW_UP_SUSPECTED, HORIZON_REACHED, IntegratorConfig, sample
 from wavetraj.runner import run_scenario
 from wavetraj.scenario import bundled_scenarios, load_scenario
@@ -385,33 +386,31 @@ def test_a_base_run_that_stops_at_its_first_record_gives_v0(tmp_path):
     assert report["outcome"]["oracle"]["max_coordinate_discrepancy"] == 0.0
 
 
-def test_classify_plane_wave_linear_gradient():
-    from wavetraj.gpw import classify_gpw_completeness
+def certify_wave(st, bd):
+    """certify's certificate for st's wave on its base, on bd's window."""
+    return certify(CertificationTask(manifold=st.base, bounds=bd, wave=st.wave))
 
-    st = gravitational_spacetime()
-    cert = classify_gpw_completeness(st, wave_bounds(lambda u: 1.0, lambda u: 0.0))
+
+def test_certify_plane_wave_linear_gradient():
+    cert = certify_wave(gravitational_spacetime(), wave_bounds(lambda u: 1.0, lambda u: 0.0))
     assert cert.verdict == COMPLETE_LINEAR_GRADIENT
 
 
-def test_classify_bounded_wave_coefficient():
-    from wavetraj.gpw import classify_gpw_completeness
-
+def test_certify_bounded_wave_coefficient():
     wave = WaveCoefficient(h=lambda x, u: -float(np.dot(x, x)) ** 2,
                            h_dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
-    cert = classify_gpw_completeness(st, wave_bounds(lambda u: 0.0, lambda u: 0.0))
+    cert = certify_wave(st, wave_bounds(lambda u: 0.0, lambda u: 0.0))
     assert cert.verdict == COMPLETE_WAVE_BOUNDS
 
 
-def test_classify_unbounded_wave_inconclusive():
-    from wavetraj.gpw import classify_gpw_completeness
-
+def test_certify_unbounded_wave_inconclusive():
     wave = WaveCoefficient(h=lambda x, u: float(np.dot(x, x)) ** 2,
                            h_dx=lambda x, u: 4.0 * float(np.dot(x, x)) * np.asarray(x),
                            h_du=lambda x, u: 0.0)
     st = GpwSpacetime(base=euclid2(), wave=wave, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
-    cert = classify_gpw_completeness(st, wave_bounds(lambda u: 0.0, lambda u: 0.0))
+    cert = certify_wave(st, wave_bounds(lambda u: 0.0, lambda u: 0.0))
     assert cert.verdict == INCONCLUSIVE
     assert not any(r.passed for r in cert.routes)
 

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavetraj.catalog import build_potential
+from wavetraj.catalog import build_manifold, build_potential, build_wave, expression_potential
 from wavetraj.dynamics import ForceSystem
+from wavetraj.expressions import parse_expression
 from wavetraj.gpw import WaveCoefficient
 from wavetraj.hypotheses import (BACKWARD_COMPLETE, COMPLETE_POTENTIAL_BOUNDS,
                                  COMPLETE_WAVE_BOUNDS, FORWARD_COMPLETE, INCONCLUSIVE,
                                  BoundData, CertificationTask, certify, check_S_bounds,
-                                 check_bounded_below, check_dVdt_bound,
-                                 check_linear_growth_gradH, check_wave_bounded_above,
-                                 check_wave_du_bound)
+                                 check_linear_growth_gradH)
+from wavetraj.runner import run_scenario
+from wavetraj.scenario import bundled_scenarios, load_scenario
 
-from conftest import box_grid, tensor_force, window
+from conftest import box_grid, evidence, tensor_force, window
+
 
 # the operator-bound scans sample [-2, 2] x a 3 x 3 box
 S_WINDOW = window(lambda t: 0.0, lambda t: 0.0, 2.0, grid=box_grid([-1, -1], [1, 1], [3, 3]))
@@ -30,24 +32,37 @@ def bounds_2d(alpha, beta, reach=2.0, side=9, T=3.0, t_points=41):
                      t_grid=np.linspace(-T, T, t_points))
 
 
+def potential_premises(fs, bd):
+    """certify's evidence for fs on bd's window, on the Euclidean space of bd's grid."""
+    return evidence(build_manifold("euclidean", {"n": bd.grid.shape[1]}), bd, force=fs)
+
+
+def bounded_below(fs, bd):
+    return potential_premises(fs, bd)["potential_bounded_below"]
+
+
+def dvdt_bound(fs, bd, signed):
+    return potential_premises(fs, bd)[f"potential_dt_{signed}"]
+
+
 def test_bounded_below_harmonic():
-    check = check_bounded_below(build_potential("harmonic", {}, 2),
-                                bounds_2d(lambda t: 0.0, lambda t: 0.0))
+    check = bounded_below(build_potential("harmonic", {}, 2),
+                          bounds_2d(lambda t: 0.0, lambda t: 0.0))
     assert check.passed
     assert check.margin == pytest.approx(0.0)
     assert_allclose(check.worst_point, [0.0, 0.0])
 
 
 def test_bounded_below_negative_quartic_fails():
-    check = check_bounded_below(build_potential("negative_quartic", {}, 1),
-                                bounds_1d(lambda t: 0.0, lambda t: 0.0))
+    check = bounded_below(build_potential("negative_quartic", {}, 1),
+                          bounds_1d(lambda t: 0.0, lambda t: 0.0))
     assert not check.passed
     assert check.margin == pytest.approx(-16.0)
 
 
 def test_bounded_below_exp_potential():
-    check = check_bounded_below(build_potential("exp_time_quadratic", {}, 2),
-                                bounds_2d(lambda t: 0.0, lambda t: np.exp(t)))
+    check = bounded_below(build_potential("exp_time_quadratic", {}, 2),
+                          bounds_2d(lambda t: 0.0, lambda t: np.exp(t)))
     assert check.passed
     assert check.margin == pytest.approx(0.0, abs=1e-12)
     assert_allclose(check.worst_point, [0.0, 0.0])
@@ -55,37 +70,38 @@ def test_bounded_below_exp_potential():
 
 def test_s_bounds_zero_force(euclidean2):
     checks = check_S_bounds(euclidean2, build_potential("harmonic", {}, 2), S_WINDOW)
-    assert checks["bounded"].values["N_T"] == 0.0
-    assert checks["upper_bounded"].values["N_T"] == 0.0
-    assert checks["lower_bounded"].values["N_T"] == 0.0
+    # in route order: two-sided, upper (forward), lower (backward)
+    assert [c.name for c in checks] == ["operator_bound_two_sided", "operator_bound_upper",
+                                        "operator_bound_lower"]
+    assert [c.values["N_T"] for c in checks] == [0.0, 0.0, 0.0]
 
 
 def test_s_bounds_skew_rotation(euclidean2):
     fs = tensor_force(lambda x, t: np.array([[0.0, 2.0], [-2.0, 0.0]]))
-    checks = check_S_bounds(euclidean2, fs, S_WINDOW)
-    assert checks["bounded"].values["N_T"] == pytest.approx(0.0, abs=1e-12)
+    two_sided, _, _ = check_S_bounds(euclidean2, fs, S_WINDOW)
+    assert two_sided.values["N_T"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_s_bounds_time_dependent_scalar(euclidean2):
     # F = -(1 + t^2) I on [-2, 2]: two-sided bound 5, frozen by arithmetic
     fs = tensor_force(lambda x, t: -(1.0 + t * t) * np.eye(2))
-    checks = check_S_bounds(euclidean2, fs, S_WINDOW)
-    assert checks["bounded"].values["N_T"] == pytest.approx(5.0)
-    assert checks["upper_bounded"].values["N_T"] == pytest.approx(-1.0)
-    assert checks["lower_bounded"].values["N_T"] == pytest.approx(5.0)
+    two_sided, upper, lower = check_S_bounds(euclidean2, fs, S_WINDOW)
+    assert two_sided.values["N_T"] == pytest.approx(5.0)
+    assert upper.values["N_T"] == pytest.approx(-1.0)
+    assert lower.values["N_T"] == pytest.approx(5.0)
 
 
 def test_dvdt_autonomous_zero_alpha():
-    check = check_dVdt_bound(build_potential("harmonic", {}, 2),
-                             bounds_2d(lambda t: 0.0, lambda t: 0.0), "two_sided")
+    check = dvdt_bound(build_potential("harmonic", {}, 2),
+                       bounds_2d(lambda t: 0.0, lambda t: 0.0), "two_sided")
     assert check.passed
     assert check.margin == pytest.approx(0.0)
 
 
 def test_dvdt_exp_potential_identity():
     # |dV/dt| = V = 1 * (V - 0) exactly, margin 0 on every grid point
-    check = check_dVdt_bound(build_potential("exp_time_quadratic", {}, 2),
-                             bounds_2d(lambda t: 1.0, lambda t: 0.0), "two_sided")
+    check = dvdt_bound(build_potential("exp_time_quadratic", {}, 2),
+                       bounds_2d(lambda t: 1.0, lambda t: 0.0), "two_sided")
     assert check.passed
     assert check.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -97,7 +113,7 @@ def test_dvdt_fails_at_t_zero_plane():
     bd = BoundData(alpha0=lambda t: 1.0, beta0=lambda t: 0.0,
                    grid=np.linspace(-2.0, 2.0, 9).reshape(-1, 1),
                    t_grid=np.linspace(0.0, 3.0, 31))
-    check = check_dVdt_bound(fs, bd, "two_sided")
+    check = dvdt_bound(fs, bd, "two_sided")
     assert not check.passed
     assert check.margin == pytest.approx(-4.0)
     assert check.worst_t == 0.0
@@ -108,18 +124,39 @@ def test_dvdt_one_sided_variants():
     fs = ForceSystem(potential=lambda x, t: np.exp(-t) * (1.0 + float(np.dot(x, x))),
                      potential_dx=lambda x, t: 2.0 * np.exp(-t) * np.asarray(x),
                      potential_dt=lambda x, t: -np.exp(-t) * (1.0 + float(np.dot(x, x))))
-    bd = bounds_2d(lambda t: 0.0, lambda t: 0.0)
-    assert check_dVdt_bound(fs, bd, "forward").passed
-    assert not check_dVdt_bound(fs, bd, "backward").passed
-    assert not check_dVdt_bound(fs, bd, "two_sided").passed
+    checks = potential_premises(fs, bounds_2d(lambda t: 0.0, lambda t: 0.0))
+    assert checks["potential_dt_forward"].passed
+    assert not checks["potential_dt_backward"].passed
+    assert not checks["potential_dt_two_sided"].passed
 
 
 def test_dvdt_dependent_failure_stamp():
-    check = check_dVdt_bound(build_potential("harmonic", {}, 2),
-                             bounds_2d(lambda t: 0.0, lambda t: 0.0),
-                             "two_sided", prerequisite_passed=False)
-    assert check.dependent_failure
-    assert not check.passed
+    # V = -x^4 is not bounded below; dV/dt = 0 = alpha0 (V - beta0) would pass on its margin
+    checks = potential_premises(build_potential("negative_quartic", {}, 1),
+                                bounds_1d(lambda t: 0.0, lambda t: 0.0))
+    assert not checks["potential_bounded_below"].passed
+    assert not checks["potential_bounded_below"].dependent_failure
+    for signed in ("two_sided", "forward", "backward"):
+        check = checks[f"potential_dt_{signed}"]
+        assert check.margin == 0.0
+        assert check.dependent_failure
+        assert not check.passed
+    passing = potential_premises(build_potential("harmonic", {}, 2),
+                                 bounds_2d(lambda t: 0.0, lambda t: 0.0))
+    assert passing["potential_dt_two_sided"].passed
+    assert not passing["potential_dt_two_sided"].dependent_failure
+
+
+def test_wave_du_dependent_failure_stamp(euclidean2):
+    # H = |x|^4 is not bounded above; dH/du = 0 keeps alpha0 (beta0 - H) - |dH/du| >= 0
+    wave = make_wave(lambda x, u: float(np.dot(x, x)) ** 2,
+                     dx=lambda x, u: 4.0 * float(np.dot(x, x)) * np.asarray(x),
+                     du=lambda x, u: 0.0)
+    checks = evidence(euclidean2, bounds_2d(lambda u: 0.0, lambda u: 0.0), wave=wave)
+    assert not checks["wave_bounded_above"].passed
+    du_check = checks["wave_du_bound"]
+    assert du_check.margin == 0.0
+    assert du_check.dependent_failure and not du_check.passed
 
 
 def make_wave(h, dx, du):
@@ -201,7 +238,6 @@ def test_certify_negative_quartic_inconclusive(euclidean1):
                                      bounds=bounds_1d(lambda t: 0.0, lambda t: 0.0),
                                      force=build_potential("negative_quartic", {}, 1)))
     assert cert.verdict == INCONCLUSIVE
-    assert not cert.conclusive
     below = [e for e in cert.evidence if e.name == "potential_bounded_below"][0]
     assert below.margin == pytest.approx(-16.0)
 
@@ -255,34 +291,35 @@ def test_monotone_evidence_under_grid_growth(euclidean1):
     fs = build_potential("negative_quartic", {}, 1)
     coarse = bounds_1d(lambda t: 0.0, lambda t: 0.0, lo=-1.0, hi=1.0, points=5)
     fine = bounds_1d(lambda t: 0.0, lambda t: 0.0, lo=-2.0, hi=2.0, points=17)
-    margin_coarse = check_bounded_below(fs, coarse).margin
-    margin_fine = check_bounded_below(fs, fine).margin
+    margin_coarse = bounded_below(fs, coarse).margin
+    margin_fine = bounded_below(fs, fine).margin
     assert margin_fine <= margin_coarse
 
 
-def test_wave_and_potential_route_equivalence(euclidean2):
-    # wave-form margins are exactly half the potential-form margins under
-    # V = -H/2, beta0_V = -beta0_H/2, identical alpha0
-    wave = make_wave(lambda x, u: -float(np.dot(x, x)) ** 2 - np.sin(u),
-                     dx=lambda x, u: -4.0 * float(np.dot(x, x)) * np.asarray(x),
-                     du=lambda x, u: -np.cos(u))
-    alpha = lambda s: 2.0
-    beta_h = lambda s: 0.5
-    bd_wave = bounds_2d(alpha, beta_h)
-    fs = ForceSystem(potential=lambda x, t: 0.5 * (float(np.dot(x, x)) ** 2 + np.sin(t)),
-                     potential_dx=lambda x, t: 2.0 * float(np.dot(x, x)) * np.asarray(x),
-                     potential_dt=lambda x, t: 0.5 * np.cos(t))
-    bd_pot = bounds_2d(alpha, lambda s: -beta_h(s) / 2.0)
-
-    wave_above = check_wave_bounded_above(wave, bd_wave)
-    pot_below = check_bounded_below(fs, bd_pot)
-    assert wave_above.passed == pot_below.passed
-    assert pot_below.margin == pytest.approx(0.5 * wave_above.margin, rel=1e-12)
-
-    wave_du = check_wave_du_bound(wave, bd_wave)
-    pot_dt = check_dVdt_bound(fs, bd_pot, "two_sided")
-    assert wave_du.passed == pot_dt.passed
-    assert pot_dt.margin == pytest.approx(0.5 * wave_du.margin, rel=1e-12)
+# H and beta0 in u, and the V = -H/2 and beta0_V = -beta0/2 built from their
+# text: V's derivative is exactly -1/2 times H's, and halving is exact, so
+# every potential-form margin is exactly half the wave-form one
+@pytest.mark.parametrize("beta", ["2", "0.5 + 0.1*u"], ids=["passing", "failing"])
+def test_wave_and_potential_route_equivalence(euclidean2, beta):
+    h = "-(x1^2 + x2^2)^2 - sin(u)"
+    alpha = "2 + cos(u)"
+    grid, t_grid = box_grid([-2, -2], [2, 2], [9, 9]), np.linspace(-3.0, 3.0, 41)
+    in_t = lambda text: text.replace("u", "t")
+    wave = evidence(euclidean2, BoundData(alpha0=parse_expression(alpha, ("u",)),
+                                          beta0=parse_expression(beta, ("u",)),
+                                          grid=grid, t_grid=t_grid),
+                    wave=build_wave("expression", {"H": h, "n": 2}))
+    potential = evidence(euclidean2, BoundData(alpha0=parse_expression(in_t(alpha), ("t",)),
+                                               beta0=parse_expression(f"-0.5*({in_t(beta)})", ("t",)),
+                                               grid=grid, t_grid=t_grid),
+                         force=expression_potential(f"-0.5*({in_t(h)})", 2))
+    for w, p in (("wave_bounded_above", "potential_bounded_below"),
+                 ("wave_du_bound", "potential_dt_two_sided")):
+        a, b = wave[w], potential[p]
+        assert b.margin == 0.5 * a.margin
+        assert (b.passed, b.worst_point, b.worst_t, b.dependent_failure) == (
+            a.passed, a.worst_point, a.worst_t, a.dependent_failure)
+    assert wave["wave_bounded_above"].passed == (beta == "2")
 
 
 def test_bound_data_window_half_width():
@@ -321,7 +358,7 @@ def test_non_finite_potential_fails_bounded_below(bad):
                      potential_dx=lambda x, t: [2.0 * c for c in x],
                      potential_dt=lambda x, t: 0.0)
     bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
-    check = check_bounded_below(fs, bd)
+    check = bounded_below(fs, bd)
     assert not check.passed
     assert check.margin == -np.inf
     assert check.worst_point == (1.5,)
@@ -332,7 +369,7 @@ def test_nan_everywhere_fails_bounded_below():
     fs = ForceSystem(potential=lambda x, t: float("nan"),
                      potential_dx=lambda x, t: [float("nan")] * len(x),
                      potential_dt=lambda x, t: float("nan"))
-    check = check_bounded_below(fs, bounds_1d(lambda t: 0.0, lambda t: 0.0))
+    check = bounded_below(fs, bounds_1d(lambda t: 0.0, lambda t: 0.0))
     assert not check.passed
     assert check.worst_point == (-2.0,)
     assert check.worst_t == -3.0
@@ -344,7 +381,7 @@ def test_nan_time_derivative_fails_dvdt_bound(signed):
                      potential_dx=lambda x, t: [2.0 * c for c in x],
                      potential_dt=lambda x, t: _poisoned(x, -1.0, float("nan"), 0.0))
     bd = bounds_1d(lambda t: 1.0, lambda t: 0.0)
-    check = check_dVdt_bound(fs, bd, signed=signed)
+    check = dvdt_bound(fs, bd, signed)
     assert not check.passed
     assert check.margin == -np.inf
     assert check.worst_point == (-1.0,)
@@ -360,3 +397,71 @@ def test_nan_gradient_fails_linear_growth(euclidean2):
     assert not check.passed
     assert check.margin == -np.inf
     assert check.worst_t == 1.0
+
+
+FORCE_EVIDENCE = [
+    ("manifold_complete_flag",
+     "unverified scenario assertion that the base manifold is geodesically complete"),
+    ("operator_bound_lower", "N_T is the sampled supremum of -S_inf"),
+    ("operator_bound_two_sided", "N_T is the sampled supremum of the operator norm"),
+    ("operator_bound_upper", "N_T is the sampled supremum of S_sup"),
+    ("potential_bounded_below", "min of V - beta0 over the sample grid"),
+    ("potential_dt_backward", "min of alpha0*(V - beta0) - signed dV/dt over the sample grid"),
+    ("potential_dt_forward", "min of alpha0*(V - beta0) - signed dV/dt over the sample grid"),
+    ("potential_dt_two_sided", "min of alpha0*(V - beta0) - signed dV/dt over the sample grid"),
+]
+WAVE_EVIDENCE = [
+    ("manifold_complete_flag",
+     "unverified scenario assertion that the base manifold is geodesically complete"),
+    ("wave_bounded_above", "min of beta0 - H over the sample grid"),
+    ("wave_du_bound", "min of alpha0*(beta0 - H) - |dH/du| over the sample grid"),
+    ("wave_gradient_linear_growth",
+     "2 * median-decile ratio - farthest-decile ratio of |grad H|_g / (1 + distance)"),
+]
+
+
+def force_routes(two_sided, forward, backward):
+    return [
+        ("two_sided", "complete-by-potential-bounds", two_sided,
+         ["manifold_complete_flag", "potential_bounded_below", "operator_bound_two_sided",
+          "potential_dt_two_sided"]),
+        ("forward", "forward-complete-by-potential-bounds", forward,
+         ["manifold_complete_flag", "potential_bounded_below", "operator_bound_upper",
+          "potential_dt_forward"]),
+        ("backward", "backward-complete-by-potential-bounds", backward,
+         ["manifold_complete_flag", "potential_bounded_below", "operator_bound_lower",
+          "potential_dt_backward"]),
+    ]
+
+
+def wave_routes(bounds, growth):
+    return [
+        ("wave_bounds", "complete-by-wave-coefficient-bounds", bounds,
+         ["manifold_complete_flag", "wave_bounded_above", "wave_du_bound"]),
+        ("linear_growth", "complete-by-linear-gradient-growth", growth,
+         ["manifold_complete_flag", "wave_gradient_linear_growth"]),
+    ]
+
+
+# each bundled certify scenario: its verdict, (route, verdict, passed,
+# premises) in route order, and its evidence names with their notes
+BUNDLED_CERTIFICATES = {
+    "exp-certify": ("complete-by-potential-bounds", force_routes(True, True, True),
+                    FORCE_EVIDENCE),
+    "harmonic-certify": ("complete-by-potential-bounds", force_routes(True, True, True),
+                         FORCE_EVIDENCE),
+    "quartic-certify": ("inconclusive", force_routes(False, False, False), FORCE_EVIDENCE),
+    "gpw-well-certify": ("complete-by-wave-coefficient-bounds", wave_routes(True, False),
+                         WAVE_EVIDENCE),
+    "plane-wave-certify": ("complete-by-linear-gradient-growth", wave_routes(False, True),
+                           WAVE_EVIDENCE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CERTIFICATES))
+def test_bundled_certificates_keep_their_routes_and_evidence(name, tmp_path):
+    cert = run_scenario(load_scenario(bundled_scenarios()[name]), tmp_path).certificate
+    verdict, routes, notes = BUNDLED_CERTIFICATES[name]
+    assert cert["verdict"] == verdict
+    assert [(r["route"], r["verdict"], r["passed"], r["premises"]) for r in cert["routes"]] == routes
+    assert [(e["name"], e["note"]) for e in cert["evidence"]] == notes

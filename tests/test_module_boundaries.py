@@ -23,6 +23,11 @@ that reads a coordinate of its chart point is a chart written by hand.
 The chart guard is checked during a run in one place, the force equation's
 kernel: only dynamics reads a guard's generated value (its positive
 attribute), and no module generates a second guard function.
+
+certify is the one entry point of the premise checks: hypotheses defines no
+public function besides it and the two scans a caller reads on their own
+(check_S_bounds for the envelope's N_T, check_linear_growth_gradH), and gpw
+reaches certificates through no import of hypotheses.
 """
 
 import ast
@@ -152,3 +157,34 @@ def test_only_dynamics_reads_the_generated_guard():
     # the scan sees the kernel's read, so an empty result is not a pass
     assert readers == {"dynamics"}
     assert guard_functions == []
+
+
+def _imported_modules(tree):
+    """The last component of every module an import in tree names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[-1])
+            names.update(alias.name for alias in node.names if node.module is None)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_gpw_imports_nothing_from_hypotheses():
+    found = {path.stem: _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    # the scan sees gpw's import of dynamics and runner's of hypotheses, so an
+    # empty result is not a pass
+    assert "dynamics" in found["gpw"]
+    assert "hypotheses" in found["runner"]
+    assert "hypotheses" not in found["gpw"]
+
+
+def test_certify_and_two_scans_are_the_public_functions_of_hypotheses():
+    tree = ast.parse((PACKAGE / "hypotheses.py").read_text(encoding="utf-8"))
+    functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    # the scan sees the private helpers too, so an empty result is not a pass
+    assert "_premise" in functions
+    public = sorted(name for name in functions if not name.startswith("_"))
+    assert public == ["certify", "check_S_bounds", "check_linear_growth_gradH"]

@@ -739,3 +739,52 @@ def test_compare_lemma_with_a_tiny_horizon_checks_its_residual_inside_t_ge_0(tmp
     report = run_scenario(parse_scenario(raw), tmp_path)
     assert report.outcome["verdict"] == "Diverges"
     assert np.isfinite(report.comparison["ode_residual_max_rel"])
+
+
+def test_a_probe_on_a_wave_certificate_is_a_validation_error(tmp_path, capsys):
+    # the probe integrates the scenario's force system, and a gpw scenario has none
+    scn = bundled_scenarios()["plane-wave-certify"]
+    assert main(["run", str(scn), "probe_initial.position=[0.1,0.2]",
+                 "probe_initial.velocity=[0,0]", "integrator.horizon=2",
+                 "--output-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "probe_initial applies only to force-system certificates" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    raw = apply_overrides(json.loads(scn.read_text(encoding="utf-8")), [
+        "probe_initial.position=[0.1,0.2]", "probe_initial.velocity=[0,0]", "integrator.horizon=2"])
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(raw)
+    assert exc.value.key == "probe_initial"
+
+
+def test_a_rejected_refinement_keeps_the_report(tmp_path, capsys):
+    # the harmonic speed reaches 1 and crosses the ceiling, and refinement
+    # reaches the horizon: the coarse outcome and trajectory are still written
+    scn = bundled_scenarios()["harmonic"]
+    assert main(["run", str(scn), "integrator.speed_ceiling=0.5",
+                 "--output-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "harmonic: integrate -> BlowUpSuspected" in captured.out
+    assert [line for line in captured.err.splitlines() if ": elapsed " not in line] == []
+    report = json.loads((tmp_path / "harmonic.report.json").read_text(encoding="utf-8"))
+    assert report["outcome"]["kind"] == "BlowUpSuspected"
+    assert report["outcome"]["blowup_refined"] == {"error": "refinement run reached the horizon"}
+    assert sorted(report["artifacts"]) == ["harmonic.csv", "harmonic.report.json",
+                                           "harmonic.report.txt"]
+    assert (tmp_path / "harmonic.csv").read_text(encoding="utf-8").count("\n") == (
+        report["outcome"]["n_accepted"] + 2)
+
+
+def test_the_cli_names_a_certificate_its_probe_contradicts(tmp_path, capsys):
+    # V = -x^4 certifies against beta0 = -1000 on the sampled box, and the probe blows up
+    scn = bundled_scenarios()["quartic-certify"]
+    assert main(["run", str(scn), "bounds.beta0=-1000", "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == ("quartic-certify: certify -> complete-by-potential-bounds"
+                   " (conflict: probe BlowUpSuspected)\n")
+    report = json.loads((tmp_path / "quartic-certify.report.json").read_text(encoding="utf-8"))
+    assert report["conflict"] is True
+    # without the conflict the line is unchanged
+    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "quartic-certify: certify -> inconclusive\n"
