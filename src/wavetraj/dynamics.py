@@ -140,9 +140,11 @@ def make_rhs(manifold, fs):
     k is one generated function, built on the first call for the pair and
     kept on the force system with its manifold: a run calls make_rhs once,
     and the force system keeps the kernel of the last manifold it was
-    called with, so the kernel of a force system built per run
-    (gpw.wave_force_system) goes with it. k returns the list xdot + xddot,
-    in Python floats. After the guard check:
+    called with. A force system built per run (gpw.wave_force_system)
+    comes with its kernel on its spacetime's base already: the one kernel
+    the spacetime keeps, bound to the run's values, so a run on the wave
+    generates nothing. k returns the list xdot + xddot, in Python floats.
+    After the guard check:
 
     - on a flat chart Γ ≡ 0, so xddot = -0.0 xd xd + F xd − G^-1 ∂V, where
       the last term is left out when ∂V is all zeros and G^-1 is skipped on
@@ -174,8 +176,7 @@ def _kernel(manifold, fs):
     inliner = Inliner(n)
     bind = inliner.bind
     x, xd, t = point_text(0, n), point_text(n, n), f"_v{2 * n}"
-    guard = manifold.domain_guard
-    guard_trees = inliner.add(getattr(guard, "positive", None), ("x",))
+    guard = guard_check(manifold, inliner)
     if not manifold.flat:
         metric = shaped(inliner.add(manifold.metric, ("x",)), n, rows=True)
         term = shaped(inliner.add(manifold.geodesic_term, ("x", "v")), n)
@@ -202,14 +203,7 @@ def _kernel(manifold, fs):
                        + " + ".join(f"{f} * _v{n + j}" for j, f in enumerate(rows[i])) + ")"
                        for i in range(n)]
 
-    lines = []
-    if guard is not None:
-        raised = f"    raise {bind(OutOfChart)}({bind(np.array)}({x}))"
-        if guard_trees is None:
-            lines += [f"if not {bind(guard)}({x}):", raised]
-        else:
-            guard_lines, value = inliner.assign(guard_trees, "_p", f"{bind(guard)}({x})")
-            lines += guard_lines + [f"if not {value} > 0.0:", raised]
+    lines = guard()
     if manifold.flat:
         # F is evaluated before ∂V
         tensor_values, tensor_sum = tensor_lines()
@@ -234,6 +228,31 @@ def _kernel(manifold, fs):
     state = [f"_v{n + i}" for i in range(n)] + [f"_a{i}" for i in range(n)]
     lines.append(f"return [{', '.join(state)}]")
     return inliner.function(function_text(f"{t}, _y", n, lines))
+
+
+def guard_check(manifold, inliner):
+    """A call giving the lines that raise OutOfChart where the chart point x fails the guard.
+
+    x is in the locals _v0.. of inliner's function. The guard's trees, where
+    it is a chart guard (expressions.chart_guard), are added to inliner now,
+    so this comes before the other sources are added, and the call before
+    any of them is assigned; a guard of any other kind is called, and no
+    guard gives no lines.
+    """
+    guard = manifold.domain_guard
+    trees = inliner.add(getattr(guard, "positive", None), ("x",))
+
+    def lines():
+        if guard is None:
+            return []
+        x = point_text(0, manifold.dim)
+        raised = f"    raise {inliner.bind(OutOfChart)}({inliner.bind(np.array)}({x}))"
+        if trees is None:
+            return [f"if not {inliner.bind(guard)}({x}):", raised]
+        guard_lines, value = inliner.assign(trees, "_p", f"{inliner.bind(guard)}({x})")
+        return guard_lines + [f"if not {value} > 0.0:", raised]
+
+    return lines
 
 
 def _minus_gradient(manifold, inliner, gradient, dv):
@@ -276,7 +295,9 @@ def operator_eigen_range(manifold, fs, points, t):
     times, giving shape (len(t), len(points)): one call reduces a window.
     S has the eigenvalues of the pencil A - lambda G, A = (GF + F^T G)/2, and so,
     with L = cholesky(G), of the symmetric C = L^-1 A L^-T (Golub & Van Loan,
-    Matrix Computations, §8.7): one stacked eigvalsh over the rows. F is
+    Matrix Computations, §8.7): one stacked eigvalsh over the rows. On a chart
+    whose metric is the identity, C is A itself, bit for bit, and eigvalsh
+    takes A with no factoring and no solve. F is
     evaluated once over all (time, point) pairs by on_window, then G and L once
     per point, broadcast over the times, so an error of F over the whole
     window raises before any of G.
@@ -296,8 +317,11 @@ def operator_eigen_range(manifold, fs, points, t):
         raise EigFailure(f"generalized eigenproblem at {points[bad.argmax() % len(points)]} "
                          f"has a non-finite entry")
     try:
-        low = np.linalg.cholesky(g)
-        w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), -1, -2)))
+        if manifold.identity_metric:
+            w = np.linalg.eigvalsh(a)
+        else:
+            low = np.linalg.cholesky(g)
+            w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), -1, -2)))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"generalized eigenproblem failed on the sample grid: {exc}") from None
     return w[..., 0], w[..., -1]

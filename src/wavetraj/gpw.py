@@ -12,25 +12,30 @@ against a direct integration of the full (n+2)-dimensional geodesic equation;
 that oracle never feeds the main pipeline. Its acceleration comes from the
 same exact partials the reduction uses (the base's geodesic term, h_dx and
 h_du), so what stays independent of the reduction is the full-dimensional
-Lorentzian integration with an LU solve against the full metric, never the
-reduction's algebra (u affine, v from conservation). The finite-difference
-Christoffel symbols of full_metric (full_christoffel) are the tests'
-reference for those partials and are called from no run path.
+Lorentzian integration with a solve against the whole (n+2)x(n+2) metric,
+by Gaussian elimination with partial pivoting, never the reduction's algebra
+(u affine, v from conservation). The oracle's field is one function
+generated per spacetime, and so is the base run's force-equation kernel,
+which each run binds to its u0 and delta. full_acceleration (one
+np.linalg.solve) and the finite-difference Christoffel symbols of
+full_metric (full_christoffel) are the tests' references for the field and
+its partials, and are called from no run path.
 
 The Lorentzian metric deliberately never passes through the geometry module's
 positive-definiteness checks.
 """
 
 import math
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import ForceSystem, FREE
-from .expressions import Expression, chart_parts, on_rows, substituted
-from .geometry import chart_point, inner_products, metric_at, norm_function
+from .dynamics import ForceSystem, FREE, guard_check, make_rhs
+from .expressions import Expression, Inliner, chart_parts, on_rows, point_text, shaped, substituted
+from .geometry import chart_point, inner_products, metric_at, metric_lines, norm_function
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
 from .report import write_csv
@@ -89,12 +94,15 @@ class GpwSpacetime:
     """Base chart manifold plus wave coefficient, with a nonzero witness.
 
     The witness (x, u) certifies H is not identically zero, which the wave
-    definition requires: H must be finite and nonzero there.
+    definition requires: H must be finite and nonzero there. generated holds
+    the functions generated from the sources on first use: the oracle's
+    field (full_geodesic_oracle) and the base run's kernel (wave_force_system).
     """
 
     base: object
     wave: WaveCoefficient
     nonzero_witness: tuple
+    generated: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         x_w, u_w = self.nonzero_witness
@@ -156,15 +164,20 @@ def wave_force_system(st, u0, delta):
 
     Its derivatives come from the wave's exact h_dx and h_du; the gradient,
     which the integrator calls, is taken in Python floats from h_dx's values.
+    It comes with its force-equation kernel on st.base (dynamics.make_rhs),
+    which is st's one base kernel bound to this gradient (_base_kernel).
     """
     half_d2 = 0.5 * delta * delta
     wave = st.wave
-    return ForceSystem(
+    gradient = _wave_gradient(wave.h_dx, u0, delta, -half_d2)
+    fs = ForceSystem(
         potential=lambda x, t: -half_d2 * wave.value(x, u0 + delta * t),
-        potential_dx=_wave_gradient(wave.h_dx, u0, delta, -half_d2),
+        potential_dx=gradient,
         potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
     )
+    fs.generated["rhs"] = st.base, _base_kernel(st, (u0, delta, -half_d2, gradient))
+    return fs
 
 
 def _wave_gradient(h_dx, u0, delta, factor):
@@ -172,13 +185,13 @@ def _wave_gradient(h_dx, u0, delta, factor):
     keeps the floats.
 
     Where h_dx is a chart function (expressions.chart_parts) over (x, u),
-    f carries as its chart the same values as text: the partials' trees
-    with u replaced by the tree of u0 + delta * t, each multiplied by the
-    factor, built raw, in f's order of operations, over (x, t), h_dx's
-    parameters and u0, delta and factor, which are bound as parameters. So
-    the force equation's kernel writes the gradient out, its text the same
-    for every run on the wave, and a domain error still calls f, whose
-    EvaluationError names the partial that fails at (x, u).
+    f carries as its chart the same values as text, built on first use: the
+    partials' trees with u replaced by the tree of u0 + delta * t, each
+    multiplied by the factor, built raw, in f's order of operations, over
+    (x, t), h_dx's parameters and u0, delta and factor, which are bound as
+    parameters. So the force equation's kernel writes the gradient out, its
+    text the same for every run on the wave, and a domain error still calls
+    f, whose EvaluationError names the partial that fails at (x, u).
     """
     gradient = lambda x, t: [factor * d for d in h_dx(x, u0 + delta * t)]
     parts = chart_parts(h_dx)
@@ -187,8 +200,38 @@ def _wave_gradient(h_dx, u0, delta, factor):
     exprs, (n, _), params = parts
     if not isinstance(exprs, list) or not all(isinstance(e, Expression) for e in exprs):
         return gradient
-    gradient.chart = _along_geodesic(exprs, n, len(params)), (n, None), params + (u0, delta, factor)
+    gradient.chart = (lambda: _along_geodesic(exprs, n, len(params)), (n, None),
+                      params + (u0, delta, factor))
     return gradient
+
+
+def _base_kernel(st, run):
+    """make_rhs's kernel on st.base for the wave force system of run = (u0, delta, factor, gradient).
+
+    The kernel is generated once per spacetime, for a gradient built with
+    a marker in place of each value of run (the gradient itself included),
+    and kept as its code and globals with the names that hold the markers.
+    Each run's kernel is a function of that code over a copy of the globals
+    with run's values under those names, so every run on the wave shares
+    one kernel text and generates nothing.
+    """
+    template = st.generated.get("base")
+    if template is None:
+        markers = (object(), object(), object())
+        gradient = _wave_gradient(st.wave.h_dx, *markers)
+        markers += (gradient,)
+        kernel = make_rhs(st.base, ForceSystem(potential=FREE.potential, potential_dx=gradient,
+                                               potential_dt=FREE.potential_dt))
+        slots = {id(marker): i for i, marker in enumerate(markers)}
+        # ids of live objects are distinct, so only a marker's id is in slots
+        names = [(name, slots[id(value)]) for name, value in kernel.__globals__.items()
+                 if id(value) in slots]
+        template = st.generated["base"] = kernel.__code__, kernel.__globals__, names
+    code, namespace, names = template
+    namespace = dict(namespace)
+    for name, i in names:
+        namespace[name] = run[i]
+    return types.FunctionType(code, namespace)
 
 
 def _along_geodesic(exprs, n, n_params):
@@ -316,9 +359,12 @@ def full_acceleration(st, q, qd):
     g = g0 + 2 du dv + H du^2 contracted twice with qd, comes from exact
     partials: on the base Λ_l = (the base's geodesic term)_l − ½ u̇^2 ∂_l H,
     then Λ_u = u̇ (∇H · ẋ) + ½ u̇^2 ∂_u H and Λ_v = 0. q̈ solves G q̈ = −Λ
-    by one LU solve against the full metric G (det G = −det g0 ≠ 0), which
-    is never inverted block by block. Each call makes one checked metric_at
-    call and one call each of h, h_dx and h_du.
+    by one np.linalg.solve against the full metric G (det G = −det g0 ≠ 0),
+    which is never inverted block by block. Each call makes one checked
+    metric_at call and one call each of h, h_dx and h_du.
+
+    The tests' reference for the oracle's generated field (_oracle_field);
+    no run calls it.
     """
     base, wave = st.base, st.wave
     n = base.dim
@@ -341,8 +387,9 @@ def full_acceleration(st, q, qd):
 def full_geodesic_oracle(st, init, cfg):
     """Direct integration of the full geodesic equation, for cross-validation only.
 
-    State order is (x..., u, v); the acceleration is full_acceleration. The
-    blow-up classifier uses the auxiliary positive-definite norm
+    State order is (x..., u, v); the field is st's generated oracle field
+    (_oracle_field), whose acceleration is full_acceleration's. The blow-up
+    classifier uses the auxiliary positive-definite norm
     g0(xdot, xdot) + udot^2 + vdot^2, since the Lorentzian norm can vanish
     on null directions.
     """
@@ -350,11 +397,9 @@ def full_geodesic_oracle(st, init, cfg):
     n_full = n + 2
     q0 = np.concatenate([np.asarray(init.x0, dtype=float), [init.u0, init.v0]])
     qd0 = np.concatenate([np.asarray(init.xdot0, dtype=float), [init.udot0, init.vdot0]])
-
-    def f(t, y):
-        qd = y[n_full:]
-        return qd + full_acceleration(st, y[:n_full], qd).tolist()
-
+    f = st.generated.get("oracle")
+    if f is None:
+        f = st.generated["oracle"] = _oracle_field(st)
     norm = norm_function(st.base)
 
     def speed_of(y):
@@ -364,6 +409,114 @@ def full_geodesic_oracle(st, init, cfg):
 
     return integrate_ode(f, np.concatenate([q0, qd0]), cfg, direction=FORWARD,
                          speed_of=speed_of)
+
+
+def _oracle_field(st):
+    """The full geodesic equation as one generated function k(t, y), y = q + q̇, q = (x..., u, v).
+
+    k gives the list q̇ + q̈ in Python floats, q̈ as full_acceleration gives
+    it: after the guard check, the base metric (geometry.metric_lines, so a
+    metric that is not diagonal at x is metric_at's symmetrized matrix), H,
+    h_dx, the base's geodesic term and h_du, in full_acceleration's order,
+    the sources that are chart functions written in (expressions.Inliner)
+    and any other called; then Λ in full_acceleration's order of
+    operations, and the solve of G s = Λ (_solve_lines), q̈ = −s. A zero
+    pivot, which an infinite H gives, makes q̈ all NaN, which rejects the
+    stage.
+    """
+    base, wave = st.base, st.wave
+    n, m = base.dim, base.dim + 2
+    inliner = Inliner(n)
+    bind = inliner.bind
+    x, xd, u = point_text(0, n), point_text(n, n), f"_v{2 * n}"
+    guard = guard_check(base, inliner)
+    if not base.flat:
+        metric = shaped(inliner.add(base.metric, ("x",)), n, rows=True)
+        term = shaped(inliner.add(base.geodesic_term, ("x", "v")), n)
+    h = inliner.add(wave.h, ("x", "t"))
+    h_dx = shaped(inliner.add(wave.h_dx, ("x", "t")), n)
+    h_du = inliner.add(wave.h_du, ("x", "t"))
+
+    def values(structure, source, prefix, args, count=None):
+        """Lines that set the value of source (count values, if given), and its text or texts."""
+        if structure is not None and (type(structure) is list) == (count is not None):
+            return inliner.assign(structure, prefix, f"{bind(source)}({args})")
+        if count is None:
+            return [f"{prefix} = {bind(source)}({args})"], prefix
+        names = [f"{prefix}{i}" for i in range(count)]
+        return [f"{', '.join(names)}, = {bind(source)}({args})"], names
+
+    lines = guard()
+    if base.flat:
+        rows = [[bind(g) for g in row] for row in base.metric.tolist()]
+    else:
+        metric_text, diagonal = metric_lines(base, inliner, metric)
+        rows = [[f"_A{i}_{j}" for j in range(n)] for i in range(n)]
+        diagonal = [diagonal[i] if i == j else "0.0" for i in range(n) for j in range(n)]
+        unpacked = "".join("(" + ", ".join(row) + ",), " for row in rows)
+        lines += metric_text + ["if _G is None:",
+                                f"    {', '.join(sum(rows, []))}, = {', '.join(diagonal)},",
+                                "else:", f"    {unpacked}= _G.tolist()"]
+    h_lines, h_text = values(h, wave.h, "_h", f"{x}, {u}")
+    dx_lines, dx = values(h_dx, wave.h_dx, "_d", f"{x}, {u}", n)
+    lines += h_lines + dx_lines
+    lam = [f"-_w * {d}" for d in dx]
+    if not base.flat:
+        term_lines, terms = values(term, base.geodesic_term, "_e", f"{x}, {xd}", n)
+        lines += term_lines
+        lam = [f"{e} + {b}" for e, b in zip(terms, lam)]
+    du_lines, du = values(h_du, wave.h_du, "_k", f"{x}, {u}")
+    dot = " + ".join(f"{d} * _v{n + i}" for i, d in enumerate(dx))
+    lines += du_lines + ["_w = 0.5 * _ud * _ud"]
+    lam += [f"_ud * (0.0 + {dot}) + _w * {du}", "0.0"]
+    rows = [row + ["0.0", "0.0"] for row in rows]
+    rows += [["0.0"] * n + [h_text, "1.0"], ["0.0"] * n + ["1.0", "0.0"]]
+    solve, s = _solve_lines(rows, lam)
+    velocity = [f"_v{n + i}" for i in range(n)] + ["_ud", "_vd"]
+    nan = bind(math.nan)
+    lines += (["try:"] + [f"    {line}" for line in solve]
+              + [f"except {bind(ZeroDivisionError)}:", f"    return [{', '.join(velocity + [nan] * m)}]",
+                 f"return [{', '.join(velocity + [f'-{e}' for e in s])}]"])
+    unpack = [f"_v{i}" for i in range(n)] + [u, "_q"] + velocity[:n] + ["_ud", "_vd"]
+    return inliner.function(f"def _f(t, _y):\n    {', '.join(unpack)}, = _y\n"
+                            + "".join(f"    {line}\n" for line in lines))
+
+
+def _solve_lines(a, b):
+    """(lines, texts): straight-line Gaussian elimination with partial pivoting solving A s = b.
+
+    a holds the texts of the rows of A, b those of the right-hand side. The
+    lines copy them into the locals _A<i>_<j> and _B<i> (an entry whose text
+    is its local already stays), then for each column k in turn take as
+    pivot the first row from k down whose entry has the largest magnitude
+    (a NaN is never larger), swap it into row k, and subtract the multiple
+    A_ik / A_kk of row k from each row below (Golub & Van Loan, Matrix
+    Computations, §3.4); back substitution then gives s from the last
+    component up, each sum of products subtracted from the last column to
+    the first, as LAPACK's getrs does. texts names the locals of s. A zero
+    pivot raises ZeroDivisionError.
+    """
+    m = len(b)
+    entry = [[f"_A{i}_{j}" for j in range(m)] + [f"_B{i}"] for i in range(m)]
+    lines = [f"{entry[i][j]} = {text}" for i in range(m) for j, text in enumerate(a[i] + [b[i]])
+             if text != entry[i][j]]
+    for k in range(m - 1):
+        lines.append(f"_R = {k}; _P = abs({entry[k][k]})")
+        for i in range(k + 1, m):
+            lines += [f"_Q = abs({entry[i][k]})", f"if _Q > _P: _R = {i}; _P = _Q"]
+        for i in range(k + 1, m):
+            pivot, other = entry[k][k:], entry[i][k:]
+            lines.append(f"{'if' if i == k + 1 else 'elif'} _R == {i}: "
+                         f"{', '.join(pivot + other)} = {', '.join(other + pivot)}")
+        for i in range(k + 1, m):
+            lines.append(f"_M = {entry[i][k]} / {entry[k][k]}")
+            lines += [f"{entry[i][j]} = {entry[i][j]} - _M * {entry[k][j]}"
+                      for j in range(k + 1, m + 1)]
+    s = [f"_S{i}" for i in range(m)]
+    for i in reversed(range(m)):
+        terms = "".join(f" - {entry[i][j]} * {s[j]}" for j in reversed(range(i + 1, m)))
+        lines.append(f"{s[i]} = ({entry[i][m]}{terms}) / {entry[i][i]}")
+    return lines, s
 
 
 def full_quadratic_form(st, q, qd):

@@ -211,6 +211,10 @@ def _fields(bd, value, value_scalar, rate, rate_scalar):
             _on_times(bd, bd.alpha0), on_window(rate, rate_scalar, bd.grid, bd.t_grid))
 
 
+#: the fewest grid points whose distance deciles check_linear_growth_gradH compares
+LINEAR_GROWTH_MIN_POINTS = 20
+
+
 def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     """Premise: the metric norm of grad H grows at most linearly with coordinate distance.
 
@@ -232,8 +236,9 @@ def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     anchor = np.asarray(anchor, dtype=float)
     u = np.asarray(u_grid, dtype=float)
-    if grid.shape[0] < 20:
-        raise ValueError("linear-growth check needs at least 20 grid points for deciles")
+    if grid.shape[0] < LINEAR_GROWTH_MIN_POINTS:
+        raise ValueError(f"linear-growth check needs at least {LINEAR_GROWTH_MIN_POINTS} grid "
+                         f"points for deciles")
     if anchor.shape != grid.shape[1:]:
         raise ValueError(f"linear-growth anchor has shape {anchor.shape}, "
                          f"not that of one grid point {grid.shape[1:]}")

@@ -24,7 +24,7 @@ from .errors import ParseError, ValidationError
 from .expressions import parse_expression, with_array_form
 from .geometry import ChartManifold
 from .gpw import GeodesicInitialData, GpwSpacetime
-from .hypotheses import BoundData
+from .hypotheses import LINEAR_GROWTH_MIN_POINTS, BoundData
 from .integrate import BACKWARD, FORWARD, IntegratorConfig
 
 TASKS = ("integrate", "certify", "envelope", "gpw-geodesic", "gpw-map", "compare-lemma")
@@ -425,6 +425,12 @@ def parse_scenario(raw):
         sc.force = _build_force(raw.get("force"), sc.manifold)
     if "bounds" in raw:
         sc.bounds = _build_bounds(raw["bounds"], sc.manifold)
+        if task == "certify" and sc.spacetime is not None \
+                and len(sc.bounds.grid) < LINEAR_GROWTH_MIN_POINTS:
+            # the wave's linear-growth premise compares deciles of the grid's distances
+            raise ValidationError(f"bounds.grid.shape gives {len(sc.bounds.grid)} points; a gpw "
+                                  f"certificate needs at least {LINEAR_GROWTH_MIN_POINTS}",
+                                  key="shape")
     if "integrator" in raw or task in ("integrate", "envelope", "gpw-geodesic", "gpw-map"):
         sc.config = _build_config(raw.get("integrator"), task)
     if task == "envelope" and sc.config.horizon > sc.bounds.T:

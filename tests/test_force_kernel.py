@@ -285,16 +285,30 @@ def test_runs_on_one_wave_share_one_kernel_text():
         codes.append(code(source))
         return codes[-1]
 
+    def kernel_codes():
+        return [c for c in codes if "_y" in c.co_names
+                or any("_y" in getattr(k, "co_varnames", ()) for k in c.co_consts)]
+
     manifold = build_manifold("euclidean", {"n": 2})
+    st_ = GpwSpacetime(base=build_manifold("euclidean", {"n": 2}),
+                       wave=build_wave("expression", {"H": "0.7*(x1^2 + x2^2)^2", "n": 2}),
+                       nonzero_witness=(np.array([1.0, 1.0]), 0.5))
+    runs = ((0.3, -1.4), (0.0, 2.0))
     try:
         expressions._code = recording
-        for u0, delta in ((0.3, -1.4), (0.0, 2.0)):
-            make_rhs(manifold, _wave("0.7*(x1^2 + x2^2)^2", u0, delta))(0.1, [0.2, 0.3, 0.0, 1.0])
+        # a kernel generated for each run's force system on another chart: the same text
+        for u0, delta in runs:
+            make_rhs(manifold, wave_force_system(st_, u0, delta))(0.1, [0.2, 0.3, 0.0, 1.0])
+        generated = kernel_codes()
+        assert len(generated) == 3 and generated[0] is generated[1] is generated[2]
+        # on the spacetime's own base every run binds the one kernel generated for it
+        codes.clear()
+        bound = [make_rhs(st_.base, wave_force_system(st_, u0, delta)) for u0, delta in runs]
     finally:
         expressions._code = code
-    kernels = [c for c in codes if "_y" in c.co_names or any("_y" in getattr(k, "co_varnames", ())
-                                                             for k in c.co_consts)]
-    assert len(kernels) == 2 and kernels[0] is kernels[1]
+    assert kernel_codes() == []
+    assert bound[0].__code__ is bound[1].__code__
+    assert bound[0].__code__ in generated[0].co_consts
 
 
 # ---------------------------------------------------------------- setup and memory
@@ -342,13 +356,9 @@ def test_a_second_run_emits_no_new_kernel_source(generated_sources, tmp_path, fa
     sc = parse_scenario(task.raw)
     run_scenario(sc, tmp_path / "first")
     assert generated_sources
-    first = set(generated_sources)
     misses = expressions._code.cache_info().misses
     generated_sources.clear()
     run_scenario(sc, tmp_path / "second")
     assert expressions._code.cache_info().misses == misses
-    if family.startswith("gpw"):
-        # a wave's force system is built per run: the same texts again
-        assert set(generated_sources) <= first
-    else:
-        assert generated_sources == []
+    # a wave's force system is built per run, but binds the kernel its spacetime keeps
+    assert generated_sources == []

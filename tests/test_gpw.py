@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from wavetraj.catalog import build_manifold, build_wave
 from wavetraj.cli import main
 from wavetraj.expressions import array_form, parse_expression
+from wavetraj.geometry import ChartManifold
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, cumulative_simpson,
                           energy_of, full_acceleration,
                           full_christoffel, full_geodesic_oracle, full_metric, full_quadratic_form,
@@ -155,11 +156,13 @@ def test_full_acceleration_matches_the_finite_difference_christoffel_symbols(bas
 
 @pytest.mark.parametrize("base_name", ["euclidean", "hyperbolic_half_plane"])
 def test_an_oracle_run_evaluates_the_metric_once_per_rhs(base_name, monkeypatch):
-    # no finite differences: one checked base metric and one h, h_dx and h_du per RHS
-    import wavetraj.geometry as geometry_module
+    # no finite differences and no LAPACK solve: the oracle's field calls each
+    # source it cannot write in once per RHS, a curved base's metric and
+    # geodesic term included (a flat base's metric was checked when it was
+    # built); the speed at each record evaluates the metric once more
     import wavetraj.gpw as gpw_module
 
-    calls = {"metric_at": 0, "h": 0, "h_dx": 0, "h_du": 0}
+    calls = {"metric": 0, "geodesic_term": 0, "h": 0, "h_dx": 0, "h_du": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -168,14 +171,17 @@ def test_an_oracle_run_evaluates_the_metric_once_per_rhs(base_name, monkeypatch)
         return wrapper
 
     def refused(*args):
-        raise AssertionError("the oracle took a finite-difference path")
+        raise AssertionError("the oracle took a finite-difference or LAPACK path")
 
-    metric_at = counted("metric_at", geometry_module.metric_at)
-    monkeypatch.setattr(geometry_module, "metric_at", metric_at)
-    monkeypatch.setattr(gpw_module, "metric_at", metric_at)
     monkeypatch.setattr(gpw_module, "full_metric", refused)
     monkeypatch.setattr(gpw_module, "full_christoffel", refused)
+    monkeypatch.setattr(gpw_module, "full_acceleration", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
     base = build_manifold(base_name, {"n": 2} if base_name == "euclidean" else {})
+    if not base.flat:
+        base = ChartManifold(dim=2, metric=counted("metric", base.metric),
+                             geodesic_term=counted("geodesic_term", base.geodesic_term),
+                             domain_guard=base.domain_guard)
     wave = plane_wave("1 + 0.5*sin(u)", "cos(u)", "0.3*u")
     counting = WaveCoefficient(**{k: counted(k, getattr(wave, k)) for k in ("h", "h_dx", "h_du")})
     st = GpwSpacetime(base=base, wave=counting, nonzero_witness=(np.array([1.0, 0.0]), 0.0))
@@ -185,7 +191,10 @@ def test_an_oracle_run_evaluates_the_metric_once_per_rhs(base_name, monkeypatch)
     traj = full_geodesic_oracle(st, init, IntegratorConfig(horizon=0.5))
     assert traj.outcome.kind == HORIZON_REACHED
     n_rhs = traj.stats.n_rhs
-    assert n_rhs > 0 and calls == {"metric_at": n_rhs, "h": n_rhs, "h_dx": n_rhs, "h_du": n_rhs}
+    each = n_rhs if base_name != "euclidean" else 0
+    speeds = len(traj.times) if base_name != "euclidean" else 0
+    assert n_rhs > 0 and calls == {"metric": each + speeds, "geodesic_term": each, "h": n_rhs,
+                                   "h_dx": n_rhs, "h_du": n_rhs}
 
 
 def test_reduce_cosh_growth():

@@ -8,7 +8,7 @@ Every source carries its exact derivatives, so central differences
 (wavetraj.numdiff) serve the tests' references only: christoffel_at in
 geometry for the geodesic terms, and gpw.full_christoffel for the
 full-geodesic oracle, whose acceleration comes from exact partials and one
-LU solve; what keeps that oracle independent of the split reduction is the
+solve against the whole Lorentzian metric; what keeps that oracle independent of the split reduction is the
 full-dimensional Lorentzian integration, and the finite-difference
 cross-check of its derivatives is a test. A module that imports more of
 numdiff could stand finite differences in for a missing derivative again.

@@ -189,6 +189,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(missing_task), "--output-dir", str(out_dir)]) == 2
 
 
+def test_cli_refuses_a_gpw_certificate_grid_too_small_for_deciles(tmp_path, capsys):
+    # the wave's linear-growth premise compares distance deciles of at least 20 points
+    scn = bundled_scenarios()["plane-wave-certify"]
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scn), "bounds.grid.shape=[3,3]", "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "bounds.grid.shape gives 9 points; a gpw certificate needs at least 20" in err
+    assert not out_dir.exists()
+    assert main(["run", str(scn), "bounds.grid.shape=[4,5]", "--output-dir", str(out_dir)]) == 0
+
+
 def test_cli_run_with_flag_overrides(tmp_path):
     scn = tmp_path / "mini.scn"
     scn.write_text(json.dumps(MINIMAL_INTEGRATE))
