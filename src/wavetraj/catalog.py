@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
 from .expressions import (Expression, _add, _mul, _sub, at_chart_point, chart_function,
-                          chart_guard, parse_expression, with_array_form)
+                          chart_guard, parse_expression)
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
 
@@ -316,33 +316,11 @@ def _build_time_scalar(params):
 def expression_tensor(rows):
     """The tensor F(x, t) whose n x n matrix has the expression text rows in x1..xn and t.
 
-    A constant matrix (no entry uses x1..xn or t) keeps the rows of its first
-    successful call; a call that raises stores nothing, so it raises every time.
-    The array form takes chart points on the last axis of x, broadcast against
-    t, and gives the matrices on two new last axes: a varying matrix from its
-    entries' own array forms, a constant one by broadcasting its stored rows.
+    It is the entries' one generated function (expressions.at_chart_point),
+    which the force equation's kernel writes in, a constant entry as its
+    number; its array form gives the matrices from the entries' array forms.
     """
-    n = len(rows)
-    exprs = _parsed_rows(rows, _chart_variables(n, "t"))
-    entries = at_chart_point(exprs)
-    if any(e.used for row in exprs for e in row):
-        return entries
-    stored = []
-
-    def constant(x, t):
-        if not stored:
-            stored.append(entries(x, t))
-        return stored[0]
-
-    if hasattr(entries, "chart"):
-        # constant's values are the entries', so generated code may write them out
-        constant.chart = entries.chart
-
-    def broadcast(x, t):
-        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(t))
-        return np.broadcast_to(np.array(constant([0.0] * n, 0.0)), shape + (n, n))
-
-    return with_array_form(constant, broadcast)
+    return at_chart_point(_parsed_rows(rows, _chart_variables(len(rows), "t")))
 
 
 TENSORS = {

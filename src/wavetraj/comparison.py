@@ -127,9 +127,10 @@ class PhiFunction:
 
         fn's array form, which returns an array of the shape of ss, serves
         when its values are all finite; otherwise fn is called once per
-        point, and raises where it raises (expressions.on_rows).
+        point, on a Python float, and raises where it raises
+        (expressions.on_rows).
         """
-        return on_rows(self.fn, self, ss)
+        return on_rows(self.fn, ss)
 
     def positive_values(self, ss):
         """phi at each point of the array ss; a point where phi is not positive raises."""

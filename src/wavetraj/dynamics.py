@@ -18,13 +18,12 @@ bounds) works on numpy arrays.
 """
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EigFailure, OutOfChart
-from .expressions import Inliner, function_text, on_rows, on_window, point_text, shaped
+from .expressions import Inliner, function_text, on_rows, on_window, point_text
 from .geometry import chart_point, diagonal_of, inner_products, metric_lines, metrics_at
 
 
@@ -35,11 +34,11 @@ class ForceSystem:
     Every source takes the chart point x as a list of Python floats and t as
     a Python float, and returns Python floats: potential and potential_dt
     one, potential_dx a sequence of n, tensor_F n rows of n (the chart
-    components of F; None means F ≡ 0). The methods below take arrays too
-    and give arrays, for the callers off the integrator's hot path.
-    potential_dx and potential_dt are the exact derivatives of potential, and
-    both are required. time_independent marks potentials with no t
-    dependence (used only for reporting conserved-energy drift).
+    components of F; None means F ≡ 0), reached over arrays through
+    expressions.on_rows only. potential_dx and potential_dt are the exact
+    derivatives of potential, and both are required. time_independent marks
+    potentials with no t dependence (used only for reporting conserved-energy
+    drift).
 
     A source may carry an array form (expressions.array_form), which
     evaluates it over arrays: chart points on the last axis of x, broadcast
@@ -59,17 +58,6 @@ class ForceSystem:
     def __post_init__(self):
         if not (callable(self.potential_dx) and callable(self.potential_dt)):
             raise TypeError("a force system needs its derivatives potential_dx and potential_dt")
-
-    def value(self, x, t):
-        return float(self.potential(chart_point(x), float(t)))
-
-    def dt(self, x, t):
-        return float(self.potential_dt(chart_point(x), float(t)))
-
-    def force_matrix(self, x, t):
-        if self.tensor_F is None:
-            return None
-        return np.asarray(self.tensor_F(chart_point(x), float(t)), dtype=float)
 
 
 FREE = ForceSystem(potential=lambda x, t: 0.0,
@@ -113,15 +101,6 @@ def build_energy_frame(bounds, n_t):
     return EnergyFrame(t_horizon=bounds.T, a_t=a_t, b_t=b_t, n_t=float(n_t))
 
 
-def _floats(v):
-    """A source's value as Python floats: a list or tuple as it is, an array as nested lists."""
-    return v if type(v) in (list, tuple) else np.asarray(v, dtype=float).tolist()
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
-
-
 def rhs_E(manifold, fs, state):
     """First-order field (xdot, xddot) of the force equation at state = (x, xdot, t).
 
@@ -161,7 +140,7 @@ def make_rhs(manifold, fs):
     try statement per source, so subexpressions shared by the metric, the
     geodesic term, ∂V and F are computed once; a domain error calls the
     source itself, whose EvaluationError names the first expression that
-    fails. Any other source is called from k.
+    fails. Any other source is called from k, its value in Python floats.
     """
     last = fs.generated.get("rhs")
     if last is not None and last[0] is manifold:
@@ -175,30 +154,18 @@ def _kernel(manifold, fs):
     n = manifold.dim
     inliner = Inliner(n)
     bind = inliner.bind
-    x, xd, t = point_text(0, n), point_text(n, n), f"_v{2 * n}"
     guard = guard_check(manifold, inliner)
     if not manifold.flat:
-        metric = shaped(inliner.add(manifold.metric, ("x",)), n, rows=True)
-        term = shaped(inliner.add(manifold.geodesic_term, ("x", "v")), n)
-    gradient = shaped(inliner.add(fs.potential_dx, ("x", "t")), n)
-    tensor = shaped(inliner.add(fs.tensor_F, ("x", "t")), n, rows=True)
-
-    def vector(structure, source, prefix, args):
-        """Lines that set the n values of source, and their texts."""
-        if structure is not None:
-            return inliner.assign(structure, prefix, f"{bind(source)}({args})")
-        names = [f"{prefix}{i}" for i in range(n)]
-        return [f"{', '.join(names)}, = {bind(_floats)}({bind(source)}({args}))"], names
+        metric = inliner.add(manifold.metric, ("x",), (n, n))
+        term = inliner.add(manifold.geodesic_term, ("x", "v"), (n,))
+    gradient = inliner.add(fs.potential_dx, ("x", "t"), (n,))
+    tensor = inliner.add(fs.tensor_F, ("x", "t"), (n, n))
 
     def tensor_lines():
         """Lines that set F's rows, and lines that then add F xd to the acceleration."""
         if fs.tensor_F is None:
             return [], []
-        args = f"{bind(fs.tensor_F)}({x}, {t})"
-        if tensor is None:
-            return ([f"_F = {bind(_floats)}({args})"],
-                    [f"_a{i} = _a{i} + {bind(_dot)}(_F[{i}], {xd})" for i in range(n)])
-        lines, rows = inliner.assign(tensor, "_f", args)
+        lines, rows = inliner.values(tensor, "_f")
         return lines, [f"_a{i} = _a{i} + (0.0 + "
                        + " + ".join(f"{f} * _v{n + j}" for j, f in enumerate(rows[i])) + ")"
                        for i in range(n)]
@@ -207,15 +174,15 @@ def _kernel(manifold, fs):
     if manifold.flat:
         # F is evaluated before ∂V
         tensor_values, tensor_sum = tensor_lines()
-        gradient_lines, dv = vector(gradient, fs.potential_dx, "_d", f"{x}, {t}")
+        gradient_lines, dv = inliner.values(gradient, "_d")
         lines += tensor_values + gradient_lines
         # -0.0 * v * v is what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
         lines += [f"_a{i} = -0.0 * _v{n + i} * _v{n + i}" for i in range(n)] + tensor_sum
         lines += _minus_gradient(manifold, inliner, gradient, dv)
     else:
         metric_text, diagonal = metric_lines(manifold, inliner, metric)
-        term_lines, terms = vector(term, manifold.geodesic_term, "_e", f"{x}, {xd}")
-        gradient_lines, dv = vector(gradient, fs.potential_dx, "_d", f"{x}, {t}")
+        term_lines, terms = inliner.values(term, "_e")
+        gradient_lines, dv = inliner.values(gradient, "_d")
         lines += metric_text + term_lines + gradient_lines
         lines += [f"_l{i} = {e} + {d}" for i, (e, d) in enumerate(zip(terms, dv))]
         lines += ["if _G is None:"]
@@ -227,7 +194,7 @@ def _kernel(manifold, fs):
         lines += tensor_values + tensor_sum
     state = [f"_v{n + i}" for i in range(n)] + [f"_a{i}" for i in range(n)]
     lines.append(f"return [{', '.join(state)}]")
-    return inliner.function(function_text(f"{t}, _y", n, lines))
+    return inliner.function(function_text(f"_v{2 * n}, _y", n, lines))
 
 
 def guard_check(manifold, inliner):
@@ -240,16 +207,16 @@ def guard_check(manifold, inliner):
     guard gives no lines.
     """
     guard = manifold.domain_guard
-    trees = inliner.add(getattr(guard, "positive", None), ("x",))
+    positive = inliner.add(getattr(guard, "positive", None), ("x",))
 
     def lines():
         if guard is None:
             return []
         x = point_text(0, manifold.dim)
         raised = f"    raise {inliner.bind(OutOfChart)}({inliner.bind(np.array)}({x}))"
-        if trees is None:
+        if positive.trees is None:
             return [f"if not {inliner.bind(guard)}({x}):", raised]
-        guard_lines, value = inliner.assign(trees, "_p", f"{inliner.bind(guard)}({x})")
+        guard_lines, value = inliner.values(positive, "_p")
         return guard_lines + [f"if not {value} > 0.0:", raised]
 
     return lines
@@ -262,8 +229,9 @@ def _minus_gradient(manifold, inliner, gradient, dv):
     entries that are constants in the text are decided here.
     """
     n = manifold.dim
-    constants = [] if gradient is None else [tree[1] for tree in gradient if tree[0] == "num"]
-    varying = [d for i, d in enumerate(dv) if gradient is None or gradient[i][0] != "num"]
+    trees = gradient.trees
+    constants = [] if trees is None else [tree[1] for tree in trees if tree[0] == "num"]
+    varying = [d for i, d in enumerate(dv) if trees is None or trees[i][0] != "num"]
     if not varying and not any(constants):
         return []
     if manifold.identity_metric:
@@ -307,7 +275,7 @@ def operator_eigen_range(manifold, fs, points, t):
     shape = times.shape + (len(points),)
     if fs.tensor_F is None:
         return np.zeros(shape), np.zeros(shape)
-    fmat = on_window(fs.tensor_F, fs.force_matrix, points, times)
+    fmat = on_window(fs.tensor_F, points, times)
     g = metrics_at(manifold, points)
     # g passed the metric checks, so only a can be non-finite, and then it fails here
     with np.errstate(invalid="ignore", over="ignore"):
@@ -339,7 +307,7 @@ def energy_v(manifold, fs, frame, state):
     if outside.any():
         raise ValueError(f"t = {float(t[outside][0])} outside the energy frame window "
                          f"[-{frame.t_horizon}, {frame.t_horizon}]")
-    return (0.5 * inner_products(manifold, x, xdot, xdot) + on_rows(fs.potential, fs.value, x, t)
+    return (0.5 * inner_products(manifold, x, xdot, xdot) + on_rows(fs.potential, x, t)
             - frame.b_t)
 
 
@@ -349,8 +317,8 @@ def energy_derivative_identity(manifold, fs, state):
     xd^T G S xd is g(xd, F xd): the metric-skew part of F drops out of it.
     """
     x, xdot, t = (np.asarray(a, dtype=float) for a in state)
-    out = on_rows(fs.potential_dt, fs.dt, x, t)
+    out = on_rows(fs.potential_dt, x, t)
     if fs.tensor_F is not None:
-        fx = np.matmul(on_rows(fs.tensor_F, fs.force_matrix, x, t), xdot[:, :, None])[:, :, 0]
+        fx = np.matmul(on_rows(fs.tensor_F, x, t), xdot[:, :, None])[:, :, 0]
         out = out + inner_products(manifold, x, xdot, fx)
     return out

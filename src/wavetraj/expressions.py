@@ -50,11 +50,12 @@ such as f(x, s), f(x) or f(x, v) for a chart point x: it unpacks x itself,
 binds a template's parameters as constants, shares subexpressions across
 all the trees, and raises the EvaluationError of the first expression that
 fails. at_chart_point gives force and wave sources the call f(x, s) this way
-together with its array form, and fused(exprs) is the same function with
-one argument per variable. on_rows is the rule every consumer follows: the
-array form serves when all its values are finite, else the scalar source is
-called once per row; on_window applies it to every (time, point) pair of a
-sample window.
+together with its array form. A consumer reaches a source one way: on
+arrays by on_rows(source, *args), where the array form serves when all its
+values are finite, else the source is called once per row on Python floats
+(on_window applies it to a sample window); in generated code by
+Inliner.values, which writes a chart function's trees in and calls any
+other source, its value unpacked in Python floats.
 
 derivative(name) gives the exact partial derivative as another Expression,
 built by the sum, product, quotient, power and chain rules (abs
@@ -69,6 +70,7 @@ give inf or NaN with a RuntimeWarning instead), so sources are called on
 chart points as lists of Python floats.
 """
 
+import collections
 import functools
 import math
 import re
@@ -661,15 +663,6 @@ def chart_parts(fn):
     return parts
 
 
-def fused(exprs):
-    """One call f(*values) giving the tuple of the values of Expressions over the same variables.
-
-    The chart_function of exprs with one argument per variable.
-    """
-    exprs = list(exprs)
-    return chart_function(exprs, (None,) * len(exprs[0].variables))
-
-
 def coordinates(x):
     """The chart coordinates of points on the last axis of x, one array per coordinate."""
     return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
@@ -752,20 +745,21 @@ def chart_guard(expr):
 
 
 class Inliner:
-    """Chart functions written out inline in one generated function of a state.
+    """Sources written out inline, or called, in one generated function of a state.
 
     The generated function holds the chart point x in its locals _v0..,
     the velocity v in the n after them and the time t in _v(2n). add(fn,
-    slots) takes a chart_function whose arguments are the slots, each "x",
-    "v" or "t", in order, and gives the structure of its trees over those
-    locals, or None when fn is no such function; a template's parameters
-    become globals after t. Once every source is added, assign(...) writes
-    the trees of one source as chart_function would, each subtree that the
-    added trees evaluate more than once computed once, at its first
-    occurrence, so the sources must be assigned in the order the generated
-    function evaluates them. bind(value) names any other value the text
-    reads, and function(source) compiles the text through the code cache
-    every expression shares, so equal texts share one code object.
+    slots, shape) takes a source of the slots, each "x", "v" or "t", whose
+    value has shape: () one value, (n,) n values, (n, n) n rows of n. Where
+    fn is a chart_function of those arguments and that shape, its trees are
+    recorded over those locals, a template's parameters as globals after t.
+    Once every source is added, values(source, prefix) gives its lines and
+    value texts, in the order the function evaluates the sources: the trees
+    written as chart_function writes them, each subtree the added trees
+    evaluate more than once computed once, at its first occurrence; any
+    other source one call, its value unpacked in Python floats (_floats).
+    bind(value) names any other value the text reads, and function(source)
+    compiles the text through the code cache every expression shares.
     """
 
     def __init__(self, n):
@@ -783,13 +777,17 @@ class Inliner:
             self.bound[id(value)] = name, value
         return name
 
-    def add(self, fn, slots):
+    def add(self, fn, slots, shape=()):
+        """The Source of fn called on the slots, with its trees where fn is a chart function."""
+        n = self.n
+        texts = {"x": point_text(0, n), "v": point_text(n, n), "t": f"_v{2 * n}"}
+        return Source(fn, ", ".join(map(texts.get, slots)), shape, self._trees(fn, slots, shape))
+
+    def _trees(self, fn, slots, shape):
         parts = chart_parts(fn)
-        if parts is None:
+        if parts is None or len(parts[1]) != len(slots) or not _has_shape(parts[0], shape):
             return None
         exprs, groups, params = parts
-        if len(groups) != len(slots):
-            return None
         index = []
         for slot, count in zip(slots, groups):
             if (count is None) != (slot == "t") or count not in (None, self.n):
@@ -811,15 +809,21 @@ class Inliner:
 
         return structure(exprs)
 
-    def assign(self, structure, prefix, fallback):
-        """(lines, texts) that evaluate the trees of structure into locals named after prefix.
+    def values(self, source, prefix):
+        """(lines, texts) that evaluate source (from add) into locals named after prefix.
 
-        The lines are a try statement whose except clause runs fallback, the
-        source's own call, so a domain error raises the EvaluationError of
-        the first expression that fails. texts has structure's shape and
-        holds each tree's local, or where the tree is a number or a
-        variable, its name.
+        texts has the source's shape. Trees are written as a try statement
+        whose except clause calls the source, so a domain error raises the
+        EvaluationError of the first expression that fails; a tree's text is
+        its local, or the name of its number or variable. A source without
+        trees is called, its value unpacked into prefix, prefix<i> or
+        prefix<i>_<j>.
         """
+        if source.trees is None:
+            floats = self.bind(_floats)
+            names = _names(prefix, source.shape)
+            return [f"{_target(names)} = {floats}({self.bind(source.fn)}({source.args}))"], names
+        fallback = f"{self.bind(source.fn)}({source.args})"
         if self.emitter is None:
             self.emitter = _Emitter(self.trees)
         lines = []
@@ -832,7 +836,7 @@ class Inliner:
             lines.append(f"    {name} = {self.emitter.text(item)[0]}")
             return name
 
-        texts = walk(structure, prefix)
+        texts = walk(source.trees, prefix)
         if not lines:
             return [], texts
         return ["try:"] + lines + ["except _ERRORS:", f"    {fallback}", "    raise"], texts
@@ -848,6 +852,41 @@ class Inliner:
         return namespace["_f"]
 
 
+#: a source added to an Inliner: the callable, its arguments' text, the
+#: shape of its value and its trees in that shape, None where it is called
+Source = collections.namedtuple("Source", "fn args shape trees")
+
+
+def _has_shape(item, shape):
+    """Whether item, an Expression or (nested) lists of them, has shape; () is one Expression."""
+    if not shape:
+        return isinstance(item, Expression)
+    return (isinstance(item, (list, tuple)) and len(item) == shape[0]
+            and all(_has_shape(e, shape[1:]) for e in item))
+
+
+def _names(prefix, shape):
+    """The locals prefix, prefix<i> or prefix<i>_<j> that hold a called source's value of shape."""
+    if len(shape) == 2:
+        return [_names(f"{prefix}{i}_", shape[1:]) for i in range(shape[0])]
+    return [f"{prefix}{i}" for i in range(shape[0])] if shape else prefix
+
+
+def _target(names):
+    """The assignment target that unpacks a value into names, a name or (nested) lists of them."""
+    if isinstance(names, str):
+        return names
+    return ", ".join(e if isinstance(e, str) else f"({_target(e)})" for e in names) + ","
+
+
+def _floats(value):
+    """value in Python floats; a float or a flat list or tuple of them passes as it is."""
+    if type(value) is float or (type(value) in (list, tuple)
+                                and all(type(e) is float for e in value)):
+        return value
+    return np.asarray(value, dtype=float).tolist()
+
+
 def point_text(start, n):
     """The list of the n locals _v<start>.. of a generated function, as text."""
     return "[" + ", ".join(f"_v{start + i}" for i in range(n)) + "]"
@@ -859,22 +898,13 @@ def function_text(args, n, body):
     return f"def _f({args}):\n" + "".join(f"    {line}\n" for line in lines)
 
 
-def shaped(structure, n, rows=False):
-    """structure (from Inliner.add) when it holds n trees, or with rows n rows of n; else None."""
-    if structure is None or len(structure) != n:
-        return None
-    for item in structure:
-        if (type(item) is list) != rows or (rows and len(item) != n):
-            return None
-    return structure
-
-
-def on_rows(source, scalar, *args):
-    """source at each row of args (rows run along the first axis), as an array.
+def on_rows(source, *args):
+    """source at each row of args (rows run along the first axis), as a float array.
 
     source's array form, called on args, serves when every value it gives is
-    finite; otherwise scalar is called once per row, in order, and raises
-    where the source cannot be evaluated.
+    finite. Otherwise source is called once per row, in order, on the row's
+    values as Python floats (a list of them for a chart point, one for a
+    time), and raises where it cannot be evaluated.
     """
     form = array_form(source)
     if form is not None:
@@ -882,21 +912,22 @@ def on_rows(source, scalar, *args):
             out = form(*args)
         if np.isfinite(out).all():
             return out
-    return np.array([scalar(*row) for row in zip(*args)])
+    rows = zip(*(np.asarray(arg, dtype=float).tolist() for arg in args))
+    return np.array([source(*row) for row in rows], dtype=float)
 
 
-def on_window(source, scalar, points, times):
+def on_window(source, points, times):
     """source at every (time, point) pair, t-major, by one on_rows call.
 
     points holds one chart point per row and times is one time or a 1-d
     array of them. The rows are the points repeated for each time in turn,
-    so a fallback to scalar, source's scalar call on a point and a time,
-    raises at the first failing pair in that order. The value has the shape
-    times.shape + (len(points),), followed by the shape of one value.
+    so a fallback to source's own calls raises at the first failing pair in
+    that order. The value has the shape times.shape + (len(points),),
+    followed by the shape of one value.
     """
     times = np.asarray(times, dtype=float)
     k = len(points)
-    out = on_rows(source, scalar, np.tile(points, (times.size, 1)), np.repeat(times, k))
+    out = on_rows(source, np.tile(points, (times.size, 1)), np.repeat(times, k))
     return out.reshape(times.shape + (k,) + out.shape[1:])
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutOfChart
-from .expressions import Inliner, function_text, point_text, shaped
+from .expressions import Inliner, function_text, point_text
 from .numdiff import christoffel_from_metric, symmetric_part
 
 SYMMETRY_RTOL = 1e-12
@@ -188,26 +188,21 @@ def _zero(tree):
     return tree[0] == "num" and tree[1] == 0.0
 
 
-def metric_lines(manifold, inliner, structure):
+def metric_lines(manifold, inliner, metric):
     """(lines, diagonal): generated lines that evaluate and check G at the chart point x.
 
-    x is in the locals _v0.. (expressions.Inliner), and structure is
-    inliner.add(manifold.metric, ("x",)) on a curved chart: None for a metric
-    that is a plain callable, which the lines call. After the lines, _G is
-    None where G is diagonal at x, diagonal then holding the texts of its
-    entries, and otherwise _G is the matrix metric_at gives. The check, its
-    errors and their order are diagonal_of's.
+    x is in the locals _v0.. (expressions.Inliner), and metric is
+    inliner.add(manifold.metric, ("x",), (n, n)) on a curved chart. After
+    the lines, _G is None where G is diagonal at x, diagonal then holding
+    the texts of its entries, and otherwise _G is the matrix metric_at
+    gives. The check, its errors and their order are diagonal_of's.
     """
     n = manifold.dim
     x = point_text(0, n)
-    source = f"{inliner.bind(manifold.metric)}({x})"
-    if structure is None:
-        diagonal = [f"_g{j}_{j}" for j in range(n)]
-        return [f"_D, _G = {inliner.bind(diagonal_of)}({source}, {x})", "if _G is None:",
-                f"    {', '.join(diagonal)}, = _D"], diagonal
-    lines, texts = inliner.assign(structure, "_g", source)
+    lines, texts = inliner.values(metric, "_g")
     tests = [f"0.0 < {texts[j][j]} + {texts[j][j]} < _inf" for j in range(n)]
-    off = [texts[j][k] for j in range(n) for k in range(n) if j != k and not _zero(structure[j][k])]
+    off = [texts[j][k] for j in range(n) for k in range(n)
+           if j != k and (metric.trees is None or not _zero(metric.trees[j][k]))]
     if off:
         tests.append(f"not ({' or '.join(off)})")
     rows = "(" + "".join("(" + "".join(f"{e}, " for e in row) + "), " for row in texts) + ")"
@@ -253,8 +248,8 @@ def _norm_function(manifold):
         else:
             body = [f"return 0.0 + {summed([inliner.bind(d) for d in diagonal])}"]
     else:
-        structure = shaped(inliner.add(manifold.metric, ("x",)), n, rows=True)
-        lines, diagonal = metric_lines(manifold, inliner, structure)
+        metric = inliner.add(manifold.metric, ("x",), (n, n))
+        lines, diagonal = metric_lines(manifold, inliner, metric)
         body = lines + ["if _G is None:", f"    return 0.0 + {summed(diagonal)}",
                         f"return {matrix_norm.format('_G')}"]
     return inliner.function(function_text("_y", n, body))

@@ -27,14 +27,14 @@ positive-definiteness checks.
 
 import math
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import ForceSystem, FREE, guard_check, make_rhs
-from .expressions import Expression, Inliner, chart_parts, on_rows, point_text, shaped, substituted
+from .expressions import Expression, Inliner, chart_parts, on_rows, substituted
 from .geometry import chart_point, inner_products, metric_at, metric_lines, norm_function
 from .integrate import FORWARD, Trajectory, hermite, integrate, integrate_ode, sample
 from .numdiff import christoffel_from_metric
@@ -51,8 +51,8 @@ class WaveCoefficient:
     Each source takes the chart point x as a list of Python floats and u as
     a Python float; h and h_du return a float, h_dx the sequence of the
     x-partials as floats. h_dx and h_du are the exact derivatives of h, and
-    both are required. The methods below take arrays too and give arrays.
-    A coefficient carries no name or classification, only these sources.
+    both are required; over arrays they are reached through
+    expressions.on_rows. A coefficient carries only these sources.
 
     h, h_dx and h_du may each carry an array form (expressions.array_form),
     which evaluates H, its x-partials (on a new last axis) or its u-partial
@@ -70,24 +70,6 @@ class WaveCoefficient:
         if not (callable(self.h_dx) and callable(self.h_du)):
             raise TypeError("a wave coefficient needs its derivatives h_dx and h_du")
 
-    def value(self, x, u):
-        return float(self.h(chart_point(x), float(u)))
-
-    def dx(self, x, u):
-        return np.asarray(self.h_dx(chart_point(x), float(u)), dtype=float)
-
-    def du(self, x, u):
-        return float(self.h_du(chart_point(x), float(u)))
-
-    def value_rows(self, x, u):
-        """H at each row of x and the matching entry of u, as an array.
-
-        h's array form serves when its values are all finite; otherwise H is
-        evaluated once per row, which raises where H cannot be evaluated
-        (expressions.on_rows).
-        """
-        return on_rows(self.h, self.value, x, u)
-
 
 @dataclass(frozen=True)
 class GpwSpacetime:
@@ -96,7 +78,8 @@ class GpwSpacetime:
     The witness (x, u) certifies H is not identically zero, which the wave
     definition requires: H must be finite and nonzero there. generated holds
     the functions generated from the sources on first use: the oracle's
-    field (full_geodesic_oracle) and the base run's kernel (wave_force_system).
+    field (full_geodesic_oracle), the base run's kernel (wave_force_system)
+    and the free force system of its delta = 0 runs (base_trajectory).
     """
 
     base: object
@@ -106,7 +89,7 @@ class GpwSpacetime:
 
     def __post_init__(self):
         x_w, u_w = self.nonzero_witness
-        val = self.wave.value(np.asarray(x_w, dtype=float), float(u_w))
+        val = float(self.wave.h(chart_point(x_w), float(u_w)))
         if not (math.isfinite(val) and val != 0.0):
             raise ValueError(f"wave coefficient vanishes or is not finite at the declared witness "
                              f"{self.nonzero_witness}: H = {val}")
@@ -156,7 +139,7 @@ def energy_of(st, init):
     g0 = metric_at(st.base, x0)
     return float(xdot0 @ g0 @ xdot0
                  + 2.0 * init.delta * init.vdot0
-                 + st.wave.value(x0, init.u0) * init.delta ** 2)
+                 + float(st.wave.h(chart_point(x0), float(init.u0))) * init.delta ** 2)
 
 
 def wave_force_system(st, u0, delta):
@@ -171,9 +154,9 @@ def wave_force_system(st, u0, delta):
     wave = st.wave
     gradient = _wave_gradient(wave.h_dx, u0, delta, -half_d2)
     fs = ForceSystem(
-        potential=lambda x, t: -half_d2 * wave.value(x, u0 + delta * t),
+        potential=lambda x, t: -half_d2 * wave.h(x, u0 + delta * t),
         potential_dx=gradient,
-        potential_dt=lambda x, t: -half_d2 * delta * wave.du(x, u0 + delta * t),
+        potential_dt=lambda x, t: -half_d2 * delta * wave.h_du(x, u0 + delta * t),
         time_independent=(delta == 0.0),
     )
     fs.generated["rhs"] = st.base, _base_kernel(st, (u0, delta, -half_d2, gradient))
@@ -252,7 +235,7 @@ def _conserved_vdot(st, energy, delta, x, xdot, u):
     result holds one vdot per state.
     """
     quad = inner_products(st.base, x, xdot, xdot)
-    h_val = st.wave.value_rows(x, u)
+    h_val = on_rows(st.wave.h, x, u)
     return (energy - quad - h_val * delta * delta) / (2.0 * delta)
 
 
@@ -260,10 +243,12 @@ def base_trajectory(st, init, cfg):
     """The base part of a geodesic, integrated forward; its outcome is the geodesic's.
 
     For delta != 0 it moves under the potential -(delta^2/2) H(x, u0 + delta t),
-    for delta = 0 it is a plain geodesic of the base metric.
+    for delta = 0 it is a plain geodesic of the base metric, under st's own
+    copy of FREE, which keeps its kernel on st.base for every such run.
     """
     delta = init.delta
-    fs = FREE if delta == 0.0 else wave_force_system(st, init.u0, delta)
+    fs = (st.generated.setdefault("free", replace(FREE)) if delta == 0.0
+          else wave_force_system(st, init.u0, delta))
     return integrate(st.base, fs, (np.asarray(init.x0, dtype=float),
                                    np.asarray(init.xdot0, dtype=float)), cfg, FORWARD)
 
@@ -338,7 +323,7 @@ def full_metric(st, q):
     g0 = metric_at(st.base, x)
     g = np.zeros((n + 2, n + 2))
     g[:n, :n] = g0
-    g[n, n] = st.wave.value(x, u)
+    g[n, n] = st.wave.h(chart_point(x), float(u))
     g[n, n + 1] = 1.0
     g[n + 1, n] = 1.0
     return g
@@ -418,33 +403,22 @@ def _oracle_field(st):
     it: after the guard check, the base metric (geometry.metric_lines, so a
     metric that is not diagonal at x is metric_at's symmetrized matrix), H,
     h_dx, the base's geodesic term and h_du, in full_acceleration's order,
-    the sources that are chart functions written in (expressions.Inliner)
-    and any other called; then Λ in full_acceleration's order of
-    operations, and the solve of G s = Λ (_solve_lines), q̈ = −s. A zero
-    pivot, which an infinite H gives, makes q̈ all NaN, which rejects the
-    stage.
+    each written in or called (expressions.Inliner.values); then Λ in
+    full_acceleration's order of operations, and the solve of G s = Λ
+    (_solve_lines), q̈ = −s. A zero pivot, which an infinite H gives, makes
+    q̈ all NaN, which rejects the stage.
     """
     base, wave = st.base, st.wave
     n, m = base.dim, base.dim + 2
     inliner = Inliner(n)
     bind = inliner.bind
-    x, xd, u = point_text(0, n), point_text(n, n), f"_v{2 * n}"
     guard = guard_check(base, inliner)
     if not base.flat:
-        metric = shaped(inliner.add(base.metric, ("x",)), n, rows=True)
-        term = shaped(inliner.add(base.geodesic_term, ("x", "v")), n)
+        metric = inliner.add(base.metric, ("x",), (n, n))
+        term = inliner.add(base.geodesic_term, ("x", "v"), (n,))
     h = inliner.add(wave.h, ("x", "t"))
-    h_dx = shaped(inliner.add(wave.h_dx, ("x", "t")), n)
+    h_dx = inliner.add(wave.h_dx, ("x", "t"), (n,))
     h_du = inliner.add(wave.h_du, ("x", "t"))
-
-    def values(structure, source, prefix, args, count=None):
-        """Lines that set the value of source (count values, if given), and its text or texts."""
-        if structure is not None and (type(structure) is list) == (count is not None):
-            return inliner.assign(structure, prefix, f"{bind(source)}({args})")
-        if count is None:
-            return [f"{prefix} = {bind(source)}({args})"], prefix
-        names = [f"{prefix}{i}" for i in range(count)]
-        return [f"{', '.join(names)}, = {bind(source)}({args})"], names
 
     lines = guard()
     if base.flat:
@@ -457,15 +431,15 @@ def _oracle_field(st):
         lines += metric_text + ["if _G is None:",
                                 f"    {', '.join(sum(rows, []))}, = {', '.join(diagonal)},",
                                 "else:", f"    {unpacked}= _G.tolist()"]
-    h_lines, h_text = values(h, wave.h, "_h", f"{x}, {u}")
-    dx_lines, dx = values(h_dx, wave.h_dx, "_d", f"{x}, {u}", n)
+    h_lines, h_text = inliner.values(h, "_h")
+    dx_lines, dx = inliner.values(h_dx, "_d")
     lines += h_lines + dx_lines
     lam = [f"-_w * {d}" for d in dx]
     if not base.flat:
-        term_lines, terms = values(term, base.geodesic_term, "_e", f"{x}, {xd}", n)
+        term_lines, terms = inliner.values(term, "_e")
         lines += term_lines
         lam = [f"{e} + {b}" for e, b in zip(terms, lam)]
-    du_lines, du = values(h_du, wave.h_du, "_k", f"{x}, {u}")
+    du_lines, du = inliner.values(h_du, "_k")
     dot = " + ".join(f"{d} * _v{n + i}" for i, d in enumerate(dx))
     lines += du_lines + ["_w = 0.5 * _ud * _ud"]
     lam += [f"_ud * (0.0 + {dot}) + _w * {du}", "0.0"]
@@ -477,7 +451,7 @@ def _oracle_field(st):
     lines += (["try:"] + [f"    {line}" for line in solve]
               + [f"except {bind(ZeroDivisionError)}:", f"    return [{', '.join(velocity + [nan] * m)}]",
                  f"return [{', '.join(velocity + [f'-{e}' for e in s])}]"])
-    unpack = [f"_v{i}" for i in range(n)] + [u, "_q"] + velocity[:n] + ["_ud", "_vd"]
+    unpack = [f"_v{i}" for i in range(n)] + [f"_v{2 * n}", "_q"] + velocity[:n] + ["_ud", "_vd"]
     return inliner.function(f"def _f(t, _y):\n    {', '.join(unpack)}, = _y\n"
                             + "".join(f"    {line}\n" for line in lines))
 
@@ -524,7 +498,7 @@ def full_quadratic_form(st, q, qd):
     n = st.base.dim
     x, xdot, udot = q[:, :n], qd[:, :n], qd[:, n]
     return (inner_products(st.base, x, xdot, xdot) + 2.0 * udot * qd[:, n + 1]
-            + st.wave.value_rows(x, q[:, n]) * udot * udot)
+            + on_rows(st.wave.h, x, q[:, n]) * udot * udot)
 
 
 def split_geodesic_to_csv(sg, st, fileobj):

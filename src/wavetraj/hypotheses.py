@@ -134,15 +134,6 @@ class CompletenessCertificate:
         }
 
 
-def _on_times(bd, fn):
-    """A bound of time at every t of the window, shape (len(t_grid), 1) to broadcast over the grid.
-
-    fn's array form serves when its values are all finite; otherwise fn is
-    called once per time, on a Python float (expressions.on_rows).
-    """
-    return on_rows(fn, lambda t: float(fn(float(t))), bd.t_grid)[:, None]
-
-
 def _worst(bd, margins):
     """(margin, worst point, worst t) of a premise's margins over the window, t-major.
 
@@ -200,56 +191,52 @@ def check_S_bounds(manifold, fs, bounds):
     )
 
 
-def _fields(bd, value, value_scalar, rate, rate_scalar):
+def _fields(bd, value, rate):
     """A route kind's four fields over the window, evaluated in this order.
 
-    value is V (H for a wave) and rate dV/dt (dH/du), each a source with its
-    scalar call as expressions.on_window takes them; between them come beta0
-    and alpha0 (_on_times).
+    value is V (H for a wave) and rate dV/dt (dH/du), each over every
+    (time, point) pair (expressions.on_window); between them come beta0 and
+    alpha0 at every time, shape (len(t_grid), 1) to broadcast over the grid.
     """
-    return (on_window(value, value_scalar, bd.grid, bd.t_grid), _on_times(bd, bd.beta0),
-            _on_times(bd, bd.alpha0), on_window(rate, rate_scalar, bd.grid, bd.t_grid))
+    return (on_window(value, bd.grid, bd.t_grid), on_rows(bd.beta0, bd.t_grid)[:, None],
+            on_rows(bd.alpha0, bd.t_grid)[:, None], on_window(rate, bd.grid, bd.t_grid))
 
 
 #: the fewest grid points whose distance deciles check_linear_growth_gradH compares
 LINEAR_GROWTH_MIN_POINTS = 20
 
 
-def check_linear_growth_gradH(manifold, wave, grid, anchor, u_grid):
+def check_linear_growth_gradH(manifold, wave, grid, u_grid):
     """Premise: the metric norm of grad H grows at most linearly with coordinate distance.
 
-    For each u slice, ratios |grad H|_g / (1 + |point - anchor|) are compared
-    between the farthest distance decile and the median decile; the slice
-    passes when the farthest-decile mean is at most twice the median-decile
-    mean. This decile criterion is the operational definition of "at most
-    linear growth" on a finite sample: it is scale free and robust to grid
-    anisotropy.
+    For each u slice, ratios |grad H|_g / (1 + |point|), distances taken from
+    the chart origin, are compared between the farthest distance decile and
+    the median decile; the slice passes when the farthest-decile mean is at
+    most twice the median-decile mean. This decile criterion is the
+    operational definition of "at most linear growth" on a finite sample: it
+    is scale free and robust to grid anisotropy.
 
     grad H is taken over the whole window, every u at every point, by one
     expressions.on_window call: h_dx's array form when all its values are
     finite, else one h_dx call per sample, u outer, which raises where h_dx
     cannot be evaluated. Then the metric at the grid points, which does not
     depend on u, is evaluated once. A slice with a non-finite ratio fails,
-    and the first slice of least margin is the worst. An anchor that is not
-    one grid point's coordinates, or a u_grid not 1-d or empty, is a ValueError.
+    and the first slice of least margin is the worst. A u_grid not 1-d or
+    empty is a ValueError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    anchor = np.asarray(anchor, dtype=float)
     u = np.asarray(u_grid, dtype=float)
     if grid.shape[0] < LINEAR_GROWTH_MIN_POINTS:
         raise ValueError(f"linear-growth check needs at least {LINEAR_GROWTH_MIN_POINTS} grid "
                          f"points for deciles")
-    if anchor.shape != grid.shape[1:]:
-        raise ValueError(f"linear-growth anchor has shape {anchor.shape}, "
-                         f"not that of one grid point {grid.shape[1:]}")
     if u.ndim != 1 or u.size == 0:
         raise ValueError(f"linear-growth needs at least one u sample, in 1-d, not shape {u.shape}")
-    dists = np.linalg.norm(grid - anchor, axis=1)
+    dists = np.linalg.norm(grid, axis=1)
     order = np.argsort(dists, kind="stable")
     k = grid.shape[0]
     med_idx = order[int(0.45 * k): max(int(0.55 * k), int(0.45 * k) + 1)]
     far_idx = order[int(0.90 * k):]
-    dh = on_window(wave.h_dx, wave.dx, grid, u)
+    dh = on_window(wave.h_dx, grid, u)
     with np.errstate(all="ignore"):
         q = np.vecdot(dh, np.linalg.solve(metrics_at(manifold, grid), dh[..., None])[..., 0])
         # np.maximum keeps a NaN, so the slice fails below
@@ -287,7 +274,7 @@ class CertificationTask:
     """What to certify: a force system on a manifold, or a wave coefficient.
 
     When wave is set the wave-coefficient routes run (bounded coefficient, and
-    linear gradient growth about anchor, the chart origin when None);
+    linear gradient growth about the chart origin);
     otherwise the force-system routes run (two-sided plus the one-sided
     variants). Every route runs, on the window of bounds.
     """
@@ -296,7 +283,6 @@ class CertificationTask:
     bounds: BoundData
     force: object = None
     wave: object = None
-    anchor: Optional[np.ndarray] = None
 
 
 def certify(task):
@@ -318,21 +304,20 @@ def certify(task):
     flag = _flag_check(manifold)
     if task.wave is not None:
         wave = task.wave
-        h, beta0, alpha0, dh_du = _fields(bd, wave.h, wave.value, wave.h_du, wave.du)
+        h, beta0, alpha0, dh_du = _fields(bd, wave.h, wave.h_du)
         bounded = _premise(bd, "wave_bounded_above", "min of beta0 - H over the sample grid",
                            beta0 - h)
         du_check = _premise(bd, "wave_du_bound",
                             "min of alpha0*(beta0 - H) - |dH/du| over the sample grid",
                             alpha0 * (beta0 - h) - np.abs(dh_du), bounded.passed)
-        anchor = task.anchor if task.anchor is not None else np.zeros(manifold.dim)
-        growth = check_linear_growth_gradH(manifold, wave, bd.grid, anchor, bd.t_grid)
+        growth = check_linear_growth_gradH(manifold, wave, bd.grid, bd.t_grid)
         entries = [("wave_bounds", COMPLETE_WAVE_BOUNDS, (flag, bounded, du_check)),
                    ("linear_growth", COMPLETE_LINEAR_GRADIENT, (flag, growth))]
     else:
         fs = task.force
         if fs is None:
             raise ValueError("certification task needs a force system or a wave coefficient")
-        v, beta0, alpha0, dv_dt = _fields(bd, fs.potential, fs.value, fs.potential_dt, fs.dt)
+        v, beta0, alpha0, dv_dt = _fields(bd, fs.potential, fs.potential_dt)
         bounded = _premise(bd, "potential_bounded_below", "min of V - beta0 over the sample grid",
                            v - beta0)
         s_checks = check_S_bounds(manifold, fs, bd)

@@ -123,7 +123,7 @@ def _run_integrate(sc, out_dir, report):
 def _run_certify(sc, out_dir, report):
     wave = sc.spacetime.wave if sc.spacetime is not None else None
     cert = certify(CertificationTask(manifold=sc.manifold, bounds=sc.bounds, force=sc.force,
-                                     wave=wave, anchor=sc.gpw_anchor))
+                                     wave=wave))
     report.certificate = cert.to_dict()
     report.outcome = {"verdict": cert.verdict}
     if sc.probe_initial is not None and sc.config is not None:

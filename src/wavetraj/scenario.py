@@ -96,12 +96,10 @@ def _number(d, key, context, default=None, required=False):
     return _finite(val, key, context)
 
 
-def _vector(d, key, context, size=None, required=True):
+def _vector(d, key, context, size=None):
     """d[key], a list of numbers (size of them when size is given), as an array."""
     if key not in d:
-        if required:
-            raise ValidationError(f"missing key {key!r} in {context}", key=key)
-        return None
+        raise ValidationError(f"missing key {key!r} in {context}", key=key)
     val = d[key]
     if not isinstance(val, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
         raise ValidationError(f"key {key!r} in {context} must be a list of numbers", key=key)
@@ -138,7 +136,6 @@ class Scenario:
     spacetime: Optional[GpwSpacetime] = None
     gpw_initial: Optional[GeodesicInitialData] = None
     gpw_oracle_check: bool = False
-    gpw_anchor: Optional[np.ndarray] = None
     map_spec: Optional[dict] = None
     compare: Optional[dict] = None
     outputs: dict = field(default_factory=dict)
@@ -308,7 +305,7 @@ def _build_initial(section, manifold, context="initial"):
 
 def _build_gpw(section, manifold):
     section = _expect_mapping(section, "gpw")
-    _check_keys(section, {"wave", "witness", "initial", "oracle_check", "anchor"},
+    _check_keys(section, {"wave", "witness", "initial", "oracle_check"},
                 {"wave", "witness"}, "gpw")
     wave_sec = _expect_mapping(section["wave"], "gpw.wave")
     wave = catalog.build_wave(*_catalog_entry(wave_sec, "gpw.wave"))
@@ -337,8 +334,7 @@ def _build_gpw(section, manifold):
             v0=_number(init_sec, "v", "gpw.initial", default=0.0),
             vdot0=_number(init_sec, "vdot", "gpw.initial", default=0.0),
         )
-    anchor = _vector(section, "anchor", "gpw", manifold.dim, required=False)
-    return st, init, bool(section.get("oracle_check", False)), anchor
+    return st, init, bool(section.get("oracle_check", False))
 
 
 def _build_map(section, manifold):
@@ -419,8 +415,7 @@ def parse_scenario(raw):
     if "manifold" in raw:
         sc.manifold = _build_manifold(raw["manifold"])
     if "gpw" in raw:
-        sc.spacetime, sc.gpw_initial, sc.gpw_oracle_check, sc.gpw_anchor = \
-            _build_gpw(raw["gpw"], sc.manifold)
+        sc.spacetime, sc.gpw_initial, sc.gpw_oracle_check = _build_gpw(raw["gpw"], sc.manifold)
     elif task in ("integrate", "certify", "envelope"):
         sc.force = _build_force(raw.get("force"), sc.manifold)
     if "bounds" in raw:

@@ -200,7 +200,7 @@ def _witness(wave, rng):
     for _ in range(100):
         x = rng.uniform(0.5, 2.0, 2)
         u = float(rng.uniform(-1.0, 1.0))
-        if wave.value(x, u) != 0.0:
+        if wave.h(x.tolist(), u) != 0.0:
             return (x, u)
     raise AssertionError("could not find a nonzero witness")
 

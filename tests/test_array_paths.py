@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from wavetraj import comparison, gpw, hypotheses, runner
+from wavetraj import comparison, expressions, gpw, hypotheses, runner
 from wavetraj.catalog import build_manifold, build_potential, build_wave
 from wavetraj.comparison import DominatingSolution, PhiFunction, adaptive_quad, check_divergence
 from wavetraj.errors import EvaluationError, HypothesisViolated, OutOfRange
@@ -143,7 +143,7 @@ def test_a_finite_wave_scan_makes_no_per_sample_call(name, params, euclidean2):
     assert (evidence(euclidean2, swap(bd, array_only, "alpha0", "beta0"), wave=strict)
             == evidence(euclidean2, bd, wave=wave))
     x, u = bd.grid, np.linspace(-1.0, 1.0, bd.grid.shape[0])
-    assert_array_equal(strict.value_rows(x, u), wave.value_rows(x, u))
+    assert_array_equal(on_rows(strict.h, x, u), on_rows(wave.h, x, u))
 
 
 @pytest.mark.parametrize("name,params", WAVES)
@@ -155,7 +155,7 @@ def test_linear_growth_slices_equal_the_pointwise_path(name, params, manifold):
     wave = build_wave(name, params)
     m = build_manifold(*manifold)
     grid = box_grid([-4, -4], [4, 4], [9, 9])
-    args = (grid, np.array([0.5, -0.5]), np.linspace(-2.0, 2.0, 9))
+    args = (grid, np.linspace(-2.0, 2.0, 9))
     a = check_linear_growth_gradH(m, wave, *args)
     b = check_linear_growth_gradH(m, swap(wave, plain, *WAVE_SOURCES), *args)
     assert (a.passed, a.worst_t) == (b.passed, b.worst_t)
@@ -166,7 +166,7 @@ def test_linear_growth_slices_equal_the_pointwise_path(name, params, manifold):
 def test_linear_growth_leaves_a_failed_slice_to_the_pointwise_path(euclidean2):
     wave = build_wave("expression", {"H": "sqrt(x1 + 1)*u", "n": 2})
     grid = box_grid([-4, -4], [4, 4], [9, 9])
-    args = (grid, np.zeros(2), np.linspace(-1.0, 1.0, 3))
+    args = (grid, np.linspace(-1.0, 1.0, 3))
     with pytest.raises(EvaluationError) as batched:
         check_linear_growth_gradH(euclidean2, wave, *args)
     with pytest.raises(EvaluationError) as pointwise:
@@ -203,7 +203,7 @@ def test_v_quadrature_equals_one_state_at_a_time(name, params):
     one_by_one = []
     for t in sg.v_times:
         x, xdot = sample(sg.base_trajectory, t)
-        h = st.wave.value(x, init.u0 + sg.delta * t)
+        h = st.wave.h(x.tolist(), init.u0 + sg.delta * t)
         one_by_one.append((sg.energy - float(xdot @ xdot) - h * sg.delta * sg.delta)
                           / (2.0 * sg.delta))
     assert_allclose(sg.v_dots, one_by_one, rtol=1e-14, atol=1e-14)
@@ -293,11 +293,12 @@ def _phis_of(scenario, monkeypatch, tmp_path):
 @pytest.mark.parametrize("scenario", ["compare-linear", "exp-envelope", "gpw-well-certify",
                                       "plane-wave-certify"])
 def test_runs_evaluate_phi_and_waves_on_arrays(scenario, monkeypatch, tmp_path):
-    # every values, value_rows and linear-growth call is served by an array form
-    def strict(source, scalar, *args):
-        return on_rows(source, _fail, *args)
+    # every values, wave and linear-growth call is served by an array form
+    def strict(source, *args):
+        return on_rows(array_only(source), *args)
 
-    for module in (comparison, gpw, hypotheses):
+    # on_window's own on_rows too, so the window scans are strict as well
+    for module in (comparison, expressions, gpw, hypotheses):
         monkeypatch.setattr(module, "on_rows", strict)
     run_scenario(load_scenario(bundled_scenarios()[scenario]), tmp_path)
 
@@ -322,9 +323,9 @@ def test_a_replaced_wave_source_is_the_one_scanned(euclidean2):
     assert checks["wave_bounded_above"].margin == -1e9
     assert checks["wave_du_bound"].margin == 1.0 * (0.0 - 1e9)
     x, u = bd.grid, np.zeros(bd.grid.shape[0])
-    assert_array_equal(other.value_rows(x, u), np.full(u.size, 1e9))
+    assert_array_equal(on_rows(other.h, x, u), np.full(u.size, 1e9))
     # a gradient of constant norm passes the growth check; a cubic one does not
-    args = (bd.grid, np.zeros(2), bd.t_grid)
+    args = (bd.grid, bd.t_grid)
     assert not check_linear_growth_gradH(euclidean2, wave, *args).passed
     flat = replace(wave, h_dx=lambda x, u: np.array([1.0, 0.0]))
     assert check_linear_growth_gradH(euclidean2, flat, *args).passed

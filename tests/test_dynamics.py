@@ -202,7 +202,7 @@ def test_frame_shift_keeps_potential_at_least_one(euclidean2):
     # lower bound itself holds
     fs = build_potential("exp_time_quadratic", {}, 2)
     frame = build_energy_frame(window(lambda t: 1.0, lambda t: 0.0, 3.0), 0.0)
-    worst = min(fs.value(p, t) - frame.b_t
+    worst = min(fs.potential(p.tolist(), float(t)) - frame.b_t
                 for t in np.linspace(-3.0, 3.0, 13)
                 for p in box_grid([-2, -2], [2, 2], [5, 5]))
     assert worst >= 1.0

@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wavetraj.errors import EvaluationError, ParseError, WavetrajError
-from wavetraj.expressions import FUNCTIONS, _compile, fused, on_window, parse_expression, with_array_form
+from wavetraj.expressions import (FUNCTIONS, _compile, chart_function, on_window, parse_expression,
+                                  with_array_form)
 from wavetraj.hypotheses import BoundData, _worst
 from wavetraj.numdiff import fd_step
 
@@ -369,10 +370,10 @@ def scans(draw):
     return text, grid, t_grid
 
 
-def _scan_outcome(bd, source, quantity):
+def _scan_outcome(bd, source):
     """(verdict, worst point, worst t) and the margin, or the error the window scan raises."""
     try:
-        margin, point, t = _worst(bd, on_window(source, quantity, bd.grid, bd.t_grid))
+        margin, point, t = _worst(bd, on_window(source, bd.grid, bd.t_grid))
     except WavetrajError as exc:
         return repr(exc), None
     return repr((margin >= 0.0, point, t)), margin
@@ -384,19 +385,19 @@ def test_array_scan_equals_the_scalar_loop(scan):
     text, grid, t_grid = scan
     expr = parse_expression(text, NAMES)
     bd = BoundData(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, grid=grid, t_grid=t_grid)
-    # Python floats, so a failed evaluation raises instead of warning
-    quantity = lambda p, t: expr(float(p[0]), float(p[1]), float(t))
+    # no array form: on_window calls it once per (time, point), on Python floats
+    quantity = chart_function(expr, (2, None))
     on_grid = with_array_form(lambda p, t: quantity(p, t),
                               lambda x, t: expr.on_arrays(x[..., 0], x[..., 1], t))
-    looped, loop_margin = _scan_outcome(bd, quantity, quantity)
-    batched, margin = _scan_outcome(bd, on_grid, quantity)
+    looped, loop_margin = _scan_outcome(bd, quantity)
+    batched, margin = _scan_outcome(bd, on_grid)
     assert batched == looped, text
     if margin is not None and math.isfinite(loop_margin):
-        _, point, t = _worst(bd, on_window(quantity, quantity, bd.grid, bd.t_grid))
+        _, point, t = _worst(bd, on_window(quantity, bd.grid, bd.t_grid))
         assert abs(margin - loop_margin) <= _tolerance(0.0, expr, (*point, t), loop_margin), text
 
 
-# ---------------------------------------------------------------- fused lists
+# ---------------------------------------------------------------- lists in one function
 
 @st.composite
 def expression_lists(draw):
@@ -421,11 +422,12 @@ def _values_or_error(call, values):
 
 @PROFILE
 @given(expression_lists())
-def test_fused_call_equals_the_expressions_called_in_turn(case):
+def test_one_function_of_a_list_equals_the_expressions_called_in_turn(case):
     texts, variables, point = case
     exprs = [parse_expression(text, variables) for text in texts]
     exprs += [e.derivative(name) for e in exprs[:2] for name in variables]
-    call = fused(exprs)
+    # one argument per variable
+    call = chart_function(exprs, (None,) * len(variables))
     for values in (point, tuple(np.float64(v) for v in point)):
         assert (_values_or_error(call, values)
                 == _values_or_error(lambda *v: [e(*v) for e in exprs], values)), texts

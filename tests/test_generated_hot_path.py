@@ -10,8 +10,9 @@ DBL_MAX, and that raise OutOfChart at a stage past their chart guard.
 
 The expression sources are generated with repeated subtrees computed once
 and constant whole exponents as an inline '**'. A walk of the tree node by
-node, kept here, is their reference: the scalar, fused and chart-point forms
-must give its values bit for bit, and raise where it raises.
+node, kept here, is their reference: the scalar form, chart_function with
+one argument per variable and the chart-point form must give its values bit
+for bit, and raise where it raises.
 """
 
 import importlib.util
@@ -28,7 +29,7 @@ from wavetraj import expressions
 from wavetraj.catalog import build_manifold, build_potential, expression_potential
 from wavetraj.dynamics import rhs_E
 from wavetraj.errors import EvaluationError, OutOfChart
-from wavetraj.expressions import (FUNCTIONS, MAX_DEPTH, Expression, at_chart_point, fused,
+from wavetraj.expressions import (FUNCTIONS, MAX_DEPTH, Expression, at_chart_point, chart_function,
                                   parse_expression)
 from wavetraj.integrate import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61,
                                 _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5,
@@ -328,8 +329,8 @@ def test_generated_sources_are_a_walk_of_the_tree(trees, point):
         called = _called(lambda: expr(*point), [expr], point)
         assert called == walked, tree
     walked = _walked(trees, point)
-    # the fused form and the chart-point form with k a bound parameter
-    assert _called(lambda: fused(exprs)(*point), exprs, point) == walked
+    # one argument per variable, and the chart-point form with k a bound parameter
+    assert _called(lambda: chart_function(exprs, (None,) * 4)(*point), exprs, point) == walked
     assert _called(lambda: at_chart_point(exprs, (k,))(x, s), exprs, point) == walked
     assert _called(lambda: at_chart_point(exprs[0], (k,))(x, s), exprs, point) == _walked(
         trees[:1], point)
@@ -352,7 +353,7 @@ def test_subtrees_differing_in_the_sign_of_a_zero_are_not_shared():
              Expression("x - 0", ("x",), ("*", minus, ("num", -1.0)))]
     for x in (-0.0, 0.0, 1.5):
         walked = _walked([e.tree for e in exprs], (x,))
-        assert _called(lambda: fused(exprs)(x), exprs, (x,)) == walked
+        assert _called(lambda: chart_function(exprs, (None,))(x), exprs, (x,)) == walked
 
 
 def test_a_chain_of_whole_powers_at_max_depth_compiles():

@@ -46,11 +46,11 @@ def wave_bounds(alpha, beta, reach=5.0, side=11, T=3.0):
 
 def test_plane_wave_values():
     wave = plane_wave("1", "1", "0")
-    assert wave.value([1.0, 1.0], 0.3) == 0.0
+    assert wave.h([1.0, 1.0], 0.3) == 0.0
     wave2 = plane_wave("1", "0", "0")
-    assert wave2.value([2.0, 5.0], -1.0) == 4.0
+    assert wave2.h([2.0, 5.0], -1.0) == 4.0
     wave3 = plane_wave("0", "0", "1")
-    assert wave3.value([1.0, 2.0], 7.0) == 4.0
+    assert wave3.h([1.0, 2.0], 7.0) == 4.0
 
 
 def _wave_entries():
@@ -80,9 +80,9 @@ def test_plane_wave_is_the_expression_wave_of_its_composed_H(tmp_path):
             h_dx = [2.0 * f1(u) * x[0] + 2.0 * f(u) * x[1], -2.0 * f2(u) * x[1] + 2.0 * f(u) * x[0]]
             h_du = d1(u) * x[0] ** 2 - d2(u) * x[1] ** 2 + 2.0 * d(u) * x[0] * x[1]
             for wave in (plane, composed):
-                assert wave.value(x, u) == h
-                assert list(wave.dx(x, u)) == h_dx
-                assert wave.du(x, u) == h_du
+                assert wave.h(x.tolist(), float(u)) == h
+                assert list(wave.h_dx(x.tolist(), float(u))) == h_dx
+                assert wave.h_du(x.tolist(), float(u)) == h_du
         for source in ("h", "h_dx", "h_du"):
             on_arrays = array_form(getattr(plane, source))(X, U)
             assert np.array_equal(on_arrays, array_form(getattr(composed, source))(X, U))
@@ -127,7 +127,7 @@ def test_full_christoffel_closed_form_over_flat_base():
     rng = np.random.default_rng(11)
     for q in rng.uniform(-3.0, 3.0, size=(20, 4)):
         x, u = q[:2], q[2]
-        h_x, h_u = wave.dx(x, u), wave.du(x, u)
+        h_x, h_u = wave.h_dx(x.tolist(), float(u)), wave.h_du(x.tolist(), float(u))
         exact = np.zeros((4, 4, 4))
         for a in range(2):
             exact[a, 2, 2] = -0.5 * h_x[a]
@@ -271,7 +271,7 @@ def test_oracle_null_initial_data_stays_null():
     xdot0 = np.array([0.5, 0.2])
     delta = 1.0
     g0 = np.eye(2)
-    h_val = st.wave.value(x0, 0.0)
+    h_val = st.wave.h(x0.tolist(), 0.0)
     vdot0 = -(float(xdot0 @ g0 @ xdot0) + h_val * delta**2) / (2.0 * delta)
     init = GeodesicInitialData(x0=x0, xdot0=xdot0, udot0=delta, vdot0=vdot0)
     assert energy_of(st, init) == pytest.approx(0.0, abs=1e-15)

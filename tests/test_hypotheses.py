@@ -168,7 +168,7 @@ def test_linear_growth_plane_wave(euclidean2):
                      dx=lambda x, u: np.array([2.0 * x[0], -2.0 * x[1]]),
                      du=lambda x, u: 0.0)
     check = check_linear_growth_gradH(euclidean2, wave, box_grid([-4, -4], [4, 4], [9, 9]),
-                                      np.zeros(2), np.linspace(-1, 1, 5))
+                                      np.linspace(-1, 1, 5))
     assert check.passed
 
 
@@ -177,14 +177,14 @@ def test_linear_growth_quartic_fails(euclidean2):
                      dx=lambda x, u: np.array([4.0 * x[0] ** 3, 0.0]),
                      du=lambda x, u: 0.0)
     check = check_linear_growth_gradH(euclidean2, wave, box_grid([-4, -4], [4, 4], [9, 9]),
-                                      np.zeros(2), np.linspace(-1, 1, 3))
+                                      np.linspace(-1, 1, 3))
     assert not check.passed
 
 
 def test_linear_growth_constant_passes(euclidean2):
     wave = make_wave(lambda x, u: 3.0, dx=lambda x, u: np.zeros(2), du=lambda x, u: 0.0)
     check = check_linear_growth_gradH(euclidean2, wave, box_grid([-4, -4], [4, 4], [9, 9]),
-                                      np.zeros(2), np.linspace(-1, 1, 3))
+                                      np.linspace(-1, 1, 3))
     assert check.passed
 
 
@@ -192,7 +192,7 @@ def test_linear_growth_needs_enough_points(euclidean2):
     wave = make_wave(lambda x, u: 0.0, dx=lambda x, u: np.zeros(2), du=lambda x, u: 0.0)
     with pytest.raises(ValueError, match="at least 20"):
         check_linear_growth_gradH(euclidean2, wave, box_grid([-1, -1], [1, 1], [2, 2]),
-                                  np.zeros(2), [0.0])
+                                  [0.0])
 
 
 def quartic_well():
@@ -204,23 +204,16 @@ def quartic_well():
 def test_linear_growth_needs_a_u_sample(euclidean2):
     # any one u sample fails this wave, so no sample is no evidence, not a pass
     grid = box_grid([-4, -4], [4, 4], [9, 9])
-    assert not check_linear_growth_gradH(euclidean2, quartic_well(), grid, [0, 0], [0.0]).passed
+    assert not check_linear_growth_gradH(euclidean2, quartic_well(), grid, [0.0]).passed
     with pytest.raises(ValueError, match="at least one u sample"):
-        check_linear_growth_gradH(euclidean2, quartic_well(), grid, [0, 0], [])
+        check_linear_growth_gradH(euclidean2, quartic_well(), grid, [])
 
 
 @pytest.mark.parametrize("u_grid", [0.5, [[0.0, 0.5]]], ids=["scalar", "2-d"])
 def test_linear_growth_u_grid_is_1d(euclidean2, u_grid):
     with pytest.raises(ValueError, match="in 1-d"):
         check_linear_growth_gradH(euclidean2, quartic_well(), box_grid([-4, -4], [4, 4], [9, 9]),
-                                  [0, 0], u_grid)
-
-
-@pytest.mark.parametrize("anchor", [[3.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0])
-def test_linear_growth_anchor_is_one_grid_point(euclidean2, anchor):
-    with pytest.raises(ValueError, match="anchor"):
-        check_linear_growth_gradH(euclidean2, quartic_well(), box_grid([-4, -4], [4, 4], [9, 9]),
-                                  anchor, [0.0])
+                                  u_grid)
 
 
 def test_certify_harmonic_strongest_verdict(euclidean2):
@@ -393,7 +386,7 @@ def test_nan_gradient_fails_linear_growth(euclidean2):
                      dx=lambda x, u: np.full(2, np.nan) if u > 0.5 else np.zeros(2),
                      du=lambda x, u: 0.0)
     check = check_linear_growth_gradH(euclidean2, wave, box_grid([-4, -4], [4, 4], [9, 9]),
-                                      np.zeros(2), np.linspace(-1, 1, 5))
+                                      np.linspace(-1, 1, 5))
     assert not check.passed
     assert check.margin == -np.inf
     assert check.worst_t == 1.0

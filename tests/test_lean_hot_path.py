@@ -527,6 +527,13 @@ def _dv(fs, x, t):
     return np.asarray(fs.potential_dx(np.asarray(x, dtype=float).tolist(), float(t)), dtype=float)
 
 
+def _tensor(fs, x, t):
+    """F at (x, t) as an array, None without a tensor force."""
+    if fs.tensor_F is None:
+        return None
+    return np.asarray(fs.tensor_F(np.asarray(x, dtype=float).tolist(), float(t)), dtype=float)
+
+
 def _numpy_rhs(manifold, dg, fs, x, v, t):
     """The force equation in numpy arrays, from the metric partials dg (None on a flat chart)."""
     if dg is not None:
@@ -534,7 +541,7 @@ def _numpy_rhs(manifold, dg, fs, x, v, t):
         acc = -np.linalg.solve(metric_at(manifold, x), lowered)
     else:
         acc = -0.0 * v * v
-    fmat = fs.force_matrix(x, t)
+    fmat = _tensor(fs, x, t)
     if fmat is not None:
         acc = acc + fmat @ v
     if dg is None:
@@ -574,7 +581,7 @@ def _rounding_bound(manifold, dg, fs, x, v, t):
         magnitude = raised(low + np.abs(_dv(fs, x, t)), np.linalg.solve(g, lowered + _dv(fs, x, t)))
     else:
         magnitude = np.zeros(n)
-    fmat = fs.force_matrix(x, t)
+    fmat = _tensor(fs, x, t)
     if fmat is not None:
         magnitude = magnitude + np.abs(fmat) @ av
     if dg is None:

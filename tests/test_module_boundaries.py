@@ -24,6 +24,14 @@ The chart guard is checked during a run in one place, the force equation's
 kernel: only dynamics reads a guard's generated value (its positive
 attribute), and no module generates a second guard function.
 
+A source is reached one way from arrays and one way from generated code:
+expressions.on_rows (and on_window, which calls it) takes the source
+alone and calls it on Python floats where its array form does not serve,
+and expressions.Inliner writes a chart function in or calls any other
+source, its value unpacked by expressions._floats. So ForceSystem and
+WaveCoefficient hold their sources and no adapter method, and no other
+module converts a called source's value on its own.
+
 certify is the one entry point of the premise checks: hypotheses defines no
 public function besides it and the two scans a caller reads on their own
 (check_S_bounds for the envelope's N_T, check_linear_growth_gradH), and gpw
@@ -188,3 +196,58 @@ def test_certify_and_two_scans_are_the_public_functions_of_hypotheses():
     assert "_premise" in functions
     public = sorted(name for name in functions if not name.startswith("_"))
     assert public == ["certify", "check_S_bounds", "check_linear_growth_gradH"]
+
+
+def _functions(path):
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef)]
+
+
+def test_the_source_holders_have_no_methods():
+    for stem, name in (("dynamics", "ForceSystem"), ("gpw", "WaveCoefficient")):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+        methods = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+        assert methods == ["__post_init__"], (name, methods)
+
+
+def test_on_rows_and_on_window_take_one_callable():
+    found = {fn.name: fn for fn in _functions(PACKAGE / "expressions.py")
+             if fn.name in ("on_rows", "on_window")}
+    assert [a.arg for a in found["on_rows"].args.args] == ["source"]
+    assert found["on_rows"].args.vararg.arg == "args"
+    assert [a.arg for a in found["on_window"].args.args] == ["source", "points", "times"]
+    for fn in found.values():
+        params = {a.arg for a in fn.args.args}
+        called = {node.func.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        # no parameter but the source is called
+        assert called & params <= {"source"}, fn.name
+    assert "source" in {node.func.id for node in ast.walk(found["on_rows"])
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    calls = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("on_rows", "on_window")):
+                calls += 1
+                # no scalar twin beside the source: no lambda, and no holder's own call
+                twins = [arg for arg in node.args[1:] if isinstance(arg, ast.Lambda)
+                         or (isinstance(arg, ast.Name) and arg.id == "self")]
+                assert twins == [], path.stem
+                assert node.func.id == "on_rows" or len(node.args) == 3, path.stem
+    # the scan sees the premise scans, the energy and the wave calls, so an empty result is not a pass
+    assert calls >= 10
+
+
+def test_floats_is_defined_and_bound_in_expressions_only():
+    places = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = ((isinstance(node, ast.FunctionDef) and node.name == "_floats")
+                     or (isinstance(node, ast.Name) and node.id == "_floats")
+                     or (isinstance(node, ast.alias) and node.name == "_floats"))
+            if named:
+                places.setdefault(path.stem, []).append(type(node).__name__)
+    # defined once, and bound where the Inliner writes a call
+    assert places == {"expressions": ["FunctionDef", "Name"]}

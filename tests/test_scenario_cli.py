@@ -200,6 +200,17 @@ def test_cli_refuses_a_gpw_certificate_grid_too_small_for_deciles(tmp_path, caps
     assert main(["run", str(scn), "bounds.grid.shape=[4,5]", "--output-dir", str(out_dir)]) == 0
 
 
+def test_cli_refuses_a_gpw_anchor_as_an_unknown_key(tmp_path, capsys):
+    # the linear-growth premise measures distances from the chart origin; nothing moves it
+    scn = bundled_scenarios()["plane-wave-certify"]
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scn), "gpw.anchor=[1.0, 1.0]", "--output-dir", str(out_dir)]) == 2
+    assert "unknown key 'anchor' in gpw" in capsys.readouterr().err
+    assert not out_dir.exists()
+    with pytest.raises(ValidationError, match="unknown key 'anchor' in gpw"):
+        load_scenario(scn, ["gpw.anchor=[1.0, 1.0]"])
+
+
 def test_cli_run_with_flag_overrides(tmp_path):
     scn = tmp_path / "mini.scn"
     scn.write_text(json.dumps(MINIMAL_INTEGRATE))
@@ -579,7 +590,6 @@ BAD_INPUTS = {
     "harmonic-k=big": (BAD_INTEGRATE, ["force.potential.catalog=harmonic",
                                        'force.potential.params.k="big"'], 2, "'k'"),
     "map.xdot0-length": (SMALL_MAP, ["map.xdot0=[0.0, 0.0, 0.0]"], 2, "xdot0"),
-    "gpw.anchor-length": (PLANE_WAVE_CERTIFY, ["gpw.anchor=[0.0, 0.0, 0.0]"], 2, "anchor"),
     "scalar_multiple-n": (BAD_INTEGRATE, ["force.tensor.catalog=scalar_multiple",
                                           "force.tensor.params.c=1.0",
                                           "force.tensor.params.n=3"], 2, "n = 3"),
@@ -688,7 +698,7 @@ def test_a_time_scalar_at_the_depth_cap_builds():
     c = 0.5
     for _ in range(127):
         c = math.sin(c)
-    assert sc.force.force_matrix([0.0], 0.5)[0, 0] == c
+    assert sc.force.tensor_F([0.0], 0.5)[0][0] == c
     with pytest.raises(ParseError, match="column 509"):
         parse_scenario({**BAD_INTEGRATE, "force": {"tensor": {
             "catalog": "time_scalar", "params": {"expr": "sin(" + text + ")", "n": 1}}}})

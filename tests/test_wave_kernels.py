@@ -9,6 +9,7 @@ reference the oracle's field is held to here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,33 @@ def test_a_non_finite_h_gives_a_non_finite_stage_not_a_zero_division(base, value
     assert all(math.isnan(a) for a in out[4:])
 
 
+def _wave_in(number):
+    """H = inf where x1 > 0.5, else x1^2 + u x2, with its partials there, each value number(...)."""
+    return WaveCoefficient(h=lambda x, u: number(math.inf if x[0] > 0.5 else x[0] * x[0] + u * x[1]),
+                           h_dx=lambda x, u: [number(2.0 * x[0]), number(u)],
+                           h_du=lambda x, u: number(x[1]))
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_numpy_scalar_sources_give_the_python_float_values(base):
+    # the field takes every called value in Python floats, so a numpy scalar
+    # H = inf is the same zero pivot, NaN with no RuntimeWarning
+    witness = (np.array([0.2, 1.0]), 0.5)
+    fields = [gpw._oracle_field(GpwSpacetime(base=BASES[base](), nonzero_witness=witness,
+                                             wave=_wave_in(number)))
+              for number in (float, np.float64)]
+    rng = np.random.default_rng(2)
+    states = [[1.0, 0.0, 0.0, 0.0, 0.1, 0.0, 1.0, 0.0]]
+    states += np.column_stack([rng.uniform(-0.5, 0.5, (20, 2)),
+                               rng.uniform(-1.0, 1.0, (20, 6))]).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        python, numpy = ([[v.hex() for v in field(0.0, y)] for y in states] for field in fields)
+    assert numpy == python
+    assert all(math.isnan(float.fromhex(v)) for v in python[0][4:])
+    assert all(type(v) is float for y in states for v in fields[1](0.0, y))
+
+
 def test_an_expression_h_that_overflows_rejects_the_step():
     # H = 1e300 x1^2 overflows to inf at x1 = 1e5 without an EvaluationError
     st_ = _spacetime("euclidean", "plane")
@@ -189,6 +217,18 @@ def test_a_gpw_map_task_builds_one_base_kernel(builds, tmp_path):
     assert builds == {"oracle": 0, "kernel": 1}
     run_scenario(sc, tmp_path / "second")
     assert builds == {"oracle": 0, "kernel": 1}
+
+
+def test_a_gpw_map_task_run_again_after_another_generates_no_kernel(builds, tmp_path):
+    # the delta = 0 runs take a free force system kept on their spacetime,
+    # whose kernel stays on its base while another task runs
+    first, second = (parse_scenario(_map_task([0.0, 1.1])) for _ in range(2))
+    run_scenario(first, tmp_path / "first")
+    run_scenario(second, tmp_path / "second")
+    assert builds == {"oracle": 0, "kernel": 4}
+    run_scenario(first, tmp_path / "again")
+    assert builds == {"oracle": 0, "kernel": 4}
+    assert first.spacetime.generated["free"] is not FREE
 
 
 @pytest.mark.parametrize("base", ["euclidean", "metric_rows"])
