@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import ForceSystem
 from .errors import ParseError, ValidationError
 from .expressions import (Expression, _add, _mul, _sub, at_chart_point, chart_function,
-                          chart_guard, parse_expression)
+                          parse_expression)
 from .geometry import ChartManifold
 from .gpw import WaveCoefficient
 
@@ -180,7 +180,7 @@ def metric_rows(rows, guard=None, complete=False):
     n = len(rows)
     variables = _chart_variables(n)
     exprs = _parsed_rows(rows, variables)
-    guard_fn = None if guard is None else chart_guard(parse_expression(guard, variables))
+    guard_fn = None if guard is None else chart_function(parse_expression(guard, variables), (n,))
 
     def geodesic_terms():
         names = variables + tuple(f"v{k + 1}" for k in range(n))

@@ -118,10 +118,6 @@ class PhiFunction:
     def __post_init__(self):
         self._certify(self.a, self.a + _PHI_INITIAL_SPAN)
 
-    def __call__(self, s):
-        """phi at the point s, passed to fn as a Python float."""
-        return float(self.fn(float(s)))
-
     def values(self, ss):
         """phi at each point of the array ss.
 
@@ -284,16 +280,6 @@ class DominatingSolution:
                 raise HypothesisViolated(
                     f"t({w_next:.3g}) = {self._t[-1]:.6g} still below {t_target}; "
                     "phi grows too slowly to tabulate (or t_max is enormous)")
-
-    def time_of(self, w):
-        """t(w) = int_{v0_init}^{w} ds/phi(s)."""
-        if w < self.v0_init:
-            raise ValueError(f"w = {w} below v0(0) = {self.v0_init}")
-        if w > self._w[-1]:
-            self.phi.extend_certificate(w)
-        k = int(np.searchsorted(self._w, w, side="right")) - 1
-        return float(self._t[k]) + adaptive_quad(
-            self.phi.reciprocal, float(self._w[k]), w, rel_tol=_TABLE_REL_TOL)
 
     def __call__(self, t):
         return float(self.values(np.array([float(t)]))[0])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EigFailure, OutOfChart
 from .expressions import Inliner, function_text, on_rows, on_window, point_text
-from .geometry import chart_point, diagonal_of, inner_products, metric_lines, metrics_at
+from .geometry import chart_point, inner_products, metric_factors, metric_lines
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,8 @@ def make_rhs(manifold, fs):
     generates nothing. k returns the list xdot + xddot, in Python floats.
     After the guard check:
 
-    - on a flat chart Γ ≡ 0, so xddot = -0.0 xd xd + F xd − G^-1 ∂V, where
-      the last term is left out when ∂V is all zeros and G^-1 is skipped on
-      an identity metric;
+    - on a flat chart Γ ≡ 0 and G is the identity, so xddot = -0.0 xd xd +
+      F xd − ∂V, where the last term is left out when ∂V is all zeros;
     - on a curved chart the metric is checked once (geometry.metric_lines),
       the chart's geodesic_term Γ_lij xd^i xd^j plus ∂_l V is raised by G,
       negated, and F xd is added.
@@ -136,7 +135,7 @@ def make_rhs(manifold, fs):
     by division; any other takes metric_at's stacked check and is solved by
     np.linalg.solve. Every sum and product is written out in that order, a
     row of F times xd as sum() adds it, from 0. A source that is a
-    chart_function (and a guard of expression text) is written into k, one
+    chart_function (the guard too) is written into k, one
     try statement per source, so subexpressions shared by the metric, the
     geodesic term, ∂V and F are computed once; a domain error calls the
     source itself, whose EvaluationError names the first expression that
@@ -178,7 +177,7 @@ def _kernel(manifold, fs):
         lines += tensor_values + gradient_lines
         # -0.0 * v * v is what -Γ(xdot, xdot) gives for Γ = 0: -0.0, or NaN where xdot is not finite
         lines += [f"_a{i} = -0.0 * _v{n + i} * _v{n + i}" for i in range(n)] + tensor_sum
-        lines += _minus_gradient(manifold, inliner, gradient, dv)
+        lines += _minus_gradient(gradient, dv)
     else:
         metric_text, diagonal = metric_lines(manifold, inliner, metric)
         term_lines, terms = inliner.values(term, "_e")
@@ -200,52 +199,41 @@ def _kernel(manifold, fs):
 def guard_check(manifold, inliner):
     """A call giving the lines that raise OutOfChart where the chart point x fails the guard.
 
-    x is in the locals _v0.. of inliner's function. The guard's trees, where
-    it is a chart guard (expressions.chart_guard), are added to inliner now,
-    so this comes before the other sources are added, and the call before
-    any of them is assigned; a guard of any other kind is called, and no
-    guard gives no lines.
+    x is in the locals _v0.. of inliner's function, and x fails where the
+    guard's value is not > 0.0. The guard is added to inliner now, so this
+    comes before the other sources are added, and the call before any of
+    them is assigned: a chart_function guard is written in, a guard of any
+    other kind is called, and no guard gives no lines.
     """
     guard = manifold.domain_guard
-    positive = inliner.add(getattr(guard, "positive", None), ("x",))
+    source = inliner.add(guard, ("x",))
 
     def lines():
         if guard is None:
             return []
         x = point_text(0, manifold.dim)
         raised = f"    raise {inliner.bind(OutOfChart)}({inliner.bind(np.array)}({x}))"
-        if positive.trees is None:
-            return [f"if not {inliner.bind(guard)}({x}):", raised]
-        guard_lines, value = inliner.values(positive, "_p")
+        if source.trees is None:
+            guard_lines, value = [], f"{inliner.bind(guard)}({x})"
+        else:
+            guard_lines, value = inliner.values(source, "_p")
         return guard_lines + [f"if not {value} > 0.0:", raised]
 
     return lines
 
 
-def _minus_gradient(manifold, inliner, gradient, dv):
-    """Lines that subtract G^-1 ∂V on a flat chart, where any entry of ∂V is nonzero (NaN counts).
+def _minus_gradient(gradient, dv):
+    """Lines that subtract ∂V on a flat chart, where any entry of ∂V is nonzero (NaN counts).
 
     A zero ∂V leaves the -0.0 of -0.0 * v * v, never the 0.0 of -0.0 - (-0.0);
     entries that are constants in the text are decided here.
     """
-    n = manifold.dim
     trees = gradient.trees
     constants = [] if trees is None else [tree[1] for tree in trees if tree[0] == "num"]
     varying = [d for i, d in enumerate(dv) if trees is None or trees[i][0] != "num"]
     if not varying and not any(constants):
         return []
-    if manifold.identity_metric:
-        subtract = [f"_a{i} = _a{i} - {d}" for i, d in enumerate(dv)]
-    else:
-        diagonal, g = diagonal_of(manifold.metric, [0.0] * n)
-        if diagonal is not None:
-            subtract = [f"_a{i} = _a{i} - {d} / {inliner.bind(c)}"
-                        for i, (d, c) in enumerate(zip(dv, diagonal))]
-        else:
-            quotients = [f"_q{i}" for i in range(n)]
-            subtract = [f"{', '.join(quotients)}, = {inliner.bind(_solve)}({inliner.bind(g)}, "
-                        f"[{', '.join(dv)}])"]
-            subtract += [f"_a{i} = _a{i} - {q}" for i, q in enumerate(quotients)]
+    subtract = [f"_a{i} = _a{i} - {d}" for i, d in enumerate(dv)]
     if any(constants):
         return subtract
     return [f"if {' or '.join(varying)}:"] + [f"    {line}" for line in subtract]
@@ -263,12 +251,12 @@ def operator_eigen_range(manifold, fs, points, t):
     times, giving shape (len(t), len(points)): one call reduces a window.
     S has the eigenvalues of the pencil A - lambda G, A = (GF + F^T G)/2, and so,
     with L = cholesky(G), of the symmetric C = L^-1 A L^-T (Golub & Van Loan,
-    Matrix Computations, §8.7): one stacked eigvalsh over the rows. On a chart
-    whose metric is the identity, C is A itself, bit for bit, and eigvalsh
-    takes A with no factoring and no solve. F is
-    evaluated once over all (time, point) pairs by on_window, then G and L once
-    per point, broadcast over the times, so an error of F over the whole
-    window raises before any of G.
+    Matrix Computations, §8.7): one stacked eigvalsh over the rows. On a flat
+    chart G is the identity, C is A itself, bit for bit, and eigvalsh takes A
+    with no factoring and no solve. F is evaluated once over all (time,
+    point) pairs by on_window, then G and L once per point, L as the metric
+    check factored G (geometry.metric_factors), broadcast over the times, so
+    an error of F over the whole window raises before any of G.
     """
     points = np.asarray(points, dtype=float)
     times = np.asarray(t, dtype=float)
@@ -276,7 +264,7 @@ def operator_eigen_range(manifold, fs, points, t):
     if fs.tensor_F is None:
         return np.zeros(shape), np.zeros(shape)
     fmat = on_window(fs.tensor_F, points, times)
-    g = metrics_at(manifold, points)
+    g, low = metric_factors(manifold, points)
     # g passed the metric checks, so only a can be non-finite, and then it fails here
     with np.errstate(invalid="ignore", over="ignore"):
         a = 0.5 * (g @ fmat + np.swapaxes(fmat, -1, -2) @ g)
@@ -285,10 +273,9 @@ def operator_eigen_range(manifold, fs, points, t):
         raise EigFailure(f"generalized eigenproblem at {points[bad.argmax() % len(points)]} "
                          f"has a non-finite entry")
     try:
-        if manifold.identity_metric:
+        if low is None:
             w = np.linalg.eigvalsh(a)
         else:
-            low = np.linalg.cholesky(g)
             w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), -1, -2)))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"generalized eigenproblem failed on the sample grid: {exc}") from None

@@ -14,17 +14,14 @@ class OutOfChart(WavetrajError):
 
 
 class NotPositiveDefinite(WavetrajError):
-    """The metric matrix has an eigenvalue <= 0, or an entry that is not finite.
-
-    point is None when a constant metric fails the check at construction.
-    """
+    """The metric matrix at point has an eigenvalue <= 0 (problem "positive definite"), an
+    entry that is not finite ("finite") or an asymmetry beyond tolerance ("symmetric")."""
 
     def __init__(self, point, eigenvalue=None, problem="positive definite"):
         self.point = point
         self.eigenvalue = eigenvalue
-        where = f" at {point}" if point is not None else " as a constant"
         detail = f" (smallest eigenvalue {eigenvalue})" if eigenvalue is not None else ""
-        super().__init__(f"metric not {problem}{where}{detail}")
+        super().__init__(f"metric not {problem} at {point}{detail}")
 
 
 class EigFailure(WavetrajError):

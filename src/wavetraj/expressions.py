@@ -46,7 +46,8 @@ without one has none, so replacing a source can never leave a stale array
 form behind. with_array_form attaches one to a hand-written callable.
 chart_function compiles an Expression, a list of them or a list of rows of
 them into one generated function of the points that carry their variables,
-such as f(x, s), f(x) or f(x, v) for a chart point x: it unpacks x itself,
+such as f(x, s), f(x) (a chart's metric rows, or its guard, > 0 inside the
+chart) or f(x, v) for a chart point x: it unpacks x itself,
 binds a template's parameters as constants, shares subexpressions across
 all the trees, and raises the EvaluationError of the first expression that
 fails. at_chart_point gives force and wave sources the call f(x, s) this way
@@ -730,18 +731,6 @@ def substituted(tree, nodes, memo):
             out = (kind,) + tuple(substituted(child, nodes, memo) for child in tree[1:])
         memo[id(tree)] = out
     return out
-
-
-def chart_guard(expr):
-    """The chart guard x -> expr(*x) > 0.0 of an Expression over the chart coordinates.
-
-    The value is one generated function (chart_function), which the guard
-    keeps as its attribute positive, so generated code can inline it.
-    """
-    value = chart_function(expr, (len(expr.variables),))
-    guard = lambda x: value(x) > 0.0
-    guard.positive = value
-    return guard
 
 
 class Inliner:

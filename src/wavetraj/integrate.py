@@ -416,7 +416,7 @@ def _problem(manifold, fs):
 
     def speed_of(y):
         # the integrator asks for a speed only where f returned, inside the
-        # guard, and a constant metric was checked when the chart was built
+        # guard, and a flat chart's metric is the identity
         q = norm(y)
         return math.sqrt(q) if math.isfinite(q) and q >= 0 else math.inf
 

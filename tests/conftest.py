@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavetraj.catalog import build_manifold, build_potential
+from wavetraj.catalog import build_manifold, build_potential, metric_rows
 from wavetraj.dynamics import FREE
 from wavetraj.hypotheses import BoundData, CertificationTask, certify
 
@@ -13,6 +13,11 @@ def box_grid(lo, hi, shape):
     axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def constant_rows(g):
+    """The chart whose metric is the constant matrix g, as metric rows of its entries' text."""
+    return metric_rows([[repr(e) for e in row] for row in np.asarray(g, dtype=float).tolist()])
 
 
 def window(alpha0, beta0, T, grid=((0.0,),)):

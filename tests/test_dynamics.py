@@ -11,10 +11,9 @@ from wavetraj.catalog import build_potential, expression_potential
 from wavetraj.dynamics import (ForceSystem, build_energy_frame, energy_derivative_identity,
                                energy_v, operator_eigen_range, rhs_E)
 from wavetraj.errors import EigFailure
-from wavetraj.geometry import ChartManifold
 from wavetraj.gpw import WaveCoefficient
 
-from conftest import box_grid, tensor_force, window
+from conftest import box_grid, constant_rows, tensor_force, window
 
 
 def const_tensor(mat):
@@ -57,7 +56,7 @@ def test_operator_eigen_range_diagonal_fixed(euclidean2):
 def test_operator_eigen_range_curved_metric():
     # G = diag(4, 1), F = [[0,1],[0,0]]: S = [[0, 1/2], [2, 0]] (frozen from a
     # symbolic matrix oracle), whose eigenvalues are -1 and 1
-    m = ChartManifold(dim=2, metric=np.diag([4.0, 1.0]))
+    m = constant_rows(np.diag([4.0, 1.0]))
     fs = tensor_force(const_tensor([[0, 1], [0, 0]]))
     lo, hi = operator_eigen_range(m, fs, np.zeros((1, 2)), 0.0)
     assert_allclose([lo, hi], [[-1.0], [1.0]], atol=1e-15)
@@ -71,7 +70,7 @@ def test_skew_part_is_metric_skew_adjoint(seed):
     a = rng.normal(size=(n, n))
     g = a @ a.T + n * np.eye(n)
     f = rng.normal(size=(n, n))
-    m = ChartManifold(dim=n, metric=g)
+    m = constant_rows(g)
     fs = tensor_force(const_tensor(f))
     # the metric-self-adjoint part S = (F + G^-1 F^T G)/2 and its skew rest
     s = 0.5 * (f + np.linalg.solve(g, f.T @ g))
@@ -233,6 +232,37 @@ def test_fd_of_energy_matches_identity_on_autonomous_systems(hyperbolic, euclide
         assert (np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))).max() < 1e-4
 
 
+def test_the_eigen_scan_factors_each_metric_stack_once(monkeypatch):
+    # the metric check's Cholesky factor is the one the pencil reduction takes
+    from wavetraj.catalog import build_manifold, expression_tensor
+    from wavetraj.expressions import on_window
+    from wavetraj.geometry import metrics_at
+
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    m = build_manifold("diagonal_conformal", {"entries": ["1 + x1^2", "2 + sin(x1*x2)"]})
+    fs = tensor_force(expression_tensor([["t", "x1"], ["-x2", "1 + x1*t"]]))
+    grid = box_grid([-2.0, -2.0], [2.0, 2.0], (11, 11))
+    times = np.linspace(-1.0, 1.0, 41)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    lo, hi = operator_eigen_range(m, fs, grid, times)
+    assert calls == [(len(grid), 2, 2)]
+    monkeypatch.undo()
+    # the same input and the same factor: the eigenvalues of the pencil, bit for bit
+    f = on_window(fs.tensor_F, grid, times)
+    g = metrics_at(m, grid)
+    a = 0.5 * (g @ f + np.swapaxes(f, -1, -2) @ g)
+    low = np.linalg.cholesky(g)
+    w = np.linalg.eigvalsh(np.linalg.solve(low, np.swapaxes(np.linalg.solve(low, a), -1, -2)))
+    assert lo.shape == hi.shape == (len(times), len(grid))
+    assert lo.tobytes() == w[..., 0].tobytes() and hi.tobytes() == w[..., -1].tobytes()
+
+
 def test_operator_eigen_range_within_rounding_of_scipy_eigh():
     # the stacked Cholesky reduction and scipy's dsygvd reach the same
     # eigenvalues by different rounding: each agrees with eigh within
@@ -258,7 +288,7 @@ def test_operator_eigen_range_within_rounding_of_scipy_eigh():
         for _ in range(50):
             a = rng.normal(size=(n, n))
             f = rng.normal(size=(n, n))
-            m = ChartManifold(dim=n, metric=a @ a.T + rng.uniform(0.01, 1.0) * np.eye(n))
+            m = constant_rows(a @ a.T + rng.uniform(0.01, 1.0) * np.eye(n))
             check(m, tensor_force(const_tensor(f)), rng.normal(size=(3, n)), f)
 
 

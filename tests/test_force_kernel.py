@@ -2,8 +2,8 @@
 
 make_rhs writes the whole force equation of a chart and a force system into
 one generated function. The list-based rhs_E it replaced, with the metric
-check it called, is kept here as the reference: on every chart kind (an
-identity or constant metric, diagonal rows, general rows whose off-diagonal
+check it called, is kept here as the reference: on every chart kind (the
+identity, constant rows, diagonal rows, general rows whose off-diagonal
 entries vanish at some points, and plain callable sources) and every force
 kind (template and expression potentials, wave force systems, tensors that
 are None, constant, in t alone or callable), the kernel must give its value
@@ -53,7 +53,7 @@ def _metric_diagonal(manifold, x):
         diagonal.append(d)
     if len(diagonal) == n == len(g):
         return diagonal, None
-    return None, _checked_metrics([g], manifold.dim, [np.asarray(x, dtype=float)])[0]
+    return None, _checked_metrics([g], manifold.dim, [np.asarray(x, dtype=float)])[0][0]
 
 
 def _floats(v):
@@ -76,7 +76,7 @@ def _tensor(fs, x, t):
 
 def reference_squared_norm(manifold, x, w):
     """g_x(w, w) as it was taken before the generated norm."""
-    if manifold.identity_metric:
+    if manifold.flat:
         return sum([v * v for v in w])
     diagonal, g = _metric_diagonal(manifold, x)
     if diagonal is not None:
@@ -91,21 +91,18 @@ def reference_rhs(manifold, fs, state):
     x, xdot, t = state
     if type(x) is not list or type(xdot) is not list:
         x, xdot = chart_point(x), chart_point(xdot)
-    if manifold.domain_guard is not None and not manifold.domain_guard(x):
+    if manifold.domain_guard is not None and not manifold.domain_guard(x) > 0.0:
         raise OutOfChart(np.array(x))
     if manifold.flat:
         fmat = _tensor(fs, x, t)
         dv = _floats(fs.potential_dx(x, t))
-        if fmat is None and manifold.identity_metric and any(dv):
+        if fmat is None and any(dv):
             return xdot + [-0.0 * v * v - d for v, d in zip(xdot, dv)]
         acc = [-0.0 * v * v for v in xdot]
         if fmat is not None:
             acc = [a + _dot(row, xdot) for a, row in zip(acc, fmat)]
         if any(dv):
-            if manifold.identity_metric:
-                acc = [a - d for a, d in zip(acc, dv)]
-            else:
-                acc = [a - d for a, d in zip(acc, _raised(*_metric_diagonal(manifold, x), dv))]
+            acc = [a - d for a, d in zip(acc, dv)]
         return xdot + acc
     diagonal, g = _metric_diagonal(manifold, x)
     lowered = [a + d for a, d in zip(_floats(manifold.geodesic_term(x, xdot)),
@@ -136,8 +133,8 @@ CHARTS = {
     "identity": lambda: build_manifold("euclidean", {"n": 2}),
     "identity-guarded": lambda: ChartManifold(dim=2, metric=np.eye(2),
                                               domain_guard=lambda x: x[0] < 1.5),
-    "constant-diagonal": lambda: ChartManifold(dim=2, metric=np.diag([2.0, 0.5])),
-    "constant-general": lambda: ChartManifold(dim=2, metric=np.array([[2.0, 0.3], [0.3, 1.0]])),
+    "constant-diagonal": lambda: metric_rows([["2", "0"], ["0", "0.5"]]),
+    "constant-general": lambda: metric_rows([["2", "0.3"], ["0.3", "1"]]),
     "half-plane": lambda: build_manifold("hyperbolic_half_plane", {}),
     "diagonal-rows": lambda: build_manifold(
         "diagonal_conformal", {"entries": ["1 + 0.3*(x1^2 + x2^2)", "exp(0.2*x1)"]}),
@@ -254,6 +251,28 @@ def test_the_generated_norm_is_the_list_norm_bit_for_bit(chart):
             assert _outcome(lambda: [norm(x + w)]) == _outcome(reference)
 
 
+GUARDS = {
+    "bool": lambda: ChartManifold(dim=2, metric=np.eye(2), domain_guard=lambda x: x[0] < 1.0),
+    "value": lambda: ChartManifold(dim=2, metric=np.eye(2), domain_guard=lambda x: 1.0 - x[0]),
+    "expression": lambda: metric_rows([["1", "0"], ["0", "1"]], guard="1 - x1"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_contains_and_the_kernel_agree_on_the_guard(guard):
+    # inside where the guard's value is > 0.0: its 0.0 (or False) at x1 = 1 is outside
+    manifold = GUARDS[guard]()
+    kernel = make_rhs(manifold, FREE)
+    for x1 in (0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.5):
+        x = [x1, 0.3]
+        assert manifold.contains(x) == (x1 < 1.0)
+        if x1 < 1.0:
+            assert kernel(0.0, x + [1.0, 0.0])[:2] == [1.0, 0.0]
+        else:
+            with pytest.raises(OutOfChart):
+                kernel(0.0, x + [1.0, 0.0])
+
+
 def test_a_force_system_keeps_the_kernel_of_its_last_manifold():
     manifold = build_manifold("hyperbolic_half_plane", {})
     fs = build_potential("harmonic", {"k": 1.0}, 2)
@@ -354,6 +373,12 @@ def test_a_second_run_emits_no_new_kernel_source(generated_sources, tmp_path, fa
     workload = "gpw_certify" if family.startswith("gpw") else "integrate"
     task = next(t for t in _perfbench_workloads().generate(workload, 7) if t.family == family)
     sc = parse_scenario(task.raw)
+    # the catalog shares charts and force systems between scenarios (the
+    # half-plane, the zero potential), so an earlier test may have left its
+    # kernel on them: the first run starts from none
+    for holder in (sc.manifold, sc.force, sc.spacetime):
+        if holder is not None:
+            holder.generated.clear()
     run_scenario(sc, tmp_path / "first")
     assert generated_sources
     misses = expressions._code.cache_info().misses

@@ -43,8 +43,10 @@ def test_metric_symmetrized_within_tolerance():
 
 def test_metric_asymmetry_beyond_tolerance_rejected():
     m = metric_rows([["1", "1e-3"], ["0", "1"]])
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(NotPositiveDefinite, match=r"not symmetric at \[0\. 0\.\]") as info:
         metric_at(m, [0.0, 0.0])
+    assert_array_equal(info.value.point, [0.0, 0.0])
+    assert info.value.eigenvalue is None
 
 
 def test_metric_not_positive_definite():
@@ -64,7 +66,8 @@ def test_christoffel_euclidean_zero(euclidean2):
 
 
 def test_constant_metric_is_flat_with_no_geodesic_term(euclidean2):
-    assert euclidean2.flat and euclidean2.identity_metric
+    assert euclidean2.flat
+    assert_array_equal(euclidean2.metric, np.eye(2))
     # no term, not the finite-difference one
     assert euclidean2.geodesic_term is None
     gamma = christoffel_at(euclidean2, [1.0, 2.0])
@@ -74,26 +77,45 @@ def test_constant_metric_is_flat_with_no_geodesic_term(euclidean2):
     assert not g.flags.writeable
 
 
-def test_constant_metric_checked_at_construction():
-    with pytest.raises(ValueError, match="not symmetric as a constant"):
-        ChartManifold(dim=2, metric=np.array([[1.0, 1e-3], [0.0, 1.0]]))
-    with pytest.raises(NotPositiveDefinite, match="as a constant") as info:
-        ChartManifold(dim=2, metric=np.diag([1.0, -1.0]))
-    assert info.value.point is None
-    assert info.value.eigenvalue == -1.0
-    with pytest.raises(ValueError, match="shape"):
-        ChartManifold(dim=2, metric=np.eye(3))
+@pytest.mark.parametrize("metric", [
+    np.array([[1.0, 1e-3], [0.0, 1.0]]), np.array([[1.0, 1e-13], [1e-13, 1.0]]),
+    np.diag([1.0, -1.0]), np.diag([2.0, 0.5]), np.eye(3), [[1.0, 0.0]],
+    np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+    ids=["asymmetric", "near_identity", "indefinite", "diagonal", "shape", "one_row", "nan",
+         "inf"])
+def test_a_constant_metric_other_than_the_identity_is_refused(metric):
+    with pytest.raises(ValueError, match=r"must be the identity np\.eye\(2\); give any other as "
+                                         r"constant metric rows \(catalog\.metric_rows\)"):
+        ChartManifold(dim=2, metric=metric)
+
+
+def test_a_constant_metric_is_the_identity():
+    m = ChartManifold(dim=2, metric=[[1.0, -0.0], [0.0, 1.0]])
+    assert m.flat and m.metric.tobytes() == np.eye(2).tobytes()
+    assert not m.metric.flags.writeable
     with pytest.raises(ValueError, match="geodesic_term must be None"):
         ChartManifold(dim=2, metric=np.eye(2), geodesic_term=lambda x, v: [0.0, 0.0])
     with pytest.raises(ValueError, match="needs its geodesic_term"):
         ChartManifold(dim=2, metric=lambda x: np.eye(2))
 
 
-def test_constant_metric_symmetrized_once():
-    m = ChartManifold(dim=2, metric=[[2.0, 1e-13], [0.0, 1.0]])
+def test_constant_metric_rows_are_checked_where_they_are_evaluated():
+    m = metric_rows([["1", "1e-3"], ["0", "1"]])
+    with pytest.raises(NotPositiveDefinite, match=r"not symmetric at \[0\.5 1\. \]"):
+        metric_at(m, [0.5, 1.0])
+    with pytest.raises(NotPositiveDefinite, match=r"not positive definite at \[0\.5 1\. \]") as info:
+        metric_at(metric_rows([["1", "0"], ["0", "-1"]]), [0.5, 1.0])
+    assert_array_equal(info.value.point, [0.5, 1.0])
+    assert info.value.eigenvalue == -1.0
+
+
+def test_constant_metric_rows_symmetrized_and_not_flat():
+    m = metric_rows([["2", "1e-13"], ["0", "1"]])
     g = metric_at(m, [0.0, 0.0])
     assert_allclose(g, g.T, rtol=0, atol=0)
-    assert m.flat and not m.identity_metric
+    assert not m.flat
+    # their geodesic term folds to zero
+    assert m.geodesic_term([0.3, -0.2], [1.0, 2.0]) == (0.0, 0.0)
 
 
 def test_constant_metric_keeps_chart_guard():
@@ -162,15 +184,6 @@ def test_christoffel_stencil_must_fit_in_chart():
         christoffel_at(half_plane_rows(), [0.0, 1e-9])
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_non_finite_constant_metric_rejected(value):
-    g = np.eye(2)
-    g[0, 0] = value
-    with pytest.raises(NotPositiveDefinite, match="not finite as a constant") as info:
-        ChartManifold(dim=2, metric=g)
-    assert info.value.point is None
-
-
 def test_non_finite_metric_function_rejected():
     m = ChartManifold(dim=2, metric=lambda x: np.full((2, 2), np.nan),
                       geodesic_term=lambda x, v: [0.0, 0.0])
@@ -235,7 +248,8 @@ def _stack_chart(values):
     # finite runs first: the non-positive-definite row 1 is not the error
     ([IDENTITY, NEGATIVE, NAN, NAN], 2, NotPositiveDefinite, "not finite at", None),
     ([IDENTITY, NEGATIVE, ASYMMETRIC, NAN], 3, NotPositiveDefinite, "not finite at", None),
-    ([IDENTITY, NEGATIVE, ASYMMETRIC, ASYMMETRIC], 2, ValueError, "not symmetric at", None),
+    ([IDENTITY, NEGATIVE, ASYMMETRIC, ASYMMETRIC], 2, NotPositiveDefinite, "not symmetric at",
+     None),
     ([IDENTITY, NEGATIVE, HUGE, HUGE], 2, NotPositiveDefinite, "not finite at", None),
     ([IDENTITY, IDENTITY, NEGATIVE, NEGATIVE], 2, NotPositiveDefinite, "not positive definite at",
      -1.0),

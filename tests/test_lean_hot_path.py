@@ -13,6 +13,7 @@ oracles for the float treatment of diagonal metrics. Step counts on the
 rejection and chart-exit paths are pinned.
 """
 
+import functools
 import importlib
 import math
 import warnings
@@ -28,8 +29,8 @@ from wavetraj.catalog import (build_manifold, build_potential, build_tensor, exp
                               expression_tensor, metric_rows)
 from wavetraj.dynamics import rhs_E
 from wavetraj.errors import EvaluationError, InvalidInit, NotPositiveDefinite, OutOfChart
-from wavetraj.expressions import parse_expression
-from wavetraj.geometry import ChartManifold, _checked_metrics, diagonal_of, metric_at
+from wavetraj.expressions import Inliner, function_text, parse_expression
+from wavetraj.geometry import ChartManifold, _checked_metrics, metric_at, metric_lines
 from wavetraj.integrate import (BACKWARD, BLOW_UP_SUSPECTED, CHART_EXIT, FORWARD,
                                 IntegratorConfig, _Core, _problem, _rms, integrate,
                                 integrate_ode, refine_blowup)
@@ -60,7 +61,7 @@ def _cholesky_checked(g, dim, x):
         raise NotPositiveDefinite(x, problem="finite")
     with np.errstate(over="ignore"):
         if np.abs(g - g.T).max() > 1e-12 * max(1.0, largest):
-            raise ValueError("metric not symmetric")
+            raise NotPositiveDefinite(x, problem="symmetric")
         g = 0.5 * (g + g.T)
     if not np.isfinite(g).all():
         raise NotPositiveDefinite(x, problem="finite")
@@ -111,32 +112,48 @@ def _outcome(fn):
     return value, {str(w.message) for w in caught}
 
 
+@functools.cache
+def _diagonal_check(n, negative_zeros):
+    """metric_lines' check of the chart diag(x1, .., xn) as a function of the state, giving
+    (_G, the diagonal's values); the off-diagonal zeros at negative_zeros are -0."""
+    rows = [[f"x{j + 1}" if j == k else "-0" if (j, k) in negative_zeros else "0"
+             for k in range(n)] for j in range(n)]
+    manifold = metric_rows(rows)
+    inliner = Inliner(n)
+    lines, diagonal = metric_lines(manifold, inliner, inliner.add(manifold.metric, ("x",), (n, n)))
+    return inliner.function(function_text("_y", n, lines + [f"return _G, [{', '.join(diagonal)}]"]))
+
+
 @PROFILE
 @given(diagonals())
 def test_diagonal_metric_is_checked_as_cholesky_would(g):
-    # diagonal_of checks a diagonal value elementwise in floats
+    # the generated check takes a diagonal value elementwise in floats; the
+    # chart point is the diagonal, so the chart's metric at it is g
     n = len(g)
-    x = np.full(n, 0.5)
-    value, warned = _outcome(lambda: diagonal_of(g, x.tolist()))
+    x = g.diagonal()
+    negative_zeros = frozenset((j, k) for j in range(n) for k in range(n)
+                               if j != k and math.copysign(1.0, g[j, k]) < 0.0)
+    value, warned = _outcome(lambda: _diagonal_check(n, negative_zeros)(x.tolist() + [0.0] * n))
     checked, checked_warned = _outcome(lambda: _cholesky_checked(g, n, x))
     assert warned == checked_warned
-    if isinstance(checked, tuple) or value[0] is None:
-        # not a positive finite diagonal: the checked matrix, or its error
-        if isinstance(checked, tuple):
-            assert value == checked
-        else:
-            assert value[1].tobytes() == checked.tobytes()
+    if isinstance(checked, tuple):
+        # not a positive finite diagonal, and not a checked matrix either: its error
+        assert value == checked
+        return
+    matrix, diagonal = value
+    if matrix is not None:
+        # not a positive finite diagonal: the checked matrix
+        assert matrix.tobytes() == checked.tobytes()
         return
     # a diagonal in floats: exactly the checked matrix's diagonal, and that matrix is diagonal
-    diagonal, matrix = value
-    assert matrix is None and all(type(d) is float for d in diagonal)
+    assert all(type(d) is float for d in diagonal)
     assert np.array(diagonal).tobytes() == checked.diagonal().tobytes()
     assert np.count_nonzero(checked) == np.count_nonzero(checked.diagonal()) == n
 
 
 def _checked_one(g, dim, x):
-    """_checked_metrics of g at x, as a stack of one."""
-    return _checked_metrics([g], dim, [x])[0]
+    """_checked_metrics' matrix of g at x, as a stack of one."""
+    return _checked_metrics([g], dim, [x])[0][0]
 
 
 def test_general_metrics_still_take_the_cholesky_path():

@@ -21,8 +21,13 @@ write its metric, geodesic term and guard out; a function in catalog.py
 that reads a coordinate of its chart point is a chart written by hand.
 
 The chart guard is checked during a run in one place, the force equation's
-kernel: only dynamics reads a guard's generated value (its positive
-attribute), and no module generates a second guard function.
+kernel, and no module generates a second guard function. A guard is a
+function whose value is > 0 inside the chart, an expression guard the
+chart function itself, with no attribute that holds a second form of it.
+
+There is one kind of flat chart, the Euclidean one: a constant metric is
+the identity, so ChartManifold derives flat alone and no module keeps a
+second flag or a Python twin of the generated metric check.
 
 A source is reached one way from arrays and one way from generated code:
 expressions.on_rows (and on_window, which calls it) takes the source
@@ -138,33 +143,54 @@ def test_no_module_imports_a_private_name_of_geometry():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
                 found.setdefault(path.stem, set()).update(alias.name for alias in node.names)
-    # the scan sees dynamics' import of diagonal_of, so an empty result is not a pass
-    assert "diagonal_of" in found.get("dynamics", set())
+    # the scan sees dynamics' import of metric_factors, so an empty result is not a pass
+    assert "metric_factors" in found.get("dynamics", set())
     private = sorted((stem, name) for stem, names in found.items()
                      for name in names if name.startswith("_"))
     assert private == []
 
 
-def _reads_positive(node):
-    """Whether node reads an attribute named positive: x.positive, or getattr(x, "positive", ...)."""
+def _attribute_named(node):
+    """The attribute name node reads or sets: x.name, or getattr/setattr/hasattr(x, "name", ...)."""
     if isinstance(node, ast.Attribute):
-        return node.attr == "positive" and isinstance(node.ctx, ast.Load)
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "getattr" and len(node.args) >= 2
-            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "positive")
+        return node.attr
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)):
+        return node.args[1].value
+    return None
 
 
-def test_only_dynamics_reads_the_generated_guard():
-    readers, guard_functions = set(), []
+def test_no_module_touches_a_second_form_of_the_guard():
+    touched, guard_functions = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if _reads_positive(node):
-                readers.add(path.stem)
+            name = _attribute_named(node)
+            if name is not None:
+                touched.setdefault(name, set()).add(path.stem)
             if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == "guard_function":
                 guard_functions.append(f"{path.stem}.{node.name}")
-    # the scan sees the kernel's read, so an empty result is not a pass
-    assert readers == {"dynamics"}
+    # the scan sees the kernel's read of the guard and getattr's of the chart
+    # attribute, so an empty result is not a pass
+    assert "dynamics" in touched["domain_guard"] and "expressions" in touched["chart"]
+    assert "positive" not in touched
     assert guard_functions == []
+
+
+def test_a_chart_derives_flat_alone():
+    from dataclasses import fields
+
+    from wavetraj.geometry import ChartManifold
+
+    derived = [f.name for f in fields(ChartManifold) if not f.init]
+    assert derived == ["flat", "generated"]
+
+
+def test_the_second_flat_kind_and_its_twins_are_gone():
+    gone = ("identity_metric", "diagonal_of", "chart_guard")
+    found = [(path.stem, name) for path in sorted(PACKAGE.rglob("*.py"))
+             for name in gone if name in path.read_text(encoding="utf-8")]
+    assert found == []
 
 
 def _imported_modules(tree):

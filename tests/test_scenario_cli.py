@@ -809,3 +809,22 @@ def test_the_cli_names_a_certificate_its_probe_contradicts(tmp_path, capsys):
     # without the conflict the line is unchanged
     assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "quartic-certify: certify -> inconclusive\n"
+
+
+def test_cli_reports_an_asymmetric_metric_in_one_line_and_runs_the_next(tmp_path, capsys):
+    harmonic = bundled_scenarios()["harmonic"]
+    # at rest at the origin, where the overriding metric is symmetric
+    rest = tmp_path / "rest.scn"
+    rest.write_text(json.dumps(dict(MINIMAL_INTEGRATE, name="rest",
+                                    initial={"position": [0.0, 0.0], "velocity": [0.0, 0.0]})))
+    out_dir = tmp_path / "out"
+    status = main(["run", str(harmonic), str(rest), 'manifold={"metric": [["1", "x1"], ["0", "1"]]}',
+                   "--output-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.splitlines()[0] == (f"{harmonic}: NotPositiveDefinite: "
+                                            "metric not symmetric at [1. 0.]")
+    assert "Traceback" not in captured.err
+    assert "rest: integrate -> HorizonReached" in captured.out
+    # no report of the harmonic run
+    assert {p.name.split(".")[0] for p in out_dir.iterdir()} == {"rest"}

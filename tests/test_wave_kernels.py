@@ -21,7 +21,6 @@ from wavetraj.catalog import build_manifold, build_wave, metric_rows
 from wavetraj.dynamics import ForceSystem, FREE, make_rhs, operator_eigen_range
 from wavetraj.errors import EvaluationError
 from wavetraj.expressions import with_array_form
-from wavetraj.geometry import ChartManifold
 from wavetraj.gpw import (GeodesicInitialData, GpwSpacetime, WaveCoefficient, full_acceleration,
                           full_geodesic_oracle, reduce_geodesic, wave_force_system)
 from wavetraj.integrate import HORIZON_REACHED, IntegratorConfig
@@ -293,7 +292,8 @@ def test_the_identity_metric_skips_the_pencil_bit_for_bit(rows):
     assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
 
 
-def test_a_constant_metric_other_than_the_identity_still_factors(monkeypatch):
+def test_constant_metric_rows_are_factored_once(monkeypatch):
+    # the metric check factors G, and the pencil takes that factor
     factored = []
     cholesky = np.linalg.cholesky
 
@@ -301,13 +301,14 @@ def test_a_constant_metric_other_than_the_identity_still_factors(monkeypatch):
         factored.append(np.shape(g))
         return cholesky(g)
 
-    manifold = ChartManifold(dim=2, metric=np.array([[2.0, 0.3], [0.3, 1.0]]))
+    manifold = metric_rows([["2", "0.3"], ["0.3", "1"]])
     euclidean = BASES["euclidean"]()
     stack = np.array([[[0.5, 1.0], [-2.0, 0.25]], [[0.0, 3.0], [1.0, -1.0]]])
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     lo, hi = operator_eigen_range(manifold, _stack_force(stack), np.zeros((2, 2)), 0.0)
     assert factored == [(2, 2, 2)]
-    ref_lo, ref_hi = _pencil(np.broadcast_to(manifold.metric, stack.shape), stack)
+    g = np.array([[2.0, 0.3], [0.3, 1.0]])
+    ref_lo, ref_hi = _pencil(np.broadcast_to(g, stack.shape), stack)
     assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
     # the identity takes no factor at all
     factored.clear()
